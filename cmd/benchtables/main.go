@@ -15,8 +15,6 @@
 //	                              # prepared-side vs full-plan delta resolution latency
 //	benchtables -update-json BENCH_update.json -update-workers 1,2,4,8
 //	                              # epoch-update (live mutation) vs full-rebuild latency
-//	benchtables -shard-json BENCH_shard.json -shard-counts 1,2,4,8
-//	                              # scatter-gather delta + mutation latency vs shard count
 //
 // Absolute numbers differ from the paper (the substrates are synthetic
 // stand-ins; see DESIGN.md §2); the comparative shapes are the
@@ -893,301 +891,6 @@ func writeUpdateBench(path string, datasets []*datagen.Dataset, seed int64, scal
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// shardLatencyJSON is one shard count's measured cost for a case.
-type shardLatencyJSON struct {
-	Shards int   `json:"shards"`
-	Nanos  int64 `json:"ns"`
-	// SpeedupVs1 is the single-substrate latency divided by this shard
-	// count's (0 when the sweep does not include shards=1).
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
-}
-
-// shardDeltaCaseJSON is one delta resolved through the scatter-gather
-// path at every shard count, with the built-in guarantee that all of
-// them produced the single-substrate match list.
-type shardDeltaCaseJSON struct {
-	Entities int                `json:"entities"`
-	Triples  int                `json:"triples"`
-	Matches  int                `json:"matches"`
-	ByShards []shardLatencyJSON `json:"by_shards"`
-}
-
-// shardDatasetJSON profiles the sharded index of one benchmark.
-type shardDatasetJSON struct {
-	Name      string `json:"name"`
-	Entities1 int    `json:"entities1"`
-	Entities2 int    `json:"entities2"`
-	// Split is the one-time cost of partitioning the prepared substrate
-	// into each shard count.
-	Split []shardLatencyJSON `json:"split"`
-	// SingleEntity and Batches are per-delta scatter-gather latencies.
-	SingleEntity []shardDeltaCaseJSON `json:"single_entity"`
-	Batches      []shardDeltaCaseJSON `json:"batches"`
-	// Mutation is a side-1 modify absorbed with the per-shard
-	// sub-substrates attached (patch split + owner-shard apply
-	// included), per shard count.
-	Mutation []shardLatencyJSON `json:"mutation"`
-	// EquivalenceWorkers lists the worker counts at which every shard
-	// count was verified bit-identical to the single substrate.
-	EquivalenceWorkers []int `json:"equivalence_workers"`
-}
-
-// shardBenchJSON is the BENCH_shard.json document: scatter-gather delta
-// resolution and owner-routed mutation latency as a function of shard
-// count, with built-in bit-identity guards at every combination of
-// shard count and worker count (query path, mutation path, and
-// post-mutation state).
-type shardBenchJSON struct {
-	Seed        int64              `json:"seed"`
-	Scale       float64            `json:"scale"`
-	ShardCounts []int              `json:"shard_counts"`
-	Env         envJSON            `json:"env"`
-	Datasets    []shardDatasetJSON `json:"datasets"`
-}
-
-// shardReps is how many times each sharded measurement repeats; the
-// recorded latency is the mean for deltas and the median for mutations.
-const shardReps = 5
-
-// fillSpeedupVs1 derives SpeedupVs1 against the shards=1 entry.
-func fillSpeedupVs1(ls []shardLatencyJSON) {
-	var base int64
-	for _, l := range ls {
-		if l.Shards == 1 {
-			base = l.Nanos
-		}
-	}
-	if base == 0 {
-		return
-	}
-	for i := range ls {
-		if ls[i].Nanos > 0 {
-			ls[i].SpeedupVs1 = float64(base) / float64(ls[i].Nanos)
-		}
-	}
-}
-
-func writeShardBench(path string, datasets []*datagen.Dataset, seed int64, scale float64, shardCounts, workerCounts []int) error {
-	ctx := context.Background()
-	doc := shardBenchJSON{Seed: seed, Scale: scale, ShardCounts: shardCounts, Env: benchEnv()}
-	for _, ds := range datasets {
-		cfg := core.DefaultConfig()
-		entry := shardDatasetJSON{
-			Name:               ds.Name,
-			Entities1:          ds.KB1.Len(),
-			Entities2:          ds.KB2.Len(),
-			EquivalenceWorkers: workerCounts,
-		}
-		prep := pipeline.PrepareSide(ds.KB1, cfg.Params())
-
-		// Partition once per shard count, timing the split.
-		subs := make(map[int]*pipeline.ShardedPrepared, len(shardCounts))
-		for _, k := range shardCounts {
-			t0 := time.Now()
-			sp, err := pipeline.ShardSide(prep, k)
-			if err != nil {
-				return err
-			}
-			entry.Split = append(entry.Split, shardLatencyJSON{Shards: k, Nanos: time.Since(t0).Nanoseconds()})
-			subs[k] = sp
-		}
-
-		n2 := ds.KB2.Len()
-		uri := func(e int) string { return ds.KB2.URI(kb.EntityID(e)) }
-		singles := [][]string{{uri(0)}, {uri(n2 / 2)}, {uri(n2 - 1)}}
-		var batches [][]string
-		for _, size := range []int{16, 128} {
-			if size >= n2 || size >= ds.KB1.Len() {
-				continue
-			}
-			sel := make([]string, 0, size)
-			for i := 0; i < size; i++ {
-				sel = append(sel, uri(i*n2/size))
-			}
-			batches = append(batches, sel)
-		}
-
-		measure := func(uris []string) (shardDeltaCaseJSON, error) {
-			delta, triples, err := kb.FromTriplesSubset("delta", ds.Triples2, uris)
-			if err != nil {
-				return shardDeltaCaseJSON{}, err
-			}
-			c := shardDeltaCaseJSON{Entities: delta.Len(), Triples: triples}
-			ref, err := core.RunDelta(ctx, prep, delta, cfg, nil, false)
-			if err != nil {
-				return c, err
-			}
-			c.Matches = len(ref.Matches)
-			for _, k := range shardCounts {
-				var total int64
-				for rep := 0; rep < shardReps; rep++ {
-					t0 := time.Now()
-					res, err := core.RunSharded(ctx, subs[k], delta, cfg, nil, false)
-					if err != nil {
-						return c, err
-					}
-					total += time.Since(t0).Nanoseconds()
-					if !samePairs(res.Matches, ref.Matches) {
-						return c, fmt.Errorf("%s: sharded path diverges at shards=%d on a %d-entity delta",
-							ds.Name, k, delta.Len())
-					}
-				}
-				// Bit-identity across the worker sweep at this shard count.
-				for _, w := range workerCounts {
-					cfgW := cfg
-					cfgW.Workers = w
-					res, err := core.RunSharded(ctx, subs[k], delta, cfgW, nil, false)
-					if err != nil {
-						return c, err
-					}
-					if !samePairs(res.Matches, ref.Matches) {
-						return c, fmt.Errorf("%s: sharded path diverges at shards=%d workers=%d on a %d-entity delta",
-							ds.Name, k, w, delta.Len())
-					}
-				}
-				c.ByShards = append(c.ByShards, shardLatencyJSON{Shards: k, Nanos: total / shardReps})
-			}
-			fillSpeedupVs1(c.ByShards)
-			return c, nil
-		}
-
-		for _, sel := range singles {
-			c, err := measure(sel)
-			if err != nil {
-				return err
-			}
-			entry.SingleEntity = append(entry.SingleEntity, c)
-		}
-		for _, sel := range batches {
-			c, err := measure(sel)
-			if err != nil {
-				return err
-			}
-			entry.Batches = append(entry.Batches, c)
-		}
-
-		// Mutation latency vs shard count: the same side-1 modify (one
-		// KB1 description gains a literal) absorbed from the same base
-		// epoch, with the per-shard sub-substrates attached so the patch
-		// splits by owner and applies per shard.
-		st := pipeline.NewState(ds.KB1, ds.KB2, cfg.Params())
-		eng := pipeline.Engine{Plan: core.PlanFor(cfg)}
-		if _, err := eng.Run(ctx, st); err != nil {
-			return err
-		}
-		baseCache, err := pipeline.NewCache(ctx, st, st.NameBlocks, st.PurgeStats)
-		if err != nil {
-			return err
-		}
-		uri1 := ds.KB1.URI(kb.EntityID(ds.KB1.Len() / 2))
-		var delta1 []rdf.Triple
-		for _, tr := range ds.Triples1 {
-			if kb.SubjectKey(tr.Subject) == uri1 {
-				delta1 = append(delta1, tr)
-			}
-		}
-		perturbed := false
-		for j, tr := range delta1 {
-			if tr.Object.IsLiteral() {
-				delta1[j].Object = rdf.NewLiteral(tr.Object.Value + " shard bench perturb")
-				perturbed = true
-				break
-			}
-		}
-		if !perturbed {
-			delta1 = append(delta1, rdf.NewTriple(rdf.NewIRI(uri1),
-				rdf.NewIRI("http://bench/extra"), rdf.NewLiteral("shard bench perturb")))
-		}
-		deltaKB1, err := kb.FromTriples("delta1", delta1)
-		if err != nil {
-			return err
-		}
-		store1, err := kb.NewStore(ds.KB1)
-		if err != nil {
-			return err
-		}
-		qdelta, _, err := kb.FromTriplesSubset("postmut", ds.Triples2, []string{uri(0)})
-		if err != nil {
-			return err
-		}
-		var refMatches []eval.Pair
-		for _, k := range shardCounts {
-			cache := *baseCache
-			if k > 1 {
-				cache.ShardOwners = pipeline.ShardOwners(ds.KB1, k)
-				cache.ShardSubs = cache.Prep1.SplitByOwner(cache.ShardOwners, k)
-			} else {
-				cache.ShardOwners, cache.ShardSubs = nil, nil
-			}
-			var times []int64
-			var matches []eval.Pair
-			var nextCache *pipeline.Cache
-			var new1 *kb.KB
-			runtime.GC()
-			for rep := 0; rep < shardReps; rep++ {
-				t0 := time.Now()
-				changed, revert, err := store1.Apply(deltaKB1, nil)
-				if err != nil {
-					return err
-				}
-				if !changed {
-					return fmt.Errorf("%s: shard mutation was a no-op", ds.Name)
-				}
-				new1 = store1.Assemble(ds.KB1)
-				upd, nc, err := core.RunUpdate(ctx, &cache, ds.KB1, ds.KB2, new1, ds.KB2, cfg, nil, false)
-				if err != nil {
-					return err
-				}
-				times = append(times, time.Since(t0).Nanoseconds())
-				matches, nextCache = upd.Matches, nc
-				revert() // every shard count absorbs the mutation from the same base
-			}
-			sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-			if refMatches == nil {
-				refMatches = matches
-			} else if !samePairs(matches, refMatches) {
-				return fmt.Errorf("%s: mutation result diverges at shards=%d", ds.Name, k)
-			}
-			if k > 1 {
-				// Post-mutation bit-identity: the owner-patched sub-substrates
-				// answer exactly like the patched unsplit substrate.
-				if len(nextCache.ShardSubs) != k {
-					return fmt.Errorf("%s: mutation at shards=%d left %d sub-substrates",
-						ds.Name, k, len(nextCache.ShardSubs))
-				}
-				base := &pipeline.Prepared{
-					Blocks:    nextCache.Prep1,
-					Neighbors: kb.FrozenFromLists(new1, cfg.Params().N, nextCache.Top1),
-				}
-				sp, err := pipeline.ShardedFromParts(base, nextCache.ShardSubs, nextCache.ShardOwners)
-				if err != nil {
-					return err
-				}
-				want, err := core.RunDelta(ctx, base, qdelta, cfg, nil, false)
-				if err != nil {
-					return err
-				}
-				got, err := core.RunSharded(ctx, sp, qdelta, cfg, nil, false)
-				if err != nil {
-					return err
-				}
-				if !samePairs(got.Matches, want.Matches) {
-					return fmt.Errorf("%s: post-mutation sharded state diverges at shards=%d", ds.Name, k)
-				}
-			}
-			entry.Mutation = append(entry.Mutation, shardLatencyJSON{Shards: k, Nanos: times[len(times)/2]})
-		}
-		fillSpeedupVs1(entry.Mutation)
-
-		doc.Datasets = append(doc.Datasets, entry)
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
 // medianNano runs fn updateBenchReps times and returns the median
 // wall-clock time.
 func medianNano(fn func() error) (int64, error) {
@@ -1284,9 +987,6 @@ func main() {
 		deltaWorkers  = flag.String("delta-workers", "1,2,4,8", "comma-separated worker counts at which -delta-json verifies prepared/full bit-identity")
 		updatePath    = flag.String("update-json", "", "write the mutation profile (per-upsert/delete epoch-update latency vs full rebuild, with a rebuild-equivalence guard) to this JSON file (e.g. BENCH_update.json) instead of the paper tables")
 		updateWorkers = flag.String("update-workers", "1,2,4,8", "comma-separated worker counts at which -update-json verifies update/rebuild bit-identity")
-		shardPath     = flag.String("shard-json", "", "write the sharded-index profile (scatter-gather delta resolution and owner-routed mutations vs shard count, with a bit-identity guard) to this JSON file (e.g. BENCH_shard.json) instead of the paper tables")
-		shardCounts   = flag.String("shard-counts", "1,2,4,8", "comma-separated shard counts swept by -shard-json")
-		shardWorkers  = flag.String("shard-workers", "1,4", "comma-separated worker counts at which -shard-json verifies sharded/unsharded bit-identity")
 		streamPath    = flag.String("stream-json", "", "write the anytime-resolution profile (time-to-first-match, recall-vs-budget curves and AUC per scheduling strategy, with a bit-identity guard) to this JSON file (e.g. BENCH_stream.json) instead of the paper tables")
 	)
 	flag.Parse()
@@ -1361,25 +1061,6 @@ func main() {
 		if *timing {
 			fmt.Fprintf(os.Stderr, "update bench in %v (written to %s)\n",
 				time.Since(t0).Round(time.Millisecond), *updatePath)
-		}
-		return
-	}
-	if *shardPath != "" {
-		counts, err := parseWorkerCounts(*shardCounts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		workers, err := parseWorkerCounts(*shardWorkers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t0 := time.Now()
-		if err := writeShardBench(*shardPath, datasets, *seed, *scale, counts, workers); err != nil {
-			log.Fatal(err)
-		}
-		if *timing {
-			fmt.Fprintf(os.Stderr, "shard bench in %v (written to %s)\n",
-				time.Since(t0).Round(time.Millisecond), *shardPath)
 		}
 		return
 	}

@@ -28,8 +28,7 @@ func runServe(args []string) {
 	indexPath := fs.String("index", "", "snapshot file to serve (from 'minoaner snapshot'); overrides -kb1/-kb2")
 	eager := fs.Bool("eager", false, "with -index: decode the whole snapshot at startup instead of mapping it and decoding sections on first use")
 	mutable := fs.Bool("mutable", false, "enable POST /upsert and /delete: live entity mutations with atomic epoch swaps (requires an index with retained sources)")
-	shards := fs.Int("shards", 0, "shard the index substrate into this many hash partitions: /delta scatters across them in parallel and mutations patch only the owning shards, with bit-identical answers (0 keeps the index's own shard count; 1 forces unsharded)")
-	replica := fs.Bool("replica", false, "serve as a read replica: bootstrap from -primary's /snapshot and tail its /journal (conflicts with -mutable, -index, -kb1/-kb2, -shards)")
+	replica := fs.Bool("replica", false, "serve as a read replica: bootstrap from -primary's /snapshot and tail its /journal (conflicts with -mutable, -index, -kb1/-kb2)")
 	primary := fs.String("primary", "", "primary server base URL to replicate from (e.g. http://primary:8080); requires -replica")
 	poll := fs.Duration("poll", 500*time.Millisecond, "replica journal poll interval when caught up")
 	addr := fs.String("addr", ":8080", "listen address")
@@ -54,9 +53,6 @@ func runServe(args []string) {
 		}
 		if *indexPath != "" || mc.kbsDeclared() {
 			log.Fatal("-replica conflicts with -index and -kb1/-kb2: replicas bootstrap from the primary's snapshot")
-		}
-		if *shards > 0 {
-			log.Fatal("-replica conflicts with -shards: replicas mirror the primary's sharding")
 		}
 		rep, err := minoaner.NewReplica(*primary,
 			minoaner.WithReplicaPoll(*poll),
@@ -108,11 +104,6 @@ func runServe(args []string) {
 		}
 		fmt.Fprintf(os.Stderr, "index built in %v\n", time.Since(start).Round(time.Millisecond))
 	}
-	if *shards > 0 {
-		if err := ix.Reshard(*shards); err != nil {
-			log.Fatalf("-shards: %v", err)
-		}
-	}
 	if !ix.Prepared() {
 		t0 := time.Now()
 		ix.Prepare()
@@ -127,10 +118,6 @@ func runServe(args []string) {
 	}
 	// The startup summary sticks to open-time state (Stats would force
 	// a mapped index to decode its KB bulk before serving).
-	shardNote := ""
-	if k := ix.Shards(); k > 1 {
-		shardNote = fmt.Sprintf(", %d shards", k)
-	}
 	modeNote := ""
 	switch {
 	case *mutable:
@@ -138,8 +125,8 @@ func runServe(args []string) {
 	case *replica:
 		modeNote = ", replica"
 	}
-	fmt.Fprintf(os.Stderr, "serving %d matches over %d+%d entities (epoch %d%s%s)\n",
-		ix.NumMatches(), ix.KB1().Len(), ix.KB2().Len(), ix.Epoch(), modeNote, shardNote)
+	fmt.Fprintf(os.Stderr, "serving %d matches over %d+%d entities (epoch %d%s)\n",
+		ix.NumMatches(), ix.KB1().Len(), ix.KB2().Len(), ix.Epoch(), modeNote)
 
 	srv := &http.Server{
 		Addr:              *addr,

@@ -20,7 +20,6 @@ func runSnapshot(args []string) {
 	mc := declareMatchFlags(fs)
 	out := fs.String("o", "index.msnp", "output snapshot file")
 	prepare := fs.Bool("prepare", true, "freeze the delta substrate into the snapshot so 'serve' answers /delta in O(|delta|) without re-deriving it")
-	shards := fs.Int("shards", 1, "hash-partition the index substrate into this many shards, persisted in the snapshot (1 = unsharded; answers are bit-identical at any count)")
 	inspect := fs.String("inspect", "", "describe an existing snapshot instead of building one")
 	compact := fs.String("compact", "", "load an existing snapshot, drop its mutation journal and flatten its substrate, and rewrite it (to -o)")
 	fs.Parse(args)
@@ -41,8 +40,7 @@ func runSnapshot(args []string) {
 	context.AfterFunc(ctx, stop)
 
 	start := time.Now()
-	opts := append(mc.progressOptions(), minoaner.WithShards(*shards))
-	ix, err := minoaner.BuildIndexContext(ctx, kb1, kb2, mc.config(), opts...)
+	ix, err := minoaner.BuildIndexContext(ctx, kb1, kb2, mc.config(), mc.progressOptions()...)
 	if errors.Is(err, context.Canceled) {
 		log.Fatal("interrupted")
 	}
@@ -111,11 +109,6 @@ func inspectSnapshot(path string) {
 		fmt.Printf("  delta substrate: prepared (O(|delta|) /delta queries)\n")
 	} else {
 		fmt.Printf("  delta substrate: absent (built on demand; re-snapshot with -prepare to persist it)\n")
-	}
-	if si.Shards > 1 {
-		fmt.Printf("  sharding: %d hash partitions (scatter-gather /delta, owner-routed mutations)\n", si.Shards)
-	} else {
-		fmt.Printf("  sharding: none (re-snapshot with -shards k to partition the substrate)\n")
 	}
 	if si.Mutable() {
 		fmt.Printf("  mutability: sources retained — epoch %d, %d journal entries (serve -mutable accepts /upsert and /delete)\n",

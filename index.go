@@ -94,13 +94,6 @@ type epoch struct {
 	// a mutation derives it from the epoch cache).
 	prep *pipeline.Prepared
 
-	// shards is the index's configured shard count (>= 1; 1 means
-	// unsharded). sharded is the scatter-gather substrate derived from
-	// prep when shards > 1: K owner-restricted sub-substrates of KB1,
-	// partitioned by URI hash. It is nil until prep exists.
-	shards  int
-	sharded *pipeline.ShardedPrepared
-
 	// cache is the scoring substrate mutations start from; nil until
 	// the first mutation primes it (built and loaded epochs alike pay
 	// that one-time candidate recompute there, so read-only indexes
@@ -146,17 +139,6 @@ func BuildIndex(kb1, kb2 *KB, cfg Config) (*Index, error) {
 	return BuildIndexContext(context.Background(), kb1, kb2, cfg)
 }
 
-// BuildIndexSharded is BuildIndex with the first KB hash-partitioned
-// into k shards: once the prepared substrate exists (Prepare, or the
-// first mutation), QueryKB and the serve layer's /delta scatter each
-// delta across k owner-restricted sub-substrates in parallel and
-// gather the ranked candidates through cross-shard merges. Results are
-// bit-identical to an unsharded index at every shard count; mutations
-// route their substrate edits to the owning shards only.
-func BuildIndexSharded(kb1, kb2 *KB, cfg Config, k int) (*Index, error) {
-	return BuildIndexContext(context.Background(), kb1, kb2, cfg, WithShards(k))
-}
-
 // BuildIndexContext is BuildIndex under a context, with optional
 // progress reporting (WithProgress). It runs the same staged pipeline
 // as ResolveContext and retains the artifacts queries need: the block
@@ -170,9 +152,6 @@ func BuildIndexContext(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Re
 	icfg := cfg.internal()
 	if err := icfg.Validate(); err != nil {
 		return nil, err
-	}
-	if o.shards < 0 {
-		return nil, fmt.Errorf("minoaner: shard count %d out of range (need >= 1)", o.shards)
 	}
 	st := pipeline.NewState(kb1.kb, kb2.kb, icfg.Params())
 	// Observed runs record per-stage allocation deltas, matching
@@ -198,21 +177,11 @@ func BuildIndexContext(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Re
 		h3:               st.H3,
 		matches:          st.Matches,
 		discardedByH4:    st.DiscardedByH4,
-		shards:           normalizeShards(o.shards),
 	}
 	ep.buildLookup()
 	ix := &Index{}
 	ix.cur.Store(ep)
 	return ix, nil
-}
-
-// normalizeShards maps the option value to the effective shard count
-// (0 = unset = 1).
-func normalizeShards(k int) int {
-	if k < 1 {
-		return 1
-	}
-	return k
 }
 
 // buildLookup derives the per-entity match positions from the match
@@ -273,8 +242,6 @@ type IndexStats struct {
 	NameBlocks, TokenBlocks           int
 	NameComparisons, TokenComparisons int64
 	PurgedBlocks                      int
-	// Shards is the configured shard count (1 = unsharded).
-	Shards int
 }
 
 // Stats reports the index's summary statistics.
@@ -300,7 +267,6 @@ func (ix *Index) statsOf(e *epoch) IndexStats {
 		NameComparisons:        e.nameComparisons,
 		TokenComparisons:       e.tokenComparisons,
 		PurgedBlocks:           e.purge.RemovedBlocks,
-		Shards:                 e.shards,
 	}
 }
 
@@ -385,13 +351,13 @@ func (ix *Index) Prepare() {
 	// KB1 materialization) failure latches in the lazy parts and
 	// surfaces through the fallible entry points — Prepare itself stays
 	// infallible, like calling it on an index that is already prepared.
-	prep, sharded, err := e.preparedSide()
+	prep, err := e.preparedSide()
 	if err != nil {
 		return
 	}
 	if prep != nil {
 		ne := e.clone()
-		ne.prep, ne.sharded = prep, sharded
+		ne.prep = prep
 		ix.cur.Store(ne)
 		return
 	}
@@ -404,28 +370,7 @@ func (ix *Index) Prepare() {
 	} else {
 		ne.prep = pipeline.PrepareSide(e.kb1.kb, e.cfg.internal().Params())
 	}
-	ne.sharded = shardedFromPrep(ne.prep, ne.cache, ne.shards)
 	ix.cur.Store(ne)
-}
-
-// shardedFromPrep derives an epoch's scatter-gather substrate: from
-// the cache's maintained sub-substrates when they match the shard
-// count (sharing the patched postings), from a fresh split otherwise.
-// It is nil for unsharded indexes (k <= 1).
-func shardedFromPrep(prep *pipeline.Prepared, cache *pipeline.Cache, k int) *pipeline.ShardedPrepared {
-	if k <= 1 || prep == nil {
-		return nil
-	}
-	if cache != nil && len(cache.ShardSubs) == k {
-		if sp, err := pipeline.ShardedFromParts(prep, cache.ShardSubs, cache.ShardOwners); err == nil {
-			return sp
-		}
-	}
-	sp, err := pipeline.ShardSide(prep, k)
-	if err != nil {
-		return nil
-	}
-	return sp
 }
 
 // prepFromCache derives the delta-path substrate from an epoch's
@@ -441,23 +386,6 @@ func prepFromCache(kb1 *kb.KB, cfg Config, cache *pipeline.Cache) *pipeline.Prep
 // (built by Prepare, loaded from a snapshot that carried it — decoded
 // or still mapped — or derived by a mutation).
 func (ix *Index) Prepared() bool { return ix.cur.Load().hasPrepared() }
-
-// setPreparedSide installs a substrate restored from a snapshot (load
-// time, before the index is shared).
-func (ix *Index) setPreparedSide(p *pipeline.Prepared) {
-	e := ix.cur.Load()
-	e.prep = p
-	e.sharded = shardedFromPrep(e.prep, e.cache, e.shards)
-}
-
-// setShards installs the shard count restored from a snapshot (load
-// time, before the index is shared), deriving the partitioned
-// substrate when the prepared side is already present.
-func (ix *Index) setShards(k int) {
-	e := ix.cur.Load()
-	e.shards = normalizeShards(k)
-	e.sharded = shardedFromPrep(e.prep, e.cache, e.shards)
-}
 
 // QueryKB resolves a delta KB — one entity or a small batch of new
 // descriptions — against the index's first KB. When the prepared
@@ -481,12 +409,9 @@ func (ix *Index) QueryKB(ctx context.Context, delta *KB, opts ...ResolveOption) 
 		return nil, err
 	}
 	if delta.Len() < e.kb1.Len() {
-		prep, sharded, err := e.preparedSide()
+		prep, err := e.preparedSide()
 		if err != nil {
 			return nil, err
-		}
-		if sharded != nil {
-			return e.querySharded(ctx, sharded, delta, opts...)
 		}
 		if prep != nil {
 			return e.queryPrepared(ctx, prep, delta, opts...)
@@ -527,21 +452,6 @@ func (e *epoch) queryPrepared(ctx context.Context, prep *pipeline.Prepared, delt
 		opt(&o)
 	}
 	res, err := core.RunDelta(ctx, prep, delta.kb, e.cfg.internal(), o.pipelineProgress(), o.progress != nil)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(res, e.kb1.kb, delta.kb), nil
-}
-
-// querySharded scatters the delta across the epoch's K sub-substrates
-// and gathers the ranked candidates through cross-shard merges —
-// bit-identical to queryPrepared over the unsplit substrate.
-func (e *epoch) querySharded(ctx context.Context, sharded *pipeline.ShardedPrepared, delta *KB, opts ...ResolveOption) (*Result, error) {
-	var o resolveOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	res, err := core.RunSharded(ctx, sharded, delta.kb, e.cfg.internal(), o.pipelineProgress(), o.progress != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -677,11 +587,9 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 		h3:               res.H3,
 		matches:          res.Matches,
 		discardedByH4:    res.DiscardedByH4,
-		shards:           e.shards,
 		cache:            nextCache,
 	}
 	ne.prep = prepFromCache(new1.kb, ne.cfg, nextCache)
-	ne.sharded = shardedFromPrep(ne.prep, nextCache, ne.shards)
 	ne.buildLookup()
 
 	entry := JournalEntry{Seq: ne.seq, Side: side, Op: JournalUpsert}
@@ -729,17 +637,8 @@ func (ix *Index) ensureMutator(ctx context.Context, e *epoch) error {
 			return fmt.Errorf("minoaner: priming mutable substrate: %w", err)
 		}
 		cache.SetMatches(e.h1, e.h2, e.h3, e.matches, e.discardedByH4)
-		cache.AttachShardSubs(e.kb1.kb, e.shards)
 		ne := e.clone()
 		ne.cache = cache
-		ix.cur.Store(ne)
-	} else if e.shards > 1 && len(e.cache.ShardSubs) != e.shards {
-		// A cache primed before the index was (re)sharded: attach the
-		// owner-restricted sub-substrates so mutations maintain them.
-		cache := *e.cache
-		cache.AttachShardSubs(e.kb1.kb, e.shards)
-		ne := e.clone()
-		ne.cache = &cache
 		ix.cur.Store(ne)
 	}
 	return nil
@@ -766,69 +665,14 @@ func (ix *Index) Compact() {
 		cache := *e.cache
 		cache.Prep1 = cache.Prep1.Flatten()
 		cache.Prep2 = cache.Prep2.Flatten()
-		if len(cache.ShardSubs) > 1 {
-			subs := make([]*blocking.Prepared, len(cache.ShardSubs))
-			for i, sub := range cache.ShardSubs {
-				subs[i] = sub.Flatten()
-			}
-			cache.ShardSubs = subs
-		}
 		ne.cache = &cache
 		if ne.prep != nil && ne.prep.Blocks != nil {
 			prep := *ne.prep
 			prep.Blocks = cache.Prep1
 			ne.prep = &prep
 		}
-		ne.sharded = shardedFromPrep(ne.prep, ne.cache, ne.shards)
 		ix.cur.Store(ne)
 	}
-}
-
-// Shards returns the index's configured shard count (1 = unsharded).
-func (ix *Index) Shards() int { return ix.cur.Load().shards }
-
-// Sharded reports whether scatter-gather resolution is active: the
-// shard count exceeds 1 and the partitioned substrate has been derived
-// (which happens with Prepare, the first mutation, or a snapshot load
-// that carried the prepared side — on a mapped index the substrate may
-// still be undecoded, which counts as available).
-func (ix *Index) Sharded() bool {
-	e := ix.cur.Load()
-	return e.sharded != nil || (e.shards > 1 && e.hasPrepared())
-}
-
-// Reshard re-partitions the index into k shards (1 = unsharded). The
-// call re-splits the current substrate — O(|KB1|) once — and leaves
-// every query and mutation result bit-identical; only the parallel
-// layout changes. It blocks concurrent mutations but never readers,
-// who observe the change as an atomic epoch switch.
-func (ix *Index) Reshard(k int) error {
-	if k < 1 {
-		return fmt.Errorf("minoaner: shard count %d out of range (need >= 1)", k)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	e := ix.cur.Load()
-	if e.shards == k {
-		return nil
-	}
-	// A cloned mapped epoch would re-verify the old shard count against
-	// the snapshot on decode; re-partitioning starts from concrete
-	// structures instead.
-	if err := ix.materializeLocked(); err != nil {
-		return err
-	}
-	e = ix.cur.Load()
-	ne := e.clone()
-	ne.shards = k
-	if e.cache != nil {
-		cache := *e.cache
-		cache.AttachShardSubs(e.kb1.kb, k)
-		ne.cache = &cache
-	}
-	ne.sharded = shardedFromPrep(ne.prep, ne.cache, k)
-	ix.cur.Store(ne)
-	return nil
 }
 
 // JournalEntry records one absorbed mutation. The journal is the
@@ -1018,6 +862,11 @@ func SaveIndexFile(path string, ix *Index) error {
 // never a truncated mix.
 func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir, base := filepath.Split(path)
+	if dir == "" {
+		// CreateTemp reads an empty dir as $TMPDIR, which may be another
+		// filesystem the rename below cannot cross.
+		dir = "."
+	}
 	f, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
 		return err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -249,5 +251,25 @@ func TestSaveLoadIndexFile(t *testing.T) {
 	}
 	if !reflect.DeepEqual(loaded.Matches(), ix.Matches()) {
 		t.Error("file round trip diverges")
+	}
+}
+
+// TestSaveIndexFileBareName: a bare relative path must stage its
+// temporary file in the working directory, not in $TMPDIR — which may
+// be another filesystem the final rename cannot cross (here: a
+// directory that does not exist, so staging there fails outright).
+func TestSaveIndexFileBareName(t *testing.T) {
+	_, ix, _ := buildBenchmarkIndex(t, "Restaurant", 5, 0.1)
+	t.Chdir(t.TempDir())
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	if err := minoaner.SaveIndexFile("bare.msnp", ix); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "bare.msnp" {
+		t.Fatalf("working directory holds %v, want only bare.msnp", entries)
 	}
 }

@@ -36,8 +36,6 @@ type SnapshotInfo struct {
 	// Prepared reports whether the snapshot persists the frozen delta
 	// substrate (section 8).
 	Prepared bool
-	// Shards is the persisted shard count (1 = unsharded).
-	Shards int
 
 	Epoch          uint64
 	JournalEntries int
@@ -50,7 +48,7 @@ func (si *SnapshotInfo) Mutable() bool { return si.KB1.Sources && si.KB2.Sources
 // InspectIndexFile describes a snapshot from its section directory
 // without loading the index: KB bulk is never decoded (their sectioned
 // headers answer name/size questions in O(header)), only the small
-// config/stats/matches/journal/sharding sections are read. The work is
+// config/stats/matches/journal sections are read. The work is
 // proportional to the directory and those sections, not to the KBs —
 // inspecting a multi-gigabyte snapshot costs about the same as a tiny
 // one.
@@ -68,7 +66,7 @@ func InspectIndexFile(path string) (*SnapshotInfo, error) {
 		return nil, err
 	}
 
-	si := &SnapshotInfo{Size: st.Size(), Shards: 1, Prepared: m.Has(snapPrepared)}
+	si := &SnapshotInfo{Size: st.Size(), Prepared: m.Has(snapPrepared)}
 
 	b, err := m.Reader(snapConfig)
 	if err != nil {
@@ -142,20 +140,6 @@ func InspectIndexFile(path string) (*SnapshotInfo, error) {
 		if err := jb.Err(); err != nil {
 			return nil, fmt.Errorf("%w: journal: %v", ErrSnapshotCorrupt, err)
 		}
-	}
-	if m.Has(snapSharding) {
-		sb, err := m.Reader(snapSharding)
-		if err != nil {
-			return nil, fmt.Errorf("%w: sharding: %v", ErrSnapshotCorrupt, err)
-		}
-		k := sb.Int()
-		if sb.Err() == nil && (k < 1 || k > 1<<16) {
-			sb.Fail("shard count %d out of range", k)
-		}
-		if err := sb.Err(); err != nil {
-			return nil, fmt.Errorf("%w: sharding: %v", ErrSnapshotCorrupt, err)
-		}
-		si.Shards = k
 	}
 	return si, nil
 }

@@ -1,13 +1,13 @@
 // Package analysis is the engine behind minoanervet, the repo's own
 // static-analysis suite. Every bit-identity guarantee this codebase
-// makes — identical matches across worker counts, shard counts,
-// prepared vs. full plans, and rebuild-equivalent epochs — rests on
-// conventions that the compiler does not enforce: map iteration order
-// must never reach ordered output, published epoch state must never be
-// mutated in place, and wall-clock or randomness must never feed the
-// match path. The rules in this package prove those conventions
-// per-file over the parsed and type-checked source, so a violation is
-// a CI failure instead of a flaky benchmark.
+// makes — identical matches across worker counts, prepared vs. full
+// plans, and rebuild-equivalent epochs — rests on conventions that the
+// compiler does not enforce: map iteration order must never reach
+// ordered output, published epoch state must never be mutated in
+// place, and wall-clock or randomness must never feed the match path.
+// The rules in this package prove those conventions per-file over the
+// parsed and type-checked source, so a violation is a CI failure
+// instead of a flaky benchmark.
 //
 // The engine is stdlib-only (go/parser + go/types + go/importer): see
 // Loader for how module-local packages are resolved without external

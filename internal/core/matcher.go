@@ -173,35 +173,6 @@ func RunDelta(ctx context.Context, prep *pipeline.Prepared, delta *kb.KB, cfg Co
 	return resultFromState(st, stats), nil
 }
 
-// ShardedPlanFor is PlanFor for scatter-gather runs over a sharded
-// substrate: the sharded delta plan with the same ablation drops, so a
-// sharded index built without a heuristic queries without it too.
-func ShardedPlanFor(cfg Config) []pipeline.Stage {
-	return dropDisabled(pipeline.ShardedDeltaPlan(), cfg)
-}
-
-// RunSharded resolves a delta KB against a sharded substrate: the
-// delta scatters across the K sub-substrates in parallel and the
-// ranked candidates gather through cross-shard merges. The result is
-// bit-identical to RunDelta over the unsplit substrate — and therefore
-// to the full plan over (prepared KB, delta) — at any shard count and
-// any worker count.
-func RunSharded(ctx context.Context, sp *pipeline.ShardedPrepared, delta *kb.KB, cfg Config, progress pipeline.Progress, allocStats bool) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	st, err := pipeline.NewShardedDeltaState(sp, delta, cfg.Params())
-	if err != nil {
-		return nil, err
-	}
-	eng := pipeline.Engine{Plan: ShardedPlanFor(cfg), Progress: progress, AllocStats: allocStats || progress != nil}
-	stats, err := eng.Run(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromState(st, stats), nil
-}
-
 // UpdatePlanFor is PlanFor for epoch-update runs: the update plan with
 // the same ablation drops, so a mutable index built without a
 // heuristic stays without it across mutations.

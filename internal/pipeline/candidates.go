@@ -36,35 +36,43 @@ func tokenWeights(bt *blocking.Collection) []float64 {
 // valueSim = Σ_{shared tokens} w(t) over the blocks' tokens.
 func valueCandidates(ctx context.Context, bt *blocking.Collection, idx *blocking.Index, weights []float64, k, workers int) ([][]Cand, [][]Cand, error) {
 	n1, n2 := bt.KBSizes()
-	side1 := make([][]Cand, n1)
-	side2 := make([][]Cand, n2)
-
-	run := func(n, other int, byEnt [][]int32, members func(bi int32) []kb.EntityID, out [][]Cand) error {
-		return parallelFor(ctx, n, workers, func(worker, start, end int) error {
-			acc := newAccumulator(other)
-			for e := start; e < end; e++ {
-				if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				for _, bi := range byEnt[e] {
-					w := weights[bi]
-					for _, o := range members(bi) {
-						acc.add(int32(o), w)
-					}
-				}
-				out[e] = acc.topK(k)
-				acc.reset()
-			}
-			return nil
-		})
-	}
-	if err := run(n1, n2, idx.ByE1, func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }, side1); err != nil {
+	side1, err := valueCandidatesSide(ctx, idx.ByE1, func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }, n2, weights, k, workers)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := run(n2, n1, idx.ByE2, func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 }, side2); err != nil {
+	side2, err := valueCandidatesSide(ctx, idx.ByE2, func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 }, n1, weights, k, workers)
+	if err != nil {
 		return nil, nil, err
 	}
 	return side1, side2, nil
+}
+
+// valueCandidatesSide is valueCandidates for one side: byEnt lists each
+// entity's token blocks and members yields a block's entities on the
+// opposite side, which has other entities.
+func valueCandidatesSide(ctx context.Context, byEnt [][]int32, members func(bi int32) []kb.EntityID, other int, weights []float64, k, workers int) ([][]Cand, error) {
+	out := make([][]Cand, len(byEnt))
+	err := parallelFor(ctx, len(byEnt), workers, func(worker, start, end int) error {
+		acc := newAccumulator(other)
+		for e := start; e < end; e++ {
+			if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			for _, bi := range byEnt[e] {
+				w := weights[bi]
+				for _, o := range members(bi) {
+					acc.add(int32(o), w)
+				}
+			}
+			out[e] = acc.topK(k)
+			acc.reset()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // neighborCandidates computes, for every entity, its top-K candidates
@@ -83,60 +91,48 @@ func neighborCandidates(ctx context.Context, kb1, kb2 *kb.KB, vc1, vc2 [][]Cand,
 	rev1 := reverseNeighborIndex(top1, kb1.Len())
 	rev2 := reverseNeighborIndex(top2, kb2.Len())
 
-	out1 := make([][]Cand, kb1.Len())
-	out2 := make([][]Cand, kb2.Len())
-
-	// Side 1: neighbors n_i of e_1 propose, through their value
-	// candidates n_j, every e_2 that has n_j among its best neighbors.
-	err := parallelFor(ctx, kb1.Len(), workers, func(worker, start, end int) error {
-		acc := newAccumulator(kb2.Len())
-		for e := start; e < end; e++ {
-			if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			for _, nei := range top1[e] {
-				for _, cand := range vc1[nei] {
-					if cand.Sim <= 0 {
-						continue
-					}
-					for _, e2 := range rev2[cand.ID] {
-						acc.add(int32(e2), cand.Sim)
-					}
-				}
-			}
-			out1[e] = acc.topK(k)
-			acc.reset()
-		}
-		return nil
-	})
+	out1, err := neighborCandidatesSide(ctx, top1, vc1, rev2, k, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	err = parallelFor(ctx, kb2.Len(), workers, func(worker, start, end int) error {
-		acc := newAccumulator(kb1.Len())
-		for e := start; e < end; e++ {
-			if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			for _, nej := range top2[e] {
-				for _, cand := range vc2[nej] {
-					if cand.Sim <= 0 {
-						continue
-					}
-					for _, e1 := range rev1[cand.ID] {
-						acc.add(int32(e1), cand.Sim)
-					}
-				}
-			}
-			out2[e] = acc.topK(k)
-			acc.reset()
-		}
-		return nil
-	})
+	out2, err := neighborCandidatesSide(ctx, top2, vc2, rev1, k, workers)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out1, out2, nil
+}
+
+// neighborCandidatesSide is neighborCandidates for one side: the best
+// neighbors n_i of an entity (top) propose, through their value
+// candidates n_j (vc), every opposite-side entity that has n_j among
+// its own best neighbors (rev, indexed by opposite-side entity).
+func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, vc [][]Cand, rev [][]kb.EntityID, k, workers int) ([][]Cand, error) {
+	out := make([][]Cand, len(top))
+	err := parallelFor(ctx, len(top), workers, func(worker, start, end int) error {
+		acc := newAccumulator(len(rev))
+		for e := start; e < end; e++ {
+			if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			for _, nei := range top[e] {
+				for _, cand := range vc[nei] {
+					if cand.Sim <= 0 {
+						continue
+					}
+					for _, o := range rev[cand.ID] {
+						acc.add(int32(o), cand.Sim)
+					}
+				}
+			}
+			out[e] = acc.topK(k)
+			acc.reset()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func topNeighborLists(k *kb.KB, n int) [][]kb.EntityID {

@@ -52,22 +52,14 @@ func PrepareSide(kb1 *kb.KB, p Params) *Prepared {
 type deltaSide struct {
 	prep *Prepared
 
-	// shards, when non-nil, marks a scatter-gather run over a sharded
-	// substrate (NewShardedDeltaState): the per-shard collections live
-	// there and the lazy side-1 fills route to the owning shard.
-	shards *shardRun
-
 	byE1 map[kb.EntityID][]int32 // set by DeltaBlockIndexing
-	rev2 [][]kb.EntityID         // delta-side reverse neighbors, set by DeltaNeighborCandidates
 
-	vcDone, ncDone bool // stage-completion markers for preconditions
+	vcDone bool // DeltaValueCandidates ran (a stage precondition)
 
-	// Lazy side-1 candidates, keyed by left entity. Map presence marks
-	// "computed" (a nil list is a valid result). Filled only during the
-	// single-goroutine matching stages, so no locking is needed.
-	vc1 map[kb.EntityID][]Cand
-	nc1 map[kb.EntityID][]Cand
-	acc *accumulator // sized |delta|, reused across lazy fills
+	// side1 fills the left side's candidate lists for the entities the
+	// matching stages touch. DeltaNeighborCandidates, the last stage to
+	// produce one of its inputs, sets it.
+	side1 *streamSide
 }
 
 // NewDeltaState prepares the blackboard for one prepared-side run of a
@@ -94,12 +86,7 @@ func NewDeltaState(prep *Prepared, delta *kb.KB, p Params) (*State, error) {
 			delta.Len(), prep.Neighbors.KB().Len())
 	}
 	st := NewState(prep.Neighbors.KB(), delta, p)
-	st.delta = &deltaSide{
-		prep: prep,
-		vc1:  make(map[kb.EntityID][]Cand),
-		nc1:  make(map[kb.EntityID][]Cand),
-		acc:  newAccumulator(delta.Len()),
-	}
+	st.delta = &deltaSide{prep: prep}
 	return st, nil
 }
 
@@ -178,8 +165,7 @@ func DeltaBlockIndexing() Stage {
 }
 
 // DeltaValueCandidates computes the top-K value candidates of every
-// delta entity — the same accumulation the eager stage performs for
-// side 2 — and arms the lazy side-1 path for the entities H4 touches.
+// delta entity — the side-2 half of the eager stage.
 func DeltaValueCandidates() Stage {
 	return newStage(StageValueCandidates, func(ctx context.Context, st *State) error {
 		if st.delta == nil {
@@ -191,26 +177,10 @@ func DeltaValueCandidates() Stage {
 		if st.Weights == nil {
 			return errors.New("requires token weights (run " + StageTokenWeighting + " first)")
 		}
-		bt, idx, weights := st.TokenBlocks, st.TokenIndex, st.Weights
-		n1 := st.KB1.Len()
-		out := make([][]Cand, st.KB2.Len())
-		err := parallelFor(ctx, st.KB2.Len(), st.Params.workers(), func(worker, start, end int) error {
-			acc := newAccumulator(n1)
-			for e := start; e < end; e++ {
-				if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				for _, bi := range idx.ByE2[e] {
-					w := weights[bi]
-					for _, o := range bt.Blocks[bi].E1 {
-						acc.add(int32(o), w)
-					}
-				}
-				out[e] = acc.topK(st.Params.K)
-				acc.reset()
-			}
-			return nil
-		})
+		bt := st.TokenBlocks
+		out, err := valueCandidatesSide(ctx, st.TokenIndex.ByE2,
+			func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 },
+			st.KB1.Len(), st.Weights, st.Params.K, st.Params.workers())
 		if err != nil {
 			return err
 		}
@@ -222,8 +192,8 @@ func DeltaValueCandidates() Stage {
 
 // DeltaNeighborCandidates computes the top-K neighbor candidates of
 // every delta entity from the delta's own best neighbors and the
-// frozen reverse-neighbor view of the left side, and retains the
-// delta-side reverse index the lazy side-1 fills need.
+// frozen reverse-neighbor view of the left side, and arms the lazy
+// side-1 fills for the entities H4 touches.
 func DeltaNeighborCandidates() Stage {
 	return newStage(StageNeighborCandidates, func(ctx context.Context, st *State) error {
 		if st.delta == nil {
@@ -234,36 +204,22 @@ func DeltaNeighborCandidates() Stage {
 		}
 		top2 := topNeighborLists(st.KB2, st.Params.N)
 		rev2 := reverseNeighborIndex(top2, st.KB2.Len())
-		rev1 := st.delta.prep.Neighbors.RevLists()
-		vc2 := st.ValueCands2
-		out := make([][]Cand, st.KB2.Len())
-		err := parallelFor(ctx, st.KB2.Len(), st.Params.workers(), func(worker, start, end int) error {
-			acc := newAccumulator(st.KB1.Len())
-			for e := start; e < end; e++ {
-				if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				for _, nej := range top2[e] {
-					for _, cand := range vc2[nej] {
-						if cand.Sim <= 0 {
-							continue
-						}
-						for _, e1 := range rev1[cand.ID] {
-							acc.add(int32(e1), cand.Sim)
-						}
-					}
-				}
-				out[e] = acc.topK(st.Params.K)
-				acc.reset()
-			}
-			return nil
-		})
+		out, err := neighborCandidatesSide(ctx, top2, st.ValueCands2,
+			st.delta.prep.Neighbors.RevLists(), st.Params.K, st.Params.workers())
 		if err != nil {
 			return err
 		}
 		st.NeighborCands2 = out
-		st.delta.rev2 = rev2
-		st.delta.ncDone = true
+		// The eager side-1 stages' inputs — blocks in ascending position,
+		// members in block order, the frozen neighbor lists — so the lazy
+		// fills are bit-identical to them.
+		bt, byE1 := st.TokenBlocks, st.delta.byE1
+		side1 := newStreamSide(st.KB2.Len(), st.Weights, st.Params.K)
+		side1.blocks = func(e kb.EntityID) []int32 { return byE1[e] }
+		side1.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }
+		top1 := st.delta.prep.Neighbors.TopLists()
+		side1.neighbors = func() (top, rev [][]kb.EntityID) { return top1, rev2 }
+		st.delta.side1 = side1
 		return nil
 	})
 }
@@ -281,83 +237,24 @@ func (s *State) haveValueCands() bool {
 // haveNeighborCands is haveValueCands for neighbor evidence.
 func (s *State) haveNeighborCands() bool {
 	if s.delta != nil {
-		return s.delta.ncDone && s.NeighborCands2 != nil
+		return s.delta.side1 != nil && s.NeighborCands2 != nil
 	}
 	return s.NeighborCands1 != nil && s.NeighborCands2 != nil
 }
 
 // valueCands1At returns the value candidates of a left entity,
-// materializing them lazily on a delta run. The lazy fill accumulates
-// over the entity's blocks in ascending position with members in block
-// order — exactly the eager stage's order — so the similarities (and
-// their top-K cut) are bit-identical.
+// materializing them lazily on a delta run.
 func (s *State) valueCands1At(e kb.EntityID) []Cand {
 	if s.delta == nil {
 		return s.ValueCands1[e]
 	}
-	d := s.delta
-	if cands, done := d.vc1[e]; done {
-		return cands
-	}
-	if sr := d.shards; sr != nil {
-		// Sharded run: the entity's blocks all live on its owning
-		// shard, in the same ascending key order and with the same
-		// global weights the unsplit collection carries, so the routed
-		// accumulation is bit-identical.
-		sh := sr.sp.owners[e]
-		for _, bi := range sr.byE1[sh][e] {
-			w := sr.weights[sh][bi]
-			for _, o := range sr.tb[sh].Blocks[bi].E2 {
-				d.acc.add(int32(o), w)
-			}
-		}
-	} else {
-		for _, bi := range d.byE1[e] {
-			w := s.Weights[bi]
-			for _, o := range s.TokenBlocks.Blocks[bi].E2 {
-				d.acc.add(int32(o), w)
-			}
-		}
-	}
-	cands := d.acc.topK(s.Params.K)
-	d.acc.reset()
-	d.vc1[e] = cands
-	return cands
+	return s.delta.side1.valueCands(e)
 }
 
-// neighborCands1At returns the neighbor candidates of a left entity,
-// materializing them lazily on a delta run from the frozen neighbor
-// lists and the (lazy) value candidates of the entity's neighbors.
+// neighborCands1At is valueCands1At for neighbor candidates.
 func (s *State) neighborCands1At(e kb.EntityID) []Cand {
 	if s.delta == nil {
 		return s.NeighborCands1[e]
 	}
-	d := s.delta
-	if cands, done := d.nc1[e]; done {
-		return cands
-	}
-	// The lazy value fills below share d.acc; gather the neighbor
-	// contributions first so the aggregation uses it exclusively.
-	type contrib struct {
-		id  kb.EntityID
-		sim float64
-	}
-	var contribs []contrib
-	for _, nei := range d.prep.Neighbors.Top(e) {
-		for _, cand := range s.valueCands1At(nei) {
-			if cand.Sim <= 0 {
-				continue
-			}
-			for _, e2 := range d.rev2[cand.ID] {
-				contribs = append(contribs, contrib{id: e2, sim: cand.Sim})
-			}
-		}
-	}
-	for _, c := range contribs {
-		d.acc.add(int32(c.id), c.sim)
-	}
-	cands := d.acc.topK(s.Params.K)
-	d.acc.reset()
-	d.nc1[e] = cands
-	return cands
+	return s.delta.side1.neighborCands(e)
 }

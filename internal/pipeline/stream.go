@@ -126,27 +126,42 @@ func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(Score
 // position, members in block order, neighbor contributions gathered
 // before touching the shared accumulator — so every similarity, and
 // every decision derived from one, is bit-identical to the batch run.
+// Both sides of a streaming run and the prepared side of a delta run
+// (deltaSide.side1) are one; a run builds the accessors once and fills
+// from a single goroutine, so no locking is needed.
 type streamSide struct {
-	by          [][]int32                    // own entity -> token blocks
-	mem         func(bi int32) []kb.EntityID // opposite-side members of a block
-	ensure      func()                       // builds top and rev on first neighbor use
-	top         [][]kb.EntityID              // own best neighbors
-	rev         [][]kb.EntityID              // opposite side's reverse best-neighbor index
+	blocks func(e kb.EntityID) []int32  // own entity -> token blocks, ascending
+	mem    func(bi int32) []kb.EntityID // opposite-side members of a block
+	// neighbors returns the side's best-neighbor lists and the opposite
+	// side's reverse best-neighbor index.
+	neighbors   func() (top, rev [][]kb.EntityID)
 	weights     []float64
 	k           int
-	comparisons *int64 // shared accumulation counter (StreamBudget.MaxComparisons)
+	comparisons int64 // contributions accumulated so far (StreamBudget.MaxComparisons)
 	acc         *accumulator
-	vc, nc      map[kb.EntityID][]Cand // memoized fills; presence marks "computed"
+	vc, nc      map[kb.EntityID][]Cand // memoized fills; presence marks "computed" (a nil list is a valid result)
+}
+
+// newStreamSide returns a side whose candidates range over an opposite
+// side of n entities.
+func newStreamSide(n int, weights []float64, k int) *streamSide {
+	return &streamSide{
+		weights: weights,
+		k:       k,
+		acc:     newAccumulator(n),
+		vc:      make(map[kb.EntityID][]Cand),
+		nc:      make(map[kb.EntityID][]Cand),
+	}
 }
 
 func (s *streamSide) valueCands(e kb.EntityID) []Cand {
 	if cands, done := s.vc[e]; done {
 		return cands
 	}
-	for _, bi := range s.by[e] {
+	for _, bi := range s.blocks(e) {
 		w := s.weights[bi]
 		members := s.mem(bi)
-		*s.comparisons += int64(len(members))
+		s.comparisons += int64(len(members))
 		for _, o := range members {
 			s.acc.add(int32(o), w)
 		}
@@ -161,26 +176,25 @@ func (s *streamSide) neighborCands(e kb.EntityID) []Cand {
 	if cands, done := s.nc[e]; done {
 		return cands
 	}
-	s.ensure()
+	top, rev := s.neighbors()
 	// The nested value fills share s.acc; gather the neighbor
-	// contributions first so the aggregation below uses it exclusively
-	// (the delta path's neighborCands1At discipline).
+	// contributions first so the aggregation below uses it exclusively.
 	type contrib struct {
 		id  kb.EntityID
 		sim float64
 	}
 	var contribs []contrib
-	for _, nei := range s.top[e] {
+	for _, nei := range top[e] {
 		for _, cand := range s.valueCands(nei) {
 			if cand.Sim <= 0 {
 				continue
 			}
-			for _, o := range s.rev[cand.ID] {
+			for _, o := range rev[cand.ID] {
 				contribs = append(contribs, contrib{id: o, sim: cand.Sim})
 			}
 		}
 	}
-	*s.comparisons += int64(len(contribs))
+	s.comparisons += int64(len(contribs))
 	for _, c := range contribs {
 		s.acc.add(int32(c.id), c.sim)
 	}
@@ -196,50 +210,36 @@ type streamEvidence struct {
 	st           *State
 	em           emission
 	sideA, sideB *streamSide // A emits; B supplies the reciprocity view
-	comparisons  int64
 }
 
 func newStreamEvidence(st *State) *streamEvidence {
 	ev := &streamEvidence{st: st, em: st.emission()}
 	bt, idx := st.TokenBlocks, st.TokenIndex
 	n1, n2 := st.KB1.Len(), st.KB2.Len()
-	side1 := &streamSide{
-		by:          idx.ByE1,
-		mem:         func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 },
-		weights:     st.Weights,
-		k:           st.Params.K,
-		comparisons: &ev.comparisons,
-		acc:         newAccumulator(n2),
-		vc:          make(map[kb.EntityID][]Cand),
-		nc:          make(map[kb.EntityID][]Cand),
-	}
-	side2 := &streamSide{
-		by:          idx.ByE2,
-		mem:         func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 },
-		weights:     st.Weights,
-		k:           st.Params.K,
-		comparisons: &ev.comparisons,
-		acc:         newAccumulator(n1),
-		vc:          make(map[kb.EntityID][]Cand),
-		nc:          make(map[kb.EntityID][]Cand),
-	}
+	side1 := newStreamSide(n2, st.Weights, st.Params.K)
+	side1.blocks = func(e kb.EntityID) []int32 { return idx.ByE1[e] }
+	side1.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }
+	side2 := newStreamSide(n1, st.Weights, st.Params.K)
+	side2.blocks = func(e kb.EntityID) []int32 { return idx.ByE2[e] }
+	side2.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 }
 	// The top-neighbor lists and reverse indexes are a KB-sized cost the
 	// first matches usually never touch (a pair confirmed through the
 	// value lists short-circuits past neighborCands), so they build on
 	// first use instead of up front — deterministically: construction
 	// depends only on the KBs and N, never on when it runs.
+	var top1, top2, rev1, rev2 [][]kb.EntityID
 	built := false
 	ensure := func() {
 		if built {
 			return
 		}
 		built = true
-		top1 := topNeighborListsN(st.KB1, st.Params.N, st.Params.workers())
-		top2 := topNeighborListsN(st.KB2, st.Params.N, st.Params.workers())
-		side1.top, side1.rev = top1, reverseNeighborIndex(top2, n2)
-		side2.top, side2.rev = top2, reverseNeighborIndex(top1, n1)
+		top1 = topNeighborListsN(st.KB1, st.Params.N, st.Params.workers())
+		top2 = topNeighborListsN(st.KB2, st.Params.N, st.Params.workers())
+		rev1, rev2 = reverseNeighborIndex(top1, n1), reverseNeighborIndex(top2, n2)
 	}
-	side1.ensure, side2.ensure = ensure, ensure
+	side1.neighbors = func() (top, rev [][]kb.EntityID) { ensure(); return top1, rev2 }
+	side2.neighbors = func() (top, rev [][]kb.EntityID) { ensure(); return top2, rev1 }
 	ev.sideA, ev.sideB = side1, side2
 	if ev.em.swap {
 		ev.sideA, ev.sideB = side2, side1
@@ -293,11 +293,10 @@ func (ev *streamEvidence) schedule(strategy StreamStrategy) []kb.EntityID {
 // in no token block close the schedule).
 func (ev *streamEvidence) weightOrderedSchedule() []kb.EntityID {
 	n := ev.em.sizeA
-	by := ev.sideA.by
 	weights := ev.st.Weights
 	prio := make([]float64, n)
 	for e := 0; e < n; e++ {
-		for _, bi := range by[e] {
+		for _, bi := range ev.sideA.blocks(kb.EntityID(e)) {
 			if w := weights[bi]; w > prio[e] {
 				prio[e] = w
 			}
@@ -386,7 +385,7 @@ func (ev *streamEvidence) run(ctx context.Context, cfg StreamConfig, sched []kb.
 		return cfg.Budget.MaxPairs <= 0 || emitted < cfg.Budget.MaxPairs
 	}
 	overBudget := func() bool {
-		return cfg.Budget.MaxComparisons > 0 && ev.comparisons >= cfg.Budget.MaxComparisons
+		return cfg.Budget.MaxComparisons > 0 && ev.sideA.comparisons+ev.sideB.comparisons >= cfg.Budget.MaxComparisons
 	}
 
 	// Phase 1 — H1 name matches: the cheapest and most precise evidence.

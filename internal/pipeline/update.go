@@ -56,15 +56,6 @@ type Cache struct {
 	H1, H2, H3, Matches []eval.Pair
 	Discarded           int
 	MatchesValid        bool
-
-	// ShardSubs, when non-nil, are the owner-restricted sub-substrates
-	// of Prep1 carried by a sharded index, with ShardOwners the
-	// entity-to-shard assignment of the epoch. A side-1 mutation
-	// patches only the shards that own touched entities, in parallel
-	// (see updateShardSubs); a side-2 mutation carries them over
-	// untouched.
-	ShardSubs   []*blocking.Prepared
-	ShardOwners []int32
 }
 
 // SetMatches records the epoch's matching outputs on the cache (the
@@ -288,9 +279,9 @@ func UpdateNameBlocking() Stage {
 		nameK := st.Params.NameK
 		u.nameStable = true
 
-		patchSide := func(prep *blocking.Prepared, old, new *kb.KB, d *kb.Diff) (*blocking.Prepared, blocking.PreparedPatch, bool) {
+		patchSide := func(prep *blocking.Prepared, old, new *kb.KB, d *kb.Diff) (*blocking.Prepared, blocking.PreparedPatch) {
 			if d.Identity {
-				return prep, blocking.PreparedPatch{}, true
+				return prep, blocking.PreparedPatch{}
 			}
 			stable := sameTopNameAttrs(old, new, nameK)
 			var oldAttrs, newAttrs []int32
@@ -305,12 +296,10 @@ func UpdateNameBlocking() Stage {
 			if !stable {
 				p = p.RebuildNames(new, nameK, w)
 			}
-			return p, pt, stable
+			return p, pt
 		}
-		var stable1 bool
-		u.next.Prep1, u.pt1, stable1 = patchSide(u.prev.Prep1, u.old1, st.KB1, u.d1)
-		u.next.Prep2, u.pt2, _ = patchSide(u.prev.Prep2, u.old2, st.KB2, u.d2)
-		updateShardSubs(st, u, stable1)
+		u.next.Prep1, u.pt1 = patchSide(u.prev.Prep1, u.old1, st.KB1, u.d1)
+		u.next.Prep2, u.pt2 = patchSide(u.prev.Prep2, u.old2, st.KB2, u.d2)
 
 		if u.nameStable {
 			keys := make([]string, 0, len(u.pt1.Names)+len(u.pt2.Names))

@@ -15,19 +15,18 @@ import (
 // and decodes only what the lock-free read path needs up front:
 //
 //   - eagerly: the section directory, config (and its inventory), the
-//     KBs' URI tiers, stats, the match lists, the journal, and the
-//     sharding record's owner-count verification — everything
-//     Query/Matches/Stats-counters touch.
+//     KBs' URI tiers, stats, the match lists, and the journal —
+//     everything Query/Matches/Stats-counters touch.
 //   - on first demand: the KBs' full tiers (internal/kb lazy open),
-//     the block collections, and the prepared/sharded substrate.
+//     the block collections, and the prepared substrate.
 //     Section checksums verify on that first access; a corrupted lazy
 //     section surfaces as an ErrSnapshotCorrupt-wrapped error from the
 //     fallible entry points (QueryKB, SaveIndex, mutations, Close),
 //     never a crash.
 //
 // Every decoded structure copies out of the mapping (strings are
-// built, not aliased). The write side (mutations, Prepare, Reshard,
-// SaveIndex, Close) first forces every lazy tier via materializeLocked
+// built, not aliased). The write side (mutations, Prepare, SaveIndex,
+// Close) first forces every lazy tier via materializeLocked
 // and publishes a fully concrete epoch, so the existing copy-on-write
 // epoch machinery — and minoanervet's frozen-write rule — hold
 // unchanged: nothing ever writes through the mapping.
@@ -40,8 +39,7 @@ type lazyParts struct {
 	m *binio.Map
 
 	// hasPrepared records whether the snapshot carries section 8; it
-	// makes Prepared()/Sharded() answer correctly before the substrate
-	// is decoded.
+	// makes Prepared() answer correctly before the substrate is decoded.
 	hasPrepared bool
 
 	blocksOnce  sync.Once
@@ -51,7 +49,6 @@ type lazyParts struct {
 
 	prepOnce sync.Once
 	prep     *pipeline.Prepared
-	sharded  *pipeline.ShardedPrepared
 	prepErr  error
 }
 
@@ -91,7 +88,7 @@ func OpenIndex(data []byte) (*Index, error) {
 // section directory, mirroring LoadIndex's validation for everything
 // it decodes now and deferring the rest to the lazy accessors.
 func openIndexMap(m *binio.Map) (*Index, error) {
-	e := &epoch{shards: 1}
+	e := &epoch{}
 	ix := &Index{}
 	ix.cur.Store(e)
 
@@ -195,18 +192,6 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 		}
 	}
 	e.lazy = &lazyParts{m: m, hasPrepared: m.Has(snapPrepared)}
-	if m.Has(snapSharding) {
-		// The owner-count verification needs only KB1's URI tier, so it
-		// runs now: a mispartitioned snapshot fails at open, exactly
-		// like the eager path.
-		sb, err := m.Reader(snapSharding)
-		if err != nil {
-			return nil, fmt.Errorf("%w: sharding: %v", ErrSnapshotCorrupt, err)
-		}
-		if err := readShardingSection(sb, ix); err != nil {
-			return nil, err
-		}
-	}
 
 	e.buildLookup()
 	ix.mapped = m
@@ -263,20 +248,17 @@ func (e *epoch) decodeBlocks(id uint64, name string) (*blocking.Collection, erro
 }
 
 // preparedSide returns the epoch's delta-path substrate, decoding the
-// persisted one from the mapping on first demand. (nil, nil, nil)
-// means the epoch has none — the caller falls back to the full plan.
-func (e *epoch) preparedSide() (*pipeline.Prepared, *pipeline.ShardedPrepared, error) {
+// persisted one from the mapping on first demand. (nil, nil) means the
+// epoch has none — the caller falls back to the full plan.
+func (e *epoch) preparedSide() (*pipeline.Prepared, error) {
 	if e.prep != nil || e.lazy == nil || !e.lazy.hasPrepared {
-		return e.prep, e.sharded, nil
+		return e.prep, nil
 	}
 	lz := e.lazy
 	lz.prepOnce.Do(func() {
 		lz.prep, lz.prepErr = e.decodePrepared()
-		if lz.prepErr == nil {
-			lz.sharded = shardedFromPrep(lz.prep, nil, e.shards)
-		}
 	})
-	return lz.prep, lz.sharded, lz.prepErr
+	return lz.prep, lz.prepErr
 }
 
 // decodePrepared restores the prepared section from the mapping. The
@@ -294,7 +276,7 @@ func (e *epoch) decodePrepared() (*pipeline.Prepared, error) {
 
 // materializeLocked forces every lazy tier of the current epoch and
 // publishes a fully concrete clone. The write side calls it under mu
-// before touching state (mutations, Reshard, SaveIndex, Close), so
+// before touching state (mutations, SaveIndex, Close), so
 // copy-on-write epoch derivation never starts from a partially decoded
 // epoch. After it returns nil, no published structure references the
 // mapping: the shared lazy parts and both KBs' sync.Onces are drained,
@@ -319,13 +301,13 @@ func (ix *Index) materializeLocked() error {
 	if err != nil {
 		return err
 	}
-	prep, sharded, err := e.preparedSide()
+	prep, err := e.preparedSide()
 	if err != nil {
 		return err
 	}
 	ne := e.clone()
 	ne.nameBlocks, ne.tokenBlocks = name, tok
-	ne.prep, ne.sharded = prep, sharded
+	ne.prep = prep
 	ne.lazy = nil
 	ix.cur.Store(ne)
 	return nil

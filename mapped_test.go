@@ -17,7 +17,7 @@ import (
 )
 
 // deltaKB assembles a small delta from the first few KB2 entities of a
-// benchmark — enough to drive the prepared/sharded delta paths.
+// benchmark — enough to drive the prepared delta path.
 func deltaKB(t *testing.T, b *minoaner.Benchmark, n int) *minoaner.KB {
 	t.Helper()
 	d := docFromKB(t, b.WriteKB2)
@@ -114,46 +114,85 @@ func TestOpenIndexBitIdentity(t *testing.T) {
 	}
 }
 
-// TestOpenIndexShardedBitIdentity repeats the property on a sharded
-// snapshot: the scatter-gather path must come up lazily too.
-func TestOpenIndexShardedBitIdentity(t *testing.T) {
-	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 13, 0.1)
-	ix.Prepare()
-	if err := ix.Reshard(4); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := minoaner.SaveIndex(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+// retiredFixtureDelta is the first restaurant of the KB2 the retired-
+// section fixtures were built from, with its address.
+const retiredFixtureDelta = `<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/name> "solto lequi" .
+<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/phone> "528/3083" .
+<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/category> "greek" .
+<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/hasAddress> <http://restaurants2.example.org/resource/address/0000> .
+<http://restaurants2.example.org/resource/restaurant/0000> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://restaurants2.example.org/class/Restaurant> .
+<http://restaurants2.example.org/resource/address/0000> <http://restaurants2.example.org/ontology/street> "nufa street 155" .
+<http://restaurants2.example.org/resource/address/0000> <http://restaurants2.example.org/ontology/city> "daka" .
+<http://restaurants2.example.org/resource/address/0000> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://restaurants2.example.org/class/Address> .
+`
 
-	mapped, err := minoaner.OpenIndex(data)
+// TestRetiredSection10StaysLoadable: testdata/restaurant_sharded4.msnp
+// was written by the last commit that had the in-process shard engine
+// (`minoaner snapshot -shards 4`, Restaurant x0.1) and carries section
+// 10, which nothing reads any more; restaurant_unsharded.msnp is the
+// same commit's `-shards 1` snapshot of the same inputs. Both open
+// paths must accept the old file and answer exactly like the twin.
+// Re-saving drops the section and so yields the twin's bytes — the one
+// deliberate exception to Save(Load(x)) == x.
+func TestRetiredSection10StaysLoadable(t *testing.T) {
+	old, err := os.ReadFile("testdata/restaurant_sharded4.msnp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sharding record is part of the eager tier: Sharded answers
-	// before the substrate decodes.
-	if mapped.Shards() != 4 || !mapped.Sharded() {
-		t.Fatalf("mapped open: shards=%d sharded=%v", mapped.Shards(), mapped.Sharded())
-	}
-	delta := deltaKB(t, b, 6)
-	got, err := mapped.QueryKB(context.Background(), delta)
+	twinBytes, err := os.ReadFile("testdata/restaurant_unsharded.msnp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ix.QueryKB(context.Background(), delta)
+	if bytes.Equal(old, twinBytes) {
+		t.Fatal("fixtures are identical: the sharded one lost its section 10")
+	}
+	twin, err := minoaner.LoadIndex(bytes.NewReader(twinBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualResults(t, "sharded QueryKB", got, want)
+	delta, err := minoaner.LoadKB("delta", strings.NewReader(retiredFixtureDelta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.QueryKB(context.Background(), delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Matches) == 0 {
+		t.Fatal("fixture delta matches nothing: the comparison below would be vacuous")
+	}
+	uris := twin.KB2().URIs()
 
-	var second bytes.Buffer
-	if err := minoaner.SaveIndex(&second, mapped); err != nil {
-		t.Fatal(err)
+	if _, err := minoaner.InspectIndexFile("testdata/restaurant_sharded4.msnp"); err != nil {
+		t.Errorf("InspectIndexFile: %v", err)
 	}
-	if !bytes.Equal(second.Bytes(), data) {
-		t.Fatal("sharded snapshot not bit-identical after mapped open")
+	eager, err := minoaner.LoadIndex(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("LoadIndex: %v", err)
+	}
+	mapped, err := minoaner.OpenIndex(old)
+	if err != nil {
+		t.Fatalf("OpenIndex: %v", err)
+	}
+	for label, ix := range map[string]*minoaner.Index{"eager": eager, "mapped": mapped} {
+		if !ix.Prepared() {
+			t.Errorf("%s: prepared substrate lost", label)
+		}
+		if got, want := ix.Query(uris...), twin.Query(uris...); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Query over KB2 diverges from the unsharded twin", label)
+		}
+		got, err := ix.QueryKB(context.Background(), delta)
+		if err != nil {
+			t.Fatalf("%s: QueryKB: %v", label, err)
+		}
+		mustEqualResults(t, label+" QueryKB", got, want)
+		var resaved bytes.Buffer
+		if err := minoaner.SaveIndex(&resaved, ix); err != nil {
+			t.Fatalf("%s: SaveIndex: %v", label, err)
+		}
+		if !bytes.Equal(resaved.Bytes(), twinBytes) {
+			t.Errorf("%s: re-save is %d bytes, not the twin's %d", label, resaved.Len(), len(twinBytes))
+		}
 	}
 }
 
@@ -396,9 +435,6 @@ func TestInspectIndexFile(t *testing.T) {
 	}
 	if !si.Prepared {
 		t.Error("prepared substrate not reported")
-	}
-	if si.Shards != 1 {
-		t.Errorf("Shards = %d, want 1", si.Shards)
 	}
 	if si.Epoch != ix.Epoch() || si.JournalEntries != len(ix.Journal()) {
 		t.Errorf("journal summary: epoch %d/%d entries %d/%d",

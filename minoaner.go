@@ -297,7 +297,6 @@ type ResolveOption func(*resolveOptions)
 
 type resolveOptions struct {
 	progress func(StageProgress)
-	shards   int
 }
 
 // WithProgress registers a callback invoked as each pipeline stage
@@ -306,18 +305,6 @@ type resolveOptions struct {
 // the callback is safe and stops the run promptly.
 func WithProgress(fn func(StageProgress)) ResolveOption {
 	return func(o *resolveOptions) { o.progress = fn }
-}
-
-// WithShards hash-partitions the index substrate into k independent
-// sub-indexes keyed by entity URI. Queries scatter the delta across
-// all shards in parallel and gather the ranked candidates through a
-// cross-shard merge; mutations patch only the shards owning mutated
-// entities. Results are bit-identical to an unsharded index at every
-// shard and worker count. k <= 1 (and omitting the option) keeps the
-// single-substrate layout. The option applies to index building
-// (BuildIndexContext); plain Resolve runs ignore it.
-func WithShards(k int) ResolveOption {
-	return func(o *resolveOptions) { o.shards = k }
 }
 
 // Resolve runs the MinoanER matching process on two KBs.

@@ -172,7 +172,6 @@ func assertRebuildEquivalent(t *testing.T, label string, ix *minoaner.Index, d1,
 	}
 	gs, ws := ix.Stats(), fresh.Stats()
 	ws.Epoch, ws.JournalLength = gs.Epoch, gs.JournalLength // provenance differs by design
-	ws.Shards = gs.Shards                                   // parallel layout differs by design
 	if gs != ws {
 		t.Fatalf("%s: stats diverge from rebuild:\n got %+v\nwant %+v", label, gs, ws)
 	}

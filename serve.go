@@ -30,7 +30,7 @@ import (
 //	GET  /metrics              the same counters in Prometheus text
 //	                           exposition format (requests, errors,
 //	                           latency totals per route; epoch, journal
-//	                           length, shard count, match/block gauges)
+//	                           length, match/block gauges)
 //	GET  /resolve?uri=U&uri=V  per-URI match lookup
 //	POST /resolve              same, URIs from JSON {"uris": [...]}
 //	GET  /resolve/stream       anytime re-resolution of the index's KB
@@ -278,8 +278,6 @@ type statsJSON struct {
 	NameComparisons        int64                        `json:"name_comparisons"`
 	TokenComparisons       int64                        `json:"token_comparisons"`
 	PurgedBlocks           int                          `json:"purged_blocks"`
-	Shards                 int                          `json:"shards"`
-	Sharded                bool                         `json:"sharded"`
 	Replica                *replicaStatsJSON            `json:"replica,omitempty"`
 	Stream                 streamStatsJSON              `json:"stream"`
 	Endpoints              map[string]endpointStatsJSON `json:"endpoints"`
@@ -365,8 +363,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		NameComparisons:        st.NameComparisons,
 		TokenComparisons:       st.TokenComparisons,
 		PurgedBlocks:           st.PurgedBlocks,
-		Shards:                 st.Shards,
-		Sharded:                e.sharded != nil,
 		Replica:                replica,
 		Stream:                 stream,
 		Endpoints:              endpoints,
@@ -406,10 +402,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, c := range streamSeries {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
 	}
-	sharded := 0
-	if e.sharded != nil {
-		sharded = 1
-	}
 	mutable := 0
 	if s.mutable && s.ix.Mutable() {
 		mutable = 1
@@ -420,8 +412,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}{
 		{"minoaner_epoch", "Current index epoch (0 = fresh build, +1 per absorbed mutation).", int64(st.Epoch)},
 		{"minoaner_journal_length", "Mutation journal entries since the last compaction.", int64(st.JournalLength)},
-		{"minoaner_shards", "Configured shard count of the index substrate (1 = unsharded).", int64(st.Shards)},
-		{"minoaner_sharded_active", "Whether scatter-gather resolution is active (partitioned substrate derived).", int64(sharded)},
 		{"minoaner_mutable", "Whether this server accepts /upsert and /delete.", int64(mutable)},
 		{"minoaner_matches", "Resolved match pairs in the current epoch.", int64(st.Matches)},
 		{"minoaner_kb1_entities", "Entities in the first indexed KB.", int64(st.KB1.Entities)},
@@ -532,6 +522,11 @@ type streamPairJSON struct {
 	Heuristic string  `json:"heuristic"`
 }
 
+// maxStreamBudgetMillis caps /resolve/stream's budget_ms at 24 h: far
+// past any real budget, far below where the millisecond-to-Duration
+// conversion overflows into a deadline in the past.
+const maxStreamBudgetMillis = 24 * 60 * 60 * 1000
+
 // handleResolveStream re-resolves the index's KB pair as an anytime
 // stream: one NDJSON record per confirmed pair, best pairs first,
 // flushed as written so a latency-budgeted client acts on each match
@@ -571,8 +566,8 @@ func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if raw := q.Get("budget_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
-		if err != nil || ms < 1 {
-			writeError(w, http.StatusBadRequest, "invalid budget_ms=%q: want a positive integer", raw)
+		if err != nil || ms < 1 || ms > maxStreamBudgetMillis {
+			writeError(w, http.StatusBadRequest, "invalid budget_ms=%q: want an integer in [1, %d]", raw, maxStreamBudgetMillis)
 			return
 		}
 		var cancel context.CancelFunc

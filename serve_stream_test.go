@@ -109,6 +109,10 @@ func TestServeResolveStreamBadParams(t *testing.T) {
 		"max_pairs=0", "max_pairs=-3", "max_pairs=abc",
 		"max_comparisons=0", "max_comparisons=x",
 		"budget_ms=0", "budget_ms=-1", "budget_ms=soon",
+		// One past the 24 h cap, and the value whose millisecond
+		// conversion used to overflow into an already-expired deadline
+		// (200 with an empty body).
+		"budget_ms=86400001", "budget_ms=9223372036855",
 		"strategy=fastest",
 	} {
 		resp, err := http.Get(srv.URL + "/resolve/stream?" + q)
@@ -119,6 +123,10 @@ func TestServeResolveStreamBadParams(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("?%s: status %d, want 400", q, resp.StatusCode)
 		}
+	}
+	// The cap itself is a valid budget.
+	if recs := getStream(t, srv.URL+"/resolve/stream?budget_ms=86400000"); len(recs) == 0 {
+		t.Error("budget_ms=86400000 streamed nothing")
 	}
 }
 

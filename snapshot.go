@@ -59,15 +59,14 @@ import (
 //	                          everything in it would be empty, so
 //	                          resaving a pre-extension snapshot
 //	                          reproduces its bytes.
-//	section 10 (sharding):    shard count and the per-shard owned-entity
-//	                          counts of the URI-hash partition. Written
-//	                          only for sharded indexes (K > 1); the
-//	                          partition itself is re-derived
-//	                          deterministically on load and checked
-//	                          against the recorded counts. Readers that
-//	                          skip this section (or snapshots from
-//	                          before it) load as K = 1 — unsharded, with
-//	                          identical answers.
+//	section 10 (retired):     once the shard count of an in-process
+//	                          scatter-gather engine that has been
+//	                          removed. Never written; snapshots that
+//	                          carry it load like any other unknown
+//	                          section — skipped, with identical answers
+//	                          — and re-save without it, the one
+//	                          deliberate exception to "saving a loaded
+//	                          index reproduces the snapshot".
 //
 // Compatibility promise: a reader accepts exactly the format versions
 // it names (currently 1), skips unknown section IDs within them, and
@@ -95,7 +94,8 @@ const (
 	snapMatches     = 7
 	snapPrepared    = 8
 	snapJournal     = 9
-	snapSharding    = 10
+	// 10 is retired (see the layout comment): never reuse it, old
+	// snapshots still carry it with the former meaning.
 )
 
 // ErrSnapshotCorrupt is wrapped by every LoadIndex failure caused by
@@ -124,9 +124,6 @@ func SaveIndex(w io.Writer, ix *Index) error {
 	}
 	if withJournal {
 		sections = append(sections, snapJournal)
-	}
-	if e.shards > 1 {
-		sections = append(sections, snapSharding)
 	}
 
 	bw := binio.NewWriter(w)
@@ -180,58 +177,8 @@ func SaveIndex(w io.Writer, ix *Index) error {
 			writeJournalSection(enc, e.seq, ix.journal, ix.compactions.Load())
 		})
 	}
-	if e.shards > 1 {
-		bw.Section(snapSharding, func(enc *binio.Writer) {
-			enc.Int(e.shards)
-			for _, c := range shardOwnerCounts(e) {
-				enc.Int(c)
-			}
-		})
-	}
 	bw.End()
 	return bw.Flush()
-}
-
-// shardOwnerCounts tallies how many KB1 entities each shard owns under
-// the URI-hash partition — the snapshot's integrity check that a
-// loading build partitions the KB exactly as the writing one did.
-func shardOwnerCounts(e *epoch) []int {
-	counts := make([]int, e.shards)
-	var owners []int32
-	if e.sharded != nil {
-		owners = e.sharded.Owners()
-	} else {
-		owners = pipeline.ShardOwners(e.kb1.kb, e.shards)
-	}
-	for _, o := range owners {
-		counts[o]++
-	}
-	return counts
-}
-
-// readShardingSection restores the shard count, re-derives the
-// partitioned substrate, and verifies the recorded owner counts.
-func readShardingSection(b *binio.Reader, ix *Index) error {
-	k := b.Int()
-	if b.Err() == nil && (k < 1 || k > 1<<16) {
-		b.Fail("shard count %d out of range", k)
-	}
-	counts := make([]int, 0, min(k, 1<<16))
-	for i := 0; i < k && b.Err() == nil; i++ {
-		counts = append(counts, b.Int())
-	}
-	if err := b.Err(); err != nil {
-		return fmt.Errorf("%w: sharding: %v", ErrSnapshotCorrupt, err)
-	}
-	ix.setShards(k)
-	got := shardOwnerCounts(ix.cur.Load())
-	for s, c := range counts {
-		if got[s] != c {
-			return fmt.Errorf("%w: sharding: shard %d owns %d entities, snapshot recorded %d",
-				ErrSnapshotCorrupt, s, got[s], c)
-		}
-	}
-	return nil
 }
 
 // writeNeighborLists encodes the frozen per-entity neighbor lists.
@@ -253,7 +200,7 @@ func readPreparedSection(b *binio.Reader, ix *Index) error {
 	if err != nil {
 		return err
 	}
-	ix.setPreparedSide(prep)
+	e.prep = prep
 	return nil
 }
 
@@ -448,7 +395,7 @@ func LoadIndex(r io.Reader) (*Index, error) {
 		return b, nil
 	}
 
-	e := &epoch{shards: 1}
+	e := &epoch{}
 	ix := &Index{}
 	ix.cur.Store(e)
 
@@ -538,11 +485,6 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	}
 	if jb, ok := bodies[snapJournal]; ok {
 		if err := readJournalSection(jb, ix); err != nil {
-			return nil, err
-		}
-	}
-	if sb, ok := bodies[snapSharding]; ok {
-		if err := readShardingSection(sb, ix); err != nil {
 			return nil, err
 		}
 	}
