@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"math"
-	"sort"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/kb"
@@ -88,8 +87,8 @@ func valueCandidatesSide(ctx context.Context, byEnt [][]int32, members func(bi i
 func neighborCandidates(ctx context.Context, kb1, kb2 *kb.KB, vc1, vc2 [][]Cand, n, k, workers int) ([][]Cand, [][]Cand, error) {
 	top1 := topNeighborListsN(kb1, n, workers)
 	top2 := topNeighborListsN(kb2, n, workers)
-	rev1 := reverseNeighborIndex(top1, kb1.Len())
-	rev2 := reverseNeighborIndex(top2, kb2.Len())
+	rev1 := kb.ReverseNeighbors(top1, kb1.Len())
+	rev2 := kb.ReverseNeighbors(top2, kb2.Len())
 
 	out1, err := neighborCandidatesSide(ctx, top1, vc1, rev2, k, workers)
 	if err != nil {
@@ -135,16 +134,9 @@ func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, vc [][]Can
 	return out, nil
 }
 
-func topNeighborLists(k *kb.KB, n int) [][]kb.EntityID {
-	out := make([][]kb.EntityID, k.Len())
-	for i := 0; i < k.Len(); i++ {
-		out[i] = k.TopNeighbors(kb.EntityID(i), n)
-	}
-	return out
-}
-
-// topNeighborListsN is topNeighborLists across workers; every slot is
-// written exactly once, so the result is identical to the serial one.
+// topNeighborListsN lists every entity's n best neighbors, across
+// workers; every slot is written exactly once, so the result does not
+// depend on the worker count.
 func topNeighborListsN(k *kb.KB, n, workers int) [][]kb.EntityID {
 	out := make([][]kb.EntityID, k.Len())
 	// The work function never fails and the context is never cancelled,
@@ -158,18 +150,6 @@ func topNeighborListsN(k *kb.KB, n, workers int) [][]kb.EntityID {
 	return out
 }
 
-// reverseNeighborIndex inverts top-neighbor lists: for each entity x,
-// the entities that count x among their best neighbors.
-func reverseNeighborIndex(top [][]kb.EntityID, n int) [][]kb.EntityID {
-	rev := make([][]kb.EntityID, n)
-	for e, nbrs := range top {
-		for _, x := range nbrs {
-			rev[x] = append(rev[x], kb.EntityID(e))
-		}
-	}
-	return rev
-}
-
 // accumulator aggregates per-candidate similarity with O(1) reset via
 // a touched list.
 type accumulator struct {
@@ -181,6 +161,11 @@ func newAccumulator(n int) *accumulator {
 	return &accumulator{sums: make([]float64, n)}
 }
 
+// add contributes w to id's sum. Every contribution must be > 0:
+// sums[id] == 0 is the "untouched" sentinel, so after a zero
+// contribution the next one would append id to touched a second time
+// and topK would list it twice. Token weights are strictly positive
+// (tokenWeights) and the neighbor loops skip candidates with Sim <= 0.
 func (a *accumulator) add(id int32, w float64) {
 	if a.sums[id] == 0 {
 		a.touched = append(a.touched, id)
@@ -196,25 +181,68 @@ func (a *accumulator) reset() {
 }
 
 // topK selects the k best candidates by similarity (ties by ascending
-// ID) from the touched set.
+// ID) from the touched set, best first. One pass keeps the k best seen
+// so far in a heap whose root is the worst of them, so most of the
+// touched set is rejected by a single comparison against the root; the
+// heap lives in the result slice itself, which therefore has exactly
+// min(k, |touched|) capacity and pins nothing larger. The order is
+// total, so the result is the same sequence a full sort would yield.
 func (a *accumulator) topK(k int) []Cand {
-	if len(a.touched) == 0 {
+	m := min(k, len(a.touched))
+	if m <= 0 {
 		return nil
 	}
-	cands := make([]Cand, 0, len(a.touched))
-	for _, id := range a.touched {
-		cands = append(cands, Cand{ID: kb.EntityID(id), Sim: a.sums[id]})
+	h := make([]Cand, m)
+	for i, id := range a.touched[:m] {
+		h[i] = Cand{ID: kb.EntityID(id), Sim: a.sums[id]}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Sim != cands[j].Sim {
-			return cands[i].Sim > cands[j].Sim
+	for i := m/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for _, id := range a.touched[m:] {
+		c := Cand{ID: kb.EntityID(id), Sim: a.sums[id]}
+		if ranksAfter(h[0], c) {
+			h[0] = c
+			siftDown(h, 0)
 		}
-		return cands[i].ID < cands[j].ID
-	})
-	if k < len(cands) {
-		cands = cands[:k:k]
 	}
-	return cands
+	// Heap-sort in place: each round moves the worst remaining
+	// candidate behind the shrinking heap, leaving the best first.
+	for end := m - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], 0)
+	}
+	return h
+}
+
+// ranksAfter reports whether a follows b in the candidate order:
+// similarity descending, ties by ascending ID.
+func ranksAfter(a, b Cand) bool {
+	if a.Sim != b.Sim {
+		return a.Sim < b.Sim
+	}
+	return a.ID > b.ID
+}
+
+// siftDown restores the heap property (every parent ranks after its
+// children, so h[0] is the worst candidate) below position i.
+func siftDown(h []Cand, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && ranksAfter(h[r], h[c]) {
+			c = r
+		}
+		if !ranksAfter(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // cancelCheckStride is how many per-entity iterations a parallel loop

@@ -202,8 +202,8 @@ func DeltaNeighborCandidates() Stage {
 		if !st.delta.vcDone {
 			return errors.New("requires value candidates (run " + StageValueCandidates + " first)")
 		}
-		top2 := topNeighborLists(st.KB2, st.Params.N)
-		rev2 := reverseNeighborIndex(top2, st.KB2.Len())
+		top2 := topNeighborListsN(st.KB2, st.Params.N, 1) // the delta side is small
+		rev2 := kb.ReverseNeighbors(top2, st.KB2.Len())
 		out, err := neighborCandidatesSide(ctx, top2, st.ValueCands2,
 			st.delta.prep.Neighbors.RevLists(), st.Params.K, st.Params.workers())
 		if err != nil {

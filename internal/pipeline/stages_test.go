@@ -21,30 +21,31 @@ func testParams() Params {
 // work: paired entities share a distinctive name and a chain relation.
 func testKBs(t testing.TB, n int) (*kb.KB, *kb.KB) {
 	t.Helper()
-	var t1, t2 []rdf.Triple
-	add := func(ts *[]rdf.Triple, s, p string, o rdf.Term) {
-		*ts = append(*ts, rdf.NewTriple(rdf.NewIRI(s), rdf.NewIRI(p), o))
-	}
+	return chainKB(t, "a", "http://v/name", "http://v/link", n, nil),
+		chainKB(t, "b", "http://v/title", "http://v/rel", n, nil)
+}
+
+// chainKB is one side of testKBs: entity i is named "entity number i
+// omega" (or rename[i]) and links to entity i-1.
+func chainKB(t testing.TB, ns, namePred, linkPred string, n int, rename map[int]string) *kb.KB {
+	t.Helper()
+	var ts []rdf.Triple
 	for i := 0; i < n; i++ {
-		s1 := fmt.Sprintf("http://a/e%04d", i)
-		s2 := fmt.Sprintf("http://b/e%04d", i)
-		name := fmt.Sprintf("entity number %04d omega", i)
-		add(&t1, s1, "http://v/name", rdf.NewLiteral(name))
-		add(&t2, s2, "http://v/title", rdf.NewLiteral(name))
+		s := rdf.NewIRI(fmt.Sprintf("http://%s/e%04d", ns, i))
+		name, ok := rename[i]
+		if !ok {
+			name = fmt.Sprintf("entity number %04d omega", i)
+		}
+		ts = append(ts, rdf.NewTriple(s, rdf.NewIRI(namePred), rdf.NewLiteral(name)))
 		if i > 0 {
-			add(&t1, s1, "http://v/link", rdf.NewIRI(fmt.Sprintf("http://a/e%04d", i-1)))
-			add(&t2, s2, "http://v/rel", rdf.NewIRI(fmt.Sprintf("http://b/e%04d", i-1)))
+			ts = append(ts, rdf.NewTriple(s, rdf.NewIRI(linkPred), rdf.NewIRI(fmt.Sprintf("http://%s/e%04d", ns, i-1))))
 		}
 	}
-	kb1, err := kb.FromTriples("a", t1)
+	k, err := kb.FromTriples(ns, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb2, err := kb.FromTriples("b", t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kb1, kb2
+	return k
 }
 
 func runPlan(t testing.TB, plan []Stage, st *State) *State {

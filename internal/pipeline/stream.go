@@ -139,7 +139,14 @@ type streamSide struct {
 	k           int
 	comparisons int64 // contributions accumulated so far (StreamBudget.MaxComparisons)
 	acc         *accumulator
+	contribs    []neighborContrib      // neighborCands' gather buffer, reused across fills
 	vc, nc      map[kb.EntityID][]Cand // memoized fills; presence marks "computed" (a nil list is a valid result)
+}
+
+// neighborContrib is one pending neighbor-similarity contribution.
+type neighborContrib struct {
+	id  kb.EntityID
+	sim float64
 }
 
 // newStreamSide returns a side whose candidates range over an opposite
@@ -179,21 +186,18 @@ func (s *streamSide) neighborCands(e kb.EntityID) []Cand {
 	top, rev := s.neighbors()
 	// The nested value fills share s.acc; gather the neighbor
 	// contributions first so the aggregation below uses it exclusively.
-	type contrib struct {
-		id  kb.EntityID
-		sim float64
-	}
-	var contribs []contrib
+	contribs := s.contribs[:0]
 	for _, nei := range top[e] {
 		for _, cand := range s.valueCands(nei) {
 			if cand.Sim <= 0 {
 				continue
 			}
 			for _, o := range rev[cand.ID] {
-				contribs = append(contribs, contrib{id: o, sim: cand.Sim})
+				contribs = append(contribs, neighborContrib{id: o, sim: cand.Sim})
 			}
 		}
 	}
+	s.contribs = contribs
 	s.comparisons += int64(len(contribs))
 	for _, c := range contribs {
 		s.acc.add(int32(c.id), c.sim)
@@ -236,7 +240,7 @@ func newStreamEvidence(st *State) *streamEvidence {
 		built = true
 		top1 = topNeighborListsN(st.KB1, st.Params.N, st.Params.workers())
 		top2 = topNeighborListsN(st.KB2, st.Params.N, st.Params.workers())
-		rev1, rev2 = reverseNeighborIndex(top1, n1), reverseNeighborIndex(top2, n2)
+		rev1, rev2 = kb.ReverseNeighbors(top1, n1), kb.ReverseNeighbors(top2, n2)
 	}
 	side1.neighbors = func() (top, rev [][]kb.EntityID) { ensure(); return top1, rev2 }
 	side2.neighbors = func() (top, rev [][]kb.EntityID) { ensure(); return top2, rev1 }

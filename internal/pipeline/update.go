@@ -82,8 +82,8 @@ func NewCache(ctx context.Context, st *State, nameBlocks *blocking.Collection, p
 	c := &Cache{
 		Prep1:       blocking.Prepare(st.KB1, st.Params.NameK, w),
 		Prep2:       blocking.Prepare(st.KB2, st.Params.NameK, w),
-		Top1:        topNeighborLists(st.KB1, st.Params.N),
-		Top2:        topNeighborLists(st.KB2, st.Params.N),
+		Top1:        topNeighborListsN(st.KB1, st.Params.N, w),
+		Top2:        topNeighborListsN(st.KB2, st.Params.N, w),
 		NameBlocks:  nameBlocks,
 		TokenBlocks: st.TokenBlocks,
 		Purge:       purge,
@@ -593,7 +593,9 @@ func UpdateValueCandidates() Stage {
 			// (a re-accumulated sum over identical blocks is identical).
 			vcChanged := make([]bool, n)
 			err := parallelFor(ctx, n, workers, func(worker, start, end int) error {
-				acc := newAccumulator(otherN)
+				// Allocated on the chunk's first affected entity: most
+				// chunks have none and must not pay for otherN sums.
+				var acc *accumulator
 				for e := start; e < end; e++ {
 					if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
 						return ctx.Err()
@@ -607,6 +609,9 @@ func UpdateValueCandidates() Stage {
 						}
 						out[e] = remapped
 						continue
+					}
+					if acc == nil {
+						acc = newAccumulator(otherN)
 					}
 					for _, tok := range tokens(id) {
 						bi := findBlock(tok)
@@ -741,7 +746,9 @@ func UpdateNeighborCandidates() Stage {
 			}
 			out := make([][]Cand, nSelf)
 			err := parallelFor(ctx, nSelf, workers, func(worker, start, end int) error {
-				acc := newAccumulator(otherN)
+				// Allocated on the chunk's first affected entity: most
+				// chunks have none and must not pay for otherN sums.
+				var acc *accumulator
 				for e := start; e < end; e++ {
 					if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
 						return ctx.Err()
@@ -755,6 +762,9 @@ func UpdateNeighborCandidates() Stage {
 						}
 						out[e] = remapped
 						continue
+					}
+					if acc == nil {
+						acc = newAccumulator(otherN)
 					}
 					for _, nei := range top[e] {
 						for _, cand := range vcSelf[nei] {
