@@ -186,19 +186,21 @@ func loadLenient(name, path string) (*minoaner.KB, error) {
 	return kb, nil
 }
 
-// loadCached reuses <path>.mkb when it exists; otherwise it parses the
-// N-Triples file with the given loader and writes the cache for the
-// next run.
+// loadCached reuses <path>.mkb when it exists and is newer than the
+// N-Triples file; otherwise it parses the file with the given loader
+// and writes the cache for the next run.
 func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, error)) (*minoaner.KB, error) {
 	cachePath := path + ".mkb"
 	if f, err := os.Open(cachePath); err == nil {
 		defer f.Close()
-		kb, err := minoaner.ReadKBBinary(f)
-		if err == nil {
+		if cacheStale(f, path) {
+			fmt.Fprintf(os.Stderr, "cache %s is older than %s; re-parsing\n", cachePath, path)
+		} else if kb, err := minoaner.ReadKBBinary(f); err == nil {
 			fmt.Fprintf(os.Stderr, "loaded %s from cache %s\n", name, cachePath)
 			return kb, nil
+		} else {
+			fmt.Fprintf(os.Stderr, "cache %s unusable (%v); re-parsing\n", cachePath, err)
 		}
-		fmt.Fprintf(os.Stderr, "cache %s unusable (%v); re-parsing\n", cachePath, err)
 	}
 	kb, err := parse(name, path)
 	if err != nil {
@@ -214,4 +216,20 @@ func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, 
 		fmt.Fprintf(os.Stderr, "cannot write cache %s: %v\n", cachePath, err)
 	}
 	return kb, nil
+}
+
+// cacheStale reports whether the source file was written after the
+// cache (or at the same instant, as far as the file system can tell). A
+// source that cannot be examined leaves the verdict to the parse that
+// follows a stale cache.
+func cacheStale(cache *os.File, sourcePath string) bool {
+	ci, err := cache.Stat()
+	if err != nil {
+		return true
+	}
+	si, err := os.Stat(sourcePath)
+	if err != nil {
+		return true
+	}
+	return !ci.ModTime().After(si.ModTime())
 }

@@ -1,17 +1,19 @@
 package kb
 
 import (
+	"strings"
+
 	"minoaner/internal/parallel"
 	"minoaner/internal/rdf"
 )
 
-// Store-backed assembly: the hot path of epoch mutation. Two
-// implementations produce exactly what assembleKB produces — entity
-// for entity, stat for stat:
+// Assembly over term-ID arrays. describe (passes 1 and 2) is shared by
+// Builder.Build and the store; the rest of this file is the store's
+// side, the hot path of epoch mutation. Both store assemblies produce
+// exactly what Build produces over the same triples — entity for
+// entity, stat for stat:
 //
-//   - assembleFast reruns the generic passes but replaces the
-//     per-triple string-keyed maps (the dominant cost) with
-//     generation-stamped term-ID arrays, and derives the predicate
+//   - assembleFast reruns the generic passes and derives the predicate
 //     statistics from the (predicate, object, subject)-sorted ref list
 //     in one map-free merge walk: predicate groups are contiguous,
 //     equal objects are adjacent (distinct-object counts become
@@ -36,10 +38,10 @@ import (
 // literal keys into a scratch set only when the predicate actually has
 // dangling objects.
 
-// assembleScratch is the store's reusable generation-stamped working
-// set: arrays indexed by term ID whose entries are valid only when
+// assembleScratch is the generation-stamped working set of an
+// assembly: arrays indexed by term ID whose entries are valid only when
 // their generation matches the current pass (so nothing is ever
-// cleared).
+// cleared, and a store reuses one across assemblies).
 type assembleScratch struct {
 	subjGen, predGen []int32
 	subjVal, predVal []int32
@@ -94,34 +96,73 @@ func (sc *assembleScratch) pred(t int32) (int32, bool) {
 	return sc.predVal[t], true
 }
 
-// assembleFast builds the KB of the store's current triple set with
-// the generic passes over term-ID arrays.
-func (s *Store) assembleFast(prev *KB) *KB {
-	terms, refs := s.terms, s.refs
-	sc := &s.scratch
-	sc.begin(len(terms))
-	kb := &KB{
-		name:       s.name,
-		uriIndex:   make(map[string]EntityID, prevLenHint(prev)),
+// newAssembly returns the empty shell the assembly passes fill; describe
+// adds the entity roster and its URI index.
+func newAssembly(name string, numTriples int) *KB {
+	return &KB{
+		name:       name,
 		predIndex:  make(map[string]int32),
 		ef:         make(map[string]int32),
 		attrStats:  make(map[int32]*PredStat),
 		relStats:   make(map[int32]*PredStat),
 		typeSet:    make(map[string]struct{}),
 		vocabSet:   make(map[string]struct{}),
-		numTriples: len(refs),
+		numTriples: numTriples,
+	}
+}
+
+// typeTermOf returns the ID of the rdf:type predicate term in a term
+// index, or -1 when no triple uses it.
+func typeTermOf(termIndex map[rdf.Term]int32) int32 {
+	if id, ok := termIndex[rdf.NewIRI(RDFType)]; ok {
+		return id
+	}
+	return -1
+}
+
+// describe runs assembly passes 1 and 2 over sorted, deduplicated refs:
+// every subject becomes an entity, in sorted order, and every triple is
+// classified into the description of its subject (type, attribute
+// value, relation edge, or dangling-URI value). It is the one
+// description-fill loop behind both Builder.Build and Store.Assemble,
+// and it works on term-ID arrays: the subject→entity and predicate→ID
+// mappings live in sc (begun for len(terms)), keys derive once per
+// subject run, and vocabularies once per distinct predicate term.
+//
+// prev, when non-nil, is an earlier assembly of an overlapping ref set
+// whose URI index is shared when the roster turns out unchanged.
+//
+// It reports whether two subject terms shared one entity key, which
+// breaks the ascending entity order of subject runs that countStats
+// otherwise relies on.
+func describe(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch, rdfTypeTerm int32, prev *KB) (aliasedSubjects bool) {
+	runs := 0
+	for i := range refs {
+		if i == 0 || refs[i].s != refs[i-1].s {
+			runs++
+		}
+	}
+	kb.entities = make([]Entity, 0, runs)
+	if prev == nil {
+		kb.uriIndex = make(map[string]EntityID, runs)
 	}
 
 	// Pass 1: entities in sorted-subject order, plus the term->entity
-	// mapping that replaces every later uriIndex lookup. Each
-	// subject's refs are contiguous, so keys derive once per subject,
-	// and the per-subject triple count pre-sizes the description.
+	// mapping that replaces every later uriIndex lookup, and the
+	// per-entity triple count that pre-sizes the description.
 	//
 	// The common mutation leaves the subject sequence untouched; the
 	// optimistic walk then shares prev's uriIndex map outright and
 	// falls back to building a fresh one on the first divergence.
-	tripleCount := make([]int32, 0, prevLenHint(prev))
+	tripleCount := make([]int32, 0, runs)
 	sharePrevIndex := prev != nil
+	ownIndex := func() {
+		sharePrevIndex = false
+		kb.uriIndex = make(map[string]EntityID, runs)
+		for e := range kb.entities {
+			kb.uriIndex[kb.entities[e].URI] = EntityID(e)
+		}
+	}
 	for i := 0; i < len(refs); {
 		t := refs[i].s
 		j := i + 1
@@ -130,67 +171,64 @@ func (s *Store) assembleFast(prev *KB) *KB {
 		}
 		key := SubjectKey(terms[t])
 		id := EntityID(len(kb.entities))
-		dup := false
 		if sharePrevIndex {
 			if pid, ok := prev.uriIndex[key]; !ok || pid != id {
-				// Divergence (or a duplicate-key subject term): build
-				// the index the generic way from here on.
-				sharePrevIndex = false
-				kb.uriIndex = make(map[string]EntityID, prevLenHint(prev))
-				for e := range kb.entities {
-					kb.uriIndex[kb.entities[e].URI] = EntityID(e)
-				}
+				ownIndex() // divergence, or an aliased subject term
 			}
 		}
 		if !sharePrevIndex {
-			if pid, ok := kb.uriIndex[key]; ok {
+			if eid, ok := kb.uriIndex[key]; ok {
 				// Distinct subject terms with one key (an IRI spelled
 				// "_:x" next to the blank node x): both map to the
 				// entity.
-				sc.setSubj(t, pid)
-				tripleCount[pid] += int32(j - i)
-				dup = true
-			} else {
-				kb.uriIndex[key] = id
+				sc.setSubj(t, eid)
+				tripleCount[eid] += int32(j - i)
+				aliasedSubjects = true
+				i = j
+				continue
 			}
+			kb.uriIndex[key] = id
 		}
-		if !dup {
-			kb.entities = append(kb.entities, Entity{URI: key})
-			tripleCount = append(tripleCount, int32(j-i))
-			sc.setSubj(t, id)
-		}
+		kb.entities = append(kb.entities, Entity{URI: key})
+		tripleCount = append(tripleCount, int32(j-i))
+		sc.setSubj(t, id)
 		i = j
 	}
 	if sharePrevIndex {
 		if len(kb.entities) != prev.Len() {
-			kb.uriIndex = make(map[string]EntityID, len(kb.entities))
-			for e := range kb.entities {
-				kb.uriIndex[kb.entities[e].URI] = EntityID(e)
-			}
-			sharePrevIndex = false
+			ownIndex()
 		} else {
 			kb.uriIndex = prev.uriIndex
 		}
 	}
 
-	// addAttrFast appends with a first-use allocation sized by the
-	// entity's triple count (an upper bound): no repeated growth, and
-	// attr-less entities keep nil slices exactly like the generic
-	// passes.
-	addAttrFast := func(subj EntityID, av AttrValue) {
+	// addAttr appends with a first-use allocation sized by the entity's
+	// triple count (an upper bound): no repeated growth, and attr-less
+	// entities keep nil slices.
+	addAttr := func(subj EntityID, av AttrValue) {
 		e := &kb.entities[subj]
 		if e.Attrs == nil {
 			e.Attrs = make([]AttrValue, 0, tripleCount[subj])
 		}
 		e.Attrs = append(e.Attrs, av)
 	}
+	// targetOf resolves a non-literal object to the entity it denotes,
+	// or -1. One array read, except for an object that is no subject
+	// term itself yet spells an entity's key (blank node x against a
+	// subject IRI "_:x", or the reverse).
+	targetOf := func(o int32, obj *rdf.Term) EntityID {
+		tgt := sc.subj(o)
+		if tgt < 0 && (obj.Kind == rdf.BlankNode || strings.HasPrefix(obj.Value, "_:")) {
+			if id, ok := kb.uriIndex[SubjectKey(*obj)]; ok {
+				sc.setSubj(o, id)
+				tgt = id
+			}
+		}
+		return tgt
+	}
 
 	// Pass 2: fill descriptions. Predicate IDs intern once per term;
 	// object classification is one array read.
-	rdfTypeTerm := int32(-1)
-	if id, ok := s.termIndex[rdf.NewIRI(RDFType)]; ok {
-		rdfTypeTerm = id
-	}
 	var seenPreds []int32
 	for _, ref := range refs {
 		if _, ok := sc.pred(ref.p); !ok {
@@ -209,32 +247,34 @@ func (s *Store) assembleFast(prev *KB) *KB {
 			pid = kb.internPred(terms[ref.p].Value)
 			sc.setPred(ref.p, pid)
 		}
-		switch {
-		case obj.Kind == rdf.Literal:
+		// Empty lexical forms (empty literals, or dangling IRIs with no
+		// local name) carry no matching evidence; recording them would
+		// only distort attribute statistics and token bags.
+		if obj.Kind == rdf.Literal {
 			if obj.Value != "" {
-				addAttrFast(subj, AttrValue{Pred: pid, Value: obj.Value})
+				addAttr(subj, AttrValue{Pred: pid, Value: obj.Value})
 			}
-		case sc.subj(ref.o) >= 0:
-			tgt := sc.subj(ref.o)
+		} else if tgt := targetOf(ref.o, obj); tgt >= 0 {
+			// Relation edge within the entity graph.
 			kb.entities[subj].Out = append(kb.entities[subj].Out, Edge{Pred: pid, Target: tgt})
 			kb.entities[tgt].In = append(kb.entities[tgt].In, Edge{Pred: pid, Target: subj})
-		default:
-			if v := localName(obj.Value); v != "" {
-				addAttrFast(subj, AttrValue{Pred: pid, Value: v})
-			}
+		} else if v := localName(obj.Value); v != "" {
+			// Dangling URI: an attribute value carrying the local name
+			// as its lexical form (the paper's bag-of-strings view keeps
+			// such evidence).
+			addAttr(subj, AttrValue{Pred: pid, Value: v})
 		}
 	}
 	for _, t := range seenPreds {
 		kb.vocabSet[namespaceOf(terms[t].Value)] = struct{}{}
 	}
+	return aliasedSubjects
+}
 
-	s.walkStats(kb, func(t int32) int32 {
-		if pid, ok := sc.pred(t); ok {
-			return pid
-		}
-		return -1
-	}, rdfTypeTerm)
-
+// setImportance derives every predicate's importance from its counted
+// statistics. A predicate used with both literal and entity objects
+// keeps both roles; importance is computed independently per role.
+func setImportance(kb *KB) {
 	n := float64(len(kb.entities))
 	for _, st := range kb.attrStats {
 		st.Importance = importance(st, n)
@@ -242,16 +282,26 @@ func (s *Store) assembleFast(prev *KB) *KB {
 	for _, st := range kb.relStats {
 		st.Importance = importance(st, n)
 	}
-
-	finishTokens(kb, s.opts, parallel.Workers(s.workers), prev)
-	return kb
 }
 
-func prevLenHint(prev *KB) int {
-	if prev == nil {
-		return 64
-	}
-	return prev.Len()
+// assembleFast builds the KB of the store's current triple set with
+// the generic passes; the statistics come from the store's
+// (predicate, object, subject) order.
+func (s *Store) assembleFast(prev *KB) *KB {
+	sc := &s.scratch
+	sc.begin(len(s.terms))
+	kb := newAssembly(s.name, len(s.refs))
+	rdfTypeTerm := typeTermOf(s.termIndex)
+	describe(kb, s.terms, s.refs, sc, rdfTypeTerm, prev)
+	s.walkStats(kb, func(t int32) int32 {
+		if pid, ok := sc.pred(t); ok {
+			return pid
+		}
+		return -1
+	}, rdfTypeTerm)
+	setImportance(kb)
+	finishTokens(kb, s.opts, parallel.Workers(s.workers), prev)
+	return kb
 }
 
 // walkStats derives every predicate's Distinct and Entities counts
@@ -414,10 +464,7 @@ func (s *Store) assembleIncremental(prev *KB) *KB {
 	}
 	sortIDs(changed)
 
-	rdfTypeTerm := int32(-1)
-	if id, ok := s.termIndex[rdf.NewIRI(RDFType)]; ok {
-		rdfTypeTerm = id
-	}
+	rdfTypeTerm := typeTermOf(s.termIndex)
 
 	// Verification scan: subject runs must match prev's entity count
 	// one-for-one (the roster check above makes a same-count
@@ -556,19 +603,14 @@ func (s *Store) assembleIncremental(prev *KB) *KB {
 		}
 		return -1
 	}, rdfTypeTerm)
-	n := float64(len(kb.entities))
-	for _, st := range kb.attrStats {
-		st.Importance = importance(st, n)
-	}
-	for _, st := range kb.relStats {
-		st.Importance = importance(st, n)
-	}
+	setImportance(kb)
 
 	// Tokens and EF: only the changed descriptions re-tokenize.
 	for tok, c := range prev.ef {
 		kb.ef[tok] = c
 	}
 	kb.totalTokens = prev.totalTokens
+	var scratch []string
 	for _, e := range changed {
 		old := prev.entities[e].Tokens
 		kb.totalTokens -= len(old)
@@ -578,8 +620,7 @@ func (s *Store) assembleIncremental(prev *KB) *KB {
 			}
 		}
 		ent := &kb.entities[e]
-		ent.Tokens = nil
-		tokenizeEntity(ent, s.opts)
+		scratch = tokenizeEntity(ent, s.opts, scratch)
 		kb.totalTokens += len(ent.Tokens)
 		for _, tok := range ent.Tokens {
 			kb.ef[tok]++

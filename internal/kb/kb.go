@@ -21,7 +21,7 @@ package kb
 import (
 	"context"
 	"fmt"
-	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -241,6 +241,7 @@ type Builder struct {
 	termIndex map[rdf.Term]int32
 	terms     []rdf.Term
 	triples   []tripleRef
+	trans     []int32 // merge scratch: a block's local term IDs -> builder IDs
 }
 
 // tripleRef is one recorded triple as indices into the term table.
@@ -264,9 +265,9 @@ func (b *Builder) SetKeepSources(keep bool) { b.keepSources = keep }
 // SetTokenizeOptions overrides the tokenizer configuration.
 func (b *Builder) SetTokenizeOptions(opts tokenize.Options) { b.opts = opts }
 
-// SetWorkers bounds the goroutines Build uses for its parallel passes.
-// Values <= 0 select GOMAXPROCS. The built KB is bit-identical at any
-// setting.
+// SetWorkers bounds the goroutines AddFromReader parses on and Build
+// uses for its parallel passes. Values <= 0 select GOMAXPROCS. The built
+// KB is bit-identical at any setting.
 func (b *Builder) SetWorkers(n int) { b.workers = n }
 
 // Add records one triple. Duplicates are ignored. Invalid triples are
@@ -275,11 +276,7 @@ func (b *Builder) Add(t rdf.Triple) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	ref := tripleRef{s: b.intern(t.Subject), p: b.intern(t.Predicate), o: b.intern(t.Object)}
-	if n := len(b.triples); n > 0 && b.triples[n-1] == ref {
-		return nil // cheap eager dedup of consecutive duplicates
-	}
-	b.triples = append(b.triples, ref)
+	b.record(tripleRef{s: b.intern(t.Subject), p: b.intern(t.Predicate), o: b.intern(t.Object)})
 	return nil
 }
 
@@ -293,6 +290,15 @@ func (b *Builder) intern(t rdf.Term) int32 {
 	return id
 }
 
+// record appends one interned triple, dropping a repeat of the previous
+// one (cheap eager dedup; Build removes the rest).
+func (b *Builder) record(ref tripleRef) {
+	if n := len(b.triples); n > 0 && b.triples[n-1] == ref {
+		return
+	}
+	b.triples = append(b.triples, ref)
+}
+
 // AddAll records a batch of triples, stopping at the first invalid one.
 func (b *Builder) AddAll(ts []rdf.Triple) error {
 	for _, t := range ts {
@@ -301,44 +307,6 @@ func (b *Builder) AddAll(ts []rdf.Triple) error {
 		}
 	}
 	return nil
-}
-
-// AddFromReader streams an N-Triples document into the builder without
-// materializing a triple slice: each parsed triple is interned
-// immediately. Parsing is strict; use AddFromRDFReader with a lenient
-// rdf.Reader to skip malformed lines.
-func (b *Builder) AddFromReader(r io.Reader) error {
-	return b.AddFromRDFReaderContext(context.Background(), rdf.NewReader(r))
-}
-
-// AddFromRDFReader drains a caller-configured rdf.Reader (e.g. one in
-// lenient mode) into the builder.
-func (b *Builder) AddFromRDFReader(rr *rdf.Reader) error {
-	return b.AddFromRDFReaderContext(context.Background(), rr)
-}
-
-// ingestCancelStride is how many triples are ingested between context
-// checks in AddFromRDFReaderContext.
-const ingestCancelStride = 4096
-
-// AddFromRDFReaderContext drains an rdf.Reader under a context,
-// checking for cancellation every few thousand triples.
-func (b *Builder) AddFromRDFReaderContext(ctx context.Context, rr *rdf.Reader) error {
-	for n := 0; ; n++ {
-		if n%ingestCancelStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		t, err := rr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := b.Add(t); err != nil {
-			return err
-		}
-	}
 }
 
 // Len returns the number of triples recorded so far. Non-consecutive
@@ -387,7 +355,7 @@ func (b *Builder) Build() (*KB, error) {
 	}
 	refs = refs[:j:j]
 
-	kb := assembleKB(b.name, b.opts, workers, b.terms, refs, nil)
+	kb := assembleKB(b.name, b.opts, workers, b.terms, refs, typeTermOf(b.termIndex))
 	if b.keepSources {
 		// Clip the term table so later builder appends cannot write
 		// into the retained slice's spare capacity.
@@ -397,127 +365,110 @@ func (b *Builder) Build() (*KB, error) {
 }
 
 // assembleKB runs the deterministic assembly passes over a sorted,
-// deduplicated ref slice: pass 1 creates entities in sorted-subject
-// order, pass 2 classifies objects and fills descriptions and
-// statistics, pass 3 tokenizes values and counts entity frequencies.
-// The result depends only on (terms-resolved) refs and opts — never on
-// how the refs were accumulated — which is what makes incremental
-// rebuilds (Store.Assemble) bit-identical to from-scratch builds.
-//
-// prev, when non-nil, is the previous assembly of an overlapping ref
-// set: entities whose attribute values are unchanged reuse its token
-// bags, and the EF table is derived from prev's by delta instead of a
-// full recount. Both shortcuts reproduce the from-scratch result
-// exactly (token bags depend only on the value list; EF is a pure
-// multiset count).
-func assembleKB(name string, opts tokenize.Options, workers int, terms []rdf.Term, refs []tripleRef, prev *KB) *KB {
-	kb := &KB{
-		name:       name,
-		uriIndex:   make(map[string]EntityID),
-		predIndex:  make(map[string]int32),
-		ef:         make(map[string]int32),
-		attrStats:  make(map[int32]*PredStat),
-		relStats:   make(map[int32]*PredStat),
-		typeSet:    make(map[string]struct{}),
-		vocabSet:   make(map[string]struct{}),
-		numTriples: len(refs),
-	}
-
-	// Subject keys are needed once per distinct term; cache them so the
-	// two sequential passes do not re-derive (or re-allocate, for blank
-	// nodes) them per triple.
-	skey := make([]string, len(terms))
-	subjectKeyOf := func(id int32) string {
-		if skey[id] == "" {
-			skey[id] = SubjectKey(terms[id])
-		}
-		return skey[id]
-	}
-
-	// Pass 1: every subject becomes an entity, in sorted order.
-	for _, ref := range refs {
-		key := subjectKeyOf(ref.s)
-		if _, ok := kb.uriIndex[key]; !ok {
-			kb.uriIndex[key] = EntityID(len(kb.entities))
-			kb.entities = append(kb.entities, Entity{URI: key})
-		}
-	}
-
-	// Pass 2: classify objects, fill descriptions.
-	attrSeen := make(map[distinctKey]struct{})
-	relSeen := make(map[distinctKey]struct{})
-	attrEnt := make(map[int32]map[EntityID]struct{})
-	relEnt := make(map[int32]map[EntityID]struct{})
-
-	for _, ref := range refs {
-		subj := kb.uriIndex[subjectKeyOf(ref.s)]
-		obj := terms[ref.o]
-		pname := terms[ref.p].Value
-		kb.vocabSet[namespaceOf(pname)] = struct{}{}
-
-		if pname == RDFType && obj.IsIRI() {
-			kb.entities[subj].Types = append(kb.entities[subj].Types, obj.Value)
-			kb.typeSet[obj.Value] = struct{}{}
-			continue
-		}
-
-		pid := kb.internPred(pname)
-		switch {
-		case obj.IsLiteral():
-			kb.addAttr(subj, pid, obj.Value, attrSeen, attrEnt, distinctKey{pid, obj.Value})
-		default: // IRI or blank object
-			okey := subjectKeyOf(ref.o)
-			if tgt, ok := kb.uriIndex[okey]; ok {
-				// Relation edge within the entity graph.
-				kb.entities[subj].Out = append(kb.entities[subj].Out, Edge{Pred: pid, Target: tgt})
-				kb.entities[tgt].In = append(kb.entities[tgt].In, Edge{Pred: pid, Target: subj})
-				st := kb.statFor(kb.relStats, pid)
-				dk := distinctKey{pid, okey}
-				if _, ok := relSeen[dk]; !ok {
-					relSeen[dk] = struct{}{}
-					st.Distinct++
-				}
-				ents := relEnt[pid]
-				if ents == nil {
-					ents = make(map[EntityID]struct{})
-					relEnt[pid] = ents
-				}
-				ents[subj] = struct{}{}
-			} else {
-				// Dangling URI: treated as an attribute value carrying the
-				// local name as its lexical form (the paper's bag-of-strings
-				// view keeps such evidence). Values without a local name
-				// (IRIs ending in '/' or '#') carry no evidence and are
-				// dropped by addAttr.
-				kb.addAttr(subj, pid, localName(obj.Value), attrSeen, attrEnt, distinctKey{pid, okey})
-			}
-		}
-	}
-
-	for pid, ents := range attrEnt {
-		kb.attrStats[pid].Entities = len(ents)
-	}
-	for pid, ents := range relEnt {
-		kb.relStats[pid].Entities = len(ents)
-	}
-	// A predicate used with both literal and entity objects keeps both
-	// roles; importance is computed independently per role.
-	n := float64(len(kb.entities))
-	for _, st := range kb.attrStats {
-		st.Importance = importance(st, n)
-	}
-	for _, st := range kb.relStats {
-		st.Importance = importance(st, n)
-	}
-
-	finishTokens(kb, opts, workers, prev)
+// deduplicated ref slice: passes 1 and 2 (describe) create the entities
+// in sorted-subject order and fill their descriptions, countStats
+// derives the predicate statistics, pass 3 (finishTokens) tokenizes
+// values and counts entity frequencies. The result depends only on
+// (terms-resolved) refs and opts — never on how the refs were
+// accumulated — which is what makes incremental rebuilds
+// (Store.Assemble) bit-identical to from-scratch builds.
+func assembleKB(name string, opts tokenize.Options, workers int, terms []rdf.Term, refs []tripleRef, rdfTypeTerm int32) *KB {
+	var sc assembleScratch
+	sc.begin(len(terms))
+	kb := newAssembly(name, len(refs))
+	aliased := describe(kb, terms, refs, &sc, rdfTypeTerm, nil)
+	countStats(kb, terms, refs, &sc, rdfTypeTerm, aliased)
+	setImportance(kb)
+	finishTokens(kb, opts, workers, nil)
 	return kb
+}
+
+// roleCount accumulates one predicate's statistics in one role
+// (attribute or relation) over refs in (subject, predicate, object)
+// order. K is the key distinct objects are counted under.
+type roleCount[K comparable] struct {
+	objects map[K]struct{}
+	// Support: refs arrive grouped by subject, so a new entity is a
+	// change of subject — unless aliased subject terms make an entity
+	// come round twice, when its IDs are collected instead.
+	entities int
+	last     EntityID
+	revisits map[EntityID]struct{}
+}
+
+func (rc *roleCount[K]) add(subj EntityID, object K, aliased bool) {
+	if rc.objects == nil {
+		rc.objects = make(map[K]struct{})
+		rc.last = -1
+		if aliased {
+			rc.revisits = make(map[EntityID]struct{})
+		}
+	}
+	rc.objects[object] = struct{}{}
+	if aliased {
+		rc.revisits[subj] = struct{}{}
+	} else if subj != rc.last {
+		rc.last = subj
+		rc.entities++
+	}
+}
+
+func (rc *roleCount[K]) stat(pred int32) *PredStat {
+	entities := rc.entities
+	if rc.revisits != nil {
+		entities = len(rc.revisits)
+	}
+	return &PredStat{Pred: pred, Entities: entities, Distinct: len(rc.objects)}
+}
+
+// countStats derives every predicate's support and distinct-object
+// counts from the descriptions' own ref order (Builder.Build has no
+// (p,o,s)-sorted copy to walk; compare Store.walkStats). Attribute
+// objects count under their value — a literal's lexical form, a
+// dangling URI's entity key, one key space — and relation objects under
+// the entity they denote. describe must have run over the same refs and
+// scratch.
+func countStats(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch, rdfTypeTerm int32, aliased bool) {
+	attrs := make([]roleCount[string], len(kb.preds))
+	rels := make([]roleCount[EntityID], len(kb.preds))
+	for _, ref := range refs {
+		obj := &terms[ref.o]
+		if ref.p == rdfTypeTerm && obj.Kind == rdf.IRI {
+			continue // type declarations carry no predicate statistics
+		}
+		pid, _ := sc.pred(ref.p)
+		subj := sc.subj(ref.s)
+		if obj.Kind == rdf.Literal {
+			if obj.Value != "" {
+				attrs[pid].add(subj, obj.Value, aliased)
+			}
+		} else if tgt := sc.subj(ref.o); tgt >= 0 {
+			rels[pid].add(subj, tgt, aliased)
+		} else if localName(obj.Value) != "" {
+			attrs[pid].add(subj, SubjectKey(*obj), aliased)
+		}
+	}
+	for pid := range kb.preds {
+		if attrs[pid].objects != nil {
+			kb.attrStats[int32(pid)] = attrs[pid].stat(int32(pid))
+		}
+		if rels[pid].objects != nil {
+			kb.relStats[int32(pid)] = rels[pid].stat(int32(pid))
+		}
+	}
 }
 
 // finishTokens is assembly pass 3: token bags and entity frequencies,
 // in parallel. Each worker tokenizes a contiguous entity range into a
 // private EF map; the merged sums are independent of merge order, so
 // the result is bit-identical at any worker count.
+//
+// prev, when non-nil, is the previous assembly of an overlapping ref
+// set (Store.Assemble): entities whose attribute values are unchanged
+// reuse its token bags, and the EF table is derived from prev's by
+// delta instead of a full recount. Both shortcuts reproduce the
+// from-scratch result exactly (token bags depend only on the value
+// list; EF is a pure multiset count).
 func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
 	if prev == nil {
 		type efShard struct {
@@ -528,8 +479,9 @@ func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
 		_ = parallel.For(context.Background(), len(kb.entities), workers, func(worker, start, end int) error {
 			ef := make(map[string]int32)
 			total := 0
+			var scratch []string
 			for i := start; i < end; i++ {
-				tokenizeEntity(&kb.entities[i], opts)
+				scratch = tokenizeEntity(&kb.entities[i], opts, scratch)
 				toks := kb.entities[i].Tokens
 				total += len(toks)
 				for _, tok := range toks {
@@ -564,8 +516,9 @@ func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
 		fresh = append(fresh, int32(i))
 	}
 	_ = parallel.For(context.Background(), len(fresh), workers, func(_, start, end int) error {
+		var scratch []string
 		for _, i := range fresh[start:end] {
-			tokenizeEntity(&kb.entities[i], opts)
+			scratch = tokenizeEntity(&kb.entities[i], opts, scratch)
 		}
 		return nil
 	})
@@ -596,15 +549,23 @@ func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
 }
 
 // tokenizeEntity derives an entity's sorted distinct token bag from its
-// attribute values.
-func tokenizeEntity(e *Entity, opts tokenize.Options) {
-	values := make([]string, len(e.Attrs))
-	for j, av := range e.Attrs {
-		values[j] = av.Value
+// attribute values: every value's tokens appended to scratch, sorted,
+// adjacent repeats dropped, and the survivors copied out at their exact
+// size. It returns scratch (possibly grown) for the caller's next
+// entity.
+func tokenizeEntity(e *Entity, opts tokenize.Options, scratch []string) []string {
+	toks := scratch[:0]
+	for _, av := range e.Attrs {
+		toks = tokenize.AppendTokens(toks, av.Value, opts)
 	}
-	toks := tokenize.Unique(tokenize.TokensOfAll(values, opts))
-	sort.Strings(toks)
-	e.Tokens = toks
+	slices.Sort(toks)
+	bag := slices.Compact(toks)
+	e.Tokens = nil
+	if len(bag) > 0 {
+		e.Tokens = make([]string, len(bag))
+		copy(e.Tokens, bag)
+	}
+	return toks
 }
 
 // sameAttrValues reports whether two attribute lists carry the same
@@ -685,34 +646,6 @@ func (b *Builder) mergeRefs(out, a, c []tripleRef) {
 	}
 	copy(out[k:], a[i:])
 	copy(out[k+len(a)-i:], c[j:])
-}
-
-// distinctKey identifies one (predicate, object) pair for counting the
-// distinct objects of a predicate.
-type distinctKey struct {
-	pred int32
-	obj  string
-}
-
-func (kb *KB) addAttr(subj EntityID, pid int32, value string, seen map[distinctKey]struct{}, perEnt map[int32]map[EntityID]struct{}, dk distinctKey) {
-	if value == "" {
-		// Empty lexical forms (empty literals, or dangling IRIs with no
-		// local name) carry no matching evidence; recording them would
-		// only distort attribute statistics and token bags.
-		return
-	}
-	kb.entities[subj].Attrs = append(kb.entities[subj].Attrs, AttrValue{Pred: pid, Value: value})
-	st := kb.statFor(kb.attrStats, pid)
-	if _, ok := seen[dk]; !ok {
-		seen[dk] = struct{}{}
-		st.Distinct++
-	}
-	ents := perEnt[pid]
-	if ents == nil {
-		ents = make(map[EntityID]struct{})
-		perEnt[pid] = ents
-	}
-	ents[subj] = struct{}{}
 }
 
 func (kb *KB) statFor(m map[int32]*PredStat, pid int32) *PredStat {

@@ -357,6 +357,54 @@ func TestBlankNodeSubject(t *testing.T) {
 	}
 }
 
+// A blank node _:x and an IRI spelled "_:x" are different terms with
+// one entity key. As subjects they are one entity, visited in two
+// separate subject runs; as objects either spelling reaches it, even
+// one that never appears as a subject itself.
+func TestAliasedBlankAndIRIKeys(t *testing.T) {
+	triples := []rdf.Triple{
+		tr("_:x", "http://v/name", lit("iri")),
+		rdf.NewTriple(rdf.NewBlank("x"), iri("http://v/name"), lit("blank")),
+		tr("_:y", "http://v/name", lit("why")),
+		tr("http://e/a", "http://v/knows", rdf.NewBlank("x")),
+		tr("http://e/a", "http://v/knows", iri("_:x")),
+		tr("http://e/b", "http://v/knows", rdf.NewBlank("y")), // only <_:y> is a subject
+	}
+	kb, err := FromTriples("aliased", triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uris []string
+	for i := 0; i < kb.Len(); i++ {
+		uris = append(uris, kb.URI(EntityID(i)))
+	}
+	if want := []string{"_:x", "_:y", "http://e/a", "http://e/b"}; !reflect.DeepEqual(uris, want) {
+		t.Fatalf("entities = %v, want %v", uris, want)
+	}
+	name, _ := kb.PredID("http://v/name")
+	if st := kb.AttrStat(name); st == nil || st.Entities != 2 || st.Distinct != 3 {
+		t.Errorf("name stat = %+v, want 2 entities (the aliased one counted once), 3 distinct values", st)
+	}
+	knows, _ := kb.PredID("http://v/knows")
+	if st := kb.RelStat(knows); st == nil || st.Entities != 2 || st.Distinct != 2 {
+		t.Errorf("knows stat = %+v, want 2 entities, 2 distinct targets (both spellings of _:x are one)", st)
+	}
+	x, _ := kb.Lookup("_:x")
+	y, _ := kb.Lookup("_:y")
+	if got := len(kb.Entity(x).Attrs); got != 2 {
+		t.Errorf("_:x has %d attribute values, want 2", got)
+	}
+	if in := kb.Entity(x).In; len(in) != 2 {
+		t.Errorf("_:x has in-edges %v, want one per spelling", in)
+	}
+	if in := kb.Entity(y).In; len(in) != 1 {
+		t.Errorf("_:y has in-edges %v, want the edge from the blank spelling", in)
+	}
+	if kb.NumAttributes() != 1 {
+		t.Errorf("attributes = %d, want 1: no spelling may degrade to a dangling value", kb.NumAttributes())
+	}
+}
+
 func TestDeterministicBuild(t *testing.T) {
 	// Build twice from differently ordered inputs; the KBs must agree on
 	// entity order and statistics.

@@ -9,6 +9,7 @@ package kb_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"minoaner/internal/datagen"
@@ -72,7 +73,7 @@ func TestAddFromReaderMatchesAddAll(t *testing.T) {
 		}
 		b := kb.NewBuilder(name)
 		b.SetWorkers(4)
-		if err := b.AddFromReader(&nt); err != nil {
+		if _, err := b.AddFromReader(context.Background(), &nt, false); err != nil {
 			t.Fatal(err)
 		}
 		built, err := b.Build()

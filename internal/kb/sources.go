@@ -12,10 +12,10 @@
 // same entity order (sorted subject terms), same predicate dictionary,
 // same object classification (links to removed entities degrade to
 // dangling values, links to inserted ones upgrade to relation edges),
-// same statistics — because Assemble literally runs the same passes
-// over the same sorted refs. Only tokenization is shortcut, through
-// the value-equality reuse in assembleKB, which cannot change the
-// result.
+// same statistics — because Assemble literally runs the same
+// description passes over the same sorted refs. Only tokenization is
+// shortcut, through the value-equality reuse in finishTokens, which
+// cannot change the result.
 package kb
 
 import (

@@ -8,7 +8,6 @@ import (
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
-	"minoaner/internal/rdf"
 )
 
 // Stage names, usable with Drop, Replace, and Until to edit plans.
@@ -58,9 +57,9 @@ func IngestPlan() []Stage {
 	return []Stage{Ingest(), KBBuild()}
 }
 
-// Ingest parses both sources into streaming KB builders, one goroutine
-// per source. Lenient sources record their skipped line counts on the
-// State.
+// Ingest parses both sources into streaming KB builders, side by side,
+// each block-parallel on the plan's workers (kb.Builder.AddFromReader).
+// Lenient sources record their skipped line counts on the State.
 func Ingest() Stage {
 	return newStage(StageIngest, func(ctx context.Context, st *State) error {
 		if st.Source1 == nil || st.Source2 == nil {
@@ -76,13 +75,11 @@ func Ingest() Stage {
 				// retention and its ~2x KB memory.
 				b.SetKeepSources(false)
 				b.SetWorkers(st.Params.workers())
-				rr := rdf.NewReader(srcs[i].R)
-				rr.SetLenient(srcs[i].Lenient)
-				if err := b.AddFromRDFReaderContext(ctx, rr); err != nil {
+				n, err := b.AddFromReader(ctx, srcs[i].R, srcs[i].Lenient)
+				if err != nil {
 					return err
 				}
-				builders[i] = b
-				skipped[i] = rr.Skipped()
+				builders[i], skipped[i] = b, n
 			}
 			return nil
 		})

@@ -86,22 +86,14 @@ func (r *Reader) Next() (Triple, error) {
 				r.skipped++
 				continue
 			}
-			return Triple{}, &ParseError{
-				Line: r.line,
-				Msg:  fmt.Sprintf("line exceeds %d bytes", r.maxLine),
-				Err:  bufio.ErrTooLong,
-			}
+			return Triple{}, oversizeError(r.line, r.maxLine)
 		}
 		if err != nil {
 			// An I/O failure is not skippable: the source cannot make
 			// progress, so lenient mode surfaces it too.
-			return Triple{}, &ParseError{Line: r.line, Msg: "read error: " + err.Error(), Err: err}
+			return Triple{}, readError(r.line, err)
 		}
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		t, err := parseLine(line, r.line)
+		t, ok, err := parseRaw(raw, r.line)
 		if err != nil {
 			if r.lenient {
 				r.skipped++
@@ -109,8 +101,29 @@ func (r *Reader) Next() (Triple, error) {
 			}
 			return Triple{}, err
 		}
-		return t, nil
+		if ok {
+			return t, nil
+		}
 	}
+}
+
+func oversizeError(line, maxLine int) *ParseError {
+	return &ParseError{Line: line, Msg: fmt.Sprintf("line exceeds %d bytes", maxLine), Err: bufio.ErrTooLong}
+}
+
+func readError(line int, err error) *ParseError {
+	return &ParseError{Line: line, Msg: "read error: " + err.Error(), Err: err}
+}
+
+// parseRaw parses one physical line whose newline is already removed.
+// Blank lines and '#' comments yield ok == false and no error.
+func parseRaw(raw string, line int) (t Triple, ok bool, err error) {
+	s := strings.TrimSpace(raw)
+	if s == "" || s[0] == '#' {
+		return Triple{}, false, nil
+	}
+	t, err = parseLine(s, line)
+	return t, err == nil, err
 }
 
 // readLine returns the next physical line without its newline. It

@@ -33,15 +33,17 @@ func Tokens(s string, opts Options) []string {
 	if s == "" {
 		return nil
 	}
-	out := make([]string, 0, 8)
-	appendTokens(&out, s, opts)
+	out := AppendTokens(make([]string, 0, 8), s, opts)
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
-func appendTokens(out *[]string, s string, opts Options) {
+// AppendTokens appends the tokens of s to dst, in order, and returns the
+// extended slice: Tokens for callers that tokenize value after value
+// into one buffer.
+func AppendTokens(dst []string, s string, opts Options) []string {
 	start := -1
 	lower := strings.ToLower(s)
 	for i, r := range lower {
@@ -52,25 +54,26 @@ func appendTokens(out *[]string, s string, opts Options) {
 			continue
 		}
 		if start >= 0 {
-			emit(out, lower[start:i], opts)
+			dst = emit(dst, lower[start:i], opts)
 			start = -1
 		}
 	}
 	if start >= 0 {
-		emit(out, lower[start:], opts)
+		dst = emit(dst, lower[start:], opts)
 	}
+	return dst
 }
 
-func emit(out *[]string, tok string, opts Options) {
+func emit(dst []string, tok string, opts Options) []string {
 	if opts.MinLength > 1 && runeLen(tok) < opts.MinLength {
-		return
+		return dst
 	}
 	if opts.Stopwords != nil {
 		if _, ok := opts.Stopwords[tok]; ok {
-			return
+			return dst
 		}
 	}
-	*out = append(*out, tok)
+	return append(dst, tok)
 }
 
 func runeLen(s string) int {
@@ -86,7 +89,7 @@ func runeLen(s string) int {
 func TokensOfAll(values []string, opts Options) []string {
 	var out []string
 	for _, v := range values {
-		appendTokens(&out, v, opts)
+		out = AppendTokens(out, v, opts)
 	}
 	return out
 }
@@ -98,20 +101,6 @@ func Set(tokens []string) map[string]struct{} {
 		set[t] = struct{}{}
 	}
 	return set
-}
-
-// Unique returns the distinct tokens in first-occurrence order.
-func Unique(tokens []string) []string {
-	seen := make(map[string]struct{}, len(tokens))
-	out := tokens[:0:0]
-	for _, t := range tokens {
-		if _, ok := seen[t]; ok {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
 }
 
 // NGrams produces token n-grams: contiguous runs of n tokens joined by a

@@ -44,18 +44,25 @@ func TestTokensOfAll(t *testing.T) {
 	}
 }
 
-func TestSetAndUnique(t *testing.T) {
+func TestSet(t *testing.T) {
 	toks := []string{"a", "b", "a", "c", "b"}
 	set := Set(toks)
 	if len(set) != 3 {
 		t.Errorf("set size = %d, want 3", len(set))
 	}
-	uniq := Unique(toks)
-	if !reflect.DeepEqual(uniq, []string{"a", "b", "c"}) {
-		t.Errorf("Unique = %v", uniq)
+}
+
+func TestAppendTokens(t *testing.T) {
+	buf := make([]string, 0, 8)
+	got := AppendTokens(buf, "Alpha beta", DefaultOptions)
+	got = AppendTokens(got, "", DefaultOptions)
+	got = AppendTokens(got, "beta-Gamma", DefaultOptions)
+	want := []string{"alpha", "beta", "beta", "gamma"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendTokens = %v, want %v", got, want)
 	}
-	if got := Unique(nil); len(got) != 0 {
-		t.Errorf("Unique(nil) = %v", got)
+	if &got[0] != &buf[:1][0] {
+		t.Error("AppendTokens did not reuse the buffer it was given")
 	}
 }
 

@@ -139,18 +139,25 @@ type KBStats struct {
 }
 
 // LoadKB parses an N-Triples document into a KB with the given display
-// name. Parsing streams straight into the KB builder: triples are
-// interned as they are read, never materialized as a slice.
+// name. Parsing streams straight into the KB builder, block by block on
+// every core: triples are interned as they are read, never materialized
+// as a slice.
 func LoadKB(name string, r io.Reader) (*KB, error) {
+	k, _, err := loadKB(name, r, false)
+	return k, err
+}
+
+func loadKB(name string, r io.Reader, lenient bool) (*KB, int, error) {
 	b := kb.NewBuilder(name)
-	if err := b.AddFromReader(r); err != nil {
-		return nil, err
+	skipped, err := b.AddFromReader(context.Background(), r, lenient)
+	if err != nil {
+		return nil, skipped, err
 	}
 	built, err := b.Build()
 	if err != nil {
-		return nil, err
+		return nil, skipped, err
 	}
-	return &KB{kb: built}, nil
+	return &KB{kb: built}, skipped, nil
 }
 
 // LoadKBFile parses an N-Triples file into a KB.
@@ -168,17 +175,7 @@ func LoadKBFile(name, path string) (*KB, error) {
 // routinely contain them. It returns the KB and the number of lines
 // skipped.
 func LoadKBLenient(name string, r io.Reader) (*KB, int, error) {
-	reader := rdf.NewReader(r)
-	reader.SetLenient(true)
-	b := kb.NewBuilder(name)
-	if err := b.AddFromRDFReader(reader); err != nil {
-		return nil, reader.Skipped(), err
-	}
-	built, err := b.Build()
-	if err != nil {
-		return nil, reader.Skipped(), err
-	}
-	return &KB{kb: built}, reader.Skipped(), nil
+	return loadKB(name, r, true)
 }
 
 // WriteBinary serializes the KB in a compact binary format that
