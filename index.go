@@ -61,6 +61,10 @@ type Index struct {
 	// resync from a snapshot rather than keep replaying.
 	compactions atomic.Uint64
 
+	// streamBaseBuilds counts the stream bases built over the index's
+	// lifetime: one per epoch that served a stream (see streamBase).
+	streamBaseBuilds atomic.Int64
+
 	// mapped is the snapshot mapping behind an index opened with
 	// OpenIndexFile/OpenIndex, nil otherwise; Close releases it.
 	// Guarded by mu.
@@ -106,6 +110,10 @@ type epoch struct {
 	// by materializeLocked's concrete clone. Access the guarded fields
 	// through blocks()/preparedSide(), never directly.
 	lazy *lazyParts
+
+	// stream holds the epoch's lazily built stream base (see
+	// Index.streamBase). Never nil.
+	stream *streamCell
 }
 
 // mutator owns the write-side triple stores of a mutable index.
@@ -177,6 +185,7 @@ func BuildIndexContext(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Re
 		h3:               st.H3,
 		matches:          st.Matches,
 		discardedByH4:    st.DiscardedByH4,
+		stream:           &streamCell{},
 	}
 	ep.buildLookup()
 	ix := &Index{}
@@ -588,6 +597,7 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 		matches:          res.Matches,
 		discardedByH4:    res.DiscardedByH4,
 		cache:            nextCache,
+		stream:           &streamCell{},
 	}
 	ne.prep = prepFromCache(new1.kb, ne.cfg, nextCache)
 	ne.buildLookup()

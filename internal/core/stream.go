@@ -20,11 +20,17 @@ func RunStream(ctx context.Context, kb1, kb2 *kb.KB, cfg Config, budget pipeline
 		return err
 	}
 	st := pipeline.NewState(kb1, kb2, cfg.Params())
-	return pipeline.RunStream(ctx, st, pipeline.StreamConfig{
+	return pipeline.RunStream(ctx, st, cfg.StreamConfig(budget), emit)
+}
+
+// StreamConfig projects the ablation switches, with a run's budget,
+// onto the pipeline's per-run stream configuration.
+func (c Config) StreamConfig(budget pipeline.StreamBudget) pipeline.StreamConfig {
+	return pipeline.StreamConfig{
 		Budget:    budget,
-		DisableH1: cfg.DisableH1,
-		DisableH2: cfg.DisableH2,
-		DisableH3: cfg.DisableH3,
-		DisableH4: cfg.DisableH4,
-	}, emit)
+		DisableH1: c.DisableH1,
+		DisableH2: c.DisableH2,
+		DisableH3: c.DisableH3,
+		DisableH4: c.DisableH4,
+	}
 }

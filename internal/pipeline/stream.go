@@ -1,10 +1,12 @@
 // Anytime (streaming) matching: the heuristics emit each confirmed
 // pair the moment H1–H4 agree on it, in decreasing pair quality,
 // instead of accumulating everything into State and reporting at the
-// end. Time-to-first-match is bounded by the cheap blocking prefix
-// plus a handful of lazy candidate fills — not by KB size — and a
-// budget (max pairs, max comparisons, or a context deadline) truncates
-// the run to a deterministic prefix of the quality-ordered stream.
+// end. Everything a run derives from the inputs alone — blocks, index,
+// ARCS weights, H1 decisions, schedules, neighbor lists — lives in a
+// StreamBase that is built once and shared; a run over an existing base
+// starts at its first lazy candidate fill. A budget (max pairs, max
+// comparisons, or a context deadline) truncates the run to a
+// deterministic prefix of the quality-ordered stream.
 //
 // Draining an unbudgeted stream yields exactly the batch plan's match
 // set: the lazy per-entity candidate fills accumulate in the eager
@@ -19,6 +21,7 @@ package pipeline
 import (
 	"context"
 	"sort"
+	"sync"
 
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
@@ -86,23 +89,67 @@ type StreamConfig struct {
 // the schedule is exhausted, a budget is reached, or the context is
 // cancelled; only the last returns an error (ctx.Err()).
 func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(ScoredPair) bool) error {
-	// The prefix runs eagerly: blocking, purging, indexing, weighting,
-	// and H1's 1-1 name matching are all cheap compared to candidate
-	// scoring, which the streaming phases perform lazily per entity.
+	base, err := NewStreamBase(ctx, st)
+	if err != nil {
+		return err
+	}
+	return base.Run(ctx, st.Params.Strategy, cfg, emit)
+}
+
+// StreamBase is everything a streaming run reads but never writes: the
+// KBs and parameters, the name blocks, the purged token blocks with
+// their index and ARCS weights, the H1 decisions, each strategy's
+// schedule and the best-neighbor lists (the last two built on first
+// use, once). None of it depends on a run's budget, strategy or
+// ablation switches, so one base serves any number of concurrent Run
+// calls — an index keeps one per epoch.
+//
+//minoaner:frozen
+type StreamBase struct {
+	st *State // inputs and blocking artifacts; read-only once the base exists
+	em emission
+
+	blocks1, blocks2 func(e kb.EntityID) []int32 // entity -> token blocks, ascending
+	// schedules holds, per StreamStrategy, a permutation of the emitting
+	// side's entities in the order the phases visit them. Every entity
+	// appears exactly once, so a drained stream covers the same
+	// decisions as the batch run.
+	schedules [2]func() []kb.EntityID
+	// neighbors is a KB-sized cost the first matches usually never touch
+	// (a pair confirmed through the value lists short-circuits past
+	// neighborCands). Construction depends only on the KBs and N, never
+	// on which run triggers it.
+	neighbors func() *streamNeighbors
+}
+
+// streamNeighbors holds both sides' best-neighbor lists and their
+// reverse indexes.
+type streamNeighbors struct {
+	top1, top2, rev1, rev2 [][]kb.EntityID
+}
+
+// NewStreamBase derives a stream base from st, running only the
+// blocking stages whose artifacts st lacks: a fresh State runs the full
+// prefix, a prepared-side State (NewDeltaState) probes the frozen side
+// instead, and a State that already carries NameBlocks or (purged)
+// TokenBlocks — an index epoch's — keeps them. The prefix is cheap
+// compared to candidate scoring, which runs perform lazily per entity.
+func NewStreamBase(ctx context.Context, st *State) (*StreamBase, error) {
+	namePlan := []Stage{NameBlocking(), NameMatching()}
+	tokenPlan := []Stage{TokenBlocking(), BlockPurging(), BlockIndexing(), TokenWeighting()}
+	if st.delta != nil {
+		namePlan[0] = ProbeNameBlocking()
+		tokenPlan[0], tokenPlan[2] = ProbeTokenBlocking(), DeltaBlockIndexing()
+	}
+	if st.NameBlocks != nil {
+		namePlan = namePlan[1:]
+	}
+	if st.TokenBlocks != nil {
+		tokenPlan = tokenPlan[2:]
+	}
 	// The name stack and the token stack write disjoint State fields
 	// (name blocks and H1 maps versus token blocks, index, and
-	// weights), so they run concurrently: time-to-first-match is
-	// bounded by the slower of the two stacks, not their sum.
-	namePlan := []Stage{NameBlocking(), NameMatching()}
-	if cfg.DisableH1 {
-		namePlan = Drop(namePlan, StageNameMatching)
-	}
-	tokenPlan := []Stage{
-		TokenBlocking(),
-		BlockPurging(),
-		BlockIndexing(),
-		TokenWeighting(),
-	}
+	// weights), so they run concurrently.
 	var nameErr error
 	nameDone := make(chan struct{})
 	go func() {
@@ -112,13 +159,36 @@ func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(Score
 	_, tokenErr := (&Engine{Plan: tokenPlan}).Run(ctx, st)
 	<-nameDone
 	if tokenErr != nil {
-		return tokenErr
+		return nil, tokenErr
 	}
 	if nameErr != nil {
-		return nameErr
+		return nil, nameErr
 	}
-	ev := newStreamEvidence(st)
-	return ev.run(ctx, cfg, ev.schedule(st.Params.Strategy), emit)
+	b := &StreamBase{st: st, em: st.emission()}
+	b.blocks1 = func(e kb.EntityID) []int32 { return st.TokenIndex.ByE1[e] }
+	if st.delta != nil {
+		b.blocks1 = func(e kb.EntityID) []int32 { return st.delta.byE1[e] }
+	}
+	b.blocks2 = func(e kb.EntityID) []int32 { return st.TokenIndex.ByE2[e] }
+	b.schedules = [2]func() []kb.EntityID{
+		sync.OnceValue(b.weightOrderedSchedule),
+		sync.OnceValue(b.blockRoundRobinSchedule),
+	}
+	b.neighbors = sync.OnceValue(b.buildNeighbors)
+	return b, nil
+}
+
+func (b *StreamBase) buildNeighbors() *streamNeighbors {
+	st, w := b.st, b.st.Params.workers()
+	n := &streamNeighbors{top2: topNeighborListsN(st.KB2, st.Params.N, w)}
+	n.rev2 = kb.ReverseNeighbors(n.top2, st.KB2.Len())
+	if st.delta != nil {
+		n.top1, n.rev1 = st.delta.prep.Neighbors.TopLists(), st.delta.prep.Neighbors.RevLists()
+	} else {
+		n.top1 = topNeighborListsN(st.KB1, st.Params.N, w)
+		n.rev1 = kb.ReverseNeighbors(n.top1, st.KB1.Len())
+	}
+	return n
 }
 
 // streamSide lazily materializes one side's candidate lists with the
@@ -208,47 +278,29 @@ func (s *streamSide) neighborCands(e kb.EntityID) []Cand {
 	return cands
 }
 
-// streamEvidence orients the two lazy sides around the emitting
-// (smaller) KB, exactly as the batch heuristics do via State.emission.
+// streamEvidence is the per-run state over a shared base: the two lazy
+// sides (accumulators, memoized fills, comparison counters), oriented
+// around the emitting (smaller) KB exactly as the batch heuristics do
+// via State.emission.
 type streamEvidence struct {
-	st           *State
-	em           emission
+	*StreamBase
 	sideA, sideB *streamSide // A emits; B supplies the reciprocity view
 }
 
-func newStreamEvidence(st *State) *streamEvidence {
-	ev := &streamEvidence{st: st, em: st.emission()}
-	bt, idx := st.TokenBlocks, st.TokenIndex
-	n1, n2 := st.KB1.Len(), st.KB2.Len()
-	side1 := newStreamSide(n2, st.Weights, st.Params.K)
-	side1.blocks = func(e kb.EntityID) []int32 { return idx.ByE1[e] }
+func (b *StreamBase) newEvidence() *streamEvidence {
+	st, bt := b.st, b.st.TokenBlocks
+	side1 := newStreamSide(st.KB2.Len(), st.Weights, st.Params.K)
+	side1.blocks = b.blocks1
 	side1.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }
-	side2 := newStreamSide(n1, st.Weights, st.Params.K)
-	side2.blocks = func(e kb.EntityID) []int32 { return idx.ByE2[e] }
+	side1.neighbors = func() (top, rev [][]kb.EntityID) { n := b.neighbors(); return n.top1, n.rev2 }
+	side2 := newStreamSide(st.KB1.Len(), st.Weights, st.Params.K)
+	side2.blocks = b.blocks2
 	side2.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 }
-	// The top-neighbor lists and reverse indexes are a KB-sized cost the
-	// first matches usually never touch (a pair confirmed through the
-	// value lists short-circuits past neighborCands), so they build on
-	// first use instead of up front — deterministically: construction
-	// depends only on the KBs and N, never on when it runs.
-	var top1, top2, rev1, rev2 [][]kb.EntityID
-	built := false
-	ensure := func() {
-		if built {
-			return
-		}
-		built = true
-		top1 = topNeighborListsN(st.KB1, st.Params.N, st.Params.workers())
-		top2 = topNeighborListsN(st.KB2, st.Params.N, st.Params.workers())
-		rev1, rev2 = kb.ReverseNeighbors(top1, n1), kb.ReverseNeighbors(top2, n2)
+	side2.neighbors = func() (top, rev [][]kb.EntityID) { n := b.neighbors(); return n.top2, n.rev1 }
+	if b.em.swap {
+		return &streamEvidence{StreamBase: b, sideA: side2, sideB: side1}
 	}
-	side1.neighbors = func() (top, rev [][]kb.EntityID) { ensure(); return top1, rev2 }
-	side2.neighbors = func() (top, rev [][]kb.EntityID) { ensure(); return top2, rev1 }
-	ev.sideA, ev.sideB = side1, side2
-	if ev.em.swap {
-		ev.sideA, ev.sideB = side2, side1
-	}
-	return ev
+	return &streamEvidence{StreamBase: b, sideA: side1, sideB: side2}
 }
 
 // reciprocal applies H4 to a canonical pair through the lazy fills —
@@ -275,32 +327,26 @@ func (s *streamSide) holds(e, target kb.EntityID) bool {
 }
 
 // memA returns a block's members on the emitting side.
-func (ev *streamEvidence) memA(bi int32) []kb.EntityID {
-	if ev.em.swap {
-		return ev.st.TokenBlocks.Blocks[bi].E2
+func (b *StreamBase) memA(bi int32) []kb.EntityID {
+	if b.em.swap {
+		return b.st.TokenBlocks.Blocks[bi].E2
 	}
-	return ev.st.TokenBlocks.Blocks[bi].E1
-}
-
-// schedule returns a permutation of the emitting side's entities in the
-// order the streaming phases visit them. Every entity appears exactly
-// once, so a drained stream covers the same decisions as the batch run.
-func (ev *streamEvidence) schedule(strategy StreamStrategy) []kb.EntityID {
-	if strategy == ScheduleBlockRoundRobin {
-		return ev.blockRoundRobinSchedule()
-	}
-	return ev.weightOrderedSchedule()
+	return b.st.TokenBlocks.Blocks[bi].E1
 }
 
 // weightOrderedSchedule ranks each emitting entity by the ARCS weight
 // of its rarest token block, descending (ties by ascending ID; entities
 // in no token block close the schedule).
-func (ev *streamEvidence) weightOrderedSchedule() []kb.EntityID {
-	n := ev.em.sizeA
-	weights := ev.st.Weights
+func (b *StreamBase) weightOrderedSchedule() []kb.EntityID {
+	n := b.em.sizeA
+	weights := b.st.Weights
+	blocksA := b.blocks1
+	if b.em.swap {
+		blocksA = b.blocks2
+	}
 	prio := make([]float64, n)
 	for e := 0; e < n; e++ {
-		for _, bi := range ev.sideA.blocks(kb.EntityID(e)) {
+		for _, bi := range blocksA(kb.EntityID(e)) {
 			if w := weights[bi]; w > prio[e] {
 				prio[e] = w
 			}
@@ -324,9 +370,9 @@ func (ev *streamEvidence) weightOrderedSchedule() []kb.EntityID {
 // yet-unseen emitting member per round. Entities in no token block —
 // they may still hold an H1 name match — close the schedule in ID
 // order.
-func (ev *streamEvidence) blockRoundRobinSchedule() []kb.EntityID {
-	n := ev.em.sizeA
-	weights := ev.st.Weights
+func (b *StreamBase) blockRoundRobinSchedule() []kb.EntityID {
+	n := b.em.sizeA
+	weights := b.st.Weights
 	order := make([]int32, len(weights))
 	for i := range order {
 		order[i] = int32(i)
@@ -339,7 +385,7 @@ func (ev *streamEvidence) blockRoundRobinSchedule() []kb.EntityID {
 	})
 	maxLen := 0
 	for _, bi := range order {
-		if l := len(ev.memA(bi)); l > maxLen {
+		if l := len(b.memA(bi)); l > maxLen {
 			maxLen = l
 		}
 	}
@@ -353,7 +399,7 @@ func (ev *streamEvidence) blockRoundRobinSchedule() []kb.EntityID {
 	}
 	for r := 0; r < maxLen && len(out) < n; r++ {
 		for _, bi := range order {
-			if members := ev.memA(bi); r < len(members) {
+			if members := b.memA(bi); r < len(members) {
 				take(members[r])
 			}
 		}
@@ -364,14 +410,19 @@ func (ev *streamEvidence) blockRoundRobinSchedule() []kb.EntityID {
 	return out
 }
 
-// run executes the three emission phases over the schedule. Phases
+// Run executes the three emission phases over the strategy's schedule,
+// on per-run state only, so any number may share the base. Phases
 // descend by heuristic precision (H1, then H2, then H3) and each phase
 // follows the schedule, so emitted scores never increase. H3 needs the
 // complete H1/H2 claim maps — hence separate passes — but every
 // per-entity decision within a phase is independent of the others, so
 // the drained set equals the batch plan's regardless of schedule.
-func (ev *streamEvidence) run(ctx context.Context, cfg StreamConfig, sched []kb.EntityID, emit func(ScoredPair) bool) error {
-	st, em := ev.st, ev.em
+func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg StreamConfig, emit func(ScoredPair) bool) error {
+	ev, st, em, sched := b.newEvidence(), b.st, b.em, b.schedules[strategy]()
+	if cfg.DisableH1 {
+		// As in the batch plan with NameMatching dropped: nobody is claimed.
+		em.h1A, em.h1B = nil, nil
+	}
 	emitted := 0
 	denom := float64(em.sizeA + 1)
 	// send emits one confirmed pair; false stops the stream (consumer

@@ -107,12 +107,12 @@ func TestStreamOrderDeterministicAndNonIncreasing(t *testing.T) {
 
 func TestStreamSchedulesArePermutations(t *testing.T) {
 	kb1, kb2 := testKBs(t, 120)
-	st := NewState(kb1, kb2, testParams())
-	plan := Until(DefaultPlan(), StageTokenWeighting)
-	runPlan(t, plan, st)
-	ev := newStreamEvidence(st)
+	ev, err := NewStreamBase(context.Background(), NewState(kb1, kb2, testParams()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, strategy := range []StreamStrategy{ScheduleWeightOrdered, ScheduleBlockRoundRobin} {
-		sched := ev.schedule(strategy)
+		sched := ev.schedules[strategy]()
 		if len(sched) != ev.em.sizeA {
 			t.Fatalf("strategy %d: schedule covers %d of %d entities", strategy, len(sched), ev.em.sizeA)
 		}

@@ -88,7 +88,7 @@ func OpenIndex(data []byte) (*Index, error) {
 // section directory, mirroring LoadIndex's validation for everything
 // it decodes now and deferring the rest to the lazy accessors.
 func openIndexMap(m *binio.Map) (*Index, error) {
-	e := &epoch{}
+	e := &epoch{stream: &streamCell{}}
 	ix := &Index{}
 	ix.cur.Store(e)
 

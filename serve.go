@@ -40,7 +40,10 @@ import (
 //	                           budget_ms, max_pairs, max_comparisons,
 //	                           and strategy=weight|blocks query params;
 //	                           draining an unbudgeted stream yields
-//	                           exactly the epoch's match set
+//	                           exactly the epoch's match set. An
+//	                           epoch's first stream derives its stream
+//	                           base from the index's blocks; later
+//	                           ones reuse it
 //	POST /delta?name=N&lenient=1
 //	                           resolve an N-Triples delta (request body)
 //	                           against the index's first KB
@@ -284,11 +287,13 @@ type statsJSON struct {
 }
 
 // streamStatsJSON reports the /resolve/stream traffic: pairs streamed
-// out and the average latency to each request's first confirmed match.
+// out, the average latency from request to first confirmed match, and
+// how many stream bases were built (one per epoch that streamed).
 type streamStatsJSON struct {
 	PairsEmitted    int64 `json:"pairs_emitted"`
 	FirstMatches    int64 `json:"first_matches"`
 	AvgFirstMatchUS int64 `json:"avg_time_to_first_match_us"`
+	BaseBuilds      int64 `json:"base_builds"`
 }
 
 // replicaStatsJSON reports a replica server's replication progress.
@@ -338,6 +343,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stream := streamStatsJSON{
 		PairsEmitted: s.stream.pairs.Load(),
 		FirstMatches: s.stream.firstMatches.Load(),
+		BaseBuilds:   s.ix.streamBaseBuilds.Load(),
 	}
 	if stream.FirstMatches > 0 {
 		stream.AvgFirstMatchUS = s.stream.firstMatchMicros.Load() / stream.FirstMatches
@@ -398,6 +404,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"minoaner_stream_pairs_total", "Confirmed pairs emitted by /resolve/stream responses.", s.stream.pairs.Load()},
 		{"minoaner_stream_first_match_total", "/resolve/stream requests that emitted at least one pair.", s.stream.firstMatches.Load()},
 		{"minoaner_stream_time_to_first_match_microseconds_total", "Cumulative latency to the first emitted pair, over first-match requests.", s.stream.firstMatchMicros.Load()},
+		{"minoaner_stream_base_builds_total", "Stream bases built: one per epoch that served /resolve/stream; every other stream reused one.", s.ix.streamBaseBuilds.Load()},
 	}
 	for _, c := range streamSeries {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
@@ -536,6 +543,8 @@ const maxStreamBudgetMillis = 24 * 60 * 60 * 1000
 // the default — or blocks). Draining an unbudgeted stream yields
 // exactly the epoch's match set.
 func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
+	//minoaner:wallclock time-to-first-match metric; feeds /stats and /metrics, never match output
+	start := time.Now()
 	q := r.URL.Query()
 	var opts []StreamOption
 	if raw := q.Get("max_pairs"); raw != "" {
@@ -574,18 +583,12 @@ func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 		defer cancel()
 	}
-	e := s.ix.cur.Load()
-	if err := e.materializeKB1(); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err := e.materializeKB2(); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	ch, err := ResolveStream(ctx, e.kb1, e.kb2, e.cfg, opts...)
+	// Every parameter is validated above, so what can still fail is the
+	// epoch's first stream decoding a corrupt mapped section for its base
+	// — before the status line goes out, so the client sees the 500.
+	ch, err := s.ix.resolveStream(ctx, opts...)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	// A budget-truncated response is complete for its budget but must
@@ -595,8 +598,6 @@ func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	//minoaner:wallclock time-to-first-match metric; feeds /stats and /metrics, never match output
-	start := time.Now()
 	emitted := int64(0)
 	for sp := range ch {
 		if emitted == 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"minoaner"
@@ -130,30 +131,57 @@ func TestServeResolveStreamBadParams(t *testing.T) {
 	}
 }
 
+// TestServeResolveStreamBudgetDoesNotPoisonBase: the epoch's first
+// stream builds the base every later stream reuses; when that first
+// request runs under a 1 ms budget, the next, unbudgeted one must still
+// drain the whole match set.
+func TestServeResolveStreamBudgetDoesNotPoisonBase(t *testing.T) {
+	_, ix, srv := newTestServer(t)
+	getStream(t, srv.URL+"/resolve/stream?budget_ms=1")
+	recs := getStream(t, srv.URL+"/resolve/stream")
+	got := make([]minoaner.Match, len(recs))
+	for i, r := range recs {
+		got[i] = minoaner.Match{URI1: r.URI1, URI2: r.URI2}
+	}
+	if !reflect.DeepEqual(sortMatches(got), sortMatches(ix.Matches())) {
+		t.Errorf("after a budget_ms=1 first stream, an unbudgeted stream drained %d pairs, index has %d matches", len(got), ix.NumMatches())
+	}
+}
+
 // TestServeResolveStreamCounters: streamed traffic shows up in /stats
-// (pairs emitted, first-match count and latency) and /metrics.
+// (pairs emitted, first-match count and latency, stream bases built)
+// and /metrics.
 func TestServeResolveStreamCounters(t *testing.T) {
 	_, _, srv := newTestServer(t)
 	recs := getStream(t, srv.URL+"/resolve/stream")
 	if len(recs) == 0 {
 		t.Fatal("stream emitted nothing")
 	}
+	// A second stream on the same epoch reuses the first one's base.
+	if again := getStream(t, srv.URL+"/resolve/stream?max_pairs=1"); len(again) != 1 {
+		t.Fatalf("max_pairs=1 streamed %d records", len(again))
+	}
+	emitted := int64(len(recs) + 1)
 
 	var stats struct {
 		Stream struct {
 			PairsEmitted    int64 `json:"pairs_emitted"`
 			FirstMatches    int64 `json:"first_matches"`
 			AvgFirstMatchUS int64 `json:"avg_time_to_first_match_us"`
+			BaseBuilds      int64 `json:"base_builds"`
 		} `json:"stream"`
 	}
 	if code := getJSON(t, srv.URL+"/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if stats.Stream.PairsEmitted != int64(len(recs)) {
-		t.Errorf("stats pairs_emitted = %d, want %d", stats.Stream.PairsEmitted, len(recs))
+	if stats.Stream.PairsEmitted != emitted {
+		t.Errorf("stats pairs_emitted = %d, want %d", stats.Stream.PairsEmitted, emitted)
 	}
-	if stats.Stream.FirstMatches != 1 {
-		t.Errorf("stats first_matches = %d, want 1", stats.Stream.FirstMatches)
+	if stats.Stream.FirstMatches != 2 {
+		t.Errorf("stats first_matches = %d, want 2", stats.Stream.FirstMatches)
+	}
+	if stats.Stream.BaseBuilds != 1 {
+		t.Errorf("stats base_builds = %d after two streams on one epoch, want 1", stats.Stream.BaseBuilds)
 	}
 	if stats.Stream.AvgFirstMatchUS < 0 {
 		t.Errorf("stats avg_time_to_first_match_us = %d", stats.Stream.AvgFirstMatchUS)
@@ -176,10 +204,15 @@ func TestServeResolveStreamCounters(t *testing.T) {
 		switch name {
 		case "minoaner_stream_pairs_total":
 			found[name] = true
-			if int64(value) != int64(len(recs)) {
-				t.Errorf("%s = %g, want %d", name, value, len(recs))
+			if int64(value) != emitted {
+				t.Errorf("%s = %g, want %d", name, value, emitted)
 			}
 		case "minoaner_stream_first_match_total":
+			found[name] = true
+			if int64(value) != 2 {
+				t.Errorf("%s = %g, want 2", name, value)
+			}
+		case "minoaner_stream_base_builds_total":
 			found[name] = true
 			if int64(value) != 1 {
 				t.Errorf("%s = %g, want 1", name, value)
@@ -192,6 +225,7 @@ func TestServeResolveStreamCounters(t *testing.T) {
 		"minoaner_stream_pairs_total",
 		"minoaner_stream_first_match_total",
 		"minoaner_stream_time_to_first_match_microseconds_total",
+		"minoaner_stream_base_builds_total",
 	} {
 		if !found[name] {
 			t.Errorf("metric %s missing from /metrics", name)

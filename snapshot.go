@@ -395,7 +395,7 @@ func LoadIndex(r io.Reader) (*Index, error) {
 		return b, nil
 	}
 
-	e := &epoch{}
+	e := &epoch{stream: &streamCell{}}
 	ix := &Index{}
 	ix.cur.Store(e)
 

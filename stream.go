@@ -3,6 +3,7 @@ package minoaner
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"minoaner/internal/core"
 	"minoaner/internal/pipeline"
@@ -11,11 +12,13 @@ import (
 // Anytime resolution: ResolveStream (and Index.QueryKBStream) turn
 // matching into a streaming computation that emits each confirmed pair
 // the moment heuristics H1–H4 agree on it, in decreasing pair quality.
-// Time-to-first-match is bounded by the cheap blocking prefix rather
-// than KB size, and a budget — max pairs, max comparisons, or a
-// context deadline — truncates the stream to a deterministic prefix of
-// the quality order. Draining an unbudgeted stream yields exactly the
-// match set Resolve reports for the same inputs.
+// On two fresh KBs time-to-first-match is bounded by the cheap blocking
+// prefix rather than KB size; an index keeps that prefix's output per
+// epoch (streamBase), so its streams start at the first lazy candidate
+// fill. A budget — max pairs, max comparisons, or a context deadline —
+// truncates the stream to a deterministic prefix of the quality order.
+// Draining an unbudgeted stream yields exactly the match set Resolve
+// reports for the same inputs.
 
 // ScoredPair is one confirmed match of a streaming resolution.
 type ScoredPair struct {
@@ -107,22 +110,36 @@ func heuristicName(h uint8) string {
 // The caller must either drain the channel or cancel ctx; abandoning
 // the channel with a live context leaks the resolving goroutine.
 func ResolveStream(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...StreamOption) (<-chan ScoredPair, error) {
+	ccfg, budget, err := streamConfig(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	return streamTo(ctx, kb1, kb2, func(emit func(pipeline.ScoredPair) bool) error {
+		return core.RunStream(ctx, kb1.kb, kb2.kb, ccfg, budget, emit)
+	}), nil
+}
+
+// streamConfig resolves a stream's options against cfg into the
+// validated internal configuration (strategy included) and the budget.
+func streamConfig(cfg Config, opts []StreamOption) (core.Config, pipeline.StreamBudget, error) {
 	var o streamOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
 	ccfg := cfg.internal()
 	ccfg.Strategy = pipeline.StreamStrategy(o.strategy)
-	if err := ccfg.Validate(); err != nil {
-		return nil, err
-	}
-	budget := pipeline.StreamBudget{MaxPairs: o.maxPairs, MaxComparisons: o.maxComparisons}
+	return ccfg, pipeline.StreamBudget{MaxPairs: o.maxPairs, MaxComparisons: o.maxComparisons}, ccfg.Validate()
+}
+
+// streamTo starts run on its own goroutine and returns the channel its
+// pairs arrive on, translated to URIs of the two KBs.
+func streamTo(ctx context.Context, kb1, kb2 *KB, run func(emit func(pipeline.ScoredPair) bool) error) <-chan ScoredPair {
 	ch := make(chan ScoredPair)
 	go func() {
 		defer close(ch)
 		// Budget expiry and cancellation both surface as a closed
 		// channel: an anytime consumer keeps every pair received so far.
-		_ = core.RunStream(ctx, kb1.kb, kb2.kb, ccfg, budget, func(sp pipeline.ScoredPair) bool {
+		_ = run(func(sp pipeline.ScoredPair) bool {
 			out := ScoredPair{
 				URI1:      kb1.kb.URI(sp.Pair.E1),
 				URI2:      kb2.kb.URI(sp.Pair.E2),
@@ -137,21 +154,110 @@ func ResolveStream(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Stream
 			}
 		})
 	}()
-	return ch, nil
+	return ch
 }
 
 // QueryKBStream resolves a delta KB against the index's first KB as an
 // anytime stream (the streaming counterpart of QueryKB): confirmed
 // matches arrive best-first on the returned channel, under the same
-// budget and strategy options as ResolveStream. Draining it unbudgeted
-// yields exactly QueryKB's match set for the same delta. The call
-// answers from one epoch; concurrent mutations never tear it.
+// budget and strategy options as ResolveStream. Like QueryKB it probes
+// the prepared substrate when there is one and the delta is smaller
+// than KB1, and re-blocks the whole pair otherwise; both paths stream
+// the same pairs in the same order. Draining it unbudgeted yields
+// exactly QueryKB's match set for the same delta. The call answers from
+// one epoch; concurrent mutations never tear it.
 func (ix *Index) QueryKBStream(ctx context.Context, delta *KB, opts ...StreamOption) (<-chan ScoredPair, error) {
 	e := ix.cur.Load()
 	if err := e.materializeKB1(); err != nil {
 		return nil, err
 	}
+	if delta.Len() < e.kb1.Len() {
+		prep, err := e.preparedSide()
+		if err != nil {
+			return nil, err
+		}
+		if prep != nil {
+			return e.streamPrepared(ctx, prep, delta, opts)
+		}
+	}
 	return ResolveStream(ctx, e.kb1, delta, e.cfg, opts...)
+}
+
+// streamPrepared streams the delta against the epoch's frozen substrate
+// (passed in, since a mapped epoch resolves it lazily): the blocking
+// prefix probes it with the delta's keys, O(|delta|).
+func (e *epoch) streamPrepared(ctx context.Context, prep *pipeline.Prepared, delta *KB, opts []StreamOption) (<-chan ScoredPair, error) {
+	ccfg, budget, err := streamConfig(e.cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	st, err := pipeline.NewDeltaState(prep, delta.kb, ccfg.Params())
+	if err != nil {
+		return nil, err
+	}
+	return streamTo(ctx, e.kb1, delta, func(emit func(pipeline.ScoredPair) bool) error {
+		return pipeline.RunStream(ctx, st, ccfg.StreamConfig(budget), emit)
+	}), nil
+}
+
+// streamCell holds the stream base of one resolution state. Every
+// clone() of an epoch shares its cell (as mapped epochs share
+// lazyParts); a mutation's epoch starts with an empty one.
+type streamCell struct {
+	mu   sync.Mutex
+	base *pipeline.StreamBase
+}
+
+// streamBase returns the epoch's stream base, deriving it from the
+// epoch's block collections on the epoch's first stream. The build is
+// not cancellable: it is ≤ 20 ms of work every later stream on the
+// epoch reuses, so the budget_ms deadline or disconnect of the request
+// that happens to trigger it must not abort it.
+func (ix *Index) streamBase(ctx context.Context, e *epoch) (*pipeline.StreamBase, error) {
+	if err := e.materializeKB1(); err != nil {
+		return nil, err
+	}
+	if err := e.materializeKB2(); err != nil {
+		return nil, err
+	}
+	c := e.stream
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.base != nil {
+		return c.base, nil
+	}
+	st := pipeline.NewState(e.kb1.kb, e.kb2.kb, e.cfg.internal().Params())
+	var err error
+	if st.NameBlocks, st.TokenBlocks, err = e.blocks(); err != nil {
+		return nil, err
+	}
+	base, err := pipeline.NewStreamBase(context.WithoutCancel(ctx), st)
+	if err != nil {
+		return nil, err
+	}
+	ix.streamBaseBuilds.Add(1)
+	c.base = base
+	return base, nil
+}
+
+// resolveStream re-resolves the index's own KB pair as an anytime
+// stream over the current epoch's stream base: the first stream of an
+// epoch builds the base, synchronously, and every later one starts at
+// its first lazy candidate fill. Same options and channel contract as
+// ResolveStream.
+func (ix *Index) resolveStream(ctx context.Context, opts ...StreamOption) (<-chan ScoredPair, error) {
+	e := ix.cur.Load()
+	ccfg, budget, err := streamConfig(e.cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	base, err := ix.streamBase(ctx, e)
+	if err != nil {
+		return nil, err
+	}
+	return streamTo(ctx, e.kb1, e.kb2, func(emit func(pipeline.ScoredPair) bool) error {
+		return base.Run(ctx, ccfg.Strategy, ccfg.StreamConfig(budget), emit)
+	}), nil
 }
 
 // materializeKB2 forces KB2's full tier — what full-pair streaming

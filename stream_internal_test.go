@@ -1,0 +1,270 @@
+package minoaner
+
+import (
+	"bytes"
+	"context"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// drainIndexStream runs one resolveStream to the end and returns the
+// pairs in emission order.
+func drainIndexStream(t testing.TB, ctx context.Context, ix *Index, opts ...StreamOption) []ScoredPair {
+	t.Helper()
+	ch, err := ix.resolveStream(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []ScoredPair
+	for sp := range ch {
+		out = append(out, sp)
+	}
+	return out
+}
+
+func sortedMatches(in []Match) []Match {
+	out := append([]Match(nil), in...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].URI1 != out[j].URI1 {
+			return out[i].URI1 < out[j].URI1
+		}
+		return out[i].URI2 < out[j].URI2
+	})
+	return out
+}
+
+// assertStreamEqualsEpoch drains an unbudgeted stream under both
+// strategies and compares each to the epoch's match set.
+func assertStreamEqualsEpoch(t *testing.T, label string, ix *Index) {
+	t.Helper()
+	want := sortedMatches(ix.Matches())
+	if len(want) == 0 {
+		t.Fatalf("%s: index holds no matches; fixture too small", label)
+	}
+	for _, strategy := range []StreamStrategy{WeightOrdered, BlockRoundRobin} {
+		pairs := drainIndexStream(t, context.Background(), ix, WithStreamStrategy(strategy))
+		got := make([]Match, len(pairs))
+		for i, sp := range pairs {
+			got[i] = Match{URI1: sp.URI1, URI2: sp.URI2}
+		}
+		if !reflect.DeepEqual(sortedMatches(got), want) {
+			t.Errorf("%s, strategy %d: drained stream (%d pairs) != epoch match set (%d)", label, strategy, len(got), len(want))
+		}
+	}
+}
+
+// TestIndexStreamEqualsEpochMatches: the stream over an epoch's base,
+// drained, is the epoch's match set — however the epoch came to be
+// (built, loaded, mapped, mutated, compacted and reopened) and under
+// each ablation the index was built with.
+func TestIndexStreamEqualsEpochMatches(t *testing.T) {
+	b, err := GenerateBenchmark("Restaurant", 23, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, disable := range map[string]func(*Config){
+		"default": func(*Config) {},
+		"no-h1":   func(c *Config) { c.DisableH1 = true },
+		"no-h2":   func(c *Config) { c.DisableH2 = true },
+		"no-h3":   func(c *Config) { c.DisableH3 = true },
+		"no-h4":   func(c *Config) { c.DisableH4 = true },
+	} {
+		cfg := DefaultConfig()
+		disable(&cfg)
+		t.Run(name, func(t *testing.T) {
+			ix, err := BuildIndex(b.KB1, b.KB2, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStreamEqualsEpoch(t, "built", ix)
+
+			var snap bytes.Buffer
+			if err := SaveIndex(&snap, ix); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadIndex(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStreamEqualsEpoch(t, "loaded", loaded)
+			mapped, err := OpenIndex(snap.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStreamEqualsEpoch(t, "mapped", mapped)
+
+			mutateInternal(t, mapped, 2)
+			if err := mapped.Delete(context.Background(), 2, b.KB2.URIs()[0]); err != nil {
+				t.Fatal(err)
+			}
+			assertStreamEqualsEpoch(t, "mutated", mapped)
+
+			mapped.Compact()
+			var compacted bytes.Buffer
+			if err := SaveIndex(&compacted, mapped); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := OpenIndex(compacted.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reopened.Epoch() != 3 {
+				t.Fatalf("reopened epoch = %d, want 3", reopened.Epoch())
+			}
+			assertStreamEqualsEpoch(t, "compacted-reopened", reopened)
+		})
+	}
+}
+
+// TestStreamBaseOncePerEpoch: an epoch builds its stream base on its
+// first stream — to completion even when that request is already
+// cancelled — every later stream and every clone of the epoch reuse it,
+// and a mutation's epoch builds its own, whose stream reflects the
+// mutation.
+func TestStreamBaseOncePerEpoch(t *testing.T) {
+	ix := internalTestIndex(t)
+	if n := ix.streamBaseBuilds.Load(); n != 0 {
+		t.Fatalf("fresh index reports %d base builds", n)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got := drainIndexStream(t, cancelled, ix); len(got) != 0 {
+		t.Fatalf("cancelled stream emitted %d pairs", len(got))
+	}
+	base := ix.cur.Load().stream.base
+	if base == nil || ix.streamBaseBuilds.Load() != 1 {
+		t.Fatalf("a cancelled first stream must still leave the base behind (builds = %d)", ix.streamBaseBuilds.Load())
+	}
+	assertStreamEqualsEpoch(t, "after a cancelled first stream", ix)
+	ix.Prepare() // publishes a clone of the same resolution state
+	drainIndexStream(t, context.Background(), ix, WithMaxPairs(1))
+	if ix.cur.Load().stream.base != base || ix.streamBaseBuilds.Load() != 1 {
+		t.Fatalf("later streams and clones must reuse the base (builds = %d)", ix.streamBaseBuilds.Load())
+	}
+
+	before := drainIndexStream(t, context.Background(), ix)
+	mutateInternal(t, ix, 1)
+	if ix.cur.Load().stream.base != nil {
+		t.Fatal("a mutation must publish its epoch without a stream base")
+	}
+	if err := ix.Delete(context.Background(), 2, before[0].URI2); err != nil {
+		t.Fatal(err)
+	}
+	assertStreamEqualsEpoch(t, "mutated", ix)
+	if ix.cur.Load().stream.base == base || ix.streamBaseBuilds.Load() != 2 {
+		t.Fatalf("the mutated epoch must build its own base (builds = %d)", ix.streamBaseBuilds.Load())
+	}
+	for _, sp := range drainIndexStream(t, context.Background(), ix) {
+		if sp.URI2 == before[0].URI2 {
+			t.Fatalf("stream still emits deleted entity %s", sp.URI2)
+		}
+	}
+}
+
+// TestConcurrentStreamsShareBase: concurrent streams with mixed budgets
+// and strategies over one (initially base-less) epoch each emit exactly
+// the serial sequence — the base is read-only, all run state is
+// per request. Run under -race.
+func TestConcurrentStreamsShareBase(t *testing.T) {
+	cases := [][]StreamOption{
+		nil,
+		{WithMaxPairs(5)},
+		{WithMaxComparisons(60)},
+		{WithStreamStrategy(BlockRoundRobin)},
+		{WithStreamStrategy(BlockRoundRobin), WithMaxPairs(9)},
+		{WithMaxPairs(1)},
+		nil,
+		{WithStreamStrategy(BlockRoundRobin), WithMaxComparisons(200)},
+	}
+	b, err := GenerateBenchmark("Restaurant", 19, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Index {
+		ix, err := BuildIndex(b.KB1, b.KB2, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	serial := build()
+	want := make([][]ScoredPair, len(cases))
+	for i, opts := range cases {
+		want[i] = drainIndexStream(t, context.Background(), serial, opts...)
+	}
+	ix := build()
+	got := make([][]ScoredPair, len(cases))
+	var wg sync.WaitGroup
+	for i, opts := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ch, err := ix.resolveStream(context.Background(), opts...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for sp := range ch {
+				got[i] = append(got[i], sp)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range cases {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("stream %d: concurrent run emitted %d pairs, serial %d, or in another order", i, len(got[i]), len(want[i]))
+		}
+	}
+	if n := ix.streamBaseBuilds.Load(); n != 1 {
+		t.Errorf("%d concurrent streams built %d bases, want 1", len(cases), n)
+	}
+}
+
+// streamFixture builds a YAGO-IMDb index whose stream base is warm.
+func streamFixture(tb testing.TB, scale float64) (*Benchmark, *Index) {
+	tb.Helper()
+	b, err := GenerateBenchmark("YAGO-IMDb", 42, scale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := BuildIndex(b.KB1, b.KB2, DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if got := drainIndexStream(tb, context.Background(), ix, WithMaxPairs(1)); len(got) != 1 {
+		tb.Fatalf("warm-up stream emitted %d pairs", len(got))
+	}
+	return b, ix
+}
+
+// TestStreamSecondRequestIsCheap guards the point of the stream base: a
+// one-pair stream on a warmed epoch allocates the per-run state (two
+// accumulators and a few maps), not blocks, index, weights and a
+// schedule — megabytes on this fixture before the base existed.
+func TestStreamSecondRequestIsCheap(t *testing.T) {
+	_, ix := streamFixture(t, 0.5)
+	best := uint64(1 << 62)
+	for i := 0; i < 5; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		drainIndexStream(t, context.Background(), ix, WithMaxPairs(1))
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if limit := uint64(512 << 10); best > limit {
+		t.Errorf("a one-pair stream on a warmed epoch allocated %d bytes, want <= %d", best, limit)
+	}
+}
+
+// BenchmarkStreamFirst times a one-pair stream on a warmed epoch: the
+// cost between a /resolve/stream request and its first line.
+func BenchmarkStreamFirst(b *testing.B) {
+	_, ix := streamFixture(b, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		drainIndexStream(b, context.Background(), ix, WithMaxPairs(1))
+	}
+}

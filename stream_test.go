@@ -146,6 +146,79 @@ func TestQueryKBStreamEqualsQueryKB(t *testing.T) {
 	}
 }
 
+// drainQueryKBStream collects one QueryKBStream run in emission order.
+func drainQueryKBStream(tb testing.TB, ix *minoaner.Index, delta *minoaner.KB, opts ...minoaner.StreamOption) []minoaner.ScoredPair {
+	tb.Helper()
+	ch, err := ix.QueryKBStream(context.Background(), delta, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []minoaner.ScoredPair
+	for sp := range ch {
+		out = append(out, sp)
+	}
+	return out
+}
+
+// TestQueryKBStreamPreparedEqualsFull: over the prepared substrate
+// QueryKBStream probes instead of re-blocking KB1, and emits exactly
+// the sequence — pairs, scores, order — of the full path, under both
+// strategies and under budgets; drained, that is QueryKB's match set.
+func TestQueryKBStreamPreparedEqualsFull(t *testing.T) {
+	b, full, _ := buildBenchmarkIndex(t, "Restaurant", 7, 0.15)
+	_, prepared, _ := buildBenchmarkIndex(t, "Restaurant", 7, 0.15)
+	prepared.Prepare()
+	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 12)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, opts := range [][]minoaner.StreamOption{
+		nil,
+		{minoaner.WithStreamStrategy(minoaner.BlockRoundRobin)},
+		{minoaner.WithMaxPairs(3)},
+		{minoaner.WithMaxComparisons(25)},
+	} {
+		want := drainQueryKBStream(t, full, delta, opts...)
+		if len(want) == 0 {
+			t.Fatalf("case %d: the full path streamed nothing; fixture too small", i)
+		}
+		if got := drainQueryKBStream(t, prepared, delta, opts...); !reflect.DeepEqual(got, want) {
+			t.Errorf("case %d: prepared path streamed %d pairs, full path %d, or in another order", i, len(got), len(want))
+		}
+	}
+	res, err := prepared.QueryKB(context.Background(), delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := streamMatchSet(drainQueryKBStream(t, prepared, delta)); !reflect.DeepEqual(got, sortMatches(res.Matches)) {
+		t.Errorf("drained prepared QueryKBStream (%d pairs) != QueryKB matches (%d)", len(got), len(res.Matches))
+	}
+}
+
+// BenchmarkQueryKBStreamFirst times the first pair of a one-entity
+// delta streamed against a prepared YAGO-IMDb index.
+func BenchmarkQueryKBStreamFirst(b *testing.B) {
+	bm, err := minoaner.GenerateBenchmark("YAGO-IMDb", 42, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := minoaner.BuildIndex(bm.KB1, bm.KB2, minoaner.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix.Prepare()
+	delta, err := bm.DeltaKB("delta", sampleDeltaURIs(bm, 1)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if got := drainQueryKBStream(b, ix, delta, minoaner.WithMaxPairs(1)); len(got) != 1 {
+			b.Fatalf("streamed %d pairs, want 1", len(got))
+		}
+	}
+}
+
 // waitForGoroutines polls until the goroutine count drops back to the
 // baseline (small slack for runtime bookkeeping) or the deadline hits.
 func waitForGoroutines(t *testing.T, baseline int) {
