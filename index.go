@@ -657,7 +657,11 @@ func (ix *Index) ensureMutator(ctx context.Context, e *epoch) error {
 // Compact trims the index's write-side bookkeeping: the mutation
 // journal is truncated (the epoch number survives), the triple stores
 // drop terms orphaned by deletions, and overlay chains in the blocking
-// substrate flatten. Reads are unaffected; call it after large
+// substrate flatten. It publishes the current epoch again — same
+// number, same matches — with its KBs seated on the compacted term
+// tables, so a snapshot taken after Compact (SaveIndex, /snapshot, a
+// replica's bootstrap) carries the compacted tables, the very state
+// this index continues from. Reads are unaffected; call it after large
 // mutation bursts, before SaveIndex, or on a schedule.
 func (ix *Index) Compact() {
 	ix.mu.Lock()
@@ -665,14 +669,19 @@ func (ix *Index) Compact() {
 	ix.compactions.Add(1)
 	ix.journal = nil
 	ix.journalLen.Store(0)
+	ne := ix.cur.Load().clone()
 	if ix.mut != nil {
-		ix.mut.store1.Compact()
-		ix.mut.store2.Compact()
+		// A store that compacted its term table hands back the epoch's KB
+		// seated on it; a snapshot of the old one would ship the orphans.
+		if k := ix.mut.store1.Compact(); k != nil {
+			ne.kb1 = &KB{kb: k}
+		}
+		if k := ix.mut.store2.Compact(); k != nil {
+			ne.kb2 = &KB{kb: k}
+		}
 	}
-	e := ix.cur.Load()
-	if e.cache != nil {
-		ne := e.clone()
-		cache := *e.cache
+	if ne.cache != nil {
+		cache := *ne.cache
 		cache.Prep1 = cache.Prep1.Flatten()
 		cache.Prep2 = cache.Prep2.Flatten()
 		ne.cache = &cache
@@ -681,8 +690,8 @@ func (ix *Index) Compact() {
 			prep.Blocks = cache.Prep1
 			ne.prep = &prep
 		}
-		ix.cur.Store(ne)
 	}
+	ix.cur.Store(ne)
 }
 
 // JournalEntry records one absorbed mutation. The journal is the

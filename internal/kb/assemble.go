@@ -111,15 +111,6 @@ func newAssembly(name string, numTriples int) *KB {
 	}
 }
 
-// typeTermOf returns the ID of the rdf:type predicate term in a term
-// index, or -1 when no triple uses it.
-func typeTermOf(termIndex map[rdf.Term]int32) int32 {
-	if id, ok := termIndex[rdf.NewIRI(RDFType)]; ok {
-		return id
-	}
-	return -1
-}
-
 // describe runs assembly passes 1 and 2 over sorted, deduplicated refs:
 // every subject becomes an entity, in sorted order, and every triple is
 // classified into the description of its subject (type, attribute
@@ -291,7 +282,7 @@ func (s *Store) assembleFast(prev *KB) *KB {
 	sc := &s.scratch
 	sc.begin(len(s.terms))
 	kb := newAssembly(s.name, len(s.refs))
-	rdfTypeTerm := typeTermOf(s.termIndex)
+	rdfTypeTerm := s.typeTerm()
 	describe(kb, s.terms, s.refs, sc, rdfTypeTerm, prev)
 	s.walkStats(kb, func(t int32) int32 {
 		if pid, ok := sc.pred(t); ok {
@@ -464,7 +455,7 @@ func (s *Store) assembleIncremental(prev *KB) *KB {
 	}
 	sortIDs(changed)
 
-	rdfTypeTerm := typeTermOf(s.termIndex)
+	rdfTypeTerm := s.typeTerm()
 
 	// Verification scan: subject runs must match prev's entity count
 	// one-for-one (the roster check above makes a same-count

@@ -25,3 +25,7 @@ func (b *Builder) Interned() ([]rdf.Term, [][3]int32) {
 	}
 	return b.terms, refs
 }
+
+// SetTermHash replaces the hash function of the builder's term table,
+// which must still be empty.
+func (b *Builder) SetTermHash(hash func(rdf.Term) uint64) { b.hash = hash }

@@ -3,6 +3,8 @@ package kb
 import (
 	"context"
 	"io"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -39,11 +41,14 @@ func (b *Builder) ingest(ctx context.Context, r io.Reader, blockSize, maxLine in
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	size := inputSize(r)
 	sc := rdf.NewBlockScanner(r, blockSize, maxLine)
 	blk, readErr := sc.Next()
 	if readErr != nil {
-		// The whole input is one block: no goroutines to feed.
-		pb := newBlockParser(maxLine, lenient).parse(blk)
+		// The whole input is one block: no goroutines to feed, and its
+		// parse says exactly how much is coming.
+		pb := newBlockParser(maxLine, lenient, b.hash).parse(blk)
+		b.makeRoom(len(pb.terms), len(pb.refs))
 		b.merge(pb)
 		if pb.err == nil && readErr != io.EOF {
 			pb.err = readErr
@@ -52,6 +57,7 @@ func (b *Builder) ingest(ctx context.Context, r io.Reader, blockSize, maxLine in
 	}
 
 	workers := parallel.Workers(b.workers)
+	hash := b.hash // the workers' tables hash as the builder's does
 	// Two blocks per worker may be outstanding, so a worker that
 	// finishes while the caller is busy merging finds the next one
 	// queued; the queue has room for all of them and a send never
@@ -62,7 +68,7 @@ func (b *Builder) ingest(ctx context.Context, r io.Reader, blockSize, maxLine in
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := newBlockParser(maxLine, lenient)
+			p := newBlockParser(maxLine, lenient, hash)
 			for j := range jobs {
 				j.done <- p.parse(j.blk)
 			}
@@ -77,6 +83,18 @@ func (b *Builder) ingest(ctx context.Context, r io.Reader, blockSize, maxLine in
 	mergeOldest := func() error {
 		pb := <-pending[0]
 		pending = pending[1:]
+		if size > 0 && len(pb.refs) > 0 {
+			// A document of known size is ingested without regrowing the
+			// term table, its slots or the triple list every few blocks —
+			// once it has shown a triple: a builder that ingests none is
+			// left as it was.
+			// Web data brings between half a new term and one a line; room
+			// is made for the half, because what is reserved in excess the
+			// built KB keeps for life, and what is missing costs a regrowth.
+			lines := size / bytesPerLine
+			b.makeRoom(lines/2, lines)
+			size = 0
+		}
 		b.merge(pb)
 		skipped += pb.skipped
 		return pb.err
@@ -114,45 +132,77 @@ type blockJob struct {
 	done chan *parsedBlock
 }
 
+// bytesPerLine is what a line of Web data runs to, near enough: sizing
+// by it spares most of the append regrowth without reserving much that
+// stays unused.
+const bytesPerLine = 128
+
+// inputSize returns the number of bytes r is known to hold, or 0.
+func inputSize(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }: // *bytes.Reader, *strings.Reader, *bytes.Buffer
+		return r.Len()
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
+}
+
+// makeRoom sizes the builder for that many more terms and triples.
+func (b *Builder) makeRoom(terms, triples int) {
+	b.reserve(len(b.terms) + terms)
+	b.triples = slices.Grow(b.triples, triples)
+}
+
 // parsedBlock is one block reduced to what the merge needs: its
-// distinct terms in first-appearance order and its triples as indices
-// into them.
+// distinct terms in first-appearance order, the hash of each under the
+// builder's hash function, and its triples as indices into the terms.
 type parsedBlock struct {
 	terms   []rdf.Term
+	hashes  []uint64
 	refs    []tripleRef
 	skipped int
 	err     error // strict mode: the block's first malformed line; terms and refs hold what preceded it
 }
 
 // blockParser is the parse state one goroutine reuses from block to
-// block.
+// block. Its term table is block-local and empty between blocks.
 type blockParser struct {
 	maxLine int
 	lenient bool
-	index   map[rdf.Term]int32
+	termTable
+	lastTerms int // distinct terms of the previous block
 }
 
-func newBlockParser(maxLine int, lenient bool) *blockParser {
-	return &blockParser{maxLine: maxLine, lenient: lenient, index: make(map[rdf.Term]int32)}
+// newBlockParser returns a parser that hashes terms with hash, the
+// function of the table its blocks will be merged into.
+func newBlockParser(maxLine int, lenient bool, hash func(rdf.Term) uint64) *blockParser {
+	return &blockParser{maxLine: maxLine, lenient: lenient, termTable: termTable{hash: hash}}
 }
 
 func (p *blockParser) parse(blk rdf.Block) *parsedBlock {
-	// A line of Web data runs to about a hundred bytes; starting near the
-	// final sizes spares most of the append regrowth.
-	n := len(blk.Text) / 128
-	pb := &parsedBlock{terms: make([]rdf.Term, 0, n), refs: make([]tripleRef, 0, n)}
-	intern := func(t rdf.Term) int32 {
-		id, ok := p.index[t]
-		if !ok {
-			id = int32(len(pb.terms))
-			pb.terms = append(pb.terms, t)
-			p.index[t] = id
-		}
-		return id
+	n := len(blk.Text) / bytesPerLine
+	pb := &parsedBlock{refs: make([]tripleRef, 0, n)}
+	// The blocks of one document resemble each other: the previous one
+	// says better than any constant how many terms a block holds.
+	if p.lastTerms > 0 {
+		n = p.lastTerms + p.lastTerms/8
 	}
+	p.terms = make([]rdf.Term, 0, n)
+	// Web data comes grouped by subject: a line that repeats the
+	// previous line's subject needs no probe.
+	var subject rdf.Term
+	subjectID := int32(-1)
 	pb.skipped, pb.err = rdf.ParseBlock(blk, p.maxLine, p.lenient, func(t rdf.Triple) {
-		pb.refs = append(pb.refs, tripleRef{s: intern(t.Subject), p: intern(t.Predicate), o: intern(t.Object)})
+		if subjectID < 0 || t.Subject != subject {
+			subject, subjectID = t.Subject, p.intern(t.Subject)
+		}
+		pb.refs = append(pb.refs, tripleRef{s: subjectID, p: p.intern(t.Predicate), o: p.intern(t.Object)})
 	})
+	pb.terms, pb.hashes = p.drain()
+	p.lastTerms = len(pb.terms)
 
 	// The parsed terms are substrings of the block's text. Copy the
 	// distinct ones into one exactly-sized slab, so that the text — every
@@ -176,17 +226,17 @@ func (p *blockParser) parse(blk rdf.Block) *parsedBlock {
 			*part, slab = slab[:n], slab[n:]
 		}
 	}
-	clear(p.index) // its keys were the last references into the text
 	return pb
 }
 
 // merge interns a block's terms in their block-local first-appearance
-// order and records its triples. Blocks merged in file order thereby
-// reproduce the term IDs of a triple-by-triple Add.
+// order, under the hashes the parser computed, and records its triples.
+// Blocks merged in file order thereby reproduce the term IDs of a
+// triple-by-triple Add.
 func (b *Builder) merge(pb *parsedBlock) {
 	b.trans = b.trans[:0]
-	for _, t := range pb.terms {
-		b.trans = append(b.trans, b.intern(t))
+	for i, t := range pb.terms {
+		b.trans = append(b.trans, b.internHashed(pb.hashes[i], t))
 	}
 	for _, r := range pb.refs {
 		b.record(tripleRef{s: b.trans[r.s], p: b.trans[r.p], o: b.trans[r.o]})

@@ -238,10 +238,9 @@ type Builder struct {
 	workers     int
 	keepSources bool
 
-	termIndex map[rdf.Term]int32
-	terms     []rdf.Term
-	triples   []tripleRef
-	trans     []int32 // merge scratch: a block's local term IDs -> builder IDs
+	termTable
+	triples []tripleRef
+	trans   []int32 // merge scratch: a block's local term IDs -> builder IDs
 }
 
 // tripleRef is one recorded triple as indices into the term table.
@@ -252,7 +251,7 @@ type tripleRef struct{ s, p, o int32 }
 // interned source triples (the substrate of live mutation, see Store);
 // disable with SetKeepSources(false) for memory-lean ingest.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, termIndex: make(map[rdf.Term]int32), keepSources: true}
+	return &Builder{name: name, termTable: termTable{hash: seededTermHash()}, keepSources: true}
 }
 
 // SetKeepSources controls whether Build retains the interned source
@@ -278,16 +277,6 @@ func (b *Builder) Add(t rdf.Triple) error {
 	}
 	b.record(tripleRef{s: b.intern(t.Subject), p: b.intern(t.Predicate), o: b.intern(t.Object)})
 	return nil
-}
-
-func (b *Builder) intern(t rdf.Term) int32 {
-	if id, ok := b.termIndex[t]; ok {
-		return id
-	}
-	id := int32(len(b.terms))
-	b.terms = append(b.terms, t)
-	b.termIndex[t] = id
-	return id
 }
 
 // record appends one interned triple, dropping a repeat of the previous
@@ -355,7 +344,7 @@ func (b *Builder) Build() (*KB, error) {
 	}
 	refs = refs[:j:j]
 
-	kb := assembleKB(b.name, b.opts, workers, b.terms, refs, typeTermOf(b.termIndex))
+	kb := assembleKB(b.name, b.opts, workers, b.terms, refs, b.typeTerm())
 	if b.keepSources {
 		// Clip the term table so later builder appends cannot write
 		// into the retained slice's spare capacity.

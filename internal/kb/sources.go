@@ -93,9 +93,8 @@ type Store struct {
 	workers int
 	opts    tokenize.Options
 
-	terms     []rdf.Term
-	termIndex map[rdf.Term]int32
-	refs      []tripleRef
+	termTable
+	refs []tripleRef
 	// refsPOS is the same triple set sorted by (predicate, object,
 	// subject): the access path of the map-free statistics walk in
 	// Assemble (predicate groups are contiguous, and within one, equal
@@ -148,18 +147,13 @@ func NewStore(k *KB) (*Store, error) {
 	if k.src == nil {
 		return nil, ErrNoSources
 	}
-	terms := k.src.terms[:len(k.src.terms):len(k.src.terms)]
-	idx := make(map[rdf.Term]int32, len(terms))
-	for i, t := range terms {
-		idx[t] = int32(i)
-	}
 	s := &Store{
 		name:      k.name,
 		opts:      k.src.opts,
-		terms:     terms,
-		termIndex: idx,
+		termTable: termTable{terms: k.src.terms[:len(k.src.terms):len(k.src.terms)], hash: seededTermHash()},
 		refs:      k.src.refs[:len(k.src.refs):len(k.src.refs)],
 	}
+	s.index()
 	s.refsPOS = make([]tripleRef, len(s.refs))
 	copy(s.refsPOS, s.refs)
 	sort.Slice(s.refsPOS, func(i, j int) bool { return posLess(s.terms, s.refsPOS[i], s.refsPOS[j]) })
@@ -183,16 +177,6 @@ func (s *Store) NumTriples() int { return len(s.refs) }
 // NumTerms returns the size of the term table, including terms no
 // longer referenced by any triple (reclaim them with Compact).
 func (s *Store) NumTerms() int { return len(s.terms) }
-
-func (s *Store) intern(t rdf.Term) int32 {
-	if id, ok := s.termIndex[t]; ok {
-		return id
-	}
-	id := int32(len(s.terms))
-	s.terms = append(s.terms, t)
-	s.termIndex[t] = id
-	return id
-}
 
 // Revert undoes one successful Apply, restoring the pre-Apply triple
 // set and term table: terms the reverted Apply interned are removed
@@ -254,11 +238,11 @@ func (s *Store) Apply(delta *KB, deletes []string) (changed bool, revert Revert,
 	// and, degenerately, an IRI whose value carries the "_:" prefix.
 	dropTerm := make(map[int32]bool, len(drop))
 	for key := range drop {
-		if id, ok := s.termIndex[rdf.NewIRI(key)]; ok {
+		if id := s.lookup(rdf.NewIRI(key)); id >= 0 {
 			dropTerm[id] = true
 		}
 		if len(key) > 2 && key[:2] == "_:" {
-			if id, ok := s.termIndex[rdf.NewBlank(key[2:])]; ok {
+			if id := s.lookup(rdf.NewBlank(key[2:])); id >= 0 {
 				dropTerm[id] = true
 			}
 		}
@@ -344,10 +328,7 @@ func (s *Store) Apply(delta *KB, deletes []string) (changed bool, revert Revert,
 		// Un-intern the terms this Apply appended. No assembled KB can
 		// reference them (assemblies share length-capped prefixes of the
 		// table), so truncating restores the exact pre-Apply table.
-		for _, t := range s.terms[prevTerms:] {
-			delete(s.termIndex, t)
-		}
-		s.terms = s.terms[:prevTerms]
+		s.truncate(prevTerms)
 	}, nil
 }
 
@@ -361,7 +342,7 @@ func (s *Store) Assemble(prev *KB) *KB {
 	if k == nil {
 		k = s.assembleFast(prev)
 	}
-	k.src = &Sources{opts: s.opts, terms: s.terms[:len(s.terms):len(s.terms)], refs: s.refs}
+	k.src = s.sources()
 	s.lastAssembled = k
 	s.touched = make(map[string]bool)
 	s.predsChanged = false
@@ -369,20 +350,27 @@ func (s *Store) Assemble(prev *KB) *KB {
 }
 
 // Compact rebuilds the term table from the live triples, dropping
-// terms that deletions have orphaned. Previously assembled KBs are
-// unaffected (they hold their own source snapshots).
-func (s *Store) Compact() {
-	terms := make([]rdf.Term, 0, len(s.terms))
-	idx := make(map[rdf.Term]int32, len(s.terms))
+// terms that deletions have orphaned and renumbering the rest.
+//
+// KBs assembled earlier keep the table they were assembled over, so one
+// saved after Compact would still carry the orphans — and whoever loads
+// it would keep them, while this store continues without. Compact
+// therefore returns the KB of the last Assemble seated on the compacted
+// table: a shallow copy that differs in its Sources alone and takes the
+// original's place as the KB the next Assemble may splice from. Publish
+// it in the original's stead. The result is nil when Apply has changed
+// the set since the last Assemble; that Assemble will deliver the
+// compacted table.
+func (s *Store) Compact() *KB {
+	compacted := termTable{hash: s.hash}
+	compacted.reserve(len(s.terms))
 	remap := make([]int32, len(s.terms))
 	for i := range remap {
 		remap[i] = -1
 	}
 	move := func(id int32) int32 {
 		if remap[id] < 0 {
-			idx[s.terms[id]] = int32(len(terms))
-			terms = append(terms, s.terms[id])
-			remap[id] = int32(len(terms) - 1)
+			remap[id] = compacted.intern(s.terms[id])
 		}
 		return remap[id]
 	}
@@ -405,7 +393,20 @@ func (s *Store) Compact() {
 			predUse[remap[p]] = c
 		}
 	}
-	s.terms, s.termIndex, s.refs, s.refsPOS, s.predUse = terms, idx, refs, refsPOS, predUse
+	s.termTable, s.refs, s.refsPOS, s.predUse = compacted, refs, refsPOS, predUse
+	if len(s.touched) > 0 {
+		return nil
+	}
+	seated := *s.lastAssembled
+	seated.src = s.sources()
+	s.lastAssembled = &seated
+	return &seated
+}
+
+// sources returns the current triple set as an immutable Sources: the
+// term table is clipped, so the store's later appends stay out of it.
+func (s *Store) sources() *Sources {
+	return &Sources{opts: s.opts, terms: s.terms[:len(s.terms):len(s.terms)], refs: s.refs}
 }
 
 // sameRefs reports whether two sorted ref slices hold the same

@@ -385,6 +385,59 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	}
 }
 
+// TestCompactThenBootstrapConverges is the timing-free form of the
+// divergence TestReplicaStormWithCompactResync used to hit one run in
+// ten: a snapshot taken between Compact and the compacted side's next
+// mutation must carry the compacted term table. It used to ship the
+// epoch's uncompacted one, whose orphaned terms the bootstrapping
+// replica then kept for good while the primary went on without them.
+func TestCompactThenBootstrapConverges(t *testing.T) {
+	b, err := minoaner.GenerateBenchmark("Restaurant", 17, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := minoaner.BuildIndex(b.KB1, b.KB2, minoaner.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	upsert := func(uri string) {
+		t.Helper()
+		delta, err := minoaner.LoadKB("delta", strings.NewReader(
+			"<"+uri+"> <http://mut/name> \"a name nobody else has\" .\n"+
+				"<"+uri+"> <http://mut/seen> <http://mut/elsewhere> .\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := primary.Upsert(ctx, 2, delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Orphan some terms, then compact them away.
+	upsert("http://mut/x")
+	if err := primary.Delete(ctx, 2, "http://mut/x"); err != nil {
+		t.Fatal(err)
+	}
+	primary.Compact()
+
+	replica, err := minoaner.LoadIndex(bytes.NewReader(snapshotBytes(t, primary)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConverged(t, "bootstrap after compact", primary, replica)
+
+	since := replica.Epoch()
+	upsert("http://mut/y")
+	tail, err := primary.JournalSince(since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := replica.Replay(ctx, tail.Entries); err != nil || n != 1 {
+		t.Fatalf("replayed %d entries, err %v; want 1, nil", n, err)
+	}
+	assertConverged(t, "mutation after bootstrap", primary, replica)
+}
+
 // TestReplicaStormWithCompactResync is the ISSUE's mutation storm:
 // random upserts and deletes on the primary while a replica tails it,
 // with a mid-storm Compact forcing the replica through the
