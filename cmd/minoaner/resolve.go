@@ -58,8 +58,15 @@ func runResolve(args []string) {
 		log.Fatal(err)
 	}
 	if !*quiet {
+		// One buffered writer, flushed before the summary: a write(2) per
+		// match is thousands of syscalls a run, and a failed write (a full
+		// disk behind "> matches.csv") must not exit 0.
+		w := bufio.NewWriter(os.Stdout)
 		for _, m := range res.Matches {
-			fmt.Printf("%s,%s\n", m.URI1, m.URI2)
+			fmt.Fprintf(w, "%s,%s\n", m.URI1, m.URI2)
+		}
+		if err := w.Flush(); err != nil {
+			log.Fatalf("writing matches: %v", err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "matches: %d (H1=%d H2=%d H3=%d, H4 discarded %d)\n",

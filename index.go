@@ -387,7 +387,7 @@ func (ix *Index) Prepare() {
 func prepFromCache(kb1 *kb.KB, cfg Config, cache *pipeline.Cache) *pipeline.Prepared {
 	return &pipeline.Prepared{
 		Blocks:    cache.Prep1,
-		Neighbors: kb.FrozenFromLists(kb1, cfg.internal().Params().N, cache.Top1),
+		Neighbors: kb.FrozenFromLists(kb1, cfg.internal().Params().N, cache.Top1, cache.Rev1),
 	}
 }
 

@@ -31,27 +31,57 @@ func (kb *KB) Freeze(n, workers int) *Frozen {
 		}
 		return nil
 	})
-	return FrozenFromLists(kb, n, top)
+	return FrozenFromLists(kb, n, top, nil)
 }
 
 // FrozenFromLists assembles a Frozen view from already-materialized
-// top-neighbor lists (e.g. loaded from a snapshot), deriving the
-// reverse index. The lists must be what Freeze would compute for the
-// same KB and N; callers loading persisted lists validate ID ranges
-// before calling.
-func FrozenFromLists(kb *KB, n int, top [][]EntityID) *Frozen {
-	return &Frozen{kb: kb, n: n, top: top, rev: ReverseNeighbors(top, kb.Len())}
+// top-neighbor lists (e.g. loaded from a snapshot) and, when the caller
+// holds it, their reverse index; a nil rev is derived. The lists must be
+// what Freeze would compute for the same KB and N, and rev what
+// ReverseNeighbors yields for top; callers loading persisted lists
+// validate ID ranges before calling.
+func FrozenFromLists(kb *KB, n int, top, rev [][]EntityID) *Frozen {
+	if rev == nil {
+		rev = ReverseNeighbors(top, kb.Len())
+	}
+	return &Frozen{kb: kb, n: n, top: top, rev: rev}
 }
 
 // ReverseNeighbors inverts top-neighbor lists over a KB of size n: for
 // each entity x, the entities that count x among their best neighbors,
-// in ascending order.
+// in ascending order (nil when nobody does). The lists share one backing
+// array, each clipped to its own elements, so appending to one never
+// reaches the next.
 func ReverseNeighbors(top [][]EntityID, n int) [][]EntityID {
-	rev := make([][]EntityID, n)
+	// ends[x] first counts x's referrers, then — after the prefix sum —
+	// walks from the start of x's run to its end as the run fills.
+	ends := make([]int, n)
+	total := 0
+	for _, nbrs := range top {
+		for _, x := range nbrs {
+			ends[x]++
+		}
+		total += len(nbrs)
+	}
+	off := 0
+	for x, c := range ends {
+		ends[x] = off
+		off += c
+	}
+	slab := make([]EntityID, total)
 	for e, nbrs := range top {
 		for _, x := range nbrs {
-			rev[x] = append(rev[x], EntityID(e))
+			slab[ends[x]] = EntityID(e)
+			ends[x]++
 		}
+	}
+	rev := make([][]EntityID, n)
+	from := 0
+	for x, to := range ends {
+		if to > from {
+			rev[x] = slab[from:to:to]
+		}
+		from = to
 	}
 	return rev
 }

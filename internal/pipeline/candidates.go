@@ -51,12 +51,10 @@ func valueCandidates(ctx context.Context, bt *blocking.Collection, idx *blocking
 // opposite side, which has other entities.
 func valueCandidatesSide(ctx context.Context, byEnt [][]int32, members func(bi int32) []kb.EntityID, other int, weights []float64, k, workers int) ([][]Cand, error) {
 	out := make([][]Cand, len(byEnt))
+	accs := make(workerAccumulators, workers)
 	err := parallelFor(ctx, len(byEnt), workers, func(worker, start, end int) error {
-		acc := newAccumulator(other)
+		acc := accs.of(worker, other)
 		for e := start; e < end; e++ {
-			if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
 			for _, bi := range byEnt[e] {
 				w := weights[bi]
 				for _, o := range members(bi) {
@@ -107,22 +105,11 @@ func neighborCandidates(ctx context.Context, kb1, kb2 *kb.KB, vc1, vc2 [][]Cand,
 // its own best neighbors (rev, indexed by opposite-side entity).
 func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, vc [][]Cand, rev [][]kb.EntityID, k, workers int) ([][]Cand, error) {
 	out := make([][]Cand, len(top))
+	accs := make(workerAccumulators, workers)
 	err := parallelFor(ctx, len(top), workers, func(worker, start, end int) error {
-		acc := newAccumulator(len(rev))
+		acc := accs.of(worker, len(rev))
 		for e := start; e < end; e++ {
-			if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			for _, nei := range top[e] {
-				for _, cand := range vc[nei] {
-					if cand.Sim <= 0 {
-						continue
-					}
-					for _, o := range rev[cand.ID] {
-						acc.add(int32(o), cand.Sim)
-					}
-				}
-			}
+			acc.addNeighborEvidence(top[e], vc, rev)
 			out[e] = acc.topK(k)
 			acc.reset()
 		}
@@ -161,6 +148,19 @@ func newAccumulator(n int) *accumulator {
 	return &accumulator{sums: make([]float64, n)}
 }
 
+// workerAccumulators holds one dense accumulator per parallelFor worker,
+// allocated on the worker's first use: calls with the same worker index
+// never overlap, and a worker that claims no entity to score (an update
+// whose affected entities all fell to others) never pays for one.
+type workerAccumulators []*accumulator
+
+func (w workerAccumulators) of(worker, n int) *accumulator {
+	if w[worker] == nil {
+		w[worker] = newAccumulator(n)
+	}
+	return w[worker]
+}
+
 // add contributes w to id's sum. Every contribution must be > 0:
 // sums[id] == 0 is the "untouched" sentinel, so after a zero
 // contribution the next one would append id to touched a second time
@@ -171,6 +171,24 @@ func (a *accumulator) add(id int32, w float64) {
 		a.touched = append(a.touched, id)
 	}
 	a.sums[id] += w
+}
+
+// addNeighborEvidence accumulates one entity's neighbor similarity: its
+// best neighbors n_i (top) propose, through their value candidates n_j
+// (vc), every opposite-side entity that has n_j among its own best
+// neighbors (rev). The eager stage and the update plan share this loop,
+// so their sums associate identically.
+func (a *accumulator) addNeighborEvidence(top []kb.EntityID, vc [][]Cand, rev [][]kb.EntityID) {
+	for _, nei := range top {
+		for _, cand := range vc[nei] {
+			if cand.Sim <= 0 {
+				continue
+			}
+			for _, o := range rev[cand.ID] {
+				a.add(int32(o), cand.Sim)
+			}
+		}
+	}
 }
 
 func (a *accumulator) reset() {
@@ -245,13 +263,22 @@ func siftDown(h []Cand, i int) {
 	h[i] = x
 }
 
-// cancelCheckStride is how many per-entity iterations a parallel loop
+// cancelCheckStride is how many per-entity iterations a serial loop
 // runs between context checks; see parallel.CancelCheckStride.
 const cancelCheckStride = parallel.CancelCheckStride
 
-// parallelFor is the shared chunked parallel loop, promoted to
-// internal/parallel so the ingest and blocking layers use the same
-// primitive.
+// candidateGrain is how many entities a worker claims at a time in the
+// per-entity candidate loops: small enough that a cluster of expensive
+// entities (IDs are sorted-URI positions, so kinds sit together) is
+// shared between workers and that cancellation, checked per claim,
+// lands within a millisecond; large enough that the shared cursor stays
+// off the profile.
+const candidateGrain = 64
+
+// parallelFor is the per-entity candidate loop of every engine: workers
+// claim candidateGrain-sized ranges (parallel.ForDynamic), so work may
+// run many times per worker — never concurrently for one worker index —
+// and the context is checked before each claim.
 func parallelFor(ctx context.Context, n, workers int, work func(worker, start, end int) error) error {
-	return parallel.For(ctx, n, workers, work)
+	return parallel.ForDynamic(ctx, n, workers, candidateGrain, work)
 }

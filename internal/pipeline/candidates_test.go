@@ -21,21 +21,21 @@ func TestAggregateRanks(t *testing.T) {
 	neighbor := []Cand{{ID: 20, Sim: 3.0}, {ID: 30, Sim: 1.0}}
 	noskip := func(kb.EntityID) bool { return false }
 	// θ=0.6: 10 → 0.6*1.0 = 0.6; 20 → 0.6*0.5 + 0.4*1.0 = 0.7; 30 → 0.4*0.5=0.2.
-	best, ok := aggregateRanks(value, neighbor, 0.6, noskip)
+	best, ok := new(rankScratch).aggregateRanks(value, neighbor, 0.6, noskip)
 	if !ok || best != 20 {
 		t.Errorf("best = %d, want 20", best)
 	}
 	// θ high → value list dominates.
-	best, _ = aggregateRanks(value, neighbor, 0.9, noskip)
+	best, _ = new(rankScratch).aggregateRanks(value, neighbor, 0.9, noskip)
 	if best != 10 {
 		t.Errorf("best = %d, want 10 at θ=0.9", best)
 	}
 	// Empty evidence.
-	if _, ok := aggregateRanks(nil, nil, 0.6, noskip); ok {
+	if _, ok := new(rankScratch).aggregateRanks(nil, nil, 0.6, noskip); ok {
 		t.Error("aggregateRanks on empty lists returned ok")
 	}
 	// Skip filter removes the winner.
-	best, ok = aggregateRanks(value, neighbor, 0.6, func(id kb.EntityID) bool { return id == 20 })
+	best, ok = new(rankScratch).aggregateRanks(value, neighbor, 0.6, func(id kb.EntityID) bool { return id == 20 })
 	if !ok || best != 10 {
 		t.Errorf("best = %d, want 10 after skipping 20", best)
 	}
@@ -43,7 +43,7 @@ func TestAggregateRanks(t *testing.T) {
 
 func TestAggregateRanksZeroSims(t *testing.T) {
 	value := []Cand{{ID: 1, Sim: 0}}
-	if _, ok := aggregateRanks(value, nil, 0.6, func(kb.EntityID) bool { return false }); ok {
+	if _, ok := new(rankScratch).aggregateRanks(value, nil, 0.6, func(kb.EntityID) bool { return false }); ok {
 		t.Error("zero-similarity candidates must be ignored")
 	}
 }
@@ -52,8 +52,8 @@ func TestThetaExtremesChangeH3(t *testing.T) {
 	value := []Cand{{ID: 1, Sim: 5}, {ID: 2, Sim: 4}}
 	neighbor := []Cand{{ID: 2, Sim: 9}, {ID: 1, Sim: 1}}
 	noskip := func(kb.EntityID) bool { return false }
-	lowTheta, _ := aggregateRanks(value, neighbor, 0.01, noskip)
-	highTheta, _ := aggregateRanks(value, neighbor, 0.99, noskip)
+	lowTheta, _ := new(rankScratch).aggregateRanks(value, neighbor, 0.01, noskip)
+	highTheta, _ := new(rankScratch).aggregateRanks(value, neighbor, 0.99, noskip)
 	if lowTheta != 2 {
 		t.Errorf("θ→0 should follow neighbors: got %d", lowTheta)
 	}

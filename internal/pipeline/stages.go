@@ -297,32 +297,29 @@ func RankAggregation() Stage {
 			return errors.New("requires neighbor candidates (run " + StageNeighborCandidates + " first)")
 		}
 		em := st.emission()
-		for e := 0; e < em.sizeA; e++ {
-			if e%cancelCheckStride == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			ea := kb.EntityID(e)
-			if _, done := em.h1A[ea]; done {
-				continue
-			}
-			if _, done := em.h2A[ea]; done {
-				continue
-			}
-			skip := func(id kb.EntityID) bool {
-				if _, t := em.h1B[id]; t {
-					return true
-				}
-				_, t := em.h2B[id]
-				return t
-			}
-			best, ok := aggregateRanks(em.valueA[ea], em.neighborA[ea], st.Params.Theta, skip)
-			if !ok {
-				continue
-			}
-			st.H3 = append(st.H3, em.pair(ea, best))
-		}
-		return nil
+		return st.rankAggregation(ctx, em, em.newClaims())
 	})
+}
+
+// rankAggregation is H3 over one representation of the earlier
+// heuristics' claims.
+func (s *State) rankAggregation(ctx context.Context, em emission, claimed *claims) error {
+	var scratch rankScratch
+	for e := 0; e < em.sizeA; e++ {
+		if e%cancelCheckStride == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		ea := kb.EntityID(e)
+		if claimed.takenA(ea) {
+			continue
+		}
+		best, ok := scratch.aggregateRanks(em.valueA[ea], em.neighborA[ea], s.Params.Theta, claimed.takenB)
+		if !ok {
+			continue
+		}
+		s.H3 = append(s.H3, em.pair(ea, best))
+	}
+	return nil
 }
 
 // Union collects H1 ∨ H2 ∨ H3 into Matches, deduplicated and in

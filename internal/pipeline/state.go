@@ -140,7 +140,8 @@ func NewIngestState(src1, src2 Source, p Params) *State {
 // smaller in size KB"). The other side's evidence still feeds H4.
 type emission struct {
 	swap      bool // true when KB2 is the smaller side
-	sizeA     int
+	sizeA     int  // entities on the emitting side
+	sizeB     int  // entities on the other side
 	valueA    [][]Cand
 	neighborA [][]Cand
 	h1A, h1B  map[kb.EntityID]kb.EntityID
@@ -151,6 +152,7 @@ func (s *State) emission() emission {
 	e := emission{
 		swap:      s.KB2.Len() < s.KB1.Len(),
 		sizeA:     s.KB1.Len(),
+		sizeB:     s.KB2.Len(),
 		valueA:    s.ValueCands1,
 		neighborA: s.NeighborCands1,
 		h1A:       s.H1Map1,
@@ -159,7 +161,7 @@ func (s *State) emission() emission {
 		h2B:       s.H2TakenB,
 	}
 	if e.swap {
-		e.sizeA = s.KB2.Len()
+		e.sizeA, e.sizeB = e.sizeB, e.sizeA
 		e.valueA = s.ValueCands2
 		e.neighborA = s.NeighborCands2
 		e.h1A, e.h1B = s.H1Map2, s.H1Map1

@@ -503,6 +503,10 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 	// Phase 3 — H3 rank aggregation over the entities no earlier
 	// heuristic claimed.
 	if !cfg.DisableH3 {
+		// A budgeted stream visits a prefix of the schedule: the claims
+		// are read from the maps, never expanded to KB-sized flags.
+		claimed := &claims{h1A: em.h1A, h1B: em.h1B, h2A: h2A, h2B: h2B}
+		var scratch rankScratch
 		for i, ea := range sched {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -510,20 +514,10 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 			if overBudget() {
 				return nil
 			}
-			if _, done := em.h1A[ea]; done {
+			if claimed.takenA(ea) {
 				continue
 			}
-			if _, done := h2A[ea]; done {
-				continue
-			}
-			skip := func(id kb.EntityID) bool {
-				if _, t := em.h1B[id]; t {
-					return true
-				}
-				_, t := h2B[id]
-				return t
-			}
-			best, ok := aggregateRanks(ev.sideA.valueCands(ea), ev.sideA.neighborCands(ea), st.Params.Theta, skip)
+			best, ok := scratch.aggregateRanks(ev.sideA.valueCands(ea), ev.sideA.neighborCands(ea), st.Params.Theta, claimed.takenB)
 			if !ok {
 				continue
 			}

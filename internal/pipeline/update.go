@@ -2,8 +2,17 @@
 // resolved pair without re-deriving the whole pair. The previous
 // epoch's scoring substrate (Cache) is patched for the touched keys,
 // candidate lists are recomputed only for the entities whose evidence
-// could have changed (the "affected" sets), and the cheap matching
-// passes H1-H4 rerun in full over the patched evidence.
+// could have changed (the "affected" sets), and the matching passes
+// H1-H4 rerun in full over the patched evidence. "In full" is linear in
+// the emitting KB, not in the mutation: H3 alone visits every unclaimed
+// entity's two candidate lists, about a tenth of a one-entity update, so
+// it reads the earlier claims from dense flags and allocates nothing
+// per entity (match.go). The other cost a mutation cannot avoid is the
+// carry-over: an insert or delete shifts every later ID of its side, so
+// every list that names that side's entities — its own best-neighbor
+// lists, the opposite side's candidate lists — is rewritten, into one
+// backing array per claimed range (updateTops, carryCands); a mutation
+// that shifts nothing shares the previous epoch's lists as they are.
 //
 // The update plan is bit-identical to the full plan over the mutated
 // KBs: patched collections reproduce the full construction's blocks in
@@ -592,27 +601,17 @@ func UpdateValueCandidates() Stage {
 			// must propagate. Most affected entities turn out unchanged
 			// (a re-accumulated sum over identical blocks is identical).
 			vcChanged := make([]bool, n)
+			accs := make(workerAccumulators, workers)
 			err := parallelFor(ctx, n, workers, func(worker, start, end int) error {
-				// Allocated on the chunk's first affected entity: most
-				// chunks have none and must not pay for otherN sums.
-				var acc *accumulator
+				if err := carryCands(out, prevVC, aff, start, end, dSelf, dOther); err != nil {
+					return fmt.Errorf("value candidates of %w", err)
+				}
 				for e := start; e < end; e++ {
-					if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-						return ctx.Err()
-					}
-					id := kb.EntityID(e)
 					if !aff[e] {
-						prev := prevVC[dSelf.BackID(id)]
-						remapped, err := remapCands(prev, dOther)
-						if err != nil {
-							return fmt.Errorf("value candidates of entity %d: %w", e, err)
-						}
-						out[e] = remapped
 						continue
 					}
-					if acc == nil {
-						acc = newAccumulator(otherN)
-					}
+					id := kb.EntityID(e)
+					acc := accs.of(worker, otherN)
 					for _, tok := range tokens(id) {
 						bi := findBlock(tok)
 						if bi < 0 {
@@ -625,12 +624,8 @@ func UpdateValueCandidates() Stage {
 					}
 					out[e] = acc.topK(st.Params.K)
 					acc.reset()
-					vcChanged[e] = true
-					if back := dSelf.BackID(id); back >= 0 {
-						if prev, err := remapCands(prevVC[back], dOther); err == nil && sameCands(out[e], prev) {
-							vcChanged[e] = false
-						}
-					}
+					back := dSelf.BackID(id)
+					vcChanged[e] = back < 0 || !sameCandsRemapped(prevVC[back], out[e], dOther)
 				}
 				return nil
 			})
@@ -655,40 +650,79 @@ func UpdateValueCandidates() Stage {
 	})
 }
 
-// sameCands compares candidate lists exactly (IDs and float bits).
-func sameCands(a, b []Cand) bool {
-	if len(a) != len(b) {
+// sameCandsRemapped reports whether a previous epoch's candidate list,
+// translated into the opposite side's new ID space, equals a recomputed
+// one exactly (IDs and float bits). A deleted candidate makes them
+// differ.
+func sameCandsRemapped(prev, cur []Cand, dOther *kb.Diff) bool {
+	if len(prev) != len(cur) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, c := range prev {
+		if (Cand{ID: dOther.RemapID(c.ID), Sim: c.Sim}) != cur[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// remapCands translates a candidate list into the opposite side's new
-// ID space (shared unchanged when that side did not shift). A deleted
-// candidate would violate the affected-set invariant — the entity
-// sharing a block with it must have been recomputed — so it is an
-// internal error, not silently dropped.
-func remapCands(cands []Cand, dOther *kb.Diff) ([]Cand, error) {
-	if !dOther.Shifted() {
-		return cands, nil
-	}
-	if cands == nil {
-		return nil, nil
-	}
-	out := make([]Cand, len(cands))
-	for i, c := range cands {
-		nid := dOther.RemapID(c.ID)
-		if nid < 0 {
-			return nil, fmt.Errorf("reused candidate %d was deleted (affected-set invariant violated)", c.ID)
+// carryLists fills out[start:end], for the entities recomputed does not
+// flag, with their previous epoch's lists: shared as they are when the
+// IDs the lists name did not shift, otherwise translated by remap —
+// which appends one list's translation to the slab — into one backing
+// array for the whole range, each list clipped to its own elements
+// (empty lists stay nil).
+func carryLists[T any](out, prev [][]T, recomputed []bool, start, end int, dSelf *kb.Diff, shifted bool,
+	remap func(slab, list []T, e int) ([]T, error)) error {
+	total := 0
+	for e := start; e < end; e++ {
+		if recomputed[e] {
+			continue
 		}
-		out[i] = Cand{ID: nid, Sim: c.Sim}
+		list := prev[dSelf.BackID(kb.EntityID(e))]
+		if shifted {
+			total += len(list)
+		} else {
+			out[e] = list
+		}
 	}
-	return out, nil
+	if total == 0 {
+		return nil
+	}
+	slab := make([]T, 0, total)
+	for e := start; e < end; e++ {
+		if recomputed[e] {
+			continue
+		}
+		list := prev[dSelf.BackID(kb.EntityID(e))]
+		if len(list) == 0 {
+			continue
+		}
+		from := len(slab)
+		var err error
+		if slab, err = remap(slab, list, e); err != nil {
+			return err
+		}
+		out[e] = slab[from:len(slab):len(slab)]
+	}
+	return nil
+}
+
+// carryCands is carryLists for candidate lists, which name the opposite
+// side's entities. A deleted candidate would violate the affected-set
+// invariant — the entity sharing a block with it must have been
+// recomputed — so it is an internal error, not silently dropped.
+func carryCands(out, prev [][]Cand, aff []bool, start, end int, dSelf, dOther *kb.Diff) error {
+	return carryLists(out, prev, aff, start, end, dSelf, dOther.Shifted(), func(slab, list []Cand, e int) ([]Cand, error) {
+		for _, c := range list {
+			nid := dOther.RemapID(c.ID)
+			if nid < 0 {
+				return nil, fmt.Errorf("entity %d: reused candidate %d was deleted (affected-set invariant violated)", e, c.ID)
+			}
+			slab = append(slab, Cand{ID: nid, Sim: c.Sim})
+		}
+		return slab, nil
+	})
 }
 
 // UpdateNeighborCandidates rebuilds the best-neighbor view where edges
@@ -745,37 +779,17 @@ func UpdateNeighborCandidates() Stage {
 				return prevNC, nil
 			}
 			out := make([][]Cand, nSelf)
+			accs := make(workerAccumulators, workers)
 			err := parallelFor(ctx, nSelf, workers, func(worker, start, end int) error {
-				// Allocated on the chunk's first affected entity: most
-				// chunks have none and must not pay for otherN sums.
-				var acc *accumulator
+				if err := carryCands(out, prevNC, aff, start, end, dSelf, dOther); err != nil {
+					return fmt.Errorf("neighbor candidates of %w", err)
+				}
 				for e := start; e < end; e++ {
-					if (e-start)%cancelCheckStride == 0 && ctx.Err() != nil {
-						return ctx.Err()
-					}
-					id := kb.EntityID(e)
 					if !aff[e] {
-						prev := prevNC[dSelf.BackID(id)]
-						remapped, err := remapCands(prev, dOther)
-						if err != nil {
-							return fmt.Errorf("neighbor candidates of entity %d: %w", e, err)
-						}
-						out[e] = remapped
 						continue
 					}
-					if acc == nil {
-						acc = newAccumulator(otherN)
-					}
-					for _, nei := range top[e] {
-						for _, cand := range vcSelf[nei] {
-							if cand.Sim <= 0 {
-								continue
-							}
-							for _, o := range revOther[cand.ID] {
-								acc.add(int32(o), cand.Sim)
-							}
-						}
-					}
+					acc := accs.of(worker, otherN)
+					acc.addNeighborEvidence(top[e], vcSelf, revOther)
 					out[e] = acc.topK(st.Params.K)
 					acc.reset()
 				}
@@ -831,27 +845,21 @@ func updateTops(ctx context.Context, prevTop [][]kb.EntityID, old, new *kb.KB, d
 	shifted := d.Shifted()
 	err = parallelFor(ctx, nEnt, workers, func(_, start, end int) error {
 		for e := start; e < end; e++ {
-			id := kb.EntityID(e)
 			if changed[e] {
-				top[e] = new.TopNeighbors(id, n)
-				continue
+				top[e] = new.TopNeighbors(kb.EntityID(e), n)
 			}
-			prev := prevTop[d.BackID(id)]
-			if !shifted || prev == nil {
-				top[e] = prev
-				continue
-			}
-			mapped := make([]kb.EntityID, len(prev))
-			for i, t := range prev {
+		}
+		// Best-neighbor lists name their own side's entities.
+		return carryLists(top, prevTop, changed, start, end, d, shifted, func(slab, list []kb.EntityID, e int) ([]kb.EntityID, error) {
+			for _, t := range list {
 				nt := d.RemapID(t)
 				if nt < 0 {
-					return fmt.Errorf("neighbor %d of entity %d deleted but edges unflagged", t, e)
+					return nil, fmt.Errorf("neighbor %d of entity %d deleted but edges unflagged", t, e)
 				}
-				mapped[i] = nt
+				slab = append(slab, nt)
 			}
-			top[e] = mapped
-		}
-		return nil
+			return slab, nil
+		})
 	})
 	if err != nil {
 		return nil, nil, false, err

@@ -256,7 +256,7 @@ func decodePreparedBody(b *binio.Reader, kb1 *KB, cfg Config) (*pipeline.Prepare
 	}
 	return &pipeline.Prepared{
 		Blocks:    bp,
-		Neighbors: kb.FrozenFromLists(kb1.kb, n, top),
+		Neighbors: kb.FrozenFromLists(kb1.kb, n, top, nil),
 	}, nil
 }
 
