@@ -26,7 +26,6 @@ func runServe(args []string) {
 	fs := flag.NewFlagSet("minoaner serve", flag.ExitOnError)
 	mc := declareMatchFlags(fs)
 	indexPath := fs.String("index", "", "snapshot file to serve (from 'minoaner snapshot'); overrides -kb1/-kb2")
-	eager := fs.Bool("eager", false, "with -index: decode the whole snapshot at startup instead of mapping it and decoding sections on first use")
 	mutable := fs.Bool("mutable", false, "enable POST /upsert and /delete: live entity mutations with atomic epoch swaps (requires an index with retained sources)")
 	replica := fs.Bool("replica", false, "serve as a read replica: bootstrap from -primary's /snapshot and tail its /journal (conflicts with -mutable, -index, -kb1/-kb2)")
 	primary := fs.String("primary", "", "primary server base URL to replicate from (e.g. http://primary:8080); requires -replica")
@@ -80,21 +79,15 @@ func runServe(args []string) {
 			}
 		}()
 	case *indexPath != "":
+		// mmap the snapshot and decode lazily, so the server answers its
+		// first query almost immediately; the heavier delta-path
+		// structures decode on first use.
 		var err error
-		verb := "mapped"
-		if *eager {
-			ix, err = minoaner.LoadIndexFile(*indexPath)
-			verb = "loaded"
-		} else {
-			// The default: mmap the snapshot and decode lazily, so the
-			// server answers its first query almost immediately; the
-			// heavier delta-path structures decode on first use.
-			ix, err = minoaner.OpenIndexFile(*indexPath)
-		}
+		ix, err = minoaner.OpenIndexFile(*indexPath)
 		if err != nil {
 			log.Fatalf("loading %s: %v", *indexPath, err)
 		}
-		fmt.Fprintf(os.Stderr, "index %s %s in %v\n", *indexPath, verb, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "index %s mapped in %v\n", *indexPath, time.Since(start).Round(time.Millisecond))
 	default:
 		kb1, kb2 := mc.loadKBs(fs)
 		var err error

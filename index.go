@@ -429,14 +429,6 @@ func (ix *Index) QueryKB(ctx context.Context, delta *KB, opts ...ResolveOption) 
 	return e.queryFull(ctx, delta, opts...)
 }
 
-// QueryKBFast is QueryKB with the substrate guaranteed: it prepares on
-// first use (paying the one-time freeze there) and then always takes
-// the prepared path when the delta qualifies.
-func (ix *Index) QueryKBFast(ctx context.Context, delta *KB, opts ...ResolveOption) (*Result, error) {
-	ix.Prepare()
-	return ix.QueryKB(ctx, delta, opts...)
-}
-
 // QueryKBFull resolves the delta with the full plan, re-blocking the
 // entire pair. It exists for benchmarking and for equivalence checks
 // against the prepared path; QueryKB is the right entry point for
@@ -910,16 +902,6 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// LoadIndexFile reads an index snapshot from a file.
-func LoadIndexFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadIndex(f)
 }
 
 // pipelineProgress adapts the public progress callback to the pipeline

@@ -10,7 +10,9 @@
 // terminated by a single sectionID 0. Readers skip sections whose ID
 // they do not recognize (forward compatibility within a format
 // version); any payload whose checksum does not match is rejected
-// before a single byte of it is decoded.
+// before a single byte of it is decoded. Writers stream onto an
+// io.Writer; decoding always runs over an in-memory image (a file read
+// whole, a memory mapping, a section payload) through Map and Reader.
 package binio
 
 import (
@@ -26,12 +28,6 @@ import (
 
 // EndSection is the section ID that terminates a section stream.
 const EndSection = 0
-
-// maxSectionBytes bounds a single section payload; a longer length
-// prefix marks corruption (or an absurd file) and is rejected outright.
-// Within the bound, payloads are read incrementally (readN), so a
-// damaged length never provokes one huge up-front allocation.
-const maxSectionBytes = 1 << 32
 
 // maxStringBytes bounds a single string; longer length prefixes mark
 // corruption.
@@ -110,14 +106,6 @@ func (w *Writer) Raw(p []byte) {
 	_, w.err = w.w.Write(p)
 }
 
-// Blob writes a length-prefixed byte slice — the container primitive
-// for embedding one format inside another (e.g. a KB image inside an
-// index snapshot).
-func (w *Writer) Blob(p []byte) {
-	w.Uvarint(uint64(len(p)))
-	w.Raw(p)
-}
-
 // Embed streams a nested format directly into the stream via its
 // io.Writer-based encoder, avoiding an intermediate buffer. Inside a
 // Section the section framing already delimits the payload, so no
@@ -158,75 +146,25 @@ func (w *Writer) Section(id uint64, fn func(*Writer)) {
 // End terminates the section stream.
 func (w *Writer) End() { w.Uvarint(EndSection) }
 
-// Reader decodes primitives from an io.Reader with a sticky error.
-// After any failure, subsequent reads return zero values; callers check
-// Err once.
-//
-// A Reader constructed with NewBytesReader runs in data mode: reads are
-// bounds checks plus position bumps over the backing slice, and bulk
-// reads (readN, Blob, section payloads) return subslices of it instead
-// of copying. Strings still copy (Str builds a Go string), so decoded
-// structures never alias the backing slice through a string.
+// Reader is a cursor over an in-memory image that decodes primitives
+// with a sticky error: after any failure, subsequent reads return zero
+// values; callers check Err once. Reads are bounds checks plus position
+// bumps, and bulk reads (section payloads, Frame) return subslices of
+// the backing slice instead of copying. Strings still copy (Str builds
+// a Go string), so decoded structures never alias the backing slice
+// through a string.
 type Reader struct {
-	r    io.ByteReader
-	in   io.Reader
-	data []byte // data mode: backing slice (nil in stream mode)
-	pos  int    // data mode: read position within data
+	data []byte
+	pos  int
 	err  error
 }
 
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	type byteReader interface {
-		io.Reader
-		io.ByteReader
-	}
-	br, ok := r.(byteReader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	return &Reader{r: br, in: br}
-}
-
-// NewBytesReader returns a data-mode Reader over data: bulk reads
-// return subslices of data rather than copies, so they are valid only
-// as long as data is (in particular, until a backing mapping is
-// unmapped). All other semantics match NewReader over a bytes.Reader.
+// NewBytesReader returns a Reader over data. Bulk reads return
+// subslices of data, so they are valid only as long as data is (in
+// particular, until a backing mapping is unmapped).
 func NewBytesReader(data []byte) *Reader {
-	r := &Reader{data: data}
-	s := &sliceStream{r: r}
-	r.r, r.in = s, s
-	return r
+	return &Reader{data: data}
 }
-
-// sliceStream adapts a data-mode Reader's backing slice to the
-// io.Reader/io.ByteReader/Len surface the stream-mode code paths
-// expect, sharing the Reader's position so nested stream decoders
-// (Embedded) advance the parent.
-type sliceStream struct{ r *Reader }
-
-func (s *sliceStream) Read(p []byte) (int, error) {
-	d := s.r
-	if d.pos >= len(d.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, d.data[d.pos:])
-	d.pos += n
-	return n, nil
-}
-
-func (s *sliceStream) ReadByte() (byte, error) {
-	d := s.r
-	if d.pos >= len(d.data) {
-		return 0, io.EOF
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b, nil
-}
-
-// Len reports the unread byte count (makes More precise in data mode).
-func (s *sliceStream) Len() int { return len(s.r.data) - s.r.pos }
 
 // Err returns the latched error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -243,19 +181,12 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if r.data != nil {
-		v, k := binary.Uvarint(r.data[r.pos:])
-		if k <= 0 {
-			r.Fail("truncated or overlong varint")
-			return 0
-		}
-		r.pos += k
-		return v
+	v, k := binary.Uvarint(r.data[r.pos:])
+	if k <= 0 {
+		r.Fail("truncated or overlong varint")
+		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	r.pos += k
 	return v
 }
 
@@ -296,35 +227,21 @@ func (r *Reader) Str() string {
 	return string(r.readN(n))
 }
 
-// readN reads exactly n bytes. In data mode it returns a capacity-
-// clipped subslice of the backing slice (zero copy; a damaged length
-// prefix is caught by a bounds check before any int conversion). In
-// stream mode the buffer grows with the bytes actually arriving
-// (io.CopyN over a growing buffer) rather than being allocated up
-// front, so a corrupt length prefix on a short stream fails with
-// ErrCorrupt and modest memory instead of attempting one huge
-// allocation — and values beyond the platform's int cannot overflow a
-// make call.
+// readN reads exactly n bytes as a capacity-clipped subslice of the
+// backing slice. A damaged length prefix is caught by the bounds check
+// before any int conversion, so it never provokes an allocation.
 func (r *Reader) readN(n uint64) []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	if r.data != nil {
-		if n > uint64(len(r.data)-r.pos) {
-			r.Fail("truncated: %d bytes wanted, %d remain", n, len(r.data)-r.pos)
-			return nil
-		}
-		end := r.pos + int(n)
-		p := r.data[r.pos:end:end]
-		r.pos = end
-		return p
-	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r.in, int64(n)); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if n > uint64(r.Len()) {
+		r.Fail("truncated: %d bytes wanted, %d remain", n, r.Len())
 		return nil
 	}
-	return buf.Bytes()
+	end := r.pos + int(n)
+	p := r.data[r.pos:end:end]
+	r.pos = end
+	return p
 }
 
 // Float reads a float64 written by Writer.Float.
@@ -332,96 +249,33 @@ func (r *Reader) Float() float64 {
 	return math.Float64frombits(r.Uvarint())
 }
 
-// Skip advances past n raw bytes without materializing them — a
-// position bump in data mode, a discard copy in stream mode.
-func (r *Reader) Skip(n uint64) {
-	if r.err != nil || n == 0 {
-		return
-	}
-	if r.data != nil {
-		if n > uint64(len(r.data)-r.pos) {
-			r.Fail("truncated: %d bytes to skip, %d remain", n, len(r.data)-r.pos)
-			return
-		}
-		r.pos += int(n)
-		return
-	}
-	if _, err := io.CopyN(io.Discard, r.in, int64(n)); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-}
-
 // SkipStr skips one length-prefixed string without building it —
 // the allocation-free counterpart of Str for lazy scans.
 func (r *Reader) SkipStr() {
 	n := r.Uvarint()
-	if r.err != nil {
-		return
-	}
-	if n > maxStringBytes {
+	if r.err == nil && n > maxStringBytes {
 		r.Fail("absurd string length %d", n)
-		return
 	}
-	r.Skip(n)
+	r.readN(n)
 }
 
-// ReadFull fills buf with raw bytes (the counterpart of Writer.Raw).
-func (r *Reader) ReadFull(buf []byte) {
-	if r.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(r.in, buf); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-}
+// Len reports the number of unread bytes.
+func (r *Reader) Len() int { return len(r.data) - r.pos }
 
-// Blob reads a length-prefixed byte slice written by Writer.Blob.
-func (r *Reader) Blob() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxSectionBytes {
-		r.Fail("absurd blob length %d", n)
-		return nil
-	}
-	return r.readN(n)
-}
-
-// Embedded returns the reader's remaining stream for a nested decoder
-// to consume directly (the counterpart of Writer.Embed). The nested
-// decoder advances this reader; interleave with primitive reads only
-// after it finishes.
-func (r *Reader) Embedded() io.Reader {
-	return r.in
-}
-
-// More reports whether unread bytes remain. It is precise for
-// in-memory readers — in particular the section bodies Sections()
-// returns, where it distinguishes "older payload that ends here" from
-// "payload with trailing fields" for backward-compatible section
-// extensions. On streaming readers it conservatively reports false.
-func (r *Reader) More() bool {
-	if r.err != nil {
-		return false
-	}
-	type lener interface{ Len() int }
-	if l, ok := r.in.(lener); ok {
-		return l.Len() > 0
-	}
-	return false
-}
+// More reports whether unread bytes remain. It distinguishes "older
+// payload that ends here" from "payload with trailing fields" for
+// backward-compatible section extensions.
+func (r *Reader) More() bool { return r.err == nil && r.Len() > 0 }
 
 // Magic consumes a 4-byte magic number and fails unless it matches.
 func (r *Reader) Magic(want [4]byte) {
-	var got [4]byte
-	r.ReadFull(got[:])
+	got := r.readN(4)
 	if r.err != nil {
-		r.err = fmt.Errorf("%w: missing magic: %v", ErrCorrupt, r.err)
+		r.err = fmt.Errorf("missing magic: %w", r.err)
 		return
 	}
-	if got != want {
-		r.Fail("bad magic %q (want %q)", got[:], want[:])
+	if [4]byte(got) != want {
+		r.Fail("bad magic %q (want %q)", got, want[:])
 	}
 }
 
@@ -442,62 +296,24 @@ func (r *Reader) Version(accepted ...uint64) uint64 {
 	return 0
 }
 
-// Sections drains the whole section stream into a map keyed by section
-// ID, verifying each checksum and rejecting duplicate IDs. Callers look
-// up the sections they know and ignore the rest (forward
-// compatibility). On any failure the reader's error is latched and nil
-// is returned.
-func (r *Reader) Sections() map[uint64]*Reader {
-	bodies := make(map[uint64]*Reader)
-	for {
-		id, body := r.Section()
-		if id == EndSection {
+// Frame consumes one nested section stream (magic | version | sections
+// | end marker) at the cursor and returns its bytes — the read-side
+// counterpart of Writer.Embed. Only the framing is walked; magic,
+// version and checksums are left to the decoder the bytes are handed to.
+func (r *Reader) Frame() []byte {
+	start := r.pos
+	r.readN(4)
+	r.Uvarint()
+	for r.err == nil {
+		id := r.Uvarint()
+		if r.err != nil || id == EndSection {
 			break
 		}
-		if _, dup := bodies[id]; dup {
-			r.Fail("duplicate section %d", id)
-			return nil
-		}
-		bodies[id] = body
+		r.readN(r.Uvarint())
+		r.readN(4)
 	}
 	if r.err != nil {
 		return nil
 	}
-	return bodies
-}
-
-// Section reads the next section header and its full payload, verifies
-// the checksum, and returns the section ID with a sub-Reader over the
-// payload. It returns (EndSection, nil) at the end marker. Unknown IDs
-// are the caller's to skip — the payload is already consumed, so
-// skipping costs nothing.
-func (r *Reader) Section() (uint64, *Reader) {
-	id := r.Uvarint()
-	if r.err != nil || id == EndSection {
-		return EndSection, nil
-	}
-	n := r.Uvarint()
-	if r.err != nil {
-		return EndSection, nil
-	}
-	if n > maxSectionBytes {
-		r.Fail("absurd section length %d", n)
-		return EndSection, nil
-	}
-	payload := r.readN(n)
-	if r.err != nil {
-		r.err = fmt.Errorf("section %d truncated: %w", id, r.err)
-		return EndSection, nil
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r.in, sum[:]); err != nil {
-		r.err = fmt.Errorf("%w: section %d checksum truncated: %v", ErrCorrupt, id, err)
-		return EndSection, nil
-	}
-	want := binary.LittleEndian.Uint32(sum[:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		r.err = fmt.Errorf("%w: section %d checksum mismatch (got %08x, want %08x)", ErrCorrupt, id, got, want)
-		return EndSection, nil
-	}
-	return id, NewBytesReader(payload)
+	return r.data[start:r.pos:r.pos]
 }

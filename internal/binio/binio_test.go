@@ -24,7 +24,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
+	r := NewBytesReader(buf.Bytes())
 	if got := r.Uvarint(); got != 0 {
 		t.Errorf("uvarint = %d", got)
 	}
@@ -54,74 +54,70 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSectionsRoundTrip(t *testing.T) {
+// sectionImage frames the sections fn writes as a complete image
+// (magic, version, sections, end marker).
+func sectionImage(t *testing.T, fn func(w *Writer)) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Section(1, func(sw *Writer) { sw.Str("first") })
-	w.Section(7, func(sw *Writer) { sw.Int(123); sw.Str("second") })
+	w.Raw(mapMagic[:])
+	w.Uvarint(3)
+	fn(w)
 	w.End()
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	r := NewReader(&buf)
-	id, body := r.Section()
-	if id != 1 || body.Str() != "first" || body.Err() != nil {
-		t.Fatalf("section 1 wrong: id=%d", id)
-	}
-	id, body = r.Section()
-	if id != 7 || body.Int() != 123 || body.Str() != "second" {
-		t.Fatalf("section 7 wrong: id=%d", id)
-	}
-	if id, _ := r.Section(); id != EndSection {
-		t.Fatalf("expected end marker, got %d", id)
-	}
-	if err := r.Err(); err != nil {
+func TestSectionsRoundTrip(t *testing.T) {
+	data := sectionImage(t, func(w *Writer) {
+		w.Section(1, func(sw *Writer) { sw.Str("first") })
+		w.Section(7, func(sw *Writer) { sw.Int(123); sw.Str("second") })
+	})
+	m, err := BytesMap(data, mapMagic, 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if ids := m.SectionIDs(); len(ids) != 2 || ids[0] != 1 || ids[1] != 7 {
+		t.Fatalf("section IDs = %v", ids)
+	}
+	body, err := m.Reader(1)
+	if err != nil || body.Str() != "first" || body.Err() != nil {
+		t.Fatalf("section 1 wrong: %v", err)
+	}
+	body, err = m.Reader(7)
+	if err != nil || body.Int() != 123 || body.Str() != "second" || body.More() {
+		t.Fatalf("section 7 wrong: %v", err)
 	}
 }
 
 func TestSectionChecksumDetectsFlips(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Section(3, func(sw *Writer) { sw.Str(strings.Repeat("payload ", 32)) })
-	w.End()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := sectionImage(t, func(w *Writer) {
+		w.Section(3, func(sw *Writer) { sw.Str(strings.Repeat("payload ", 32)) })
+	})
 	// Flip one payload byte well inside the section.
 	for _, off := range []int{len(data) / 2, len(data) - 6} {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
-		r := NewReader(bytes.NewReader(mut))
-		for {
-			id, _ := r.Section()
-			if id == EndSection {
-				break
-			}
+		m, err := BytesMap(mut, mapMagic, 3)
+		if err == nil {
+			_, err = m.Section(3)
 		}
-		if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("flip at %d: error = %v, want ErrCorrupt", off, err)
 		}
 	}
 }
 
 func TestSectionTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Section(2, func(sw *Writer) { sw.Str("some payload content") })
-	w.End()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := sectionImage(t, func(w *Writer) {
+		w.Section(2, func(sw *Writer) { sw.Str("some payload content") })
+	})
 	for cut := 1; cut < len(data)-1; cut += 3 {
-		r := NewReader(bytes.NewReader(data[:cut]))
-		id, _ := r.Section()
-		if id != EndSection && r.Err() == nil {
+		if _, err := BytesMap(data[:cut], mapMagic, 3); err == nil {
 			// Section decoded fully despite truncation: must be impossible.
-			t.Fatalf("cut at %d: section %d decoded from truncated stream", cut, id)
+			t.Fatalf("cut at %d: truncated image accepted", cut)
 		}
 	}
 }
@@ -136,7 +132,7 @@ func TestSectionRejectsReservedID(t *testing.T) {
 }
 
 func TestReaderSticksOnFirstError(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
+	r := NewBytesReader(nil)
 	_ = r.Uvarint()
 	first := r.Err()
 	if first == nil {
@@ -155,7 +151,7 @@ func TestBoolRejectsOther(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
+	r := NewBytesReader(buf.Bytes())
 	_ = r.Bool()
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Error("bool 2 accepted")

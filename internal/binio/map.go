@@ -18,8 +18,7 @@ import (
 //
 //   - Section verifies the recorded CRC32 on the first access to that
 //     section (exactly once, concurrency-safe) and fails with
-//     ErrCorrupt on mismatch — the lazy counterpart of
-//     Reader.Section's eager check.
+//     ErrCorrupt on mismatch.
 //   - Raw skips the outer checksum; it is for payloads that embed a
 //     self-checksummed format (a nested section stream carrying its
 //     own per-section CRCs), where re-hashing the whole payload would
@@ -93,14 +92,8 @@ func newMap(data []byte, unmap func([]byte) error, magic [4]byte, accepted ...ui
 		if dec.Err() != nil || id == EndSection {
 			break
 		}
-		n := dec.Uvarint()
-		if n > maxSectionBytes {
-			dec.Fail("absurd section %d length %d", id, n)
-			break
-		}
-		payload := dec.readN(n)
-		var sum [4]byte
-		dec.ReadFull(sum[:])
+		payload := dec.readN(dec.Uvarint())
+		sum := dec.readN(4)
 		if dec.Err() != nil {
 			return nil, fmt.Errorf("%w: section %d truncated: %v", ErrCorrupt, id, dec.Err())
 		}
@@ -108,16 +101,37 @@ func newMap(data []byte, unmap func([]byte) error, magic [4]byte, accepted ...ui
 			dec.Fail("duplicate section %d", id)
 			break
 		}
-		m.secs[id] = &mapSection{payload: payload, crc: binary.LittleEndian.Uint32(sum[:])}
+		m.secs[id] = &mapSection{payload: payload, crc: binary.LittleEndian.Uint32(sum)}
 		m.order = append(m.order, id)
 	}
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
 	if dec.More() {
-		return nil, fmt.Errorf("%w: %d trailing bytes after end marker", ErrCorrupt, len(data)-dec.pos)
+		return nil, fmt.Errorf("%w: %d trailing bytes after end marker", ErrCorrupt, dec.Len())
 	}
 	return m, nil
+}
+
+// VerifyInventory reads the optional section inventory that trails a
+// format's header section — a count, then that many section IDs — from
+// r and fails unless every inventoried section is in the directory. A
+// corrupted section ID would otherwise demote its section to "unknown,
+// skipped". Images from before the inventory end where it would start.
+func (m *Map) VerifyInventory(r *Reader) error {
+	if !r.More() {
+		return r.Err()
+	}
+	n := r.Int()
+	if r.Err() == nil && n > 64 {
+		r.Fail("absurd inventory size %d", n)
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if id := r.Uvarint(); r.Err() == nil && !m.Has(id) {
+			r.Fail("inventoried section %d missing", id)
+		}
+	}
+	return r.Err()
 }
 
 // Version returns the format version read from the header.
@@ -171,7 +185,7 @@ func (m *Map) Raw(id uint64) ([]byte, bool) {
 	return s.payload, true
 }
 
-// Reader returns a data-mode Reader over the (checksum-verified)
+// Reader returns a Reader over the (checksum-verified)
 // payload of the section with the given ID.
 func (m *Map) Reader(id uint64) (*Reader, error) {
 	payload, err := m.Section(id)

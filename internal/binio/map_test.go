@@ -3,6 +3,7 @@ package binio
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,7 +21,7 @@ func buildMapImage(t *testing.T) []byte {
 	w.Uvarint(3)
 	w.Section(1, func(sw *Writer) { sw.Str("alpha") })
 	w.Section(2, func(sw *Writer) { sw.Int(42); sw.Str("beta") })
-	w.Section(9, func(sw *Writer) { sw.Blob([]byte{1, 2, 3, 4}) })
+	w.Section(9, func(sw *Writer) { sw.Raw([]byte{1, 2, 3, 4}) })
 	w.End()
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -175,58 +176,64 @@ func TestOpenMapFile(t *testing.T) {
 	}
 }
 
-// TestBytesReaderMatchesStreamReader drives the same encoded stream
-// through the io.Reader-backed and slice-backed decoders, including
-// the skip helpers, and demands identical values and error states.
-func TestBytesReaderMatchesStreamReader(t *testing.T) {
+// TestBytesReaderSkipAndTruncation drives the cursor through values,
+// the skip helper and a nested frame, then demands that truncation
+// surfaces as the sticky error.
+func TestBytesReaderSkipAndTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Uvarint(77)
 	w.Str("skipped")
 	w.Str("kept")
-	w.Blob([]byte{9, 8, 7})
+	w.Embed(func(out io.Writer) error {
+		nested := NewWriter(out)
+		nested.Raw(mapMagic[:])
+		nested.Uvarint(3)
+		nested.Section(4, func(sw *Writer) { sw.Str("inner") })
+		nested.End()
+		return nested.Flush()
+	})
 	w.Float(2.5)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 
-	stream := NewReader(bytes.NewReader(data))
-	sliced := NewBytesReader(data)
-	for name, r := range map[string]*Reader{"stream": stream, "data": sliced} {
-		if got := r.Uvarint(); got != 77 {
-			t.Errorf("%s: uvarint = %d", name, got)
-		}
-		r.SkipStr()
-		if got := r.Str(); got != "kept" {
-			t.Errorf("%s: str = %q", name, got)
-		}
-		if got := r.Blob(); !bytes.Equal(got, []byte{9, 8, 7}) {
-			t.Errorf("%s: blob = %v", name, got)
-		}
-		if got := r.Float(); got != 2.5 {
-			t.Errorf("%s: float = %v", name, got)
-		}
-		if r.More() {
-			t.Errorf("%s: More() after end", name)
-		}
-		if err := r.Err(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+	r := NewBytesReader(data)
+	if got := r.Uvarint(); got != 77 {
+		t.Errorf("uvarint = %d", got)
+	}
+	r.SkipStr()
+	if got := r.Str(); got != "kept" {
+		t.Errorf("str = %q", got)
+	}
+	frame := r.Frame()
+	m, err := BytesMap(frame, mapMagic, 3)
+	if err != nil {
+		t.Fatalf("frame does not parse on its own: %v", err)
+	}
+	if b, err := m.Reader(4); err != nil || b.Str() != "inner" {
+		t.Errorf("nested section 4 wrong: %v", err)
+	}
+	if got := r.Float(); got != 2.5 {
+		t.Errorf("float after frame = %v", got)
+	}
+	if r.More() {
+		t.Error("More() after end")
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Truncation surfaces as the sticky error in both modes.
-	for name, r := range map[string]*Reader{
-		"stream": NewReader(bytes.NewReader(data[:len(data)-3])),
-		"data":   NewBytesReader(data[:len(data)-3]),
-	} {
+	for cut := 0; cut < len(data); cut++ {
+		r := NewBytesReader(data[:cut])
 		r.Uvarint()
 		r.SkipStr()
 		r.Str()
-		r.Blob()
+		r.Frame()
 		r.Float()
-		if err := r.Err(); err == nil {
-			t.Errorf("%s: truncated stream decoded cleanly", name)
+		if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cut %d: error = %v, want ErrCorrupt", cut, err)
 		}
 	}
 }

@@ -41,7 +41,7 @@ const collectionVersion = 1
 
 // Section IDs of the collection frame.
 //
-//minoaner:sections writer=WriteBinary reader=readCollection
+//minoaner:sections writer=WriteBinary reader=ReadBinaryData
 const (
 	secCollHeader = 1
 	secCollBlocks = 2
@@ -79,31 +79,18 @@ func (c *Collection) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a collection written by WriteBinary,
-// verifying the per-section checksums and that every member ID is in
-// range for the recorded KB sizes.
-func ReadBinary(r io.Reader) (*Collection, error) {
-	return readCollection(binio.NewReader(r))
-}
-
-// ReadBinaryData deserializes a collection from an in-memory image
-// (typically a mapped snapshot section) through the data-mode reader,
-// which slices instead of copying payload bytes.
+// ReadBinaryData deserializes a collection image written by
+// WriteBinary (typically a mapped snapshot section), verifying the
+// per-section checksums and that every member ID is in range for the
+// recorded KB sizes.
 func ReadBinaryData(data []byte) (*Collection, error) {
-	return readCollection(binio.NewBytesReader(data))
-}
-
-func readCollection(dec *binio.Reader) (*Collection, error) {
-	dec.Magic(collectionMagic)
-	dec.Version(collectionVersion)
-	bodies := dec.Sections()
-	if err := dec.Err(); err != nil {
+	m, err := binio.BytesMap(data, collectionMagic, collectionVersion)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
-
-	header, ok := bodies[secCollHeader]
-	if !ok {
-		return nil, fmt.Errorf("%w: missing header section", errCorrupt)
+	header, err := m.Reader(secCollHeader)
+	if err != nil {
+		return nil, fmt.Errorf("%w: header: %v", errCorrupt, err)
 	}
 	n1 := header.Int()
 	n2 := header.Int()
@@ -116,9 +103,9 @@ func readCollection(dec *binio.Reader) (*Collection, error) {
 	}
 	c := NewCollection(n1, n2)
 
-	blocks, ok := bodies[secCollBlocks]
-	if !ok {
-		return nil, fmt.Errorf("%w: missing blocks section", errCorrupt)
+	blocks, err := m.Reader(secCollBlocks)
+	if err != nil {
+		return nil, fmt.Errorf("%w: blocks: %v", errCorrupt, err)
 	}
 	c.Blocks = make([]Block, 0, min(nBlocks, 1<<20))
 	readSide := func(limit int) []kb.EntityID {
@@ -160,7 +147,7 @@ const preparedVersion = 1
 
 // Section IDs of the prepared-substrate frame.
 //
-//minoaner:sections writer=WriteBinary reader=readPreparedFrom
+//minoaner:sections writer=WriteBinary reader=ReadPreparedData
 const (
 	secPrepHeader = 1
 	secPrepTokens = 2
@@ -202,30 +189,17 @@ func (p *Prepared) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadPrepared deserializes a substrate written by
+// ReadPreparedData deserializes a substrate image written by
 // Prepared.WriteBinary, verifying the per-section checksums and that
 // every member list is ascending and in range for the recorded KB size.
-func ReadPrepared(r io.Reader) (*Prepared, error) {
-	return readPreparedFrom(binio.NewReader(r))
-}
-
-// ReadPreparedData deserializes a prepared substrate from an in-memory
-// image through the data-mode reader.
 func ReadPreparedData(data []byte) (*Prepared, error) {
-	return readPreparedFrom(binio.NewBytesReader(data))
-}
-
-func readPreparedFrom(dec *binio.Reader) (*Prepared, error) {
-	dec.Magic(preparedMagic)
-	dec.Version(preparedVersion)
-	bodies := dec.Sections()
-	if err := dec.Err(); err != nil {
+	m, err := binio.BytesMap(data, preparedMagic, preparedVersion)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorruptPrepared, err)
 	}
-
-	header, ok := bodies[secPrepHeader]
-	if !ok {
-		return nil, fmt.Errorf("%w: missing header section", errCorruptPrepared)
+	header, err := m.Reader(secPrepHeader)
+	if err != nil {
+		return nil, fmt.Errorf("%w: header: %v", errCorruptPrepared, err)
 	}
 	p := &Prepared{}
 	p.n1 = header.Int()
@@ -240,15 +214,15 @@ func readPreparedFrom(dec *binio.Reader) (*Prepared, error) {
 	}
 
 	readSide := func(id uint64, name string, nKeys int) (map[string][]kb.EntityID, error) {
-		body, ok := bodies[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing %s section", errCorruptPrepared, name)
+		body, err := m.Reader(id)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", errCorruptPrepared, name, err)
 		}
 		// Preallocations are capped: the counts come from the (checksummed
 		// but still possibly hostile) header, so a crafted file must fail
 		// with ErrCorrupt when its payload runs out, not pre-commit huge
 		// allocations.
-		m := make(map[string][]kb.EntityID, min(nKeys, 1<<20))
+		postings := make(map[string][]kb.EntityID, min(nKeys, 1<<20))
 		for i := 0; i < nKeys && body.Err() == nil; i++ {
 			key := body.Str()
 			n := body.Int()
@@ -270,14 +244,13 @@ func readPreparedFrom(dec *binio.Reader) (*Prepared, error) {
 				prev = int64(id)
 				members = append(members, kb.EntityID(id))
 			}
-			m[key] = members
+			postings[key] = members
 		}
 		if err := body.Err(); err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", errCorruptPrepared, name, err)
 		}
-		return m, nil
+		return postings, nil
 	}
-	var err error
 	if p.tokens, err = readSide(secPrepTokens, "tokens", nTokens); err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func collectionRoundTrip(t *testing.T, c *Collection) *Collection {
 	if err := c.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadBinaryData(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCollectionBinaryBitIdentityBenchmarks(t *testing.T) {
 				if err := c.WriteBinary(&first); err != nil {
 					t.Fatal(err)
 				}
-				back, err := ReadBinary(bytes.NewReader(first.Bytes()))
+				back, err := ReadBinaryData(first.Bytes())
 				if err != nil {
 					t.Fatalf("%s blocks: %v", name, err)
 				}
@@ -104,14 +104,14 @@ func TestCollectionBinaryRejectsCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[0] = 'X'
-		if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+		if _, err := ReadBinaryData(mut); err == nil {
 			t.Error("bad magic accepted")
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[4] = 42
-		if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+		if _, err := ReadBinaryData(mut); err == nil {
 			t.Error("bad version accepted")
 		}
 	})
@@ -119,14 +119,14 @@ func TestCollectionBinaryRejectsCorruption(t *testing.T) {
 		for off := 5; off < len(data); off++ {
 			mut := append([]byte(nil), data...)
 			mut[off] ^= 0x04
-			if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+			if _, err := ReadBinaryData(mut); err == nil {
 				t.Errorf("bit flip at %d accepted", off)
 			}
 		}
 	})
 	t.Run("truncation", func(t *testing.T) {
 		for cut := 0; cut < len(data); cut++ {
-			if _, err := ReadBinary(bytes.NewReader(data[:cut])); err == nil {
+			if _, err := ReadBinaryData(data[:cut]); err == nil {
 				t.Errorf("truncation at %d accepted", cut)
 			}
 		}
@@ -157,7 +157,7 @@ func TestCollectionBinaryRejectsOutOfRange(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadBinary(&buf); !errors.Is(err, errCorrupt) {
+	if _, err := ReadBinaryData(buf.Bytes()); !errors.Is(err, errCorrupt) {
 		t.Errorf("out-of-range member: err = %v", err)
 	}
 }

@@ -133,7 +133,7 @@ func TestPreparedBinaryRoundTrip(t *testing.T) {
 	if err := p.WriteBinary(&first); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPrepared(bytes.NewReader(first.Bytes()))
+	back, err := ReadPreparedData(first.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestPreparedBinaryRoundTrip(t *testing.T) {
 	for off := 5; off < len(data); off += len(data)/41 + 1 {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x20
-		if _, err := ReadPrepared(bytes.NewReader(mut)); err == nil {
+		if _, err := ReadPreparedData(mut); err == nil {
 			t.Errorf("bit flip at offset %d accepted", off)
 		}
 	}
 	for _, cut := range []int{0, 3, len(data) / 2, len(data) - 1} {
-		if _, err := ReadPrepared(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadPreparedData(data[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}

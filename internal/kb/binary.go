@@ -45,7 +45,7 @@ const (
 
 // Section IDs of the version-2 frame.
 //
-//minoaner:sections writer=WriteBinary reader=readSections
+//minoaner:sections writer=WriteBinary reader=OpenBinary,decodeRest,decodeSources
 const (
 	secHeader   = 1
 	secPreds    = 2
@@ -171,24 +171,38 @@ func (kb *KB) writeEntities(e *binio.Writer) {
 	}
 }
 
-// ReadBinary deserializes a KB written by WriteBinary. It accepts
-// format versions 1 and 2; version 2 additionally verifies the
-// per-section checksums before decoding.
-func ReadBinary(r io.Reader) (*KB, error) {
-	dec := binio.NewReader(r)
-	dec.Magic(binaryMagic)
-	v := dec.Version(binaryVersionV1, binaryVersion)
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	kb := newEmptyKB()
-	if v == binaryVersionV1 {
-		kb.readHeader(dec)
-		kb.readPreds(dec)
-		kb.readStats(dec)
-		kb.readEntities(dec)
-	} else if err := kb.readSections(dec); err != nil {
+// ReadBinary decodes a binary KB image written by WriteBinary in full.
+// Version-2 images go through OpenBinary's tiers, each verifying its
+// section checksums before decoding; version-1 images through readV1.
+// The result references nothing in data.
+func ReadBinary(data []byte) (*KB, error) {
+	kb, err := OpenBinary(data)
+	if err != nil {
 		return nil, err
+	}
+	if err := kb.Detach(); err != nil {
+		return nil, err
+	}
+	return kb, nil
+}
+
+// readV1 decodes a version-1 image: the header, predicate, stats and
+// entities streams back to back, without section framing or checksums.
+// The entities stream runs to the end of the image and decodes through
+// the same two passes as a version-2 entities section.
+func readV1(data []byte) (*KB, error) {
+	dec := binio.NewBytesReader(data)
+	dec.Magic(binaryMagic)
+	dec.Version(binaryVersionV1)
+	kb := newEmptyKB()
+	kb.readHeader(dec)
+	kb.readPreds(dec)
+	kb.readStats(dec)
+	ents := binio.NewBytesReader(data[len(data)-dec.Len():])
+	kb.scanURIs(dec)
+	if dec.Err() == nil {
+		kb.fillEntities(ents)
+		dec = ents
 	}
 	if err := dec.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
@@ -207,61 +221,6 @@ func newEmptyKB() *KB {
 		typeSet:   make(map[string]struct{}),
 		vocabSet:  make(map[string]struct{}),
 	}
-}
-
-// readSections decodes the version-2 section stream. Sections are
-// checksummed and held in memory by binio, so they can be decoded in
-// dependency order (entities validate against the predicate dictionary)
-// regardless of their order on the wire; unknown IDs are skipped.
-func (kb *KB) readSections(dec *binio.Reader) error {
-	bodies := dec.Sections()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	for _, id := range []uint64{secHeader, secPreds, secStats, secEntities} {
-		body, ok := bodies[id]
-		if !ok {
-			return fmt.Errorf("%w: missing section %d", errCorrupt, id)
-		}
-		switch id {
-		case secHeader:
-			kb.readHeader(body)
-		case secPreds:
-			kb.readPreds(body)
-		case secStats:
-			kb.readStats(body)
-		case secEntities:
-			kb.readEntities(body)
-		}
-		if err := body.Err(); err != nil {
-			return fmt.Errorf("%w: section %d: %v", errCorrupt, id, err)
-		}
-	}
-	if body, ok := bodies[secSources]; ok {
-		kb.readSources(body)
-		if err := body.Err(); err != nil {
-			return fmt.Errorf("%w: sources: %v", errCorrupt, err)
-		}
-	}
-	// Verify the header's section inventory when present (files from
-	// before the inventory end after the triple count).
-	header := bodies[secHeader]
-	if header.More() {
-		n := header.Int()
-		if header.Err() == nil && n > 64 {
-			header.Fail("absurd inventory size %d", n)
-		}
-		for i := 0; i < n && header.Err() == nil; i++ {
-			id := header.Uvarint()
-			if _, ok := bodies[id]; !ok && header.Err() == nil {
-				header.Fail("inventoried section %d missing", id)
-			}
-		}
-		if err := header.Err(); err != nil {
-			return fmt.Errorf("%w: header inventory: %v", errCorrupt, err)
-		}
-	}
-	return nil
 }
 
 func (kb *KB) readSources(dec *binio.Reader) {
@@ -352,51 +311,6 @@ func (kb *KB) readStats(dec *binio.Reader) {
 	}
 	readSide(kb.attrStats)
 	readSide(kb.relStats)
-}
-
-func (kb *KB) readEntities(dec *binio.Reader) {
-	nEnt := dec.Uvarint()
-	if dec.Err() == nil && nEnt > 1<<31 {
-		dec.Fail("absurd entity count %d", nEnt)
-		return
-	}
-	kb.entities = make([]Entity, 0, min64(nEnt, 1<<20))
-	for i := uint64(0); i < nEnt && dec.Err() == nil; i++ {
-		var e Entity
-		e.URI = dec.Str()
-		nAttrs := dec.Uvarint()
-		for a := uint64(0); a < nAttrs && dec.Err() == nil; a++ {
-			pred := int32(dec.Uvarint())
-			val := dec.Str()
-			if pred < 0 || int(pred) >= len(kb.preds) {
-				dec.Fail("attribute predicate out of range")
-				break
-			}
-			e.Attrs = append(e.Attrs, AttrValue{Pred: pred, Value: val})
-		}
-		nOut := dec.Uvarint()
-		for o := uint64(0); o < nOut && dec.Err() == nil; o++ {
-			pred := int32(dec.Uvarint())
-			tgt := EntityID(dec.Uvarint())
-			if pred < 0 || int(pred) >= len(kb.preds) || uint64(tgt) >= nEnt {
-				dec.Fail("edge out of range")
-				break
-			}
-			e.Out = append(e.Out, Edge{Pred: pred, Target: tgt})
-		}
-		nTypes := dec.Uvarint()
-		for x := uint64(0); x < nTypes && dec.Err() == nil; x++ {
-			typ := dec.Str()
-			e.Types = append(e.Types, typ)
-			kb.typeSet[typ] = struct{}{}
-		}
-		nTokens := dec.Uvarint()
-		for x := uint64(0); x < nTokens && dec.Err() == nil; x++ {
-			e.Tokens = append(e.Tokens, dec.Str())
-		}
-		kb.uriIndex[e.URI] = EntityID(len(kb.entities))
-		kb.entities = append(kb.entities, e)
-	}
 }
 
 // rebuildDerived reconstructs in-edges, token EF counts, and the vocab

@@ -16,7 +16,7 @@ func roundTrip(t *testing.T, kb *KB) *KB {
 	if err := kb.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadBinary(bytes.NewReader(tc.doc)); err == nil {
+			if _, err := ReadBinary(tc.doc); err == nil {
 				t.Error("corrupt input accepted")
 			}
 		})
@@ -135,7 +135,7 @@ func TestBinaryRejectsWrongVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[4] = 99 // version byte (uvarint, single byte for small values)
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+	if _, err := ReadBinary(data); err == nil {
 		t.Error("wrong version accepted")
 	}
 }
@@ -153,7 +153,7 @@ func TestBinaryChecksumDetectsBitFlips(t *testing.T) {
 	for off := 0; off < len(data); off++ {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x08
-		if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+		if _, err := ReadBinary(mut); err == nil {
 			t.Errorf("bit flip at offset %d accepted", off)
 		}
 	}
@@ -176,7 +176,7 @@ func TestBinaryReadsVersion1(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}

@@ -82,10 +82,11 @@ type KB struct {
 	// retention; it is what makes a KB mutable through a Store.
 	src *Sources
 
-	// lazy is the undecoded remainder of a mapped image (see
-	// OpenBinary). Nil for built or eagerly loaded KBs. It stays set
-	// after materialization — the sync.Once inside is what records
-	// that the decode already happened.
+	// lazy is the undecoded remainder of an image opened with
+	// OpenBinary. Nil for built KBs and for KBs that ReadBinary (or
+	// Detach) decoded in full. On a mapped KB it stays set after
+	// materialization — the sync.Once inside is what records that the
+	// decode already happened, and concurrent readers check it.
 	lazy *kbLazy
 }
 

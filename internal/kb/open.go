@@ -1,7 +1,6 @@
 package kb
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -58,10 +57,10 @@ func LazyCapable(data []byte) bool {
 // URIs and index) is built now, everything else on first demand via the
 // full-tier accessors or Materialize. The image must stay valid until
 // Materialize has succeeded (or the KB is dropped); version-1 images
-// fall back to an eager ReadBinary.
+// fall back to an eager readV1.
 func OpenBinary(data []byte) (*KB, error) {
 	if !LazyCapable(data) {
-		return ReadBinary(bytes.NewReader(data))
+		return readV1(data)
 	}
 	m, err := binio.BytesMap(data, binaryMagic, binaryVersion)
 	if err != nil {
@@ -73,8 +72,8 @@ func OpenBinary(data []byte) (*KB, error) {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	kb.readHeader(hdr)
-	if err := verifyInventory(hdr, m); err != nil {
-		return nil, err
+	if err := m.VerifyInventory(hdr); err != nil {
+		return nil, fmt.Errorf("%w: header inventory: %v", errCorrupt, err)
 	}
 	for _, id := range []uint64{secPreds, secStats} {
 		if !m.Has(id) {
@@ -99,28 +98,6 @@ func OpenBinary(data []byte) (*KB, error) {
 	}
 	kb.lazy = &kbLazy{m: m, hasSrc: m.Has(secSources)}
 	return kb, nil
-}
-
-// verifyInventory checks the header's trailing section inventory (when
-// present) against the mapped directory, mirroring readSections.
-func verifyInventory(hdr *binio.Reader, m *binio.Map) error {
-	if !hdr.More() {
-		return hdr.Err()
-	}
-	n := hdr.Int()
-	if hdr.Err() == nil && n > 64 {
-		hdr.Fail("absurd inventory size %d", n)
-	}
-	for i := 0; i < n && hdr.Err() == nil; i++ {
-		id := hdr.Uvarint()
-		if hdr.Err() == nil && !m.Has(id) {
-			hdr.Fail("inventoried section %d missing", id)
-		}
-	}
-	if err := hdr.Err(); err != nil {
-		return fmt.Errorf("%w: header inventory: %v", errCorrupt, err)
-	}
-	return nil
 }
 
 // scanURIs builds the URI tier from the entities section: URIs and the
@@ -188,9 +165,24 @@ func (kb *KB) Materialize() error { return kb.materialize() }
 
 // MaterializeSources forces the retained-sources tier (a no-op when
 // the KB has none). After both Materialize and MaterializeSources
-// return nil the KB references nothing in the backing image, so the
+// return nil the KB reads nothing from the backing image, so the
 // mapping may be released.
 func (kb *KB) MaterializeSources() error { return kb.materializeSrc() }
+
+// Detach forces every tier, then drops the KB's reference to its
+// backing image so the image can be freed. Unlike Materialize it is not
+// safe for concurrent use: call it only while no other goroutine can
+// reach the KB.
+func (kb *KB) Detach() error {
+	if err := kb.Materialize(); err != nil {
+		return err
+	}
+	if err := kb.MaterializeSources(); err != nil {
+		return err
+	}
+	kb.lazy = nil
+	return nil
+}
 
 // BinaryInfo is InspectBinary's summary of a binary KB image.
 type BinaryInfo struct {
@@ -207,7 +199,7 @@ type BinaryInfo struct {
 // consult.
 func InspectBinary(data []byte) (BinaryInfo, error) {
 	if !LazyCapable(data) {
-		k, err := ReadBinary(bytes.NewReader(data))
+		k, err := readV1(data)
 		if err != nil {
 			return BinaryInfo{}, err
 		}
@@ -284,7 +276,7 @@ func (kb *KB) decodeSources() error {
 // fillEntities is the full-tier counterpart of scanURIs: it re-walks
 // the (already checksum-verified) entities section, skipping the URIs
 // decoded at open and filling attributes, edges, types, and tokens in
-// place, with the same validation as the eager readEntities.
+// place, validating predicates and edge targets.
 func (kb *KB) fillEntities(dec *binio.Reader) {
 	nEnt := dec.Uvarint()
 	if dec.Err() == nil && int(nEnt) != len(kb.entities) {

@@ -218,7 +218,7 @@ func TestSourcesBinaryRoundTrip(t *testing.T) {
 	if err := base.WriteBinary(&first); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(bytes.NewReader(first.Bytes()))
+	back, err := ReadBinary(first.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestSourcesBinaryRoundTrip(t *testing.T) {
 	if lean.Len() >= first.Len() {
 		t.Fatal("stripping sources did not shrink the encoding")
 	}
-	leanBack, err := ReadBinary(bytes.NewReader(lean.Bytes()))
+	leanBack, err := ReadBinary(lean.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

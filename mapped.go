@@ -52,12 +52,12 @@ type lazyParts struct {
 	prepErr  error
 }
 
-// OpenIndexFile maps a snapshot file and decodes it lazily — the
-// near-zero-cold-start counterpart of LoadIndexFile. The returned
-// index answers Query immediately; heavier structures decode on first
-// demand (see Index.Close for releasing the mapping). Both entry
-// points accept exactly the same snapshots and answer queries
-// bit-identically.
+// OpenIndexFile maps a snapshot file and decodes it lazily. The
+// returned index answers Query immediately; heavier structures decode
+// on first demand (see Index.Close for releasing the mapping).
+// LoadIndexFile runs the same decoder and then materializes everything
+// up front, so both accept exactly the same snapshots and answer
+// queries bit-identically.
 func OpenIndexFile(path string) (*Index, error) {
 	m, err := binio.OpenMap(path, snapshotMagic, snapshotVersion)
 	if err != nil {
@@ -85,8 +85,9 @@ func OpenIndex(data []byte) (*Index, error) {
 }
 
 // openIndexMap builds the eager tier of a mapped index from the
-// section directory, mirroring LoadIndex's validation for everything
-// it decodes now and deferring the rest to the lazy accessors.
+// section directory, validating everything it decodes now and
+// deferring the rest to the lazy accessors. It is the one MSNP
+// decoder: LoadIndex is openIndexMap plus a full materialization.
 func openIndexMap(m *binio.Map) (*Index, error) {
 	e := &epoch{stream: &streamCell{}}
 	ix := &Index{}
@@ -100,23 +101,8 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 	if err := b.Err(); err != nil {
 		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
 	}
-	// The trailing inventory (when present) cross-checks the directory:
-	// a bit flip on an optional section's ID would otherwise demote it
-	// to "unknown, skipped".
-	if b.More() {
-		n := b.Int()
-		if b.Err() == nil && n > 64 {
-			b.Fail("absurd inventory size %d", n)
-		}
-		for i := 0; i < n && b.Err() == nil; i++ {
-			id := b.Uvarint()
-			if b.Err() == nil && !m.Has(id) {
-				b.Fail("inventoried section %d missing", id)
-			}
-		}
-		if err := b.Err(); err != nil {
-			return nil, fmt.Errorf("%w: config inventory: %v", ErrSnapshotCorrupt, err)
-		}
+	if err := m.VerifyInventory(b); err != nil {
+		return nil, fmt.Errorf("%w: config inventory: %v", ErrSnapshotCorrupt, err)
 	}
 
 	openKB := func(id uint64, name string) (*KB, error) {
@@ -127,7 +113,7 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 		if !kb.LazyCapable(raw) {
 			// A pre-sectioned (v1) KB image carries no inner checksums
 			// and decodes eagerly; verify the snapshot section's own
-			// checksum first, like LoadIndex does.
+			// checksum first.
 			raw, err = m.Section(id)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
@@ -263,15 +249,67 @@ func (e *epoch) preparedSide() (*pipeline.Prepared, error) {
 
 // decodePrepared restores the prepared section from the mapping. The
 // neighbor lists after the embedded substrate have no checksums of
-// their own, so the section's outer checksum is verified here (on this
-// first access), then decodePreparedBody revalidates exactly as the
-// eager load does.
+// their own, so the section's outer checksum is verified here, on this
+// first access; the nested MPS1 frame then decodes on its own.
 func (e *epoch) decodePrepared() (*pipeline.Prepared, error) {
 	payload, err := e.lazy.m.Section(snapPrepared)
 	if err != nil {
 		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
 	}
-	return decodePreparedBody(binio.NewBytesReader(payload), e.kb1, e.cfg)
+	b := binio.NewBytesReader(payload)
+	kb1, cfg := e.kb1, e.cfg
+	n := b.Int()
+	frame := b.Frame()
+	if err := b.Err(); err != nil {
+		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
+	}
+	if n != cfg.internal().Params().N {
+		return nil, fmt.Errorf("%w: prepared substrate frozen for N=%d, config has N=%d",
+			ErrSnapshotCorrupt, n, cfg.N)
+	}
+	bp, err := blocking.ReadPreparedData(frame)
+	if err != nil {
+		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
+	}
+	if bp.KBSize() != kb1.Len() {
+		return nil, fmt.Errorf("%w: prepared substrate covers %d entities, KB1 has %d",
+			ErrSnapshotCorrupt, bp.KBSize(), kb1.Len())
+	}
+	if bp.NameK() != cfg.NameAttributes {
+		return nil, fmt.Errorf("%w: prepared substrate built with NameK=%d, config has %d",
+			ErrSnapshotCorrupt, bp.NameK(), cfg.NameAttributes)
+	}
+	nEnt := b.Int()
+	if b.Err() == nil && nEnt != kb1.Len() {
+		b.Fail("neighbor lists cover %d entities, KB1 has %d", nEnt, kb1.Len())
+	}
+	top := make([][]kb.EntityID, 0, min(nEnt, 1<<20))
+	for i := 0; i < nEnt && b.Err() == nil; i++ {
+		cnt := b.Int()
+		if cnt > kb1.Len() {
+			b.Fail("neighbor list larger than the KB (%d > %d)", cnt, kb1.Len())
+			break
+		}
+		nbrs := make([]kb.EntityID, 0, cnt)
+		prev := int64(-1)
+		for j := 0; j < cnt && b.Err() == nil; j++ {
+			id := b.Uvarint()
+			if id >= uint64(kb1.Len()) || int64(id) <= prev {
+				b.Fail("neighbor %d out of order or range [0,%d)", id, kb1.Len())
+				break
+			}
+			prev = int64(id)
+			nbrs = append(nbrs, kb.EntityID(id))
+		}
+		top = append(top, nbrs)
+	}
+	if err := b.Err(); err != nil {
+		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
+	}
+	return &pipeline.Prepared{
+		Blocks:    bp,
+		Neighbors: kb.FrozenFromLists(kb1.kb, n, top, nil),
+	}, nil
 }
 
 // materializeLocked forces every lazy tier of the current epoch and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -247,6 +248,59 @@ func TestMappedCorruptionSweep(t *testing.T) {
 	t.Run("truncation", func(t *testing.T) {
 		for _, cut := range []int{0, 3, 7, len(data) / 3, len(data) - 2} {
 			check(t, data[:cut:cut], "cut "+itoa(cut))
+		}
+	})
+}
+
+// FuzzOpenIndex feeds arbitrary images to the snapshot decoder that
+// both OpenIndex and LoadIndex run: open, a small delta query (forcing
+// the lazy KB tier and prepared substrate), and a save (forcing
+// everything else). Every stage must succeed or fail with an error
+// wrapping ErrSnapshotCorrupt, never panic. Seeds: a prepared
+// Restaurant x0.1 snapshot and the retired-section-10 fixtures.
+func FuzzOpenIndex(f *testing.F) {
+	b, err := minoaner.GenerateBenchmark("Restaurant", 3, 0.1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ix, err := minoaner.BuildIndex(b.KB1, b.KB2, minoaner.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ix.Prepare()
+	var buf bytes.Buffer
+	if err := minoaner.SaveIndex(&buf, ix); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, name := range []string{"testdata/restaurant_sharded4.msnp", "testdata/restaurant_unsharded.msnp"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	delta, err := minoaner.LoadKB("delta", strings.NewReader(retiredFixtureDelta))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mustBeTyped := func(stage string, err error) {
+			if !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+				t.Fatalf("%s error not ErrSnapshotCorrupt: %v", stage, err)
+			}
+		}
+		ix, err := minoaner.OpenIndex(data)
+		if err != nil {
+			mustBeTyped("open", err)
+			return
+		}
+		if _, err := ix.QueryKB(context.Background(), delta); err != nil {
+			mustBeTyped("query", err)
+			return
+		}
+		if err := minoaner.SaveIndex(io.Discard, ix); err != nil {
+			mustBeTyped("save", err)
 		}
 	})
 }

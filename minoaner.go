@@ -186,7 +186,11 @@ func (k *KB) WriteBinary(w io.Writer) error { return k.kb.WriteBinary(w) }
 
 // ReadKBBinary loads a KB written by WriteBinary.
 func ReadKBBinary(r io.Reader) (*KB, error) {
-	built, err := kb.ReadBinary(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	built, err := kb.ReadBinary(data)
 	if err != nil {
 		return nil, err
 	}

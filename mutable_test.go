@@ -194,11 +194,13 @@ func assertRebuildEquivalent(t *testing.T, label string, ix *minoaner.Index, d1,
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.QueryKBFast(context.Background(), deltaKB)
+	ix.Prepare()
+	fresh.Prepare()
+	got, err := ix.QueryKB(context.Background(), deltaKB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.QueryKBFast(context.Background(), deltaKB)
+	want, err := fresh.QueryKB(context.Background(), deltaKB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,13 +103,14 @@ func TestQueryKBFallsBackUnprepared(t *testing.T) {
 	}
 	assertSameQueryResult(t, "unprepared fallback", full, res)
 
-	// QueryKBFast prepares on demand and agrees too.
-	fast, err := ix.QueryKBFast(context.Background(), delta)
+	// Preparing switches QueryKB to the prepared path, which agrees too.
+	ix.Prepare()
+	if !ix.Prepared() {
+		t.Error("Prepare did not prepare the index")
+	}
+	fast, err := ix.QueryKB(context.Background(), delta)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !ix.Prepared() {
-		t.Error("QueryKBFast did not prepare the index")
 	}
 	assertSameQueryResult(t, "fast", full, fast)
 }
@@ -169,7 +170,8 @@ func TestSnapshotCarriesPreparedSubstrate(t *testing.T) {
 	if reloaded.Prepared() {
 		t.Fatal("substrate-free snapshot claims to be prepared")
 	}
-	res, err := reloaded.QueryKBFast(context.Background(), delta)
+	reloaded.Prepare()
+	res, err := reloaded.QueryKB(context.Background(), delta)
 	if err != nil {
 		t.Fatal(err)
 	}

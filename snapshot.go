@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"minoaner/internal/binio"
-	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
-	"minoaner/internal/pipeline"
 )
 
 // Index snapshot format. A snapshot persists everything BuildIndex
@@ -83,7 +82,7 @@ const snapshotVersion = 1
 
 // Section IDs of the snapshot frame.
 //
-//minoaner:sections writer=SaveIndex reader=LoadIndex
+//minoaner:sections writer=SaveIndex reader=openIndexMap,blocks,decodePrepared
 const (
 	snapConfig      = 1
 	snapKB1         = 2
@@ -98,8 +97,10 @@ const (
 	// snapshots still carry it with the former meaning.
 )
 
-// ErrSnapshotCorrupt is wrapped by every LoadIndex failure caused by
-// damaged or incompatible data.
+// ErrSnapshotCorrupt is wrapped by every failure caused by damaged or
+// incompatible snapshot data: from LoadIndex and OpenIndex, and on a
+// mapped index from the first-demand decodes behind QueryKB, SaveIndex,
+// mutations and Close.
 var ErrSnapshotCorrupt = errors.New("minoaner: corrupt index snapshot")
 
 // SaveIndex writes the index snapshot. The encoding is deterministic:
@@ -190,74 +191,6 @@ func writeNeighborLists(e *binio.Writer, top [][]kb.EntityID) {
 			e.Uvarint(uint64(id))
 		}
 	}
-}
-
-// readPreparedSection restores the prepared substrate of a snapshot,
-// validating it against the already-loaded KB1 and config.
-func readPreparedSection(b *binio.Reader, ix *Index) error {
-	e := ix.cur.Load()
-	prep, err := decodePreparedBody(b, e.kb1, e.cfg)
-	if err != nil {
-		return err
-	}
-	e.prep = prep
-	return nil
-}
-
-// decodePreparedBody decodes the prepared section's payload — shared
-// by the eager load and the mapped index's first-demand decode.
-func decodePreparedBody(b *binio.Reader, kb1 *KB, cfg Config) (*pipeline.Prepared, error) {
-	n := b.Int()
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
-	}
-	if n != cfg.internal().Params().N {
-		return nil, fmt.Errorf("%w: prepared substrate frozen for N=%d, config has N=%d",
-			ErrSnapshotCorrupt, n, cfg.N)
-	}
-	bp, err := blocking.ReadPrepared(b.Embedded())
-	if err != nil {
-		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
-	}
-	if bp.KBSize() != kb1.Len() {
-		return nil, fmt.Errorf("%w: prepared substrate covers %d entities, KB1 has %d",
-			ErrSnapshotCorrupt, bp.KBSize(), kb1.Len())
-	}
-	if bp.NameK() != cfg.NameAttributes {
-		return nil, fmt.Errorf("%w: prepared substrate built with NameK=%d, config has %d",
-			ErrSnapshotCorrupt, bp.NameK(), cfg.NameAttributes)
-	}
-	nEnt := b.Int()
-	if b.Err() == nil && nEnt != kb1.Len() {
-		b.Fail("neighbor lists cover %d entities, KB1 has %d", nEnt, kb1.Len())
-	}
-	top := make([][]kb.EntityID, 0, min(nEnt, 1<<20))
-	for i := 0; i < nEnt && b.Err() == nil; i++ {
-		cnt := b.Int()
-		if cnt > kb1.Len() {
-			b.Fail("neighbor list larger than the KB (%d > %d)", cnt, kb1.Len())
-			break
-		}
-		nbrs := make([]kb.EntityID, 0, cnt)
-		prev := int64(-1)
-		for j := 0; j < cnt && b.Err() == nil; j++ {
-			id := b.Uvarint()
-			if id >= uint64(kb1.Len()) || int64(id) <= prev {
-				b.Fail("neighbor %d out of order or range [0,%d)", id, kb1.Len())
-				break
-			}
-			prev = int64(id)
-			nbrs = append(nbrs, kb.EntityID(id))
-		}
-		top = append(top, nbrs)
-	}
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
-	}
-	return &pipeline.Prepared{
-		Blocks:    bp,
-		Neighbors: kb.FrozenFromLists(kb1.kb, n, top, nil),
-	}, nil
 }
 
 // writeJournalSection encodes section 9: the epoch number and journal
@@ -376,140 +309,52 @@ func readJournalSection(b *binio.Reader, ix *Index) error {
 	return nil
 }
 
-// LoadIndex reads an index snapshot written by SaveIndex, verifying
-// every section checksum and the referential integrity of the match
-// lists against the embedded KBs.
+// LoadIndex reads an index snapshot written by SaveIndex and decodes
+// it in full, verifying every section checksum and the referential
+// integrity of the match lists against the embedded KBs. The returned
+// index keeps no reference to the image.
 func LoadIndex(r io.Reader) (*Index, error) {
-	dec := binio.NewReader(r)
-	dec.Magic(snapshotMagic)
-	dec.Version(snapshotVersion)
-	bodies := dec.Sections()
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	body := func(id uint64, name string) (*binio.Reader, error) {
-		b, ok := bodies[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing %s section", ErrSnapshotCorrupt, name)
-		}
-		return b, nil
-	}
-
-	e := &epoch{stream: &streamCell{}}
-	ix := &Index{}
-	ix.cur.Store(e)
-
-	b, err := body(snapConfig, "config")
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	e.cfg = readConfig(b)
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
-	}
+	return loadIndexImage(data)
+}
 
-	readKB := func(id uint64, name string) (*KB, error) {
-		b, err := body(id, name)
-		if err != nil {
-			return nil, err
-		}
-		built, err := kb.ReadBinary(b.Embedded())
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-		}
-		return &KB{kb: built}, nil
-	}
-	if e.kb1, err = readKB(snapKB1, "kb1"); err != nil {
+// LoadIndexFile reads an index snapshot from a file (see LoadIndex).
+func LoadIndexFile(path string) (*Index, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return nil, err
 	}
-	if e.kb2, err = readKB(snapKB2, "kb2"); err != nil {
+	return loadIndexImage(data)
+}
+
+// loadIndexImage is the eager decode: the mapped open, a checksum pass
+// over every section in the directory (unknown IDs included), then a
+// full materialization that leaves nothing referencing data.
+func loadIndexImage(data []byte) (*Index, error) {
+	ix, err := OpenIndex(data)
+	if err != nil {
 		return nil, err
 	}
-
-	readBlocks := func(id uint64, name string) (*blocking.Collection, error) {
-		b, err := body(id, name)
-		if err != nil {
-			return nil, err
+	for _, id := range ix.mapped.SectionIDs() {
+		if _, err := ix.mapped.Section(id); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
-		c, err := blocking.ReadBinary(b.Embedded())
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-		}
-		if n1, n2 := c.KBSizes(); n1 != e.kb1.Len() || n2 != e.kb2.Len() {
-			return nil, fmt.Errorf("%w: %s built for KB sizes (%d,%d), snapshot KBs have (%d,%d)",
-				ErrSnapshotCorrupt, name, n1, n2, e.kb1.Len(), e.kb2.Len())
-		}
-		return c, nil
 	}
-	if e.nameBlocks, err = readBlocks(snapNameBlocks, "name-blocks"); err != nil {
+	e := ix.cur.Load()
+	for _, side := range []struct {
+		name string
+		k    *KB
+	}{{"kb1", e.kb1}, {"kb2", e.kb2}} {
+		if err := side.k.kb.Detach(); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, side.name, err)
+		}
+	}
+	if err := ix.Close(); err != nil {
 		return nil, err
 	}
-	if e.tokenBlocks, err = readBlocks(snapTokenBlocks, "token-blocks"); err != nil {
-		return nil, err
-	}
-
-	if b, err = body(snapStats, "stats"); err != nil {
-		return nil, err
-	}
-	e.purge.Cutoff1 = b.Int()
-	e.purge.Cutoff2 = b.Int()
-	e.purge.RemovedBlocks = b.Int()
-	e.purge.RemovedComparisons = int64(b.Uvarint())
-	e.nameBlockCount = b.Int()
-	e.tokenBlockCount = b.Int()
-	e.nameComparisons = int64(b.Uvarint())
-	e.tokenComparisons = int64(b.Uvarint())
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
-	}
-
-	if b, err = body(snapMatches, "matches"); err != nil {
-		return nil, err
-	}
-	n1, n2 := e.kb1.Len(), e.kb2.Len()
-	e.h1 = readPairs(b, n1, n2)
-	e.h2 = readPairs(b, n1, n2)
-	e.h3 = readPairs(b, n1, n2)
-	e.matches = readPairs(b, n1, n2)
-	e.discardedByH4 = b.Int()
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
-	}
-
-	// The prepared and journal sections are optional: pre-substrate /
-	// pre-mutability snapshots load without them.
-	if pb, ok := bodies[snapPrepared]; ok {
-		if err := readPreparedSection(pb, ix); err != nil {
-			return nil, err
-		}
-	}
-	if jb, ok := bodies[snapJournal]; ok {
-		if err := readJournalSection(jb, ix); err != nil {
-			return nil, err
-		}
-	}
-
-	// Verify the config section's trailing inventory when present: a
-	// bit flip on an optional section's ID would otherwise demote it to
-	// "unknown, skipped".
-	cb := bodies[snapConfig]
-	if cb.More() {
-		n := cb.Int()
-		if cb.Err() == nil && n > 64 {
-			cb.Fail("absurd inventory size %d", n)
-		}
-		for i := 0; i < n && cb.Err() == nil; i++ {
-			id := cb.Uvarint()
-			if _, ok := bodies[id]; !ok && cb.Err() == nil {
-				cb.Fail("inventoried section %d missing", id)
-			}
-		}
-		if err := cb.Err(); err != nil {
-			return nil, fmt.Errorf("%w: config inventory: %v", ErrSnapshotCorrupt, err)
-		}
-	}
-
-	e.buildLookup()
 	return ix, nil
 }
 
@@ -571,7 +416,9 @@ func readPairs(b *binio.Reader, n1, n2 int) []eval.Pair {
 		b.Fail("absurd pair count %d", n)
 		return nil
 	}
-	out := make([]eval.Pair, 0, n)
+	// A pair takes at least two bytes, so a count the payload cannot
+	// hold fails when the payload runs out, not with a huge allocation.
+	out := make([]eval.Pair, 0, min(n, b.Len()/2))
 	for i := 0; i < n && b.Err() == nil; i++ {
 		e1 := b.Uvarint()
 		e2 := b.Uvarint()
