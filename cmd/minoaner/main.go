@@ -132,15 +132,15 @@ func (mc *matchConfig) loadKBs(fs *flag.FlagSet) (*minoaner.KB, *minoaner.KB) {
 	}
 	if *mc.useCache {
 		parse := load // cache misses honor -lenient too
-		load = func(name, path string) (*minoaner.KB, error) {
+		load = func(name, path string) (*minoaner.KB, int, error) {
 			return loadCached(name, path, parse)
 		}
 	}
-	kb1, err := load("KB1", *mc.kb1Path)
+	kb1, _, err := load("KB1", *mc.kb1Path)
 	if err != nil {
 		log.Fatalf("loading %s: %v", *mc.kb1Path, err)
 	}
-	kb2, err := load("KB2", *mc.kb2Path)
+	kb2, _, err := load("KB2", *mc.kb2Path)
 	if err != nil {
 		log.Fatalf("loading %s: %v", *mc.kb2Path, err)
 	}
@@ -165,31 +165,36 @@ func (mc *matchConfig) progressOptions() []minoaner.ResolveOption {
 	})}
 }
 
-func loadPlain(name, path string) (*minoaner.KB, error) {
-	return minoaner.LoadKBFile(name, path)
+// loadPlain parses strictly; it never skips a line.
+func loadPlain(name, path string) (*minoaner.KB, int, error) {
+	kb, err := minoaner.LoadKBFile(name, path)
+	return kb, 0, err
 }
 
 // loadLenient skips malformed lines, reporting how many were dropped.
-func loadLenient(name, path string) (*minoaner.KB, error) {
+func loadLenient(name, path string) (*minoaner.KB, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	kb, skipped, err := minoaner.LoadKBLenient(name, f)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if skipped > 0 {
 		fmt.Fprintf(os.Stderr, "%s: skipped %d malformed line(s)\n", name, skipped)
 	}
-	return kb, nil
+	return kb, skipped, nil
 }
 
 // loadCached reuses <path>.mkb when it exists and is newer than the
 // N-Triples file; otherwise it parses the file with the given loader
-// and writes the cache for the next run.
-func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, error)) (*minoaner.KB, error) {
+// (which reports the malformed lines it skipped) and, when the parse
+// skipped none, writes the cache for the next run. A lenient parse that
+// dropped lines is not cached: a later strict run must see the file's
+// errors, not the lenient result.
+func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, int, error)) (*minoaner.KB, int, error) {
 	cachePath := path + ".mkb"
 	if f, err := os.Open(cachePath); err == nil {
 		defer f.Close()
@@ -197,25 +202,25 @@ func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, 
 			fmt.Fprintf(os.Stderr, "cache %s is older than %s; re-parsing\n", cachePath, path)
 		} else if kb, err := minoaner.ReadKBBinary(f); err == nil {
 			fmt.Fprintf(os.Stderr, "loaded %s from cache %s\n", name, cachePath)
-			return kb, nil
+			return kb, 0, nil
 		} else {
 			fmt.Fprintf(os.Stderr, "cache %s unusable (%v); re-parsing\n", cachePath, err)
 		}
 	}
-	kb, err := parse(name, path)
-	if err != nil {
-		return nil, err
+	kb, skipped, err := parse(name, path)
+	if err != nil || skipped > 0 {
+		return kb, skipped, err
 	}
 	f, err := os.Create(cachePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cannot write cache %s: %v\n", cachePath, err)
-		return kb, nil
+		return kb, 0, nil
 	}
 	defer f.Close()
 	if err := kb.WriteBinary(f); err != nil {
 		fmt.Fprintf(os.Stderr, "cannot write cache %s: %v\n", cachePath, err)
 	}
-	return kb, nil
+	return kb, 0, nil
 }
 
 // cacheStale reports whether the source file was written after the

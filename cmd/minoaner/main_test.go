@@ -26,7 +26,7 @@ func TestLoadCachedReparsesRewrittenSource(t *testing.T) {
 	parses := 0
 	load := func() *minoaner.KB {
 		t.Helper()
-		kb, err := loadCached("KB", path, func(name, path string) (*minoaner.KB, error) {
+		kb, _, err := loadCached("KB", path, func(name, path string) (*minoaner.KB, int, error) {
 			parses++
 			return loadPlain(name, path)
 		})
@@ -53,5 +53,32 @@ func TestLoadCachedReparsesRewrittenSource(t *testing.T) {
 	}
 	if uris := kb.URIs(); len(uris) != 2 || uris[1] != "http://e/b" {
 		t.Fatalf("after the rewrite: entities %v, want the new http://e/b beside http://e/a", uris)
+	}
+}
+
+// -cache must not serve a lenient parse to a strict run: a -lenient
+// load that skipped a malformed line writes no .mkb, so the next run
+// without -lenient parses the file and reports the line.
+func TestLoadCachedSkipsLenientParse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.nt")
+	doc := "<http://e/a> <http://v/name> \"Alpha\" .\nnot a triple\n"
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// An hour old, so a cache written below would count as fresh.
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	kb, skipped, err := loadCached("KB", path, loadLenient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 1 || kb.Stats().Entities != 1 {
+		t.Fatalf("lenient run: %d skipped, %d entities; want 1 and 1", skipped, kb.Stats().Entities)
+	}
+	if _, _, err := loadCached("KB", path, loadPlain); err == nil {
+		t.Fatal("strict run after a lenient one loaded the file; want the parse error")
 	}
 }

@@ -452,7 +452,7 @@ func (e *epoch) queryPrepared(ctx context.Context, prep *pipeline.Prepared, delt
 	for _, opt := range opts {
 		opt(&o)
 	}
-	res, err := core.RunDelta(ctx, prep, delta.kb, e.cfg.internal(), o.pipelineProgress(), o.progress != nil)
+	res, err := core.RunDelta(ctx, prep, delta.kb, e.cfg.internal(), o.pipelineProgress())
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +565,7 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 	} else {
 		new2 = newSide
 	}
-	res, nextCache, err := core.RunUpdate(ctx, e.cache, old1.kb, old2.kb, new1.kb, new2.kb, e.cfg.internal(), nil, false)
+	res, nextCache, err := core.RunUpdate(ctx, e.cache, old1.kb, old2.kb, new1.kb, new2.kb, e.cfg.internal(), nil)
 	if err != nil {
 		revert()
 		return mutationOutcome{}, fmt.Errorf("minoaner: absorbing mutation: %w", err)

@@ -61,9 +61,12 @@ func TestDeltaPlanEquivalence(t *testing.T) {
 			}
 			n2 := ds.KB2.Len()
 			uri := func(e int) string { return ds.KB2.URI(kb.EntityID(e)) }
-			var batch []string
-			for e := 0; e < n2 && len(batch) < 10; e += 1 + n2/10 {
-				batch = append(batch, uri(e))
+			spread := func(size int) []string {
+				var batch []string
+				for e := 0; e < n2 && len(batch) < size; e += 1 + n2/size {
+					batch = append(batch, uri(e))
+				}
+				return batch
 			}
 			var all []string
 			for e := 0; e < n2; e++ {
@@ -72,7 +75,10 @@ func TestDeltaPlanEquivalence(t *testing.T) {
 			deltas := map[string]*kb.KB{
 				"single-first": deltaFromTriples(t, "d1", ds.Triples2, []string{uri(0)}),
 				"single-mid":   deltaFromTriples(t, "d2", ds.Triples2, []string{uri(n2 / 2)}),
-				"batch-10":     deltaFromTriples(t, "d3", ds.Triples2, batch),
+				"single-last":  deltaFromTriples(t, "d5", ds.Triples2, []string{uri(n2 - 1)}),
+				"batch-10":     deltaFromTriples(t, "d3", ds.Triples2, spread(10)),
+				"batch-16":     deltaFromTriples(t, "d6", ds.Triples2, spread(16)),
+				"batch-128":    deltaFromTriples(t, "d7", ds.Triples2, spread(128)),
 				"full-kb2":     deltaFromTriples(t, "d4", ds.Triples2, all),
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
@@ -84,7 +90,7 @@ func TestDeltaPlanEquivalence(t *testing.T) {
 						// RunDelta refuses deltas at least as large as the
 						// prepared KB; the public QueryKB falls back to the
 						// full plan there.
-						if _, err := RunDelta(context.Background(), prep, delta, cfg, nil, false); err == nil {
+						if _, err := RunDelta(context.Background(), prep, delta, cfg, nil); err == nil {
 							t.Fatalf("workers=%d %s: oversized delta accepted", workers, label)
 						}
 						continue
@@ -97,7 +103,7 @@ func TestDeltaPlanEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fast, err := RunDelta(context.Background(), prep, delta, cfg, nil, false)
+					fast, err := RunDelta(context.Background(), prep, delta, cfg, nil)
 					if err != nil {
 						t.Fatalf("workers=%d %s: %v", workers, label, err)
 					}
@@ -136,7 +142,7 @@ func TestDeltaPlanAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := RunDelta(context.Background(), prep, delta, cfg, nil, false)
+		fast, err := RunDelta(context.Background(), prep, delta, cfg, nil)
 		if err != nil {
 			t.Fatalf("ablation %d: %v", i, err)
 		}
@@ -154,17 +160,17 @@ func TestRunDeltaValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	prep := pipeline.PrepareSide(ds.KB1, cfg.Params())
 
-	if _, err := RunDelta(context.Background(), nil, delta, cfg, nil, false); err == nil {
+	if _, err := RunDelta(context.Background(), nil, delta, cfg, nil); err == nil {
 		t.Error("nil substrate accepted")
 	}
 	mismatched := cfg
 	mismatched.NameK = cfg.NameK + 1
-	if _, err := RunDelta(context.Background(), prep, delta, mismatched, nil, false); err == nil {
+	if _, err := RunDelta(context.Background(), prep, delta, mismatched, nil); err == nil {
 		t.Error("NameK mismatch accepted")
 	}
 	mismatched = cfg
 	mismatched.N = cfg.N + 1
-	if _, err := RunDelta(context.Background(), prep, delta, mismatched, nil, false); err == nil {
+	if _, err := RunDelta(context.Background(), prep, delta, mismatched, nil); err == nil {
 		t.Error("N mismatch accepted")
 	}
 }

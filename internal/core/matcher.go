@@ -40,9 +40,8 @@ type Result struct {
 // configuration calls for and translates the final State into a
 // Result.
 type Matcher struct {
-	kb1, kb2   *kb.KB
-	cfg        Config
-	allocStats bool
+	kb1, kb2 *kb.KB
+	cfg      Config
 }
 
 // NewMatcher validates the configuration and prepares a matcher.
@@ -111,19 +110,16 @@ func (m *Matcher) RunContext(ctx context.Context) (*Result, error) {
 	return m.RunPlan(ctx, m.Plan(), nil)
 }
 
-// CollectAllocStats makes subsequent runs record per-stage allocation
-// deltas in Result.Stages (two runtime.ReadMemStats calls per stage —
-// measurable on large live heaps, so off by default). Runs observed
-// through a progress callback always record them.
-func (m *Matcher) CollectAllocStats(on bool) { m.allocStats = on }
-
 // RunPlan executes an arbitrary stage plan, reporting stage boundaries
 // to the optional progress callback. Plans are typically Plan() output
 // edited with the pipeline helpers; preconditions between stages are
-// validated by the stages themselves.
+// validated by the stages themselves. Per-stage allocation deltas are
+// recorded only for runs observed through a progress callback (two
+// runtime.ReadMemStats calls per stage — measurable on large live
+// heaps); the same holds for RunSources, RunDelta and RunUpdate.
 func (m *Matcher) RunPlan(ctx context.Context, plan []pipeline.Stage, progress pipeline.Progress) (*Result, error) {
 	st := pipeline.NewState(m.kb1, m.kb2, m.cfg.Params())
-	eng := pipeline.Engine{Plan: plan, Progress: progress, AllocStats: m.allocStats || progress != nil}
+	eng := pipeline.Engine{Plan: plan, Progress: progress, AllocStats: progress != nil}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {
 		return nil, err
@@ -134,16 +130,14 @@ func (m *Matcher) RunPlan(ctx context.Context, plan []pipeline.Stage, progress p
 // RunSources runs the whole ingest-to-matches path — N-Triples parsing,
 // KB assembly, blocking, matching — as one instrumented plan over two
 // raw sources. It returns the Result together with the built KBs (for
-// URI translation and reuse). allocStats enables per-stage allocation
-// accounting; runs observed through a progress callback always record
-// it.
-func RunSources(ctx context.Context, src1, src2 pipeline.Source, cfg Config, progress pipeline.Progress, allocStats bool) (*Result, *kb.KB, *kb.KB, error) {
+// URI translation and reuse).
+func RunSources(ctx context.Context, src1, src2 pipeline.Source, cfg Config, progress pipeline.Progress) (*Result, *kb.KB, *kb.KB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	st := pipeline.NewIngestState(src1, src2, cfg.Params())
 	plan := append(pipeline.IngestPlan(), PlanFor(cfg)...)
-	eng := pipeline.Engine{Plan: plan, Progress: progress, AllocStats: allocStats || progress != nil}
+	eng := pipeline.Engine{Plan: plan, Progress: progress, AllocStats: progress != nil}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {
 		return nil, nil, nil, err
@@ -157,7 +151,7 @@ func RunSources(ctx context.Context, src1, src2 pipeline.Source, cfg Config, pro
 // the delta must be strictly smaller than the prepared KB; violations
 // surface as errors rather than wrong answers. The result is
 // bit-identical to the full plan over (prepared KB, delta).
-func RunDelta(ctx context.Context, prep *pipeline.Prepared, delta *kb.KB, cfg Config, progress pipeline.Progress, allocStats bool) (*Result, error) {
+func RunDelta(ctx context.Context, prep *pipeline.Prepared, delta *kb.KB, cfg Config, progress pipeline.Progress) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -165,7 +159,7 @@ func RunDelta(ctx context.Context, prep *pipeline.Prepared, delta *kb.KB, cfg Co
 	if err != nil {
 		return nil, err
 	}
-	eng := pipeline.Engine{Plan: DeltaPlanFor(cfg), Progress: progress, AllocStats: allocStats || progress != nil}
+	eng := pipeline.Engine{Plan: DeltaPlanFor(cfg), Progress: progress, AllocStats: progress != nil}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {
 		return nil, err
@@ -185,7 +179,7 @@ func UpdatePlanFor(cfg Config) []pipeline.Stage {
 // produces the result — and the next substrate — for the mutated pair
 // (new1, new2). An unmutated side passes the same KB for old and new.
 // The result is bit-identical to the full plan over (new1, new2).
-func RunUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2 *kb.KB, cfg Config, progress pipeline.Progress, allocStats bool) (*Result, *pipeline.Cache, error) {
+func RunUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2 *kb.KB, cfg Config, progress pipeline.Progress) (*Result, *pipeline.Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -193,7 +187,7 @@ func RunUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2
 	if err != nil {
 		return nil, nil, err
 	}
-	collect := allocStats || progress != nil
+	collect := progress != nil
 	eng := pipeline.Engine{Plan: pipeline.UpdatePatchPlan(), Progress: progress, AllocStats: collect}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {

@@ -160,7 +160,7 @@ func runUpdateStorm(t *testing.T, ds *datagen.Dataset, cfg Config, seed int64, r
 		}
 		_ = mutated
 
-		got, nextCache, err := RunUpdate(ctx, cache, old1, old2, h1.cur, h2.cur, cfg, nil, false)
+		got, nextCache, err := RunUpdate(ctx, cache, old1, old2, h1.cur, h2.cur, cfg, nil)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

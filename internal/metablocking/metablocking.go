@@ -119,23 +119,6 @@ type Graph struct {
 	assignments              int64
 }
 
-// SortedEdges returns a copy of the graph's edges ordered by
-// decreasing weight (ties broken by pair, for determinism). The
-// graph's own edge slice is never reordered, so pruning algorithms
-// that depend on the construction order keep working on a graph that
-// has also been scheduled.
-func (g *Graph) SortedEdges() []Edge {
-	edges := make([]Edge, len(g.Edges))
-	copy(edges, g.Edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight > edges[j].Weight
-		}
-		return edges[i].Pair.Less(edges[j].Pair)
-	})
-	return edges
-}
-
 // BuildGraph materializes the blocking graph under the given weighting
 // scheme. Memory is O(distinct pairs); pairs are enumerated per
 // first-KB entity with a stamp array.

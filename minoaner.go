@@ -391,7 +391,7 @@ func ResolveReaders(ctx context.Context, src1, src2 Source, cfg Config, opts ...
 	res, kb1, kb2, err := core.RunSources(ctx,
 		pipeline.Source{Name: src1.Name, R: src1.R, Lenient: src1.Lenient},
 		pipeline.Source{Name: src2.Name, R: src2.R, Lenient: src2.Lenient},
-		cfg.internal(), o.pipelineProgress(), false)
+		cfg.internal(), o.pipelineProgress())
 	if err != nil {
 		return nil, err
 	}

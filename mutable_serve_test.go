@@ -148,6 +148,11 @@ func TestServeMutations(t *testing.T) {
 func TestServeMutationValidation(t *testing.T) {
 	_, _, srv, _, _ := newMutableServer(t)
 
+	// One byte over the 16 MiB JSON body cap; the string never closes, so
+	// the decoder reads until the cap trips.
+	const oversizedPrefix = `{"side":2,"uris":["`
+	oversized := oversizedPrefix + strings.Repeat("a", 16<<20+1-len(oversizedPrefix))
+
 	cases := []struct {
 		name   string
 		method string
@@ -161,6 +166,7 @@ func TestServeMutationValidation(t *testing.T) {
 		{"delete no uris", "POST", "/delete", `{"side":2,"uris":[]}`, http.StatusBadRequest},
 		{"delete bad side", "POST", "/delete", `{"side":9,"uris":["http://x"]}`, http.StatusBadRequest},
 		{"delete bad json", "POST", "/delete", "{", http.StatusBadRequest},
+		{"delete oversized", "POST", "/delete", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

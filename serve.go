@@ -501,21 +501,31 @@ func (s *server) handleResolveGet(w http.ResponseWriter, r *http.Request) {
 	s.resolve(w, r.URL.Query()["uri"])
 }
 
-// maxResolveBytes bounds one POST /resolve body.
+// maxResolveBytes bounds one POST /resolve or /delete body.
 const maxResolveBytes = 16 << 20
+
+// decodeJSONBody decodes a JSON request body of at most maxResolveBytes
+// into v. On failure it writes the error response — 413 for an
+// oversized body, 400 for anything else — and reports false.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxResolveBytes)
+	} else {
+		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	}
+	return false
+}
 
 func (s *server) handleResolvePost(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		URIs []string `json:"uris"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBytes))
-	if err := dec.Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxResolveBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeJSONBody(w, r, &body) {
 		return
 	}
 	s.resolve(w, body.URIs)
@@ -755,9 +765,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		Side int      `json:"side"`
 		URIs []string `json:"uris"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBytes))
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeJSONBody(w, r, &body) {
 		return
 	}
 	if body.Side == 0 {

@@ -5,9 +5,14 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+
+	"minoaner/internal/core"
+	"minoaner/internal/eval"
+	"minoaner/internal/pipeline"
 )
 
 // drainIndexStream runs one resolveStream to the end and returns the
@@ -115,6 +120,82 @@ func TestIndexStreamEqualsEpochMatches(t *testing.T) {
 				t.Fatalf("reopened epoch = %d, want 3", reopened.Epoch())
 			}
 			assertStreamEqualsEpoch(t, "compacted-reopened", reopened)
+		})
+	}
+}
+
+// recallAUC is the normalised area under the recall curve of an
+// emission order: the mean, over every prefix, of the share of the
+// ground truth the prefix holds (1 = every match emitted first).
+func recallAUC(order []eval.Pair, gt *eval.GroundTruth) float64 {
+	if gt.Len() == 0 || len(order) == 0 {
+		return 0
+	}
+	found := 0
+	var area float64
+	for _, p := range order {
+		if gt.Contains(p.E1, p.E2) {
+			found++
+		}
+		area += float64(found) / float64(gt.Len())
+	}
+	return area / float64(len(order))
+}
+
+// TestStreamPublicEqualsCoreAndFrontLoadsRecall: on every benchmark and
+// under both strategies, the public channel emits core.RunStream's
+// pairs in core.RunStream's order, and that order front-loads recall —
+// its recall AUC beats the same pairs emitted in reverse.
+func TestStreamPublicEqualsCoreAndFrontLoadsRecall(t *testing.T) {
+	strategies := []struct {
+		public   StreamStrategy
+		internal pipeline.StreamStrategy
+	}{
+		{WeightOrdered, pipeline.ScheduleWeightOrdered},
+		{BlockRoundRobin, pipeline.ScheduleBlockRoundRobin},
+	}
+	for _, name := range BenchmarkNames() {
+		t.Run(name, func(t *testing.T) {
+			b, err := GenerateBenchmark(name, 42, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range strategies {
+				ch, err := ResolveStream(context.Background(), b.KB1, b.KB2, DefaultConfig(), WithStreamStrategy(s.public))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var public []ScoredPair
+				for sp := range ch {
+					public = append(public, sp)
+				}
+
+				cfg := core.DefaultConfig()
+				cfg.Strategy = s.internal
+				var order []eval.Pair
+				err = core.RunStream(context.Background(), b.ds.KB1, b.ds.KB2, cfg, pipeline.StreamBudget{},
+					func(sp pipeline.ScoredPair) bool {
+						order = append(order, sp.Pair)
+						return true
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(order) == 0 || len(order) != len(public) {
+					t.Fatalf("strategy %d: core stream emitted %d pairs, public stream %d", s.public, len(order), len(public))
+				}
+				for i, p := range order {
+					if b.ds.KB1.URI(p.E1) != public[i].URI1 || b.ds.KB2.URI(p.E2) != public[i].URI2 {
+						t.Fatalf("strategy %d: core and public streams diverge at pair %d", s.public, i)
+					}
+				}
+
+				reversed := slices.Clone(order)
+				slices.Reverse(reversed)
+				if fwd, rev := recallAUC(order, b.ds.GT), recallAUC(reversed, b.ds.GT); fwd <= rev {
+					t.Errorf("strategy %d: recall AUC %.3f does not beat the reversed order's %.3f", s.public, fwd, rev)
+				}
+			}
 		})
 	}
 }

@@ -92,14 +92,17 @@ func TestResolveStreamMaxPairsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := drainResolveStream(t, b)
-	if len(full) < 4 {
-		t.Fatalf("need at least 4 matches, got %d", len(full))
-	}
-	k := len(full) / 2
-	got := drainResolveStream(t, b, minoaner.WithMaxPairs(k))
-	if !reflect.DeepEqual(got, full[:k]) {
-		t.Errorf("MaxPairs=%d did not yield the first %d pairs of the unbudgeted stream", k, k)
+	for _, s := range []minoaner.StreamStrategy{minoaner.WeightOrdered, minoaner.BlockRoundRobin} {
+		full := drainResolveStream(t, b, minoaner.WithStreamStrategy(s))
+		if len(full) < 4 {
+			t.Fatalf("need at least 4 matches, got %d", len(full))
+		}
+		for _, k := range []int{1, len(full) / 2} {
+			got := drainResolveStream(t, b, minoaner.WithStreamStrategy(s), minoaner.WithMaxPairs(k))
+			if !reflect.DeepEqual(got, full[:k]) {
+				t.Errorf("MaxPairs=%d did not yield the first %d pairs of the unbudgeted stream", k, k)
+			}
+		}
 	}
 }
 
