@@ -97,12 +97,6 @@ func runServe(args []string) {
 		}
 		fmt.Fprintf(os.Stderr, "index built in %v\n", time.Since(start).Round(time.Millisecond))
 	}
-	if !ix.Prepared() {
-		t0 := time.Now()
-		ix.Prepare()
-		fmt.Fprintf(os.Stderr, "delta substrate prepared in %v (persist it with 'minoaner snapshot')\n",
-			time.Since(t0).Round(time.Millisecond))
-	}
 	if *mutable {
 		if !ix.Mutable() {
 			log.Fatal("-mutable: this index is read-only (its KBs lack retained source triples); rebuild the snapshot from .nt inputs")

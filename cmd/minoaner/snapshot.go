@@ -19,7 +19,6 @@ func runSnapshot(args []string) {
 	fs := flag.NewFlagSet("minoaner snapshot", flag.ExitOnError)
 	mc := declareMatchFlags(fs)
 	out := fs.String("o", "index.msnp", "output snapshot file")
-	prepare := fs.Bool("prepare", true, "freeze the delta substrate into the snapshot so 'serve' answers /delta in O(|delta|) without re-deriving it")
 	inspect := fs.String("inspect", "", "describe an existing snapshot instead of building one")
 	compact := fs.String("compact", "", "load an existing snapshot, drop its mutation journal and flatten its substrate, and rewrite it (to -o)")
 	fs.Parse(args)
@@ -48,9 +47,6 @@ func runSnapshot(args []string) {
 		log.Fatal(err)
 	}
 	built := time.Since(start)
-	if *prepare {
-		ix.Prepare()
-	}
 	if err := minoaner.SaveIndexFile(*out, ix); err != nil {
 		log.Fatalf("writing %s: %v", *out, err)
 	}
@@ -108,7 +104,7 @@ func inspectSnapshot(path string) {
 	if si.Prepared {
 		fmt.Printf("  delta substrate: prepared (O(|delta|) /delta queries)\n")
 	} else {
-		fmt.Printf("  delta substrate: absent (built on demand; re-snapshot with -prepare to persist it)\n")
+		fmt.Printf("  delta substrate: absent (derived on the first delta; a re-save persists it)\n")
 	}
 	if si.Mutable() {
 		fmt.Printf("  mutability: sources retained — epoch %d, %d journal entries (serve -mutable accepts /upsert and /delete)\n",

@@ -46,9 +46,9 @@ type Index struct {
 	// and never block on writers.
 	cur atomic.Pointer[epoch]
 
-	// mu serializes the write side: mutations, substrate priming,
-	// lazy Prepare, Compact, and snapshot writes (which need an
-	// epoch/journal pair that belongs together).
+	// mu serializes the write side: mutations, mutation-cache priming,
+	// Compact, and snapshot writes (which need an epoch/journal pair
+	// that belongs together).
 	mu         sync.Mutex
 	mut        *mutator
 	journal    []JournalEntry
@@ -72,17 +72,13 @@ type Index struct {
 }
 
 // epoch is one immutable resolution state. Every field is final once
-// the epoch is published; state that changes later (a lazily built
-// prepared substrate, a compacted journal) is installed by cloning the
-// epoch and swapping the clone in.
+// the epoch is published; what the state derives on demand lives in d.
 type epoch struct {
 	seq      uint64
 	kb1, kb2 *KB
 	cfg      Config
 
-	nameBlocks  *blocking.Collection
-	tokenBlocks *blocking.Collection
-	purge       blocking.PurgeResult
+	purge blocking.PurgeResult
 
 	nameBlockCount, tokenBlockCount   int
 	nameComparisons, tokenComparisons int64
@@ -93,27 +89,67 @@ type epoch struct {
 
 	by1, by2 map[kb.EntityID][]int32 // entity -> positions in matches
 
-	// prep is the frozen left-side substrate of the prepared delta
-	// path: nil until Prepare builds it (or LoadIndex restores it, or
-	// a mutation derives it from the epoch cache).
-	prep *pipeline.Prepared
+	// d memoizes what the epoch derives from its KB pair; every clone
+	// of one resolution state shares it.
+	d *derived
+}
+
+// derived holds an epoch's derived artifacts. MinoanER is
+// non-iterative, so each is a memo of the epoch's two KBs: derived at
+// most once, on first demand, behind a sync.OnceValues, so every later
+// read is lock-free. The mutation cache is the exception: priming it
+// takes the caller's context and must stay cancellable, so it is set
+// under Index.mu instead.
+type derived struct {
+	// blocks are given at build or mutation, decoded from the mapping
+	// when opened.
+	blocks func() (blockPair, error)
+
+	// prep is the frozen left-side substrate of the delta path: decoded
+	// from section 8 when the snapshot has it (persisted is then true),
+	// otherwise taken from the mutation cache or frozen from KB1.
+	prep      func() (*pipeline.Prepared, error)
+	persisted bool
+
+	// stream is the base every stream over the epoch starts from;
+	// streamCounted records that Index.streamBaseBuilds counted it.
+	stream        func() (*pipeline.StreamBase, error)
+	streamCounted atomic.Bool
 
 	// cache is the scoring substrate mutations start from; nil until
 	// the first mutation primes it (built and loaded epochs alike pay
 	// that one-time candidate recompute there, so read-only indexes
 	// never pin the intermediate build artifacts). Mutated epochs
 	// always carry one.
-	cache *pipeline.Cache
+	cache atomic.Pointer[pipeline.Cache]
+}
 
-	// lazy holds the undecoded remainder of a mapped snapshot (see
-	// mapped.go); nil for built or eagerly loaded epochs, and cleared
-	// by materializeLocked's concrete clone. Access the guarded fields
-	// through blocks()/preparedSide(), never directly.
-	lazy *lazyParts
+// blockPair is an epoch's B_N and purged B_T.
+type blockPair struct{ name, token *blocking.Collection }
 
-	// stream holds the epoch's lazily built stream base (see
-	// Index.streamBase). Never nil.
-	stream *streamCell
+// derive gives e a fresh memo. blocks yields the block collections;
+// prep, when non-nil, decodes a persisted delta substrate.
+func (e *epoch) derive(blocks func() (blockPair, error), prep func() (*pipeline.Prepared, error)) {
+	d := &derived{blocks: sync.OnceValues(blocks), persisted: prep != nil}
+	if prep == nil {
+		prep = func() (*pipeline.Prepared, error) {
+			if c := d.cache.Load(); c != nil {
+				return prepFromCache(e.kb1.kb, e.cfg, c), nil
+			}
+			if err := e.materializeKB1(); err != nil {
+				return nil, err
+			}
+			return pipeline.PrepareSide(e.kb1.kb, e.cfg.internal().Params()), nil
+		}
+	}
+	d.prep = sync.OnceValues(prep)
+	d.stream = sync.OnceValues(e.buildStreamBase)
+	e.d = d
+}
+
+// givenBlocks is the blocks source of an epoch that has them in hand.
+func givenBlocks(name, token *blocking.Collection) func() (blockPair, error) {
+	return func() (blockPair, error) { return blockPair{name, token}, nil }
 }
 
 // mutator owns the write-side triple stores of a mutable index.
@@ -133,13 +169,6 @@ var ErrNotMutable = errors.New("minoaner: index is not mutable (its KBs lack ret
 // entries predate the replayable (delta-carrying) journal format.
 // Replicas recover by resyncing from a full snapshot.
 var ErrJournalTruncated = errors.New("minoaner: journal truncated before the requested epoch (resync from a snapshot)")
-
-// clone copies the epoch for a derived publish (same resolution state,
-// new auxiliary fields).
-func (e *epoch) clone() *epoch {
-	c := *e
-	return &c
-}
 
 // BuildIndex resolves the KB pair once and assembles the queryable
 // index.
@@ -173,8 +202,6 @@ func BuildIndexContext(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Re
 		kb1:              kb1,
 		kb2:              kb2,
 		cfg:              cfg,
-		nameBlocks:       st.NameBlocks,
-		tokenBlocks:      st.TokenBlocks,
 		purge:            st.PurgeStats,
 		nameBlockCount:   st.NameBlockCount,
 		tokenBlockCount:  st.TokenBlockCount,
@@ -185,8 +212,8 @@ func BuildIndexContext(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Re
 		h3:               st.H3,
 		matches:          st.Matches,
 		discardedByH4:    st.DiscardedByH4,
-		stream:           &streamCell{},
 	}
+	ep.derive(givenBlocks(st.NameBlocks, st.TokenBlocks), nil)
 	ep.buildLookup()
 	ix := &Index{}
 	ix.cur.Store(ep)
@@ -340,47 +367,11 @@ func appendNewPositions(a, b []int32) []int32 {
 	return a
 }
 
-// Prepare freezes the index's first KB into the prepared-side
-// substrate of the delta path: the one-sided token/name inverted index
-// and the sealed neighbor view. Building it costs one pass over KB1;
-// afterwards QueryKB resolves a delta by probing the frozen structures
-// with only the delta's keys — O(|delta|) work instead of re-blocking
-// the whole pair — while producing bit-identical matches. Prepare is
-// idempotent and safe to call concurrently with queries; the substrate
-// is persisted by SaveIndex once built, and mutations keep it patched
-// rather than rebuilding it.
-func (ix *Index) Prepare() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	e := ix.cur.Load()
-	if e.prep != nil {
-		return
-	}
-	// A mapped index may carry the substrate undecoded; a decode (or
-	// KB1 materialization) failure latches in the lazy parts and
-	// surfaces through the fallible entry points — Prepare itself stays
-	// infallible, like calling it on an index that is already prepared.
-	prep, err := e.preparedSide()
-	if err != nil {
-		return
-	}
-	if prep != nil {
-		ne := e.clone()
-		ne.prep = prep
-		ix.cur.Store(ne)
-		return
-	}
-	if e.materializeKB1() != nil {
-		return
-	}
-	ne := e.clone()
-	if e.cache != nil {
-		ne.prep = prepFromCache(e.kb1.kb, e.cfg, e.cache)
-	} else {
-		ne.prep = pipeline.PrepareSide(e.kb1.kb, e.cfg.internal().Params())
-	}
-	ix.cur.Store(ne)
-}
+// Prepare derives the current epoch's delta substrate now instead of on
+// the first QueryKB that needs it (one pass over KB1, or one decode of
+// a persisted substrate). It is never required; a failure surfaces
+// from the next QueryKB.
+func (ix *Index) Prepare() { _, _ = ix.cur.Load().d.prep() }
 
 // prepFromCache derives the delta-path substrate from an epoch's
 // scoring cache (sharing the patched one-sided index).
@@ -391,20 +382,16 @@ func prepFromCache(kb1 *kb.KB, cfg Config, cache *pipeline.Cache) *pipeline.Prep
 	}
 }
 
-// Prepared reports whether the prepared-side substrate is available
-// (built by Prepare, loaded from a snapshot that carried it — decoded
-// or still mapped — or derived by a mutation).
-func (ix *Index) Prepared() bool { return ix.cur.Load().hasPrepared() }
-
 // QueryKB resolves a delta KB — one entity or a small batch of new
-// descriptions — against the index's first KB. When the prepared
-// substrate is available (see Prepare) and the delta is smaller than
-// KB1, the run probes the frozen structures with only the delta's
-// tokens and names, making the query O(|delta|); otherwise it
-// transparently falls back to the full plan, which re-blocks the whole
-// pair at O(|KB1|) per call. Both paths produce identical results. A
-// QueryKB call answers from one epoch; concurrent mutations never
-// tear it.
+// descriptions — against the index's first KB. A delta smaller than
+// KB1 runs over the epoch's delta substrate — KB1 frozen into a
+// one-sided token/name inverted index and a sealed neighbor view —
+// probing it with only the delta's tokens and names, so the query is
+// O(|delta|). The substrate is derived once per epoch, on the first
+// such query (or decoded from the snapshot that persisted it). A larger
+// delta runs the full plan, which re-blocks the whole pair (see
+// QueryKBFull). Both paths produce identical results. A QueryKB call
+// answers from one epoch; concurrent mutations never tear it.
 //
 // Query, by contrast, is a constant-time lookup; route traffic about
 // already-indexed entities there and reserve QueryKB/QueryReader (and
@@ -417,21 +404,19 @@ func (ix *Index) QueryKB(ctx context.Context, delta *KB, opts ...ResolveOption) 
 	if err := e.materializeKB1(); err != nil {
 		return nil, err
 	}
-	if delta.Len() < e.kb1.Len() {
-		prep, err := e.preparedSide()
-		if err != nil {
-			return nil, err
-		}
-		if prep != nil {
-			return e.queryPrepared(ctx, prep, delta, opts...)
-		}
+	if delta.Len() >= e.kb1.Len() {
+		return e.queryFull(ctx, delta, opts...)
 	}
-	return e.queryFull(ctx, delta, opts...)
+	prep, err := e.d.prep()
+	if err != nil {
+		return nil, err
+	}
+	return e.queryPrepared(ctx, prep, delta, opts...)
 }
 
 // QueryKBFull resolves the delta with the full plan, re-blocking the
 // entire pair. It exists for benchmarking and for equivalence checks
-// against the prepared path; QueryKB is the right entry point for
+// against the substrate path; QueryKB is the right entry point for
 // serving.
 func (ix *Index) QueryKBFull(ctx context.Context, delta *KB, opts ...ResolveOption) (*Result, error) {
 	e := ix.cur.Load()
@@ -446,7 +431,7 @@ func (e *epoch) queryFull(ctx context.Context, delta *KB, opts ...ResolveOption)
 }
 
 // queryPrepared runs the delta plan against the epoch's frozen
-// substrate (passed in, since a mapped epoch resolves it lazily).
+// substrate.
 func (e *epoch) queryPrepared(ctx context.Context, prep *pipeline.Prepared, delta *KB, opts ...ResolveOption) (*Result, error) {
 	var o resolveOptions
 	for _, opt := range opts {
@@ -532,14 +517,13 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 	// Mutations derive the next epoch from the previous one's concrete
 	// structures; a mapped epoch decodes fully first (copy-on-write
 	// never touches the mapping).
-	if err := ix.materializeLocked(); err != nil {
+	e := ix.cur.Load()
+	if err := e.drain(); err != nil {
 		return mutationOutcome{}, err
 	}
-	e := ix.cur.Load()
 	if err := ix.ensureMutator(ctx, e); err != nil {
 		return mutationOutcome{}, err
 	}
-	e = ix.cur.Load() // ensureMutator may have published a primed clone
 
 	store, oldSide := ix.mut.store1, e.kb1
 	if side == 2 {
@@ -565,7 +549,7 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 	} else {
 		new2 = newSide
 	}
-	res, nextCache, err := core.RunUpdate(ctx, e.cache, old1.kb, old2.kb, new1.kb, new2.kb, e.cfg.internal(), nil)
+	res, nextCache, err := core.RunUpdate(ctx, e.d.cache.Load(), old1.kb, old2.kb, new1.kb, new2.kb, e.cfg.internal(), nil)
 	if err != nil {
 		revert()
 		return mutationOutcome{}, fmt.Errorf("minoaner: absorbing mutation: %w", err)
@@ -576,8 +560,6 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 		kb1:              new1,
 		kb2:              new2,
 		cfg:              e.cfg,
-		nameBlocks:       nextCache.NameBlocks,
-		tokenBlocks:      nextCache.TokenBlocks,
 		purge:            res.Purge,
 		nameBlockCount:   res.NameBlockCount,
 		tokenBlockCount:  res.TokenBlockCount,
@@ -588,10 +570,9 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 		h3:               res.H3,
 		matches:          res.Matches,
 		discardedByH4:    res.DiscardedByH4,
-		cache:            nextCache,
-		stream:           &streamCell{},
 	}
-	ne.prep = prepFromCache(new1.kb, ne.cfg, nextCache)
+	ne.derive(givenBlocks(nextCache.NameBlocks, nextCache.TokenBlocks), nil)
+	ne.d.cache.Store(nextCache)
 	ne.buildLookup()
 
 	entry := JournalEntry{Seq: ne.seq, Side: side, Op: JournalUpsert}
@@ -613,8 +594,9 @@ func (ix *Index) applyMutation(ctx context.Context, side int, delta *KB, uris []
 }
 
 // ensureMutator lazily builds the write side: the triple stores and
-// the epoch's scoring substrate (recomputing candidate evidence when
-// the epoch was loaded rather than built). Called under mu.
+// the epoch's mutation cache (recomputing candidate evidence when the
+// epoch was loaded rather than built). Called under mu on a drained
+// epoch.
 func (ix *Index) ensureMutator(ctx context.Context, e *epoch) error {
 	if ix.mut == nil {
 		s1, err := kb.NewStore(e.kb1.kb)
@@ -630,18 +612,19 @@ func (ix *Index) ensureMutator(ctx context.Context, e *epoch) error {
 		s2.SetWorkers(workers)
 		ix.mut = &mutator{store1: s1, store2: s2}
 	}
-	if e.cache == nil {
+	if e.d.cache.Load() == nil {
+		b, err := e.d.blocks()
+		if err != nil {
+			return err
+		}
 		st := pipeline.NewState(e.kb1.kb, e.kb2.kb, e.cfg.internal().Params())
-		st.NameBlocks = e.nameBlocks
-		st.TokenBlocks = e.tokenBlocks
-		cache, err := pipeline.NewCache(ctx, st, e.nameBlocks, e.purge)
+		st.NameBlocks, st.TokenBlocks = b.name, b.token
+		cache, err := pipeline.NewCache(ctx, st, b.name, e.purge)
 		if err != nil {
 			return fmt.Errorf("minoaner: priming mutable substrate: %w", err)
 		}
 		cache.SetMatches(e.h1, e.h2, e.h3, e.matches, e.discardedByH4)
-		ne := e.clone()
-		ne.cache = cache
-		ix.cur.Store(ne)
+		e.d.cache.Store(cache)
 	}
 	return nil
 }
@@ -661,7 +644,7 @@ func (ix *Index) Compact() {
 	ix.compactions.Add(1)
 	ix.journal = nil
 	ix.journalLen.Store(0)
-	ne := ix.cur.Load().clone()
+	ne := *ix.cur.Load()
 	if ix.mut != nil {
 		// A store that compacted its term table hands back the epoch's KB
 		// seated on it; a snapshot of the old one would ship the orphans.
@@ -672,18 +655,16 @@ func (ix *Index) Compact() {
 			ne.kb2 = &KB{kb: k}
 		}
 	}
-	if ne.cache != nil {
-		cache := *ne.cache
+	if c := ne.d.cache.Load(); c != nil {
+		// The flattened cache seeds a fresh memo, so the delta substrate
+		// probes the flat one-sided index too.
+		cache := *c
 		cache.Prep1 = cache.Prep1.Flatten()
 		cache.Prep2 = cache.Prep2.Flatten()
-		ne.cache = &cache
-		if ne.prep != nil && ne.prep.Blocks != nil {
-			prep := *ne.prep
-			prep.Blocks = cache.Prep1
-			ne.prep = &prep
-		}
+		ne.derive(givenBlocks(cache.NameBlocks, cache.TokenBlocks), nil)
+		ne.d.cache.Store(&cache)
 	}
-	ix.cur.Store(ne)
+	ix.cur.Store(&ne)
 }
 
 // JournalEntry records one absorbed mutation. The journal is the

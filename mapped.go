@@ -3,7 +3,6 @@ package minoaner
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"minoaner/internal/binio"
 	"minoaner/internal/blocking"
@@ -18,39 +17,21 @@ import (
 //     KBs' URI tiers, stats, the match lists, and the journal —
 //     everything Query/Matches/Stats-counters touch.
 //   - on first demand: the KBs' full tiers (internal/kb lazy open),
-//     the block collections, and the prepared substrate.
+//     the block collections, and the delta substrate (decoded when
+//     section 8 carries it, derived otherwise).
 //     Section checksums verify on that first access; a corrupted lazy
 //     section surfaces as an ErrSnapshotCorrupt-wrapped error from the
 //     fallible entry points (QueryKB, SaveIndex, mutations, Close),
 //     never a crash.
 //
 // Every decoded structure copies out of the mapping (strings are
-// built, not aliased). The write side (mutations, Prepare, SaveIndex,
-// Close) first forces every lazy tier via materializeLocked
-// and publishes a fully concrete epoch, so the existing copy-on-write
-// epoch machinery — and minoanervet's frozen-write rule — hold
-// unchanged: nothing ever writes through the mapping.
-
-// lazyParts is the undecoded remainder of a mapped snapshot. All
-// epochs cloned from a mapped open share the one instance, so a
-// decode happens once per index, not per epoch, and Close can prove
-// every published epoch is off the mapping by draining this instance.
-type lazyParts struct {
-	m *binio.Map
-
-	// hasPrepared records whether the snapshot carries section 8; it
-	// makes Prepared() answer correctly before the substrate is decoded.
-	hasPrepared bool
-
-	blocksOnce  sync.Once
-	nameBlocks  *blocking.Collection
-	tokenBlocks *blocking.Collection
-	blocksErr   error
-
-	prepOnce sync.Once
-	prep     *pipeline.Prepared
-	prepErr  error
-}
+// built, not aliased). The lazy tiers are the memos of the opened
+// epoch (see derived), so a decode happens once per index, not per
+// epoch. The write side (mutations, SaveIndex, Close) first drains the
+// mapping — forces every tier it still holds — so copy-on-write epoch
+// derivation never starts from a partially decoded epoch, and
+// minoanervet's frozen-write rule holds unchanged: nothing ever writes
+// through the mapping.
 
 // OpenIndexFile maps a snapshot file and decodes it lazily. The
 // returned index answers Query immediately; heavier structures decode
@@ -89,7 +70,7 @@ func OpenIndex(data []byte) (*Index, error) {
 // deferring the rest to the lazy accessors. It is the one MSNP
 // decoder: LoadIndex is openIndexMap plus a full materialization.
 func openIndexMap(m *binio.Map) (*Index, error) {
-	e := &epoch{stream: &streamCell{}}
+	e := &epoch{}
 	ix := &Index{}
 	ix.cur.Store(e)
 
@@ -99,6 +80,9 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 	}
 	e.cfg = readConfig(b)
 	if err := b.Err(); err != nil {
+		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
+	}
+	if err := e.cfg.internal().Validate(); err != nil {
 		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
 	}
 	if err := m.VerifyInventory(b); err != nil {
@@ -177,17 +161,15 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 			return nil, err
 		}
 	}
-	e.lazy = &lazyParts{m: m, hasPrepared: m.Has(snapPrepared)}
+	var prep func() (*pipeline.Prepared, error)
+	if m.Has(snapPrepared) {
+		prep = func() (*pipeline.Prepared, error) { return e.decodePrepared(m) }
+	}
+	e.derive(func() (blockPair, error) { return e.decodeBlocks(m) }, prep)
 
 	e.buildLookup()
 	ix.mapped = m
 	return ix, nil
-}
-
-// hasPrepared reports whether the epoch has (or can decode) the
-// prepared substrate.
-func (e *epoch) hasPrepared() bool {
-	return e.prep != nil || (e.lazy != nil && e.lazy.hasPrepared)
 }
 
 // materializeKB1 forces KB1's full tier — what every delta-resolution
@@ -199,29 +181,21 @@ func (e *epoch) materializeKB1() error {
 	return nil
 }
 
-// blocks returns the epoch's block collections, decoding them from the
-// mapping on first demand.
-func (e *epoch) blocks() (name, tok *blocking.Collection, err error) {
-	if e.nameBlocks != nil || e.lazy == nil {
-		return e.nameBlocks, e.tokenBlocks, nil
+// decodeBlocks decodes the epoch's block collections from the mapping.
+func (e *epoch) decodeBlocks(m *binio.Map) (blockPair, error) {
+	name, err := e.decodeCollection(m, snapNameBlocks, "name-blocks")
+	if err != nil {
+		return blockPair{}, err
 	}
-	lz := e.lazy
-	lz.blocksOnce.Do(func() {
-		lz.nameBlocks, lz.blocksErr = e.decodeBlocks(snapNameBlocks, "name-blocks")
-		if lz.blocksErr == nil {
-			lz.tokenBlocks, lz.blocksErr = e.decodeBlocks(snapTokenBlocks, "token-blocks")
-		}
-	})
-	return lz.nameBlocks, lz.tokenBlocks, lz.blocksErr
+	token, err := e.decodeCollection(m, snapTokenBlocks, "token-blocks")
+	return blockPair{name, token}, err
 }
 
-func (e *epoch) decodeBlocks(id uint64, name string) (*blocking.Collection, error) {
+func (e *epoch) decodeCollection(m *binio.Map, id uint64, name string) (*blocking.Collection, error) {
 	// The embedded collection format checksums its own sections, so the
-	// raw payload decodes without an extra outer verification pass.
-	raw, ok := e.lazy.m.Raw(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: missing %s section", ErrSnapshotCorrupt, name)
-	}
+	// raw payload (present: the open checked) decodes without an extra
+	// outer verification pass.
+	raw, _ := m.Raw(id)
 	c, err := blocking.ReadBinaryData(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
@@ -233,26 +207,12 @@ func (e *epoch) decodeBlocks(id uint64, name string) (*blocking.Collection, erro
 	return c, nil
 }
 
-// preparedSide returns the epoch's delta-path substrate, decoding the
-// persisted one from the mapping on first demand. (nil, nil) means the
-// epoch has none — the caller falls back to the full plan.
-func (e *epoch) preparedSide() (*pipeline.Prepared, error) {
-	if e.prep != nil || e.lazy == nil || !e.lazy.hasPrepared {
-		return e.prep, nil
-	}
-	lz := e.lazy
-	lz.prepOnce.Do(func() {
-		lz.prep, lz.prepErr = e.decodePrepared()
-	})
-	return lz.prep, lz.prepErr
-}
-
-// decodePrepared restores the prepared section from the mapping. The
+// decodePrepared restores the delta substrate from section 8. The
 // neighbor lists after the embedded substrate have no checksums of
 // their own, so the section's outer checksum is verified here, on this
 // first access; the nested MPS1 frame then decodes on its own.
-func (e *epoch) decodePrepared() (*pipeline.Prepared, error) {
-	payload, err := e.lazy.m.Section(snapPrepared)
+func (e *epoch) decodePrepared(m *binio.Map) (*pipeline.Prepared, error) {
+	payload, err := m.Section(snapPrepared)
 	if err != nil {
 		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
 	}
@@ -312,18 +272,14 @@ func (e *epoch) decodePrepared() (*pipeline.Prepared, error) {
 	}, nil
 }
 
-// materializeLocked forces every lazy tier of the current epoch and
-// publishes a fully concrete clone. The write side calls it under mu
-// before touching state (mutations, SaveIndex, Close), so
-// copy-on-write epoch derivation never starts from a partially decoded
-// epoch. After it returns nil, no published structure references the
-// mapping: the shared lazy parts and both KBs' sync.Onces are drained,
-// which also covers readers still holding older epoch pointers.
-func (ix *Index) materializeLocked() error {
-	e := ix.cur.Load()
-	if e.lazy == nil {
-		return nil
-	}
+// drain forces everything the epoch may still read from a snapshot
+// mapping: both KBs' tiers, the blocks, and a persisted delta
+// substrate. The write side calls it under mu before touching state
+// (mutations, SaveIndex, Close). It publishes nothing — the memos fill
+// in place, and every clone of the epoch shares them — so after it
+// returns nil no epoch a reader may still hold references the mapping.
+// A nil check on built and mutated epochs.
+func (e *epoch) drain() error {
 	for _, side := range []struct {
 		name string
 		k    *KB
@@ -335,19 +291,13 @@ func (ix *Index) materializeLocked() error {
 			return fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, side.name, err)
 		}
 	}
-	name, tok, err := e.blocks()
-	if err != nil {
+	if _, err := e.d.blocks(); err != nil {
 		return err
 	}
-	prep, err := e.preparedSide()
-	if err != nil {
+	if e.d.persisted {
+		_, err := e.d.prep()
 		return err
 	}
-	ne := e.clone()
-	ne.nameBlocks, ne.tokenBlocks = name, tok
-	ne.prep = prep
-	ne.lazy = nil
-	ix.cur.Store(ne)
 	return nil
 }
 
@@ -360,7 +310,7 @@ func (ix *Index) Mapped() bool {
 }
 
 // Close releases the mapping behind an index opened with OpenIndexFile.
-// It first materializes every lazy structure — so epoch pointers held
+// It first drains every lazy structure — so epoch pointers held
 // by in-flight readers never touch the mapping afterwards — then
 // unmaps. On a decode failure the mapping stays open and the error is
 // returned; the index keeps working either way. Close is idempotent
@@ -371,7 +321,7 @@ func (ix *Index) Close() error {
 	if ix.mapped == nil {
 		return nil
 	}
-	if err := ix.materializeLocked(); err != nil {
+	if err := ix.cur.Load().drain(); err != nil {
 		return err
 	}
 	m := ix.mapped

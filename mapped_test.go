@@ -52,7 +52,6 @@ func TestOpenIndexBitIdentity(t *testing.T) {
 	for _, name := range minoaner.BenchmarkNames() {
 		t.Run(name, func(t *testing.T) {
 			b, ix, _ := buildBenchmarkIndex(t, name, 7, 0.1)
-			ix.Prepare()
 			var buf bytes.Buffer
 			if err := minoaner.SaveIndex(&buf, ix); err != nil {
 				t.Fatal(err)
@@ -66,9 +65,6 @@ func TestOpenIndexBitIdentity(t *testing.T) {
 			mapped, err := minoaner.OpenIndex(data)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !mapped.Prepared() {
-				t.Error("mapped open lost the prepared flag")
 			}
 			if mapped.Config() != eager.Config() {
 				t.Errorf("configs diverge: %+v vs %+v", mapped.Config(), eager.Config())
@@ -176,9 +172,6 @@ func TestRetiredSection10StaysLoadable(t *testing.T) {
 		t.Fatalf("OpenIndex: %v", err)
 	}
 	for label, ix := range map[string]*minoaner.Index{"eager": eager, "mapped": mapped} {
-		if !ix.Prepared() {
-			t.Errorf("%s: prepared substrate lost", label)
-		}
 		if got, want := ix.Query(uris...), twin.Query(uris...); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Query over KB2 diverges from the unsharded twin", label)
 		}
@@ -204,7 +197,6 @@ func TestRetiredSection10StaysLoadable(t *testing.T) {
 // the decoded state must be provably unharmed (bit-identical save).
 func TestMappedCorruptionSweep(t *testing.T) {
 	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 3, 0.1)
-	ix.Prepare()
 	var buf bytes.Buffer
 	if err := minoaner.SaveIndex(&buf, ix); err != nil {
 		t.Fatal(err)
@@ -256,8 +248,9 @@ func TestMappedCorruptionSweep(t *testing.T) {
 // both OpenIndex and LoadIndex run: open, a small delta query (forcing
 // the lazy KB tier and prepared substrate), and a save (forcing
 // everything else). Every stage must succeed or fail with an error
-// wrapping ErrSnapshotCorrupt, never panic. Seeds: a prepared
-// Restaurant x0.1 snapshot and the retired-section-10 fixtures.
+// wrapping ErrSnapshotCorrupt, never panic. Seeds: a Restaurant x0.1
+// snapshot, the retired-section-10 fixtures, and the first seed without
+// its section 8 (so the query derives the substrate).
 func FuzzOpenIndex(f *testing.F) {
 	b, err := minoaner.GenerateBenchmark("Restaurant", 3, 0.1)
 	if err != nil {
@@ -267,7 +260,6 @@ func FuzzOpenIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ix.Prepare()
 	var buf bytes.Buffer
 	if err := minoaner.SaveIndex(&buf, ix); err != nil {
 		f.Fatal(err)
@@ -280,6 +272,7 @@ func FuzzOpenIndex(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add(withoutPrepared(f, buf.Bytes()))
 	delta, err := minoaner.LoadKB("delta", strings.NewReader(retiredFixtureDelta))
 	if err != nil {
 		f.Fatal(err)
@@ -324,7 +317,6 @@ func itoa(n int) string {
 // structure aliased the mapping, the post-Close queries would fault.
 func TestMappedCloseSafety(t *testing.T) {
 	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 5, 0.1)
-	ix.Prepare()
 	path := filepath.Join(t.TempDir(), "index.msnp")
 	if err := minoaner.SaveIndexFile(path, ix); err != nil {
 		t.Fatal(err)
@@ -453,7 +445,6 @@ func TestMappedMutationEquivalence(t *testing.T) {
 // fully loaded index it summarizes.
 func TestInspectIndexFile(t *testing.T) {
 	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 11, 0.1)
-	ix.Prepare()
 	d2 := docFromKB(t, b.WriteKB2)
 	rng := rand.New(rand.NewSource(41))
 	for round := 0; ix.Epoch() < 2 && round < 12; round++ {

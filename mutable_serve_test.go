@@ -7,11 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"minoaner"
+	"minoaner/internal/binio"
 )
 
 // newMutableServer builds a mutable index over a benchmark and serves
@@ -318,5 +321,62 @@ func TestServeConcurrentMutationsAndReads(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ix.Matches(), fresh.Matches()) {
 		t.Fatal("post-storm matches diverge from rebuild")
+	}
+}
+
+// TestServeCorruptSubstrateAnswers500: a damaged section 8 in a mapped,
+// sources-retaining snapshot is the server's fault, not the client's.
+// The section decodes on first demand, so /delta, /upsert and /delete
+// each answer 500, and GET /snapshot — failing before its first byte —
+// answers a JSON 500 instead of an empty 200.
+func TestServeCorruptSubstrateAnswers500(t *testing.T) {
+	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 31, 0.15)
+	data := snapshotBytes(t, ix)
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := m.Raw(8)
+	if !ok {
+		t.Fatal("snapshot carries no section 8")
+	}
+	data[bytes.Index(data, payload)+len(payload)/2] ^= 0x10
+	path := filepath.Join(t.TempDir(), "index.msnp")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := minoaner.OpenIndexFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if !mapped.Mutable() {
+		t.Fatal("snapshot lost its sources")
+	}
+	srv := httptest.NewServer(minoaner.NewServer(mapped, minoaner.WithMutations()))
+	defer srv.Close()
+
+	uri := b.KB2.URIs()[0]
+	entity := strings.Join(docFromKB(t, b.WriteKB2).linesOf(uri), "\n")
+	del, _ := json.Marshal(map[string]any{"side": 2, "uris": []string{uri}})
+	for _, req := range []struct{ path, contentType, body string }{
+		{"/delta", "application/n-triples", entity},
+		{"/upsert?side=2", "application/n-triples", entity},
+		{"/delete", "application/json", string(del)},
+	} {
+		if resp, data := postBody(t, srv.URL+req.path, req.contentType, req.body); resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("POST %s: status %d, want 500 (%s)", req.path, resp.StatusCode, data)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(body.Error, "corrupt") {
+		t.Errorf("GET /snapshot: status %d, body %+v (%v), want a JSON 500 naming the corruption", resp.StatusCode, body, err)
 	}
 }

@@ -194,8 +194,6 @@ func assertRebuildEquivalent(t *testing.T, label string, ix *minoaner.Index, d1,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Prepare()
-	fresh.Prepare()
 	got, err := ix.QueryKB(context.Background(), deltaKB)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +279,6 @@ func TestMutableIndexConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Prepare()
 	d2 := docFromKB(t, b.WriteKB2)
 	uris2 := ix.KB2().URIs()
 	deltaKB, err := minoaner.LoadKB("qdelta", strings.NewReader(strings.Join(d2.linesOf(uris2[0]), "\n")))

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"minoaner"
+	"minoaner/internal/binio"
 )
 
 // sampleDeltaURIs picks a spread of KB2 entity URIs for delta tests.
@@ -54,10 +60,6 @@ func TestQueryKBPreparedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix.Prepare()
-			if !ix.Prepared() {
-				t.Fatal("Prepare did not build the substrate")
-			}
 			uris := sampleDeltaURIs(b, 6)
 			deltas := map[string][]string{
 				"single": uris[:1],
@@ -82,18 +84,173 @@ func TestQueryKBPreparedEquivalence(t *testing.T) {
 	}
 }
 
-// TestQueryKBFallsBackUnprepared: without Prepare, QueryKB must run
-// the full plan and still answer correctly.
-func TestQueryKBFallsBackUnprepared(t *testing.T) {
-	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 42, 0.1)
-	if ix.Prepared() {
-		t.Fatal("fresh index unexpectedly prepared")
+// allocated reports the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestQueryKBDerivesSubstrateOnce: a built index derives its delta
+// substrate on the first QueryKB or QueryKBStream, once however many
+// race for it (run under -race), and every one of them answers like
+// the full plan. A following one-entity QueryKB then only probes the
+// substrate: the first round — eight queries plus the derivation they
+// share — allocates over twenty times what it does (about forty on
+// this fixture). A substrate derived per query, or the full plan run
+// per query, would make the round about eight queries' worth.
+func TestQueryKBDerivesSubstrateOnce(t *testing.T) {
+	b, ix, _ := buildBenchmarkIndex(t, "YAGO-IMDb", 42, 0.1)
+	uris := sampleDeltaURIs(b, 9)
+	deltas := make([]*minoaner.KB, len(uris))
+	wants := make([]*minoaner.Result, len(uris))
+	for i, uri := range uris {
+		var err error
+		if deltas[i], err = b.DeltaKB("delta", uri); err != nil {
+			t.Fatal(err)
+		}
+		if wants[i], err = ix.QueryKBFull(context.Background(), deltas[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 1)...)
+	const racers = 8
+	results := make([]*minoaner.Result, racers)
+	streams := make([][]minoaner.ScoredPair, racers)
+	first := allocated(func() {
+		var wg sync.WaitGroup
+		for i := range racers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if i%2 == 0 {
+					results[i], err = ix.QueryKB(context.Background(), deltas[i])
+				} else {
+					var ch <-chan minoaner.ScoredPair
+					if ch, err = ix.QueryKBStream(context.Background(), deltas[i]); err == nil {
+						for sp := range ch {
+							streams[i] = append(streams[i], sp)
+						}
+					}
+				}
+				if err != nil {
+					t.Errorf("delta %d: %v", i, err)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i := range racers {
+		if results[i] == nil {
+			res, err := ix.QueryKB(context.Background(), deltas[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := streamMatchSet(streams[i]); !reflect.DeepEqual(got, sortMatches(res.Matches)) {
+				t.Errorf("delta %d: drained first QueryKBStream (%d pairs) != QueryKB matches (%d)", i, len(got), len(res.Matches))
+			}
+			results[i] = res
+		}
+		assertSameQueryResult(t, "first round QueryKB", wants[i], results[i])
+	}
+	following := uint64(math.MaxUint64)
+	for range 3 {
+		following = min(following, allocated(func() {
+			res, err := ix.QueryKB(context.Background(), deltas[racers])
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameQueryResult(t, "following QueryKB", wants[racers], res)
+		}))
+	}
+	if following*20 > first {
+		t.Errorf("a following one-entity QueryKB allocated %d bytes, more than a twentieth of the first round's %d: the substrate was not kept", following, first)
+	}
+}
+
+// withoutPrepared rewrites a snapshot image without section 8 — the
+// layout SaveIndex wrote for a never-prepared index before it always
+// persisted the delta substrate. The config section's closing inventory
+// (a count, then one byte per section ID) drops the ID too.
+func withoutPrepared(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	const config, prepared = 1, 8
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ids []uint64
+	for _, id := range m.SectionIDs() {
+		if id != prepared {
+			ids = append(ids, id)
+		}
+	}
+	var buf bytes.Buffer
+	w := binio.NewWriter(&buf)
+	w.Raw([]byte("MSNP"))
+	w.Uvarint(1)
+	for _, id := range ids {
+		payload, err := m.Section(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w.Section(id, func(w *binio.Writer) {
+			if id != config {
+				w.Raw(payload)
+				return
+			}
+			fields := len(payload) - 2 - len(ids)
+			if fields < 0 || payload[fields] != byte(len(ids)+1) {
+				tb.Fatal("config section does not close with a one-byte inventory of every section")
+			}
+			w.Raw(payload[:fields])
+			w.Int(len(ids))
+			for _, id := range ids {
+				w.Uvarint(id)
+			}
+		})
+	}
+	w.End()
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotCarriesPreparedSubstrate: SaveIndex persists the delta
+// substrate (section 8) of every index, prepared or not. A snapshot
+// without it — as written before — still opens mapped and eagerly,
+// derives the substrate on its first delta query rather than at load,
+// answers that query like the full plan, and re-saves to the fresh
+// snapshot's bytes.
+func TestSnapshotCarriesPreparedSubstrate(t *testing.T) {
+	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.2)
+	dir := t.TempDir()
+	freshPath := filepath.Join(dir, "fresh.msnp")
+	if err := minoaner.SaveIndexFile(freshPath, ix); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := os.ReadFile(freshPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.QueryKB(context.Background(), delta)
+	stripped := withoutPrepared(t, fresh)
+	strippedPath := filepath.Join(dir, "stripped.msnp")
+	if err := os.WriteFile(strippedPath, stripped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]bool{freshPath: true, strippedPath: false} {
+		if si, err := minoaner.InspectIndexFile(path); err != nil || si.Prepared != want {
+			t.Fatalf("%s: Prepared = %v (%v), want %v", filepath.Base(path), si != nil && si.Prepared, err, want)
+		}
+	}
+
+	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,88 +258,52 @@ func TestQueryKBFallsBackUnprepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameQueryResult(t, "unprepared fallback", full, res)
+	loaded, err := minoaner.LoadIndex(bytes.NewReader(stripped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := minoaner.OpenIndex(stripped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, opened := range map[string]*minoaner.Index{"loaded": loaded, "mapped": mapped} {
+		query := func() {
+			res, err := opened.QueryKB(context.Background(), delta)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameQueryResult(t, label, full, res)
+		}
+		first := allocated(query)
+		following := uint64(math.MaxUint64)
+		for range 3 {
+			following = min(following, allocated(query))
+		}
+		if following*3 > first {
+			t.Errorf("%s: the first delta query allocated %d bytes, a following one %d: the substrate existed before the first query", label, first, following)
+		}
 
-	// Preparing switches QueryKB to the prepared path, which agrees too.
-	ix.Prepare()
-	if !ix.Prepared() {
-		t.Error("Prepare did not prepare the index")
+		resavedPath := filepath.Join(dir, label+".msnp")
+		if err := minoaner.SaveIndexFile(resavedPath, opened); err != nil {
+			t.Fatal(err)
+		}
+		resaved, err := os.ReadFile(resavedPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved, fresh) {
+			t.Errorf("%s: re-save is %d bytes, not the fresh snapshot's %d", label, len(resaved), len(fresh))
+		}
+		if si, err := minoaner.InspectIndexFile(resavedPath); err != nil || !si.Prepared {
+			t.Errorf("%s: re-save does not carry the substrate (%v)", label, err)
+		}
 	}
-	fast, err := ix.QueryKB(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameQueryResult(t, "fast", full, fast)
-}
-
-// TestSnapshotCarriesPreparedSubstrate: a prepared index snapshot
-// round-trips bit-for-bit including the substrate, and the loaded index
-// serves the prepared path without re-freezing.
-func TestSnapshotCarriesPreparedSubstrate(t *testing.T) {
-	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.1)
-	ix.Prepare()
-
-	var first bytes.Buffer
-	if err := minoaner.SaveIndex(&first, ix); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := minoaner.LoadIndex(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Prepared() {
-		t.Fatal("loaded index lost the prepared substrate")
-	}
-	var second bytes.Buffer
-	if err := minoaner.SaveIndex(&second, loaded); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("prepared snapshot not bit-identical after load: %d vs %d bytes", first.Len(), second.Len())
-	}
-
-	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 3)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := loaded.QueryKBFull(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := loaded.QueryKB(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameQueryResult(t, "loaded prepared", full, fast)
-
-	// Back-compat: a snapshot saved without the substrate (the pre-
-	// section-8 layout) still loads, reports unprepared, and prepares on
-	// demand.
-	_, bare, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.1)
-	var old bytes.Buffer
-	if err := minoaner.SaveIndex(&old, bare); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := minoaner.LoadIndex(bytes.NewReader(old.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.Prepared() {
-		t.Fatal("substrate-free snapshot claims to be prepared")
-	}
-	reloaded.Prepare()
-	res, err := reloaded.QueryKB(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameQueryResult(t, "on-demand prepare after old snapshot", full, res)
 }
 
 // TestQueryKBPreparedCancellation: cancelling the context stops a
 // prepared-path query mid-probe with ctx.Err() and no partial Result.
 func TestQueryKBPreparedCancellation(t *testing.T) {
 	b, ix, _ := buildBenchmarkIndex(t, "Rexa-DBLP", 42, 0.1)
-	ix.Prepare()
 	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 20)...)
 	if err != nil {
 		t.Fatal(err)

@@ -130,11 +130,10 @@ const (
 var serveRoutes = []string{"healthz", "stats", "metrics", "resolve", "resolve_stream", "delta", "upsert", "delete", "journal", "snapshot", "other"}
 
 // NewServer returns an http.Handler serving resolution queries over the
-// index. It prepares the index's delta substrate (see Index.Prepare) if
-// the loaded snapshot did not already carry it, so /delta resolves in
-// O(|delta|) from the first request.
+// index. It derives nothing up front: the first /delta decodes the
+// snapshot's delta substrate, or derives it when the index has none
+// (see Index.QueryKB), and every later one resolves in O(|delta|).
 func NewServer(ix *Index, opts ...ServerOption) http.Handler {
-	ix.Prepare()
 	s := &server{ix: ix, mux: http.NewServeMux(), metrics: make(map[string]*endpointMetrics, len(serveRoutes))}
 	for _, opt := range opts {
 		opt(s)
@@ -653,6 +652,8 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &tooLarge):
 			writeError(w, http.StatusRequestEntityTooLarge, "delta exceeds %d bytes", maxDeltaBytes)
+		case errors.Is(err, ErrSnapshotCorrupt):
+			writeError(w, http.StatusInternalServerError, "%v", err)
 		case r.Context().Err() != nil:
 			writeError(w, http.StatusServiceUnavailable, "request cancelled")
 		default:
@@ -881,15 +882,33 @@ func (s *server) handleJournal(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Cache-Control", "no-store")
-	// On a mid-stream failure the status line is already out; the
-	// truncated body fails the client's checksum verification.
-	_ = SaveIndex(w, s.ix)
+	out := &writeTracker{Writer: w}
+	// A failure before the first byte (a damaged mapped section) still
+	// gets its status; on a mid-stream failure the status line is
+	// already out, and the truncated body fails the client's checksum
+	// verification.
+	if err := SaveIndex(out, s.ix); err != nil && !out.wrote {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// writeTracker records whether anything was written through it.
+type writeTracker struct {
+	io.Writer
+	wrote bool
+}
+
+func (t *writeTracker) Write(p []byte) (int, error) {
+	t.wrote = true
+	return t.Writer.Write(p)
 }
 
 func (s *server) writeMutationError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, ErrNotMutable):
 		writeError(w, http.StatusConflict, "%v", err)
+	case errors.Is(err, ErrSnapshotCorrupt):
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	case r.Context().Err() != nil:
 		writeError(w, http.StatusServiceUnavailable, "request cancelled")
 	default:

@@ -36,11 +36,13 @@ import (
 //	section 6 (stats):        purge result and block accounting
 //	section 7 (matches):      H1, H2, H3, final matches, H4 discard count
 //	section 8 (prepared):     frozen left-side substrate of the delta
-//	                          path (see Index.Prepare): the embedded
+//	                          path (see Index.QueryKB): the embedded
 //	                          one-sided token/name index
 //	                          (internal/blocking "MPS1") followed by the
-//	                          frozen per-entity neighbor lists. Written
-//	                          only when the substrate has been built.
+//	                          frozen per-entity neighbor lists. Always
+//	                          written; readers still accept snapshots
+//	                          without it and derive the substrate on
+//	                          first demand.
 //	section 9 (journal):      epoch number and the mutation journal —
 //	                          one record per absorbed Upsert/Delete
 //	                          since the last Compact. Written only for
@@ -82,7 +84,7 @@ const snapshotVersion = 1
 
 // Section IDs of the snapshot frame.
 //
-//minoaner:sections writer=SaveIndex reader=openIndexMap,blocks,decodePrepared
+//minoaner:sections writer=SaveIndex reader=openIndexMap,decodeBlocks,decodePrepared
 const (
 	snapConfig      = 1
 	snapKB1         = 2
@@ -113,16 +115,21 @@ func SaveIndex(w io.Writer, ix *Index) error {
 	defer ix.mu.Unlock()
 	// A mapped index serializes from fully decoded structures — the
 	// save must include sections the read path has not touched yet.
-	if err := ix.materializeLocked(); err != nil {
+	e := ix.cur.Load()
+	if err := e.drain(); err != nil {
 		return err
 	}
-	e := ix.cur.Load()
+	blocks, err := e.d.blocks()
+	if err != nil {
+		return err
+	}
+	prep, err := e.d.prep()
+	if err != nil {
+		return err
+	}
 
 	withJournal := e.seq > 0 || len(ix.journal) > 0 || ix.compactions.Load() > 0
-	sections := []uint64{snapConfig, snapKB1, snapKB2, snapNameBlocks, snapTokenBlocks, snapStats, snapMatches}
-	if e.prep != nil {
-		sections = append(sections, snapPrepared)
-	}
+	sections := []uint64{snapConfig, snapKB1, snapKB2, snapNameBlocks, snapTokenBlocks, snapStats, snapMatches, snapPrepared}
 	if withJournal {
 		sections = append(sections, snapJournal)
 	}
@@ -143,10 +150,10 @@ func SaveIndex(w io.Writer, ix *Index) error {
 	if err := writeEmbedded(bw, snapKB2, e.kb2.kb.WriteBinary); err != nil {
 		return err
 	}
-	if err := writeEmbedded(bw, snapNameBlocks, e.nameBlocks.WriteBinary); err != nil {
+	if err := writeEmbedded(bw, snapNameBlocks, blocks.name.WriteBinary); err != nil {
 		return err
 	}
-	if err := writeEmbedded(bw, snapTokenBlocks, e.tokenBlocks.WriteBinary); err != nil {
+	if err := writeEmbedded(bw, snapTokenBlocks, blocks.token.WriteBinary); err != nil {
 		return err
 	}
 	bw.Section(snapStats, func(enc *binio.Writer) {
@@ -166,13 +173,11 @@ func SaveIndex(w io.Writer, ix *Index) error {
 		writePairs(enc, e.matches)
 		enc.Int(e.discardedByH4)
 	})
-	if e.prep != nil {
-		bw.Section(snapPrepared, func(enc *binio.Writer) {
-			enc.Int(e.prep.Neighbors.N())
-			enc.Embed(e.prep.Blocks.WriteBinary)
-			writeNeighborLists(enc, e.prep.Neighbors.TopLists())
-		})
-	}
+	bw.Section(snapPrepared, func(enc *binio.Writer) {
+		enc.Int(prep.Neighbors.N())
+		enc.Embed(prep.Blocks.WriteBinary)
+		writeNeighborLists(enc, prep.Neighbors.TopLists())
+	})
 	if withJournal {
 		bw.Section(snapJournal, func(enc *binio.Writer) {
 			writeJournalSection(enc, e.seq, ix.journal, ix.compactions.Load())

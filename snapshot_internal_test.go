@@ -100,7 +100,6 @@ func TestLoadIndexKeepsNoImageReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.Prepare()
 	var want bytes.Buffer
 	if err := SaveIndex(&want, built); err != nil {
 		t.Fatal(err)

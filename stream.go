@@ -3,7 +3,6 @@ package minoaner
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"minoaner/internal/core"
 	"minoaner/internal/pipeline"
@@ -161,31 +160,29 @@ func streamTo(ctx context.Context, kb1, kb2 *KB, run func(emit func(pipeline.Sco
 // anytime stream (the streaming counterpart of QueryKB): confirmed
 // matches arrive best-first on the returned channel, under the same
 // budget and strategy options as ResolveStream. Like QueryKB it probes
-// the prepared substrate when there is one and the delta is smaller
-// than KB1, and re-blocks the whole pair otherwise; both paths stream
-// the same pairs in the same order. Draining it unbudgeted yields
-// exactly QueryKB's match set for the same delta. The call answers from
-// one epoch; concurrent mutations never tear it.
+// the epoch's delta substrate when the delta is smaller than KB1, and
+// re-blocks the whole pair otherwise; both paths stream the same pairs
+// in the same order. Draining it unbudgeted yields exactly QueryKB's
+// match set for the same delta. The call answers from one epoch;
+// concurrent mutations never tear it.
 func (ix *Index) QueryKBStream(ctx context.Context, delta *KB, opts ...StreamOption) (<-chan ScoredPair, error) {
 	e := ix.cur.Load()
 	if err := e.materializeKB1(); err != nil {
 		return nil, err
 	}
-	if delta.Len() < e.kb1.Len() {
-		prep, err := e.preparedSide()
-		if err != nil {
-			return nil, err
-		}
-		if prep != nil {
-			return e.streamPrepared(ctx, prep, delta, opts)
-		}
+	if delta.Len() >= e.kb1.Len() {
+		return ResolveStream(ctx, e.kb1, delta, e.cfg, opts...)
 	}
-	return ResolveStream(ctx, e.kb1, delta, e.cfg, opts...)
+	prep, err := e.d.prep()
+	if err != nil {
+		return nil, err
+	}
+	return e.streamPrepared(ctx, prep, delta, opts)
 }
 
-// streamPrepared streams the delta against the epoch's frozen substrate
-// (passed in, since a mapped epoch resolves it lazily): the blocking
-// prefix probes it with the delta's keys, O(|delta|).
+// streamPrepared streams the delta against the epoch's frozen
+// substrate: the blocking prefix probes it with the delta's keys,
+// O(|delta|).
 func (e *epoch) streamPrepared(ctx context.Context, prep *pipeline.Prepared, delta *KB, opts []StreamOption) (<-chan ScoredPair, error) {
 	ccfg, budget, err := streamConfig(e.cfg, opts)
 	if err != nil {
@@ -200,44 +197,35 @@ func (e *epoch) streamPrepared(ctx context.Context, prep *pipeline.Prepared, del
 	}), nil
 }
 
-// streamCell holds the stream base of one resolution state. Every
-// clone() of an epoch shares its cell (as mapped epochs share
-// lazyParts); a mutation's epoch starts with an empty one.
-type streamCell struct {
-	mu   sync.Mutex
-	base *pipeline.StreamBase
-}
-
-// streamBase returns the epoch's stream base, deriving it from the
-// epoch's block collections on the epoch's first stream. The build is
-// not cancellable: it is ≤ 20 ms of work every later stream on the
-// epoch reuses, so the budget_ms deadline or disconnect of the request
-// that happens to trigger it must not abort it.
-func (ix *Index) streamBase(ctx context.Context, e *epoch) (*pipeline.StreamBase, error) {
+// buildStreamBase derives the epoch's stream base from its block
+// collections; the epoch's memo runs it on the epoch's first stream.
+// The build is not cancellable: it is ≤ 20 ms of work every later
+// stream on the epoch reuses, so the budget_ms deadline or disconnect
+// of the request that happens to trigger it must not abort it.
+func (e *epoch) buildStreamBase() (*pipeline.StreamBase, error) {
 	if err := e.materializeKB1(); err != nil {
 		return nil, err
 	}
 	if err := e.materializeKB2(); err != nil {
 		return nil, err
 	}
-	c := e.stream
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.base != nil {
-		return c.base, nil
-	}
-	st := pipeline.NewState(e.kb1.kb, e.kb2.kb, e.cfg.internal().Params())
-	var err error
-	if st.NameBlocks, st.TokenBlocks, err = e.blocks(); err != nil {
-		return nil, err
-	}
-	base, err := pipeline.NewStreamBase(context.WithoutCancel(ctx), st)
+	b, err := e.d.blocks()
 	if err != nil {
 		return nil, err
 	}
-	ix.streamBaseBuilds.Add(1)
-	c.base = base
-	return base, nil
+	st := pipeline.NewState(e.kb1.kb, e.kb2.kb, e.cfg.internal().Params())
+	st.NameBlocks, st.TokenBlocks = b.name, b.token
+	return pipeline.NewStreamBase(context.Background(), st)
+}
+
+// streamBase returns the epoch's stream base, counting each base the
+// first time the index serves it.
+func (ix *Index) streamBase(e *epoch) (*pipeline.StreamBase, error) {
+	base, err := e.d.stream()
+	if err == nil && e.d.streamCounted.CompareAndSwap(false, true) {
+		ix.streamBaseBuilds.Add(1)
+	}
+	return base, err
 }
 
 // resolveStream re-resolves the index's own KB pair as an anytime
@@ -251,7 +239,7 @@ func (ix *Index) resolveStream(ctx context.Context, opts ...StreamOption) (<-cha
 	if err != nil {
 		return nil, err
 	}
-	base, err := ix.streamBase(ctx, e)
+	base, err := ix.streamBase(e)
 	if err != nil {
 		return nil, err
 	}

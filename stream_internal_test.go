@@ -215,27 +215,31 @@ func TestStreamBaseOncePerEpoch(t *testing.T) {
 	if got := drainIndexStream(t, cancelled, ix); len(got) != 0 {
 		t.Fatalf("cancelled stream emitted %d pairs", len(got))
 	}
-	base := ix.cur.Load().stream.base
+	// The stream memo of a counted base answers without building again.
+	curBase := func() *pipeline.StreamBase {
+		base, _ := ix.cur.Load().d.stream()
+		return base
+	}
+	base := curBase()
 	if base == nil || ix.streamBaseBuilds.Load() != 1 {
 		t.Fatalf("a cancelled first stream must still leave the base behind (builds = %d)", ix.streamBaseBuilds.Load())
 	}
 	assertStreamEqualsEpoch(t, "after a cancelled first stream", ix)
-	ix.Prepare() // publishes a clone of the same resolution state
 	drainIndexStream(t, context.Background(), ix, WithMaxPairs(1))
-	if ix.cur.Load().stream.base != base || ix.streamBaseBuilds.Load() != 1 {
+	if curBase() != base || ix.streamBaseBuilds.Load() != 1 {
 		t.Fatalf("later streams and clones must reuse the base (builds = %d)", ix.streamBaseBuilds.Load())
 	}
 
 	before := drainIndexStream(t, context.Background(), ix)
 	mutateInternal(t, ix, 1)
-	if ix.cur.Load().stream.base != nil {
+	if ix.cur.Load().d.streamCounted.Load() {
 		t.Fatal("a mutation must publish its epoch without a stream base")
 	}
 	if err := ix.Delete(context.Background(), 2, before[0].URI2); err != nil {
 		t.Fatal(err)
 	}
 	assertStreamEqualsEpoch(t, "mutated", ix)
-	if ix.cur.Load().stream.base == base || ix.streamBaseBuilds.Load() != 2 {
+	if curBase() == base || ix.streamBaseBuilds.Load() != 2 {
 		t.Fatalf("the mutated epoch must build its own base (builds = %d)", ix.streamBaseBuilds.Load())
 	}
 	for _, sp := range drainIndexStream(t, context.Background(), ix) {

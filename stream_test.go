@@ -163,14 +163,13 @@ func drainQueryKBStream(tb testing.TB, ix *minoaner.Index, delta *minoaner.KB, o
 	return out
 }
 
-// TestQueryKBStreamPreparedEqualsFull: over the prepared substrate
+// TestQueryKBStreamPreparedEqualsFull: over the delta substrate
 // QueryKBStream probes instead of re-blocking KB1, and emits exactly
-// the sequence — pairs, scores, order — of the full path, under both
-// strategies and under budgets; drained, that is QueryKB's match set.
+// the sequence — pairs, scores, order — of the full path (a
+// ResolveStream of KB1 against the delta), under both strategies and
+// under budgets; drained, that is QueryKB's match set.
 func TestQueryKBStreamPreparedEqualsFull(t *testing.T) {
-	b, full, _ := buildBenchmarkIndex(t, "Restaurant", 7, 0.15)
-	_, prepared, _ := buildBenchmarkIndex(t, "Restaurant", 7, 0.15)
-	prepared.Prepare()
+	b, prepared, _ := buildBenchmarkIndex(t, "Restaurant", 7, 0.15)
 	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 12)...)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +180,14 @@ func TestQueryKBStreamPreparedEqualsFull(t *testing.T) {
 		{minoaner.WithMaxPairs(3)},
 		{minoaner.WithMaxComparisons(25)},
 	} {
-		want := drainQueryKBStream(t, full, delta, opts...)
+		ch, err := minoaner.ResolveStream(context.Background(), prepared.KB1(), delta, prepared.Config(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []minoaner.ScoredPair
+		for sp := range ch {
+			want = append(want, sp)
+		}
 		if len(want) == 0 {
 			t.Fatalf("case %d: the full path streamed nothing; fixture too small", i)
 		}
@@ -199,7 +205,8 @@ func TestQueryKBStreamPreparedEqualsFull(t *testing.T) {
 }
 
 // BenchmarkQueryKBStreamFirst times the first pair of a one-entity
-// delta streamed against a prepared YAGO-IMDb index.
+// delta streamed against a YAGO-IMDb index whose delta substrate is
+// already derived.
 func BenchmarkQueryKBStreamFirst(b *testing.B) {
 	bm, err := minoaner.GenerateBenchmark("YAGO-IMDb", 42, 1)
 	if err != nil {
@@ -209,11 +216,11 @@ func BenchmarkQueryKBStreamFirst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix.Prepare()
 	delta, err := bm.DeltaKB("delta", sampleDeltaURIs(bm, 1)...)
 	if err != nil {
 		b.Fatal(err)
 	}
+	drainQueryKBStream(b, ix, delta, minoaner.WithMaxPairs(1)) // derives the substrate
 	b.ReportAllocs()
 	for b.Loop() {
 		if got := drainQueryKBStream(b, ix, delta, minoaner.WithMaxPairs(1)); len(got) != 1 {
