@@ -107,7 +107,7 @@ type derived struct {
 
 	// prep is the frozen left-side substrate of the delta path: decoded
 	// from section 8 when the snapshot has it (persisted is then true),
-	// otherwise taken from the mutation cache or frozen from KB1.
+	// otherwise the mutation cache's Side1 or frozen from KB1.
 	prep      func() (*pipeline.Prepared, error)
 	persisted bool
 
@@ -134,7 +134,7 @@ func (e *epoch) derive(blocks func() (blockPair, error), prep func() (*pipeline.
 	if prep == nil {
 		prep = func() (*pipeline.Prepared, error) {
 			if c := d.cache.Load(); c != nil {
-				return prepFromCache(e.kb1.kb, e.cfg, c), nil
+				return c.Side1, nil
 			}
 			if err := e.materializeKB1(); err != nil {
 				return nil, err
@@ -372,15 +372,6 @@ func appendNewPositions(a, b []int32) []int32 {
 // a persisted substrate). It is never required; a failure surfaces
 // from the next QueryKB.
 func (ix *Index) Prepare() { _, _ = ix.cur.Load().d.prep() }
-
-// prepFromCache derives the delta-path substrate from an epoch's
-// scoring cache (sharing the patched one-sided index).
-func prepFromCache(kb1 *kb.KB, cfg Config, cache *pipeline.Cache) *pipeline.Prepared {
-	return &pipeline.Prepared{
-		Blocks:    cache.Prep1,
-		Neighbors: kb.FrozenFromLists(kb1, cfg.internal().Params().N, cache.Top1, cache.Rev1),
-	}
-}
 
 // QueryKB resolves a delta KB — one entity or a small batch of new
 // descriptions — against the index's first KB. A delta smaller than
@@ -656,15 +647,22 @@ func (ix *Index) Compact() {
 		}
 	}
 	if c := ne.d.cache.Load(); c != nil {
-		// The flattened cache seeds a fresh memo, so the delta substrate
-		// probes the flat one-sided index too.
+		// The flattened cache, its views re-seated on the epoch's KBs,
+		// seeds a fresh memo, so the delta substrate is its Side1.
 		cache := *c
-		cache.Prep1 = cache.Prep1.Flatten()
-		cache.Prep2 = cache.Prep2.Flatten()
+		cache.Side1 = compactSide(c.Side1, ne.kb1.kb)
+		cache.Side2 = compactSide(c.Side2, ne.kb2.kb)
 		ne.derive(givenBlocks(cache.NameBlocks, cache.TokenBlocks), nil)
 		ne.d.cache.Store(&cache)
 	}
 	ix.cur.Store(&ne)
+}
+
+// compactSide flattens one side of a mutation cache and re-seats its
+// neighbor view, lists shared, on k: the side's KB after Compact.
+func compactSide(p *pipeline.Prepared, k *kb.KB) *pipeline.Prepared {
+	f := p.Neighbors
+	return &pipeline.Prepared{Blocks: p.Blocks.Flatten(), Neighbors: kb.FrozenFromLists(k, f.N(), f.TopLists(), f.RevLists())}
 }
 
 // JournalEntry records one absorbed mutation. The journal is the

@@ -22,10 +22,12 @@ type Frozen struct {
 
 // Freeze materializes the neighbor view for the given N, computing the
 // per-entity top-neighbor lists across the given worker count (<= 0
-// selects GOMAXPROCS). The result is identical at every count.
+// selects GOMAXPROCS), self-scheduled: an entity's cost grows with its
+// degree. Every slot is written once, so the result is identical at
+// every count.
 func (kb *KB) Freeze(n, workers int) *Frozen {
 	top := make([][]EntityID, kb.Len())
-	_ = parallel.For(context.Background(), kb.Len(), parallel.Workers(workers), func(_, start, end int) error {
+	_ = parallel.ForDynamic(context.Background(), kb.Len(), parallel.Workers(workers), parallel.EntityGrain, func(_, start, end int) error {
 		for e := start; e < end; e++ {
 			top[e] = kb.TopNeighbors(EntityID(e), n)
 		}
@@ -35,9 +37,10 @@ func (kb *KB) Freeze(n, workers int) *Frozen {
 }
 
 // FrozenFromLists assembles a Frozen view from already-materialized
-// top-neighbor lists (e.g. loaded from a snapshot) and, when the caller
-// holds it, their reverse index; a nil rev is derived. The lists must be
-// what Freeze would compute for the same KB and N, and rev what
+// top-neighbor lists (loaded from a snapshot, or another view's lists
+// re-seated on the KB of a new epoch) and, when the caller holds it,
+// their reverse index; a nil rev is derived. The lists must be what
+// Freeze would compute for the same KB and N, and rev what
 // ReverseNeighbors yields for top; callers loading persisted lists
 // validate ID ranges before calling.
 func FrozenFromLists(kb *KB, n int, top, rev [][]EntityID) *Frozen {

@@ -34,33 +34,27 @@ func tokenWeights(bt *blocking.Collection) []float64 {
 // every cross pair it suggests, which realizes
 // valueSim = Σ_{shared tokens} w(t) over the blocks' tokens.
 func valueCandidates(ctx context.Context, bt *blocking.Collection, idx *blocking.Index, weights []float64, k, workers int) ([][]Cand, [][]Cand, error) {
-	n1, n2 := bt.KBSizes()
-	side1, err := valueCandidatesSide(ctx, idx.ByE1, func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }, n2, weights, k, workers)
+	side1, err := valueCandidatesSide(ctx, idx.ByE1, bt, 1, weights, k, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	side2, err := valueCandidatesSide(ctx, idx.ByE2, func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 }, n1, weights, k, workers)
+	side2, err := valueCandidatesSide(ctx, idx.ByE2, bt, 2, weights, k, workers)
 	if err != nil {
 		return nil, nil, err
 	}
 	return side1, side2, nil
 }
 
-// valueCandidatesSide is valueCandidates for one side: byEnt lists each
-// entity's token blocks and members yields a block's entities on the
-// opposite side, which has other entities.
-func valueCandidatesSide(ctx context.Context, byEnt [][]int32, members func(bi int32) []kb.EntityID, other int, weights []float64, k, workers int) ([][]Cand, error) {
+// valueCandidatesSide is valueCandidates for the entities of one side
+// (1 or 2): byEnt lists each entity's purged token blocks, ascending.
+func valueCandidatesSide(ctx context.Context, byEnt [][]int32, bt *blocking.Collection, side int, weights []float64, k, workers int) ([][]Cand, error) {
 	out := make([][]Cand, len(byEnt))
 	accs := make(workerAccumulators, workers)
+	other := oppositeSize(bt, side)
 	err := parallelFor(ctx, len(byEnt), workers, func(worker, start, end int) error {
 		acc := accs.of(worker, other)
 		for e := start; e < end; e++ {
-			for _, bi := range byEnt[e] {
-				w := weights[bi]
-				for _, o := range members(bi) {
-					acc.add(int32(o), w)
-				}
-			}
+			acc.addValueEvidence(byEnt[e], bt, side, weights)
 			out[e] = acc.topK(k)
 			acc.reset()
 		}
@@ -70,6 +64,15 @@ func valueCandidatesSide(ctx context.Context, byEnt [][]int32, members func(bi i
 		return nil, err
 	}
 	return out, nil
+}
+
+// oppositeSize is the entity count of the side opposite to side.
+func oppositeSize(bt *blocking.Collection, side int) int {
+	n1, n2 := bt.KBSizes()
+	if side == 1 {
+		return n2
+	}
+	return n1
 }
 
 // neighborCandidates computes, for every entity, its top-K candidates
@@ -83,16 +86,12 @@ func valueCandidatesSide(ctx context.Context, byEnt [][]int32, members func(bi i
 // blocks provide — so only pairs co-occurring in token blocks
 // contribute, as in the paper's blocks-centric computation.
 func neighborCandidates(ctx context.Context, kb1, kb2 *kb.KB, vc1, vc2 [][]Cand, n, k, workers int) ([][]Cand, [][]Cand, error) {
-	top1 := topNeighborListsN(kb1, n, workers)
-	top2 := topNeighborListsN(kb2, n, workers)
-	rev1 := kb.ReverseNeighbors(top1, kb1.Len())
-	rev2 := kb.ReverseNeighbors(top2, kb2.Len())
-
-	out1, err := neighborCandidatesSide(ctx, top1, vc1, rev2, k, workers)
+	view1, view2 := kb1.Freeze(n, workers), kb2.Freeze(n, workers)
+	out1, err := neighborCandidatesSide(ctx, view1.TopLists(), dense{vc: vc1}, view2.RevLists(), k, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	out2, err := neighborCandidatesSide(ctx, top2, vc2, rev1, k, workers)
+	out2, err := neighborCandidatesSide(ctx, view2.TopLists(), dense{vc: vc2}, view1.RevLists(), k, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,16 +99,16 @@ func neighborCandidates(ctx context.Context, kb1, kb2 *kb.KB, vc1, vc2 [][]Cand,
 }
 
 // neighborCandidatesSide is neighborCandidates for one side: the best
-// neighbors n_i of an entity (top) propose, through their value
-// candidates n_j (vc), every opposite-side entity that has n_j among
-// its own best neighbors (rev, indexed by opposite-side entity).
-func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, vc [][]Cand, rev [][]kb.EntityID, k, workers int) ([][]Cand, error) {
+// neighbors of each entity (top) propose, through their value
+// candidates (s), every opposite-side entity that counts such a
+// candidate among its own best neighbors (rev).
+func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, s side, rev [][]kb.EntityID, k, workers int) ([][]Cand, error) {
 	out := make([][]Cand, len(top))
 	accs := make(workerAccumulators, workers)
 	err := parallelFor(ctx, len(top), workers, func(worker, start, end int) error {
 		acc := accs.of(worker, len(rev))
 		for e := start; e < end; e++ {
-			acc.addNeighborEvidence(top[e], vc, rev)
+			acc.addNeighborEvidence(top[e], s, rev)
 			out[e] = acc.topK(k)
 			acc.reset()
 		}
@@ -119,22 +118,6 @@ func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, vc [][]Can
 		return nil, err
 	}
 	return out, nil
-}
-
-// topNeighborListsN lists every entity's n best neighbors, across
-// workers; every slot is written exactly once, so the result does not
-// depend on the worker count.
-func topNeighborListsN(k *kb.KB, n, workers int) [][]kb.EntityID {
-	out := make([][]kb.EntityID, k.Len())
-	// The work function never fails and the context is never cancelled,
-	// so the error is structurally nil.
-	_ = parallelFor(context.Background(), k.Len(), workers, func(_, start, end int) error {
-		for i := start; i < end; i++ {
-			out[i] = k.TopNeighbors(kb.EntityID(i), n)
-		}
-		return nil
-	})
-	return out
 }
 
 // accumulator aggregates per-candidate similarity with O(1) reset via
@@ -173,22 +156,51 @@ func (a *accumulator) add(id int32, w float64) {
 	a.sums[id] += w
 }
 
+// The two evidence kernels. Every engine — the eager stages, the
+// update plan's affected entities and the lazy fills of delta and
+// stream runs — sums an entity's evidence through one of them, so every
+// float sum associates identically whichever engine computes it. Each
+// returns how many contributions it accumulated.
+
+// addValueEvidence accumulates the value similarity of an entity of the
+// given side (1 or 2): each of its purged token blocks, in ascending
+// position, adds its ARCS weight to every opposite-side member.
+func (a *accumulator) addValueEvidence(blocks []int32, bt *blocking.Collection, side int, weights []float64) int64 {
+	var n int64
+	for _, bi := range blocks {
+		b := &bt.Blocks[bi]
+		members := b.E1
+		if side == 1 {
+			members = b.E2
+		}
+		n += int64(len(members))
+		w := weights[bi]
+		for _, o := range members {
+			a.add(int32(o), w)
+		}
+	}
+	return n
+}
+
 // addNeighborEvidence accumulates one entity's neighbor similarity: its
 // best neighbors n_i (top) propose, through their value candidates n_j
-// (vc), every opposite-side entity that has n_j among its own best
-// neighbors (rev). The eager stage and the update plan share this loop,
-// so their sums associate identically.
-func (a *accumulator) addNeighborEvidence(top []kb.EntityID, vc [][]Cand, rev [][]kb.EntityID) {
+// (as s lists them), every opposite-side entity that has n_j among its
+// own best neighbors (rev).
+func (a *accumulator) addNeighborEvidence(top []kb.EntityID, s side, rev [][]kb.EntityID) int64 {
+	var n int64
 	for _, nei := range top {
-		for _, cand := range vc[nei] {
+		for _, cand := range s.value(nei) {
 			if cand.Sim <= 0 {
 				continue
 			}
-			for _, o := range rev[cand.ID] {
+			others := rev[cand.ID]
+			n += int64(len(others))
+			for _, o := range others {
 				a.add(int32(o), cand.Sim)
 			}
 		}
 	}
+	return n
 }
 
 func (a *accumulator) reset() {
@@ -267,18 +279,10 @@ func siftDown(h []Cand, i int) {
 // runs between context checks; see parallel.CancelCheckStride.
 const cancelCheckStride = parallel.CancelCheckStride
 
-// candidateGrain is how many entities a worker claims at a time in the
-// per-entity candidate loops: small enough that a cluster of expensive
-// entities (IDs are sorted-URI positions, so kinds sit together) is
-// shared between workers and that cancellation, checked per claim,
-// lands within a millisecond; large enough that the shared cursor stays
-// off the profile.
-const candidateGrain = 64
-
 // parallelFor is the per-entity candidate loop of every engine: workers
-// claim candidateGrain-sized ranges (parallel.ForDynamic), so work may
+// claim parallel.EntityGrain-sized ranges (parallel.ForDynamic), so work may
 // run many times per worker — never concurrently for one worker index —
 // and the context is checked before each claim.
 func parallelFor(ctx context.Context, n, workers int, work func(worker, start, end int) error) error {
-	return parallel.ForDynamic(ctx, n, workers, candidateGrain, work)
+	return parallel.ForDynamic(ctx, n, workers, parallel.EntityGrain, work)
 }

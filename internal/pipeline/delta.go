@@ -10,9 +10,9 @@
 // The delta plan is bit-identical to the full plan on the same pair:
 // probed collections reproduce the full construction's blocks in the
 // same key order with the same member order, purging and ARCS
-// weighting run unchanged on them, and the lazy side-1 computations
-// accumulate in exactly the order the eager stages use, so every
-// floating-point sum — and therefore every match — is the same.
+// weighting run unchanged on them, and the lazy side-1 fills run the
+// eager stages' kernels over the same inputs in the same order, so
+// every floating-point sum — and therefore every match — is the same.
 package pipeline
 
 import (
@@ -47,19 +47,10 @@ func PrepareSide(kb1 *kb.KB, p Params) *Prepared {
 }
 
 // deltaSide is the per-run working set of a prepared-side State: the
-// probed collection's sparse side-1 index plus the lazily materialized
-// side-1 candidate lists.
+// frozen side and the probed collection's sparse side-1 index.
 type deltaSide struct {
 	prep *Prepared
-
 	byE1 map[kb.EntityID][]int32 // set by DeltaBlockIndexing
-
-	vcDone bool // DeltaValueCandidates ran (a stage precondition)
-
-	// side1 fills the left side's candidate lists for the entities the
-	// matching stages touch. DeltaNeighborCandidates, the last stage to
-	// produce one of its inputs, sets it.
-	side1 *streamSide
 }
 
 // NewDeltaState prepares the blackboard for one prepared-side run of a
@@ -165,7 +156,8 @@ func DeltaBlockIndexing() Stage {
 }
 
 // DeltaValueCandidates computes the top-K value candidates of every
-// delta entity — the side-2 half of the eager stage.
+// delta entity — the side-2 half of the eager stage — and sets up the
+// lazy side 1, whose value fills read the sparse side-1 index.
 func DeltaValueCandidates() Stage {
 	return newStage(StageValueCandidates, func(ctx context.Context, st *State) error {
 		if st.delta == nil {
@@ -177,84 +169,38 @@ func DeltaValueCandidates() Stage {
 		if st.Weights == nil {
 			return errors.New("requires token weights (run " + StageTokenWeighting + " first)")
 		}
-		bt := st.TokenBlocks
-		out, err := valueCandidatesSide(ctx, st.TokenIndex.ByE2,
-			func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 },
-			st.KB1.Len(), st.Weights, st.Params.K, st.Params.workers())
+		out, err := valueCandidatesSide(ctx, st.TokenIndex.ByE2, st.TokenBlocks, 2,
+			st.Weights, st.Params.K, st.Params.workers())
 		if err != nil {
 			return err
 		}
 		st.ValueCands2 = out
-		st.delta.vcDone = true
+		byE1 := st.delta.byE1
+		st.lazy1 = newLazySide(st, 1, func(e kb.EntityID) []int32 { return byE1[e] }, nil)
 		return nil
 	})
 }
 
 // DeltaNeighborCandidates computes the top-K neighbor candidates of
 // every delta entity from the delta's own best neighbors and the
-// frozen reverse-neighbor view of the left side, and arms the lazy
-// side-1 fills for the entities H4 touches.
+// frozen side's reverse view, and arms the lazy side-1 neighbor fills
+// with both views.
 func DeltaNeighborCandidates() Stage {
 	return newStage(StageNeighborCandidates, func(ctx context.Context, st *State) error {
 		if st.delta == nil {
 			return errNotDelta
 		}
-		if !st.delta.vcDone {
+		if st.lazy1 == nil {
 			return errors.New("requires value candidates (run " + StageValueCandidates + " first)")
 		}
-		top2 := topNeighborListsN(st.KB2, st.Params.N, 1) // the delta side is small
-		rev2 := kb.ReverseNeighbors(top2, st.KB2.Len())
-		out, err := neighborCandidatesSide(ctx, top2, st.ValueCands2,
-			st.delta.prep.Neighbors.RevLists(), st.Params.K, st.Params.workers())
+		views := [2]*kb.Frozen{st.delta.prep.Neighbors, st.KB2.Freeze(st.Params.N, 1)} // the delta side is small
+		out, err := neighborCandidatesSide(ctx, views[1].TopLists(), dense{vc: st.ValueCands2},
+			views[0].RevLists(), st.Params.K, st.Params.workers())
 		if err != nil {
 			return err
 		}
 		st.NeighborCands2 = out
-		// The eager side-1 stages' inputs — blocks in ascending position,
-		// members in block order, the frozen neighbor lists — so the lazy
-		// fills are bit-identical to them.
-		bt, byE1 := st.TokenBlocks, st.delta.byE1
-		side1 := newStreamSide(st.KB2.Len(), st.Weights, st.Params.K)
-		side1.blocks = func(e kb.EntityID) []int32 { return byE1[e] }
-		side1.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }
-		top1 := st.delta.prep.Neighbors.TopLists()
-		side1.neighbors = func() (top, rev [][]kb.EntityID) { return top1, rev2 }
-		st.delta.side1 = side1
+		st.lazy1.views = func() [2]*kb.Frozen { return views }
 		return nil
 	})
-}
-
-// haveValueCands reports whether value-candidate evidence is available
-// on both sides — materialized arrays, or the lazy side-1 path of a
-// delta run.
-func (s *State) haveValueCands() bool {
-	if s.delta != nil {
-		return s.delta.vcDone && s.ValueCands2 != nil
-	}
-	return s.ValueCands1 != nil && s.ValueCands2 != nil
-}
-
-// haveNeighborCands is haveValueCands for neighbor evidence.
-func (s *State) haveNeighborCands() bool {
-	if s.delta != nil {
-		return s.delta.side1 != nil && s.NeighborCands2 != nil
-	}
-	return s.NeighborCands1 != nil && s.NeighborCands2 != nil
-}
-
-// valueCands1At returns the value candidates of a left entity,
-// materializing them lazily on a delta run.
-func (s *State) valueCands1At(e kb.EntityID) []Cand {
-	if s.delta == nil {
-		return s.ValueCands1[e]
-	}
-	return s.delta.side1.valueCands(e)
-}
-
-// neighborCands1At is valueCands1At for neighbor candidates.
-func (s *State) neighborCands1At(e kb.EntityID) []Cand {
-	if s.delta == nil {
-		return s.NeighborCands1[e]
-	}
-	return s.delta.side1.neighborCands(e)
 }

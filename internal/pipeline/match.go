@@ -1,9 +1,157 @@
 package pipeline
 
 import (
+	"slices"
+
+	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
 )
+
+// The matcher: H2-H4 decided per entity, once, over a pair of evidence
+// sides. Every engine drives it — the batch, delta and update stages
+// over the emitting entities in ID order, a stream over its schedule —
+// so the four engines share their decisions, not just their results.
+
+// side is one KB's per-entity evidence: its top-K value and neighbor
+// candidates.
+type side interface {
+	value(e kb.EntityID) []Cand
+	neighbor(e kb.EntityID) []Cand
+}
+
+// dense is a side over materialized candidate arrays: both sides of a
+// batch or update run, the delta side of a delta run.
+type dense struct{ vc, nc [][]Cand }
+
+func (d dense) value(e kb.EntityID) []Cand    { return d.vc[e] }
+func (d dense) neighbor(e kb.EntityID) []Cand { return d.nc[e] }
+
+// lazySide is a side whose lists are filled on first use, through the
+// same two kernels the eager stages run, so every similarity is
+// bit-identical to theirs: the prepared side of a delta run and both
+// sides of a stream. A run fills from one goroutine; no locking.
+type lazySide struct {
+	side    int                         // 1 or 2: the KB whose entities this side scores
+	blocks  func(e kb.EntityID) []int32 // entity -> purged token blocks, ascending
+	bt      *blocking.Collection        // the purged B_T the block positions index
+	weights []float64                   // ARCS weight per block of bt
+	views   func() [2]*kb.Frozen        // both KBs' neighbor views; nil until a delta run's neighbor stage
+	k       int
+	acc     *accumulator
+	vc, nc  map[kb.EntityID][]Cand // memoized fills; presence marks "computed" (a nil list is a valid result)
+
+	comparisons int64 // contributions accumulated so far (StreamBudget.MaxComparisons)
+}
+
+// newLazySide returns side (1 or 2) of st's pair over its purged token
+// blocks and weights.
+func newLazySide(st *State, side int, blocks func(kb.EntityID) []int32, views func() [2]*kb.Frozen) *lazySide {
+	return &lazySide{
+		side:    side,
+		blocks:  blocks,
+		bt:      st.TokenBlocks,
+		weights: st.Weights,
+		views:   views,
+		k:       st.Params.K,
+		acc:     newAccumulator(oppositeSize(st.TokenBlocks, side)),
+		vc:      make(map[kb.EntityID][]Cand),
+		nc:      make(map[kb.EntityID][]Cand),
+	}
+}
+
+func (s *lazySide) value(e kb.EntityID) []Cand {
+	if cands, done := s.vc[e]; done {
+		return cands
+	}
+	s.comparisons += s.acc.addValueEvidence(s.blocks(e), s.bt, s.side, s.weights)
+	return s.take(s.vc, e)
+}
+
+func (s *lazySide) neighbor(e kb.EntityID) []Cand {
+	if cands, done := s.nc[e]; done {
+		return cands
+	}
+	views := s.views()
+	top := views[s.side-1].Top(e)
+	// The kernel reads the neighbors' value lists through s, and a value
+	// fill runs on s.acc: fill them before the kernel takes it.
+	for _, nei := range top {
+		s.value(nei)
+	}
+	s.comparisons += s.acc.addNeighborEvidence(top, s, views[2-s.side].RevLists())
+	return s.take(s.nc, e)
+}
+
+// take memoizes the accumulated list as e's entry of memo.
+func (s *lazySide) take(memo map[kb.EntityID][]Cand, e kb.EntityID) []Cand {
+	cands := s.acc.topK(s.k)
+	s.acc.reset()
+	memo[e] = cands
+	return cands
+}
+
+// matcher decides H2-H4 over the sides of one run, oriented around the
+// emitting KB exactly as the batch heuristics are (emission).
+type matcher struct {
+	emission
+	side1, side2 side
+	a            side // the emitting side
+	theta        float64
+	ranks        rankScratch
+}
+
+func newMatcher(em emission, side1, side2 side, theta float64) *matcher {
+	m := &matcher{emission: em, side1: side1, side2: side2, a: side1, theta: theta}
+	if em.swap {
+		m.a = side2
+	}
+	return m
+}
+
+// matcher returns the matcher over the state's evidence: the
+// materialized arrays, with side 1 lazy on a delta run.
+func (s *State) matcher() *matcher {
+	var side1 side = dense{s.ValueCands1, s.NeighborCands1}
+	if s.lazy1 != nil {
+		side1 = s.lazy1
+	}
+	return newMatcher(s.emission(), side1, dense{s.ValueCands2, s.NeighborCands2}, s.Params.Theta)
+}
+
+// valueMatch is H2 for one emitting entity H1 left unmatched: its best
+// candidate H1 did not claim wins if the value similarity reaches 1 —
+// many common, infrequent tokens.
+func (m *matcher) valueMatch(ea kb.EntityID) (kb.EntityID, bool) {
+	if _, done := m.h1A[ea]; done {
+		return 0, false
+	}
+	best, ok := firstEligible(m.a.value(ea), m.h1B)
+	return best.ID, ok && best.Sim >= 1
+}
+
+// rankMatch is H3 for one emitting entity no earlier heuristic claimed:
+// its top-1 unclaimed candidate under the θ-weighted sum of normalized
+// value and neighbor ranks.
+func (m *matcher) rankMatch(ea kb.EntityID, claimed *claims) (kb.EntityID, bool) {
+	if claimed.takenA(ea) {
+		return 0, false
+	}
+	return m.ranks.aggregateRanks(m.a.value(ea), m.a.neighbor(ea), m.theta, claimed.takenB)
+}
+
+// reciprocal is H4 for a canonical pair: E2 must appear in E1's top-K
+// value or neighbor candidates, and vice versa.
+func (m *matcher) reciprocal(p eval.Pair) bool {
+	return holds(m.side1, p.E1, p.E2) && holds(m.side2, p.E2, p.E1)
+}
+
+// holds reports whether target is among e's candidates. The value list
+// answers first; a lazy side fills e's neighbor list only on a miss.
+func holds(s side, e, target kb.EntityID) bool {
+	is := func(c Cand) bool { return c.ID == target }
+	return slices.ContainsFunc(s.value(e), is) || slices.ContainsFunc(s.neighbor(e), is)
+}
 
 // firstEligible returns the best candidate not already claimed by H1.
 func firstEligible(cands []Cand, h1Taken map[kb.EntityID]kb.EntityID) (Cand, bool) {
@@ -145,27 +293,4 @@ next:
 		}
 		s.scores = append(s.scores, idScore{id: c.ID, score: rank})
 	}
-}
-
-// reciprocal implements H4: e2 must appear in e1's top-K value or
-// neighbor candidates, and vice versa. Side-1 lists go through the
-// lazy accessors so prepared-side runs only materialize them for the
-// entities that reach this check.
-func (s *State) reciprocal(p eval.Pair) bool {
-	return containsCand(s.valueCands1At(p.E1), s.neighborCands1At(p.E1), p.E2) &&
-		containsCand(s.ValueCands2[p.E2], s.NeighborCands2[p.E2], p.E1)
-}
-
-func containsCand(value, neighbor []Cand, id kb.EntityID) bool {
-	for _, c := range value {
-		if c.ID == id {
-			return true
-		}
-	}
-	for _, c := range neighbor {
-		if c.ID == id {
-			return true
-		}
-	}
-	return false
 }

@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"minoaner/internal/datagen"
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
 )
@@ -69,14 +72,20 @@ func TestRankAggregationSameThroughFlagsAndMaps(t *testing.T) {
 			st.H2TakenB[kb.EntityID(permB[i])] = struct{}{}
 		}
 		em = st.emission()
+		// h3 is the RankAggregation stage over the given claims.
+		h3 := func(claimed *claims) (out []eval.Pair) {
+			m := st.matcher()
+			for e := range m.sizeA {
+				if eb, ok := m.rankMatch(kb.EntityID(e), claimed); ok {
+					out = append(out, m.pair(kb.EntityID(e), eb))
+				}
+			}
+			return out
+		}
 
 		var results [2][]eval.Pair
 		for i, dense := range []bool{false, true} {
-			st.H3 = nil
-			if err := st.rankAggregation(context.Background(), em, em.claims(dense)); err != nil {
-				t.Fatal(err)
-			}
-			results[i] = st.H3
+			results[i] = h3(em.claims(dense))
 		}
 		if len(results[0]) == 0 {
 			t.Fatalf("%s: H3 emitted nothing; the fixture is too sparse", tc.name)
@@ -102,14 +111,10 @@ func TestRankAggregationSameThroughFlagsAndMaps(t *testing.T) {
 			}
 			return a, b
 		}
-		if a, b := uses(st.H3); a+b > 0 {
+		if a, b := uses(results[1]); a+b > 0 {
 			t.Fatalf("%s: %d + %d H3 pairs use an entity H1 or H2 claimed", tc.name, a, b)
 		}
-		st.H3 = nil
-		if err := st.rankAggregation(context.Background(), em, &claims{}); err != nil {
-			t.Fatal(err)
-		}
-		if a, b := uses(st.H3); a == 0 || b == 0 {
+		if a, b := uses(h3(&claims{})); a == 0 || b == 0 {
 			t.Fatalf("%s: with no claims, %d + %d pairs use a claimed entity; the fixture needs both to test the skips", tc.name, a, b)
 		}
 		// And the size rule picks the flags for a pair like this one.
@@ -180,5 +185,59 @@ func TestRankScratchReuseLeaksNothing(t *testing.T) {
 		if got != want || gotOK != wantOK {
 			t.Fatalf("round %d: reused scratch answers (%d,%v), fresh one (%d,%v)", round, got, gotOK, want, wantOK)
 		}
+	}
+}
+
+// TestDeltaReciprocityFillsNeighborsOnlyOnValueMiss: H4 asks the lazy
+// side 1 of a delta run for E1's neighbor candidates only when E2 is
+// missing from E1's value candidates, so after the delta plan the side's
+// neighbor memo holds exactly the E1s of such checked pairs.
+func TestDeltaReciprocityFillsNeighborsOnlyOnValueMiss(t *testing.T) {
+	ds, err := datagen.Restaurant(datagen.Options{Seed: 42, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testParams()
+	prep := PrepareSide(ds.KB1, p)
+	gt := ds.GT.Pairs()
+	valueHits := 0
+	for _, n := range []int{1, 16} {
+		uris := make([]string, n)
+		for i := range uris {
+			uris[i] = ds.KB2.URI(gt[i*len(gt)/n].E2)
+		}
+		delta, _, err := kb.FromTriplesSubset("delta", ds.Triples2, uris)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewDeltaState(prep, delta, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runPlan(t, Until(DeltaPlan(), StageUnion), st)
+		checked := slices.Clone(st.Matches)
+		if len(checked) == 0 {
+			t.Fatalf("%d-entity delta: no pair reaches H4; fixture too small", n)
+		}
+		runPlan(t, []Stage{Reciprocity()}, st)
+		want := map[kb.EntityID]bool{}
+		for _, pr := range checked {
+			value, filled := st.lazy1.vc[pr.E1]
+			if !filled {
+				t.Fatalf("%d-entity delta: H4 checked %v without E1's value list", n, pr)
+			}
+			if slices.ContainsFunc(value, func(c Cand) bool { return c.ID == pr.E2 }) {
+				valueHits++
+			} else {
+				want[pr.E1] = true
+			}
+		}
+		got := slices.Sorted(maps.Keys(st.lazy1.nc))
+		if wantIDs := slices.Sorted(maps.Keys(want)); !slices.Equal(got, wantIDs) {
+			t.Errorf("%d-entity delta: side-1 neighbor lists filled for %v, want exactly the value misses %v", n, got, wantIDs)
+		}
+	}
+	if valueHits == 0 {
+		t.Fatal("no checked pair was confirmed by E1's value list; the fixture cannot tell a short-circuit from a full check")
 	}
 }

@@ -11,7 +11,7 @@
 // workloads edit the plan instead of threading flags through the run
 // loop: Drop removes a heuristic, Replace swaps an implementation
 // (e.g. KeepAllBlocks for BlockPurging), Until truncates the plan
-// after a prefix (e.g. blocking only, for progressive scheduling).
+// after a prefix (e.g. blocking only).
 package pipeline
 
 import (

@@ -171,7 +171,7 @@ func finishTokenBlocks(st *State) {
 
 // BlockIndexing builds the entity-to-blocks index of the purged B_T,
 // the access path of candidate scoring. It is a separate stage so
-// blocking-only prefixes (e.g. progressive scheduling) skip its cost.
+// blocking-only prefixes (Until StageBlockPurging) skip its cost.
 func BlockIndexing() Stage {
 	return newStage(StageBlockIndexing, func(ctx context.Context, st *State) error {
 		if st.TokenBlocks == nil {
@@ -264,22 +264,17 @@ func ValueMatching() Stage {
 		}
 		st.H2TakenA = make(map[kb.EntityID]struct{})
 		st.H2TakenB = make(map[kb.EntityID]struct{})
-		em := st.emission()
-		for e := 0; e < em.sizeA; e++ {
+		m := st.matcher()
+		for e := 0; e < m.sizeA; e++ {
 			if e%cancelCheckStride == 0 && ctx.Err() != nil {
 				return ctx.Err()
 			}
 			ea := kb.EntityID(e)
-			if _, done := em.h1A[ea]; done {
-				continue
+			if eb, ok := m.valueMatch(ea); ok {
+				st.H2 = append(st.H2, m.pair(ea, eb))
+				st.H2TakenA[ea] = struct{}{}
+				st.H2TakenB[eb] = struct{}{}
 			}
-			best, ok := firstEligible(em.valueA[ea], em.h1B)
-			if !ok || best.Sim < 1 {
-				continue
-			}
-			st.H2 = append(st.H2, em.pair(ea, best.ID))
-			st.H2TakenA[ea] = struct{}{}
-			st.H2TakenB[best.ID] = struct{}{}
 		}
 		return nil
 	})
@@ -296,30 +291,19 @@ func RankAggregation() Stage {
 		if !st.haveNeighborCands() {
 			return errors.New("requires neighbor candidates (run " + StageNeighborCandidates + " first)")
 		}
-		em := st.emission()
-		return st.rankAggregation(ctx, em, em.newClaims())
+		m := st.matcher()
+		claimed := m.newClaims()
+		for e := 0; e < m.sizeA; e++ {
+			if e%cancelCheckStride == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			ea := kb.EntityID(e)
+			if eb, ok := m.rankMatch(ea, claimed); ok {
+				st.H3 = append(st.H3, m.pair(ea, eb))
+			}
+		}
+		return nil
 	})
-}
-
-// rankAggregation is H3 over one representation of the earlier
-// heuristics' claims.
-func (s *State) rankAggregation(ctx context.Context, em emission, claimed *claims) error {
-	var scratch rankScratch
-	for e := 0; e < em.sizeA; e++ {
-		if e%cancelCheckStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		ea := kb.EntityID(e)
-		if claimed.takenA(ea) {
-			continue
-		}
-		best, ok := scratch.aggregateRanks(em.valueA[ea], em.neighborA[ea], s.Params.Theta, claimed.takenB)
-		if !ok {
-			continue
-		}
-		s.H3 = append(s.H3, em.pair(ea, best))
-	}
-	return nil
 }
 
 // Union collects H1 ∨ H2 ∨ H3 into Matches, deduplicated and in
@@ -349,9 +333,10 @@ func Reciprocity() Stage {
 		if !st.haveNeighborCands() {
 			return errors.New("requires neighbor candidates (run " + StageNeighborCandidates + " first)")
 		}
+		m := st.matcher()
 		kept := st.Matches[:0]
 		for _, p := range st.Matches {
-			if st.reciprocal(p) {
+			if m.reciprocal(p) {
 				kept = append(kept, p)
 			} else {
 				st.DiscardedByH4++

@@ -171,7 +171,7 @@ func TestUnionWithoutReciprocity(t *testing.T) {
 
 func TestBlockingPrefixForNewWorkloads(t *testing.T) {
 	// A truncated plan exposes the purged token collection without
-	// matching — the reuse progressive scheduling builds on.
+	// matching, and without paying for the entity index.
 	kb1, kb2 := testKBs(t, 60)
 	st := runPlan(t, Until(DefaultPlan(), StageBlockPurging), NewState(kb1, kb2, testParams()))
 	if st.TokenBlocks == nil {

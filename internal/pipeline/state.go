@@ -89,10 +89,13 @@ type State struct {
 	// from "union never computed" for Reciprocity's precondition.
 	unionDone bool
 
-	// delta, when non-nil, marks a prepared-side run (NewDeltaState):
-	// side-1 candidate arrays stay unmaterialized and are derived lazily
-	// per touched entity instead.
+	// delta, when non-nil, marks a prepared-side run (NewDeltaState).
 	delta *deltaSide
+
+	// lazy1, set by a delta run's candidate stages, stands in for
+	// ValueCands1 and NeighborCands1: it fills side 1's lists for just
+	// the entities the matching stages touch.
+	lazy1 *lazySide
 
 	// update, when non-nil, marks an epoch-update run (NewUpdateState):
 	// the blocking artifacts are patched rather than rebuilt and the
@@ -139,34 +142,39 @@ func NewIngestState(src1, src2 Source, p Params) *State {
 // for: the smaller one, as in the paper ("every entity e_i of the
 // smaller in size KB"). The other side's evidence still feeds H4.
 type emission struct {
-	swap      bool // true when KB2 is the smaller side
-	sizeA     int  // entities on the emitting side
-	sizeB     int  // entities on the other side
-	valueA    [][]Cand
-	neighborA [][]Cand
-	h1A, h1B  map[kb.EntityID]kb.EntityID
-	h2A, h2B  map[kb.EntityID]struct{}
+	swap     bool // true when KB2 is the smaller side
+	sizeA    int  // entities on the emitting side
+	sizeB    int  // entities on the other side
+	h1A, h1B map[kb.EntityID]kb.EntityID
+	h2A, h2B map[kb.EntityID]struct{}
 }
 
 func (s *State) emission() emission {
 	e := emission{
-		swap:      s.KB2.Len() < s.KB1.Len(),
-		sizeA:     s.KB1.Len(),
-		sizeB:     s.KB2.Len(),
-		valueA:    s.ValueCands1,
-		neighborA: s.NeighborCands1,
-		h1A:       s.H1Map1,
-		h1B:       s.H1Map2,
-		h2A:       s.H2TakenA,
-		h2B:       s.H2TakenB,
+		swap:  s.KB2.Len() < s.KB1.Len(),
+		sizeA: s.KB1.Len(),
+		sizeB: s.KB2.Len(),
+		h1A:   s.H1Map1,
+		h1B:   s.H1Map2,
+		h2A:   s.H2TakenA,
+		h2B:   s.H2TakenB,
 	}
 	if e.swap {
 		e.sizeA, e.sizeB = e.sizeB, e.sizeA
-		e.valueA = s.ValueCands2
-		e.neighborA = s.NeighborCands2
 		e.h1A, e.h1B = s.H1Map2, s.H1Map1
 	}
 	return e
+}
+
+// haveValueCands reports whether value evidence is available on both
+// sides: materialized arrays, or a delta run's lazy side 1.
+func (s *State) haveValueCands() bool {
+	return s.ValueCands2 != nil && (s.ValueCands1 != nil || s.lazy1 != nil)
+}
+
+// haveNeighborCands is haveValueCands for neighbor evidence.
+func (s *State) haveNeighborCands() bool {
+	return s.NeighborCands2 != nil && (s.NeighborCands1 != nil || s.lazy1 != nil)
 }
 
 // pair orients an (emitter, other) decision into canonical (E1, E2)

@@ -9,13 +9,14 @@
 // deterministic prefix of the quality-ordered stream.
 //
 // Draining an unbudgeted stream yields exactly the batch plan's match
-// set: the lazy per-entity candidate fills accumulate in the eager
-// stages' iteration order (bit-identical similarities, same discipline
-// as the delta path), H1 decisions are taken verbatim from the
-// NameMatching stage, H2 and H3 decisions are mutually independent
-// given the completed claim maps of the earlier heuristics, and no two
-// heuristics ever emit the same pair — so the batch union's dedup is a
-// no-op and any visit order reproduces the same set.
+// set: the lazy per-entity candidate fills run the eager stages'
+// kernels (bit-identical similarities, as on the delta path), the
+// matcher takes the batch stages' per-entity decisions, H1 decisions
+// are taken verbatim from the NameMatching stage, H2 and H3 decisions
+// are mutually independent given the completed claim maps of the
+// earlier heuristics, and no two heuristics ever emit the same pair —
+// so the batch union's dedup is a no-op and any visit order reproduces
+// the same set.
 package pipeline
 
 import (
@@ -99,7 +100,7 @@ func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(Score
 // StreamBase is everything a streaming run reads but never writes: the
 // KBs and parameters, the name blocks, the purged token blocks with
 // their index and ARCS weights, the H1 decisions, each strategy's
-// schedule and the best-neighbor lists (the last two built on first
+// schedule and both KBs' neighbor views (the last two built on first
 // use, once). None of it depends on a run's budget, strategy or
 // ablation switches, so one base serves any number of concurrent Run
 // calls — an index keeps one per epoch.
@@ -115,17 +116,11 @@ type StreamBase struct {
 	// appears exactly once, so a drained stream covers the same
 	// decisions as the batch run.
 	schedules [2]func() []kb.EntityID
-	// neighbors is a KB-sized cost the first matches usually never touch
-	// (a pair confirmed through the value lists short-circuits past
-	// neighborCands). Construction depends only on the KBs and N, never
+	// views is a KB-sized cost the first matches usually never touch (a
+	// pair confirmed through the value lists short-circuits past the
+	// neighbor fills). Construction depends only on the KBs and N, never
 	// on which run triggers it.
-	neighbors func() *streamNeighbors
-}
-
-// streamNeighbors holds both sides' best-neighbor lists and their
-// reverse indexes.
-type streamNeighbors struct {
-	top1, top2, rev1, rev2 [][]kb.EntityID
+	views func() [2]*kb.Frozen
 }
 
 // NewStreamBase derives a stream base from st, running only the
@@ -174,156 +169,14 @@ func NewStreamBase(ctx context.Context, st *State) (*StreamBase, error) {
 		sync.OnceValue(b.weightOrderedSchedule),
 		sync.OnceValue(b.blockRoundRobinSchedule),
 	}
-	b.neighbors = sync.OnceValue(b.buildNeighbors)
+	b.views = sync.OnceValue(func() [2]*kb.Frozen {
+		n, w := st.Params.N, st.Params.workers()
+		if st.delta != nil {
+			return [2]*kb.Frozen{st.delta.prep.Neighbors, st.KB2.Freeze(n, w)}
+		}
+		return [2]*kb.Frozen{st.KB1.Freeze(n, w), st.KB2.Freeze(n, w)}
+	})
 	return b, nil
-}
-
-func (b *StreamBase) buildNeighbors() *streamNeighbors {
-	st, w := b.st, b.st.Params.workers()
-	n := &streamNeighbors{top2: topNeighborListsN(st.KB2, st.Params.N, w)}
-	n.rev2 = kb.ReverseNeighbors(n.top2, st.KB2.Len())
-	if st.delta != nil {
-		n.top1, n.rev1 = st.delta.prep.Neighbors.TopLists(), st.delta.prep.Neighbors.RevLists()
-	} else {
-		n.top1 = topNeighborListsN(st.KB1, st.Params.N, w)
-		n.rev1 = kb.ReverseNeighbors(n.top1, st.KB1.Len())
-	}
-	return n
-}
-
-// streamSide lazily materializes one side's candidate lists with the
-// eager stages' exact accumulation order — blocks in ascending index
-// position, members in block order, neighbor contributions gathered
-// before touching the shared accumulator — so every similarity, and
-// every decision derived from one, is bit-identical to the batch run.
-// Both sides of a streaming run and the prepared side of a delta run
-// (deltaSide.side1) are one; a run builds the accessors once and fills
-// from a single goroutine, so no locking is needed.
-type streamSide struct {
-	blocks func(e kb.EntityID) []int32  // own entity -> token blocks, ascending
-	mem    func(bi int32) []kb.EntityID // opposite-side members of a block
-	// neighbors returns the side's best-neighbor lists and the opposite
-	// side's reverse best-neighbor index.
-	neighbors   func() (top, rev [][]kb.EntityID)
-	weights     []float64
-	k           int
-	comparisons int64 // contributions accumulated so far (StreamBudget.MaxComparisons)
-	acc         *accumulator
-	contribs    []neighborContrib      // neighborCands' gather buffer, reused across fills
-	vc, nc      map[kb.EntityID][]Cand // memoized fills; presence marks "computed" (a nil list is a valid result)
-}
-
-// neighborContrib is one pending neighbor-similarity contribution.
-type neighborContrib struct {
-	id  kb.EntityID
-	sim float64
-}
-
-// newStreamSide returns a side whose candidates range over an opposite
-// side of n entities.
-func newStreamSide(n int, weights []float64, k int) *streamSide {
-	return &streamSide{
-		weights: weights,
-		k:       k,
-		acc:     newAccumulator(n),
-		vc:      make(map[kb.EntityID][]Cand),
-		nc:      make(map[kb.EntityID][]Cand),
-	}
-}
-
-func (s *streamSide) valueCands(e kb.EntityID) []Cand {
-	if cands, done := s.vc[e]; done {
-		return cands
-	}
-	for _, bi := range s.blocks(e) {
-		w := s.weights[bi]
-		members := s.mem(bi)
-		s.comparisons += int64(len(members))
-		for _, o := range members {
-			s.acc.add(int32(o), w)
-		}
-	}
-	cands := s.acc.topK(s.k)
-	s.acc.reset()
-	s.vc[e] = cands
-	return cands
-}
-
-func (s *streamSide) neighborCands(e kb.EntityID) []Cand {
-	if cands, done := s.nc[e]; done {
-		return cands
-	}
-	top, rev := s.neighbors()
-	// The nested value fills share s.acc; gather the neighbor
-	// contributions first so the aggregation below uses it exclusively.
-	contribs := s.contribs[:0]
-	for _, nei := range top[e] {
-		for _, cand := range s.valueCands(nei) {
-			if cand.Sim <= 0 {
-				continue
-			}
-			for _, o := range rev[cand.ID] {
-				contribs = append(contribs, neighborContrib{id: o, sim: cand.Sim})
-			}
-		}
-	}
-	s.contribs = contribs
-	s.comparisons += int64(len(contribs))
-	for _, c := range contribs {
-		s.acc.add(int32(c.id), c.sim)
-	}
-	cands := s.acc.topK(s.k)
-	s.acc.reset()
-	s.nc[e] = cands
-	return cands
-}
-
-// streamEvidence is the per-run state over a shared base: the two lazy
-// sides (accumulators, memoized fills, comparison counters), oriented
-// around the emitting (smaller) KB exactly as the batch heuristics do
-// via State.emission.
-type streamEvidence struct {
-	*StreamBase
-	sideA, sideB *streamSide // A emits; B supplies the reciprocity view
-}
-
-func (b *StreamBase) newEvidence() *streamEvidence {
-	st, bt := b.st, b.st.TokenBlocks
-	side1 := newStreamSide(st.KB2.Len(), st.Weights, st.Params.K)
-	side1.blocks = b.blocks1
-	side1.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 }
-	side1.neighbors = func() (top, rev [][]kb.EntityID) { n := b.neighbors(); return n.top1, n.rev2 }
-	side2 := newStreamSide(st.KB1.Len(), st.Weights, st.Params.K)
-	side2.blocks = b.blocks2
-	side2.mem = func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 }
-	side2.neighbors = func() (top, rev [][]kb.EntityID) { n := b.neighbors(); return n.top2, n.rev1 }
-	if b.em.swap {
-		return &streamEvidence{StreamBase: b, sideA: side2, sideB: side1}
-	}
-	return &streamEvidence{StreamBase: b, sideA: side1, sideB: side2}
-}
-
-// reciprocal applies H4 to a canonical pair through the lazy fills —
-// the same check as State.reciprocal, with one extra short-circuit: a
-// pair already present in a side's value candidates never computes that
-// side's neighbor candidates (the boolean is identical either way,
-// since containsCand consults the value list first).
-func (ev *streamEvidence) reciprocal(p eval.Pair) bool {
-	s1, s2 := ev.sideA, ev.sideB
-	if ev.em.swap {
-		s1, s2 = ev.sideB, ev.sideA
-	}
-	return s1.holds(p.E1, p.E2) && s2.holds(p.E2, p.E1)
-}
-
-// holds reports whether target appears among e's value or neighbor
-// candidates, computing the neighbor fill only when the value list
-// misses.
-func (s *streamSide) holds(e, target kb.EntityID) bool {
-	if containsCand(s.valueCands(e), nil, target) {
-		return true
-	}
-	return containsCand(nil, s.neighborCands(e), target)
 }
 
 // memA returns a block's members on the emitting side.
@@ -418,53 +271,54 @@ func (b *StreamBase) blockRoundRobinSchedule() []kb.EntityID {
 // per-entity decision within a phase is independent of the others, so
 // the drained set equals the batch plan's regardless of schedule.
 func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg StreamConfig, emit func(ScoredPair) bool) error {
-	ev, st, em, sched := b.newEvidence(), b.st, b.em, b.schedules[strategy]()
+	side1 := newLazySide(b.st, 1, b.blocks1, b.views)
+	side2 := newLazySide(b.st, 2, b.blocks2, b.views)
+	m := newMatcher(b.em, side1, side2, b.st.Params.Theta)
 	if cfg.DisableH1 {
 		// As in the batch plan with NameMatching dropped: nobody is claimed.
-		em.h1A, em.h1B = nil, nil
+		m.h1A, m.h1B = nil, nil
 	}
+	sched := b.schedules[strategy]()
 	emitted := 0
-	denom := float64(em.sizeA + 1)
-	// send emits one confirmed pair; false stops the stream (consumer
-	// gone, or the pair budget is spent).
-	send := func(p eval.Pair, h uint8, pos int) bool {
-		sp := ScoredPair{
-			Pair:      p,
-			Heuristic: h,
-			Score:     float64(4-h) + float64(em.sizeA-pos)/denom,
+	denom := float64(m.sizeA + 1)
+	// phase visits the schedule with heuristic h's per-entity decision
+	// and emits each decided pair H4 confirms. It returns false when the
+	// stream must stop: the context ended (the error), a budget is spent,
+	// or the consumer is gone.
+	phase := func(h uint8, decide func(ea kb.EntityID) (kb.EntityID, bool)) (bool, error) {
+		for i, ea := range sched {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+			if cfg.Budget.MaxComparisons > 0 && side1.comparisons+side2.comparisons >= cfg.Budget.MaxComparisons {
+				return false, nil
+			}
+			eb, ok := decide(ea)
+			if !ok {
+				continue
+			}
+			p := m.pair(ea, eb)
+			if !cfg.DisableH4 && !m.reciprocal(p) {
+				continue
+			}
+			sp := ScoredPair{Pair: p, Heuristic: h, Score: float64(4-h) + float64(m.sizeA-i)/denom}
+			if !emit(sp) {
+				return false, nil
+			}
+			if emitted++; cfg.Budget.MaxPairs > 0 && emitted >= cfg.Budget.MaxPairs {
+				return false, nil
+			}
 		}
-		if !emit(sp) {
-			return false
-		}
-		emitted++
-		return cfg.Budget.MaxPairs <= 0 || emitted < cfg.Budget.MaxPairs
-	}
-	overBudget := func() bool {
-		return cfg.Budget.MaxComparisons > 0 && ev.sideA.comparisons+ev.sideB.comparisons >= cfg.Budget.MaxComparisons
+		return true, nil
 	}
 
 	// Phase 1 — H1 name matches: the cheapest and most precise evidence.
 	// The decisions were already taken by the NameMatching stage; the
 	// phase replays them in schedule order through the H4 filter.
 	if !cfg.DisableH1 {
-		for i, ea := range sched {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if overBudget() {
-				return nil
-			}
-			eb, ok := em.h1A[ea]
-			if !ok {
-				continue
-			}
-			p := em.pair(ea, eb)
-			if !cfg.DisableH4 && !ev.reciprocal(p) {
-				continue
-			}
-			if !send(p, 1, i) {
-				return nil
-			}
+		h1 := func(ea kb.EntityID) (kb.EntityID, bool) { eb, ok := m.h1A[ea]; return eb, ok }
+		if more, err := phase(1, h1); !more {
+			return err
 		}
 	}
 
@@ -474,29 +328,15 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 	h2A := make(map[kb.EntityID]struct{})
 	h2B := make(map[kb.EntityID]struct{})
 	if !cfg.DisableH2 {
-		for i, ea := range sched {
-			if err := ctx.Err(); err != nil {
-				return err
+		h2 := func(ea kb.EntityID) (kb.EntityID, bool) {
+			eb, ok := m.valueMatch(ea)
+			if ok {
+				h2A[ea], h2B[eb] = struct{}{}, struct{}{}
 			}
-			if overBudget() {
-				return nil
-			}
-			if _, done := em.h1A[ea]; done {
-				continue
-			}
-			best, ok := firstEligible(ev.sideA.valueCands(ea), em.h1B)
-			if !ok || best.Sim < 1 {
-				continue
-			}
-			h2A[ea] = struct{}{}
-			h2B[best.ID] = struct{}{}
-			p := em.pair(ea, best.ID)
-			if !cfg.DisableH4 && !ev.reciprocal(p) {
-				continue
-			}
-			if !send(p, 2, i) {
-				return nil
-			}
+			return eb, ok
+		}
+		if more, err := phase(2, h2); !more {
+			return err
 		}
 	}
 
@@ -505,30 +345,9 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 	if !cfg.DisableH3 {
 		// A budgeted stream visits a prefix of the schedule: the claims
 		// are read from the maps, never expanded to KB-sized flags.
-		claimed := &claims{h1A: em.h1A, h1B: em.h1B, h2A: h2A, h2B: h2B}
-		var scratch rankScratch
-		for i, ea := range sched {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if overBudget() {
-				return nil
-			}
-			if claimed.takenA(ea) {
-				continue
-			}
-			best, ok := scratch.aggregateRanks(ev.sideA.valueCands(ea), ev.sideA.neighborCands(ea), st.Params.Theta, claimed.takenB)
-			if !ok {
-				continue
-			}
-			p := em.pair(ea, best)
-			if !cfg.DisableH4 && !ev.reciprocal(p) {
-				continue
-			}
-			if !send(p, 3, i) {
-				return nil
-			}
-		}
+		claimed := &claims{h1A: m.h1A, h1B: m.h1B, h2A: h2A, h2B: h2B}
+		_, err := phase(3, func(ea kb.EntityID) (kb.EntityID, bool) { return m.rankMatch(ea, claimed) })
+		return err
 	}
 	return nil
 }

@@ -37,16 +37,17 @@ import (
 )
 
 // Cache is the scoring substrate one epoch carries to make the next
-// mutation incremental: the one-sided blocking substrates of both
-// sides, the frozen neighbor lists, the joined (pre-purge) token
-// collection and the name collection, the purge result, and the
-// candidate lists. All fields are immutable once published.
+// mutation incremental: both sides' one-sided blocking substrates and
+// neighbor views, the joined (pre-purge) token collection and the name
+// collection, the purge result, and the candidate lists. All fields are
+// immutable once published.
 //
 //minoaner:frozen
 type Cache struct {
-	Prep1, Prep2 *blocking.Prepared
-	Top1, Top2   [][]kb.EntityID
-	Rev1, Rev2   [][]kb.EntityID
+	// Side1 and Side2 are the two KBs frozen as a delta run's prepared
+	// side is; Side1 is the epoch's delta substrate. Each view names the
+	// epoch's KB of its side.
+	Side1, Side2 *Prepared
 
 	NameBlocks  *blocking.Collection // the epoch's B_N
 	RawTokens   *blocking.Collection // B_T before purging
@@ -87,12 +88,9 @@ func NewCache(ctx context.Context, st *State, nameBlocks *blocking.Collection, p
 			return nil, err
 		}
 	}
-	w := st.Params.workers()
 	c := &Cache{
-		Prep1:       blocking.Prepare(st.KB1, st.Params.NameK, w),
-		Prep2:       blocking.Prepare(st.KB2, st.Params.NameK, w),
-		Top1:        topNeighborListsN(st.KB1, st.Params.N, w),
-		Top2:        topNeighborListsN(st.KB2, st.Params.N, w),
+		Side1:       PrepareSide(st.KB1, st.Params),
+		Side2:       PrepareSide(st.KB2, st.Params),
 		NameBlocks:  nameBlocks,
 		TokenBlocks: st.TokenBlocks,
 		Purge:       purge,
@@ -101,9 +99,7 @@ func NewCache(ctx context.Context, st *State, nameBlocks *blocking.Collection, p
 		NC1:         st.NeighborCands1,
 		NC2:         st.NeighborCands2,
 	}
-	c.Rev1 = kb.ReverseNeighbors(c.Top1, st.KB1.Len())
-	c.Rev2 = kb.ReverseNeighbors(c.Top2, st.KB2.Len())
-	c.RawTokens = blocking.JoinTokenBlocks(c.Prep1, c.Prep2)
+	c.RawTokens = blocking.JoinTokenBlocks(c.Side1.Blocks, c.Side2.Blocks)
 	c.Weights = st.Weights
 	if c.Weights == nil {
 		c.Weights = tokenWeights(st.TokenBlocks)
@@ -119,14 +115,12 @@ type updateSide struct {
 	next       *Cache
 
 	// Stage-to-stage scratch.
+	prep1, prep2           *blocking.Prepared // the patched one-sided substrates
 	pt1, pt2               blocking.PreparedPatch
 	nameStable             bool
 	tokenKeys              []string // sorted union of both sides' token edits
 	affV1, affV2           []bool   // value-affected entities (new ID space)
 	vcChanged1, vcChanged2 []bool   // entities whose recomputed value list actually differs
-	topChanged1            []bool   // side-1 entities whose best-neighbor list changed
-	topChanged2            []bool
-	topAll1, topAll2       bool // relation reranking forced a full top rebuild
 	affectedV1Count        int
 	affectedV2Count        int
 	affectedN1, affectedN2 int
@@ -138,7 +132,7 @@ type updateSide struct {
 // unmutated side passes the same *kb.KB on both arguments and costs
 // nothing.
 func NewUpdateState(prev *Cache, old1, old2, new1, new2 *kb.KB, p Params) (*State, error) {
-	if prev == nil || prev.Prep1 == nil || prev.Prep2 == nil || prev.RawTokens == nil || prev.NameBlocks == nil {
+	if prev == nil || prev.Side1 == nil || prev.Side2 == nil || prev.RawTokens == nil || prev.NameBlocks == nil {
 		return nil, errors.New("pipeline: update state requires a primed substrate (NewCache)")
 	}
 	if len(prev.VC1) != old1.Len() || len(prev.VC2) != old2.Len() {
@@ -307,8 +301,8 @@ func UpdateNameBlocking() Stage {
 			}
 			return p, pt
 		}
-		u.next.Prep1, u.pt1 = patchSide(u.prev.Prep1, u.old1, st.KB1, u.d1)
-		u.next.Prep2, u.pt2 = patchSide(u.prev.Prep2, u.old2, st.KB2, u.d2)
+		u.prep1, u.pt1 = patchSide(u.prev.Side1.Blocks, u.old1, st.KB1, u.d1)
+		u.prep2, u.pt2 = patchSide(u.prev.Side2.Blocks, u.old2, st.KB2, u.d2)
 
 		if u.nameStable {
 			keys := make([]string, 0, len(u.pt1.Names)+len(u.pt2.Names))
@@ -329,15 +323,15 @@ func UpdateNameBlocking() Stage {
 			}
 			st.NameBlocks = u.prev.NameBlocks.Patch(blocking.CollectionPatch{
 				Keys:    blocking.SortedKeySet(keys),
-				Lookup1: u.next.Prep1.NamePosting,
-				Lookup2: u.next.Prep2.NamePosting,
+				Lookup1: u.prep1.NamePosting,
+				Lookup2: u.prep2.NamePosting,
 				Remap1:  u.pt1.Remap,
 				Remap2:  u.pt2.Remap,
 				N1:      st.KB1.Len(),
 				N2:      st.KB2.Len(),
 			})
 		} else {
-			st.NameBlocks = blocking.JoinNameBlocks(u.next.Prep1, u.next.Prep2)
+			st.NameBlocks = blocking.JoinNameBlocks(u.prep1, u.prep2)
 		}
 		u.next.NameBlocks = st.NameBlocks
 		st.NameBlockCount = st.NameBlocks.Size()
@@ -371,8 +365,8 @@ func UpdateTokenBlocking() Stage {
 		}
 		st.TokenBlocks = u.prev.RawTokens.Patch(blocking.CollectionPatch{
 			Keys:    u.tokenKeys,
-			Lookup1: u.next.Prep1.TokenPosting,
-			Lookup2: u.next.Prep2.TokenPosting,
+			Lookup1: u.prep1.TokenPosting,
+			Lookup2: u.prep2.TokenPosting,
 			Remap1:  u.pt1.Remap,
 			Remap2:  u.pt2.Remap,
 			N1:      st.KB1.Len(),
@@ -532,17 +526,9 @@ func countTrue(bs []bool) int {
 	return n
 }
 
-// sameListArray reports whether two per-entity list arrays are the
-// same slice (the sharing fast paths propagate pointers, so identity
-// means identity of content).
-func sameListArray(a, b [][]kb.EntityID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
-}
-
-// sameCandArray is sameListArray for candidate arrays.
+// sameCandArray reports whether two candidate arrays are the same slice
+// (the sharing fast paths propagate pointers, so identity means
+// identity of content).
 func sameCandArray(a, b [][]Cand) bool {
 	if len(a) != len(b) {
 		return false
@@ -588,13 +574,13 @@ func UpdateValueCandidates() Stage {
 			}
 		}
 
-		run := func(n, otherN int, aff []bool, prevVC [][]Cand, dSelf, dOther *kb.Diff,
-			tokens func(kb.EntityID) []string, members func(int32) []kb.EntityID) ([][]Cand, []bool, error) {
+		run := func(side int, self *kb.KB, aff []bool, prevVC [][]Cand, dSelf, dOther *kb.Diff) ([][]Cand, []bool, error) {
 			if countTrue(aff) == 0 && !dSelf.Shifted() && !dOther.Shifted() {
 				// Nothing on this side was touched and no IDs moved:
 				// the whole array carries over, shared.
 				return prevVC, nil, nil
 			}
+			n := self.Len()
 			out := make([][]Cand, n)
 			// vcChanged records, exactly, which recomputed lists differ
 			// from the previous epoch's — the set the neighbor stage
@@ -602,6 +588,8 @@ func UpdateValueCandidates() Stage {
 			// (a re-accumulated sum over identical blocks is identical).
 			vcChanged := make([]bool, n)
 			accs := make(workerAccumulators, workers)
+			other := oppositeSize(bt, side)
+			blocks := make([][]int32, workers) // per worker: an entity's block positions, ascending as its tokens
 			err := parallelFor(ctx, n, workers, func(worker, start, end int) error {
 				if err := carryCands(out, prevVC, aff, start, end, dSelf, dOther); err != nil {
 					return fmt.Errorf("value candidates of %w", err)
@@ -611,17 +599,15 @@ func UpdateValueCandidates() Stage {
 						continue
 					}
 					id := kb.EntityID(e)
-					acc := accs.of(worker, otherN)
-					for _, tok := range tokens(id) {
-						bi := findBlock(tok)
-						if bi < 0 {
-							continue
-						}
-						w := st.Weights[bi]
-						for _, o := range members(bi) {
-							acc.add(int32(o), w)
+					own := blocks[worker][:0]
+					for _, tok := range self.Tokens(id) {
+						if bi := findBlock(tok); bi >= 0 {
+							own = append(own, bi)
 						}
 					}
+					blocks[worker] = own
+					acc := accs.of(worker, other)
+					acc.addValueEvidence(own, bt, side, st.Weights)
 					out[e] = acc.topK(st.Params.K)
 					acc.reset()
 					back := dSelf.BackID(id)
@@ -633,15 +619,11 @@ func UpdateValueCandidates() Stage {
 		}
 
 		var err error
-		st.ValueCands1, u.vcChanged1, err = run(st.KB1.Len(), st.KB2.Len(), u.affV1, u.prev.VC1, u.d1, u.d2,
-			func(e kb.EntityID) []string { return st.KB1.Tokens(e) },
-			func(bi int32) []kb.EntityID { return bt.Blocks[bi].E2 })
+		st.ValueCands1, u.vcChanged1, err = run(1, st.KB1, u.affV1, u.prev.VC1, u.d1, u.d2)
 		if err != nil {
 			return err
 		}
-		st.ValueCands2, u.vcChanged2, err = run(st.KB2.Len(), st.KB1.Len(), u.affV2, u.prev.VC2, u.d2, u.d1,
-			func(e kb.EntityID) []string { return st.KB2.Tokens(e) },
-			func(bi int32) []kb.EntityID { return bt.Blocks[bi].E1 })
+		st.ValueCands2, u.vcChanged2, err = run(2, st.KB2, u.affV2, u.prev.VC2, u.d2, u.d1)
 		if err != nil {
 			return err
 		}
@@ -740,47 +722,35 @@ func UpdateNeighborCandidates() Stage {
 			return errors.New("requires value candidates (run " + StageValueCandidates + " first)")
 		}
 		workers := st.Params.workers()
-		n := st.Params.N
-
-		var err error
-		u.next.Top1, u.topChanged1, u.topAll1, err = updateTops(ctx, u.prev.Top1, u.old1, st.KB1, u.d1, n, workers)
+		view1, changed1, all1, err := updateTops(ctx, u.prev.Side1.Neighbors, u.old1, st.KB1, u.d1, workers)
 		if err != nil {
 			return err
 		}
-		u.next.Top2, u.topChanged2, u.topAll2, err = updateTops(ctx, u.prev.Top2, u.old2, st.KB2, u.d2, n, workers)
+		view2, changed2, all2, err := updateTops(ctx, u.prev.Side2.Neighbors, u.old2, st.KB2, u.d2, workers)
 		if err != nil {
 			return err
 		}
-		if sameListArray(u.next.Top1, u.prev.Top1) {
-			u.next.Rev1 = u.prev.Rev1 // rev is a pure function of top
-		} else {
-			u.next.Rev1 = kb.ReverseNeighbors(u.next.Top1, st.KB1.Len())
-		}
-		if sameListArray(u.next.Top2, u.prev.Top2) {
-			u.next.Rev2 = u.prev.Rev2
-		} else {
-			u.next.Rev2 = kb.ReverseNeighbors(u.next.Top2, st.KB2.Len())
-		}
+		u.next.Side1 = &Prepared{Blocks: u.prep1, Neighbors: view1}
+		u.next.Side2 = &Prepared{Blocks: u.prep2, Neighbors: view2}
 
 		// Reverse-membership deltas: the entities whose rev lists could
 		// differ from last epoch (as URI sets).
-		drev1 := revDelta(u.prev.Top1, u.next.Top1, u.topChanged1, u.d1)
-		drev2 := revDelta(u.prev.Top2, u.next.Top2, u.topChanged2, u.d2)
+		drev1 := revDelta(u.prev.Side1.Neighbors.TopLists(), view1.TopLists(), changed1, u.d1)
+		drev2 := revDelta(u.prev.Side2.Neighbors.TopLists(), view2.TopLists(), changed2, u.d2)
 
-		aff1 := neighborAffected(st.KB1.Len(), u.topChanged1, u.topAll1 || u.topAll2,
-			u.vcChanged1, u.next.Top1, u.next.Rev1, u.next.VC1, drev2)
-		aff2 := neighborAffected(st.KB2.Len(), u.topChanged2, u.topAll1 || u.topAll2,
-			u.vcChanged2, u.next.Top2, u.next.Rev2, u.next.VC2, drev1)
+		aff1 := neighborAffected(changed1, all1 || all2, u.vcChanged1, view1, u.next.VC1, drev2)
+		aff2 := neighborAffected(changed2, all1 || all2, u.vcChanged2, view2, u.next.VC2, drev1)
 		u.affectedN1, u.affectedN2 = countTrue(aff1), countTrue(aff2)
 
-		run := func(nSelf int, aff []bool, top, revOther [][]kb.EntityID, vcSelf [][]Cand,
-			prevNC [][]Cand, dSelf, dOther *kb.Diff, otherN int) ([][]Cand, error) {
+		run := func(aff []bool, self, other *kb.Frozen, vcSelf, prevNC [][]Cand, dSelf, dOther *kb.Diff) ([][]Cand, error) {
 			if countTrue(aff) == 0 && !dSelf.Shifted() && !dOther.Shifted() {
 				return prevNC, nil
 			}
-			out := make([][]Cand, nSelf)
+			top, rev := self.TopLists(), other.RevLists()
+			var vc side = dense{vc: vcSelf}
+			out := make([][]Cand, len(top))
 			accs := make(workerAccumulators, workers)
-			err := parallelFor(ctx, nSelf, workers, func(worker, start, end int) error {
+			err := parallelFor(ctx, len(top), workers, func(worker, start, end int) error {
 				if err := carryCands(out, prevNC, aff, start, end, dSelf, dOther); err != nil {
 					return fmt.Errorf("neighbor candidates of %w", err)
 				}
@@ -788,8 +758,8 @@ func UpdateNeighborCandidates() Stage {
 					if !aff[e] {
 						continue
 					}
-					acc := accs.of(worker, otherN)
-					acc.addNeighborEvidence(top[e], vcSelf, revOther)
+					acc := accs.of(worker, len(rev))
+					acc.addNeighborEvidence(top[e], vc, rev)
 					out[e] = acc.topK(st.Params.K)
 					acc.reset()
 				}
@@ -798,13 +768,11 @@ func UpdateNeighborCandidates() Stage {
 			return out, err
 		}
 
-		st.NeighborCands1, err = run(st.KB1.Len(), aff1, u.next.Top1, u.next.Rev2, u.next.VC1,
-			u.prev.NC1, u.d1, u.d2, st.KB2.Len())
+		st.NeighborCands1, err = run(aff1, view1, view2, u.next.VC1, u.prev.NC1, u.d1, u.d2)
 		if err != nil {
 			return err
 		}
-		st.NeighborCands2, err = run(st.KB2.Len(), aff2, u.next.Top2, u.next.Rev1, u.next.VC2,
-			u.prev.NC2, u.d2, u.d1, st.KB1.Len())
+		st.NeighborCands2, err = run(aff2, view2, view1, u.next.VC2, u.prev.NC2, u.d2, u.d1)
 		if err != nil {
 			return err
 		}
@@ -813,13 +781,14 @@ func UpdateNeighborCandidates() Stage {
 	})
 }
 
-// updateTops carries the per-entity best-neighbor lists into the new
-// epoch: recomputed for entities whose edges changed (or for everyone
-// when the global relation ranking moved), remapped or shared
-// otherwise.
-func updateTops(ctx context.Context, prevTop [][]kb.EntityID, old, new *kb.KB, d *kb.Diff, n, workers int) (top [][]kb.EntityID, changed []bool, all bool, err error) {
+// updateTops carries a side's neighbor view into the new epoch:
+// best-neighbor lists recomputed for entities whose edges changed (or
+// for everyone when the global relation ranking moved), remapped or
+// shared otherwise. The view names the new KB even when every list is
+// shared, so no view of a past epoch's KB is ever carried forward.
+func updateTops(ctx context.Context, prev *kb.Frozen, old, new *kb.KB, d *kb.Diff, workers int) (view *kb.Frozen, changed []bool, all bool, err error) {
 	if d.Identity {
-		return prevTop, nil, false, nil
+		return prev, nil, false, nil
 	}
 	nEnt := new.Len()
 	changed = make([]bool, nEnt)
@@ -836,12 +805,13 @@ func updateTops(ctx context.Context, prevTop [][]kb.EntityID, old, new *kb.KB, d
 			changed[e] = true
 		}
 	}
+	n, prevTop := prev.N(), prev.TopLists()
 	if !all && len(d.EdgesChanged) == 0 && len(d.Inserted) == 0 && !d.Shifted() {
-		// No edges moved and no IDs shifted: the whole view carries
-		// over, shared.
-		return prevTop, nil, false, nil
+		// No edges moved and no IDs shifted: the lists carry over,
+		// shared, re-seated on the new KB.
+		return kb.FrozenFromLists(new, n, prevTop, prev.RevLists()), nil, false, nil
 	}
-	top = make([][]kb.EntityID, nEnt)
+	top := make([][]kb.EntityID, nEnt)
 	shifted := d.Shifted()
 	err = parallelFor(ctx, nEnt, workers, func(_, start, end int) error {
 		for e := start; e < end; e++ {
@@ -864,7 +834,7 @@ func updateTops(ctx context.Context, prevTop [][]kb.EntityID, old, new *kb.KB, d
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return top, changed, all, nil
+	return kb.FrozenFromLists(new, n, top, nil), changed, all, nil
 }
 
 // revDelta collects the entities (new ID space) whose reverse-neighbor
@@ -905,8 +875,9 @@ func revDelta(prevTop, newTop [][]kb.EntityID, changed []bool, d *kb.Diff) map[k
 // must be recomputed: those whose own top list changed, those with an
 // affected or rev-delta-exposed entity among their best neighbors'
 // evidence, or everyone when a side rebuilt its ranking wholesale.
-func neighborAffected(n int, topChanged []bool, all bool, affV []bool,
-	top, rev [][]kb.EntityID, vc [][]Cand, drevOther map[kb.EntityID]struct{}) []bool {
+func neighborAffected(topChanged []bool, all bool, affV []bool,
+	view *kb.Frozen, vc [][]Cand, drevOther map[kb.EntityID]struct{}) []bool {
+	n, rev := len(vc), view.RevLists()
 	aff := make([]bool, n)
 	if all {
 		for i := range aff {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,6 +123,92 @@ func TestIndexStreamEqualsEpochMatches(t *testing.T) {
 			assertStreamEqualsEpoch(t, "compacted-reopened", reopened)
 		})
 	}
+}
+
+// TestCarriedViewsReseatedOnEpochKB: a mutated epoch's delta substrate
+// is its mutation cache's Side1, and every neighbor view a mutation or
+// Compact carries into an epoch names that epoch's KBs — after a side-2
+// upsert, after a side-1 literal rewrite (which shares the previous
+// lists) and after Compact (which swaps in KBs on the compacted term
+// tables) — so QueryKB keeps answering as the full plan.
+func TestCarriedViewsReseatedOnEpochKB(t *testing.T) {
+	ctx := context.Background()
+	b, err := GenerateBenchmark("Restaurant", 23, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildIndex(b.KB1, b.KB2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	uris2 := b.KB2.URIs()
+	delta, err := b.DeltaKB("delta", uris2[0], uris2[len(uris2)/3], uris2[2*len(uris2)/3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string) *pipeline.Prepared {
+		t.Helper()
+		e := ix.cur.Load()
+		c := e.d.cache.Load()
+		prep, err := e.d.prep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil || prep != c.Side1 {
+			t.Fatalf("%s: the delta substrate is not the mutation cache's Side1", label)
+		}
+		if prep.Neighbors.KB() != e.kb1.kb || c.Side2.Neighbors.KB() != e.kb2.kb {
+			t.Fatalf("%s: a carried neighbor view names another epoch's KB", label)
+		}
+		fast, err := ix.QueryKB(ctx, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := ix.QueryKBFull(ctx, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast.StageTimings, full.StageTimings = nil, nil
+		if len(full.Matches) == 0 || !reflect.DeepEqual(fast, full) {
+			t.Fatalf("%s: QueryKB found %d matches, QueryKBFull %d (or other counts differ)", label, len(fast.Matches), len(full.Matches))
+		}
+		return prep
+	}
+
+	mutateInternal(t, ix, 1)
+	before := check("side-2 upsert")
+
+	// Rewrite one literal of a KB1 entity, keeping every edge.
+	var lines []string
+	rewritten := false
+	for _, tr := range b.ds.Triples1 {
+		if tr.Subject != b.ds.Triples1[0].Subject {
+			continue
+		}
+		if tr.Object.IsLiteral() && !rewritten {
+			tr.Object.Value += " rewritten"
+			rewritten = true
+		}
+		lines = append(lines, tr.String())
+	}
+	rewrite, err := LoadKB("rewrite", strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Upsert(ctx, 1, rewrite); err != nil {
+		t.Fatal(err)
+	}
+	after := check("side-1 literal rewrite")
+	if after.Neighbors == before.Neighbors || &after.Neighbors.TopLists()[0] != &before.Neighbors.TopLists()[0] {
+		t.Fatal("side-1 literal rewrite: the view must be a new one over the previous epoch's lists")
+	}
+
+	kb1 := ix.cur.Load().kb1
+	ix.Compact()
+	if ix.cur.Load().kb1 == kb1 {
+		t.Fatal("Compact kept KB1; the rewrite orphaned a literal, so its term table should have been compacted")
+	}
+	check("compacted")
 }
 
 // recallAUC is the normalised area under the recall curve of an

@@ -229,6 +229,33 @@ func BenchmarkQueryKBStreamFirst(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryKB times a one-entity delta resolved against a
+// YAGO-IMDb index whose delta substrate is already derived: the delta
+// plan behind /delta.
+func BenchmarkQueryKB(b *testing.B) {
+	bm, err := minoaner.GenerateBenchmark("YAGO-IMDb", 42, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := minoaner.BuildIndex(bm.KB1, bm.KB2, minoaner.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	delta, err := bm.DeltaKB("delta", sampleDeltaURIs(bm, 1)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ix.QueryKB(context.Background(), delta); err != nil { // derives the substrate
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ix.QueryKB(context.Background(), delta); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // waitForGoroutines polls until the goroutine count drops back to the
 // baseline (small slack for runtime bookkeeping) or the deadline hits.
 func waitForGoroutines(t *testing.T, baseline int) {
