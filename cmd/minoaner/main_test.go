@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,4 +83,85 @@ func TestLoadCachedSkipsLenientParse(t *testing.T) {
 	if _, _, err := loadCached("KB", path, loadPlain); err == nil {
 		t.Fatal("strict run after a lenient one loaded the file; want the parse error")
 	}
+}
+
+// -cache must not trust an .mkb it cannot decode, however fresh: a
+// version-1 image (the unsectioned format older builds wrote) is
+// reported as unusable, the source is parsed again, and the loaded KB
+// is the fresh parse.
+func TestLoadCachedReparsesUndecodableCache(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.nt")
+	doc := "<http://e/a> <http://v/name> \"Alpha\" .\n<http://e/a> <http://v/rel> <http://e/b> .\n<http://e/b> <http://v/name> \"Beta\" .\n"
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// An hour old, so the cache written below is newer.
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	// Magic, version 1, then the name and triple count of a v1 header.
+	if err := os.WriteFile(path+".mkb", []byte("MKB1\x01\x02KB\x03"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var kb *minoaner.KB
+	stderr := captureStderr(t, func() {
+		var err error
+		if kb, _, err = loadCached("KB", path, loadPlain); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := "cache " + path + ".mkb unusable ("; !strings.Contains(stderr, want) || !strings.Contains(stderr, "); re-parsing") {
+		t.Fatalf("stderr = %q, want the unusable-cache report", stderr)
+	}
+	fresh, _, err := loadPlain("KB", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeKB(t, kb), encodeKB(t, fresh)) {
+		t.Fatal("the KB loaded past an undecodable cache differs from a fresh parse")
+	}
+	// The parse replaced the cache, so the next run loads it.
+	captureStderr(t, func() {
+		cached, _, err := loadCached("KB", path, func(string, string) (*minoaner.KB, int, error) {
+			t.Fatal("the rewritten cache was not used")
+			return nil, 0, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeKB(t, cached), encodeKB(t, fresh)) {
+			t.Fatal("the rewritten cache differs from a fresh parse")
+		}
+	})
+}
+
+// captureStderr runs fn with os.Stderr redirected and returns what fn
+// wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+func encodeKB(t *testing.T, kb *minoaner.KB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := kb.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

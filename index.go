@@ -191,10 +191,7 @@ func BuildIndexContext(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Re
 		return nil, err
 	}
 	st := pipeline.NewState(kb1.kb, kb2.kb, icfg.Params())
-	// Observed runs record per-stage allocation deltas, matching
-	// ResolveContext's behavior so -v output is consistent across
-	// subcommands.
-	eng := pipeline.Engine{Plan: core.PlanFor(icfg), Progress: o.pipelineProgress(), AllocStats: o.progress != nil}
+	eng := pipeline.Engine{Plan: core.PlanFor(icfg), Progress: o.pipelineProgress()}
 	if _, err := eng.Run(ctx, st); err != nil {
 		return nil, err
 	}
@@ -440,14 +437,7 @@ func (e *epoch) queryPrepared(ctx context.Context, prep *pipeline.Prepared, delt
 // malformed lines; the skipped count is reported in
 // Result.SkippedLines2.
 func (ix *Index) QueryReader(ctx context.Context, src Source, opts ...ResolveOption) (*Result, error) {
-	var delta *KB
-	var skipped int
-	var err error
-	if src.Lenient {
-		delta, skipped, err = LoadKBLenient(src.Name, src.R)
-	} else {
-		delta, err = LoadKB(src.Name, src.R)
-	}
+	delta, skipped, err := loadKB(src.Name, src.R, src.Lenient)
 	if err != nil {
 		return nil, fmt.Errorf("minoaner: parsing query delta: %w", err)
 	}
@@ -608,9 +598,7 @@ func (ix *Index) ensureMutator(ctx context.Context, e *epoch) error {
 		if err != nil {
 			return err
 		}
-		st := pipeline.NewState(e.kb1.kb, e.kb2.kb, e.cfg.internal().Params())
-		st.NameBlocks, st.TokenBlocks = b.name, b.token
-		cache, err := pipeline.NewCache(ctx, st, b.name, e.purge)
+		cache, err := core.PrimeCache(ctx, e.kb1.kb, e.kb2.kb, b.name, b.token, e.purge, e.cfg.internal())
 		if err != nil {
 			return fmt.Errorf("minoaner: priming mutable substrate: %w", err)
 		}

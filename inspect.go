@@ -48,10 +48,10 @@ func (si *SnapshotInfo) Mutable() bool { return si.KB1.Sources && si.KB2.Sources
 // InspectIndexFile describes a snapshot from its section directory
 // without loading the index: KB bulk is never decoded (their sectioned
 // headers answer name/size questions in O(header)), only the small
-// config/stats/matches/journal sections are read. The work is
-// proportional to the directory and those sections, not to the KBs —
-// inspecting a multi-gigabyte snapshot costs about the same as a tiny
-// one.
+// config/stats/matches/journal sections are read, by the same readers
+// OpenIndex uses. The work is proportional to the directory and those
+// sections, not to the KBs — inspecting a multi-gigabyte snapshot costs
+// about the same as a tiny one.
 func InspectIndexFile(path string) (*SnapshotInfo, error) {
 	m, err := binio.OpenMap(path, snapshotMagic, snapshotVersion)
 	if err != nil {
@@ -66,28 +66,14 @@ func InspectIndexFile(path string) (*SnapshotInfo, error) {
 		return nil, err
 	}
 
-	si := &SnapshotInfo{Size: st.Size(), Prepared: m.Has(snapPrepared)}
-
-	b, err := m.Reader(snapConfig)
+	cfg, err := readConfigSection(m)
 	if err != nil {
-		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
+		return nil, err
 	}
-	si.Config = readConfig(b)
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
-	}
-
 	inspectKB := func(id uint64, name string) (SnapshotKBInfo, error) {
 		raw, ok := m.Raw(id)
 		if !ok {
 			return SnapshotKBInfo{}, fmt.Errorf("%w: missing %s section", ErrSnapshotCorrupt, name)
-		}
-		if !kb.LazyCapable(raw) {
-			// Pre-sectioned KB images decode eagerly; their snapshot
-			// section's checksum stands in for the missing inner ones.
-			if raw, err = m.Section(id); err != nil {
-				return SnapshotKBInfo{}, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-			}
 		}
 		info, err := kb.InspectBinary(raw)
 		if err != nil {
@@ -95,65 +81,45 @@ func InspectIndexFile(path string) (*SnapshotInfo, error) {
 		}
 		return SnapshotKBInfo{Name: info.Name, Entities: info.Entities, Triples: info.Triples, Sources: info.HasSources}, nil
 	}
-	if si.KB1, err = inspectKB(snapKB1, "kb1"); err != nil {
+	kb1, err := inspectKB(snapKB1, "kb1")
+	if err != nil {
 		return nil, err
 	}
-	if si.KB2, err = inspectKB(snapKB2, "kb2"); err != nil {
+	kb2, err := inspectKB(snapKB2, "kb2")
+	if err != nil {
 		return nil, err
 	}
 
-	if b, err = m.Reader(snapStats); err != nil {
-		return nil, fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
+	// A scratch index receives the small sections.
+	e := &epoch{}
+	ix := &Index{}
+	ix.cur.Store(e)
+	if err := e.readStatsSection(m); err != nil {
+		return nil, err
 	}
-	b.Int() // purge cutoff 1
-	b.Int() // purge cutoff 2
-	si.PurgedBlocks = b.Int()
-	b.Uvarint() // purged comparisons
-	si.NameBlocks = b.Int()
-	si.TokenBlocks = b.Int()
-	si.NameComparisons = int64(b.Uvarint())
-	si.TokenComparisons = int64(b.Uvarint())
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
+	if err := e.readMatchesSection(m, kb1.Entities, kb2.Entities); err != nil {
+		return nil, err
 	}
-
-	if b, err = m.Reader(snapMatches); err != nil {
-		return nil, fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
+	if err := ix.readJournalSection(m); err != nil {
+		return nil, err
 	}
-	for _, dst := range []*int{&si.ByName, &si.ByValue, &si.ByRank, &si.Matches} {
-		*dst = skimPairs(b)
-	}
-	si.DiscardedByH4 = b.Int()
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
-	}
-
-	if m.Has(snapJournal) {
-		// Only the leading epoch number and entry count; the entries
-		// themselves stay unread.
-		jb, err := m.Reader(snapJournal)
-		if err != nil {
-			return nil, fmt.Errorf("%w: journal: %v", ErrSnapshotCorrupt, err)
-		}
-		si.Epoch = jb.Uvarint()
-		si.JournalEntries = jb.Int()
-		if err := jb.Err(); err != nil {
-			return nil, fmt.Errorf("%w: journal: %v", ErrSnapshotCorrupt, err)
-		}
-	}
-	return si, nil
-}
-
-// skimPairs counts one pair list without materializing it.
-func skimPairs(b *binio.Reader) int {
-	n := b.Int()
-	if b.Err() == nil && n > 1<<28 {
-		b.Fail("absurd pair count %d", n)
-		return 0
-	}
-	for i := 0; i < n && b.Err() == nil; i++ {
-		b.Uvarint()
-		b.Uvarint()
-	}
-	return n
+	return &SnapshotInfo{
+		Size:             st.Size(),
+		Config:           cfg,
+		KB1:              kb1,
+		KB2:              kb2,
+		NameBlocks:       e.nameBlockCount,
+		TokenBlocks:      e.tokenBlockCount,
+		NameComparisons:  e.nameComparisons,
+		TokenComparisons: e.tokenComparisons,
+		PurgedBlocks:     e.purge.RemovedBlocks,
+		Matches:          len(e.matches),
+		ByName:           len(e.h1),
+		ByValue:          len(e.h2),
+		ByRank:           len(e.h3),
+		DiscardedByH4:    e.discardedByH4,
+		Prepared:         m.Has(snapPrepared),
+		Epoch:            e.seq,
+		JournalEntries:   len(ix.journal),
+	}, nil
 }

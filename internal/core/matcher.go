@@ -26,9 +26,6 @@ type Result struct {
 	NameComparisons, TokenComparisons int64
 	// Purge describes what Block Purging removed from B_T.
 	Purge blocking.PurgeResult
-	// Skipped1 and Skipped2 count malformed lines skipped per source,
-	// for runs that ingest lenient raw sources (RunSources).
-	Skipped1, Skipped2 int
 	// Stages holds the per-stage wall-clock and allocation statistics of
 	// the executed plan, in plan order.
 	Stages []pipeline.StageStat
@@ -114,12 +111,11 @@ func (m *Matcher) RunContext(ctx context.Context) (*Result, error) {
 // to the optional progress callback. Plans are typically Plan() output
 // edited with the pipeline helpers; preconditions between stages are
 // validated by the stages themselves. Per-stage allocation deltas are
-// recorded only for runs observed through a progress callback (two
-// runtime.ReadMemStats calls per stage — measurable on large live
-// heaps); the same holds for RunSources, RunDelta and RunUpdate.
+// recorded only for runs observed through a progress callback (see
+// pipeline.Engine); the same holds for RunDelta and RunUpdate.
 func (m *Matcher) RunPlan(ctx context.Context, plan []pipeline.Stage, progress pipeline.Progress) (*Result, error) {
 	st := pipeline.NewState(m.kb1, m.kb2, m.cfg.Params())
-	eng := pipeline.Engine{Plan: plan, Progress: progress, AllocStats: progress != nil}
+	eng := pipeline.Engine{Plan: plan, Progress: progress}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {
 		return nil, err
@@ -127,26 +123,8 @@ func (m *Matcher) RunPlan(ctx context.Context, plan []pipeline.Stage, progress p
 	return resultFromState(st, stats), nil
 }
 
-// RunSources runs the whole ingest-to-matches path — N-Triples parsing,
-// KB assembly, blocking, matching — as one instrumented plan over two
-// raw sources. It returns the Result together with the built KBs (for
-// URI translation and reuse).
-func RunSources(ctx context.Context, src1, src2 pipeline.Source, cfg Config, progress pipeline.Progress) (*Result, *kb.KB, *kb.KB, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	st := pipeline.NewIngestState(src1, src2, cfg.Params())
-	plan := append(pipeline.IngestPlan(), PlanFor(cfg)...)
-	eng := pipeline.Engine{Plan: plan, Progress: progress, AllocStats: progress != nil}
-	stats, err := eng.Run(ctx, st)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return resultFromState(st, stats), st.KB1, st.KB2, nil
-}
-
 // RunDelta resolves a delta KB against a prepared left side: the
-// delta-plan counterpart of RunSources. The substrate must have been
+// delta-plan counterpart of RunPlan. The substrate must have been
 // built (pipeline.PrepareSide) under the same NameK and N as cfg, and
 // the delta must be strictly smaller than the prepared KB; violations
 // surface as errors rather than wrong answers. The result is
@@ -159,7 +137,7 @@ func RunDelta(ctx context.Context, prep *pipeline.Prepared, delta *kb.KB, cfg Co
 	if err != nil {
 		return nil, err
 	}
-	eng := pipeline.Engine{Plan: DeltaPlanFor(cfg), Progress: progress, AllocStats: progress != nil}
+	eng := pipeline.Engine{Plan: DeltaPlanFor(cfg), Progress: progress}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {
 		return nil, err
@@ -187,8 +165,7 @@ func RunUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2
 	if err != nil {
 		return nil, nil, err
 	}
-	collect := progress != nil
-	eng := pipeline.Engine{Plan: pipeline.UpdatePatchPlan(), Progress: progress, AllocStats: collect}
+	eng := pipeline.Engine{Plan: pipeline.UpdatePatchPlan(), Progress: progress}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {
 		return nil, nil, err
@@ -198,7 +175,7 @@ func RunUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2
 		// heuristics would reproduce the previous outputs bit for bit.
 		st.AdoptPrevMatches()
 	} else {
-		eng = pipeline.Engine{Plan: dropDisabled(pipeline.UpdateMatchPlan(), cfg), Progress: progress, AllocStats: collect}
+		eng = pipeline.Engine{Plan: dropDisabled(pipeline.UpdateMatchPlan(), cfg), Progress: progress}
 		matchStats, err := eng.Run(ctx, st)
 		if err != nil {
 			return nil, nil, err
@@ -235,8 +212,6 @@ func resultFromState(st *pipeline.State, stats []pipeline.StageStat) *Result {
 		NameComparisons:  st.NameComparisons,
 		TokenComparisons: st.TokenComparisons,
 		Purge:            st.PurgeStats,
-		Skipped1:         st.Skipped1,
-		Skipped2:         st.Skipped2,
 		Stages:           stats,
 	}
 }

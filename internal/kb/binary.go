@@ -2,7 +2,6 @@ package kb
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"minoaner/internal/binio"
@@ -15,7 +14,8 @@ import (
 // I/O-bound. The format is versioned and self-describing. Version 2
 // frames the payload into CRC32-checksummed sections (see
 // internal/binio), so corruption — a flipped bit anywhere in a cached
-// file — is detected before any damaged data is decoded:
+// file — is detected before any damaged data is decoded. It is the
+// only version read; any other is rejected as corrupt:
 //
 //	magic "MKB1" | uvarint version | sections | end marker
 //
@@ -30,18 +30,14 @@ import (
 //	                        them; optional on read.
 //
 // Derived structures (in-edges, EF, URI index, type/vocab sets) are
-// rebuilt on load — they are redundant with the stored data. Version 1
-// (the same streams without section framing or checksums) is still
-// readable. Unknown section IDs are skipped, so a same-version reader
-// tolerates future appended sections; in particular, readers predating
-// the sources section load newer KBs fine (they just are not mutable).
+// rebuilt on load — they are redundant with the stored data. Unknown
+// section IDs are skipped, so a same-version reader tolerates future
+// appended sections; in particular, readers predating the sources
+// section load newer KBs fine (they just are not mutable).
 
 var binaryMagic = [4]byte{'M', 'K', 'B', '1'}
 
-const (
-	binaryVersion   = 2
-	binaryVersionV1 = 1
-)
+const binaryVersion = 2
 
 // Section IDs of the version-2 frame.
 //
@@ -171,10 +167,9 @@ func (kb *KB) writeEntities(e *binio.Writer) {
 	}
 }
 
-// ReadBinary decodes a binary KB image written by WriteBinary in full.
-// Version-2 images go through OpenBinary's tiers, each verifying its
-// section checksums before decoding; version-1 images through readV1.
-// The result references nothing in data.
+// ReadBinary decodes a binary KB image written by WriteBinary in full,
+// through OpenBinary's tiers, each verifying its section checksums
+// before decoding. The result references nothing in data.
 func ReadBinary(data []byte) (*KB, error) {
 	kb, err := OpenBinary(data)
 	if err != nil {
@@ -183,31 +178,6 @@ func ReadBinary(data []byte) (*KB, error) {
 	if err := kb.Detach(); err != nil {
 		return nil, err
 	}
-	return kb, nil
-}
-
-// readV1 decodes a version-1 image: the header, predicate, stats and
-// entities streams back to back, without section framing or checksums.
-// The entities stream runs to the end of the image and decodes through
-// the same two passes as a version-2 entities section.
-func readV1(data []byte) (*KB, error) {
-	dec := binio.NewBytesReader(data)
-	dec.Magic(binaryMagic)
-	dec.Version(binaryVersionV1)
-	kb := newEmptyKB()
-	kb.readHeader(dec)
-	kb.readPreds(dec)
-	kb.readStats(dec)
-	ents := binio.NewBytesReader(data[len(data)-dec.Len():])
-	kb.scanURIs(dec)
-	if dec.Err() == nil {
-		kb.fillEntities(ents)
-		dec = ents
-	}
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	kb.rebuildDerived()
 	return kb, nil
 }
 

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,10 +160,11 @@ func TestBinaryChecksumDetectsBitFlips(t *testing.T) {
 	}
 }
 
-// TestBinaryReadsVersion1 replays the pre-checksum v1 wire format (the
-// same primitive streams without section framing) and checks the reader
-// still accepts it — cached .mkb files from older builds keep working.
-func TestBinaryReadsVersion1(t *testing.T) {
+// TestBinaryRejectsVersion1 replays the retired pre-checksum v1 wire
+// format (the same primitive streams without section framing): the
+// reader must refuse it as corrupt, so a stale cached .mkb from an old
+// build is re-parsed rather than trusted.
+func TestBinaryRejectsVersion1(t *testing.T) {
 	kb := buildTestKB(t)
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
@@ -176,18 +178,11 @@ func TestBinaryReadsVersion1(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(buf.Bytes())
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
+	if _, err := ReadBinary(buf.Bytes()); !errors.Is(err, errCorrupt) {
+		t.Fatalf("ReadBinary(v1) error = %v, want %v", err, errCorrupt)
 	}
-	if back.Name() != kb.Name() || back.Len() != kb.Len() {
-		t.Errorf("v1 decode wrong: %s/%d vs %s/%d", back.Name(), back.Len(), kb.Name(), kb.Len())
-	}
-	for i := 0; i < kb.Len(); i++ {
-		id := EntityID(i)
-		if back.URI(id) != kb.URI(id) || !reflect.DeepEqual(back.Tokens(id), kb.Tokens(id)) {
-			t.Fatalf("v1 entity %d differs", i)
-		}
+	if _, err := InspectBinary(buf.Bytes()); !errors.Is(err, errCorrupt) {
+		t.Fatalf("InspectBinary(v1) error = %v, want %v", err, errCorrupt)
 	}
 }
 

@@ -234,10 +234,9 @@ func (kb *KB) sortedStats(m map[int32]*PredStat) []*PredStat {
 // holding full triples. Duplicates are removed by a sort+compact pass
 // at Build time (consecutive duplicates are dropped eagerly on Add).
 type Builder struct {
-	name        string
-	opts        tokenize.Options
-	workers     int
-	keepSources bool
+	name    string
+	opts    tokenize.Options
+	workers int
 
 	termTable
 	triples []tripleRef
@@ -248,19 +247,13 @@ type Builder struct {
 type tripleRef struct{ s, p, o int32 }
 
 // NewBuilder returns a Builder for a KB with the given display name,
-// tokenizing with tokenize.DefaultOptions. Built KBs retain their
-// interned source triples (the substrate of live mutation, see Store);
-// disable with SetKeepSources(false) for memory-lean ingest.
+// tokenizing with tokenize.DefaultOptions. Built KBs always retain their
+// interned source triples — the substrate of live mutation (see Store)
+// and the sources section WriteBinary persists; KB.WithoutSources
+// strips them from a built KB.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, termTable: termTable{hash: seededTermHash()}, keepSources: true}
+	return &Builder{name: name, termTable: termTable{hash: seededTermHash()}}
 }
-
-// SetKeepSources controls whether Build retains the interned source
-// triples on the KB. Retention roughly doubles the KB's memory
-// footprint but is required for mutating the KB through a Store (and
-// for persisting a mutable KB: WriteBinary includes the sources
-// section only when they are retained).
-func (b *Builder) SetKeepSources(keep bool) { b.keepSources = keep }
 
 // SetTokenizeOptions overrides the tokenizer configuration.
 func (b *Builder) SetTokenizeOptions(opts tokenize.Options) { b.opts = opts }
@@ -346,11 +339,9 @@ func (b *Builder) Build() (*KB, error) {
 	refs = refs[:j:j]
 
 	kb := assembleKB(b.name, b.opts, workers, b.terms, refs, b.typeTerm())
-	if b.keepSources {
-		// Clip the term table so later builder appends cannot write
-		// into the retained slice's spare capacity.
-		kb.src = &Sources{opts: b.opts, terms: b.terms[:len(b.terms):len(b.terms)], refs: refs}
-	}
+	// Clip the term table so later builder appends cannot write into the
+	// retained slice's spare capacity.
+	kb.src = &Sources{opts: b.opts, terms: b.terms[:len(b.terms):len(b.terms)], refs: refs}
 	return kb, nil
 }
 

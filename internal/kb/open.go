@@ -8,7 +8,7 @@ import (
 )
 
 // Lazy (mapped) decoding of the binary KB format. OpenBinary splits the
-// version-2 image into two tiers:
+// image into two tiers:
 //
 //   - URI tier, decoded at open: entity count, URIs, and the URI index —
 //     everything the infallible, lock-free read path (Len, Lookup, URI,
@@ -42,26 +42,11 @@ type kbLazy struct {
 	srcErr  error
 }
 
-// LazyCapable reports whether a binary KB image is in the sectioned
-// (version 2) format that supports lazy decoding. Version-1 images are
-// unsectioned streams without per-section checksums and must be decoded
-// eagerly.
-func LazyCapable(data []byte) bool {
-	dec := binio.NewBytesReader(data)
-	dec.Magic(binaryMagic)
-	v := dec.Uvarint()
-	return dec.Err() == nil && v == binaryVersion
-}
-
 // OpenBinary decodes a binary KB image lazily: the URI tier (entity
 // URIs and index) is built now, everything else on first demand via the
 // full-tier accessors or Materialize. The image must stay valid until
-// Materialize has succeeded (or the KB is dropped); version-1 images
-// fall back to an eager readV1.
+// Materialize has succeeded (or the KB is dropped).
 func OpenBinary(data []byte) (*KB, error) {
-	if !LazyCapable(data) {
-		return readV1(data)
-	}
 	m, err := binio.BytesMap(data, binaryMagic, binaryVersion)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
@@ -193,18 +178,9 @@ type BinaryInfo struct {
 }
 
 // InspectBinary summarizes a binary KB image without decoding its
-// bulk: for sectioned (version 2) images it reads the checksummed
-// header plus the entity count, O(header) work however large the KB.
-// Version-1 images decode eagerly — they have no section directory to
-// consult.
+// bulk: it reads the checksummed header plus the entity count,
+// O(header) work however large the KB.
 func InspectBinary(data []byte) (BinaryInfo, error) {
-	if !LazyCapable(data) {
-		k, err := readV1(data)
-		if err != nil {
-			return BinaryInfo{}, err
-		}
-		return BinaryInfo{Name: k.name, Entities: len(k.entities), Triples: k.numTriples, HasSources: k.src != nil}, nil
-	}
 	m, err := binio.BytesMap(data, binaryMagic, binaryVersion)
 	if err != nil {
 		return BinaryInfo{}, fmt.Errorf("%w: %v", errCorrupt, err)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"minoaner/internal/binio"
 )
 
 // buildSourceKB builds a KB with retained sources so the sources tier
@@ -15,7 +13,6 @@ func buildSourceKB(t *testing.T) *KB {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	b := NewBuilder("srckb")
-	b.SetKeepSources(true)
 	if err := b.AddAll(randomTriples(rng, 40, 160)); err != nil {
 		t.Fatal(err)
 	}
@@ -97,38 +94,6 @@ func TestOpenBinaryLazyEquivalence(t *testing.T) {
 	// Re-encoding the lazily opened KB reproduces the image bit for bit.
 	if !bytes.Equal(encode(t, opened), data) {
 		t.Error("WriteBinary(OpenBinary(x)) != x")
-	}
-}
-
-// TestOpenBinaryVersion1Fallback feeds OpenBinary an unsectioned
-// version-1 stream: it must fall back to eager decoding (there is no
-// directory to defer against).
-func TestOpenBinaryVersion1Fallback(t *testing.T) {
-	kb := buildTestKB(t)
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
-	w.Raw([]byte("MKB1"))
-	w.Uvarint(1)
-	w.Str(kb.name)
-	w.Int(kb.numTriples)
-	kb.writePreds(w)
-	kb.writeStats(w)
-	kb.writeEntities(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := OpenBinary(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opened.lazy != nil {
-		t.Error("v1 image opened lazily")
-	}
-	if err := opened.Materialize(); err != nil {
-		t.Errorf("Materialize on eager KB: %v", err)
-	}
-	if opened.Len() != kb.Len() || !reflect.DeepEqual(opened.Tokens(0), kb.Tokens(0)) {
-		t.Error("v1 fallback decoded wrong")
 	}
 }
 

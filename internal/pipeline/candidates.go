@@ -84,9 +84,9 @@ func oppositeSize(bt *blocking.Collection, side int) int {
 // relations of each entity). The sum is realized through the top-K
 // value-candidate lists of the neighbors — exactly the evidence the
 // blocks provide — so only pairs co-occurring in token blocks
-// contribute, as in the paper's blocks-centric computation.
-func neighborCandidates(ctx context.Context, kb1, kb2 *kb.KB, vc1, vc2 [][]Cand, n, k, workers int) ([][]Cand, [][]Cand, error) {
-	view1, view2 := kb1.Freeze(n, workers), kb2.Freeze(n, workers)
+// contribute, as in the paper's blocks-centric computation. view1 and
+// view2 are the two KBs' best-neighbor views.
+func neighborCandidates(ctx context.Context, view1, view2 *kb.Frozen, vc1, vc2 [][]Cand, k, workers int) ([][]Cand, [][]Cand, error) {
 	out1, err := neighborCandidatesSide(ctx, view1.TopLists(), dense{vc: vc1}, view2.RevLists(), k, workers)
 	if err != nil {
 		return nil, nil, err

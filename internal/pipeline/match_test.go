@@ -149,7 +149,7 @@ func TestDeltaRankAggregationAllocationIndependentOfKBSize(t *testing.T) {
 		best := uint64(1 << 62)
 		for range 5 {
 			st.H3 = nil
-			stats, err := (&Engine{Plan: []Stage{RankAggregation()}, AllocStats: true}).Run(ctx, st)
+			stats, err := (&Engine{Plan: []Stage{RankAggregation()}, Progress: func(ProgressEvent) {}}).Run(ctx, st)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,10 @@
 // Package pipeline decomposes the MinoanER matching process into
-// composable, instrumented, cancellable stages. The monolithic run
-// loop of internal/core is re-expressed as a plan — an ordered list of
-// Stage values over a shared State — executed by an Engine that
-// records per-stage wall-clock and allocation statistics, honors
-// context cancellation between and inside stages, and reports progress
-// through a callback.
+// composable, instrumented, cancellable stages. A plan — an ordered
+// list of Stage values over a shared State — starts from two built KBs
+// (parsing and KB assembly belong to internal/kb's Builder) and is
+// executed by an Engine that records per-stage wall-clock and
+// allocation statistics, honors context cancellation between and
+// inside stages, and reports progress through a callback.
 //
 // The default plan (DefaultPlan) is bit-for-bit equivalent to the
 // original composition at any worker count. Ablations and new
@@ -51,7 +51,8 @@ type StageStat struct {
 	Duration time.Duration
 	// AllocBytes is the heap allocated during the stage (process-wide
 	// TotalAlloc delta: approximate under concurrent allocators, exact
-	// in a single-run process). Zero unless Engine.AllocStats is set.
+	// in a single-run process). Zero unless the Engine has a Progress
+	// callback.
 	AllocBytes uint64
 }
 
@@ -76,12 +77,11 @@ type Progress func(ProgressEvent)
 type Engine struct {
 	// Plan is the ordered stage list to run.
 	Plan []Stage
-	// Progress, when non-nil, is invoked at every stage boundary.
+	// Progress, when non-nil, is invoked at every stage boundary, and
+	// the run then also accounts per-stage allocation, at the price of
+	// two runtime.ReadMemStats calls per stage (their latency grows with
+	// live heap size). Unobserved runs leave StageStat.AllocBytes zero.
 	Progress Progress
-	// AllocStats enables per-stage allocation accounting, at the price
-	// of two runtime.ReadMemStats calls per stage (their latency grows
-	// with live heap size). When false, StageStat.AllocBytes is zero.
-	AllocStats bool
 }
 
 // Run executes the plan. It checks cancellation before every stage and
@@ -100,7 +100,7 @@ func (e *Engine) Run(ctx context.Context, st *State) ([]StageStat, error) {
 			e.Progress(ProgressEvent{Stage: stage.Name(), Index: i, Total: len(e.Plan)})
 		}
 		var alloc0 uint64
-		if e.AllocStats {
+		if e.Progress != nil {
 			runtime.ReadMemStats(&ms)
 			alloc0 = ms.TotalAlloc
 		}
@@ -119,7 +119,7 @@ func (e *Engine) Run(ctx context.Context, st *State) ([]StageStat, error) {
 			//minoaner:wallclock stage timing instrumentation; durations go to StageStat and never feed match output
 			Duration: time.Since(start),
 		}
-		if e.AllocStats {
+		if e.Progress != nil {
 			runtime.ReadMemStats(&ms)
 			stat.AllocBytes = ms.TotalAlloc - alloc0
 		}

@@ -7,13 +7,10 @@ import (
 	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
-	"minoaner/internal/parallel"
 )
 
 // Stage names, usable with Drop, Replace, and Until to edit plans.
 const (
-	StageIngest             = "ingest"
-	StageKBBuild            = "kb-build"
 	StageNameBlocking       = "name-blocking"
 	StageTokenBlocking      = "token-blocking"
 	StageBlockPurging       = "block-purging"
@@ -47,72 +44,6 @@ func DefaultPlan() []Stage {
 		Union(),
 		Reciprocity(),
 	}
-}
-
-// IngestPlan returns the ingest prefix — N-Triples parsing and KB
-// assembly as instrumented, cancellable stages — to prepend to a
-// matching plan when the run starts from raw sources instead of built
-// KBs (see NewIngestState).
-func IngestPlan() []Stage {
-	return []Stage{Ingest(), KBBuild()}
-}
-
-// Ingest parses both sources into streaming KB builders, side by side,
-// each block-parallel on the plan's workers (kb.Builder.AddFromReader).
-// Lenient sources record their skipped line counts on the State.
-func Ingest() Stage {
-	return newStage(StageIngest, func(ctx context.Context, st *State) error {
-		if st.Source1 == nil || st.Source2 == nil {
-			return errors.New("requires two sources (build the state with NewIngestState)")
-		}
-		srcs := [2]*Source{st.Source1, st.Source2}
-		var builders [2]*kb.Builder
-		var skipped [2]int
-		err := parallel.For(ctx, 2, 2, func(_, start, end int) error {
-			for i := start; i < end; i++ {
-				b := kb.NewBuilder(srcs[i].Name)
-				// Batch resolution never mutates its KBs; skip source
-				// retention and its ~2x KB memory.
-				b.SetKeepSources(false)
-				b.SetWorkers(st.Params.workers())
-				n, err := b.AddFromReader(ctx, srcs[i].R, srcs[i].Lenient)
-				if err != nil {
-					return err
-				}
-				builders[i], skipped[i] = b, n
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		st.Builder1, st.Builder2 = builders[0], builders[1]
-		st.Skipped1, st.Skipped2 = skipped[0], skipped[1]
-		return nil
-	})
-}
-
-// KBBuild assembles the two KBs from the ingested builders (each build
-// runs its own internal parallel passes).
-func KBBuild() Stage {
-	return newStage(StageKBBuild, func(ctx context.Context, st *State) error {
-		if st.Builder1 == nil || st.Builder2 == nil {
-			return errors.New("requires ingested builders (run " + StageIngest + " first)")
-		}
-		kb1, err := st.Builder1.Build()
-		if err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		kb2, err := st.Builder2.Build()
-		if err != nil {
-			return err
-		}
-		st.KB1, st.KB2 = kb1, kb2
-		return nil
-	})
 }
 
 // NameBlocking builds B_N: one block per normalized name key of the
@@ -218,10 +149,11 @@ func NeighborCandidates() Stage {
 		if st.ValueCands1 == nil || st.ValueCands2 == nil {
 			return errors.New("requires value candidates (run " + StageValueCandidates + " first)")
 		}
+		n, workers := st.Params.N, st.Params.workers()
 		var err error
 		st.NeighborCands1, st.NeighborCands2, err = neighborCandidates(
-			ctx, st.KB1, st.KB2, st.ValueCands1, st.ValueCands2,
-			st.Params.N, st.Params.K, st.Params.workers())
+			ctx, st.KB1.Freeze(n, workers), st.KB2.Freeze(n, workers),
+			st.ValueCands1, st.ValueCands2, st.Params.K, workers)
 		return err
 	})
 }

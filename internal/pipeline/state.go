@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"io"
 	"runtime"
 
 	"minoaner/internal/blocking"
@@ -48,16 +47,9 @@ func (p Params) workers() int {
 // a stage whose inputs are missing fails with a descriptive error
 // instead of computing on nil evidence.
 type State struct {
-	// Inputs, set by NewState — or published by StageKBBuild when the
-	// plan starts from raw sources (NewIngestState).
+	// Inputs, set by NewState.
 	KB1, KB2 *kb.KB
 	Params   Params
-
-	// Ingest inputs and artifacts, used only by plans with an
-	// IngestPlan prefix.
-	Source1, Source2   *Source     // raw N-Triples sources, set by NewIngestState
-	Builder1, Builder2 *kb.Builder // streaming builders, set by StageIngest
-	Skipped1, Skipped2 int         // malformed lines skipped per lenient source
 
 	// Blocking artifacts.
 	NameBlocks  *blocking.Collection // B_N, set by StageNameBlocking
@@ -111,30 +103,6 @@ func NewState(kb1, kb2 *kb.KB, p Params) *State {
 		Params: p,
 		H1Map1: make(map[kb.EntityID]kb.EntityID),
 		H1Map2: make(map[kb.EntityID]kb.EntityID),
-	}
-}
-
-// Source is one raw N-Triples input of an ingest plan.
-type Source struct {
-	// Name is the display name of the KB built from this source.
-	Name string
-	// R supplies the N-Triples document.
-	R io.Reader
-	// Lenient makes parsing skip malformed (and oversize) lines,
-	// counting them in State.Skipped1/Skipped2, instead of failing.
-	Lenient bool
-}
-
-// NewIngestState prepares the blackboard for a run that starts from raw
-// N-Triples sources: prepend IngestPlan() to the matching plan and the
-// ingest stages will populate KB1/KB2 before blocking runs.
-func NewIngestState(src1, src2 Source, p Params) *State {
-	return &State{
-		Source1: &src1,
-		Source2: &src2,
-		Params:  p,
-		H1Map1:  make(map[kb.EntityID]kb.EntityID),
-		H1Map2:  make(map[kb.EntityID]kb.EntityID),
 	}
 }
 

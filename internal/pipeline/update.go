@@ -78,19 +78,29 @@ func (c *Cache) SetMatches(h1, h2, h3, matches []eval.Pair, discarded int) {
 
 // NewCache primes the scoring substrate from a resolved state: st must
 // carry the KBs, the parameters, and the purged token collection (as a
-// loaded or built index does); the candidate stages rerun to
-// materialize the lists, and the one-sided substrates are built fresh.
-// This is the one-time cost of making an index mutable.
+// loaded or built index does). The one-sided substrates are built
+// fresh, and candidate lists the state lacks are recomputed, the
+// neighbor pass over the substrates' own views. This is the one-time
+// cost of making an index mutable.
 func NewCache(ctx context.Context, st *State, nameBlocks *blocking.Collection, purge blocking.PurgeResult) (*Cache, error) {
-	if st.ValueCands1 == nil || st.NeighborCands1 == nil {
-		eng := Engine{Plan: []Stage{BlockIndexing(), TokenWeighting(), ValueCandidates(), NeighborCandidates()}}
+	side1, side2 := PrepareSide(st.KB1, st.Params), PrepareSide(st.KB2, st.Params)
+	if st.ValueCands1 == nil {
+		eng := Engine{Plan: []Stage{BlockIndexing(), TokenWeighting(), ValueCandidates()}}
 		if _, err := eng.Run(ctx, st); err != nil {
 			return nil, err
 		}
 	}
+	if st.NeighborCands1 == nil {
+		var err error
+		st.NeighborCands1, st.NeighborCands2, err = neighborCandidates(ctx, side1.Neighbors, side2.Neighbors,
+			st.ValueCands1, st.ValueCands2, st.Params.K, st.Params.workers())
+		if err != nil {
+			return nil, err
+		}
+	}
 	c := &Cache{
-		Side1:       PrepareSide(st.KB1, st.Params),
-		Side2:       PrepareSide(st.KB2, st.Params),
+		Side1:       side1,
+		Side2:       side2,
 		NameBlocks:  nameBlocks,
 		TokenBlocks: st.TokenBlocks,
 		Purge:       purge,

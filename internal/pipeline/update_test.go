@@ -28,7 +28,7 @@ func TestUpdateAllocatesAccumulatorsOnlyForAffectedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := (&Engine{Plan: UpdatePatchPlan(), AllocStats: true}).Run(ctx, st)
+	stats, err := (&Engine{Plan: UpdatePatchPlan(), Progress: func(ProgressEvent) {}}).Run(ctx, st)
 	if err != nil {
 		t.Fatal(err)
 	}

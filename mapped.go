@@ -74,34 +74,15 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 	ix := &Index{}
 	ix.cur.Store(e)
 
-	b, err := m.Reader(snapConfig)
-	if err != nil {
-		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
-	}
-	e.cfg = readConfig(b)
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
-	}
-	if err := e.cfg.internal().Validate(); err != nil {
-		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
-	}
-	if err := m.VerifyInventory(b); err != nil {
-		return nil, fmt.Errorf("%w: config inventory: %v", ErrSnapshotCorrupt, err)
+	var err error
+	if e.cfg, err = readConfigSection(m); err != nil {
+		return nil, err
 	}
 
 	openKB := func(id uint64, name string) (*KB, error) {
 		raw, ok := m.Raw(id)
 		if !ok {
 			return nil, fmt.Errorf("%w: missing %s section", ErrSnapshotCorrupt, name)
-		}
-		if !kb.LazyCapable(raw) {
-			// A pre-sectioned (v1) KB image carries no inner checksums
-			// and decodes eagerly; verify the snapshot section's own
-			// checksum first.
-			raw, err = m.Section(id)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-			}
 		}
 		built, err := kb.OpenBinary(raw)
 		if err != nil {
@@ -124,42 +105,14 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 		}
 	}
 
-	if b, err = m.Reader(snapStats); err != nil {
-		return nil, fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
+	if err := e.readStatsSection(m); err != nil {
+		return nil, err
 	}
-	e.purge.Cutoff1 = b.Int()
-	e.purge.Cutoff2 = b.Int()
-	e.purge.RemovedBlocks = b.Int()
-	e.purge.RemovedComparisons = int64(b.Uvarint())
-	e.nameBlockCount = b.Int()
-	e.tokenBlockCount = b.Int()
-	e.nameComparisons = int64(b.Uvarint())
-	e.tokenComparisons = int64(b.Uvarint())
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
+	if err := e.readMatchesSection(m, e.kb1.Len(), e.kb2.Len()); err != nil {
+		return nil, err
 	}
-
-	if b, err = m.Reader(snapMatches); err != nil {
-		return nil, fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
-	}
-	n1, n2 := e.kb1.Len(), e.kb2.Len()
-	e.h1 = readPairs(b, n1, n2)
-	e.h2 = readPairs(b, n1, n2)
-	e.h3 = readPairs(b, n1, n2)
-	e.matches = readPairs(b, n1, n2)
-	e.discardedByH4 = b.Int()
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
-	}
-
-	if m.Has(snapJournal) {
-		jb, err := m.Reader(snapJournal)
-		if err != nil {
-			return nil, fmt.Errorf("%w: journal: %v", ErrSnapshotCorrupt, err)
-		}
-		if err := readJournalSection(jb, ix); err != nil {
-			return nil, err
-		}
+	if err := ix.readJournalSection(m); err != nil {
+		return nil, err
 	}
 	var prep func() (*pipeline.Prepared, error)
 	if m.Has(snapPrepared) {

@@ -147,6 +147,8 @@ func LoadKB(name string, r io.Reader) (*KB, error) {
 	return k, err
 }
 
+// loadKB is the one parse behind LoadKB, LoadKBLenient, QueryReader and
+// /upsert; it returns the count of skipped lines, zero unless lenient.
 func loadKB(name string, r io.Reader, lenient bool) (*KB, int, error) {
 	b := kb.NewBuilder(name)
 	skipped, err := b.AddFromReader(context.Background(), r, lenient)
@@ -258,9 +260,9 @@ type Result struct {
 	NameComparisons, TokenComparisons int64
 	// PurgedBlocks counts token blocks removed by Block Purging.
 	PurgedBlocks int
-	// SkippedLines1 and SkippedLines2 count the malformed lines skipped
-	// per source on lenient ResolveReaders runs; zero otherwise.
-	SkippedLines1, SkippedLines2 int
+	// SkippedLines2 counts the malformed lines a lenient QueryReader
+	// skipped in its delta; zero otherwise.
+	SkippedLines2 int
 	// StageTimings reports the pipeline stages executed for this run, in
 	// order, with their wall-clock and allocation cost.
 	StageTimings []StageTiming
@@ -344,8 +346,6 @@ func newResult(res *core.Result, kb1, kb2 *kb.KB) *Result {
 		NameComparisons:        res.NameComparisons,
 		TokenComparisons:       res.TokenComparisons,
 		PurgedBlocks:           res.Purge.RemovedBlocks,
-		SkippedLines1:          res.Skipped1,
-		SkippedLines2:          res.Skipped2,
 		StageTimings:           make([]StageTiming, len(res.Stages)),
 		kb1:                    kb1,
 		kb2:                    kb2,
@@ -365,37 +365,15 @@ func stageTiming(s pipeline.StageStat) StageTiming {
 	return StageTiming{Stage: s.Stage, Duration: s.Duration, AllocBytes: s.AllocBytes}
 }
 
-// Source is one raw N-Triples input of a ResolveReaders run.
+// Source is the raw N-Triples delta of an Index.QueryReader call.
 type Source struct {
-	// Name is the display name of the KB built from this source.
+	// Name is the display name of the delta KB built from this source.
 	Name string
 	// R supplies the N-Triples document.
 	R io.Reader
 	// Lenient skips malformed (and oversize) lines instead of failing,
-	// counting them in Result.SkippedLines1/SkippedLines2.
+	// counting them in Result.SkippedLines2.
 	Lenient bool
-}
-
-// ResolveReaders runs the whole ingest-to-matches path on two raw
-// N-Triples sources as one instrumented pipeline: parsing, KB assembly,
-// blocking, and matching all appear in Result.StageTimings (stages
-// "ingest" and "kb-build" precede the matching stages), and
-// cancellation is honored inside ingest as well as matching. It is
-// equivalent to LoadKB + ResolveContext but streams triples straight
-// into interned builders and parses the two sources concurrently.
-func ResolveReaders(ctx context.Context, src1, src2 Source, cfg Config, opts ...ResolveOption) (*Result, error) {
-	var o resolveOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	res, kb1, kb2, err := core.RunSources(ctx,
-		pipeline.Source{Name: src1.Name, R: src1.R, Lenient: src1.Lenient},
-		pipeline.Source{Name: src2.Name, R: src2.R, Lenient: src2.Lenient},
-		cfg.internal(), o.pipelineProgress())
-	if err != nil {
-		return nil, err
-	}
-	return newResult(res, kb1, kb2), nil
 }
 
 // DedupConfig tunes single-KB deduplication (dirty ER).

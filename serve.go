@@ -721,14 +721,7 @@ func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lenient := r.URL.Query().Get("lenient") == "1"
-	body := http.MaxBytesReader(w, r.Body, maxDeltaBytes)
-	var delta *KB
-	var skipped int
-	if lenient {
-		delta, skipped, err = LoadKBLenient("upsert", body)
-	} else {
-		delta, err = LoadKB("upsert", body)
-	}
+	delta, skipped, err := loadKB("upsert", http.MaxBytesReader(w, r.Body, maxDeltaBytes), lenient)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -84,7 +84,7 @@ const snapshotVersion = 1
 
 // Section IDs of the snapshot frame.
 //
-//minoaner:sections writer=SaveIndex reader=openIndexMap,decodeBlocks,decodePrepared
+//minoaner:sections writer=SaveIndex reader=readConfigSection,openIndexMap,readStatsSection,readMatchesSection,decodeBlocks,decodePrepared,readJournalSection
 const (
 	snapConfig      = 1
 	snapKB1         = 2
@@ -233,10 +233,18 @@ func writeJournalSection(enc *binio.Writer, seq uint64, journal []JournalEntry, 
 	}
 }
 
-// readJournalSection restores the epoch number, the mutation journal,
-// and — when the extension tail is present — the compaction count and
-// replay payloads.
-func readJournalSection(b *binio.Reader, ix *Index) error {
+// readJournalSection restores section 9, when the snapshot has one,
+// into ix and its current epoch: the epoch number, the mutation
+// journal, and — when the extension tail is present — the compaction
+// count and replay payloads.
+func (ix *Index) readJournalSection(m *binio.Map) error {
+	if !m.Has(snapJournal) {
+		return nil
+	}
+	b, err := m.Reader(snapJournal)
+	if err != nil {
+		return fmt.Errorf("%w: journal: %v", ErrSnapshotCorrupt, err)
+	}
 	e := ix.cur.Load()
 	seq := b.Uvarint()
 	n := b.Int()
@@ -388,7 +396,13 @@ func writeConfig(e *binio.Writer, c Config) {
 	e.Bool(c.DisableH4)
 }
 
-func readConfig(b *binio.Reader) Config {
+// readConfigSection decodes section 1: the Config, which must
+// validate, and the section inventory, which must match the directory.
+func readConfigSection(m *binio.Map) (Config, error) {
+	b, err := m.Reader(snapConfig)
+	if err != nil {
+		return Config{}, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
+	}
 	var c Config
 	c.K = b.Int()
 	c.N = b.Int()
@@ -401,7 +415,56 @@ func readConfig(b *binio.Reader) Config {
 	c.DisableH2 = b.Bool()
 	c.DisableH3 = b.Bool()
 	c.DisableH4 = b.Bool()
-	return c
+	if err := b.Err(); err != nil {
+		return Config{}, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
+	}
+	if err := c.internal().Validate(); err != nil {
+		return Config{}, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
+	}
+	if err := m.VerifyInventory(b); err != nil {
+		return Config{}, fmt.Errorf("%w: config inventory: %v", ErrSnapshotCorrupt, err)
+	}
+	return c, nil
+}
+
+// readStatsSection decodes section 6, the purge result and block
+// accounting, into e.
+func (e *epoch) readStatsSection(m *binio.Map) error {
+	b, err := m.Reader(snapStats)
+	if err != nil {
+		return fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
+	}
+	e.purge.Cutoff1 = b.Int()
+	e.purge.Cutoff2 = b.Int()
+	e.purge.RemovedBlocks = b.Int()
+	e.purge.RemovedComparisons = int64(b.Uvarint())
+	e.nameBlockCount = b.Int()
+	e.tokenBlockCount = b.Int()
+	e.nameComparisons = int64(b.Uvarint())
+	e.tokenComparisons = int64(b.Uvarint())
+	if err := b.Err(); err != nil {
+		return fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
+	}
+	return nil
+}
+
+// readMatchesSection decodes section 7, the per-heuristic and final
+// match lists and the H4 discard count, into e; every pair must name
+// entities of KBs with n1 and n2 entities.
+func (e *epoch) readMatchesSection(m *binio.Map, n1, n2 int) error {
+	b, err := m.Reader(snapMatches)
+	if err != nil {
+		return fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
+	}
+	e.h1 = readPairs(b, n1, n2)
+	e.h2 = readPairs(b, n1, n2)
+	e.h3 = readPairs(b, n1, n2)
+	e.matches = readPairs(b, n1, n2)
+	e.discardedByH4 = b.Int()
+	if err := b.Err(); err != nil {
+		return fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
+	}
+	return nil
 }
 
 func writePairs(e *binio.Writer, pairs []eval.Pair) {
