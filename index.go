@@ -376,22 +376,19 @@ func (ix *Index) Prepare() { _, _ = ix.cur.Load().d.prep() }
 // one-sided token/name inverted index and a sealed neighbor view —
 // probing it with only the delta's tokens and names, so the query is
 // O(|delta|). The substrate is derived once per epoch, on the first
-// such query (or decoded from the snapshot that persisted it). A larger
-// delta runs the full plan, which re-blocks the whole pair (see
-// QueryKBFull). Both paths produce identical results. A QueryKB call
-// answers from one epoch; concurrent mutations never tear it.
+// such query (or decoded from the snapshot that persisted it). On a
+// mapped index with a persisted substrate, that substrate and KB1's
+// URIs are all this path reads: KB1's full tier stays undecoded. A
+// larger delta runs the full plan, which decodes KB1's full tier and
+// re-blocks the whole pair (see QueryKBFull). Both paths produce
+// identical results. A QueryKB call answers from one epoch; concurrent
+// mutations never tear it.
 //
 // Query, by contrast, is a constant-time lookup; route traffic about
 // already-indexed entities there and reserve QueryKB/QueryReader (and
 // the serve layer's /delta) for genuinely new descriptions.
 func (ix *Index) QueryKB(ctx context.Context, delta *KB, opts ...ResolveOption) (*Result, error) {
 	e := ix.cur.Load()
-	// Every path scores against KB1's full tier; on a mapped index the
-	// first call pays the one-time decode here (and a checksum failure
-	// surfaces as an error, not a crash).
-	if err := e.materializeKB1(); err != nil {
-		return nil, err
-	}
 	if delta.Len() >= e.kb1.Len() {
 		return e.queryFull(ctx, delta, opts...)
 	}
@@ -407,14 +404,15 @@ func (ix *Index) QueryKB(ctx context.Context, delta *KB, opts ...ResolveOption) 
 // against the substrate path; QueryKB is the right entry point for
 // serving.
 func (ix *Index) QueryKBFull(ctx context.Context, delta *KB, opts ...ResolveOption) (*Result, error) {
-	e := ix.cur.Load()
+	return ix.cur.Load().queryFull(ctx, delta, opts...)
+}
+
+// queryFull runs the full plan over KB1's full tier, decoding it first
+// on a mapped index.
+func (e *epoch) queryFull(ctx context.Context, delta *KB, opts ...ResolveOption) (*Result, error) {
 	if err := e.materializeKB1(); err != nil {
 		return nil, err
 	}
-	return e.queryFull(ctx, delta, opts...)
-}
-
-func (e *epoch) queryFull(ctx context.Context, delta *KB, opts ...ResolveOption) (*Result, error) {
 	return ResolveContext(ctx, e.kb1, delta, e.cfg, opts...)
 }
 

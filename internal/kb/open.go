@@ -12,13 +12,14 @@ import (
 //
 //   - URI tier, decoded at open: entity count, URIs, and the URI index —
 //     everything the infallible, lock-free read path (Len, Lookup, URI,
-//     Name, NumTriples) touches. The scan validates the entities
-//     section's structure; its checksum is deferred (hashing it would
-//     cost as much as the eager load the open replaces).
+//     Name, NumTriples) touches. The open verifies the header's and the
+//     entities section's checksums before it scans, so no URI it serves
+//     is damaged. Hashing is a small share of the scan it guards, and
+//     the verdict is latched: the full-tier fill does not hash again.
 //   - Full tier, decoded on first demand: predicates, statistics,
 //     per-entity attributes/edges/types/tokens, and derived structures.
-//     Section checksums — including the entities section's — verify on
-//     that first access, so every fallible operation sees verified data.
+//     The predicates' and statistics' checksums verify on that first
+//     access, so every fallible operation sees verified data.
 //
 // Retained sources decode separately (they are only needed to mutate),
 // also once, on first demand. All decoded values copy out of the
@@ -65,18 +66,13 @@ func OpenBinary(data []byte) (*KB, error) {
 			return nil, fmt.Errorf("%w: missing section %d", errCorrupt, id)
 		}
 	}
-	// The URI scan reads the raw payload: verifying the entities
-	// section's checksum would hash the bulk of the image — the one cost
-	// a mapped open exists to avoid. The scan validates the section's
-	// structure; the checksum verifies on the first full-tier access
-	// (decodeRest goes through m.Reader), so damage in the skipped
-	// bytes — or in a URI — is caught before any fallible operation
-	// (QueryKB, SaveIndex, mutation, Close) trusts the decoded KB.
-	raw, ok := m.Raw(secEntities)
-	if !ok {
-		return nil, fmt.Errorf("%w: missing section %d", errCorrupt, secEntities)
+	// The URIs are served from the open on, so the scan reads the
+	// checksum-verified payload: a damaged URI fails the open instead
+	// of reaching a caller.
+	ents, err := m.Reader(secEntities)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
-	ents := binio.NewBytesReader(raw)
 	kb.scanURIs(ents)
 	if err := ents.Err(); err != nil {
 		return nil, fmt.Errorf("%w: entities: %v", errCorrupt, err)
@@ -250,7 +246,7 @@ func (kb *KB) decodeSources() error {
 }
 
 // fillEntities is the full-tier counterpart of scanURIs: it re-walks
-// the (already checksum-verified) entities section, skipping the URIs
+// the entities section (verified at open), skipping the URIs
 // decoded at open and filling attributes, edges, types, and tokens in
 // place, validating predicates and edge targets.
 func (kb *KB) fillEntities(dec *binio.Reader) {

@@ -15,10 +15,15 @@ import (
 //
 //   - eagerly: the section directory, config (and its inventory), the
 //     KBs' URI tiers, stats, the match lists, and the journal —
-//     everything Query/Matches/Stats-counters touch.
-//   - on first demand: the KBs' full tiers (internal/kb lazy open),
-//     the block collections, and the delta substrate (decoded when
-//     section 8 carries it, derived otherwise).
+//     everything Query/Matches/Stats-counters touch. Every section
+//     these read is checksum-verified at open, the KBs' entity
+//     sections included, so Query never serves a damaged URI.
+//   - on first demand: the delta substrate (decoded when section 8
+//     carries it, derived from KB1's full tier otherwise), the KBs'
+//     full tiers (internal/kb lazy open), and the block collections.
+//     A small delta reads the substrate and KB1's URIs only; KB1's
+//     full tier decodes for the full plan, for a derived substrate,
+//     for streams and for the write side.
 //     Section checksums verify on that first access; a corrupted lazy
 //     section surfaces as an ErrSnapshotCorrupt-wrapped error from the
 //     fallible entry points (QueryKB, SaveIndex, mutations, Close),
@@ -90,11 +95,21 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 		}
 		return &KB{kb: built}, nil
 	}
-	if e.kb1, err = openKB(snapKB1, "kb1"); err != nil {
+	// The two URI scans are independent: KB2's runs beside KB1's. KB1's
+	// error wins when both fail, so the reported error is deterministic.
+	var err2 error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.kb2, err2 = openKB(snapKB2, "kb2")
+	}()
+	e.kb1, err = openKB(snapKB1, "kb1")
+	<-done
+	if err != nil {
 		return nil, err
 	}
-	if e.kb2, err = openKB(snapKB2, "kb2"); err != nil {
-		return nil, err
+	if err2 != nil {
+		return nil, err2
 	}
 	for _, s := range []struct {
 		id   uint64
@@ -125,8 +140,9 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 	return ix, nil
 }
 
-// materializeKB1 forces KB1's full tier — what every delta-resolution
-// path scores against. A nil check on eager indexes.
+// materializeKB1 forces KB1's full tier — what the full plan, a
+// derived delta substrate and the stream base read. A nil check on
+// eager indexes.
 func (e *epoch) materializeKB1() error {
 	if err := e.kb1.kb.Materialize(); err != nil {
 		return fmt.Errorf("%w: kb1: %v", ErrSnapshotCorrupt, err)

@@ -13,8 +13,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"minoaner"
+	"minoaner/internal/binio"
 )
 
 // deltaKB assembles a small delta from the first few KB2 entities of a
@@ -82,7 +84,7 @@ func TestOpenIndexBitIdentity(t *testing.T) {
 			}
 
 			// Delta resolution exercises the lazily decoded prepared
-			// substrate and KB1 full tier.
+			// substrate.
 			delta := deltaKB(t, b, 5)
 			got, err := mapped.QueryKB(context.Background(), delta)
 			if err != nil {
@@ -244,11 +246,131 @@ func TestMappedCorruptionSweep(t *testing.T) {
 	})
 }
 
+// TestMappedOpenVerifiesURIs: a mapped index serves KB URIs from the
+// open on, so a damaged URI must fail the open — on both mapped entry
+// points — rather than reach a Query answer.
+func TestMappedOpenVerifiesURIs(t *testing.T) {
+	_, ix, _ := buildBenchmarkIndex(t, "Restaurant", 3, 0.1)
+	var buf bytes.Buffer
+	if err := minoaner.SaveIndex(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	matches := ix.Matches()
+	if len(matches) == 0 {
+		t.Fatal("no matches to take a KB2 URI from")
+	}
+	uri := matches[0].URI2
+	at := bytes.Index(buf.Bytes(), []byte(uri))
+	if at < 0 {
+		t.Fatalf("URI %q not in the snapshot", uri)
+	}
+	mut := append([]byte(nil), buf.Bytes()...)
+	mut[at+len(uri)-1] ^= 0x01
+
+	if _, err := minoaner.OpenIndex(mut); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("OpenIndex: got %v, want ErrSnapshotCorrupt", err)
+	}
+	path := filepath.Join(t.TempDir(), "index.msnp")
+	if err := os.WriteFile(path, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := minoaner.OpenIndexFile(path)
+	if err == nil {
+		opened.Close()
+	}
+	if !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("OpenIndexFile: got %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// embeddedSection returns the offset and length, within a snapshot
+// image, of section inner of the MKB1 image that snapshot section outer
+// embeds.
+func embeddedSection(t *testing.T, data []byte, outer, inner uint64) (int, int) {
+	t.Helper()
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, ok := m.Raw(outer)
+	if !ok {
+		t.Fatalf("snapshot has no section %d", outer)
+	}
+	km, err := binio.BytesMap(img, [4]byte{'M', 'K', 'B', '1'}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := km.Raw(inner)
+	if !ok || len(payload) == 0 {
+		t.Fatalf("KB image has no (or an empty) section %d", inner)
+	}
+	// The payload aliases data.
+	return int(uintptr(unsafe.Pointer(&payload[0])) - uintptr(unsafe.Pointer(&data[0]))), len(payload)
+}
+
+// TestPreparedPathReadsNoFullTier: a delta smaller than KB1 is answered
+// from the delta substrate (section 8) and KB1's URIs alone. Damage in
+// KB1's predicates — full tier only — must leave those answers as they
+// were, and still fail every path that does read the full tier.
+func TestPreparedPathReadsNoFullTier(t *testing.T) {
+	const snapKB1, kbPreds = 2, 2
+	b, ix, _ := buildBenchmarkIndex(t, "YAGO-IMDb", 3, 0.1)
+	var buf bytes.Buffer
+	if err := minoaner.SaveIndex(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	off, n := embeddedSection(t, data, snapKB1, kbPreds)
+	mut := append([]byte(nil), data...)
+	mut[off+n/2] ^= 0x10
+
+	pristine, err := minoaner.OpenIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := minoaner.OpenIndex(mut)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	ctx := context.Background()
+	for _, size := range []int{1, 32} {
+		delta := deltaKB(t, b, size)
+		if delta.Len() >= b.KB1.Len() {
+			t.Fatalf("%d-entity delta is not smaller than KB1 (%d)", delta.Len(), b.KB1.Len())
+		}
+		got, err := damaged.QueryKB(ctx, delta)
+		if err != nil {
+			t.Fatalf("QueryKB, %d entities: %v", size, err)
+		}
+		want, err := pristine.QueryKB(ctx, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Matches) == 0 {
+			t.Fatalf("%d-entity delta matches nothing: the comparison would be vacuous", size)
+		}
+		mustEqualResults(t, "QueryKB "+itoa(size), got, want)
+	}
+	delta := deltaKB(t, b, 32)
+	got, want := drainQueryKBStream(t, damaged, delta), drainQueryKBStream(t, pristine, delta)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryKBStream: %d pairs vs %d", len(got), len(want))
+	}
+
+	if _, err := damaged.QueryKBFull(ctx, delta); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("QueryKBFull: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if err := minoaner.SaveIndex(io.Discard, damaged); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("SaveIndex: got %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
 // FuzzOpenIndex feeds arbitrary images to the snapshot decoder that
 // both OpenIndex and LoadIndex run: open, a small delta query (forcing
-// the lazy KB tier and prepared substrate), and a save (forcing
-// everything else). Every stage must succeed or fail with an error
-// wrapping ErrSnapshotCorrupt, never panic. Seeds: a Restaurant x0.1
+// the prepared substrate, and KB1's full tier when the substrate must
+// be derived), and a save (forcing everything else). Every stage must
+// succeed or fail with an error wrapping ErrSnapshotCorrupt, never
+// panic. Seeds: a Restaurant x0.1
 // snapshot, the retired-section-10 fixtures, and the first seed without
 // its section 8 (so the query derives the substrate).
 func FuzzOpenIndex(f *testing.F) {
@@ -296,6 +418,40 @@ func FuzzOpenIndex(f *testing.F) {
 			mustBeTyped("save", err)
 		}
 	})
+}
+
+// BenchmarkMappedFirstDelta times a mapped index's cold start: each op
+// opens an in-memory YAGO-IMDb x0.5 snapshot and answers one one-entity
+// QueryKB, the first /delta of a freshly started server. Its B/op is
+// the guard: a first delta that decodes KB1's full tier allocates
+// nearly twice as much.
+func BenchmarkMappedFirstDelta(b *testing.B) {
+	bm, err := minoaner.GenerateBenchmark("YAGO-IMDb", 42, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := minoaner.BuildIndex(bm.KB1, bm.KB2, minoaner.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := minoaner.SaveIndex(&buf, ix); err != nil {
+		b.Fatal(err)
+	}
+	delta, err := bm.DeltaKB("delta", sampleDeltaURIs(bm, 1)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		opened, err := minoaner.OpenIndex(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := opened.QueryKB(context.Background(), delta); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func itoa(n int) string {

@@ -160,17 +160,18 @@ func streamTo(ctx context.Context, kb1, kb2 *KB, run func(emit func(pipeline.Sco
 // anytime stream (the streaming counterpart of QueryKB): confirmed
 // matches arrive best-first on the returned channel, under the same
 // budget and strategy options as ResolveStream. Like QueryKB it probes
-// the epoch's delta substrate when the delta is smaller than KB1, and
-// re-blocks the whole pair otherwise; both paths stream the same pairs
-// in the same order. Draining it unbudgeted yields exactly QueryKB's
-// match set for the same delta. The call answers from one epoch;
-// concurrent mutations never tear it.
+// the epoch's delta substrate when the delta is smaller than KB1 (on a
+// mapped index, without decoding KB1's full tier), and re-blocks the
+// whole pair otherwise; both paths stream the same pairs in the same
+// order. Draining it unbudgeted yields exactly QueryKB's match set for
+// the same delta. The call answers from one epoch; concurrent
+// mutations never tear it.
 func (ix *Index) QueryKBStream(ctx context.Context, delta *KB, opts ...StreamOption) (<-chan ScoredPair, error) {
 	e := ix.cur.Load()
-	if err := e.materializeKB1(); err != nil {
-		return nil, err
-	}
 	if delta.Len() >= e.kb1.Len() {
+		if err := e.materializeKB1(); err != nil {
+			return nil, err
+		}
 		return ResolveStream(ctx, e.kb1, delta, e.cfg, opts...)
 	}
 	prep, err := e.d.prep()
