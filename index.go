@@ -385,8 +385,9 @@ func (ix *Index) Prepare() { _, _ = ix.cur.Load().d.prep() }
 // mutations never tear it.
 //
 // Query, by contrast, is a constant-time lookup; route traffic about
-// already-indexed entities there and reserve QueryKB/QueryReader (and
-// the serve layer's /delta) for genuinely new descriptions.
+// already-indexed entities there and reserve QueryKB (and the serve
+// layer's /delta) for genuinely new descriptions. To resolve raw
+// N-Triples, parse them with LoadKB or LoadKBLenient first.
 func (ix *Index) QueryKB(ctx context.Context, delta *KB, opts ...ResolveOption) (*Result, error) {
 	e := ix.cur.Load()
 	if delta.Len() >= e.kb1.Len() {
@@ -428,23 +429,6 @@ func (e *epoch) queryPrepared(ctx context.Context, prep *pipeline.Prepared, delt
 		return nil, err
 	}
 	return newResult(res, e.kb1.kb, delta.kb), nil
-}
-
-// QueryReader parses a small N-Triples delta and resolves it against
-// the index's first KB (see QueryKB). The source's Lenient flag skips
-// malformed lines; the skipped count is reported in
-// Result.SkippedLines2.
-func (ix *Index) QueryReader(ctx context.Context, src Source, opts ...ResolveOption) (*Result, error) {
-	delta, skipped, err := loadKB(src.Name, src.R, src.Lenient)
-	if err != nil {
-		return nil, fmt.Errorf("minoaner: parsing query delta: %w", err)
-	}
-	res, err := ix.QueryKB(ctx, delta, opts...)
-	if err != nil {
-		return nil, err
-	}
-	res.SkippedLines2 = skipped
-	return res, nil
 }
 
 // Upsert absorbs a delta KB into the indexed pair: every entity of the

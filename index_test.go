@@ -2,13 +2,11 @@ package minoaner_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"minoaner"
@@ -207,36 +205,6 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestIndexQueryReader(t *testing.T) {
-	b, ix, res := buildBenchmarkIndex(t, "Restaurant", 11, 0.1)
-
-	// Feed the whole KB2 serialization back as a delta: resolving it
-	// against the indexed KB1 must reproduce the batch result.
-	var nt bytes.Buffer
-	if err := b.WriteKB2(&nt); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ix.QueryReader(context.Background(), minoaner.Source{Name: "delta", R: &nt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Matches, res.Matches) {
-		t.Fatalf("QueryReader over full KB2 gave %d matches, batch gave %d", len(got.Matches), len(res.Matches))
-	}
-
-	// A malformed delta fails strictly, resolves leniently.
-	if _, err := ix.QueryReader(context.Background(), minoaner.Source{Name: "bad", R: strings.NewReader("not a triple\n")}); err == nil {
-		t.Error("malformed delta accepted in strict mode")
-	}
-	lenientRes, err := ix.QueryReader(context.Background(), minoaner.Source{Name: "bad", R: strings.NewReader("not a triple\n"), Lenient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lenientRes.SkippedLines2 != 1 {
-		t.Errorf("SkippedLines2 = %d, want 1", lenientRes.SkippedLines2)
-	}
 }
 
 func TestSaveLoadIndexFile(t *testing.T) {

@@ -53,7 +53,6 @@ type Cache struct {
 	RawTokens   *blocking.Collection // B_T before purging
 	TokenBlocks *blocking.Collection // B_T after purging (what queries serve)
 	Purge       blocking.PurgeResult // the epoch's purge cutoffs
-	Weights     []float64            // ARCS weight per purged block
 
 	VC1, VC2 [][]Cand
 	NC1, NC2 [][]Cand
@@ -110,10 +109,6 @@ func NewCache(ctx context.Context, st *State, nameBlocks *blocking.Collection, p
 		NC2:         st.NeighborCands2,
 	}
 	c.RawTokens = blocking.JoinTokenBlocks(c.Side1.Blocks, c.Side2.Blocks)
-	c.Weights = st.Weights
-	if c.Weights == nil {
-		c.Weights = tokenWeights(st.TokenBlocks)
-	}
 	return c, nil
 }
 
@@ -183,55 +178,12 @@ func UpdatePatchPlan() []Stage {
 	return []Stage{
 		UpdateNameBlocking(),
 		UpdateTokenBlocking(),
-		UpdateBlockPurging(),
+		BlockPurging(),
 		UpdateBlockIndexing(),
-		UpdateTokenWeighting(),
+		TokenWeighting(),
 		UpdateValueCandidates(),
 		UpdateNeighborCandidates(),
 	}
-}
-
-// UpdateBlockPurging is BlockPurging with the sharing fast path: a raw
-// collection carried over untouched purges to the previous epoch's
-// purged collection (same sizes, same cutoffs, same members).
-func UpdateBlockPurging() Stage {
-	return newStage(StageBlockPurging, func(ctx context.Context, st *State) error {
-		u := st.update
-		if u == nil {
-			return errNotUpdate
-		}
-		if st.TokenBlocks == nil {
-			return errors.New("requires token blocks (run " + StageTokenBlocking + " first)")
-		}
-		if st.TokenBlocks == u.prev.RawTokens {
-			st.TokenBlocks = u.prev.TokenBlocks
-			st.PurgeStats = u.prev.Purge
-		} else {
-			st.TokenBlocks, st.PurgeStats = blocking.Purge(st.TokenBlocks, st.Params.Purge)
-		}
-		finishTokenBlocks(st)
-		return nil
-	})
-}
-
-// UpdateTokenWeighting is TokenWeighting with the sharing fast path:
-// an unchanged purged collection keeps its weights.
-//
-//minoaner:mutator stage writes u.next, the epoch cache under construction; it is published only after the plan completes
-func UpdateTokenWeighting() Stage {
-	return newStage(StageTokenWeighting, func(ctx context.Context, st *State) error {
-		u := st.update
-		if u == nil {
-			return errNotUpdate
-		}
-		if st.TokenBlocks == u.prev.TokenBlocks && u.prev.Weights != nil {
-			st.Weights = u.prev.Weights
-		} else {
-			st.Weights = tokenWeights(st.TokenBlocks)
-		}
-		u.next.Weights = st.Weights
-		return nil
-	})
 }
 
 // UpdateMatchPlan is the matching half of UpdatePlan: the very same

@@ -57,7 +57,6 @@ import (
 	"minoaner/internal/blocking"
 	"minoaner/internal/core"
 	"minoaner/internal/datagen"
-	"minoaner/internal/dedup"
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
 	"minoaner/internal/pipeline"
@@ -147,7 +146,7 @@ func LoadKB(name string, r io.Reader) (*KB, error) {
 	return k, err
 }
 
-// loadKB is the one parse behind LoadKB, LoadKBLenient, QueryReader and
+// loadKB is the one parse behind LoadKB, LoadKBLenient, /delta and
 // /upsert; it returns the count of skipped lines, zero unless lenient.
 func loadKB(name string, r io.Reader, lenient bool) (*KB, int, error) {
 	b := kb.NewBuilder(name)
@@ -260,15 +259,11 @@ type Result struct {
 	NameComparisons, TokenComparisons int64
 	// PurgedBlocks counts token blocks removed by Block Purging.
 	PurgedBlocks int
-	// SkippedLines2 counts the malformed lines a lenient QueryReader
-	// skipped in its delta; zero otherwise.
-	SkippedLines2 int
 	// StageTimings reports the pipeline stages executed for this run, in
 	// order, with their wall-clock and allocation cost.
 	StageTimings []StageTiming
 
-	kb1, kb2 *kb.KB
-	pairs    []eval.Pair
+	pairs []eval.Pair
 }
 
 // StageTiming is the recorded execution of one pipeline stage.
@@ -347,8 +342,6 @@ func newResult(res *core.Result, kb1, kb2 *kb.KB) *Result {
 		TokenComparisons:       res.TokenComparisons,
 		PurgedBlocks:           res.Purge.RemovedBlocks,
 		StageTimings:           make([]StageTiming, len(res.Stages)),
-		kb1:                    kb1,
-		kb2:                    kb2,
 		pairs:                  res.Matches,
 	}
 	for i, s := range res.Stages {
@@ -365,55 +358,10 @@ func stageTiming(s pipeline.StageStat) StageTiming {
 	return StageTiming{Stage: s.Stage, Duration: s.Duration, AllocBytes: s.AllocBytes}
 }
 
-// Source is the raw N-Triples delta of an Index.QueryReader call.
-type Source struct {
-	// Name is the display name of the delta KB built from this source.
-	Name string
-	// R supplies the N-Triples document.
-	R io.Reader
-	// Lenient skips malformed (and oversize) lines instead of failing,
-	// counting them in Result.SkippedLines2.
-	Lenient bool
-}
-
-// DedupConfig tunes single-KB deduplication (dirty ER).
-type DedupConfig struct {
-	// Threshold is the minimum value similarity for two descriptions to
-	// count as duplicates; 1.0 keeps the H2 semantics ("a token unique
-	// to the pair, or several infrequent shared tokens").
-	Threshold float64
-	// MaxTokenFraction purges tokens carried by more than this fraction
-	// of the KB, with MinTokenEntities as floor.
-	MaxTokenFraction float64
-	MinTokenEntities int
-}
-
-// DefaultDedupConfig mirrors the clean-clean defaults.
-func DefaultDedupConfig() DedupConfig {
-	c := dedup.DefaultConfig()
-	return DedupConfig{Threshold: c.Threshold, MaxTokenFraction: c.MaxTokenFraction, MinTokenEntities: c.MinTokenEntities}
-}
-
-// Deduplicate finds duplicate descriptions inside one KB (dirty ER)
-// and returns the duplicate clusters as URI groups.
-func Deduplicate(k *KB, cfg DedupConfig) [][]string {
-	res := dedup.Run(k.kb, dedup.Config(cfg))
-	out := make([][]string, len(res.Clusters))
-	for i, cluster := range res.Clusters {
-		uris := make([]string, len(cluster))
-		for j, id := range cluster {
-			uris[j] = k.kb.URI(id)
-		}
-		out[i] = uris
-	}
-	return out
-}
-
 // GroundTruth is a known partial 1-1 mapping between the entities of
 // two KBs, used for evaluation.
 type GroundTruth struct {
-	gt       *eval.GroundTruth
-	kb1, kb2 *kb.KB
+	gt *eval.GroundTruth
 }
 
 // LoadGroundTruth parses "uri1,uri2" CSV lines resolved against the two
@@ -423,7 +371,7 @@ func LoadGroundTruth(kb1, kb2 *KB, r io.Reader) (*GroundTruth, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GroundTruth{gt: gt, kb1: kb1.kb, kb2: kb2.kb}, nil
+	return &GroundTruth{gt: gt}, nil
 }
 
 // LoadGroundTruthFile parses a ground-truth CSV file.
@@ -500,7 +448,7 @@ func GenerateBenchmark(name string, seed int64, scale float64) (*Benchmark, erro
 		Name:        ds.Name,
 		KB1:         kb1,
 		KB2:         kb2,
-		GroundTruth: &GroundTruth{gt: ds.GT, kb1: ds.KB1, kb2: ds.KB2},
+		GroundTruth: &GroundTruth{gt: ds.GT},
 		ds:          ds,
 	}, nil
 }

@@ -181,26 +181,6 @@ func TestBenchmarkSerialization(t *testing.T) {
 	}
 }
 
-func TestDeduplicateFacade(t *testing.T) {
-	doc := `
-<http://d/a1> <http://v/name> "Unique Restaurant Alpha" .
-<http://d/a2> <http://v/name> "unique restaurant alpha!" .
-<http://d/b> <http://v/name> "Totally Other Place" .
-`
-	k, err := minoaner.LoadKB("dirty", strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusters := minoaner.Deduplicate(k, minoaner.DefaultDedupConfig())
-	if len(clusters) != 1 || len(clusters[0]) != 2 {
-		t.Fatalf("clusters = %v", clusters)
-	}
-	got := map[string]bool{clusters[0][0]: true, clusters[0][1]: true}
-	if !got["http://d/a1"] || !got["http://d/a2"] {
-		t.Errorf("wrong duplicates: %v", clusters)
-	}
-}
-
 func TestKBBinaryRoundTripThroughFacade(t *testing.T) {
 	kb1, _ := loadPair(t)
 	var buf strings.Builder

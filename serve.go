@@ -645,32 +645,43 @@ func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		name = "delta"
 	}
 	lenient := r.URL.Query().Get("lenient") == "1"
-	src := Source{Name: name, R: http.MaxBytesReader(w, r.Body, maxDeltaBytes), Lenient: lenient}
-	res, err := s.ix.QueryReader(r.Context(), src)
+	delta, skipped, err := loadKB(name, http.MaxBytesReader(w, r.Body, maxDeltaBytes), lenient)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooLarge):
-			writeError(w, http.StatusRequestEntityTooLarge, "delta exceeds %d bytes", maxDeltaBytes)
-		case errors.Is(err, ErrSnapshotCorrupt):
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		case r.Context().Err() != nil:
-			writeError(w, http.StatusServiceUnavailable, "request cancelled")
-		default:
-			writeError(w, http.StatusBadRequest, "resolving delta: %v", err)
-		}
+		writeDeltaError(w, r, "parsing", err)
+		return
+	}
+	res, err := s.ix.QueryKB(r.Context(), delta)
+	if err != nil {
+		writeDeltaError(w, r, "resolving", err)
 		return
 	}
 	resp := deltaResponseJSON{
 		Name:         name,
+		Entities:     delta.Len(),
 		Matches:      []matchJSON{},
-		SkippedLines: res.SkippedLines2,
+		SkippedLines: skipped,
 	}
 	for _, m := range res.Matches {
 		resp.Matches = append(resp.Matches, matchJSON{URI1: m.URI1, URI2: m.URI2})
 	}
-	resp.Entities = res.kb2.Len()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeDeltaError maps a failed /delta step (parsing or resolving the
+// body) to its status: an oversized body is 413, a damaged snapshot
+// 500, a cancelled request 503, anything else the client's fault.
+func writeDeltaError(w http.ResponseWriter, r *http.Request, step string, err error) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "delta exceeds %d bytes", maxDeltaBytes)
+	case errors.Is(err, ErrSnapshotCorrupt):
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	case r.Context().Err() != nil:
+		writeError(w, http.StatusServiceUnavailable, "request cancelled")
+	default:
+		writeError(w, http.StatusBadRequest, "%s delta: %v", step, err)
+	}
 }
 
 // mutationResponseJSON reports an absorbed mutation.

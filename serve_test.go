@@ -152,12 +152,9 @@ func TestServeDelta(t *testing.T) {
 		t.Fatalf("delta status %d: %s", resp.StatusCode, payload)
 	}
 	var delta struct {
-		Name     string `json:"name"`
-		Entities int    `json:"entities"`
-		Matches  []struct {
-			URI1 string `json:"uri1"`
-			URI2 string `json:"uri2"`
-		} `json:"matches"`
+		Name     string           `json:"name"`
+		Entities int              `json:"entities"`
+		Matches  []minoaner.Match `json:"matches"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&delta); err != nil {
 		t.Fatal(err)
@@ -165,15 +162,18 @@ func TestServeDelta(t *testing.T) {
 	if delta.Name != "kb2-replay" || delta.Entities != b.KB2.Len() {
 		t.Errorf("delta header = %+v", delta)
 	}
+	// Resolving the whole KB2 serialization against the indexed KB1
+	// must reproduce the batch result, pair for pair.
 	ref, err := minoaner.Resolve(b.KB1, b.KB2, minoaner.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(delta.Matches) != len(ref.Matches) {
-		t.Errorf("delta matches %d, batch %d", len(delta.Matches), len(ref.Matches))
+	if !reflect.DeepEqual(delta.Matches, ref.Matches) {
+		t.Errorf("delta matches %d pairs, batch %d: lists differ", len(delta.Matches), len(ref.Matches))
 	}
 
-	// Malformed body: strict rejects, lenient succeeds.
+	// Malformed body: strict rejects, lenient succeeds and counts the
+	// skipped line.
 	resp2, err := http.Post(srv.URL+"/delta", "application/x-ntriples", strings.NewReader("junk line\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -182,13 +182,23 @@ func TestServeDelta(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("strict junk delta status %d", resp2.StatusCode)
 	}
+	var lenient struct {
+		Entities     int `json:"entities"`
+		SkippedLines int `json:"skipped_lines"`
+	}
 	resp3, err := http.Post(srv.URL+"/delta?lenient=1", "application/x-ntriples", strings.NewReader("junk line\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp3.Body.Close()
+	defer resp3.Body.Close()
 	if resp3.StatusCode != http.StatusOK {
-		t.Errorf("lenient junk delta status %d", resp3.StatusCode)
+		t.Fatalf("lenient junk delta status %d", resp3.StatusCode)
+	}
+	if err := json.NewDecoder(resp3.Body).Decode(&lenient); err != nil {
+		t.Fatal(err)
+	}
+	if lenient.Entities != 0 || lenient.SkippedLines != 1 {
+		t.Errorf("lenient junk delta = %+v, want 0 entities and 1 skipped line", lenient)
 	}
 }
 
