@@ -2,11 +2,13 @@ package minoaner_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"minoaner"
@@ -205,6 +207,47 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestIndexQueryReader(t *testing.T) {
+	b, ix, res := buildBenchmarkIndex(t, "Restaurant", 11, 0.1)
+
+	// Read the whole KB2 serialization back as a delta: resolving it
+	// against the indexed KB1 must reproduce the batch result.
+	var nt bytes.Buffer
+	if err := b.WriteKB2(&nt); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := minoaner.LoadKB("delta", &nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ix.QueryKB(context.Background(), delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Matches, res.Matches) {
+		t.Fatalf("QueryKB over re-read KB2 gave %d matches, batch gave %d", len(got.Matches), len(res.Matches))
+	}
+
+	// A malformed delta fails strictly, resolves leniently.
+	if _, err := minoaner.LoadKB("bad", strings.NewReader("not a triple\n")); err == nil {
+		t.Error("malformed delta accepted in strict mode")
+	}
+	bad, skipped, err := minoaner.LoadKBLenient("bad", strings.NewReader("not a triple\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 1 {
+		t.Errorf("skipped lines = %d, want 1", skipped)
+	}
+	lenientRes, err := ix.QueryKB(context.Background(), bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lenientRes.Matches) != 0 {
+		t.Errorf("empty lenient delta gave %d matches", len(lenientRes.Matches))
+	}
 }
 
 func TestSaveLoadIndexFile(t *testing.T) {
