@@ -1,5 +1,6 @@
 // Command minoanervet vets the repository against the determinism and
-// epoch-immutability invariants every bit-identity guarantee rests on.
+// epoch-immutability invariants every bit-identity guarantee rests on,
+// and keeps the internal packages cut to their callers.
 // It walks the named packages (default ./...), type-checks them with
 // the standard library only, and runs the internal/analysis rule
 // suite:
@@ -8,6 +9,11 @@
 //	frozenwrite   //minoaner:frozen state is immutable once published
 //	nowallclock   no wall-clock or randomness on the match path
 //	sectionswitch codec section IDs wired into writer AND reader
+//	deadexport    exported internal funcs and methods have a non-test caller
+//
+// deadexport builds its use set from the whole module whatever
+// packages are named, so a run over one package reports what a run
+// over ./... reports for it.
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage errors. Findings
 // print position-sorted as file:line:col: rule: message.

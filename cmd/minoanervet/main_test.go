@@ -54,7 +54,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
-	for _, name := range []string{"maporder", "frozenwrite", "nowallclock", "sectionswitch"} {
+	for _, name := range []string{"maporder", "frozenwrite", "nowallclock", "sectionswitch", "deadexport"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}

@@ -7,7 +7,8 @@
 // place, and wall-clock or randomness must never feed the match path.
 // The rules in this package prove those conventions per-file over the
 // parsed and type-checked source, so a violation is a CI failure
-// instead of a flaky benchmark.
+// instead of a flaky benchmark. One more rule, deadexport, keeps the
+// internal packages cut to their callers.
 //
 // The engine is stdlib-only (go/parser + go/types + go/importer): see
 // Loader for how module-local packages are resolved without external
@@ -45,7 +46,7 @@ type Rule struct {
 
 // Rules returns the full suite in canonical order.
 func Rules() []*Rule {
-	return []*Rule{MapOrder, FrozenWrite, NoWallClock, SectionSwitch}
+	return []*Rule{MapOrder, FrozenWrite, NoWallClock, SectionSwitch, DeadExport}
 }
 
 // RuleByName resolves a rule by its name, or nil.

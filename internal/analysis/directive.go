@@ -16,6 +16,9 @@ import (
 //	                             frozen types declared in its package
 //	//minoaner:unchecked <why>   on a section constant: exempt from the
 //	                             writer/reader coverage check
+//	//minoaner:keep <why>        in an exported func's doc comment:
+//	                             exempt from deadexport, naming the
+//	                             caller or reason it stays
 //	//minoaner:frozen            on a type: its fields are immutable
 //	                             once a value is published
 //	//minoaner:sections writer=<fn,...> reader=<fn,...>
@@ -42,6 +45,7 @@ var directiveVerbs = map[string]bool{
 	"wallclock": true,
 	"mutator":   true,
 	"unchecked": true,
+	"keep":      true,
 	"frozen":    false,
 	"sections":  false,
 }
@@ -121,7 +125,7 @@ func validateDirectives(pkg *Package, out *[]Diagnostic) {
 			*out = append(*out, Diagnostic{
 				Pos:     pkg.Fset.Position(d.Pos),
 				Rule:    "directive",
-				Message: fmt.Sprintf("unknown //minoaner: verb %q (known: frozen, mutator, sections, unchecked, unordered, wallclock)", d.Verb),
+				Message: fmt.Sprintf("unknown //minoaner: verb %q (known: frozen, keep, mutator, sections, unchecked, unordered, wallclock)", d.Verb),
 			})
 			d.used = true // don't double-report as stale
 		case needsWhy && d.Args == "":

@@ -101,6 +101,7 @@ var goldenDirs = map[string][]string{
 	"nowallclock":   {"testdata/src/nowallclock"},
 	"sectionswitch": {"testdata/src/sectionswitch"},
 	"directive":     {"testdata/src/directive"},
+	"deadexport":    {"testdata/src/deadexport", "testdata/src/deadexportuse"},
 }
 
 func TestGolden(t *testing.T) {

@@ -46,6 +46,11 @@ type Loader struct {
 	frozen  map[string]bool // "pkgpath.TypeName" marked //minoaner:frozen
 	std     types.Importer
 	stdSrc  types.Importer
+
+	// moduleUses' cache, built over usesFrom loaded packages.
+	uses     map[*types.Func]bool
+	ifaces   []*types.Interface
+	usesFrom int
 }
 
 var moduleLineRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)

@@ -5,22 +5,22 @@ package frozenuse
 
 import "minoaner/internal/analysis/testdata/src/frozenwrite"
 
-// Rewire claims mutator rights it cannot have: only the declaring
+// rewire claims mutator rights it cannot have: only the declaring
 // package may patch a frozen type.
 //
 //minoaner:mutator golden corpus: a cross-package mutator claim must be refused
-func Rewire(b *frozenwrite.Box) {
+func rewire(b *frozenwrite.Box) {
 	b.Items[0] = 9 // want `cannot authorize assignment through frozen frozenwrite\.Box`
 }
 
-// Stomp is the plain cross-package violation.
-func Stomp(b *frozenwrite.Box) {
+// stomp is the plain cross-package violation.
+func stomp(b *frozenwrite.Box) {
 	b.Items = nil // want `assignment through field Items of frozen type frozenwrite\.Box`
 }
 
-// CloneOutside is legitimate: the copy-on-write idiom works from any
+// cloneOutside is legitimate: the copy-on-write idiom works from any
 // package.
-func CloneOutside(b *frozenwrite.Box) *frozenwrite.Box {
+func cloneOutside(b *frozenwrite.Box) *frozenwrite.Box {
 	cp := *b
 	cp.Items = nil
 	return &cp

@@ -12,25 +12,25 @@ type Box struct {
 	count int
 }
 
-// NewBox writes fields of a pointer freshly constructed in the same
+// newBox writes fields of a pointer freshly constructed in the same
 // function: construction, not mutation.
-func NewBox(items []int) *Box {
+func newBox(items []int) *Box {
 	b := &Box{index: make(map[string]int)}
 	b.Items = items
 	return b
 }
 
-// Clone patches by copy-on-write: direct field writes on the local
+// clone patches by copy-on-write: direct field writes on the local
 // value land on the copy, never on the shared original.
-func Clone(b *Box) *Box {
+func clone(b *Box) *Box {
 	cp := *b
 	cp.Items = nil
 	return &cp
 }
 
-// Stomp writes through a caller-supplied pointer: the value may
+// stomp writes through a caller-supplied pointer: the value may
 // already be published.
-func Stomp(b *Box) {
+func stomp(b *Box) {
 	b.Items = nil        // want `assignment through field Items of frozen type frozenwrite\.Box`
 	b.Items[0] = 1       // want `assignment through field Items`
 	b.index["k"] = 2     // want `assignment through field index`

@@ -8,20 +8,20 @@ import (
 	"time"
 )
 
-// Stamp reads the wall clock on the (stand-in) match path.
-func Stamp() int64 {
+// stamp reads the wall clock on the (stand-in) match path.
+func stamp() int64 {
 	return time.Now().UnixNano() // want `time\.Now in determinism-critical package`
 }
 
-// Jitter keeps the banned import in use; the rule flags the import
+// jitter keeps the banned import in use; the rule flags the import
 // site itself.
-func Jitter() int { return rand.Int() }
+func jitter() int { return rand.Int() }
 
-// Elapsed carries a justified suppression.
-func Elapsed(t0 time.Time) time.Duration {
+// elapsed carries a justified suppression.
+func elapsed(t0 time.Time) time.Duration {
 	//minoaner:wallclock golden corpus: instrumentation that never influences results
 	return time.Since(t0)
 }
 
-// Add is plain arithmetic on time values: no clock is read.
-func Add(t time.Time, d time.Duration) time.Time { return t.Add(d) }
+// add is plain arithmetic on time values: no clock is read.
+func add(t time.Time, d time.Duration) time.Time { return t.Add(d) }

@@ -29,12 +29,11 @@ import (
 // (Reader.Str already does for strings). Accessors must not race with
 // Close; callers serialize that transition.
 type Map struct {
-	data    []byte
-	unmap   func([]byte) error
-	version uint64
-	order   []uint64
-	secs    map[uint64]*mapSection
-	closed  bool
+	data   []byte
+	unmap  func([]byte) error
+	order  []uint64
+	secs   map[uint64]*mapSection
+	closed bool
 }
 
 type mapSection struct {
@@ -85,8 +84,8 @@ func BytesMap(data []byte, magic [4]byte, accepted ...uint64) (*Map, error) {
 func newMap(data []byte, unmap func([]byte) error, magic [4]byte, accepted ...uint64) (*Map, error) {
 	dec := NewBytesReader(data)
 	dec.Magic(magic)
-	version := dec.Version(accepted...)
-	m := &Map{data: data, unmap: unmap, version: version, secs: make(map[uint64]*mapSection)}
+	dec.Version(accepted...)
+	m := &Map{data: data, unmap: unmap, secs: make(map[uint64]*mapSection)}
 	for dec.Err() == nil {
 		id := dec.Uvarint()
 		if dec.Err() != nil || id == EndSection {
@@ -133,12 +132,6 @@ func (m *Map) VerifyInventory(r *Reader) error {
 	}
 	return r.Err()
 }
-
-// Version returns the format version read from the header.
-func (m *Map) Version() uint64 { return m.version }
-
-// Size returns the total byte size of the backing image.
-func (m *Map) Size() int { return len(m.data) }
 
 // Has reports whether a section with the given ID is present.
 func (m *Map) Has(id uint64) bool {

@@ -196,27 +196,14 @@ func (c *Collection) indexRange(idx *Index, lo, hi int) {
 // Candidates1 returns the distinct KB2 entities co-occurring with e1 in
 // any block, in ascending order.
 func (c *Collection) Candidates1(idx *Index, e1 kb.EntityID) []kb.EntityID {
-	return collectCandidates(idx.ByE1[e1], c.Blocks, false)
-}
-
-// Candidates2 returns the distinct KB1 entities co-occurring with e2 in
-// any block, in ascending order.
-func (c *Collection) Candidates2(idx *Index, e2 kb.EntityID) []kb.EntityID {
-	return collectCandidates(idx.ByE2[e2], c.Blocks, true)
-}
-
-func collectCandidates(blockIDs []int32, blocks []Block, side1 bool) []kb.EntityID {
+	blockIDs := idx.ByE1[e1]
 	if len(blockIDs) == 0 {
 		return nil
 	}
 	seen := make(map[kb.EntityID]struct{})
 	var out []kb.EntityID
 	for _, bi := range blockIDs {
-		members := blocks[bi].E2
-		if side1 {
-			members = blocks[bi].E1
-		}
-		for _, e := range members {
+		for _, e := range c.Blocks[bi].E2 {
 			if _, dup := seen[e]; dup {
 				continue
 			}

@@ -166,12 +166,6 @@ func TestCandidates(t *testing.T) {
 		t.Errorf("candidates of e0 = %v", cands)
 	}
 
-	b0 := mustID(t, kb2, "http://b/e000")
-	rev := c.Candidates2(idx, b0)
-	if len(rev) != 2 {
-		t.Errorf("reverse candidates = %v, want 2 (both y-entities)", rev)
-	}
-
 	// Entity with no shared tokens has no candidates even though it has tokens.
 	if got := c.Candidates1(idx, mustID(t, kb1, "http://a/e002")); len(got) != 1 {
 		// "w" IS shared with b/e002.

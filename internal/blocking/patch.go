@@ -192,9 +192,6 @@ func (p *Prepared) Flatten() *Prepared {
 	return out
 }
 
-// Depth returns the overlay depth (0 for a flat substrate).
-func (p *Prepared) Depth() int { return p.depth }
-
 // flattenRemapped flattens while translating every member through the
 // remap, dropping deleted entities and postings that empty out.
 //

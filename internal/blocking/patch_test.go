@@ -10,6 +10,9 @@ import (
 	"minoaner/internal/rdf"
 )
 
+// Depth returns the overlay depth (0 for a flat substrate).
+func (p *Prepared) Depth() int { return p.depth }
+
 // mutableKB builds a KB with links, names, and a wide token overlap so
 // mutations exercise every patch path (blocks appearing, vanishing,
 // shrinking, growing).

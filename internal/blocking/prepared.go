@@ -98,21 +98,6 @@ func (p *Prepared) KBSize() int { return p.n1 }
 // for; a probe is only valid under the same parameter.
 func (p *Prepared) NameK() int { return p.nameK }
 
-// Tokens returns the number of prepared token keys.
-func (p *Prepared) Tokens() int { return p.countKeys(tokenSide) }
-
-// Names returns the number of prepared name keys.
-func (p *Prepared) Names() int { return p.countKeys(nameSide) }
-
-func (p *Prepared) countKeys(side func(*Prepared) map[string][]kb.EntityID) int {
-	if p.base == nil {
-		return len(side(p))
-	}
-	n := 0
-	p.forEachPosting(side, func(string, []kb.EntityID) { n++ })
-	return n
-}
-
 // probeCancelStride is how many delta entities a probe scans between
 // context checks.
 const probeCancelStride = 1024

@@ -24,6 +24,8 @@ func DefaultPurgeConfig() PurgeConfig {
 }
 
 // NoPurge disables purging (every block survives).
+//
+//minoaner:keep the no-purging configuration core's and pipeline's tests run their tiny fixtures under
 func NoPurge() PurgeConfig {
 	return PurgeConfig{EntityFraction: 1.0, MinEntities: 1 << 30}
 }

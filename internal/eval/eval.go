@@ -99,12 +99,6 @@ func (g *GroundTruth) Match1(e1 kb.EntityID) (kb.EntityID, bool) {
 	return e2, ok
 }
 
-// Match2 returns the KB1 match of a KB2 entity.
-func (g *GroundTruth) Match2(e2 kb.EntityID) (kb.EntityID, bool) {
-	e1, ok := g.m2[e2]
-	return e1, ok
-}
-
 // Contains reports whether (e1, e2) is a ground-truth match.
 func (g *GroundTruth) Contains(e1, e2 kb.EntityID) bool {
 	got, ok := g.m1[e1]

@@ -28,9 +28,6 @@ func TestGroundTruthBasics(t *testing.T) {
 	if e2, ok := gt.Match1(0); !ok || e2 != 10 {
 		t.Errorf("Match1(0) = %d,%v", e2, ok)
 	}
-	if e1, ok := gt.Match2(11); !ok || e1 != 1 {
-		t.Errorf("Match2(11) = %d,%v", e1, ok)
-	}
 	if !gt.Contains(0, 10) || gt.Contains(0, 11) || gt.Contains(5, 5) {
 		t.Error("Contains wrong")
 	}

@@ -291,7 +291,7 @@ func (s *Store) assembleFast(prev *KB) *KB {
 		return -1
 	}, rdfTypeTerm)
 	setImportance(kb)
-	finishTokens(kb, s.opts, parallel.Workers(s.workers), prev)
+	finishTokens(kb, parallel.Workers(s.workers), prev)
 	return kb
 }
 
@@ -611,7 +611,7 @@ func (s *Store) assembleIncremental(prev *KB) *KB {
 			}
 		}
 		ent := &kb.entities[e]
-		scratch = tokenizeEntity(ent, s.opts, scratch)
+		scratch = tokenizeEntity(ent, scratch)
 		kb.totalTokens += len(ent.Tokens)
 		for _, tok := range ent.Tokens {
 			kb.ef[tok]++

@@ -23,11 +23,16 @@ import (
 //	section 2 (predicates): predicate dictionary
 //	section 3 (stats):      attribute and relation statistics
 //	section 4 (entities):   per entity: URI, attrs, out-edges, types, tokens
-//	section 5 (sources):    tokenizer options, interned term table, and
+//	section 5 (sources):    two zero varints, interned term table, and
 //	                        sorted triple refs — the retained source
 //	                        triples that make the KB mutable (see
 //	                        Store). Written only when the KB retains
-//	                        them; optional on read.
+//	                        them; optional on read. The zeros are the
+//	                        minimum token length and stopword count of
+//	                        the tokenizer options earlier builds could
+//	                        set; an image with any other value was not
+//	                        tokenized the way this build tokenizes, and
+//	                        is rejected as corrupt.
 //
 // Derived structures (in-edges, EF, URI index, type/vocab sets) are
 // rebuilt on load — they are redundant with the stored data. Unknown
@@ -95,12 +100,8 @@ func (kb *KB) WriteBinary(w io.Writer) error {
 
 func (kb *KB) writeSources(e *binio.Writer) {
 	src := kb.src
-	e.Int(src.opts.MinLength)
-	stop := sortedStopwords(src.opts.Stopwords)
-	e.Int(len(stop))
-	for _, w := range stop {
-		e.Str(w)
-	}
+	e.Int(0) // minimum token length
+	e.Int(0) // stopword count
 	e.Int(len(src.terms))
 	for _, t := range src.terms {
 		e.Uvarint(uint64(t.Kind))
@@ -195,24 +196,18 @@ func newEmptyKB() *KB {
 
 func (kb *KB) readSources(dec *binio.Reader) {
 	src := &Sources{}
-	src.opts.MinLength = dec.Int()
-	nStop := dec.Uvarint()
-	if dec.Err() == nil && nStop > 1<<24 {
-		dec.Fail("absurd stopword count %d", nStop)
+	if minLen, nStop := dec.Uvarint(), dec.Uvarint(); dec.Err() == nil && (minLen != 0 || nStop != 0) {
+		dec.Fail("tokenizer options (minimum length %d, %d stopwords) are not the defaults", minLen, nStop)
 		return
-	}
-	if nStop > 0 {
-		src.opts.Stopwords = make(map[string]struct{}, nStop)
-	}
-	for i := uint64(0); i < nStop && dec.Err() == nil; i++ {
-		src.opts.Stopwords[dec.Str()] = struct{}{}
 	}
 	nTerms := dec.Uvarint()
 	if dec.Err() == nil && nTerms > 1<<31 {
 		dec.Fail("absurd term count %d", nTerms)
 		return
 	}
-	src.terms = make([]rdf.Term, 0, min64(nTerms, 1<<20))
+	// A term takes at least 4 bytes and a ref 3: reserve no more than
+	// the payload can hold.
+	src.terms = make([]rdf.Term, 0, min64(nTerms, dec.Len()/4))
 	for i := uint64(0); i < nTerms && dec.Err() == nil; i++ {
 		var t rdf.Term
 		t.Kind = rdf.TermKind(dec.Uvarint())
@@ -226,7 +221,7 @@ func (kb *KB) readSources(dec *binio.Reader) {
 		dec.Fail("absurd ref count %d", nRefs)
 		return
 	}
-	src.refs = make([]tripleRef, 0, min64(nRefs, 1<<20))
+	src.refs = make([]tripleRef, 0, min64(nRefs, dec.Len()/3))
 	for i := uint64(0); i < nRefs && dec.Err() == nil; i++ {
 		var r tripleRef
 		r.s = int32(dec.Uvarint())

@@ -82,14 +82,6 @@ func ComputeDiff(old, new *KB) *Diff {
 	return d
 }
 
-// Unchanged reports a diff with no content changes at all (pure
-// identity, or remap-free survivor set with nothing flagged).
-func (d *Diff) Unchanged() bool {
-	return d.Identity ||
-		(len(d.AttrsChanged) == 0 && len(d.EdgesChanged) == 0 &&
-			len(d.Inserted) == 0 && len(d.Deleted) == 0)
-}
-
 // RemapID translates an old-space ID (identity when the diff is one).
 func (d *Diff) RemapID(id EntityID) EntityID {
 	if d.Identity {

@@ -137,6 +137,8 @@ func (kb *KB) Pred(id int32) string {
 }
 
 // PredID resolves a predicate name to its dictionary ID.
+//
+//minoaner:keep paris's, blocking's and linda's tests look predicates up by name with it
 func (kb *KB) PredID(name string) (int32, bool) {
 	kb.materialize()
 	id, ok := kb.predIndex[name]
@@ -197,12 +199,6 @@ func (kb *KB) AttrStat(pred int32) *PredStat {
 	return kb.attrStats[pred]
 }
 
-// RelStat returns the statistics of a relation predicate, or nil.
-func (kb *KB) RelStat(pred int32) *PredStat {
-	kb.materialize()
-	return kb.relStats[pred]
-}
-
 // AttrStats returns all attribute statistics sorted by descending
 // importance, ties broken by predicate name for determinism.
 func (kb *KB) AttrStats() []*PredStat { return kb.sortedStats(kb.attrStats) }
@@ -235,7 +231,6 @@ func (kb *KB) sortedStats(m map[int32]*PredStat) []*PredStat {
 // at Build time (consecutive duplicates are dropped eagerly on Add).
 type Builder struct {
 	name    string
-	opts    tokenize.Options
 	workers int
 
 	termTable
@@ -255,12 +250,11 @@ func NewBuilder(name string) *Builder {
 	return &Builder{name: name, termTable: termTable{hash: seededTermHash()}}
 }
 
-// SetTokenizeOptions overrides the tokenizer configuration.
-func (b *Builder) SetTokenizeOptions(opts tokenize.Options) { b.opts = opts }
-
 // SetWorkers bounds the goroutines AddFromReader parses on and Build
 // uses for its parallel passes. Values <= 0 select GOMAXPROCS. The built
 // KB is bit-identical at any setting.
+//
+//minoaner:keep the ingest and parallel-build tests pin that bit-identity at 1 to 8 workers
 func (b *Builder) SetWorkers(n int) { b.workers = n }
 
 // Add records one triple. Duplicates are ignored. Invalid triples are
@@ -291,11 +285,6 @@ func (b *Builder) AddAll(ts []rdf.Triple) error {
 	}
 	return nil
 }
-
-// Len returns the number of triples recorded so far. Non-consecutive
-// duplicates are only removed at Build time, so this is an upper bound
-// on the distinct count.
-func (b *Builder) Len() int { return len(b.triples) }
 
 // refLess orders triple references by (subject, predicate, object)
 // under termLess. Distinct term IDs always denote distinct terms, so
@@ -338,10 +327,10 @@ func (b *Builder) Build() (*KB, error) {
 	}
 	refs = refs[:j:j]
 
-	kb := assembleKB(b.name, b.opts, workers, b.terms, refs, b.typeTerm())
+	kb := assembleKB(b.name, workers, b.terms, refs, b.typeTerm())
 	// Clip the term table so later builder appends cannot write into the
 	// retained slice's spare capacity.
-	kb.src = &Sources{opts: b.opts, terms: b.terms[:len(b.terms):len(b.terms)], refs: refs}
+	kb.src = &Sources{terms: b.terms[:len(b.terms):len(b.terms)], refs: refs}
 	return kb, nil
 }
 
@@ -349,18 +338,18 @@ func (b *Builder) Build() (*KB, error) {
 // deduplicated ref slice: passes 1 and 2 (describe) create the entities
 // in sorted-subject order and fill their descriptions, countStats
 // derives the predicate statistics, pass 3 (finishTokens) tokenizes
-// values and counts entity frequencies. The result depends only on
-// (terms-resolved) refs and opts — never on how the refs were
-// accumulated — which is what makes incremental rebuilds
-// (Store.Assemble) bit-identical to from-scratch builds.
-func assembleKB(name string, opts tokenize.Options, workers int, terms []rdf.Term, refs []tripleRef, rdfTypeTerm int32) *KB {
+// values and counts entity frequencies. The result depends only on the
+// (terms-resolved) refs — never on how they were accumulated — which is
+// what makes incremental rebuilds (Store.Assemble) bit-identical to
+// from-scratch builds.
+func assembleKB(name string, workers int, terms []rdf.Term, refs []tripleRef, rdfTypeTerm int32) *KB {
 	var sc assembleScratch
 	sc.begin(len(terms))
 	kb := newAssembly(name, len(refs))
 	aliased := describe(kb, terms, refs, &sc, rdfTypeTerm, nil)
 	countStats(kb, terms, refs, &sc, rdfTypeTerm, aliased)
 	setImportance(kb)
-	finishTokens(kb, opts, workers, nil)
+	finishTokens(kb, workers, nil)
 	return kb
 }
 
@@ -450,7 +439,7 @@ func countStats(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch,
 // delta instead of a full recount. Both shortcuts reproduce the
 // from-scratch result exactly (token bags depend only on the value
 // list; EF is a pure multiset count).
-func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
+func finishTokens(kb *KB, workers int, prev *KB) {
 	if prev == nil {
 		type efShard struct {
 			ef    map[string]int32
@@ -462,7 +451,7 @@ func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
 			total := 0
 			var scratch []string
 			for i := start; i < end; i++ {
-				scratch = tokenizeEntity(&kb.entities[i], opts, scratch)
+				scratch = tokenizeEntity(&kb.entities[i], scratch)
 				toks := kb.entities[i].Tokens
 				total += len(toks)
 				for _, tok := range toks {
@@ -499,7 +488,7 @@ func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
 	_ = parallel.For(context.Background(), len(fresh), workers, func(_, start, end int) error {
 		var scratch []string
 		for _, i := range fresh[start:end] {
-			scratch = tokenizeEntity(&kb.entities[i], opts, scratch)
+			scratch = tokenizeEntity(&kb.entities[i], scratch)
 		}
 		return nil
 	})
@@ -534,10 +523,10 @@ func finishTokens(kb *KB, opts tokenize.Options, workers int, prev *KB) {
 // adjacent repeats dropped, and the survivors copied out at their exact
 // size. It returns scratch (possibly grown) for the caller's next
 // entity.
-func tokenizeEntity(e *Entity, opts tokenize.Options, scratch []string) []string {
+func tokenizeEntity(e *Entity, scratch []string) []string {
 	toks := scratch[:0]
 	for _, av := range e.Attrs {
-		toks = tokenize.AppendTokens(toks, av.Value, opts)
+		toks = tokenize.AppendTokens(toks, av.Value, tokenize.DefaultOptions)
 	}
 	slices.Sort(toks)
 	bag := slices.Compact(toks)

@@ -14,13 +14,24 @@ func tr(s, p string, o rdf.Term) rdf.Triple {
 	return rdf.NewTriple(iri(s), iri(p), o)
 }
 
+// Len returns the number of triples recorded so far. Non-consecutive
+// duplicates are only removed at Build time, so this is an upper bound
+// on the distinct count.
+func (b *Builder) Len() int { return len(b.triples) }
+
+// RelStat returns the statistics of a relation predicate, or nil.
+func (kb *KB) RelStat(pred int32) *PredStat {
+	kb.materialize()
+	return kb.relStats[pred]
+}
+
 // buildTestKB creates a small restaurant-flavoured KB:
 //
 //	r1 --locatedIn--> a1, r2 --locatedIn--> a1
 //	r1: name "Joe's Diner", phone "555-1234"
 //	r2: name "Central Cafe"
 //	a1: street "Main Street 5"
-func buildTestKB(t *testing.T) *KB {
+func buildTestKB(t testing.TB) *KB {
 	t.Helper()
 	triples := []rdf.Triple{
 		tr("http://e/r1", "http://v/name", lit("Joe's Diner")),
@@ -271,12 +282,12 @@ func TestTopNeighborsRelationCutoff(t *testing.T) {
 
 func TestTopRelations(t *testing.T) {
 	kb := buildTestKB(t)
-	rels := kb.TopRelations(5)
+	rels := kb.RelStats()
 	if len(rels) != 1 {
 		t.Fatalf("relations = %v", rels)
 	}
-	if kb.Pred(rels[0]) != "http://v/locatedIn" {
-		t.Errorf("top relation = %s", kb.Pred(rels[0]))
+	if kb.Pred(rels[0].Pred) != "http://v/locatedIn" {
+		t.Errorf("top relation = %s", kb.Pred(rels[0].Pred))
 	}
 }
 

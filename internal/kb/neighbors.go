@@ -69,18 +69,3 @@ func (kb *KB) relImportance(pred int32) float64 {
 	}
 	return 0
 }
-
-// TopRelations returns the IDs of the n globally most important
-// relations of the KB, in importance order.
-func (kb *KB) TopRelations(n int) []int32 {
-	kb.materialize()
-	stats := kb.RelStats()
-	if n > len(stats) {
-		n = len(stats)
-	}
-	out := make([]int32, 0, n)
-	for _, st := range stats[:n] {
-		out = append(out, st.Pred)
-	}
-	return out
-}

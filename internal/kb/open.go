@@ -91,7 +91,9 @@ func (kb *KB) scanURIs(dec *binio.Reader) {
 		dec.Fail("absurd entity count %d", nEnt)
 		return
 	}
-	kb.entities = make([]Entity, 0, min64(nEnt, 1<<20))
+	// An entity takes at least 5 bytes (an empty URI and four zero
+	// counts): reserve no more than the payload can hold.
+	kb.entities = make([]Entity, 0, min64(nEnt, dec.Len()/5))
 	for i := uint64(0); i < nEnt && dec.Err() == nil; i++ {
 		var e Entity
 		e.URI = dec.Str()

@@ -1,47 +1,43 @@
 package kb
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
+	"minoaner/internal/binio"
 	"minoaner/internal/rdf"
-	"minoaner/internal/tokenize"
 )
 
-func TestSetTokenizeOptions(t *testing.T) {
-	b := NewBuilder("opts")
-	b.SetTokenizeOptions(tokenize.Options{MinLength: 3})
-	if err := b.Add(tr("http://e/x", "http://v/p", lit("ab cde fghi"))); err != nil {
-		t.Fatal(err)
+// TestSourcesRejectTokenizerOptions: the sources section opens with
+// the minimum token length and stopword count of a tokenizer option
+// set, always 0 and 0. An image carrying anything else was tokenized
+// under options no build applies, so the reader refuses it as corrupt.
+func TestSourcesRejectTokenizerOptions(t *testing.T) {
+	secs := imageSections(t, buildTestKB(t))
+	rest := secs[secSources-1][2:] // past the two zero varints
+	if _, err := ReadBinary(mkb1Image(t, secs)); err != nil {
+		t.Fatalf("unforged image: %v", err)
 	}
-	kb, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := kb.Lookup("http://e/x")
-	got := kb.Tokens(x)
-	want := []string{"cde", "fghi"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("tokens = %v, want %v (MinLength=3)", got, want)
-	}
-}
-
-func TestStopwordOptions(t *testing.T) {
-	b := NewBuilder("stop")
-	b.SetTokenizeOptions(tokenize.Options{Stopwords: map[string]struct{}{"the": {}}})
-	if err := b.Add(tr("http://e/x", "http://v/p", lit("the matrix"))); err != nil {
-		t.Fatal(err)
-	}
-	kb, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := kb.Lookup("http://e/x")
-	if got := kb.Tokens(x); !reflect.DeepEqual(got, []string{"matrix"}) {
-		t.Errorf("tokens = %v", got)
-	}
-	if kb.EF("the") != 0 {
-		t.Error("stopword entered EF")
+	for name, opts := range map[string]func(*binio.Writer){
+		"min_length_3": func(w *binio.Writer) { w.Int(3); w.Int(0) },
+		"one_stopword": func(w *binio.Writer) { w.Int(0); w.Int(1); w.Str("the") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := binio.NewWriter(&buf)
+			opts(w)
+			w.Raw(rest)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			forged := secs
+			forged[secSources-1] = buf.Bytes()
+			if _, err := ReadBinary(mkb1Image(t, forged)); !errors.Is(err, errCorrupt) {
+				t.Fatalf("ReadBinary = %v, want errCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -24,20 +24,15 @@ import (
 	"sort"
 
 	"minoaner/internal/rdf"
-	"minoaner/internal/tokenize"
 )
 
 // Sources is the interned source-triple set a KB was assembled from:
 // a term table plus sorted, deduplicated triple refs into it. It is
 // immutable once attached to a KB.
 type Sources struct {
-	opts  tokenize.Options
 	terms []rdf.Term
 	refs  []tripleRef
 }
-
-// NumTriples returns the number of retained (distinct) triples.
-func (s *Sources) NumTriples() int { return len(s.refs) }
 
 // SourceTriples returns the KB's retained source triples in interned
 // order — sorted by (subject, predicate, object) term values and
@@ -91,7 +86,6 @@ func (kb *KB) WithoutSources() *KB {
 type Store struct {
 	name    string
 	workers int
-	opts    tokenize.Options
 
 	termTable
 	refs []tripleRef
@@ -149,7 +143,6 @@ func NewStore(k *KB) (*Store, error) {
 	}
 	s := &Store{
 		name:      k.name,
-		opts:      k.src.opts,
 		termTable: termTable{terms: k.src.terms[:len(k.src.terms):len(k.src.terms)], hash: seededTermHash()},
 		refs:      k.src.refs[:len(k.src.refs):len(k.src.refs)],
 	}
@@ -171,13 +164,6 @@ func NewStore(k *KB) (*Store, error) {
 // any setting.
 func (s *Store) SetWorkers(n int) { s.workers = n }
 
-// NumTriples returns the current number of (distinct) triples.
-func (s *Store) NumTriples() int { return len(s.refs) }
-
-// NumTerms returns the size of the term table, including terms no
-// longer referenced by any triple (reclaim them with Compact).
-func (s *Store) NumTerms() int { return len(s.terms) }
-
 // Revert undoes one successful Apply, restoring the pre-Apply triple
 // set and term table: terms the reverted Apply interned are removed
 // again, so an aborted mutation leaves no trace in later assemblies
@@ -188,8 +174,7 @@ type Revert func()
 // entity of the delta KB or one of the delete URIs is removed, then
 // the delta's triples are merged in. It reports whether anything
 // changed (deleting absent subjects is a no-op) and returns a Revert
-// restoring the previous state. The delta must retain its sources and
-// have been tokenized under the same options as the store.
+// restoring the previous state. The delta must retain its sources.
 func (s *Store) Apply(delta *KB, deletes []string) (changed bool, revert Revert, err error) {
 	drop := make(map[string]bool, len(deletes)+8)
 	prevTerms := len(s.terms)
@@ -197,9 +182,6 @@ func (s *Store) Apply(delta *KB, deletes []string) (changed bool, revert Revert,
 	if delta != nil {
 		if delta.src == nil {
 			return false, nil, ErrNoSources
-		}
-		if !optionsEqual(delta.src.opts, s.opts) {
-			return false, nil, errors.New("kb: delta tokenized under different options than the store")
 		}
 		for i := range delta.entities {
 			drop[delta.entities[i].URI] = true
@@ -406,7 +388,7 @@ func (s *Store) Compact() *KB {
 // sources returns the current triple set as an immutable Sources: the
 // term table is clipped, so the store's later appends stay out of it.
 func (s *Store) sources() *Sources {
-	return &Sources{opts: s.opts, terms: s.terms[:len(s.terms):len(s.terms)], refs: s.refs}
+	return &Sources{terms: s.terms[:len(s.terms):len(s.terms)], refs: s.refs}
 }
 
 // sameRefs reports whether two sorted ref slices hold the same
@@ -421,31 +403,6 @@ func sameRefs(a, b []tripleRef) bool {
 		}
 	}
 	return true
-}
-
-// optionsEqual compares tokenizer configurations, including stopword
-// sets.
-func optionsEqual(a, b tokenize.Options) bool {
-	if a.MinLength != b.MinLength || len(a.Stopwords) != len(b.Stopwords) {
-		return false
-	}
-	for w := range a.Stopwords {
-		if _, ok := b.Stopwords[w]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedStopwords returns a deterministic listing of a stopword set
-// (for serialization).
-func sortedStopwords(m map[string]struct{}) []string {
-	out := make([]string, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // validateSources checks structural invariants of a decoded source

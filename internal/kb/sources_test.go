@@ -10,6 +10,16 @@ import (
 	"minoaner/internal/rdf"
 )
 
+// NumTriples returns the number of retained (distinct) triples.
+func (s *Sources) NumTriples() int { return len(s.refs) }
+
+// NumTriples returns the current number of (distinct) triples.
+func (s *Store) NumTriples() int { return len(s.refs) }
+
+// NumTerms returns the size of the term table, including terms no
+// longer referenced by any triple (reclaim them with Compact).
+func (s *Store) NumTerms() int { return len(s.terms) }
+
 // randomTriples generates a messy but valid triple set over a closed
 // subject universe: literals (plain, lang-tagged, typed), entity links,
 // dangling IRIs, rdf:type triples, blank nodes, duplicates.

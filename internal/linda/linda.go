@@ -13,7 +13,6 @@ import (
 	"minoaner/internal/kb"
 	"minoaner/internal/propagate"
 	"minoaner/internal/sigma"
-	"minoaner/internal/strsim"
 	"minoaner/internal/tokenize"
 )
 
@@ -36,15 +35,6 @@ type Config struct {
 // DefaultConfig returns the standard settings.
 func DefaultConfig() Config {
 	return Config{NameK: 2, LabelJaccard: 0.5, Engine: propagate.DefaultConfig()}
-}
-
-// JaroWinklerConfig is DefaultConfig with Jaro-Winkler label matching —
-// a more forgiving reading of LINDA's label-similarity assumption.
-func JaroWinklerConfig() Config {
-	cfg := DefaultConfig()
-	cfg.LabelSimilarity = strsim.JaroWinkler
-	cfg.LabelJaccard = 0.8
-	return cfg
 }
 
 // labelCompat scores relation pairs by the similarity of their labels.

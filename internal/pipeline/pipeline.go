@@ -132,6 +132,8 @@ func (e *Engine) Run(ctx context.Context, st *State) ([]StageStat, error) {
 }
 
 // Names returns the stage names of a plan in order.
+//
+//minoaner:keep plan-edit API beside Drop and Replace; pipeline's plan tests read plans with it
 func Names(plan []Stage) []string {
 	out := make([]string, len(plan))
 	for i, s := range plan {
@@ -174,6 +176,8 @@ func Replace(plan []Stage, name string, with Stage) []Stage {
 
 // Until returns the prefix of the plan up to and including the named
 // stage, or the whole plan if the name is absent.
+//
+//minoaner:keep plan-edit API beside Drop and Replace (README); pipeline's tests cut plans with it
 func Until(plan []Stage, name string) []Stage {
 	for i, s := range plan {
 		if s.Name() == name {

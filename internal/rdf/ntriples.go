@@ -58,10 +58,14 @@ func NewReader(r io.Reader) *Reader {
 
 // SetLenient toggles lenient mode: malformed lines are skipped rather
 // than returned as errors.
+//
+//minoaner:keep the serial reader is the oracle kb's FuzzIngestBlocks checks the block ingest against
 func (r *Reader) SetLenient(lenient bool) { r.lenient = lenient }
 
 // SetMaxLineBytes overrides the physical line-length limit
 // (DefaultMaxLineBytes). Values <= 0 restore the default.
+//
+//minoaner:keep the serial reader is the oracle kb's FuzzIngestBlocks checks the block ingest against
 func (r *Reader) SetMaxLineBytes(n int) {
 	if n <= 0 {
 		n = DefaultMaxLineBytes
@@ -71,6 +75,8 @@ func (r *Reader) SetMaxLineBytes(n int) {
 
 // Skipped returns the number of malformed lines (including oversize
 // ones) skipped in lenient mode.
+//
+//minoaner:keep the serial reader is the oracle kb's FuzzIngestBlocks checks the block ingest against
 func (r *Reader) Skipped() int { return r.skipped }
 
 // Next returns the next triple, or io.EOF when the document is exhausted.
@@ -194,11 +200,6 @@ func (r *Reader) ReadAll() ([]Triple, error) {
 		}
 		out = append(out, t)
 	}
-}
-
-// ParseString parses an entire N-Triples document held in a string.
-func ParseString(doc string) ([]Triple, error) {
-	return NewReader(strings.NewReader(doc)).ReadAll()
 }
 
 type lineParser struct {
@@ -454,7 +455,6 @@ func isWS(c byte) bool { return c == ' ' || c == '\t' }
 // Writer serializes triples in N-Triples syntax.
 type Writer struct {
 	w   *bufio.Writer
-	n   int
 	err error
 }
 
@@ -477,12 +477,8 @@ func (w *Writer) Write(t Triple) error {
 		w.err = err
 		return err
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of triples written so far.
-func (w *Writer) Count() int { return w.n }
 
 // Flush drains the internal buffer.
 func (w *Writer) Flush() error {

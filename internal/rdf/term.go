@@ -70,9 +70,6 @@ func NewTypedLiteral(lex, datatype string) Term {
 // NewBlank returns a blank node term with the given label.
 func NewBlank(label string) Term { return Term{Kind: BlankNode, Value: label} }
 
-// IsIRI reports whether the term is an IRI.
-func (t Term) IsIRI() bool { return t.Kind == IRI }
-
 // IsLiteral reports whether the term is a literal.
 func (t Term) IsLiteral() bool { return t.Kind == Literal }
 

@@ -1,3 +1,6 @@
+// Package similarity implements the baseline measures (Cosine,
+// Jaccard, Generalized Jaccard, SiGMa) over TF / TF-IDF weighted token
+// n-gram profiles used by BSL.
 package similarity
 
 // Measure selects one of the four similarity functions of the BSL

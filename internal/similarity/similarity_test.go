@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/rdf"
@@ -27,124 +26,6 @@ func kbFromValues(t testing.TB, name string, values []string) *kb.KB {
 		t.Fatal(err)
 	}
 	return k
-}
-
-func TestARCSWeight(t *testing.T) {
-	kb1 := kbFromValues(t, "a", []string{"unique shared", "shared"})
-	kb2 := kbFromValues(t, "b", []string{"unique shared", "shared"})
-	w := NewARCSWeights(kb1, kb2)
-	// "unique": EF=1 in both → 1/log2(2) = 1.
-	if got := w.Weight("unique"); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Weight(unique) = %f, want 1", got)
-	}
-	// "shared": EF=2 in both → 1/log2(5).
-	want := 1 / math.Log2(5)
-	if got := w.Weight("shared"); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Weight(shared) = %f, want %f", got, want)
-	}
-	if w.Weight("absent") != 0 {
-		t.Error("absent token has non-zero weight")
-	}
-}
-
-func TestValueSim(t *testing.T) {
-	kb1 := kbFromValues(t, "a", []string{"alpha beta gamma", "delta"})
-	kb2 := kbFromValues(t, "b", []string{"beta gamma epsilon", "delta"})
-	w := NewARCSWeights(kb1, kb2)
-	e1 := kb1.Tokens(0)
-	e2 := kb2.Tokens(0)
-	// Shared: beta, gamma — each unique per KB → weight 1 each.
-	if got := w.ValueSim(e1, e2); math.Abs(got-2) > 1e-12 {
-		t.Errorf("ValueSim = %f, want 2", got)
-	}
-	// No overlap.
-	if got := w.ValueSim(kb1.Tokens(0), kb2.Tokens(1)); got != 0 {
-		t.Errorf("disjoint ValueSim = %f", got)
-	}
-}
-
-func TestValueSimSymmetric(t *testing.T) {
-	kb1 := kbFromValues(t, "a", []string{"x y z", "x q"})
-	kb2 := kbFromValues(t, "b", []string{"y z w", "q"})
-	w := NewARCSWeights(kb1, kb2)
-	for i := 0; i < kb1.Len(); i++ {
-		for j := 0; j < kb2.Len(); j++ {
-			a := w.ValueSim(kb1.Tokens(kb.EntityID(i)), kb2.Tokens(kb.EntityID(j)))
-			b := w.ValueSim(kb2.Tokens(kb.EntityID(j)), kb1.Tokens(kb.EntityID(i)))
-			if math.Abs(a-b) > 1e-12 {
-				t.Errorf("asymmetric: %f vs %f", a, b)
-			}
-			if a < 0 {
-				t.Errorf("negative similarity %f", a)
-			}
-		}
-	}
-}
-
-func TestValueSimUniquePairThreshold(t *testing.T) {
-	// The H2 rationale: a single token unique to one entity in each KB
-	// pushes valueSim to exactly 1.
-	kb1 := kbFromValues(t, "a", []string{"distinctivetoken", "other"})
-	kb2 := kbFromValues(t, "b", []string{"distinctivetoken", "another"})
-	w := NewARCSWeights(kb1, kb2)
-	got := w.ValueSim(kb1.Tokens(0), kb2.Tokens(0))
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("unique-token pair sim = %f, want exactly 1", got)
-	}
-}
-
-func TestValueSimIDs(t *testing.T) {
-	weights := []float64{0.5, 1.0, 2.0, 0.25}
-	a := []int32{0, 1, 3}
-	b := []int32{1, 2, 3}
-	got := ValueSimIDs(a, b, weights)
-	if want := 1.0 + 0.25; math.Abs(got-want) > 1e-12 {
-		t.Errorf("ValueSimIDs = %f, want %f", got, want)
-	}
-	if ValueSimIDs(nil, b, weights) != 0 || ValueSimIDs(a, nil, weights) != 0 {
-		t.Error("empty input should give 0")
-	}
-}
-
-// Property: ValueSimIDs equals brute-force sum over the intersection.
-func TestValueSimIDsProperty(t *testing.T) {
-	f := func(rawA, rawB []uint8) bool {
-		weights := make([]float64, 256)
-		for i := range weights {
-			weights[i] = float64(i%7) / 7
-		}
-		a := uniqSorted(rawA)
-		b := uniqSorted(rawB)
-		want := 0.0
-		inA := map[int32]bool{}
-		for _, x := range a {
-			inA[x] = true
-		}
-		for _, y := range b {
-			if inA[y] {
-				want += weights[y]
-			}
-		}
-		got := ValueSimIDs(a, b, weights)
-		return math.Abs(got-want) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func uniqSorted(raw []uint8) []int32 {
-	seen := map[int32]bool{}
-	var out []int32
-	for _, r := range raw {
-		v := int32(r)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func TestBuildProfilesTF(t *testing.T) {
@@ -324,32 +205,5 @@ func TestMeasureProperties(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func BenchmarkValueSimIDs(b *testing.B) {
-	weights := make([]float64, 10000)
-	for i := range weights {
-		weights[i] = 1 / math.Log2(float64(i%50)+2)
-	}
-	mk := func(seed int64, n int) []int32 {
-		rng := rand.New(rand.NewSource(seed))
-		seen := map[int32]bool{}
-		var out []int32
-		for len(out) < n {
-			v := int32(rng.Intn(10000))
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	a := mk(1, 40)
-	c := mk(2, 40)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ValueSimIDs(a, c, weights)
 	}
 }

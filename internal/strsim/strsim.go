@@ -1,102 +1,8 @@
-// Package strsim provides the character- and token-level string
-// similarity functions that entity-matching systems conventionally rely
-// on: Levenshtein and Damerau-Levenshtein edit distances, Jaro and
-// Jaro-Winkler, q-gram Dice overlap, and the Monge-Elkan token
-// aggregation. All similarity functions return values in [0,1] with 1
-// for equal strings; they operate on runes, not bytes.
-//
-// The Go ecosystem offers few maintained implementations of these
-// classics, so the reproduction ships its own (used by the LINDA
-// baseline's relation-label matching, and available for custom
-// pipelines).
+// Package strsim provides the Jaro and Jaro-Winkler string
+// similarities, an alternative relation-label similarity for the LINDA
+// baseline (linda.Config.LabelSimilarity). Both return values in [0,1]
+// with 1 for equal strings; they operate on runes, not bytes.
 package strsim
-
-import (
-	"strings"
-	"unicode"
-)
-
-// Levenshtein returns the edit distance between a and b: the minimum
-// number of insertions, deletions, and substitutions transforming one
-// into the other.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// LevenshteinSim normalizes Levenshtein into a similarity:
-// 1 - distance / max(len(a), len(b)).
-func LevenshteinSim(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 1
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
-
-// DamerauLevenshtein additionally counts adjacent transpositions as a
-// single edit (the "optimal string alignment" variant).
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	d := make([][]int, len(ra)+1)
-	for i := range d {
-		d[i] = make([]int, len(rb)+1)
-		d[i][0] = i
-	}
-	for j := 0; j <= len(rb); j++ {
-		d[0][j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d[i][j] = min3(d[i][j-1]+1, d[i-1][j]+1, d[i-1][j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := d[i-2][j-2] + 1; t < d[i][j] {
-					d[i][j] = t
-				}
-			}
-		}
-	}
-	return d[len(ra)][len(rb)]
-}
 
 // Jaro returns the Jaro similarity of a and b.
 func Jaro(a, b string) float64 {
@@ -107,10 +13,7 @@ func Jaro(a, b string) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	window := max2(len(ra), len(rb))/2 - 1
-	if window < 0 {
-		window = 0
-	}
+	window := max(max(len(ra), len(rb))/2-1, 0)
 	matchA := make([]bool, len(ra))
 	matchB := make([]bool, len(rb))
 	matches := 0
@@ -158,6 +61,8 @@ func Jaro(a, b string) float64 {
 
 // JaroWinkler boosts Jaro for strings sharing a common prefix (up to 4
 // runes), with the standard scaling factor 0.1.
+//
+//minoaner:keep the documented alternative for linda.Config.LabelSimilarity; linda's label-tolerance test plugs it in
 func JaroWinkler(a, b string) float64 {
 	j := Jaro(a, b)
 	prefix := 0
@@ -166,101 +71,4 @@ func JaroWinkler(a, b string) float64 {
 		prefix++
 	}
 	return j + float64(prefix)*0.1*(1-j)
-}
-
-// QGramDice returns the Dice coefficient over the multisets of
-// character q-grams of a and b: 2·|shared| / (|A| + |B|). Strings
-// shorter than q compare by equality.
-func QGramDice(a, b string, q int) float64 {
-	if q <= 0 {
-		q = 2
-	}
-	if a == b {
-		return 1
-	}
-	ga, gb := qgrams(a, q), qgrams(b, q)
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	counts := make(map[string]int, len(ga))
-	for _, g := range ga {
-		counts[g]++
-	}
-	shared := 0
-	for _, g := range gb {
-		if counts[g] > 0 {
-			counts[g]--
-			shared++
-		}
-	}
-	return 2 * float64(shared) / float64(len(ga)+len(gb))
-}
-
-func qgrams(s string, q int) []string {
-	r := []rune(s)
-	if len(r) < q {
-		return nil
-	}
-	out := make([]string, 0, len(r)-q+1)
-	for i := 0; i+q <= len(r); i++ {
-		out = append(out, string(r[i:i+q]))
-	}
-	return out
-}
-
-// MongeElkan aggregates a token-level similarity: for every token of a,
-// the best match among b's tokens, averaged. The inner similarity
-// defaults to JaroWinkler when nil. Note Monge-Elkan is asymmetric;
-// use MongeElkanSym for a symmetric score.
-func MongeElkan(a, b string, inner func(string, string) float64) float64 {
-	if inner == nil {
-		inner = JaroWinkler
-	}
-	ta, tb := fields(a), fields(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		if len(ta) == 0 && len(tb) == 0 {
-			return 1
-		}
-		return 0
-	}
-	var sum float64
-	for _, x := range ta {
-		best := 0.0
-		for _, y := range tb {
-			if s := inner(x, y); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(ta))
-}
-
-// MongeElkanSym is the mean of the two Monge-Elkan directions.
-func MongeElkanSym(a, b string, inner func(string, string) float64) float64 {
-	return (MongeElkan(a, b, inner) + MongeElkan(b, a, inner)) / 2
-}
-
-// fields lower-cases and splits on any non-alphanumeric rune.
-func fields(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,62 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"same", "same", 0},
-		{"a", "b", 1},
-		{"café", "cafe", 1}, // rune-level, not byte-level
-		{"ab", "ba", 2},
-	}
-	for _, tc := range tests {
-		if got := Levenshtein(tc.a, tc.b); got != tc.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestDamerauLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"ab", "ba", 1}, // transposition counts once
-		{"ca", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"abcdef", "abcdfe", 1},
-	}
-	for _, tc := range tests {
-		if got := DamerauLevenshtein(tc.a, tc.b); got != tc.want {
-			t.Errorf("DamerauLevenshtein(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestLevenshteinSim(t *testing.T) {
-	if got := LevenshteinSim("", ""); got != 1 {
-		t.Errorf("empty sim = %f", got)
-	}
-	if got := LevenshteinSim("abc", "abc"); got != 1 {
-		t.Errorf("equal sim = %f", got)
-	}
-	if got := LevenshteinSim("abcd", "abce"); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("sim = %f, want 0.75", got)
-	}
-	if got := LevenshteinSim("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint sim = %f", got)
-	}
-}
-
 func TestJaro(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -99,66 +43,11 @@ func TestJaroWinkler(t *testing.T) {
 	}
 }
 
-func TestQGramDice(t *testing.T) {
-	if got := QGramDice("night", "nacht", 2); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("dice(night,nacht) = %f, want 0.25", got)
-	}
-	if got := QGramDice("same", "same", 2); got != 1 {
-		t.Errorf("equal dice = %f", got)
-	}
-	if got := QGramDice("a", "b", 2); got != 0 {
-		t.Errorf("short-string dice = %f", got)
-	}
-	if got := QGramDice("a", "a", 2); got != 1 {
-		t.Errorf("short equal dice = %f", got)
-	}
-	// q defaulting
-	if got := QGramDice("night", "nacht", 0); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("default-q dice = %f", got)
-	}
-}
-
-func TestMongeElkan(t *testing.T) {
-	// Identical token sets in different order score 1.
-	if got := MongeElkan("john smith", "smith john", nil); math.Abs(got-1) > 1e-12 {
-		t.Errorf("reordered tokens = %f, want 1", got)
-	}
-	// Asymmetry: every token of "john" matches into the longer string
-	// perfectly, but not vice versa.
-	ab := MongeElkan("john", "john smith", nil)
-	ba := MongeElkan("john smith", "john", nil)
-	if ab <= ba {
-		t.Errorf("expected asymmetry: %f vs %f", ab, ba)
-	}
-	if got := MongeElkanSym("john", "john smith", nil); math.Abs(got-(ab+ba)/2) > 1e-12 {
-		t.Errorf("symmetric mean wrong: %f", got)
-	}
-	if got := MongeElkan("", "", nil); got != 1 {
-		t.Errorf("empty = %f", got)
-	}
-	if got := MongeElkan("a", "", nil); got != 0 {
-		t.Errorf("half-empty = %f", got)
-	}
-	// Custom inner function.
-	exact := func(a, b string) float64 {
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	if got := MongeElkan("alpha beta", "alpha gamma", exact); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("exact-inner = %f, want 0.5", got)
-	}
-}
-
 // Properties shared by all normalized similarities.
 func TestSimilarityProperties(t *testing.T) {
 	sims := map[string]func(a, b string) float64{
-		"LevenshteinSim": LevenshteinSim,
-		"Jaro":           Jaro,
-		"JaroWinkler":    JaroWinkler,
-		"QGramDice":      func(a, b string) float64 { return QGramDice(a, b, 2) },
-		"MongeElkanSym":  func(a, b string) float64 { return MongeElkanSym(a, b, nil) },
+		"Jaro":        Jaro,
+		"JaroWinkler": JaroWinkler,
 	}
 	for name, sim := range sims {
 		f := func(a, b string) bool {
@@ -178,56 +67,8 @@ func TestSimilarityProperties(t *testing.T) {
 	}
 }
 
-// Property: Levenshtein is a metric (triangle inequality, symmetry,
-// identity).
-func TestLevenshteinMetric(t *testing.T) {
-	f := func(a, b, c string) bool {
-		// Cap the lengths to keep the O(n·m) DP fast.
-		a, b, c = cap10(a), cap10(b), cap10(c)
-		ab := Levenshtein(a, b)
-		ba := Levenshtein(b, a)
-		if ab != ba {
-			return false
-		}
-		if (ab == 0) != (a == b) {
-			return false
-		}
-		ac := Levenshtein(a, c)
-		cb := Levenshtein(c, b)
-		return ab <= ac+cb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Damerau-Levenshtein never exceeds Levenshtein.
-func TestDamerauUpperBound(t *testing.T) {
-	f := func(a, b string) bool {
-		a, b = cap10(a), cap10(b)
-		return DamerauLevenshtein(a, b) <= Levenshtein(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func cap10(s string) string {
-	r := []rune(s)
-	if len(r) > 10 {
-		r = r[:10]
-	}
-	return string(r)
-}
-
 func BenchmarkJaroWinkler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		JaroWinkler("vasilis efthymiou", "vassilis efthimiou")
-	}
-}
-
-func BenchmarkLevenshtein(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Levenshtein("simplifying entity resolution", "simplified entity-resolution")
 	}
 }

@@ -126,15 +126,6 @@ func NGrams(tokens []string, n int) []string {
 	return out
 }
 
-// NGramsUpTo returns the union of 1..n grams in order.
-func NGramsUpTo(tokens []string, n int) []string {
-	var out []string
-	for k := 1; k <= n; k++ {
-		out = append(out, NGrams(tokens, k)...)
-	}
-	return out
-}
-
 // NormalizeKey canonicalizes a whole literal into a single blocking key:
 // lowercase, tokens joined by single spaces. Used by Name Blocking (H1),
 // where "the entire entity names are blocking keys".

@@ -95,15 +95,6 @@ func TestNGramsDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-func TestNGramsUpTo(t *testing.T) {
-	toks := []string{"a", "b", "c"}
-	got := NGramsUpTo(toks, 3)
-	want := []string{"a", "b", "c", "a b", "b c", "a b c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NGramsUpTo = %v, want %v", got, want)
-	}
-}
-
 func TestNormalizeKey(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"Joe's  Diner!", "joe s diner"},
