@@ -20,7 +20,7 @@ func runSnapshot(args []string) {
 	mc := declareMatchFlags(fs)
 	out := fs.String("o", "index.msnp", "output snapshot file")
 	inspect := fs.String("inspect", "", "describe an existing snapshot instead of building one")
-	compact := fs.String("compact", "", "load an existing snapshot, drop its mutation journal and flatten its substrate, and rewrite it (to -o)")
+	compact := fs.String("compact", "", "load an existing snapshot, drop its mutation journal and orphaned terms, and rewrite it (to -o)")
 	fs.Parse(args)
 
 	if *inspect != "" {
@@ -62,7 +62,7 @@ func runSnapshot(args []string) {
 }
 
 // compactSnapshot rewrites a snapshot with its journal dropped (the
-// epoch number survives) and its blocking substrate flattened.
+// epoch number survives) and its term tables compacted.
 func compactSnapshot(in, out string) {
 	start := time.Now()
 	ix, err := minoaner.LoadIndexFile(in)

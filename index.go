@@ -591,14 +591,13 @@ func (ix *Index) ensureMutator(ctx context.Context, e *epoch) error {
 }
 
 // Compact trims the index's write-side bookkeeping: the mutation
-// journal is truncated (the epoch number survives), the triple stores
-// drop terms orphaned by deletions, and overlay chains in the blocking
-// substrate flatten. It publishes the current epoch again — same
-// number, same matches — with its KBs seated on the compacted term
-// tables, so a snapshot taken after Compact (SaveIndex, /snapshot, a
-// replica's bootstrap) carries the compacted tables, the very state
-// this index continues from. Reads are unaffected; call it after large
-// mutation bursts, before SaveIndex, or on a schedule.
+// journal is truncated (the epoch number survives) and the triple
+// stores drop terms orphaned by deletions. It publishes the current
+// epoch again — same number, same matches — with its KBs seated on the
+// compacted term tables, so a snapshot taken after Compact (SaveIndex,
+// /snapshot, a replica's bootstrap) carries the compacted tables, the
+// very state this index continues from. Reads are unaffected; call it
+// after large mutation bursts, before SaveIndex, or on a schedule.
 func (ix *Index) Compact() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -617,8 +616,8 @@ func (ix *Index) Compact() {
 		}
 	}
 	if c := ne.d.cache.Load(); c != nil {
-		// The flattened cache, its views re-seated on the epoch's KBs,
-		// seeds a fresh memo, so the delta substrate is its Side1.
+		// The cache, its views re-seated on the epoch's KBs, seeds a
+		// fresh memo, so the delta substrate is its Side1.
 		cache := *c
 		cache.Side1 = compactSide(c.Side1, ne.kb1.kb)
 		cache.Side2 = compactSide(c.Side2, ne.kb2.kb)
@@ -628,11 +627,11 @@ func (ix *Index) Compact() {
 	ix.cur.Store(&ne)
 }
 
-// compactSide flattens one side of a mutation cache and re-seats its
-// neighbor view, lists shared, on k: the side's KB after Compact.
+// compactSide re-seats the neighbor view of one side of a mutation
+// cache, lists shared, on k: the side's KB after Compact.
 func compactSide(p *pipeline.Prepared, k *kb.KB) *pipeline.Prepared {
 	f := p.Neighbors
-	return &pipeline.Prepared{Blocks: p.Blocks.Flatten(), Neighbors: kb.FrozenFromLists(k, f.N(), f.TopLists(), f.RevLists())}
+	return &pipeline.Prepared{Blocks: p.Blocks, Neighbors: kb.FrozenFromLists(k, f.N(), f.TopLists(), f.RevLists())}
 }
 
 // JournalEntry records one absorbed mutation. The journal is the

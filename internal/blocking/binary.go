@@ -107,7 +107,11 @@ func ReadBinaryData(data []byte) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: blocks: %v", errCorrupt, err)
 	}
-	c.Blocks = make([]Block, 0, min(nBlocks, 1<<20))
+	// Reservations are capped by the payload left: the counts come from
+	// the (checksummed but still possibly hostile) header and payload,
+	// and a block takes at least 3 bytes (key length and two side
+	// counts), a member at least 1, so a valid image reserves exactly.
+	c.Blocks = make([]Block, 0, min(nBlocks, blocks.Len()/3))
 	readSide := func(limit int) []kb.EntityID {
 		n := blocks.Int()
 		if blocks.Err() != nil {
@@ -117,7 +121,7 @@ func ReadBinaryData(data []byte) (*Collection, error) {
 			blocks.Fail("block side larger than its KB (%d > %d)", n, limit)
 			return nil
 		}
-		out := make([]kb.EntityID, 0, n)
+		out := make([]kb.EntityID, 0, min(n, blocks.Len()))
 		for i := 0; i < n && blocks.Err() == nil; i++ {
 			id := blocks.Uvarint()
 			if id >= uint64(limit) {
@@ -161,7 +165,6 @@ var errCorruptPrepared = errors.New("blocking: corrupt prepared substrate")
 // ascending order, so the encoding is deterministic: the same substrate
 // always produces the same bytes.
 func (p *Prepared) WriteBinary(w io.Writer) error {
-	p = p.Flatten() // overlay chains serialize as their flat view
 	bw := binio.NewWriter(w)
 	bw.Raw(preparedMagic[:])
 	bw.Uvarint(preparedVersion)
@@ -218,11 +221,12 @@ func ReadPreparedData(data []byte) (*Prepared, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", errCorruptPrepared, name, err)
 		}
-		// Preallocations are capped: the counts come from the (checksummed
-		// but still possibly hostile) header, so a crafted file must fail
-		// with ErrCorrupt when its payload runs out, not pre-commit huge
-		// allocations.
-		postings := make(map[string][]kb.EntityID, min(nKeys, 1<<20))
+		// Preallocations are capped by the payload left: the counts come
+		// from the (checksummed but still possibly hostile) header, so a
+		// crafted file must fail with ErrCorrupt when its payload runs
+		// out, not pre-commit huge allocations. A posting takes at least
+		// 2 bytes (key length and member count), a member at least 1.
+		postings := make(map[string][]kb.EntityID, min(nKeys, body.Len()/2))
 		for i := 0; i < nKeys && body.Err() == nil; i++ {
 			key := body.Str()
 			n := body.Int()
@@ -233,7 +237,7 @@ func ReadPreparedData(data []byte) (*Prepared, error) {
 				body.Fail("posting larger than the KB (%d > %d)", n, p.n1)
 				break
 			}
-			members := make([]kb.EntityID, 0, min(n, 1<<20))
+			members := make([]kb.EntityID, 0, min(n, body.Len()))
 			prev := int64(-1)
 			for j := 0; j < n && body.Err() == nil; j++ {
 				id := body.Uvarint()

@@ -1,23 +1,19 @@
 // Live maintenance of the one-sided blocking substrate and of block
 // collections. A mutated KB epoch touches only the keys of the changed
-// entities; Prepared.ApplyPatch layers those edits over the frozen
-// substrate as a copy-on-write overlay (flattening periodically and on
-// ID remaps), and Collection.Patch splices the same edits into a
-// key-sorted two-sided collection. Both operations reproduce, key for
-// key and member for member, what Prepare / TokenBlocksN /
-// NameBlocksN build from scratch over the mutated KBs.
+// entities; Prepared.ApplyPatch copies the substrate's key maps (member
+// slices shared) and rewrites those keys, and Collection.Patch merges
+// the same edits into a key-sorted two-sided collection. Both
+// operations reproduce, key for key and member for member, what
+// Prepare / TokenBlocksN / NameBlocksN build from scratch over the
+// mutated KBs.
 package blocking
 
 import (
+	"maps"
 	"sort"
 
 	"minoaner/internal/kb"
 )
-
-// maxOverlayDepth bounds the overlay chain before ApplyPatch flattens:
-// lookups walk the chain, so unbounded depth would make probes degrade
-// with mutation count.
-const maxOverlayDepth = 8
 
 // KeyEdit rewrites one posting: members to drop and members to insert,
 // both ascending. A member present in both lists stays (remove then
@@ -40,48 +36,27 @@ type PreparedPatch struct {
 	NewSize int
 }
 
-// ApplyPatch returns the substrate with the patch applied. Without a
-// remap the result is an overlay sharing every untouched posting with
-// the receiver (flattened once the chain grows past a small depth);
-// with a remap every posting is rewritten. The receiver is unchanged
-// and both remain safe for concurrent probes.
+// ApplyPatch returns the substrate with the patch applied. Its key maps
+// are copies of the receiver's that share the member slices of
+// untouched keys; with a remap every posting is rewritten first. The
+// receiver is unchanged and both remain safe for concurrent probes.
 func (p *Prepared) ApplyPatch(pt PreparedPatch) *Prepared {
+	var out *Prepared
 	if pt.Remap != nil {
-		flat := p.flattenRemapped(pt.Remap, pt.NewSize)
-		applyEditsFlat(flat.tokens, pt.Tokens, flat.lookupToken)
-		applyEditsFlat(flat.names, pt.Names, flat.lookupName)
-		return flat
+		out = p.remapped(pt.Remap, pt.NewSize)
+	} else {
+		out = &Prepared{n1: p.n1, nameK: p.nameK, tokens: maps.Clone(p.tokens), names: maps.Clone(p.names)}
 	}
-	out := &Prepared{
-		n1:     p.n1,
-		nameK:  p.nameK,
-		tokens: editLayer(pt.Tokens, p.lookupToken),
-		names:  editLayer(pt.Names, p.lookupName),
-		base:   p,
-		depth:  p.depth + 1,
-	}
-	if out.depth > maxOverlayDepth {
-		return out.Flatten()
-	}
+	applyEdits(out.tokens, pt.Tokens)
+	applyEdits(out.names, pt.Names)
 	return out
 }
 
-// editLayer materializes one overlay layer: the edited postings only
-// (empty slices are tombstones).
-func editLayer(edits []KeyEdit, lookup func(string) []kb.EntityID) map[string][]kb.EntityID {
-	layer := make(map[string][]kb.EntityID, len(edits))
+// applyEdits rewrites the edited postings of a map the caller owns,
+// deleting keys whose postings empty out.
+func applyEdits(m map[string][]kb.EntityID, edits []KeyEdit) {
 	for _, e := range edits {
-		layer[e.Key] = applyEdit(lookup(e.Key), e)
-	}
-	return layer
-}
-
-// applyEditsFlat applies edits directly onto flat maps (the remap
-// path), deleting keys whose postings empty out.
-func applyEditsFlat(m map[string][]kb.EntityID, edits []KeyEdit, lookup func(string) []kb.EntityID) {
-	for _, e := range edits {
-		members := applyEdit(lookup(e.Key), e)
-		if len(members) == 0 {
+		if members := applyEdit(m[e.Key], e); len(members) == 0 {
 			delete(m, e.Key)
 		} else {
 			m[e.Key] = members
@@ -116,131 +91,45 @@ func applyEdit(old []kb.EntityID, e KeyEdit) []kb.EntityID {
 }
 
 // TokenPosting returns the token posting of a key (nil when the key
-// blocks nothing), resolving overlay layers. Callers must not mutate
-// the returned slice.
-func (p *Prepared) TokenPosting(key string) []kb.EntityID { return p.lookupToken(key) }
+// blocks nothing). Callers must not mutate the returned slice.
+func (p *Prepared) TokenPosting(key string) []kb.EntityID { return p.tokens[key] }
 
 // NamePosting is TokenPosting for name keys.
-func (p *Prepared) NamePosting(key string) []kb.EntityID { return p.lookupName(key) }
+func (p *Prepared) NamePosting(key string) []kb.EntityID { return p.names[key] }
 
-// lookupToken resolves a token posting through the overlay chain; nil
-// means the key blocks nothing (absent or tombstoned).
-func (p *Prepared) lookupToken(key string) []kb.EntityID {
-	for q := p; q != nil; q = q.base {
-		if members, ok := q.tokens[key]; ok {
-			return members
-		}
-	}
-	return nil
-}
-
-// lookupName is lookupToken for name postings.
-func (p *Prepared) lookupName(key string) []kb.EntityID {
-	for q := p; q != nil; q = q.base {
-		if members, ok := q.names[key]; ok {
-			return members
-		}
-	}
-	return nil
-}
-
-// forEachPosting visits every live posting of one side (side selects
-// the token or name maps), in no particular order.
-func (p *Prepared) forEachPosting(side func(*Prepared) map[string][]kb.EntityID, fn func(key string, members []kb.EntityID)) {
-	if p.base == nil {
-		for key, members := range side(p) {
-			if len(members) > 0 {
-				fn(key, members)
+// remapped translates every member through the remap, dropping deleted
+// entities and postings that empty out.
+func (p *Prepared) remapped(remap []kb.EntityID, newSize int) *Prepared {
+	move := func(side map[string][]kb.EntityID) map[string][]kb.EntityID {
+		out := make(map[string][]kb.EntityID, len(side))
+		for key, members := range side {
+			mapped := make([]kb.EntityID, 0, len(members))
+			for _, id := range members {
+				if nid := remap[id]; nid >= 0 {
+					mapped = append(mapped, nid)
+				}
+			}
+			if len(mapped) > 0 {
+				out[key] = mapped
 			}
 		}
-		return
+		return out
 	}
-	shadowed := make(map[string]struct{})
-	for q := p; q != nil; q = q.base {
-		for key, members := range side(q) {
-			if _, seen := shadowed[key]; seen {
-				continue
-			}
-			shadowed[key] = struct{}{}
-			if len(members) > 0 {
-				fn(key, members)
-			}
-		}
-	}
-}
-
-func tokenSide(p *Prepared) map[string][]kb.EntityID { return p.tokens }
-func nameSide(p *Prepared) map[string][]kb.EntityID  { return p.names }
-
-// Flatten collapses an overlay chain into a single-layer substrate
-// (identity for already-flat ones). Serialization and compaction use
-// it; probes work on any depth.
-//
-//minoaner:mutator out is allocated here and unpublished until return; the receiver is never written
-func (p *Prepared) Flatten() *Prepared {
-	if p.base == nil {
-		return p
-	}
-	out := &Prepared{
-		n1:     p.n1,
-		nameK:  p.nameK,
-		tokens: make(map[string][]kb.EntityID),
-		names:  make(map[string][]kb.EntityID),
-	}
-	p.forEachPosting(tokenSide, func(key string, members []kb.EntityID) { out.tokens[key] = members })
-	p.forEachPosting(nameSide, func(key string, members []kb.EntityID) { out.names[key] = members })
-	return out
-}
-
-// flattenRemapped flattens while translating every member through the
-// remap, dropping deleted entities and postings that empty out.
-//
-//minoaner:mutator out is allocated here and unpublished until return; the receiver is never written
-func (p *Prepared) flattenRemapped(remap []kb.EntityID, newSize int) *Prepared {
-	out := &Prepared{
-		n1:     newSize,
-		nameK:  p.nameK,
-		tokens: make(map[string][]kb.EntityID),
-		names:  make(map[string][]kb.EntityID),
-	}
-	move := func(members []kb.EntityID) []kb.EntityID {
-		mapped := make([]kb.EntityID, 0, len(members))
-		for _, id := range members {
-			if nid := remap[id]; nid >= 0 {
-				mapped = append(mapped, nid)
-			}
-		}
-		if len(mapped) == 0 {
-			return nil
-		}
-		return mapped
-	}
-	p.forEachPosting(tokenSide, func(key string, members []kb.EntityID) {
-		if mapped := move(members); mapped != nil {
-			out.tokens[key] = mapped
-		}
-	})
-	p.forEachPosting(nameSide, func(key string, members []kb.EntityID) {
-		if mapped := move(members); mapped != nil {
-			out.names[key] = mapped
-		}
-	})
-	return out
+	return &Prepared{n1: newSize, nameK: p.nameK, tokens: move(p.tokens), names: move(p.names)}
 }
 
 // RebuildNames returns the substrate with its name postings rebuilt
 // from scratch for the given KB and name-K — the fallback when a
 // mutation reorders the KB's most distinctive attributes, which
-// invalidates every name key at once. Token postings are shared (the
-// receiver is flattened first so the result is single-layer).
+// invalidates every name key at once. Token postings are shared with
+// the receiver.
 func (p *Prepared) RebuildNames(kb1 *kb.KB, nameK, workers int) *Prepared {
-	flat := p.Flatten()
 	attrs := kb1.TopNameAttributes(nameK)
 	names := entityNames(kb1, attrs, workers)
 	return &Prepared{
-		n1:     flat.n1,
+		n1:     p.n1,
 		nameK:  nameK,
-		tokens: flat.tokens,
+		tokens: p.tokens,
 		names:  buildPostings(workers, kb1.Len(), func(e int) []string { return names[e] }),
 	}
 }
@@ -250,22 +139,22 @@ func (p *Prepared) RebuildNames(kb1 *kb.KB, nameK, workers int) *Prepared {
 // both sides, member slices shared with the postings. The result is
 // bit-identical to TokenBlocksN over the same KBs.
 func JoinTokenBlocks(p1, p2 *Prepared) *Collection {
-	return join(p1, p2, tokenSide, (*Prepared).lookupToken)
+	return join(p1.n1, p2.n1, p1.tokens, p2.tokens)
 }
 
 // JoinNameBlocks is JoinTokenBlocks for name blocks, bit-identical to
 // NameBlocksN.
 func JoinNameBlocks(p1, p2 *Prepared) *Collection {
-	return join(p1, p2, nameSide, (*Prepared).lookupName)
+	return join(p1.n1, p2.n1, p1.names, p2.names)
 }
 
-func join(p1, p2 *Prepared, side func(*Prepared) map[string][]kb.EntityID, lookup func(*Prepared, string) []kb.EntityID) *Collection {
-	c := NewCollection(p1.n1, p2.n1)
-	p1.forEachPosting(side, func(key string, e1 []kb.EntityID) {
-		if e2 := lookup(p2, key); len(e2) > 0 {
+func join(n1, n2 int, side1, side2 map[string][]kb.EntityID) *Collection {
+	c := NewCollection(n1, n2)
+	for key, e1 := range side1 {
+		if e2 := side2[key]; len(e1) > 0 && len(e2) > 0 {
 			c.Blocks = append(c.Blocks, Block{Key: key, E1: e1, E2: e2})
 		}
-	})
+	}
 	c.sortBlocks()
 	return c
 }

@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,9 +10,6 @@ import (
 	"minoaner/internal/kb"
 	"minoaner/internal/rdf"
 )
-
-// Depth returns the overlay depth (0 for a flat substrate).
-func (p *Prepared) Depth() int { return p.depth }
 
 // mutableKB builds a KB with links, names, and a wide token overlap so
 // mutations exercise every patch path (blocks appearing, vanishing,
@@ -39,9 +37,14 @@ func mutableTriples(rng *rand.Rand, prefix string, nSubjects, nTriples int) []rd
 	return out
 }
 
-// samePreparedFlat compares two substrates by their flat views.
-func samePreparedFlat(a, b *Prepared) bool {
-	return reflect.DeepEqual(a.Flatten(), b.Flatten())
+// preparedBytes returns the substrate's serialization.
+func preparedBytes(t *testing.T, p *Prepared) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // sameRankedAttrs reports whether two KBs rank the same top name
@@ -62,6 +65,8 @@ func sameRankedAttrs(a, b *kb.KB, k int) bool {
 // TestPreparedPatchMatchesFresh: after randomized upsert/delete
 // rounds, the patched substrate equals Prepare over the mutated KB,
 // and patched pair collections equal the from-scratch constructions.
+// Every patch leaves its receiver, the previous epoch's substrate that
+// readers may still probe, byte for byte unchanged.
 func TestPreparedPatchMatchesFresh(t *testing.T) {
 	const nameK = 2
 	for _, seed := range []int64{3, 11, 29} {
@@ -124,7 +129,12 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 					nameColl = JoinNameBlocks(prep1, prep2)
 				} else {
 					pt := BuildPreparedPatch(cur, next, d, cur.TopNameAttributes(nameK), next.TopNameAttributes(nameK))
-					prep1 = prep1.ApplyPatch(pt)
+					before := preparedBytes(t, prep1)
+					patched := prep1.ApplyPatch(pt)
+					if !bytes.Equal(preparedBytes(t, prep1), before) {
+						t.Fatalf("round %d: ApplyPatch changed its receiver (shift=%v)", round, d.Shifted())
+					}
+					prep1 = patched
 
 					// The pair collections patch with the same key set.
 					var remap1 []kb.EntityID
@@ -141,16 +151,16 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 					}
 					tokenColl = tokenColl.Patch(CollectionPatch{
 						Keys:    tokenKeys,
-						Lookup1: prep1.lookupToken,
-						Lookup2: prep2.lookupToken,
+						Lookup1: prep1.TokenPosting,
+						Lookup2: prep2.TokenPosting,
 						Remap1:  remap1,
 						N1:      next.Len(),
 						N2:      side2.Len(),
 					})
 					nameColl = nameColl.Patch(CollectionPatch{
 						Keys:    nameKeys,
-						Lookup1: prep1.lookupName,
-						Lookup2: prep2.lookupName,
+						Lookup1: prep1.NamePosting,
+						Lookup2: prep2.NamePosting,
 						Remap1:  remap1,
 						N1:      next.Len(),
 						N2:      side2.Len(),
@@ -188,13 +198,10 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 						t.Fatalf("round %d: patched name collection diverges", round)
 					}
 				}
-				if fresh := Prepare(next, nameK, 1); !samePreparedFlat(prep1, fresh) {
+				if fresh := Prepare(next, nameK, 1); !reflect.DeepEqual(prep1, fresh) {
 					t.Fatalf("round %d: patched substrate diverges from fresh Prepare", round)
 				}
 				cur = next
-			}
-			if prep1.Depth() > maxOverlayDepth {
-				t.Fatalf("overlay depth %d escaped the flatten bound", prep1.Depth())
 			}
 		})
 	}
@@ -211,7 +218,7 @@ func TestRebuildNames(t *testing.T) {
 	p := Prepare(k, 2, 1)
 	got := p.RebuildNames(k, 1, 1) // different nameK forces different name keys
 	want := Prepare(k, 1, 1)
-	if !samePreparedFlat(got, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("rebuilt names diverge from fresh Prepare")
 	}
 	if got.NameK() != 1 {

@@ -22,21 +22,17 @@ import (
 //
 // Prepared is immutable after Prepare and safe for concurrent probes.
 // A mutated KB epoch derives its substrate with ApplyPatch (see
-// patch.go), which layers the touched keys over the frozen base as a
-// copy-on-write overlay instead of rebuilding the inverted index.
+// patch.go), which rewrites only the touched keys in a copy of the key
+// maps instead of rebuilding the inverted index.
 //
 //minoaner:frozen
 type Prepared struct {
 	n1    int
 	nameK int
 	// tokens and names map each blocking key of the prepared KB to its
-	// member entities in ascending ID order. On an overlay layer they
-	// hold only the edited keys (empty slices tombstone vanished
-	// keys); lookups fall through to base.
+	// member entities in ascending ID order.
 	tokens map[string][]kb.EntityID
 	names  map[string][]kb.EntityID
-	base   *Prepared
-	depth  int
 }
 
 // Prepare builds the frozen substrate of kb1 for the given name-K,
@@ -109,7 +105,7 @@ const probeCancelStride = 1024
 // blocks, same key order, same member order. KB-side member slices are
 // shared with the substrate; callers must not mutate them.
 func (p *Prepared) ProbeTokenBlocks(ctx context.Context, delta *kb.KB) (*Collection, error) {
-	return p.probe(ctx, delta.Len(), p.lookupToken, func(e int) []string { return delta.Tokens(kb.EntityID(e)) })
+	return p.probe(ctx, delta.Len(), p.TokenPosting, func(e int) []string { return delta.Tokens(kb.EntityID(e)) })
 }
 
 // ProbeNameBlocks builds the name-block collection of (prepared KB,
@@ -119,7 +115,7 @@ func (p *Prepared) ProbeTokenBlocks(ctx context.Context, delta *kb.KB) (*Collect
 // NameBlocksN(kb1, delta, nameK).
 func (p *Prepared) ProbeNameBlocks(ctx context.Context, delta *kb.KB) (*Collection, error) {
 	attrs := delta.TopNameAttributes(p.nameK)
-	return p.probe(ctx, delta.Len(), p.lookupName, func(e int) []string { return delta.Names(kb.EntityID(e), attrs) })
+	return p.probe(ctx, delta.Len(), p.NamePosting, func(e int) []string { return delta.Names(kb.EntityID(e), attrs) })
 }
 
 // probe assembles the two-sided blocks for the delta's keys: a key

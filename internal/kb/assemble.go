@@ -9,25 +9,14 @@ import (
 
 // Assembly over term-ID arrays. describe (passes 1 and 2) is shared by
 // Builder.Build and the store; the rest of this file is the store's
-// side, the hot path of epoch mutation. Both store assemblies produce
-// exactly what Build produces over the same triples — entity for
-// entity, stat for stat:
-//
-//   - assembleFast reruns the generic passes and derives the predicate
-//     statistics from the (predicate, object, subject)-sorted ref list
-//     in one map-free merge walk: predicate groups are contiguous,
-//     equal objects are adjacent (distinct-object counts become
-//     run-length counts), and distinct-subject counts use generation
-//     stamps instead of per-predicate sets.
-//
-//   - assembleIncremental goes further when the mutation replaced
-//     descriptions without touching the entity roster or the
-//     predicate dictionary: every unchanged Entity is carried over by
-//     struct copy (slices shared), only the mutated descriptions are
-//     rebuilt, and the in-edge lists of their link targets are
-//     spliced. It verifies its own preconditions (subject sequence,
-//     dictionary order, rdf:type presence) with one O(T) array scan
-//     and falls back to assembleFast when any fails.
+// side, the hot path of epoch mutation. Store.Assemble reruns the
+// generic passes over the mutated refs and derives the predicate
+// statistics from the (predicate, object, subject)-sorted ref list in
+// one map-free merge walk: predicate groups are contiguous, equal
+// objects are adjacent (distinct-object counts become run-length
+// counts), and distinct-subject counts use generation stamps instead of
+// per-predicate sets. The result is exactly what Build produces over
+// the same triples — entity for entity, stat for stat.
 //
 // One subtlety in the statistics walk: literal values and dangling-URI
 // keys share the distinct-key space of attribute values (a literal can
@@ -275,32 +264,29 @@ func setImportance(kb *KB) {
 	}
 }
 
-// assembleFast builds the KB of the store's current triple set with
-// the generic passes; the statistics come from the store's
-// (predicate, object, subject) order.
-func (s *Store) assembleFast(prev *KB) *KB {
+// assemble builds the KB of the store's current triple set with the
+// generic passes; the statistics come from the store's (predicate,
+// object, subject) order. prev, when non-nil, lends describe its URI
+// index (unchanged roster) and finishTokens its token bags (unchanged
+// descriptions).
+func (s *Store) assemble(prev *KB) *KB {
 	sc := &s.scratch
 	sc.begin(len(s.terms))
 	kb := newAssembly(s.name, len(s.refs))
 	rdfTypeTerm := s.typeTerm()
 	describe(kb, s.terms, s.refs, sc, rdfTypeTerm, prev)
-	s.walkStats(kb, func(t int32) int32 {
-		if pid, ok := sc.pred(t); ok {
-			return pid
-		}
-		return -1
-	}, rdfTypeTerm)
+	s.walkStats(kb, rdfTypeTerm)
 	setImportance(kb)
 	finishTokens(kb, parallel.Workers(s.workers), prev)
 	return kb
 }
 
 // walkStats derives every predicate's Distinct and Entities counts
-// from the (p,o,s)-sorted refs in one pass. pidOf resolves a predicate
-// term to its dictionary ID (-1: never interned — an rdf:type group
-// with only IRI objects). The subject→entity scratch of the current
-// pass must be populated.
-func (s *Store) walkStats(kb *KB, pidOf func(int32) int32, rdfTypeTerm int32) {
+// from the (p,o,s)-sorted refs in one pass. describe must have run in
+// the current pass: its predicate scratch resolves a predicate term to
+// its dictionary ID (-1: never interned — an rdf:type group with only
+// IRI objects), its subject scratch a term to its entity.
+func (s *Store) walkStats(kb *KB, rdfTypeTerm int32) {
 	terms, refs := s.terms, s.refsPOS
 	sc := &s.scratch
 
@@ -312,7 +298,7 @@ func (s *Store) walkStats(kb *KB, pidOf func(int32) int32, rdfTypeTerm int32) {
 		}
 		group := refs[lo:hi]
 		lo = hi
-		pid := pidOf(p)
+		pid, _ := sc.pred(p)
 		if pid < 0 {
 			continue
 		}
@@ -424,243 +410,6 @@ func (s *Store) walkStats(kb *KB, pidOf func(int32) int32, rdfTypeTerm int32) {
 			}
 			runStats(group[i:j])
 			i = j
-		}
-	}
-}
-
-// assembleIncremental splices the previous KB when the mutation only
-// replaced existing descriptions: the entity roster, the predicate
-// dictionary (content and order), and the rdf:type/vocabulary presence
-// must all be unchanged, which one O(T) verification scan confirms.
-// Returns nil when any precondition fails (callers fall back to
-// assembleFast).
-func (s *Store) assembleIncremental(prev *KB) *KB {
-	if prev == nil || prev != s.lastAssembled || s.predsChanged {
-		return nil
-	}
-	terms, refs := s.terms, s.refs
-	sc := &s.scratch
-	sc.begin(len(terms))
-
-	// Changed descriptions: every touched key must still name an
-	// existing entity (an insert or delete changes the roster and ID
-	// assignment — generic path).
-	changed := make([]EntityID, 0, len(s.touched))
-	for key := range s.touched {
-		id, ok := prev.uriIndex[key]
-		if !ok {
-			return nil
-		}
-		changed = append(changed, id)
-	}
-	sortIDs(changed)
-
-	rdfTypeTerm := s.typeTerm()
-
-	// Verification scan: subject runs must match prev's entity count
-	// one-for-one (the roster check above makes a same-count
-	// permutation impossible), the predicate first-appearance sequence
-	// must equal prev's dictionary, and rdf:type-as-declaration
-	// presence must be stable (it feeds the shared vocabulary set).
-	// The scan also populates the subject scratch and records the
-	// changed entities' ref ranges.
-	nextEnt := 0
-	var seenPreds []int32
-	sawTypeDecl := false
-	type span struct{ lo, hi int }
-	spans := make(map[EntityID]span, len(changed))
-	for i := 0; i < len(refs); {
-		t := refs[i].s
-		j := i + 1
-		for j < len(refs) && refs[j].s == t {
-			j++
-		}
-		if nextEnt >= prev.Len() {
-			return nil
-		}
-		id := EntityID(nextEnt)
-		sc.setSubj(t, id)
-		nextEnt++
-		if s.touched[prev.entities[id].URI] {
-			spans[id] = span{lo: i, hi: j}
-		}
-		for k := i; k < j; k++ {
-			p := refs[k].p
-			if p == rdfTypeTerm && terms[refs[k].o].Kind == rdf.IRI {
-				// A declaration never reaches internPred: it must not
-				// establish rdf:type's dictionary position.
-				sawTypeDecl = true
-				continue
-			}
-			if _, ok := sc.pred(p); !ok {
-				sc.setPred(p, -2)
-				seenPreds = append(seenPreds, p)
-			}
-		}
-		i = j
-	}
-	if nextEnt != prev.Len() {
-		return nil
-	}
-	if sawTypeDecl != (len(prev.typeSet) > 0) {
-		return nil
-	}
-	// Dictionary check: the interned predicates, in the order their
-	// first interning triple appears (declarations were excluded
-	// above, so rdf:type — when present — sits at its true position).
-	// Any mismatch in content, order, or length means the dictionary
-	// of a from-scratch build would differ: generic path.
-	if len(seenPreds) != len(prev.preds) {
-		return nil
-	}
-	for dict, p := range seenPreds {
-		if prev.preds[dict] != terms[p].Value {
-			return nil
-		}
-		sc.setPred(p, int32(dict))
-	}
-
-	kb := &KB{
-		name:       s.name,
-		uriIndex:   prev.uriIndex,
-		preds:      prev.preds,
-		predIndex:  prev.predIndex,
-		ef:         make(map[string]int32, len(prev.ef)),
-		attrStats:  make(map[int32]*PredStat),
-		relStats:   make(map[int32]*PredStat),
-		typeSet:    make(map[string]struct{}, len(prev.typeSet)),
-		vocabSet:   prev.vocabSet,
-		numTriples: len(refs),
-	}
-	kb.entities = make([]Entity, prev.Len())
-	copy(kb.entities, prev.entities)
-
-	// Rebuild the changed descriptions from their ref ranges.
-	changedSet := make(map[EntityID]bool, len(changed))
-	for _, e := range changed {
-		changedSet[e] = true
-	}
-	for _, e := range changed {
-		sp := spans[e]
-		ent := Entity{URI: prev.entities[e].URI, In: prev.entities[e].In}
-		for k := sp.lo; k < sp.hi; k++ {
-			ref := refs[k]
-			obj := &terms[ref.o]
-			if ref.p == rdfTypeTerm && obj.Kind == rdf.IRI {
-				ent.Types = append(ent.Types, obj.Value)
-				continue
-			}
-			pid, _ := sc.pred(ref.p)
-			switch {
-			case obj.Kind == rdf.Literal:
-				if obj.Value != "" {
-					ent.Attrs = append(ent.Attrs, AttrValue{Pred: pid, Value: obj.Value})
-				}
-			case sc.subj(ref.o) >= 0:
-				ent.Out = append(ent.Out, Edge{Pred: pid, Target: sc.subj(ref.o)})
-			default:
-				if v := localName(obj.Value); v != "" {
-					ent.Attrs = append(ent.Attrs, AttrValue{Pred: pid, Value: v})
-				}
-			}
-		}
-		kb.entities[e] = ent
-	}
-
-	// Splice the in-edge lists of every link target the changed
-	// entities touch (old or new edges).
-	targets := make(map[EntityID]bool)
-	for _, e := range changed {
-		for _, edge := range prev.entities[e].Out {
-			targets[edge.Target] = true
-		}
-		for _, edge := range kb.entities[e].Out {
-			targets[edge.Target] = true
-		}
-	}
-	for t := range targets {
-		kb.entities[t].In = spliceIn(prev.entities[t].In, t, changed, changedSet, kb.entities)
-	}
-
-	// rdf:type and statistics.
-	for i := range kb.entities {
-		for _, typ := range kb.entities[i].Types {
-			kb.typeSet[typ] = struct{}{}
-		}
-	}
-	s.walkStats(kb, func(t int32) int32 {
-		if pid, ok := sc.pred(t); ok && pid >= 0 {
-			return pid
-		}
-		return -1
-	}, rdfTypeTerm)
-	setImportance(kb)
-
-	// Tokens and EF: only the changed descriptions re-tokenize.
-	for tok, c := range prev.ef {
-		kb.ef[tok] = c
-	}
-	kb.totalTokens = prev.totalTokens
-	var scratch []string
-	for _, e := range changed {
-		old := prev.entities[e].Tokens
-		kb.totalTokens -= len(old)
-		for _, tok := range old {
-			if kb.ef[tok]--; kb.ef[tok] == 0 {
-				delete(kb.ef, tok)
-			}
-		}
-		ent := &kb.entities[e]
-		scratch = tokenizeEntity(ent, scratch)
-		kb.totalTokens += len(ent.Tokens)
-		for _, tok := range ent.Tokens {
-			kb.ef[tok]++
-		}
-	}
-	return kb
-}
-
-// spliceIn rebuilds one entity's in-edge list: entries from changed
-// sources are replaced by the sources' rebuilt out-edges, in the
-// global order the generic pass produces (ascending source, each
-// source's edges in its ref order).
-func spliceIn(in []Edge, target EntityID, changed []EntityID, changedSet map[EntityID]bool, entities []Entity) []Edge {
-	out := make([]Edge, 0, len(in)+2)
-	emit := func(src EntityID) {
-		for _, edge := range entities[src].Out {
-			if edge.Target == target {
-				out = append(out, Edge{Pred: edge.Pred, Target: src})
-			}
-		}
-	}
-	ci := 0
-	for _, edge := range in {
-		src := edge.Target // an in-edge's Target field holds the source
-		for ci < len(changed) && changed[ci] < src {
-			emit(changed[ci])
-			ci++
-		}
-		if ci < len(changed) && changed[ci] == src {
-			continue // dropped here, re-emitted at this position by the loop above or below
-		}
-		if changedSet[src] {
-			continue // later changed source: its old entries drop, new ones emit in order
-		}
-		out = append(out, edge)
-	}
-	for ; ci < len(changed); ci++ {
-		emit(changed[ci])
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-func sortIDs(ids []EntityID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }

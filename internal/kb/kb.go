@@ -340,8 +340,8 @@ func (b *Builder) Build() (*KB, error) {
 // derives the predicate statistics, pass 3 (finishTokens) tokenizes
 // values and counts entity frequencies. The result depends only on the
 // (terms-resolved) refs — never on how they were accumulated — which is
-// what makes incremental rebuilds (Store.Assemble) bit-identical to
-// from-scratch builds.
+// what makes a mutated store's assemblies (Store.Assemble)
+// bit-identical to from-scratch builds.
 func assembleKB(name string, workers int, terms []rdf.Term, refs []tripleRef, rdfTypeTerm int32) *KB {
 	var sc assembleScratch
 	sc.begin(len(terms))

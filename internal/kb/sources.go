@@ -95,17 +95,11 @@ type Store struct {
 	// objects are adjacent).
 	refsPOS []tripleRef
 
-	// Incremental-assembly bookkeeping. touched accumulates the
-	// subject keys mutated since the last Assemble; lastAssembled is
-	// that Assemble's result; predUse refcounts triples per predicate
-	// term and predsChanged records a predicate appearing or vanishing
-	// since the last Assemble. Together they decide whether Assemble
-	// may splice the previous KB (see assembleIncremental) or must
-	// rerun the generic passes.
-	touched       map[string]bool
+	// lastAssembled is the last Assemble's result (or the KB the store
+	// was opened on); dirty records an Apply since then. Compact reads
+	// both to decide which KB, if any, to re-seat on its table.
 	lastAssembled *KB
-	predUse       map[int32]int
-	predsChanged  bool
+	dirty         bool
 
 	// Reusable generation-stamped scratch (single-writer, so safe to
 	// keep across assemblies).
@@ -150,12 +144,7 @@ func NewStore(k *KB) (*Store, error) {
 	s.refsPOS = make([]tripleRef, len(s.refs))
 	copy(s.refsPOS, s.refs)
 	sort.Slice(s.refsPOS, func(i, j int) bool { return posLess(s.terms, s.refsPOS[i], s.refsPOS[j]) })
-	s.touched = make(map[string]bool)
 	s.lastAssembled = k
-	s.predUse = make(map[int32]int)
-	for _, r := range s.refs {
-		s.predUse[r.p]++
-	}
 	return s, nil
 }
 
@@ -250,20 +239,7 @@ func (s *Store) Apply(delta *KB, deletes []string) (changed bool, revert Revert,
 		out = append(out, put[pi:]...)
 		return out[:len(out):len(out)], dropped
 	}
-	// Track predicate usage so Assemble knows whether a predicate
-	// appeared or vanished (either changes the dictionary or the
-	// vocabulary set, forcing the generic passes).
-	predDelta := make(map[int32]int)
 	merged, dropped := merge(s.refs, putRefs, func(x, y tripleRef) bool { return refLessIn(s.terms, x, y) })
-	if dropped > 0 {
-		// Count the dropped refs' predicates (putRefs were not merged
-		// into s.refs yet, so the difference is exactly the drops).
-		for _, r := range s.refs {
-			if dropTerm[r.s] {
-				predDelta[r.p]--
-			}
-		}
-	}
 	if dropped == 0 && len(putRefs) == 0 {
 		return false, func() {}, nil
 	}
@@ -274,39 +250,18 @@ func (s *Store) Apply(delta *KB, deletes []string) (changed bool, revert Revert,
 		// harmless table entries).
 		return false, func() {}, nil
 	}
-	for _, r := range putRefs {
-		predDelta[r.p]++
-	}
 	putPOS := make([]tripleRef, len(putRefs))
 	copy(putPOS, putRefs)
 	sort.Slice(putPOS, func(i, j int) bool { return posLess(s.terms, putPOS[i], putPOS[j]) })
 	mergedPOS, _ := merge(s.refsPOS, putPOS, func(x, y tripleRef) bool { return posLess(s.terms, x, y) })
 
 	prevRefs, prevPOS := s.refs, s.refsPOS
-	prevTouched := make(map[string]bool, len(s.touched))
-	for k, v := range s.touched {
-		prevTouched[k] = v
-	}
-	prevPredsChanged := s.predsChanged
-	prevAssembled := s.lastAssembled
-	for key := range drop {
-		s.touched[key] = true
-	}
-	for p, d := range predDelta {
-		before := s.predUse[p]
-		s.predUse[p] = before + d
-		if (before == 0) != (before+d == 0) {
-			s.predsChanged = true
-		}
-	}
+	prevAssembled, prevDirty := s.lastAssembled, s.dirty
 	s.refs, s.refsPOS = merged, mergedPOS
+	s.dirty = true
 	return true, func() {
 		s.refs, s.refsPOS = prevRefs, prevPOS
-		s.touched, s.predsChanged = prevTouched, prevPredsChanged
-		s.lastAssembled = prevAssembled
-		for p, d := range predDelta {
-			s.predUse[p] -= d
-		}
+		s.lastAssembled, s.dirty = prevAssembled, prevDirty
 		// Un-intern the terms this Apply appended. No assembled KB can
 		// reference them (assemblies share length-capped prefixes of the
 		// table), so truncating restores the exact pre-Apply table.
@@ -316,18 +271,14 @@ func (s *Store) Apply(delta *KB, deletes []string) (changed bool, revert Revert,
 
 // Assemble builds the KB of the current triple set. prev, when
 // non-nil, must be an Assemble (or Build) result of an earlier state
-// of the same store: unchanged descriptions reuse its token bags. The
-// result is bit-identical to a from-scratch Build of the current
-// triples either way.
+// of the same store: an unchanged roster shares its URI index and
+// unchanged descriptions reuse its token bags. The result is
+// bit-identical to a from-scratch Build of the current triples either
+// way.
 func (s *Store) Assemble(prev *KB) *KB {
-	k := s.assembleIncremental(prev)
-	if k == nil {
-		k = s.assembleFast(prev)
-	}
+	k := s.assemble(prev)
 	k.src = s.sources()
-	s.lastAssembled = k
-	s.touched = make(map[string]bool)
-	s.predsChanged = false
+	s.lastAssembled, s.dirty = k, false
 	return k
 }
 
@@ -338,9 +289,8 @@ func (s *Store) Assemble(prev *KB) *KB {
 // saved after Compact would still carry the orphans — and whoever loads
 // it would keep them, while this store continues without. Compact
 // therefore returns the KB of the last Assemble seated on the compacted
-// table: a shallow copy that differs in its Sources alone and takes the
-// original's place as the KB the next Assemble may splice from. Publish
-// it in the original's stead. The result is nil when Apply has changed
+// table: a shallow copy that differs in its Sources alone. Publish it in
+// the original's stead. The result is nil when Apply has changed
 // the set since the last Assemble; that Assemble will deliver the
 // compacted table.
 func (s *Store) Compact() *KB {
@@ -366,17 +316,8 @@ func (s *Store) Compact() *KB {
 	for i, r := range s.refsPOS {
 		refsPOS[i] = tripleRef{s: move(r.s), p: move(r.p), o: move(r.o)}
 	}
-	// predUse is keyed by term ID: carry the live counts into the new
-	// numbering (orphaned predicates have no refs and drop to zero
-	// anyway).
-	predUse := make(map[int32]int, len(s.predUse))
-	for p, c := range s.predUse {
-		if c != 0 && remap[p] >= 0 {
-			predUse[remap[p]] = c
-		}
-	}
-	s.termTable, s.refs, s.refsPOS, s.predUse = compacted, refs, refsPOS, predUse
-	if len(s.touched) > 0 {
+	s.termTable, s.refs, s.refsPOS = compacted, refs, refsPOS
+	if s.dirty {
 		return nil
 	}
 	seated := *s.lastAssembled

@@ -215,6 +215,69 @@ func TestStoreDeleteAbsentIsNoop(t *testing.T) {
 	}
 }
 
+// TestStoreCompactPendingApply pins which KB Compact re-seats on its
+// compacted table: none while an Apply is pending (the next Assemble
+// delivers the table), and the last assembled one otherwise, including
+// after the pending Apply was reverted.
+func TestStoreCompactPendingApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	base, err := FromTriples("base", randomTriples(rng, 12, 80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seated checks that k is want on the store's compacted table.
+	seated := func(k, want *KB, label string) {
+		t.Helper()
+		if k == nil {
+			t.Fatalf("%s: Compact returned nil", label)
+		}
+		mustEqualKB(t, k, want, label)
+		if !reflect.DeepEqual(k.SourceTriples(), want.SourceTriples()) {
+			t.Fatalf("%s: source triples differ", label)
+		}
+		if len(k.src.terms) != store.NumTerms() {
+			t.Fatalf("%s: KB sources hold %d terms, the compacted table %d", label, len(k.src.terms), store.NumTerms())
+		}
+	}
+
+	changed, _, err := store.Apply(nil, []string{base.URI(0)})
+	if err != nil || !changed {
+		t.Fatalf("Apply: changed=%v err=%v", changed, err)
+	}
+	if k := store.Compact(); k != nil {
+		t.Fatal("Apply then Compact: returned a KB while the Apply is pending")
+	}
+
+	assembled := store.Assemble(base)
+	seated(store.Compact(), assembled, "Assemble then Compact")
+
+	// Orphan terms again, so the next Compact has something to drop.
+	if _, _, err := store.Apply(nil, []string{assembled.URI(0)}); err != nil {
+		t.Fatal(err)
+	}
+	assembled = store.Assemble(assembled)
+	orphaned := len(assembled.src.terms)
+	delta, err := FromTriples("delta", []rdf.Triple{
+		rdf.NewTriple(rdf.NewIRI("http://e/fresh"), rdf.NewIRI("http://v/name"), rdf.NewLiteral("fresh")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed, revert, err := store.Apply(delta, nil)
+	if err != nil || !changed {
+		t.Fatalf("Apply: changed=%v err=%v", changed, err)
+	}
+	revert()
+	seated(store.Compact(), assembled, "Apply, Revert, then Compact")
+	if store.NumTerms() >= orphaned {
+		t.Fatalf("Compact kept the orphans: %d terms, %d before", store.NumTerms(), orphaned)
+	}
+}
+
 // TestSourcesBinaryRoundTrip: the sources section survives the codec
 // bit-for-bit, a loaded KB is mutable, and stripping sources omits the
 // section.
@@ -327,7 +390,7 @@ func TestComputeDiff(t *testing.T) {
 }
 
 // TestStoreMutationDegenerateCases pins two adversarial corners of the
-// incremental assembly against the generic build: rdf:type whose
+// store's assembly against a from-scratch build: rdf:type whose
 // dictionary position is set by its first NON-declaration triple (not
 // its first appearance), and dangling objects whose keys collide with
 // each other and with literal values (blank node x vs IRI "_:x").
