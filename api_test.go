@@ -16,7 +16,7 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite api.txt from the package's exported declarations")
+var update = flag.Bool("update", false, "rewrite api.txt (TestAPI) or testdata/ledger.json (TestLedger)")
 
 // TestAPI keeps api.txt, the written-down public surface of the
 // package, in step with the code: one line per exported func, method,
@@ -29,7 +29,7 @@ var updateAPI = flag.Bool("update", false, "rewrite api.txt from the package's e
 // so every addition, removal or re-typing shows up in the diff.
 func TestAPI(t *testing.T) {
 	got := strings.Join(apiLines(t, "."), "\n") + "\n"
-	if *updateAPI {
+	if *update {
 		if err := os.WriteFile("api.txt", []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
