@@ -9,12 +9,12 @@
 package blocking
 
 import (
-	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"minoaner/internal/kb"
-	"minoaner/internal/parallel"
 )
 
 // Block is one blocking-key bucket with members from both KBs.
@@ -98,105 +98,105 @@ type keyBucket struct {
 	e1, e2 []kb.EntityID
 }
 
-// Index maps every entity to the positions of the blocks that contain
-// it, enabling candidate enumeration during matching.
+// Index maps every entity to the ascending positions of the blocks
+// that contain it: the access path of candidate scoring in every engine.
 type Index struct {
-	ByE1 [][]int32 // entity of KB1 -> indices into Collection.Blocks
-	ByE2 [][]int32
+	ByE1, ByE2 *IndexSide
 }
 
-// BuildIndex constructs the entity-to-blocks index for the collection,
-// sharded across GOMAXPROCS workers; see BuildIndexN.
-func (c *Collection) BuildIndex() *Index {
-	return c.BuildIndexN(0)
+// IndexSide is one side of an Index in compressed-sparse-row form:
+// entity e's block positions are pos[start[e]:end[e]], ascending. Runs
+// are laid out only for the entities a build meets, recorded in
+// touched, so building and resetting a side cost the collection's
+// members; only allocating one costs the KB's size.
+type IndexSide struct {
+	start, end []int32
+	pos        []int32
+	touched    []kb.EntityID
 }
 
-// BuildIndexN is BuildIndex with an explicit worker count (<= 0 selects
-// GOMAXPROCS). Each worker indexes a contiguous block range into a
-// partial index; per-entity lists are then concatenated in block-range
-// order, so every list stays sorted by block position and the result is
-// bit-identical at any worker count.
-func (c *Collection) BuildIndexN(workers int) *Index {
-	w := parallel.Workers(workers)
-	if w > len(c.Blocks) {
-		w = len(c.Blocks)
+// NewIndexSide returns an empty side over n entities.
+func NewIndexSide(n int) *IndexSide {
+	return &IndexSide{start: make([]int32, n), end: make([]int32, n)}
+}
+
+// Len returns the side's entity count.
+func (s *IndexSide) Len() int { return len(s.start) }
+
+// Of returns e's block positions, ascending.
+func (s *IndexSide) Of(e kb.EntityID) []int32 { return s.pos[s.start[e]:s.end[e]] }
+
+// Reset empties the side for its next build, clearing exactly the runs
+// the last build set.
+func (s *IndexSide) Reset() {
+	for _, e := range s.touched {
+		s.start[e], s.end[e] = 0, 0
 	}
-	if w <= 1 {
-		idx := &Index{
-			ByE1: make([][]int32, c.n1),
-			ByE2: make([][]int32, c.n2),
+	s.touched, s.pos = s.touched[:0], s.pos[:0]
+}
+
+// fill is a counting sort of one side's (1 or 2) memberships into an
+// empty IndexSide: end counts each entity's blocks, the counts become
+// run offsets in start (end then serves as the fill cursor), and the
+// blocks are dropped in in position order, so every run is ascending.
+func (s *IndexSide) fill(blocks []Block, side int) {
+	members := func(i int) []kb.EntityID {
+		if side == 1 {
+			return blocks[i].E1
 		}
-		c.indexRange(idx, 0, len(c.Blocks))
-		return idx
+		return blocks[i].E2
 	}
-	partials := make([]*Index, w)
-	chunk := (len(c.Blocks) + w - 1) / w
-	_ = parallel.For(context.Background(), w, w, func(worker, _, _ int) error {
-		lo := worker * chunk
-		if lo >= len(c.Blocks) {
-			return nil
-		}
-		hi := lo + chunk
-		if hi > len(c.Blocks) {
-			hi = len(c.Blocks)
-		}
-		p := &Index{
-			ByE1: make([][]int32, c.n1),
-			ByE2: make([][]int32, c.n2),
-		}
-		c.indexRange(p, lo, hi)
-		partials[worker] = p
-		return nil
-	})
-	idx := &Index{
-		ByE1: make([][]int32, c.n1),
-		ByE2: make([][]int32, c.n2),
-	}
-	mergeIndexSide := func(out [][]int32, side func(*Index) [][]int32) {
-		_ = parallel.For(context.Background(), len(out), w, func(_, start, end int) error {
-			for e := start; e < end; e++ {
-				total := 0
-				for _, p := range partials {
-					if p != nil {
-						total += len(side(p)[e])
-					}
-				}
-				if total == 0 {
-					continue // keep nil, as the sequential path does
-				}
-				merged := make([]int32, 0, total)
-				for _, p := range partials {
-					if p != nil {
-						merged = append(merged, side(p)[e]...)
-					}
-				}
-				out[e] = merged
+	total := 0
+	for i := range blocks {
+		for _, e := range members(i) {
+			if s.end[e] == 0 {
+				s.touched = append(s.touched, e)
 			}
-			return nil
-		})
+			s.end[e]++
+		}
+		total += len(members(i))
 	}
-	mergeIndexSide(idx.ByE1, func(p *Index) [][]int32 { return p.ByE1 })
-	mergeIndexSide(idx.ByE2, func(p *Index) [][]int32 { return p.ByE2 })
-	return idx
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("blocking: %d block memberships overflow the index", total))
+	}
+	next := int32(0)
+	for _, e := range s.touched {
+		s.start[e], s.end[e], next = next, next, next+s.end[e]
+	}
+	s.pos = slices.Grow(s.pos, total)[:total]
+	for i := range blocks {
+		for _, e := range members(i) {
+			s.pos[s.end[e]] = int32(i)
+			s.end[e]++
+		}
+	}
 }
 
-// indexRange appends the block positions [lo,hi) to the index.
-func (c *Collection) indexRange(idx *Index, lo, hi int) {
-	for bi := lo; bi < hi; bi++ {
-		b := &c.Blocks[bi]
-		for _, e := range b.E1 {
-			idx.ByE1[e] = append(idx.ByE1[e], int32(bi))
-		}
-		for _, e := range b.E2 {
-			idx.ByE2[e] = append(idx.ByE2[e], int32(bi))
-		}
+// BuildIndex constructs the entity-to-blocks index of both sides.
+func (c *Collection) BuildIndex() *Index {
+	return c.BuildIndexInto(NewIndexSide(c.n1))
+}
+
+// BuildIndexInto is BuildIndex with side 1 built into side1: an empty
+// IndexSide over the first KB, from NewIndexSide or Reset since its
+// last build. A delta run indexes its small probed collection this way
+// into scratch it reuses, paying for the probed blocks' members, never
+// for |KB1|. The index reads side1 until side1 is Reset.
+func (c *Collection) BuildIndexInto(side1 *IndexSide) *Index {
+	if side1.Len() != c.n1 || len(side1.touched) > 0 {
+		panic(fmt.Sprintf("blocking: side 1 over %d entities with %d runs is not an empty side for %d",
+			side1.Len(), len(side1.touched), c.n1))
 	}
+	ix := &Index{ByE1: side1, ByE2: NewIndexSide(c.n2)}
+	ix.ByE1.fill(c.Blocks, 1)
+	ix.ByE2.fill(c.Blocks, 2)
+	return ix
 }
 
 // Candidates1 returns the distinct KB2 entities co-occurring with e1 in
 // any block, in ascending order.
 func (c *Collection) Candidates1(idx *Index, e1 kb.EntityID) []kb.EntityID {
-	blockIDs := idx.ByE1[e1]
+	blockIDs := idx.ByE1.Of(e1)
 	if len(blockIDs) == 0 {
 		return nil
 	}

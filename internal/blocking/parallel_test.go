@@ -1,16 +1,14 @@
 package blocking
 
-// Equivalence guard for key-sharded blocking: TokenBlocksN, NameBlocksN
-// and BuildIndexN must produce collections and indexes bit-identical to
-// the sequential path at every worker count, on all four synthetic
-// benchmarks.
+// Equivalence guard for key-sharded blocking: TokenBlocksN and
+// NameBlocksN must produce collections bit-identical to the sequential
+// path at every worker count, on all four synthetic benchmarks.
 
 import (
 	"reflect"
 	"testing"
 
 	"minoaner/internal/datagen"
-	"minoaner/internal/kb"
 )
 
 var shardWorkerCounts = []int{2, 4, 8}
@@ -49,28 +47,5 @@ func TestNameBlocksShardedBitIdentical(t *testing.T) {
 				t.Errorf("%s: NameBlocksN(workers=%d) differs from sequential", ds.Name, w)
 			}
 		}
-	}
-}
-
-func TestBuildIndexShardedBitIdentical(t *testing.T) {
-	for _, ds := range equivalenceDatasets(t) {
-		c := TokenBlocksN(ds.KB1, ds.KB2, 1)
-		want := c.BuildIndexN(1)
-		for _, w := range shardWorkerCounts {
-			got := c.BuildIndexN(w)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: BuildIndexN(workers=%d) differs from sequential", ds.Name, w)
-			}
-		}
-	}
-}
-
-func TestBuildIndexMoreWorkersThanBlocks(t *testing.T) {
-	c := NewCollection(3, 3)
-	c.Blocks = []Block{{Key: "k", E1: []kb.EntityID{0, 2}, E2: []kb.EntityID{1}}}
-	want := c.BuildIndexN(1)
-	got := c.BuildIndexN(64)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("BuildIndexN with more workers than blocks diverged")
 	}
 }

@@ -155,34 +155,6 @@ func (p *Prepared) probe(ctx context.Context, nDelta int, lookup func(string) []
 	return c, nil
 }
 
-// BuildIndexSide2 indexes only the delta side of a (typically probed)
-// collection: entity -> ascending block positions, exactly the ByE2
-// half of BuildIndex without paying O(|KB1|) for the other side.
-func (c *Collection) BuildIndexSide2() [][]int32 {
-	by := make([][]int32, c.n2)
-	for bi := range c.Blocks {
-		for _, e := range c.Blocks[bi].E2 {
-			by[e] = append(by[e], int32(bi))
-		}
-	}
-	return by
-}
-
-// BuildIndexSide1Sparse indexes the prepared side of a probed
-// collection as a sparse map — only entities that actually appear in a
-// block get an entry, so the cost is the collection's side-1 membership
-// rather than O(|KB1|). Lists are in ascending block position, matching
-// BuildIndex's ByE1 entries for the touched entities.
-func (c *Collection) BuildIndexSide1Sparse() map[kb.EntityID][]int32 {
-	by := make(map[kb.EntityID][]int32)
-	for bi := range c.Blocks {
-		for _, e := range c.Blocks[bi].E1 {
-			by[e] = append(by[e], int32(bi))
-		}
-	}
-	return by
-}
-
 // sortedKeys returns map keys in ascending order (for deterministic
 // serialization).
 func sortedKeys(m map[string][]kb.EntityID) []string {

@@ -93,8 +93,9 @@ func TestProbeCancellation(t *testing.T) {
 	}
 }
 
-// TestSparseIndexMatchesFull: the one-sided index builders agree with
-// BuildIndex on a probed collection.
+// TestSparseIndexMatchesFull: a probed collection indexed into
+// side-1 scratch agrees with the reference, and side 1 lays out runs
+// for only the entities the blocks contain.
 func TestSparseIndexMatchesFull(t *testing.T) {
 	kb1, delta := randomPair(t, 11, 50, 8)
 	p := Prepare(kb1, 2, 1)
@@ -102,25 +103,16 @@ func TestSparseIndexMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := c.BuildIndex()
-	if got := c.BuildIndexSide2(); !reflect.DeepEqual(got, full.ByE2) {
-		t.Error("BuildIndexSide2 diverges from BuildIndex.ByE2")
-	}
-	sparse := c.BuildIndexSide1Sparse()
-	for e, want := range full.ByE1 {
-		got := sparse[kb.EntityID(e)]
-		if len(want) == 0 {
-			if len(got) != 0 {
-				t.Errorf("entity %d: sparse index has %v, full has none", e, got)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("entity %d: sparse %v != full %v", e, got, want)
+	scratch := NewIndexSide(kb1.Len())
+	assertIndexMatches(t, "probed", c, c.BuildIndexInto(scratch))
+	members := map[kb.EntityID]bool{}
+	for _, b := range c.Blocks {
+		for _, e := range b.E1 {
+			members[e] = true
 		}
 	}
-	if len(sparse) > len(full.ByE1) {
-		t.Errorf("sparse index has %d entries for %d entities", len(sparse), len(full.ByE1))
+	if len(scratch.touched) != len(members) {
+		t.Errorf("side 1 laid out %d runs for %d members", len(scratch.touched), len(members))
 	}
 }
 

@@ -28,7 +28,7 @@ func ComputeStats(c *Collection, gt *eval.GroundTruth) Stats {
 		stamps[i] = -1
 	}
 	for e1 := 0; e1 < c.n1; e1++ {
-		blockIDs := idx.ByE1[e1]
+		blockIDs := idx.ByE1.Of(kb.EntityID(e1))
 		if len(blockIDs) == 0 {
 			continue
 		}

@@ -63,10 +63,10 @@ func TestUnionKeepsSizesAndIndexes(t *testing.T) {
 	}
 	// BuildIndex over the union must address every member in range.
 	idx := u.BuildIndex()
-	if len(idx.ByE1) != 4 || len(idx.ByE2) != 5 {
-		t.Errorf("index sized (%d,%d), want (4,5)", len(idx.ByE1), len(idx.ByE2))
+	if idx.ByE1.Len() != 4 || idx.ByE2.Len() != 5 {
+		t.Errorf("index sized (%d,%d), want (4,5)", idx.ByE1.Len(), idx.ByE2.Len())
 	}
-	if len(idx.ByE1[3]) != 1 || len(idx.ByE2[4]) != 1 {
+	if len(idx.ByE1.Of(3)) != 1 || len(idx.ByE2.Of(4)) != 1 {
 		t.Error("union members missing from the index")
 	}
 }

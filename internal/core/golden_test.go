@@ -379,11 +379,11 @@ func refValueCandidates(bt *blocking.Collection, idx *blocking.Index, weights []
 	side1 := make([][]refCand, n1)
 	side2 := make([][]refCand, n2)
 
-	run := func(n, other int, byEnt [][]int32, members func(bi int32) []kb.EntityID, out [][]refCand) {
+	run := func(n, other int, byEnt *blocking.IndexSide, members func(bi int32) []kb.EntityID, out [][]refCand) {
 		refParallelFor(n, workers, func(worker, start, end int) {
 			acc := newRefAccumulator(other)
 			for e := start; e < end; e++ {
-				for _, bi := range byEnt[e] {
+				for _, bi := range byEnt.Of(kb.EntityID(e)) {
 					w := weights[bi]
 					for _, o := range members(bi) {
 						acc.add(int32(o), w)

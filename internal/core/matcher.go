@@ -137,6 +137,7 @@ func RunDelta(ctx context.Context, prep *pipeline.Prepared, delta *kb.KB, cfg Co
 	if err != nil {
 		return nil, err
 	}
+	defer st.Release()
 	eng := pipeline.Engine{Plan: DeltaPlanFor(cfg), Progress: progress}
 	stats, err := eng.Run(ctx, st)
 	if err != nil {

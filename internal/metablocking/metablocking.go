@@ -132,12 +132,14 @@ func BuildGraph(c *blocking.Collection, scheme Scheme) *Graph {
 	}
 	idx := c.BuildIndex()
 	for e := 0; e < n1; e++ {
-		g.blockCount1[e] = int32(len(idx.ByE1[e]))
-		g.assignments += int64(len(idx.ByE1[e]))
+		n := len(idx.ByE1.Of(kb.EntityID(e)))
+		g.blockCount1[e] = int32(n)
+		g.assignments += int64(n)
 	}
 	for e := 0; e < n2; e++ {
-		g.blockCount2[e] = int32(len(idx.ByE2[e]))
-		g.assignments += int64(len(idx.ByE2[e]))
+		n := len(idx.ByE2.Of(kb.EntityID(e)))
+		g.blockCount2[e] = int32(n)
+		g.assignments += int64(n)
 	}
 
 	// Accumulate per-pair statistics: shared-block count and ARCS sum.
@@ -151,7 +153,7 @@ func BuildGraph(c *blocking.Collection, scheme Scheme) *Graph {
 		stamps[i] = -1
 	}
 	for e1 := 0; e1 < n1; e1++ {
-		blockIDs := idx.ByE1[e1]
+		blockIDs := idx.ByE1.Of(kb.EntityID(e1))
 		if len(blockIDs) == 0 {
 			continue
 		}

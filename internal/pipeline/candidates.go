@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"math"
+	"sync"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/kb"
@@ -34,11 +35,11 @@ func tokenWeights(bt *blocking.Collection) []float64 {
 // every cross pair it suggests, which realizes
 // valueSim = Σ_{shared tokens} w(t) over the blocks' tokens.
 func valueCandidates(ctx context.Context, bt *blocking.Collection, idx *blocking.Index, weights []float64, k, workers int) ([][]Cand, [][]Cand, error) {
-	side1, err := valueCandidatesSide(ctx, idx.ByE1, bt, 1, weights, k, workers)
+	side1, err := valueCandidatesSide(ctx, idx.ByE1, bt, 1, weights, k, workers, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	side2, err := valueCandidatesSide(ctx, idx.ByE2, bt, 2, weights, k, workers)
+	side2, err := valueCandidatesSide(ctx, idx.ByE2, bt, 2, weights, k, workers, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -47,14 +48,15 @@ func valueCandidates(ctx context.Context, bt *blocking.Collection, idx *blocking
 
 // valueCandidatesSide is valueCandidates for the entities of one side
 // (1 or 2): byEnt lists each entity's purged token blocks, ascending.
-func valueCandidatesSide(ctx context.Context, byEnt [][]int32, bt *blocking.Collection, side int, weights []float64, k, workers int) ([][]Cand, error) {
-	out := make([][]Cand, len(byEnt))
+func valueCandidatesSide(ctx context.Context, byEnt *blocking.IndexSide, bt *blocking.Collection, side int, weights []float64, k, workers int, pool *accPool) ([][]Cand, error) {
+	out := make([][]Cand, byEnt.Len())
 	accs := make(workerAccumulators, workers)
+	defer pool.put(accs...)
 	other := oppositeSize(bt, side)
-	err := parallelFor(ctx, len(byEnt), workers, func(worker, start, end int) error {
-		acc := accs.of(worker, other)
+	err := parallelFor(ctx, len(out), workers, func(worker, start, end int) error {
+		acc := accs.of(worker, other, pool)
 		for e := start; e < end; e++ {
-			acc.addValueEvidence(byEnt[e], bt, side, weights)
+			acc.addValueEvidence(byEnt.Of(kb.EntityID(e)), bt, side, weights)
 			out[e] = acc.topK(k)
 			acc.reset()
 		}
@@ -87,11 +89,11 @@ func oppositeSize(bt *blocking.Collection, side int) int {
 // contribute, as in the paper's blocks-centric computation. view1 and
 // view2 are the two KBs' best-neighbor views.
 func neighborCandidates(ctx context.Context, view1, view2 *kb.Frozen, vc1, vc2 [][]Cand, k, workers int) ([][]Cand, [][]Cand, error) {
-	out1, err := neighborCandidatesSide(ctx, view1.TopLists(), dense{vc: vc1}, view2.RevLists(), k, workers)
+	out1, err := neighborCandidatesSide(ctx, view1.TopLists(), dense{vc: vc1}, view2.RevLists(), k, workers, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	out2, err := neighborCandidatesSide(ctx, view2.TopLists(), dense{vc: vc2}, view1.RevLists(), k, workers)
+	out2, err := neighborCandidatesSide(ctx, view2.TopLists(), dense{vc: vc2}, view1.RevLists(), k, workers, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,11 +104,12 @@ func neighborCandidates(ctx context.Context, view1, view2 *kb.Frozen, vc1, vc2 [
 // neighbors of each entity (top) propose, through their value
 // candidates (s), every opposite-side entity that counts such a
 // candidate among its own best neighbors (rev).
-func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, s side, rev [][]kb.EntityID, k, workers int) ([][]Cand, error) {
+func neighborCandidatesSide(ctx context.Context, top [][]kb.EntityID, s side, rev [][]kb.EntityID, k, workers int, pool *accPool) ([][]Cand, error) {
 	out := make([][]Cand, len(top))
 	accs := make(workerAccumulators, workers)
+	defer pool.put(accs...)
 	err := parallelFor(ctx, len(top), workers, func(worker, start, end int) error {
-		acc := accs.of(worker, len(rev))
+		acc := accs.of(worker, len(rev), pool)
 		for e := start; e < end; e++ {
 			acc.addNeighborEvidence(top[e], s, rev)
 			out[e] = acc.topK(k)
@@ -131,15 +134,40 @@ func newAccumulator(n int) *accumulator {
 	return &accumulator{sums: make([]float64, n)}
 }
 
+// accPool recycles the dense accumulators of one size across runs. It
+// lives on the frozen structure the size comes from (a Prepared, a
+// StreamBase), so the scratch dies with its epoch. A nil *accPool
+// allocates afresh and keeps nothing (batch and update runs).
+type accPool struct{ pool sync.Pool }
+
+func (p *accPool) get(n int) *accumulator {
+	if p != nil {
+		if a, ok := p.pool.Get().(*accumulator); ok {
+			return a
+		}
+	}
+	return newAccumulator(n)
+}
+
+// put returns accumulators (nil entries skipped) to the pool, reset.
+func (p *accPool) put(accs ...*accumulator) {
+	for _, a := range accs {
+		if p != nil && a != nil {
+			a.reset()
+			p.pool.Put(a)
+		}
+	}
+}
+
 // workerAccumulators holds one dense accumulator per parallelFor worker,
-// allocated on the worker's first use: calls with the same worker index
+// drawn on the worker's first use: calls with the same worker index
 // never overlap, and a worker that claims no entity to score (an update
 // whose affected entities all fell to others) never pays for one.
 type workerAccumulators []*accumulator
 
-func (w workerAccumulators) of(worker, n int) *accumulator {
+func (w workerAccumulators) of(worker, n int, pool *accPool) *accumulator {
 	if w[worker] == nil {
-		w[worker] = newAccumulator(n)
+		w[worker] = pool.get(n)
 	}
 	return w[worker]
 }

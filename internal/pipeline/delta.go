@@ -1,11 +1,11 @@
 // Prepared-side matching: the stages and state variant that resolve a
-// small delta KB against a frozen left side in O(|delta|) instead of
-// re-deriving the full pair. The left KB's blocking substrate
-// (blocking.Prepared) and neighbor view (kb.Frozen) are built once;
-// a delta run probes them with only the delta's keys, and the side-1
-// candidate arrays — which the full plan materializes for every left
-// entity — are computed lazily for just the entities the matching
-// heuristics actually touch.
+// small delta KB against a frozen left side at the cost of what the
+// delta reaches — its probed blocks' members and the entities the
+// heuristics touch — never of |KB1|. The left KB's blocking substrate
+// (blocking.Prepared) and neighbor view (kb.Frozen) are built once; a
+// delta run probes them with only the delta's keys, indexes the probed
+// blocks into scratch pooled on the Prepared, and fills the side-1
+// candidate lists lazily, for just the entities the heuristics touch.
 //
 // The delta plan is bit-identical to the full plan on the same pair:
 // probed collections reproduce the full construction's blocks in the
@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/kb"
@@ -35,6 +36,10 @@ type Prepared struct {
 	Blocks *blocking.Prepared
 	// Neighbors is the sealed best-neighbor view of the left KB.
 	Neighbors *kb.Frozen
+	// side1 and accs pool the KB1-sized scratch of delta runs: sparse
+	// side-1 block indexes and the accumulators scoring delta entities.
+	side1 sync.Pool
+	accs  accPool
 }
 
 // PrepareSide freezes kb1 under the given parameters. The substrate is
@@ -46,11 +51,17 @@ func PrepareSide(kb1 *kb.KB, p Params) *Prepared {
 	}
 }
 
-// deltaSide is the per-run working set of a prepared-side State: the
-// frozen side and the probed collection's sparse side-1 index.
-type deltaSide struct {
-	prep *Prepared
-	byE1 map[kb.EntityID][]int32 // set by DeltaBlockIndexing
+// Release returns a prepared-side run's side-1 block index, drawn from
+// its Prepared by DeltaBlockIndexing, to that Prepared, reset, once the
+// run's outputs have been read: TokenIndex and the lazy side 1 are gone
+// afterwards. A no-op on other states and on a second call.
+func (s *State) Release() {
+	if s.delta == nil || s.TokenIndex == nil {
+		return
+	}
+	s.TokenIndex.ByE1.Reset()
+	s.delta.side1.Put(s.TokenIndex.ByE1)
+	s.TokenIndex, s.lazy1 = nil, nil
 }
 
 // NewDeltaState prepares the blackboard for one prepared-side run of a
@@ -77,7 +88,7 @@ func NewDeltaState(prep *Prepared, delta *kb.KB, p Params) (*State, error) {
 			delta.Len(), prep.Neighbors.KB().Len())
 	}
 	st := NewState(prep.Neighbors.KB(), delta, p)
-	st.delta = &deltaSide{prep: prep}
+	st.delta = prep
 	return st, nil
 }
 
@@ -114,7 +125,7 @@ func ProbeNameBlocking() Stage {
 			return errNotDelta
 		}
 		var err error
-		st.NameBlocks, err = st.delta.prep.Blocks.ProbeNameBlocks(ctx, st.KB2)
+		st.NameBlocks, err = st.delta.Blocks.ProbeNameBlocks(ctx, st.KB2)
 		if err != nil {
 			return err
 		}
@@ -132,15 +143,15 @@ func ProbeTokenBlocking() Stage {
 			return errNotDelta
 		}
 		var err error
-		st.TokenBlocks, err = st.delta.prep.Blocks.ProbeTokenBlocks(ctx, st.KB2)
+		st.TokenBlocks, err = st.delta.Blocks.ProbeTokenBlocks(ctx, st.KB2)
 		return err
 	})
 }
 
 // DeltaBlockIndexing indexes the purged B_T for a delta run: the delta
-// side fully (it drives candidate scoring), the left side as a sparse
-// map covering only the entities the probed blocks actually contain —
-// the access path of the lazy side-1 candidate fills.
+// side fully (it drives candidate scoring), the left side sparsely, in
+// the Prepared's pooled scratch — the access path of the lazy side-1
+// candidate fills, built at the cost of the probed blocks' members.
 func DeltaBlockIndexing() Stage {
 	return newStage(StageBlockIndexing, func(ctx context.Context, st *State) error {
 		if st.delta == nil {
@@ -149,8 +160,11 @@ func DeltaBlockIndexing() Stage {
 		if st.TokenBlocks == nil {
 			return errors.New("requires token blocks (run " + StageTokenBlocking + " first)")
 		}
-		st.TokenIndex = &blocking.Index{ByE2: st.TokenBlocks.BuildIndexSide2()}
-		st.delta.byE1 = st.TokenBlocks.BuildIndexSide1Sparse()
+		side1, _ := st.delta.side1.Get().(*blocking.IndexSide)
+		if side1 == nil {
+			side1 = blocking.NewIndexSide(st.KB1.Len())
+		}
+		st.TokenIndex = st.TokenBlocks.BuildIndexInto(side1)
 		return nil
 	})
 }
@@ -170,13 +184,12 @@ func DeltaValueCandidates() Stage {
 			return errors.New("requires token weights (run " + StageTokenWeighting + " first)")
 		}
 		out, err := valueCandidatesSide(ctx, st.TokenIndex.ByE2, st.TokenBlocks, 2,
-			st.Weights, st.Params.K, st.Params.workers())
+			st.Weights, st.Params.K, st.Params.workers(), &st.delta.accs)
 		if err != nil {
 			return err
 		}
 		st.ValueCands2 = out
-		byE1 := st.delta.byE1
-		st.lazy1 = newLazySide(st, 1, func(e kb.EntityID) []int32 { return byE1[e] }, nil)
+		st.lazy1 = newLazySide(st, 1, st.TokenIndex.ByE1, nil, nil)
 		return nil
 	})
 }
@@ -193,9 +206,9 @@ func DeltaNeighborCandidates() Stage {
 		if st.lazy1 == nil {
 			return errors.New("requires value candidates (run " + StageValueCandidates + " first)")
 		}
-		views := [2]*kb.Frozen{st.delta.prep.Neighbors, st.KB2.Freeze(st.Params.N, 1)} // the delta side is small
+		views := [2]*kb.Frozen{st.delta.Neighbors, st.KB2.Freeze(st.Params.N, 1)} // the delta side is small
 		out, err := neighborCandidatesSide(ctx, views[1].TopLists(), dense{vc: st.ValueCands2},
-			views[0].RevLists(), st.Params.K, st.Params.workers())
+			views[0].RevLists(), st.Params.K, st.Params.workers(), &st.delta.accs)
 		if err != nil {
 			return err
 		}

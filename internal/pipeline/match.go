@@ -32,11 +32,11 @@ func (d dense) neighbor(e kb.EntityID) []Cand { return d.nc[e] }
 // bit-identical to theirs: the prepared side of a delta run and both
 // sides of a stream. A run fills from one goroutine; no locking.
 type lazySide struct {
-	side    int                         // 1 or 2: the KB whose entities this side scores
-	blocks  func(e kb.EntityID) []int32 // entity -> purged token blocks, ascending
-	bt      *blocking.Collection        // the purged B_T the block positions index
-	weights []float64                   // ARCS weight per block of bt
-	views   func() [2]*kb.Frozen        // both KBs' neighbor views; nil until a delta run's neighbor stage
+	side    int                  // 1 or 2: the KB whose entities this side scores
+	blocks  *blocking.IndexSide  // entity -> purged token blocks, ascending
+	bt      *blocking.Collection // the purged B_T the block positions index
+	weights []float64            // ARCS weight per block of bt
+	views   func() [2]*kb.Frozen // both KBs' neighbor views; nil until a delta run's neighbor stage
 	k       int
 	acc     *accumulator
 	vc, nc  map[kb.EntityID][]Cand // memoized fills; presence marks "computed" (a nil list is a valid result)
@@ -45,8 +45,8 @@ type lazySide struct {
 }
 
 // newLazySide returns side (1 or 2) of st's pair over its purged token
-// blocks and weights.
-func newLazySide(st *State, side int, blocks func(kb.EntityID) []int32, views func() [2]*kb.Frozen) *lazySide {
+// blocks and weights, its accumulator drawn from pool (nil: allocated).
+func newLazySide(st *State, side int, blocks *blocking.IndexSide, views func() [2]*kb.Frozen, pool *accPool) *lazySide {
 	return &lazySide{
 		side:    side,
 		blocks:  blocks,
@@ -54,7 +54,7 @@ func newLazySide(st *State, side int, blocks func(kb.EntityID) []int32, views fu
 		weights: st.Weights,
 		views:   views,
 		k:       st.Params.K,
-		acc:     newAccumulator(oppositeSize(st.TokenBlocks, side)),
+		acc:     pool.get(oppositeSize(st.TokenBlocks, side)),
 		vc:      make(map[kb.EntityID][]Cand),
 		nc:      make(map[kb.EntityID][]Cand),
 	}
@@ -64,7 +64,7 @@ func (s *lazySide) value(e kb.EntityID) []Cand {
 	if cands, done := s.vc[e]; done {
 		return cands
 	}
-	s.comparisons += s.acc.addValueEvidence(s.blocks(e), s.bt, s.side, s.weights)
+	s.comparisons += s.acc.addValueEvidence(s.blocks.Of(e), s.bt, s.side, s.weights)
 	return s.take(s.vc, e)
 }
 

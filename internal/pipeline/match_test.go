@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -160,6 +161,50 @@ func TestDeltaRankAggregationAllocationIndependentOfKBSize(t *testing.T) {
 		}
 		if best > limit {
 			t.Errorf("|KB1|=%d: RankAggregation of a one-entity delta allocated %d bytes, want <= %d at any KB size", n, best, limit)
+		}
+	}
+}
+
+// TestDeltaQueryAllocationIndependentOfKBSize: once its Prepared is
+// warm, a one-entity delta run allocates the same bounded amount
+// whether KB1 holds 2^10 or 2^14 entities with the same probed
+// membership. The KB1-sized scratch — the side-1 block index and the
+// accumulators scoring the delta entity against KB1 — comes from the
+// Prepared's pools, and nothing else in the run is KB1-sized.
+func TestDeltaQueryAllocationIndependentOfKBSize(t *testing.T) {
+	p := testParams()
+	p.Workers = 1
+	const limit = 12 << 10 // the run's own delta-sized state: about 4.8 KB
+	for _, n := range []int{1 << 10, 1 << 14} {
+		// As in the H3 guard above: one token shared with two KB1 entities.
+		kb1 := chainKB(t, "a", "http://v/name", "http://v/link", n, map[int]string{
+			7: "entity number 0007 omega shared", 8: "entity number 0008 omega shared"})
+		delta := chainKB(t, "b", "http://v/title", "http://v/rel", 1, map[int]string{0: "newcomer shared"})
+		prep := PrepareSide(kb1, p)
+		query := func() {
+			st, err := NewDeltaState(prep, delta, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runPlan(t, DeltaPlan(), st)
+			if len(st.Matches) != 1 {
+				t.Fatalf("|KB1|=%d: %d matches, want the one H3 pair", n, len(st.Matches))
+			}
+			st.Release()
+		}
+		query() // warm-up: fills the Prepared's pools
+		// The best of many runs: under -race, sync.Pool drops a random
+		// quarter of its Puts, so a run may find a pool empty.
+		best := uint64(1 << 62)
+		for range 20 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			query()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if best > limit {
+			t.Errorf("|KB1|=%d: a warm one-entity delta run allocated %d bytes, want <= %d at any KB size", n, best, limit)
 		}
 	}
 }

@@ -108,7 +108,7 @@ func BlockIndexing() Stage {
 		if st.TokenBlocks == nil {
 			return errors.New("requires token blocks (run " + StageTokenBlocking + " first)")
 		}
-		st.TokenIndex = st.TokenBlocks.BuildIndexN(st.Params.workers())
+		st.TokenIndex = st.TokenBlocks.BuildIndex()
 		return nil
 	})
 }

@@ -81,8 +81,9 @@ type State struct {
 	// from "union never computed" for Reciprocity's precondition.
 	unionDone bool
 
-	// delta, when non-nil, marks a prepared-side run (NewDeltaState).
-	delta *deltaSide
+	// delta, when non-nil, marks a prepared-side run (NewDeltaState)
+	// and is its frozen side.
+	delta *Prepared
 
 	// lazy1, set by a delta run's candidate stages, stands in for
 	// ValueCands1 and NeighborCands1: it fills side 1's lists for just

@@ -85,11 +85,12 @@ type StreamConfig struct {
 }
 
 // RunStream executes the anytime matching process over a fresh State,
-// calling emit for every confirmed pair in decreasing quality. emit
-// returning false stops the run cleanly (nil error). The run ends when
-// the schedule is exhausted, a budget is reached, or the context is
-// cancelled; only the last returns an error (ctx.Err()).
+// which it releases when done, calling emit for every confirmed pair in
+// decreasing quality. emit returning false stops the run cleanly (nil
+// error). The run ends when the schedule is exhausted, a budget is
+// reached, or the context is cancelled; only the last returns ctx.Err().
 func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(ScoredPair) bool) error {
+	defer st.Release()
 	base, err := NewStreamBase(ctx, st)
 	if err != nil {
 		return err
@@ -103,14 +104,13 @@ func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(Score
 // schedule and both KBs' neighbor views (the last two built on first
 // use, once). None of it depends on a run's budget, strategy or
 // ablation switches, so one base serves any number of concurrent Run
-// calls — an index keeps one per epoch.
+// calls — an index keeps one per epoch — and pools their accumulators.
 //
 //minoaner:frozen
 type StreamBase struct {
 	st *State // inputs and blocking artifacts; read-only once the base exists
 	em emission
 
-	blocks1, blocks2 func(e kb.EntityID) []int32 // entity -> token blocks, ascending
 	// schedules holds, per StreamStrategy, a permutation of the emitting
 	// side's entities in the order the phases visit them. Every entity
 	// appears exactly once, so a drained stream covers the same
@@ -121,6 +121,7 @@ type StreamBase struct {
 	// neighbor fills). Construction depends only on the KBs and N, never
 	// on which run triggers it.
 	views func() [2]*kb.Frozen
+	accs  [2]accPool // per side, across runs; see pool
 }
 
 // NewStreamBase derives a stream base from st, running only the
@@ -160,11 +161,6 @@ func NewStreamBase(ctx context.Context, st *State) (*StreamBase, error) {
 		return nil, nameErr
 	}
 	b := &StreamBase{st: st, em: st.emission()}
-	b.blocks1 = func(e kb.EntityID) []int32 { return st.TokenIndex.ByE1[e] }
-	if st.delta != nil {
-		b.blocks1 = func(e kb.EntityID) []int32 { return st.delta.byE1[e] }
-	}
-	b.blocks2 = func(e kb.EntityID) []int32 { return st.TokenIndex.ByE2[e] }
 	b.schedules = [2]func() []kb.EntityID{
 		sync.OnceValue(b.weightOrderedSchedule),
 		sync.OnceValue(b.blockRoundRobinSchedule),
@@ -172,11 +168,21 @@ func NewStreamBase(ctx context.Context, st *State) (*StreamBase, error) {
 	b.views = sync.OnceValue(func() [2]*kb.Frozen {
 		n, w := st.Params.N, st.Params.workers()
 		if st.delta != nil {
-			return [2]*kb.Frozen{st.delta.prep.Neighbors, st.KB2.Freeze(n, w)}
+			return [2]*kb.Frozen{st.delta.Neighbors, st.KB2.Freeze(n, w)}
 		}
 		return [2]*kb.Frozen{st.KB1.Freeze(n, w), st.KB2.Freeze(n, w)}
 	})
 	return b, nil
+}
+
+// pool returns side (1 or 2)'s accumulator pool. A prepared-side base
+// lives for one run, so its side 2, scored against KB1, draws from the
+// Prepared's pool instead.
+func (b *StreamBase) pool(side int) *accPool {
+	if side == 2 && b.st.delta != nil {
+		return &b.st.delta.accs
+	}
+	return &b.accs[side-1]
 }
 
 // memA returns a block's members on the emitting side.
@@ -193,13 +199,13 @@ func (b *StreamBase) memA(bi int32) []kb.EntityID {
 func (b *StreamBase) weightOrderedSchedule() []kb.EntityID {
 	n := b.em.sizeA
 	weights := b.st.Weights
-	blocksA := b.blocks1
+	blocksA := b.st.TokenIndex.ByE1
 	if b.em.swap {
-		blocksA = b.blocks2
+		blocksA = b.st.TokenIndex.ByE2
 	}
 	prio := make([]float64, n)
 	for e := 0; e < n; e++ {
-		for _, bi := range blocksA(kb.EntityID(e)) {
+		for _, bi := range blocksA.Of(kb.EntityID(e)) {
 			if w := weights[bi]; w > prio[e] {
 				prio[e] = w
 			}
@@ -271,8 +277,10 @@ func (b *StreamBase) blockRoundRobinSchedule() []kb.EntityID {
 // per-entity decision within a phase is independent of the others, so
 // the drained set equals the batch plan's regardless of schedule.
 func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg StreamConfig, emit func(ScoredPair) bool) error {
-	side1 := newLazySide(b.st, 1, b.blocks1, b.views)
-	side2 := newLazySide(b.st, 2, b.blocks2, b.views)
+	side1 := newLazySide(b.st, 1, b.st.TokenIndex.ByE1, b.views, b.pool(1))
+	side2 := newLazySide(b.st, 2, b.st.TokenIndex.ByE2, b.views, b.pool(2))
+	defer b.pool(1).put(side1.acc)
+	defer b.pool(2).put(side2.acc)
 	m := newMatcher(b.em, side1, side2, b.st.Params.Theta)
 	if cfg.DisableH1 {
 		// As in the batch plan with NameMatching dropped: nobody is claimed.

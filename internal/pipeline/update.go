@@ -519,30 +519,15 @@ func UpdateValueCandidates() Stage {
 		workers := st.Params.workers()
 		bt := st.TokenBlocks
 
-		// Affected entities resolve their tokens to block positions
-		// per lookup; past a few hundred of them, one O(|B|) key map
-		// beats repeated binary searches.
-		findBlock := bt.FindBlock
-		if u.affectedV1Count+u.affectedV2Count >= 256 {
-			pos := make(map[string]int32, len(bt.Blocks))
-			for i := range bt.Blocks {
-				pos[bt.Blocks[i].Key] = int32(i)
-			}
-			findBlock = func(key string) int32 {
-				if bi, ok := pos[key]; ok {
-					return bi
-				}
-				return -1
-			}
-		}
+		idx := bt.BuildIndex()
 
-		run := func(side int, self *kb.KB, aff []bool, prevVC [][]Cand, dSelf, dOther *kb.Diff) ([][]Cand, []bool, error) {
+		run := func(side int, byEnt *blocking.IndexSide, aff []bool, prevVC [][]Cand, dSelf, dOther *kb.Diff) ([][]Cand, []bool, error) {
 			if countTrue(aff) == 0 && !dSelf.Shifted() && !dOther.Shifted() {
 				// Nothing on this side was touched and no IDs moved:
 				// the whole array carries over, shared.
 				return prevVC, nil, nil
 			}
-			n := self.Len()
+			n := byEnt.Len()
 			out := make([][]Cand, n)
 			// vcChanged records, exactly, which recomputed lists differ
 			// from the previous epoch's — the set the neighbor stage
@@ -551,7 +536,6 @@ func UpdateValueCandidates() Stage {
 			vcChanged := make([]bool, n)
 			accs := make(workerAccumulators, workers)
 			other := oppositeSize(bt, side)
-			blocks := make([][]int32, workers) // per worker: an entity's block positions, ascending as its tokens
 			err := parallelFor(ctx, n, workers, func(worker, start, end int) error {
 				if err := carryCands(out, prevVC, aff, start, end, dSelf, dOther); err != nil {
 					return fmt.Errorf("value candidates of %w", err)
@@ -561,15 +545,8 @@ func UpdateValueCandidates() Stage {
 						continue
 					}
 					id := kb.EntityID(e)
-					own := blocks[worker][:0]
-					for _, tok := range self.Tokens(id) {
-						if bi := findBlock(tok); bi >= 0 {
-							own = append(own, bi)
-						}
-					}
-					blocks[worker] = own
-					acc := accs.of(worker, other)
-					acc.addValueEvidence(own, bt, side, st.Weights)
+					acc := accs.of(worker, other, nil)
+					acc.addValueEvidence(byEnt.Of(id), bt, side, st.Weights)
 					out[e] = acc.topK(st.Params.K)
 					acc.reset()
 					back := dSelf.BackID(id)
@@ -581,11 +558,11 @@ func UpdateValueCandidates() Stage {
 		}
 
 		var err error
-		st.ValueCands1, u.vcChanged1, err = run(1, st.KB1, u.affV1, u.prev.VC1, u.d1, u.d2)
+		st.ValueCands1, u.vcChanged1, err = run(1, idx.ByE1, u.affV1, u.prev.VC1, u.d1, u.d2)
 		if err != nil {
 			return err
 		}
-		st.ValueCands2, u.vcChanged2, err = run(2, st.KB2, u.affV2, u.prev.VC2, u.d2, u.d1)
+		st.ValueCands2, u.vcChanged2, err = run(2, idx.ByE2, u.affV2, u.prev.VC2, u.d2, u.d1)
 		if err != nil {
 			return err
 		}
@@ -720,7 +697,7 @@ func UpdateNeighborCandidates() Stage {
 					if !aff[e] {
 						continue
 					}
-					acc := accs.of(worker, len(rev))
+					acc := accs.of(worker, len(rev), nil)
 					acc.addNeighborEvidence(top[e], vc, rev)
 					out[e] = acc.topK(st.Params.K)
 					acc.reset()

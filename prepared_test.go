@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -388,4 +389,101 @@ func TestIndexQueryEdgeCases(t *testing.T) {
 			t.Errorf("matches = %+v, want exactly the self-match", qr.Matches)
 		}
 	})
+}
+
+// TestDeltaScratchHygiene: the KB1-sized scratch a delta run draws from
+// its epoch's pools goes back clean whatever ends the run — QueryKB
+// cancelled mid-run, QueryKBStream cut short by its comparison budget,
+// many queries on one epoch at once (run under -race) — so every later
+// answer equals QueryKBFull's.
+func TestDeltaScratchHygiene(t *testing.T) {
+	b, err := minoaner.GenerateBenchmark("YAGO-IMDb", 42, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := minoaner.BuildIndex(b.KB1, b.KB2, minoaner.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	uris := sampleDeltaURIs(b, 8)
+	var deltas []*minoaner.KB
+	for _, sel := range [][]string{uris[:1], uris[3:4], uris[6:7], uris} {
+		delta, err := b.DeltaKB("delta", sel...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas = append(deltas, delta)
+	}
+	wants := make([]*minoaner.Result, len(deltas))
+	for i, delta := range deltas {
+		if wants[i], err = ix.QueryKBFull(context.Background(), delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string) {
+		t.Helper()
+		for i, delta := range deltas {
+			got, err := ix.QueryKB(context.Background(), delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameQueryResult(t, fmt.Sprintf("%s, delta %d", label, i), wants[i], got)
+		}
+	}
+	check("first queries")
+
+	for _, stage := range []string{"value-candidates", "neighbor-candidates", "h3-rank-aggregation"} {
+		for _, delta := range deltas {
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err := ix.QueryKB(ctx, delta, minoaner.WithProgress(func(p minoaner.StageProgress) {
+				if p.Stage == stage && !p.Done {
+					cancel()
+				}
+			}))
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel at %s: err = %v, want context.Canceled", stage, err)
+			}
+		}
+		check("after a cancel at " + stage)
+	}
+
+	for _, budget := range []int64{1, 40, 400} {
+		for _, delta := range deltas {
+			drainQueryKBStream(t, ix, delta, minoaner.WithMaxComparisons(budget))
+		}
+		check(fmt.Sprintf("after streams cut at %d comparisons", budget))
+	}
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 6 {
+				i := (g + r) % len(deltas)
+				if r%3 == 2 {
+					ch, err := ix.QueryKBStream(context.Background(), deltas[i], minoaner.WithMaxComparisons(int64(50*r)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for range ch {
+					}
+					continue
+				}
+				got, err := ix.QueryKB(context.Background(), deltas[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got.Matches, wants[i].Matches) {
+					t.Errorf("concurrent query %d/%d: delta %d answers %d matches, QueryKBFull %d",
+						g, r, i, len(got.Matches), len(wants[i].Matches))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check("after concurrent queries")
 }

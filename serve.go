@@ -132,7 +132,8 @@ var serveRoutes = []string{"healthz", "stats", "metrics", "resolve", "resolve_st
 // NewServer returns an http.Handler serving resolution queries over the
 // index. It derives nothing up front: the first /delta decodes the
 // snapshot's delta substrate, or derives it when the index has none
-// (see Index.QueryKB), and every later one resolves in O(|delta|).
+// (see Index.QueryKB), and every later one pays only for what its delta
+// reaches.
 func NewServer(ix *Index, opts ...ServerOption) http.Handler {
 	s := &server{ix: ix, mux: http.NewServeMux(), metrics: make(map[string]*endpointMetrics, len(serveRoutes))}
 	for _, opt := range opts {

@@ -182,8 +182,7 @@ func (ix *Index) QueryKBStream(ctx context.Context, delta *KB, opts ...StreamOpt
 }
 
 // streamPrepared streams the delta against the epoch's frozen
-// substrate: the blocking prefix probes it with the delta's keys,
-// O(|delta|).
+// substrate: the blocking prefix probes it with the delta's keys only.
 func (e *epoch) streamPrepared(ctx context.Context, prep *pipeline.Prepared, delta *KB, opts []StreamOption) (<-chan ScoredPair, error) {
 	ccfg, budget, err := streamConfig(e.cfg, opts)
 	if err != nil {

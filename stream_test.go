@@ -3,6 +3,7 @@ package minoaner_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -229,7 +230,7 @@ func BenchmarkQueryKBStreamFirst(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryKB times a one-entity delta resolved against a
+// BenchmarkQueryKB times a 1- and a 32-entity delta resolved against a
 // YAGO-IMDb index whose delta substrate is already derived: the delta
 // plan behind /delta.
 func BenchmarkQueryKB(b *testing.B) {
@@ -241,18 +242,22 @@ func BenchmarkQueryKB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	delta, err := bm.DeltaKB("delta", sampleDeltaURIs(bm, 1)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := ix.QueryKB(context.Background(), delta); err != nil { // derives the substrate
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := ix.QueryKB(context.Background(), delta); err != nil {
+	for _, n := range []int{1, 32} {
+		delta, err := bm.DeltaKB("delta", sampleDeltaURIs(bm, n)...)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := ix.QueryKB(context.Background(), delta); err != nil { // derives the substrate
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ix.QueryKB(context.Background(), delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
