@@ -36,8 +36,8 @@ type Prepared struct {
 	Blocks *blocking.Prepared
 	// Neighbors is the sealed best-neighbor view of the left KB.
 	Neighbors *kb.Frozen
-	// side1 and accs pool the KB1-sized scratch of delta runs: sparse
-	// side-1 block indexes and the accumulators scoring delta entities.
+	// side1 and accs pool the KB1-sized scratch of delta runs: side-1
+	// block indexes and the accumulators scoring delta entities.
 	side1 sync.Pool
 	accs  accPool
 }
@@ -149,9 +149,9 @@ func ProbeTokenBlocking() Stage {
 }
 
 // DeltaBlockIndexing indexes the purged B_T for a delta run: the delta
-// side fully (it drives candidate scoring), the left side sparsely, in
-// the Prepared's pooled scratch — the access path of the lazy side-1
-// candidate fills, built at the cost of the probed blocks' members.
+// side (it drives candidate scoring) and the left side, the access path
+// of the lazy side-1 candidate fills, into KB1-sized scratch from the
+// Prepared's pool, of which it touches only the probed blocks' members.
 func DeltaBlockIndexing() Stage {
 	return newStage(StageBlockIndexing, func(ctx context.Context, st *State) error {
 		if st.delta == nil {
@@ -171,7 +171,7 @@ func DeltaBlockIndexing() Stage {
 
 // DeltaValueCandidates computes the top-K value candidates of every
 // delta entity — the side-2 half of the eager stage — and sets up the
-// lazy side 1, whose value fills read the sparse side-1 index.
+// lazy side 1, whose value fills read the side-1 index.
 func DeltaValueCandidates() Stage {
 	return newStage(StageValueCandidates, func(ctx context.Context, st *State) error {
 		if st.delta == nil {
