@@ -94,6 +94,7 @@ func inspectSnapshot(path string) {
 	cfg := si.Config
 	fmt.Printf("snapshot %s (inspected in %v, %.1f MB)\n",
 		path, time.Since(start).Round(time.Millisecond), float64(si.Size)/(1<<20))
+	fmt.Printf("  format: MSNP v%d\n", si.Version)
 	fmt.Printf("  KB1: %s — %d entities, %d triples\n", si.KB1.Name, si.KB1.Entities, si.KB1.Triples)
 	fmt.Printf("  KB2: %s — %d entities, %d triples\n", si.KB2.Name, si.KB2.Entities, si.KB2.Triples)
 	fmt.Printf("  config: K=%d N=%d names=%d theta=%g\n", cfg.K, cfg.N, cfg.NameAttributes, cfg.Theta)
@@ -101,11 +102,6 @@ func inspectSnapshot(path string) {
 		si.NameBlocks, si.NameComparisons, si.TokenBlocks, si.TokenComparisons, si.PurgedBlocks)
 	fmt.Printf("  matches: %d (H1=%d H2=%d H3=%d, H4 discarded %d)\n",
 		si.Matches, si.ByName, si.ByValue, si.ByRank, si.DiscardedByH4)
-	if si.Prepared {
-		fmt.Printf("  delta substrate: prepared (O(|delta|) /delta queries)\n")
-	} else {
-		fmt.Printf("  delta substrate: absent (derived on the first delta; a re-save persists it)\n")
-	}
 	if si.Mutable() {
 		fmt.Printf("  mutability: sources retained — epoch %d, %d journal entries (serve -mutable accepts /upsert and /delete)\n",
 			si.Epoch, si.JournalEntries)

@@ -101,12 +101,12 @@ type epoch struct {
 // takes the caller's context and must stay cancellable, so it is set
 // under Index.mu instead.
 type derived struct {
-	// blocks are given at build or mutation, decoded from the mapping
-	// when opened.
+	// blocks are given at build or mutation; an opened epoch derives
+	// them from prep and KB2 (see epoch.deriveBlocks).
 	blocks func() (blockPair, error)
 
 	// prep is the frozen left-side substrate of the delta path: decoded
-	// from section 8 when the snapshot has it (persisted is then true),
+	// from section 8 on an opened epoch (persisted is then true),
 	// otherwise the mutation cache's Side1 or frozen from KB1.
 	prep      func() (*pipeline.Prepared, error)
 	persisted bool
@@ -135,9 +135,6 @@ func (e *epoch) derive(blocks func() (blockPair, error), prep func() (*pipeline.
 		prep = func() (*pipeline.Prepared, error) {
 			if c := d.cache.Load(); c != nil {
 				return c.Side1, nil
-			}
-			if err := e.materializeKB1(); err != nil {
-				return nil, err
 			}
 			return pipeline.PrepareSide(e.kb1.kb, e.cfg.internal().Params()), nil
 		}
@@ -378,8 +375,8 @@ func (ix *Index) Prepare() { _, _ = ix.cur.Load().d.prep() }
 // the probed blocks' members and the entities the heuristics touch,
 // never |KB1|. The substrate is derived once per epoch, on the first
 // such query (or decoded from the snapshot that persisted it). On a
-// mapped index with a persisted substrate, that substrate and KB1's
-// URIs are all this path reads: KB1's full tier stays undecoded. A
+// mapped index, that substrate and KB1's URIs are all this path reads:
+// KB1's full tier stays undecoded. A
 // larger delta runs the full plan, which decodes KB1's full tier and
 // re-blocks the whole pair (see QueryKBFull). Both paths produce
 // identical results. A QueryKB call answers from one epoch; concurrent

@@ -21,8 +21,10 @@ type SnapshotKBInfo struct {
 
 // SnapshotInfo is InspectIndexFile's description of a snapshot file.
 type SnapshotInfo struct {
-	Size   int64
-	Config Config
+	Size int64
+	// Version is the snapshot's format version.
+	Version int
+	Config  Config
 
 	KB1, KB2 SnapshotKBInfo
 
@@ -32,10 +34,6 @@ type SnapshotInfo struct {
 
 	Matches, ByName, ByValue, ByRank int
 	DiscardedByH4                    int
-
-	// Prepared reports whether the snapshot persists the frozen delta
-	// substrate (section 8).
-	Prepared bool
 
 	Epoch          uint64
 	JournalEntries int
@@ -105,6 +103,7 @@ func InspectIndexFile(path string) (*SnapshotInfo, error) {
 	}
 	return &SnapshotInfo{
 		Size:             st.Size(),
+		Version:          snapshotVersion,
 		Config:           cfg,
 		KB1:              kb1,
 		KB2:              kb2,
@@ -118,7 +117,6 @@ func InspectIndexFile(path string) (*SnapshotInfo, error) {
 		ByValue:          len(e.h2),
 		ByRank:           len(e.h3),
 		DiscardedByH4:    e.discardedByH4,
-		Prepared:         m.Has(snapPrepared),
 		Epoch:            e.seq,
 		JournalEntries:   len(ix.journal),
 	}, nil

@@ -9,7 +9,7 @@ import (
 )
 
 // SectionSwitch guards the binary codecs (MSNP snapshots, MKB1 KBs,
-// MBC1 collections, MPS1 prepared substrates): every section-ID
+// MPS1 prepared substrates): every section-ID
 // constant must be handled by both the writer and the reader of its
 // format, so a new optional section cannot be added half-way — written
 // but silently skipped on load, or expected on load but never

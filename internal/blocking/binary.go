@@ -9,142 +9,21 @@ import (
 	"minoaner/internal/kb"
 )
 
-// Binary serialization of a block collection. Blocking is the most
-// expensive derivation between a parsed KB pair and matching; the codec
-// lets a built (and typically purged) collection be snapshotted once
-// and reloaded without touching the source KBs. The format mirrors the
-// KB codec: magic, format version, CRC32-checksummed sections (see
+// Binary serialization of the prepared one-sided substrate (see
+// Prepared). An index snapshot embeds it as its delta substrate, and
+// the two-sided block collections are derived from it by probing with
+// the other KB, so they are never stored. The format mirrors the KB
+// codec: magic, format version, CRC32-checksummed sections (see
 // internal/binio):
-//
-//	magic "MBC1" | uvarint version | sections | end marker
-//
-//	section 1 (header): |E1|, |E2|, block count
-//	section 2 (blocks): per block: key, E1 members, E2 members
-//
-// The entity-to-blocks Index is not stored: BuildIndex reconstructs it
-// deterministically, and storing it would double the snapshot for data
-// that is pure derivation. Unknown section IDs are skipped, so a
-// same-version reader tolerates future appended sections.
-
-// The prepared one-sided substrate has its own frame (same section
-// discipline) so an index snapshot can embed it next to the
-// collections:
 //
 //	magic "MPS1" | uvarint version | sections | end marker
 //
 //	section 1 (header):   |E1|, nameK, token-key count, name-key count
 //	section 2 (tokens):   per key (ascending): key, members
 //	section 3 (names):    per key (ascending): key, members
-var collectionMagic = [4]byte{'M', 'B', 'C', '1'}
-
-const collectionVersion = 1
-
-// Section IDs of the collection frame.
 //
-//minoaner:sections writer=WriteBinary reader=ReadBinaryData
-const (
-	secCollHeader = 1
-	secCollBlocks = 2
-)
-
-// errCorrupt wraps structural failures of the collection decoder.
-var errCorrupt = errors.New("blocking: corrupt binary collection")
-
-// WriteBinary serializes the collection. The encoding is deterministic:
-// the same collection always produces the same bytes.
-func (c *Collection) WriteBinary(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Raw(collectionMagic[:])
-	bw.Uvarint(collectionVersion)
-	bw.Section(secCollHeader, func(e *binio.Writer) {
-		e.Int(c.n1)
-		e.Int(c.n2)
-		e.Int(len(c.Blocks))
-	})
-	bw.Section(secCollBlocks, func(e *binio.Writer) {
-		for i := range c.Blocks {
-			b := &c.Blocks[i]
-			e.Str(b.Key)
-			e.Int(len(b.E1))
-			for _, id := range b.E1 {
-				e.Uvarint(uint64(id))
-			}
-			e.Int(len(b.E2))
-			for _, id := range b.E2 {
-				e.Uvarint(uint64(id))
-			}
-		}
-	})
-	bw.End()
-	return bw.Flush()
-}
-
-// ReadBinaryData deserializes a collection image written by
-// WriteBinary (typically a mapped snapshot section), verifying the
-// per-section checksums and that every member ID is in range for the
-// recorded KB sizes.
-func ReadBinaryData(data []byte) (*Collection, error) {
-	m, err := binio.BytesMap(data, collectionMagic, collectionVersion)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	header, err := m.Reader(secCollHeader)
-	if err != nil {
-		return nil, fmt.Errorf("%w: header: %v", errCorrupt, err)
-	}
-	n1 := header.Int()
-	n2 := header.Int()
-	nBlocks := header.Int()
-	if err := header.Err(); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", errCorrupt, err)
-	}
-	if nBlocks > 1<<31 {
-		return nil, fmt.Errorf("%w: absurd block count %d", errCorrupt, nBlocks)
-	}
-	c := NewCollection(n1, n2)
-
-	blocks, err := m.Reader(secCollBlocks)
-	if err != nil {
-		return nil, fmt.Errorf("%w: blocks: %v", errCorrupt, err)
-	}
-	// Reservations are capped by the payload left: the counts come from
-	// the (checksummed but still possibly hostile) header and payload,
-	// and a block takes at least 3 bytes (key length and two side
-	// counts), a member at least 1, so a valid image reserves exactly.
-	c.Blocks = make([]Block, 0, min(nBlocks, blocks.Len()/3))
-	readSide := func(limit int) []kb.EntityID {
-		n := blocks.Int()
-		if blocks.Err() != nil {
-			return nil
-		}
-		if n > limit {
-			blocks.Fail("block side larger than its KB (%d > %d)", n, limit)
-			return nil
-		}
-		out := make([]kb.EntityID, 0, min(n, blocks.Len()))
-		for i := 0; i < n && blocks.Err() == nil; i++ {
-			id := blocks.Uvarint()
-			if id >= uint64(limit) {
-				blocks.Fail("member %d out of range [0,%d)", id, limit)
-				return nil
-			}
-			out = append(out, kb.EntityID(id))
-		}
-		return out
-	}
-	for i := 0; i < nBlocks && blocks.Err() == nil; i++ {
-		var b Block
-		b.Key = blocks.Str()
-		b.E1 = readSide(n1)
-		b.E2 = readSide(n2)
-		c.Blocks = append(c.Blocks, b)
-	}
-	if err := blocks.Err(); err != nil {
-		return nil, fmt.Errorf("%w: blocks: %v", errCorrupt, err)
-	}
-	return c, nil
-}
-
+// Unknown section IDs are skipped, so a same-version reader tolerates
+// future appended sections.
 var preparedMagic = [4]byte{'M', 'P', 'S', '1'}
 
 const preparedVersion = 1

@@ -2,7 +2,8 @@
 // collections. A mutated KB epoch touches only the keys of the changed
 // entities; Prepared.ApplyPatch copies the substrate's key maps (member
 // slices shared) and rewrites those keys, and Collection.Patch merges
-// the same edits into a key-sorted two-sided collection. Both
+// the edited keys into a key-sorted two-sided collection whose members
+// it reads back from the patched substrates. Both
 // operations reproduce, key for key and member for member, what
 // Prepare / TokenBlocksN / NameBlocksN build from scratch over the
 // mutated KBs.
@@ -160,18 +161,19 @@ func join(n1, n2 int, side1, side2 map[string][]kb.EntityID) *Collection {
 }
 
 // CollectionPatch updates a key-sorted two-sided collection for one
-// epoch: the changed keys (sorted, unique) are re-derived through the
-// post-patch substrate lookups, every other block survives with its
-// members remapped (or shared outright when the side's IDs did not
-// move).
+// epoch: the changed keys (sorted, unique) join the collection's key
+// list, and every block's members are read through the post-patch
+// substrate lookups, which already carry the epoch's ID shifts.
 type CollectionPatch struct {
 	Keys             []string
 	Lookup1, Lookup2 func(key string) []kb.EntityID
-	Remap1, Remap2   []kb.EntityID // old->new, -1 deleted; nil = identity
-	N1, N2           int           // mutated KB sizes
+	N1, N2           int // mutated KB sizes
 }
 
-// Patch returns the patched collection; the receiver is unchanged.
+// Patch returns the patched collection; the receiver is unchanged. A
+// key yields a block exactly when both lookups hold members for it, so
+// blocks whose members were all deleted vanish, and a block whose
+// postings did not move shares their slices.
 func (c *Collection) Patch(p CollectionPatch) *Collection {
 	out := NewCollection(p.N1, p.N2)
 	out.Blocks = make([]Block, 0, len(c.Blocks)+len(p.Keys))
@@ -183,41 +185,18 @@ func (c *Collection) Patch(p CollectionPatch) *Collection {
 	}
 	ki := 0
 	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		for ki < len(p.Keys) && p.Keys[ki] < b.Key {
+		key := c.Blocks[i].Key
+		for ki < len(p.Keys) && p.Keys[ki] < key {
 			emit(p.Keys[ki]) // key absent before, possibly a block now
 			ki++
 		}
-		if ki < len(p.Keys) && p.Keys[ki] == b.Key {
-			emit(p.Keys[ki])
+		if ki < len(p.Keys) && p.Keys[ki] == key {
 			ki++
-			continue
 		}
-		e1 := remapMembers(b.E1, p.Remap1)
-		e2 := remapMembers(b.E2, p.Remap2)
-		if len(e1) == 0 || len(e2) == 0 {
-			continue // every member was a deleted entity: block vanishes
-		}
-		out.Blocks = append(out.Blocks, Block{Key: b.Key, E1: e1, E2: e2})
+		emit(key)
 	}
 	for ; ki < len(p.Keys); ki++ {
 		emit(p.Keys[ki])
-	}
-	return out
-}
-
-// remapMembers translates a member list (identity when remap is nil),
-// dropping deleted entities — deletions are carried entirely by the
-// remap, so deleted members appear in otherwise-untouched blocks.
-func remapMembers(members []kb.EntityID, remap []kb.EntityID) []kb.EntityID {
-	if remap == nil {
-		return members
-	}
-	out := make([]kb.EntityID, 0, len(members))
-	for _, id := range members {
-		if nid := remap[id]; nid >= 0 {
-			out = append(out, nid)
-		}
 	}
 	return out
 }

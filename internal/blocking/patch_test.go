@@ -137,10 +137,6 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 					prep1 = patched
 
 					// The pair collections patch with the same key set.
-					var remap1 []kb.EntityID
-					if d.Shifted() {
-						remap1 = d.Remap
-					}
 					tokenKeys := make([]string, 0, len(pt.Tokens))
 					for _, e := range pt.Tokens {
 						tokenKeys = append(tokenKeys, e.Key)
@@ -153,7 +149,6 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 						Keys:    tokenKeys,
 						Lookup1: prep1.TokenPosting,
 						Lookup2: prep2.TokenPosting,
-						Remap1:  remap1,
 						N1:      next.Len(),
 						N2:      side2.Len(),
 					})
@@ -161,7 +156,6 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 						Keys:    nameKeys,
 						Lookup1: prep1.NamePosting,
 						Lookup2: prep2.NamePosting,
-						Remap1:  remap1,
 						N1:      next.Len(),
 						N2:      side2.Len(),
 					})

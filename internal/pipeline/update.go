@@ -287,8 +287,6 @@ func UpdateNameBlocking() Stage {
 				Keys:    blocking.SortedKeySet(keys),
 				Lookup1: u.prep1.NamePosting,
 				Lookup2: u.prep2.NamePosting,
-				Remap1:  u.pt1.Remap,
-				Remap2:  u.pt2.Remap,
 				N1:      st.KB1.Len(),
 				N2:      st.KB2.Len(),
 			})
@@ -329,8 +327,6 @@ func UpdateTokenBlocking() Stage {
 			Keys:    u.tokenKeys,
 			Lookup1: u.prep1.TokenPosting,
 			Lookup2: u.prep2.TokenPosting,
-			Remap1:  u.pt1.Remap,
-			Remap2:  u.pt2.Remap,
 			N1:      st.KB1.Len(),
 			N2:      st.KB2.Len(),
 		})

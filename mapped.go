@@ -1,6 +1,7 @@
 package minoaner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -18,16 +19,16 @@ import (
 //     everything Query/Matches/Stats-counters touch. Every section
 //     these read is checksum-verified at open, the KBs' entity
 //     sections included, so Query never serves a damaged URI.
-//   - on first demand: the delta substrate (decoded when section 8
-//     carries it, derived from KB1's full tier otherwise), the KBs'
-//     full tiers (internal/kb lazy open), and the block collections.
-//     A small delta reads the substrate and KB1's URIs only; KB1's
-//     full tier decodes for the full plan, for a derived substrate,
-//     for streams and for the write side.
-//     Section checksums verify on that first access; a corrupted lazy
-//     section surfaces as an ErrSnapshotCorrupt-wrapped error from the
-//     fallible entry points (QueryKB, SaveIndex, mutations, Close),
-//     never a crash.
+//   - on first demand: the delta substrate (section 8) and the KBs'
+//     full tiers (internal/kb lazy open). A small delta reads the
+//     substrate and KB1's URIs only; KB1's full tier decodes for the
+//     full plan, for streams and for the write side. Section checksums
+//     verify on that first access; a corrupted lazy section surfaces
+//     as an ErrSnapshotCorrupt-wrapped error from the fallible entry
+//     points (QueryKB, SaveIndex, mutations, Close), never a crash.
+//   - derived, never decoded: the block collections B_N and B_T, which
+//     the epoch's first full-pair stream or first mutation builds by
+//     probing the substrate with KB2 and purging (see deriveBlocks).
 //
 // Every decoded structure copies out of the mapping (strings are
 // built, not aliased). The lazy tiers are the memos of the opened
@@ -111,13 +112,8 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 	if err2 != nil {
 		return nil, err2
 	}
-	for _, s := range []struct {
-		id   uint64
-		name string
-	}{{snapNameBlocks, "name-blocks"}, {snapTokenBlocks, "token-blocks"}} {
-		if !m.Has(s.id) {
-			return nil, fmt.Errorf("%w: missing %s section", ErrSnapshotCorrupt, s.name)
-		}
+	if !m.Has(snapPrepared) {
+		return nil, fmt.Errorf("%w: missing prepared section", ErrSnapshotCorrupt)
 	}
 
 	if err := e.readStatsSection(m); err != nil {
@@ -129,20 +125,15 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 	if err := ix.readJournalSection(m); err != nil {
 		return nil, err
 	}
-	var prep func() (*pipeline.Prepared, error)
-	if m.Has(snapPrepared) {
-		prep = func() (*pipeline.Prepared, error) { return e.decodePrepared(m) }
-	}
-	e.derive(func() (blockPair, error) { return e.decodeBlocks(m) }, prep)
+	e.derive(e.deriveBlocks, func() (*pipeline.Prepared, error) { return e.decodePrepared(m) })
 
 	e.buildLookup()
 	ix.mapped = m
 	return ix, nil
 }
 
-// materializeKB1 forces KB1's full tier — what the full plan, a
-// derived delta substrate and the stream base read. A nil check on
-// eager indexes.
+// materializeKB1 forces KB1's full tier — what the full plan and the
+// stream base read. A nil check on eager indexes.
 func (e *epoch) materializeKB1() error {
 	if err := e.kb1.kb.Materialize(); err != nil {
 		return fmt.Errorf("%w: kb1: %v", ErrSnapshotCorrupt, err)
@@ -150,30 +141,35 @@ func (e *epoch) materializeKB1() error {
 	return nil
 }
 
-// decodeBlocks decodes the epoch's block collections from the mapping.
-func (e *epoch) decodeBlocks(m *binio.Map) (blockPair, error) {
-	name, err := e.decodeCollection(m, snapNameBlocks, "name-blocks")
+// deriveBlocks builds an opened epoch's B_N and purged B_T as the batch
+// pipeline would: KB2 probes the persisted substrate, and Block Purging
+// runs under the config's parameters. The result must reproduce the
+// stats section — cutoffs, what purging removed, and the block and
+// comparison counts — or the snapshot is corrupt.
+func (e *epoch) deriveBlocks() (blockPair, error) {
+	prep, err := e.d.prep()
 	if err != nil {
 		return blockPair{}, err
 	}
-	token, err := e.decodeCollection(m, snapTokenBlocks, "token-blocks")
-	return blockPair{name, token}, err
-}
-
-func (e *epoch) decodeCollection(m *binio.Map, id uint64, name string) (*blocking.Collection, error) {
-	// The embedded collection format checksums its own sections, so the
-	// raw payload (present: the open checked) decodes without an extra
-	// outer verification pass.
-	raw, _ := m.Raw(id)
-	c, err := blocking.ReadBinaryData(raw)
+	if err := e.materializeKB2(); err != nil {
+		return blockPair{}, err
+	}
+	ctx := context.Background()
+	name, err := prep.Blocks.ProbeNameBlocks(ctx, e.kb2.kb)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
+		return blockPair{}, err
 	}
-	if n1, n2 := c.KBSizes(); n1 != e.kb1.Len() || n2 != e.kb2.Len() {
-		return nil, fmt.Errorf("%w: %s built for KB sizes (%d,%d), snapshot KBs have (%d,%d)",
-			ErrSnapshotCorrupt, name, n1, n2, e.kb1.Len(), e.kb2.Len())
+	raw, err := prep.Blocks.ProbeTokenBlocks(ctx, e.kb2.kb)
+	if err != nil {
+		return blockPair{}, err
 	}
-	return c, nil
+	token, purge := blocking.Purge(raw, e.cfg.internal().Purge)
+	if purge != e.purge ||
+		name.Size() != e.nameBlockCount || name.Comparisons() != e.nameComparisons ||
+		token.Size() != e.tokenBlockCount || token.Comparisons() != e.tokenComparisons {
+		return blockPair{}, fmt.Errorf("%w: blocks derived from the prepared substrate disagree with the stats section", ErrSnapshotCorrupt)
+	}
+	return blockPair{name, token}, nil
 }
 
 // decodePrepared restores the delta substrate from section 8. The
@@ -242,8 +238,7 @@ func (e *epoch) decodePrepared(m *binio.Map) (*pipeline.Prepared, error) {
 }
 
 // drain forces everything the epoch may still read from a snapshot
-// mapping: both KBs' tiers, the blocks, and a persisted delta
-// substrate. The write side calls it under mu before touching state
+// mapping: both KBs' tiers and a persisted delta substrate. The write side calls it under mu before touching state
 // (mutations, SaveIndex, Close). It publishes nothing — the memos fill
 // in place, and every clone of the epoch shares them — so after it
 // returns nil no epoch a reader may still hold references the mapping.
@@ -259,9 +254,6 @@ func (e *epoch) drain() error {
 		if err := side.k.kb.MaterializeSources(); err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, side.name, err)
 		}
-	}
-	if _, err := e.d.blocks(); err != nil {
-		return err
 	}
 	if e.d.persisted {
 		_, err := e.d.prep()

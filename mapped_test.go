@@ -113,90 +113,13 @@ func TestOpenIndexBitIdentity(t *testing.T) {
 	}
 }
 
-// retiredFixtureDelta is the first restaurant of the KB2 the retired-
-// section fixtures were built from, with its address.
-const retiredFixtureDelta = `<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/name> "solto lequi" .
-<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/phone> "528/3083" .
-<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/category> "greek" .
-<http://restaurants2.example.org/resource/restaurant/0000> <http://restaurants2.example.org/ontology/hasAddress> <http://restaurants2.example.org/resource/address/0000> .
-<http://restaurants2.example.org/resource/restaurant/0000> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://restaurants2.example.org/class/Restaurant> .
-<http://restaurants2.example.org/resource/address/0000> <http://restaurants2.example.org/ontology/street> "nufa street 155" .
-<http://restaurants2.example.org/resource/address/0000> <http://restaurants2.example.org/ontology/city> "daka" .
-<http://restaurants2.example.org/resource/address/0000> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://restaurants2.example.org/class/Address> .
-`
-
-// TestRetiredSection10StaysLoadable: testdata/restaurant_sharded4.msnp
-// was written by the last commit that had the in-process shard engine
-// (`minoaner snapshot -shards 4`, Restaurant x0.1) and carries section
-// 10, which nothing reads any more; restaurant_unsharded.msnp is the
-// same commit's `-shards 1` snapshot of the same inputs. Both open
-// paths must accept the old file and answer exactly like the twin.
-// Re-saving drops the section and so yields the twin's bytes — the one
-// deliberate exception to Save(Load(x)) == x.
-func TestRetiredSection10StaysLoadable(t *testing.T) {
-	old, err := os.ReadFile("testdata/restaurant_sharded4.msnp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	twinBytes, err := os.ReadFile("testdata/restaurant_unsharded.msnp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(old, twinBytes) {
-		t.Fatal("fixtures are identical: the sharded one lost its section 10")
-	}
-	twin, err := minoaner.LoadIndex(bytes.NewReader(twinBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := minoaner.LoadKB("delta", strings.NewReader(retiredFixtureDelta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := twin.QueryKB(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Matches) == 0 {
-		t.Fatal("fixture delta matches nothing: the comparison below would be vacuous")
-	}
-	uris := twin.KB2().URIs()
-
-	if _, err := minoaner.InspectIndexFile("testdata/restaurant_sharded4.msnp"); err != nil {
-		t.Errorf("InspectIndexFile: %v", err)
-	}
-	eager, err := minoaner.LoadIndex(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("LoadIndex: %v", err)
-	}
-	mapped, err := minoaner.OpenIndex(old)
-	if err != nil {
-		t.Fatalf("OpenIndex: %v", err)
-	}
-	for label, ix := range map[string]*minoaner.Index{"eager": eager, "mapped": mapped} {
-		if got, want := ix.Query(uris...), twin.Query(uris...); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Query over KB2 diverges from the unsharded twin", label)
-		}
-		got, err := ix.QueryKB(context.Background(), delta)
-		if err != nil {
-			t.Fatalf("%s: QueryKB: %v", label, err)
-		}
-		mustEqualResults(t, label+" QueryKB", got, want)
-		var resaved bytes.Buffer
-		if err := minoaner.SaveIndex(&resaved, ix); err != nil {
-			t.Fatalf("%s: SaveIndex: %v", label, err)
-		}
-		if !bytes.Equal(resaved.Bytes(), twinBytes) {
-			t.Errorf("%s: re-save is %d bytes, not the twin's %d", label, resaved.Len(), len(twinBytes))
-		}
-	}
-}
-
 // TestMappedCorruptionSweep flips one bit at a stride of offsets across
 // a prepared snapshot. Because sections decode lazily, damage may
-// surface at open, at the first delta query, or at save — but it must
-// surface as a typed ErrSnapshotCorrupt somewhere (never a crash), or
-// the decoded state must be provably unharmed (bit-identical save).
+// surface at open, at the first delta query, at the first mutation
+// (which derives the blocks and decodes everything else), or at save —
+// but it must surface as a typed ErrSnapshotCorrupt somewhere (never a
+// crash), or the decoded state must be provably unharmed (the save
+// after the mutation is bit-identical to the pristine image's).
 func TestMappedCorruptionSweep(t *testing.T) {
 	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 3, 0.1)
 	var buf bytes.Buffer
@@ -205,6 +128,15 @@ func TestMappedCorruptionSweep(t *testing.T) {
 	}
 	data := buf.Bytes()
 	delta := deltaKB(t, b, 3)
+	upsert := sweepUpsert(t, b)
+	ctx := context.Background()
+	if err := ix.Upsert(ctx, 2, upsert); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := minoaner.SaveIndex(&want, ix); err != nil {
+		t.Fatal(err)
+	}
 
 	check := func(t *testing.T, mut []byte, label string) {
 		t.Helper()
@@ -218,8 +150,12 @@ func TestMappedCorruptionSweep(t *testing.T) {
 			mustBeTyped("open", err)
 			return
 		}
-		if _, err := opened.QueryKB(context.Background(), delta); err != nil {
+		if _, err := opened.QueryKB(ctx, delta); err != nil {
 			mustBeTyped("query", err)
+			return
+		}
+		if err := opened.Upsert(ctx, 2, upsert); err != nil {
+			mustBeTyped("upsert", err)
 			return
 		}
 		var out bytes.Buffer
@@ -227,8 +163,8 @@ func TestMappedCorruptionSweep(t *testing.T) {
 			mustBeTyped("save", err)
 			return
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Errorf("%s: survived open+query+save with different content", label)
+		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+			t.Errorf("%s: survived open+query+upsert+save with different content", label)
 		}
 	}
 
@@ -283,12 +219,26 @@ func TestMappedOpenVerifiesURIs(t *testing.T) {
 	}
 }
 
+// sweepUpsert is a side-2 rewrite: KB2's first entity with one more
+// literal.
+func sweepUpsert(tb testing.TB, b *minoaner.Benchmark) *minoaner.KB {
+	tb.Helper()
+	uri := b.KB2.URIs()[0]
+	lines := append(docFromKB(tb, b.WriteKB2).linesOf(uri),
+		subjectToken(uri)+` <http://sweep.example.org/extra> "sweep" .`)
+	k, err := minoaner.LoadKB("upsert", strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return k
+}
+
 // embeddedSection returns the offset and length, within a snapshot
 // image, of section inner of the MKB1 image that snapshot section outer
 // embeds.
 func embeddedSection(t *testing.T, data []byte, outer, inner uint64) (int, int) {
 	t.Helper()
-	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 1)
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,12 +317,13 @@ func TestPreparedPathReadsNoFullTier(t *testing.T) {
 
 // FuzzOpenIndex feeds arbitrary images to the snapshot decoder that
 // both OpenIndex and LoadIndex run: open, a small delta query (forcing
-// the prepared substrate, and KB1's full tier when the substrate must
-// be derived), and a save (forcing everything else). Every stage must
-// succeed or fail with an error wrapping ErrSnapshotCorrupt, never
-// panic. Seeds: a Restaurant x0.1
-// snapshot, the retired-section-10 fixtures, and the first seed without
-// its section 8 (so the query derives the substrate).
+// the prepared substrate), a side-2 upsert (deriving the blocks from
+// the substrate and checking them against the stats, then decoding
+// everything else), and a save. Every stage must succeed or fail with
+// an error wrapping ErrSnapshotCorrupt, never panic. Seeds, all fresh
+// Restaurant x0.1 images: the built index, the same index after the
+// upsert (a journal section), after a Compact as well (a compaction
+// count and an empty journal), and the first without its section 8.
 func FuzzOpenIndex(f *testing.F) {
 	b, err := minoaner.GenerateBenchmark("Restaurant", 3, 0.1)
 	if err != nil {
@@ -382,23 +333,27 @@ func FuzzOpenIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := minoaner.SaveIndex(&buf, ix); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	for _, name := range []string{"testdata/restaurant_sharded4.msnp", "testdata/restaurant_unsharded.msnp"} {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Add(withoutPrepared(f, buf.Bytes()))
-	delta, err := minoaner.LoadKB("delta", strings.NewReader(retiredFixtureDelta))
+	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 3)...)
 	if err != nil {
 		f.Fatal(err)
 	}
+	upsert := sweepUpsert(f, b)
+	save := func() []byte {
+		var buf bytes.Buffer
+		if err := minoaner.SaveIndex(&buf, ix); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fresh := save()
+	f.Add(fresh)
+	if err := ix.Upsert(context.Background(), 2, upsert); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(save())
+	ix.Compact()
+	f.Add(save())
+	f.Add(withoutPrepared(f, fresh))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mustBeTyped := func(stage string, err error) {
 			if !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
@@ -412,6 +367,10 @@ func FuzzOpenIndex(f *testing.F) {
 		}
 		if _, err := ix.QueryKB(context.Background(), delta); err != nil {
 			mustBeTyped("query", err)
+			return
+		}
+		if err := ix.Upsert(context.Background(), 2, upsert); err != nil {
+			mustBeTyped("upsert", err)
 			return
 		}
 		if err := minoaner.SaveIndex(io.Discard, ix); err != nil {
@@ -634,8 +593,8 @@ func TestInspectIndexFile(t *testing.T) {
 		si.KB2.Name != ix.KB2().Name() || si.KB2.Entities != ix.KB2().Len() {
 		t.Errorf("KB summaries diverge: %+v / %+v", si.KB1, si.KB2)
 	}
-	if !si.Prepared {
-		t.Error("prepared substrate not reported")
+	if si.Version != 2 {
+		t.Errorf("format version %d, want 2", si.Version)
 	}
 	if si.Epoch != ix.Epoch() || si.JournalEntries != len(ix.Journal()) {
 		t.Errorf("journal summary: epoch %d/%d entries %d/%d",

@@ -21,11 +21,11 @@ type ntDoc struct {
 	lines []string
 }
 
-func docFromKB(t *testing.T, write func(io.Writer) error) *ntDoc {
-	t.Helper()
+func docFromKB(tb testing.TB, write func(io.Writer) error) *ntDoc {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := write(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var lines []string
 	for _, l := range strings.Split(buf.String(), "\n") {

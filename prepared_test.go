@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -174,44 +176,47 @@ func TestQueryKBDerivesSubstrateOnce(t *testing.T) {
 	}
 }
 
-// withoutPrepared rewrites a snapshot image without section 8 — the
-// layout SaveIndex wrote for a never-prepared index before it always
-// persisted the delta substrate. The config section's closing inventory
-// (a count, then one byte per section ID) drops the ID too.
-func withoutPrepared(tb testing.TB, data []byte) []byte {
+// rewriteSnapshot re-frames a snapshot image with valid checksums,
+// passing every section's payload through edit; a nil result drops the
+// section, and its ID from the config section's closing inventory (a
+// count, then one byte per section ID).
+func rewriteSnapshot(tb testing.TB, data []byte, edit func(id uint64, payload []byte) []byte) []byte {
 	tb.Helper()
-	const config, prepared = 1, 8
-	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 1)
+	const config = 1
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 2)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var ids []uint64
-	for _, id := range m.SectionIDs() {
-		if id != prepared {
-			ids = append(ids, id)
+	all := m.SectionIDs()
+	payloads := map[uint64][]byte{}
+	var kept []uint64
+	for _, id := range all {
+		payload, err := m.Section(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if payloads[id] = edit(id, payload); payloads[id] != nil {
+			kept = append(kept, id)
 		}
 	}
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
 	w.Raw([]byte("MSNP"))
-	w.Uvarint(1)
-	for _, id := range ids {
-		payload, err := m.Section(id)
-		if err != nil {
-			tb.Fatal(err)
-		}
+	w.Uvarint(2)
+	for _, id := range kept {
+		payload := payloads[id]
 		w.Section(id, func(w *binio.Writer) {
 			if id != config {
 				w.Raw(payload)
 				return
 			}
-			fields := len(payload) - 2 - len(ids)
-			if fields < 0 || payload[fields] != byte(len(ids)+1) {
+			fields := len(payload) - 1 - len(all)
+			if fields < 0 || payload[fields] != byte(len(all)) {
 				tb.Fatal("config section does not close with a one-byte inventory of every section")
 			}
 			w.Raw(payload[:fields])
-			w.Int(len(ids))
-			for _, id := range ids {
+			w.Int(len(kept))
+			for _, id := range kept {
 				w.Uvarint(id)
 			}
 		})
@@ -223,81 +228,155 @@ func withoutPrepared(tb testing.TB, data []byte) []byte {
 	return buf.Bytes()
 }
 
+// withoutPrepared rewrites a snapshot image without section 8, the
+// delta substrate the blocks are derived from.
+func withoutPrepared(tb testing.TB, data []byte) []byte {
+	const prepared = 8
+	return rewriteSnapshot(tb, data, func(id uint64, payload []byte) []byte {
+		if id == prepared {
+			return nil
+		}
+		return payload
+	})
+}
+
 // TestSnapshotCarriesPreparedSubstrate: SaveIndex persists the delta
-// substrate (section 8) of every index, prepared or not. A snapshot
-// without it — as written before — still opens mapped and eagerly,
-// derives the substrate on its first delta query rather than at load,
-// answers that query like the full plan, and re-saves to the fresh
-// snapshot's bytes.
+// substrate (section 8) of every index, prepared or not, and a snapshot
+// without it fails to open — mapped, from a file, or eagerly — as
+// corrupt: the blocks are derived from it, so it is not optional.
 func TestSnapshotCarriesPreparedSubstrate(t *testing.T) {
-	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.2)
-	dir := t.TempDir()
-	freshPath := filepath.Join(dir, "fresh.msnp")
-	if err := minoaner.SaveIndexFile(freshPath, ix); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := os.ReadFile(freshPath)
+	_, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.2)
+	fresh := snapshotBytes(t, ix)
+	m, err := binio.BytesMap(fresh, [4]byte{'M', 'S', 'N', 'P'}, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !m.Has(8) {
+		t.Fatal("a never-prepared index saved no section 8")
 	}
 	stripped := withoutPrepared(t, fresh)
-	strippedPath := filepath.Join(dir, "stripped.msnp")
-	if err := os.WriteFile(strippedPath, stripped, 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "stripped.msnp")
+	if err := os.WriteFile(path, stripped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string]bool{freshPath: true, strippedPath: false} {
-		if si, err := minoaner.InspectIndexFile(path); err != nil || si.Prepared != want {
-			t.Fatalf("%s: Prepared = %v (%v), want %v", filepath.Base(path), si != nil && si.Prepared, err, want)
+	if _, err := minoaner.OpenIndex(stripped); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("OpenIndex: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if ix, err := minoaner.OpenIndexFile(path); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		if err == nil {
+			ix.Close()
 		}
+		t.Errorf("OpenIndexFile: got %v, want ErrSnapshotCorrupt", err)
 	}
+	if _, err := minoaner.LoadIndex(bytes.NewReader(stripped)); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("LoadIndex: got %v, want ErrSnapshotCorrupt", err)
+	}
+}
 
-	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 1)...)
+// TestSnapshotRejectsVersion1: the reader accepts format version 2
+// only; a version-1 image — one that stored the block collections —
+// fails on every entry point as corrupt.
+func TestSnapshotRejectsVersion1(t *testing.T) {
+	_, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.1)
+	data := snapshotBytes(t, ix)
+	if data[4] != 2 {
+		t.Fatalf("version byte %d, want 2", data[4])
+	}
+	data[4] = 1
+	path := filepath.Join(t.TempDir(), "v1.msnp")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := minoaner.OpenIndex(data); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("OpenIndex: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if ix, err := minoaner.OpenIndexFile(path); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		if err == nil {
+			ix.Close()
+		}
+		t.Errorf("OpenIndexFile: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if _, err := minoaner.LoadIndex(bytes.NewReader(data)); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("LoadIndex: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if _, err := minoaner.InspectIndexFile(path); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("InspectIndexFile: got %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestDerivedBlocksCheckedAgainstStats: an opened index derives B_N and
+// B_T from its substrate and KB2 and checks them against the stats
+// section. A stats section that disagrees, under a valid checksum,
+// opens and answers small deltas (neither reads the blocks), but the
+// first full-pair stream and the first Upsert — the two consumers of
+// the blocks — fail as corrupt rather than answer from them.
+func TestDerivedBlocksCheckedAgainstStats(t *testing.T) {
+	const stats = 6
+	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.2)
+	data := snapshotBytes(t, ix)
+	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 3)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ix.QueryKBFull(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := minoaner.LoadIndex(bytes.NewReader(stripped))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := minoaner.OpenIndex(stripped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for label, opened := range map[string]*minoaner.Index{"loaded": loaded, "mapped": mapped} {
-		query := func() {
-			res, err := opened.QueryKB(context.Background(), delta)
+	upsert := sweepUpsert(t, b)
+	// The stats fields in order: two cutoffs, removed blocks, removed
+	// comparisons, the name and token block counts, the name and token
+	// comparison counts.
+	for field, name := range []string{"cutoff1", "cutoff2", "removed blocks", "removed comparisons",
+		"name blocks", "token blocks", "name comparisons", "token comparisons"} {
+		t.Run(name, func(t *testing.T) {
+			damaged := rewriteSnapshot(t, data, func(id uint64, payload []byte) []byte {
+				if id != stats {
+					return payload
+				}
+				r := binio.NewBytesReader(payload)
+				var w bytes.Buffer
+				enc := binio.NewWriter(&w)
+				for i := 0; i < 8; i++ {
+					v := r.Uvarint()
+					if i == field {
+						v++
+					}
+					enc.Uvarint(v)
+				}
+				if err := r.Err(); err != nil || r.More() {
+					t.Fatalf("stats section does not hold 8 varints: %v", err)
+				}
+				if err := enc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return w.Bytes()
+			})
+			opened, err := minoaner.OpenIndex(damaged)
 			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+				t.Fatalf("open: %v", err)
 			}
-			assertSameQueryResult(t, label, full, res)
-		}
-		first := allocated(query)
-		following := uint64(math.MaxUint64)
-		for range 3 {
-			following = min(following, allocated(query))
-		}
-		if following*3 > first {
-			t.Errorf("%s: the first delta query allocated %d bytes, a following one %d: the substrate existed before the first query", label, first, following)
-		}
+			want, err := ix.QueryKB(context.Background(), delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := opened.QueryKB(context.Background(), delta)
+			if err != nil {
+				t.Fatalf("QueryKB: %v", err)
+			}
+			assertSameQueryResult(t, "QueryKB", want, got)
 
-		resavedPath := filepath.Join(dir, label+".msnp")
-		if err := minoaner.SaveIndexFile(resavedPath, opened); err != nil {
-			t.Fatal(err)
-		}
-		resaved, err := os.ReadFile(resavedPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resaved, fresh) {
-			t.Errorf("%s: re-save is %d bytes, not the fresh snapshot's %d", label, len(resaved), len(fresh))
-		}
-		if si, err := minoaner.InspectIndexFile(resavedPath); err != nil || !si.Prepared {
-			t.Errorf("%s: re-save does not carry the substrate (%v)", label, err)
-		}
+			rec := httptest.NewRecorder()
+			minoaner.NewServer(opened).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/resolve/stream", nil))
+			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), minoaner.ErrSnapshotCorrupt.Error()) {
+				t.Errorf("/resolve/stream: %d %s, want a 500 naming the corruption", rec.Code, rec.Body)
+			}
+			if err := opened.Upsert(context.Background(), 2, upsert); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+				t.Errorf("Upsert: got %v, want ErrSnapshotCorrupt", err)
+			}
+			reopened, err := minoaner.OpenIndex(damaged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reopened.Upsert(context.Background(), 2, upsert); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+				t.Errorf("Upsert before any stream: got %v, want ErrSnapshotCorrupt", err)
+			}
+		})
 	}
 }
 

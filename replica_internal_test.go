@@ -13,6 +13,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"minoaner/internal/binio"
 )
 
 // flushRecorder wraps httptest.ResponseRecorder counting Flush calls —
@@ -197,10 +199,13 @@ func TestEnsureMutatorWrapsCause(t *testing.T) {
 	}
 }
 
-// TestJournalSectionFormatCompat pins the section 9 format bump: new
-// snapshots round-trip the delta payloads and the compaction counter,
-// while snapshots in the pre-delta layout (no trailing extension) load
-// cleanly and re-save to their exact original bytes.
+// TestJournalSectionFormatCompat pins section 9's one layout: the
+// entry list is always followed by the compaction count and the
+// per-entry delta payloads. Snapshots round-trip both; a journal whose
+// payloads were stripped still writes (empty) payload lists, reloads
+// without inventing any, re-saves to its exact bytes, and is refused
+// by Replay; and a section that ends after the entry list — the layout
+// version 1 allowed — fails to load as corrupt.
 func TestJournalSectionFormatCompat(t *testing.T) {
 	ix := internalTestIndex(t)
 	mutateInternal(t, ix, 3)
@@ -223,56 +228,71 @@ func TestJournalSectionFormatCompat(t *testing.T) {
 		t.Fatal("compaction counter lost in round-trip")
 	}
 
-	// Forge the old format: strip every delta payload and the
-	// compaction counter, so writeJournalSection omits the extension.
-	old := back
-	old.mu.Lock()
-	for i := range old.journal {
-		old.journal[i].Delta = nil
+	// Strip every delta payload and the compaction counter.
+	stripped := back
+	stripped.mu.Lock()
+	for i := range stripped.journal {
+		stripped.journal[i].Delta = nil
 	}
-	old.compactions.Store(0)
-	old.mu.Unlock()
-	var oldBytes bytes.Buffer
-	if err := SaveIndex(&oldBytes, old); err != nil {
+	stripped.compactions.Store(0)
+	n := len(stripped.journal)
+	stripped.mu.Unlock()
+	var strippedBytes bytes.Buffer
+	if err := SaveIndex(&strippedBytes, stripped); err != nil {
 		t.Fatal(err)
 	}
-	if oldBytes.Len() >= buf.Len() {
-		t.Fatalf("stripped snapshot (%d bytes) not smaller than full one (%d)", oldBytes.Len(), buf.Len())
-	}
-
-	// An old-format snapshot loads, keeps its v1 journal fields, and
-	// re-saves bit-identically — readers and writers agree on the
-	// extension being absent.
-	oldBack, err := LoadIndex(bytes.NewReader(oldBytes.Bytes()))
+	strippedBack, err := LoadIndex(bytes.NewReader(strippedBytes.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oldBack.Compactions() != 0 {
-		t.Fatalf("old-format load invented %d compactions", oldBack.Compactions())
-	}
-	for _, je := range oldBack.Journal() {
+	for _, je := range strippedBack.Journal() {
 		if je.Delta != nil {
-			t.Fatal("old-format load invented delta payloads")
+			t.Fatal("reload invented delta payloads")
 		}
 		if je.Seq == 0 || len(je.Subjects) == 0 {
-			t.Fatalf("old-format load dropped v1 fields: %+v", je)
+			t.Fatalf("reload dropped entry fields: %+v", je)
 		}
 	}
 	var resaved bytes.Buffer
-	if err := SaveIndex(&resaved, oldBack); err != nil {
+	if err := SaveIndex(&resaved, strippedBack); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resaved.Bytes(), oldBytes.Bytes()) {
-		t.Fatalf("old-format snapshot not bit-identical after reload (%d vs %d bytes)", resaved.Len(), oldBytes.Len())
+	if !bytes.Equal(resaved.Bytes(), strippedBytes.Bytes()) {
+		t.Fatalf("stripped snapshot not bit-identical after reload (%d vs %d bytes)", resaved.Len(), strippedBytes.Len())
+	}
+	// Replaying payload-less entries is refused with the typed
+	// truncation error — a replica resyncs from a snapshot instead of
+	// silently diverging.
+	fresh := internalTestIndex(t)
+	if _, err := fresh.Replay(context.Background(), strippedBack.Journal()); !errors.Is(err, ErrJournalTruncated) {
+		t.Fatalf("payload-less replay err = %v, want ErrJournalTruncated", err)
 	}
 
-	// Replaying an old-format journal is refused with the typed
-	// truncation error — the replica falls back to a snapshot resync
-	// instead of silently diverging. A fresh epoch-0 index over the
-	// same benchmark stands in for a replica bootstrapped before the
-	// format bump.
-	fresh := internalTestIndex(t)
-	if _, err := fresh.Replay(context.Background(), oldBack.Journal()); !errors.Is(err, ErrJournalTruncated) {
-		t.Fatalf("old-format replay err = %v, want ErrJournalTruncated", err)
+	// Drop the stripped journal's tail: a zero compaction count and n
+	// empty payload lists, one byte each.
+	m, err := binio.BytesMap(strippedBytes.Bytes(), snapshotMagic, snapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut bytes.Buffer
+	w := binio.NewWriter(&cut)
+	w.Raw(snapshotMagic[:])
+	w.Uvarint(snapshotVersion)
+	for _, id := range m.SectionIDs() {
+		payload, err := m.Section(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == snapJournal {
+			payload = payload[:len(payload)-1-n]
+		}
+		w.Section(id, func(e *binio.Writer) { e.Raw(payload) })
+	}
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndex(bytes.NewReader(cut.Bytes())); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("journal without its tail: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }

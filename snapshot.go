@@ -11,92 +11,69 @@ import (
 	"minoaner/internal/kb"
 )
 
-// Index snapshot format. A snapshot persists everything BuildIndex
-// derives — the two built KBs, the block collections, and the complete
-// match set — so a server process loads it and answers queries without
-// re-parsing a single triple. Layout (see internal/binio for the
-// section framing; every section is CRC32-checksummed):
+// Index snapshot format. A snapshot persists what an index cannot
+// cheaply re-derive — the two built KBs, the delta substrate, and the
+// complete match set — so a server process loads it and answers
+// queries without re-parsing a single triple. Layout (see
+// internal/binio for the section framing; every section is
+// CRC32-checksummed):
 //
-//	magic "MSNP" | uvarint version | sections | end marker
+//	magic "MSNP" | uvarint version (2) | sections | end marker
 //
-//	section 1 (config):       the Config the index was built under,
-//	                          followed by the section inventory (the
-//	                          IDs of every section written) — the
-//	                          checksummed defense against a corrupted
-//	                          section ID making an optional section
-//	                          silently vanish. Pre-inventory snapshots
-//	                          end after the config fields and load
-//	                          fine.
-//	section 2 (kb1):          first KB, embedded KB binary (internal/kb;
-//	                          includes retained source triples when the
-//	                          KB is mutable)
-//	section 3 (kb2):          second KB, embedded KB binary
-//	section 4 (name-blocks):  B_N, embedded collection binary (internal/blocking)
-//	section 5 (token-blocks): B_T after purging, embedded collection binary
-//	section 6 (stats):        purge result and block accounting
-//	section 7 (matches):      H1, H2, H3, final matches, H4 discard count
-//	section 8 (prepared):     frozen left-side substrate of the delta
-//	                          path (see Index.QueryKB): the embedded
-//	                          one-sided token/name index
-//	                          (internal/blocking "MPS1") followed by the
-//	                          frozen per-entity neighbor lists. Always
-//	                          written; readers still accept snapshots
-//	                          without it and derive the substrate on
-//	                          first demand.
-//	section 9 (journal):      epoch number and the mutation journal —
-//	                          one record per absorbed Upsert/Delete
-//	                          since the last Compact. Written only for
-//	                          indexes past epoch 0 (or with journal
-//	                          entries, or a non-zero compaction count);
-//	                          snapshots of mutated indexes persist the
-//	                          *mutated* state in sections 1-8, so
-//	                          readers that skip this section still
-//	                          serve correct matches. After the entry
-//	                          list the section may carry a trailing
-//	                          extension — the Compact count and the
-//	                          per-entry replay payloads (upsert deltas
-//	                          as N-Triples lines) — that pre-extension
-//	                          readers ignore; it is omitted when
-//	                          everything in it would be empty, so
-//	                          resaving a pre-extension snapshot
-//	                          reproduces its bytes.
-//	section 10 (retired):     once the shard count of an in-process
-//	                          scatter-gather engine that has been
-//	                          removed. Never written; snapshots that
-//	                          carry it load like any other unknown
-//	                          section — skipped, with identical answers
-//	                          — and re-save without it, the one
-//	                          deliberate exception to "saving a loaded
-//	                          index reproduces the snapshot".
+//	section 1 (config):   the Config the index was built under,
+//	                      followed by the section inventory (the IDs
+//	                      of every section written) — the checksummed
+//	                      defense against a corrupted section ID making
+//	                      an optional section silently vanish.
+//	section 2 (kb1):      first KB, embedded KB binary (internal/kb;
+//	                      includes retained source triples when the KB
+//	                      is mutable)
+//	section 3 (kb2):      second KB, embedded KB binary
+//	section 6 (stats):    purge result and block accounting
+//	section 7 (matches):  H1, H2, H3, final matches, H4 discard count
+//	section 8 (prepared): frozen left-side substrate of the delta path
+//	                      (see Index.QueryKB): the embedded one-sided
+//	                      token/name index (internal/blocking "MPS1")
+//	                      followed by the frozen per-entity neighbor
+//	                      lists. Mandatory: B_N and B_T are derived
+//	                      from it by probing with KB2 and purging, and
+//	                      the derivation is checked against section 6.
+//	section 9 (journal):  epoch number and the mutation journal — one
+//	                      record per absorbed Upsert/Delete since the
+//	                      last Compact — then the Compact count and the
+//	                      per-entry replay payloads (upsert deltas as
+//	                      N-Triples lines). Written only for indexes
+//	                      past epoch 0 (or with journal entries, or a
+//	                      non-zero compaction count); snapshots of
+//	                      mutated indexes persist the *mutated* state in
+//	                      the other sections.
 //
-// Compatibility promise: a reader accepts exactly the format versions
-// it names (currently 1), skips unknown section IDs within them, and
+// IDs 4 and 5 (the block collections B_N and B_T, stored by version 1)
+// and 10 (the shard count of a removed scatter-gather engine) are
+// retired: never reuse them.
+//
+// Compatibility promise: a reader accepts exactly the format version
+// it names (currently 2), skips unknown section IDs within it, and
 // rejects everything else — including any payload whose checksum does
-// not match — with an error wrapping ErrSnapshotCorrupt. Saving a
-// loaded index reproduces the snapshot bit-for-bit, journal included.
-// The prepared and journal sections are optional in both directions:
-// snapshots from before they existed load fine, and older readers skip
-// them unharmed.
+// not match, and derived blocks that disagree with the stats — with an
+// error wrapping ErrSnapshotCorrupt. Saving a loaded index reproduces
+// the snapshot bit-for-bit, journal included.
 
 var snapshotMagic = [4]byte{'M', 'S', 'N', 'P'}
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-// Section IDs of the snapshot frame.
+// Section IDs of the snapshot frame (4, 5 and 10 are retired).
 //
-//minoaner:sections writer=SaveIndex reader=readConfigSection,openIndexMap,readStatsSection,readMatchesSection,decodeBlocks,decodePrepared,readJournalSection
+//minoaner:sections writer=SaveIndex reader=readConfigSection,openIndexMap,readStatsSection,readMatchesSection,decodePrepared,readJournalSection
 const (
-	snapConfig      = 1
-	snapKB1         = 2
-	snapKB2         = 3
-	snapNameBlocks  = 4
-	snapTokenBlocks = 5
-	snapStats       = 6
-	snapMatches     = 7
-	snapPrepared    = 8
-	snapJournal     = 9
-	// 10 is retired (see the layout comment): never reuse it, old
-	// snapshots still carry it with the former meaning.
+	snapConfig   = 1
+	snapKB1      = 2
+	snapKB2      = 3
+	snapStats    = 6
+	snapMatches  = 7
+	snapPrepared = 8
+	snapJournal  = 9
 )
 
 // ErrSnapshotCorrupt is wrapped by every failure caused by damaged or
@@ -119,17 +96,13 @@ func SaveIndex(w io.Writer, ix *Index) error {
 	if err := e.drain(); err != nil {
 		return err
 	}
-	blocks, err := e.d.blocks()
-	if err != nil {
-		return err
-	}
 	prep, err := e.d.prep()
 	if err != nil {
 		return err
 	}
 
 	withJournal := e.seq > 0 || len(ix.journal) > 0 || ix.compactions.Load() > 0
-	sections := []uint64{snapConfig, snapKB1, snapKB2, snapNameBlocks, snapTokenBlocks, snapStats, snapMatches, snapPrepared}
+	sections := []uint64{snapConfig, snapKB1, snapKB2, snapStats, snapMatches, snapPrepared}
 	if withJournal {
 		sections = append(sections, snapJournal)
 	}
@@ -148,12 +121,6 @@ func SaveIndex(w io.Writer, ix *Index) error {
 		return err
 	}
 	if err := writeEmbedded(bw, snapKB2, e.kb2.kb.WriteBinary); err != nil {
-		return err
-	}
-	if err := writeEmbedded(bw, snapNameBlocks, blocks.name.WriteBinary); err != nil {
-		return err
-	}
-	if err := writeEmbedded(bw, snapTokenBlocks, blocks.token.WriteBinary); err != nil {
 		return err
 	}
 	bw.Section(snapStats, func(enc *binio.Writer) {
@@ -199,15 +166,11 @@ func writeNeighborLists(e *binio.Writer, top [][]kb.EntityID) {
 }
 
 // writeJournalSection encodes section 9: the epoch number and journal
-// entries in the original layout, then — only when something in it
-// would be non-empty — a trailing extension with the compaction count
-// and the per-entry replay payloads. Pre-extension readers stop after
-// the entry list and ignore the tail; omitting an all-empty tail keeps
-// resaves of pre-extension snapshots bit-identical.
+// entries, then the compaction count and the per-entry replay
+// payloads.
 func writeJournalSection(enc *binio.Writer, seq uint64, journal []JournalEntry, compactions uint64) {
 	enc.Uvarint(seq)
 	enc.Int(len(journal))
-	withTail := compactions > 0
 	for _, je := range journal {
 		enc.Uvarint(je.Seq)
 		enc.Uvarint(uint64(je.Op))
@@ -217,12 +180,6 @@ func writeJournalSection(enc *binio.Writer, seq uint64, journal []JournalEntry, 
 			enc.Str(s)
 		}
 		enc.Int(je.Triples)
-		if len(je.Delta) > 0 {
-			withTail = true
-		}
-	}
-	if !withTail {
-		return
 	}
 	enc.Uvarint(compactions)
 	for _, je := range journal {
@@ -235,8 +192,7 @@ func writeJournalSection(enc *binio.Writer, seq uint64, journal []JournalEntry, 
 
 // readJournalSection restores section 9, when the snapshot has one,
 // into ix and its current epoch: the epoch number, the mutation
-// journal, and — when the extension tail is present — the compaction
-// count and replay payloads.
+// journal, the compaction count and the replay payloads.
 func (ix *Index) readJournalSection(m *binio.Map) error {
 	if !m.Has(snapJournal) {
 		return nil
@@ -290,32 +246,28 @@ func (ix *Index) readJournalSection(m *binio.Map) error {
 		je.Triples = b.Int()
 		entries = append(entries, je)
 	}
+	compactions := b.Uvarint()
+	for i := 0; i < len(entries) && b.Err() == nil; i++ {
+		nd := b.Int()
+		if b.Err() != nil {
+			break
+		}
+		if nd < 0 || nd > 1<<24 {
+			b.Fail("absurd delta length %d", nd)
+			break
+		}
+		if nd > 0 && entries[i].Op != JournalUpsert {
+			b.Fail("journal entry %d: delete carries a delta payload", i)
+			break
+		}
+		for j := 0; j < nd && b.Err() == nil; j++ {
+			entries[i].Delta = append(entries[i].Delta, b.Str())
+		}
+	}
 	if err := b.Err(); err != nil {
 		return fmt.Errorf("%w: journal: %v", ErrSnapshotCorrupt, err)
 	}
-	if b.More() {
-		ix.compactions.Store(b.Uvarint())
-		for i := 0; i < len(entries) && b.Err() == nil; i++ {
-			nd := b.Int()
-			if b.Err() != nil {
-				break
-			}
-			if nd < 0 || nd > 1<<24 {
-				b.Fail("absurd delta length %d", nd)
-				break
-			}
-			if nd > 0 && entries[i].Op != JournalUpsert {
-				b.Fail("journal entry %d: delete carries a delta payload", i)
-				break
-			}
-			for j := 0; j < nd && b.Err() == nil; j++ {
-				entries[i].Delta = append(entries[i].Delta, b.Str())
-			}
-		}
-		if err := b.Err(); err != nil {
-			return fmt.Errorf("%w: journal extension: %v", ErrSnapshotCorrupt, err)
-		}
-	}
+	ix.compactions.Store(compactions)
 	e.seq = seq
 	ix.journal = entries
 	ix.journalLen.Store(int64(len(entries)))
@@ -371,8 +323,8 @@ func loadIndexImage(data []byte) (*Index, error) {
 	return ix, nil
 }
 
-// writeEmbedded streams one nested format (KB or collection) into its
-// own section; the section framing delimits and checksums it.
+// writeEmbedded streams one nested format (a KB) into its own section;
+// the section framing delimits and checksums it.
 func writeEmbedded(bw *binio.Writer, id uint64, write func(io.Writer) error) error {
 	bw.Section(id, func(e *binio.Writer) {
 		e.Embed(write)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"minoaner/internal/binio"
-	"minoaner/internal/blocking"
 )
 
 // TestReadPairsCapsPreallocation: a matches section with valid
@@ -39,17 +38,14 @@ func TestReadPairsCapsPreallocation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, id := range []uint64{snapNameBlocks, snapTokenBlocks} {
-			if err := writeEmbedded(bw, id, blocking.NewCollection(n, n).WriteBinary); err != nil {
-				t.Fatal(err)
-			}
-		}
 		bw.Section(snapStats, func(enc *binio.Writer) {
 			for i := 0; i < 8; i++ {
 				enc.Int(0)
 			}
 		})
 		bw.Section(snapMatches, matches)
+		// Open requires the substrate section but decodes it on demand.
+		bw.Section(snapPrepared, func(*binio.Writer) {})
 		bw.End()
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
