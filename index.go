@@ -376,10 +376,9 @@ func (ix *Index) Prepare() { _, _ = ix.cur.Load().d.prep() }
 // never |KB1|. The substrate is derived once per epoch, on the first
 // such query (or decoded from the snapshot that persisted it). On a
 // mapped index, that substrate and KB1's URIs are all this path reads:
-// KB1's full tier stays undecoded. A
-// larger delta runs the full plan, which decodes KB1's full tier and
-// re-blocks the whole pair (see QueryKBFull). Both paths produce
-// identical results. A QueryKB call answers from one epoch; concurrent
+// KB1's full tier stays undecoded. A larger delta runs the full plan,
+// which decodes KB1's full tier and re-blocks the whole pair (see
+// QueryKBFull). Both paths produce identical results. A QueryKB call answers from one epoch; concurrent
 // mutations never tear it.
 //
 // Query, by contrast, is a constant-time lookup; route traffic about

@@ -238,10 +238,11 @@ func (e *epoch) decodePrepared(m *binio.Map) (*pipeline.Prepared, error) {
 }
 
 // drain forces everything the epoch may still read from a snapshot
-// mapping: both KBs' tiers and a persisted delta substrate. The write side calls it under mu before touching state
-// (mutations, SaveIndex, Close). It publishes nothing — the memos fill
-// in place, and every clone of the epoch shares them — so after it
-// returns nil no epoch a reader may still hold references the mapping.
+// mapping: both KBs' tiers and a persisted delta substrate. The write
+// side calls it under mu before touching state (mutations, SaveIndex,
+// Close). It publishes nothing — the memos fill in place, and every
+// clone of the epoch shares them — so after it returns nil no epoch a
+// reader may still hold references the mapping.
 // A nil check on built and mutated epochs.
 func (e *epoch) drain() error {
 	for _, side := range []struct {
