@@ -111,40 +111,26 @@ func ClusterAttributes(kb1, kb2 *kb.KB, minSim float64, maxTokens int) *Attribut
 // glue cluster collide globally (preserving recall for unlinked
 // attributes); tokens under a real cluster only collide within it.
 func AttributeClusteredBlocks(kb1, kb2 *kb.KB, clusters *AttributeClusters) *Collection {
-	keys := make(map[string]*keyBucket)
-	collect := func(k *kb.KB, byPred map[int32]int, side int) {
-		for i := 0; i < k.Len(); i++ {
-			id := kb.EntityID(i)
+	keysOf := func(k *kb.KB, byPred map[int32]int) func(e int) []string {
+		return func(e int) []string {
+			var keys []string
 			seen := make(map[string]struct{})
-			for _, av := range k.Entity(id).Attrs {
+			for _, av := range k.Entity(kb.EntityID(e)).Attrs {
 				cluster := byPred[av.Pred]
 				for _, tok := range tokenize.Tokens(av.Value, tokenize.DefaultOptions) {
 					key := fmt.Sprintf("%d|%s", cluster, tok)
-					if _, dup := seen[key]; dup {
-						continue
-					}
-					seen[key] = struct{}{}
-					if side == 1 {
-						b := keys[key]
-						if b == nil {
-							b = &keyBucket{}
-							keys[key] = b
-						}
-						b.e1 = append(b.e1, id)
-					} else {
-						b := keys[key]
-						if b == nil {
-							continue // key absent from KB1: can never pair
-						}
-						b.e2 = append(b.e2, id)
+					if _, dup := seen[key]; !dup {
+						seen[key] = struct{}{}
+						keys = append(keys, key)
 					}
 				}
 			}
+			return keys
 		}
 	}
-	collect(kb1, clusters.ByKB1, 1)
-	collect(kb2, clusters.ByKB2, 2)
-	return fromKeyMaps([]map[string]*keyBucket{keys}, kb1.Len(), kb2.Len())
+	p1 := buildPostings(1, kb1.Len(), keysOf(kb1, clusters.ByKB1), false, nil)
+	p2 := buildPostings(1, kb2.Len(), keysOf(kb2, clusters.ByKB2), true, p1)
+	return join(kb1.Len(), kb2.Len(), p1, p2)
 }
 
 type attrProfile struct {

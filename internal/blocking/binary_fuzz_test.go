@@ -96,7 +96,7 @@ func TestDecodersBoundClaimedCounts(t *testing.T) {
 func FuzzReadData(f *testing.F) {
 	kb1 := kbFromValues(f, "a", []string{"alpha beta", "gamma delta", "epsilon"})
 	kb2 := kbFromValues(f, "b", []string{"alpha gamma", "delta epsilon"})
-	for _, p := range []*Prepared{Prepare(kb1, 2, 1), Prepare(kb2, 1, 1)} {
+	for _, p := range []*Prepared{Prepare(kb1, 2, 1, nil), Prepare(kb2, 1, 1, nil)} {
 		var buf bytes.Buffer
 		if err := p.WriteBinary(&buf); err != nil {
 			f.Fatal(err)

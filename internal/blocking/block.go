@@ -71,33 +71,6 @@ func (c *Collection) sortBlocks() {
 	sort.Slice(c.Blocks, func(i, j int) bool { return c.Blocks[i].Key < c.Blocks[j].Key })
 }
 
-// fromKeyMaps materializes a deterministic Collection out of per-shard,
-// per-key member lists, dropping single-sided blocks. Each key lives in
-// exactly one shard, so concatenating the shards and sorting by key
-// yields the same collection a single map would.
-func fromKeyMaps(shards []map[string]*keyBucket, n1, n2 int) *Collection {
-	c := NewCollection(n1, n2)
-	total := 0
-	for _, m := range shards {
-		total += len(m)
-	}
-	c.Blocks = make([]Block, 0, total)
-	for _, m := range shards {
-		for key, b := range m {
-			if len(b.e1) == 0 || len(b.e2) == 0 {
-				continue
-			}
-			c.Blocks = append(c.Blocks, Block{Key: key, E1: b.e1, E2: b.e2})
-		}
-	}
-	c.sortBlocks()
-	return c
-}
-
-type keyBucket struct {
-	e1, e2 []kb.EntityID
-}
-
 // Index maps every entity to the ascending positions of the blocks
 // that contain it: the access path of candidate scoring in every engine.
 type Index struct {

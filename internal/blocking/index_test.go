@@ -88,7 +88,7 @@ func TestIndexMatchesReference(t *testing.T) {
 		scratch.Reset()
 	}
 	for _, ds := range equivalenceDatasets(t) {
-		c := TokenBlocksN(ds.KB1, ds.KB2, 1)
+		c := referenceTokenBlocks(ds.KB1, ds.KB2)
 		assertIndexMatches(t, ds.Name, c, c.BuildIndex())
 	}
 }

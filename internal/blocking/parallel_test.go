@@ -1,8 +1,8 @@
 package blocking
 
-// Equivalence guard for key-sharded blocking: TokenBlocksN and
-// NameBlocksN must produce collections bit-identical to the sequential
-// path at every worker count, on all four synthetic benchmarks.
+// Equivalence guard for key-sharded blocking: substrates built across
+// any worker count must join into the reference collections on all
+// four synthetic benchmarks.
 
 import (
 	"reflect"
@@ -11,7 +11,7 @@ import (
 	"minoaner/internal/datagen"
 )
 
-var shardWorkerCounts = []int{2, 4, 8}
+var shardWorkerCounts = []int{1, 2, 4, 8}
 
 func equivalenceDatasets(t *testing.T) []*datagen.Dataset {
 	t.Helper()
@@ -28,11 +28,11 @@ func equivalenceDatasets(t *testing.T) []*datagen.Dataset {
 
 func TestTokenBlocksShardedBitIdentical(t *testing.T) {
 	for _, ds := range equivalenceDatasets(t) {
-		want := TokenBlocksN(ds.KB1, ds.KB2, 1)
+		want := referenceTokenBlocks(ds.KB1, ds.KB2)
 		for _, w := range shardWorkerCounts {
-			got := TokenBlocksN(ds.KB1, ds.KB2, w)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: TokenBlocksN(workers=%d) differs from sequential", ds.Name, w)
+			p1 := Prepare(ds.KB1, 2, w, nil)
+			if got := JoinTokenBlocks(p1, Prepare(ds.KB2, 2, w, p1)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: token join at workers=%d differs from the reference", ds.Name, w)
 			}
 		}
 	}
@@ -40,11 +40,11 @@ func TestTokenBlocksShardedBitIdentical(t *testing.T) {
 
 func TestNameBlocksShardedBitIdentical(t *testing.T) {
 	for _, ds := range equivalenceDatasets(t) {
-		want := NameBlocksN(ds.KB1, ds.KB2, 2, 1)
+		want := referenceNameBlocks(ds.KB1, ds.KB2, 2)
 		for _, w := range shardWorkerCounts {
-			got := NameBlocksN(ds.KB1, ds.KB2, 2, w)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: NameBlocksN(workers=%d) differs from sequential", ds.Name, w)
+			p1 := Prepare(ds.KB1, 2, w, nil)
+			if got := JoinNameBlocks(p1, Prepare(ds.KB2, 2, w, p1)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: name join at workers=%d differs from the reference", ds.Name, w)
 			}
 		}
 	}

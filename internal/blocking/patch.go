@@ -3,10 +3,9 @@
 // entities; Prepared.ApplyPatch copies the substrate's key maps (member
 // slices shared) and rewrites those keys, and Collection.Patch merges
 // the edited keys into a key-sorted two-sided collection whose members
-// it reads back from the patched substrates. Both
-// operations reproduce, key for key and member for member, what
-// Prepare / TokenBlocksN / NameBlocksN build from scratch over the
-// mutated KBs.
+// it reads back from the patched substrates. Both operations
+// reproduce, key for key and member for member, what Prepare and the
+// join of two substrates build from scratch over the mutated KBs.
 package blocking
 
 import (
@@ -125,39 +124,7 @@ func (p *Prepared) remapped(remap []kb.EntityID, newSize int) *Prepared {
 // invalidates every name key at once. Token postings are shared with
 // the receiver.
 func (p *Prepared) RebuildNames(kb1 *kb.KB, nameK, workers int) *Prepared {
-	attrs := kb1.TopNameAttributes(nameK)
-	names := entityNames(kb1, attrs, workers)
-	return &Prepared{
-		n1:     p.n1,
-		nameK:  nameK,
-		tokens: p.tokens,
-		names:  buildPostings(workers, kb1.Len(), func(e int) []string { return names[e] }),
-	}
-}
-
-// JoinTokenBlocks derives the two-sided token-block collection of a KB
-// pair from the two one-sided substrates: one block per key held by
-// both sides, member slices shared with the postings. The result is
-// bit-identical to TokenBlocksN over the same KBs.
-func JoinTokenBlocks(p1, p2 *Prepared) *Collection {
-	return join(p1.n1, p2.n1, p1.tokens, p2.tokens)
-}
-
-// JoinNameBlocks is JoinTokenBlocks for name blocks, bit-identical to
-// NameBlocksN.
-func JoinNameBlocks(p1, p2 *Prepared) *Collection {
-	return join(p1.n1, p2.n1, p1.names, p2.names)
-}
-
-func join(n1, n2 int, side1, side2 map[string][]kb.EntityID) *Collection {
-	c := NewCollection(n1, n2)
-	for key, e1 := range side1 {
-		if e2 := side2[key]; len(e1) > 0 && len(e2) > 0 {
-			c.Blocks = append(c.Blocks, Block{Key: key, E1: e1, E2: e2})
-		}
-	}
-	c.sortBlocks()
-	return c
+	return &Prepared{n1: p.n1, nameK: nameK, tokens: p.tokens, names: namePostings(kb1, nameK, workers, false, nil)}
 }
 
 // CollectionPatch updates a key-sorted two-sided collection for one

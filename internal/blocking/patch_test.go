@@ -87,15 +87,15 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			prep1 := Prepare(side1, nameK, 2)
-			prep2 := Prepare(side2, nameK, 2)
+			prep1 := Prepare(side1, nameK, 2, nil)
+			prep2 := Prepare(side2, nameK, 2, nil)
 			tokenColl := JoinTokenBlocks(prep1, prep2)
 			nameColl := JoinNameBlocks(prep1, prep2)
-			if want := TokenBlocksN(side1, side2, 1); !reflect.DeepEqual(tokenColl, want) {
-				t.Fatal("joined token blocks diverge from TokenBlocksN")
+			if want := referenceTokenBlocks(side1, side2); !reflect.DeepEqual(tokenColl, want) {
+				t.Fatal("joined token blocks diverge from the reference")
 			}
-			if want := NameBlocksN(side1, side2, nameK, 1); !reflect.DeepEqual(nameColl, want) {
-				t.Fatal("joined name blocks diverge from NameBlocksN")
+			if want := referenceNameBlocks(side1, side2, nameK); !reflect.DeepEqual(nameColl, want) {
+				t.Fatal("joined name blocks diverge from the reference")
 			}
 
 			cur := side1
@@ -124,7 +124,7 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 					// Rare with this generator; the fallback re-derives
 					// substrate and collections wholesale (the name
 					// rebuild itself is covered by TestRebuildNames).
-					prep1 = Prepare(next, nameK, 1)
+					prep1 = Prepare(next, nameK, 1, nil)
 					tokenColl = JoinTokenBlocks(prep1, prep2)
 					nameColl = JoinNameBlocks(prep1, prep2)
 				} else {
@@ -159,7 +159,7 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 						N1:      next.Len(),
 						N2:      side2.Len(),
 					})
-					if want := TokenBlocksN(next, side2, 1); !reflect.DeepEqual(tokenColl, want) {
+					if want := referenceTokenBlocks(next, side2); !reflect.DeepEqual(tokenColl, want) {
 						wm := map[string]Block{}
 						for _, b := range want.Blocks {
 							wm[b.Key] = b
@@ -188,11 +188,11 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 						}
 						t.Fatalf("round %d: patched token collection diverges (shift=%v)", round, d.Shifted())
 					}
-					if want := NameBlocksN(next, side2, nameK, 1); !reflect.DeepEqual(nameColl, want) {
+					if want := referenceNameBlocks(next, side2, nameK); !reflect.DeepEqual(nameColl, want) {
 						t.Fatalf("round %d: patched name collection diverges", round)
 					}
 				}
-				if fresh := Prepare(next, nameK, 1); !reflect.DeepEqual(prep1, fresh) {
+				if fresh := Prepare(next, nameK, 1, nil); !reflect.DeepEqual(prep1, fresh) {
 					t.Fatalf("round %d: patched substrate diverges from fresh Prepare", round)
 				}
 				cur = next
@@ -209,9 +209,9 @@ func TestRebuildNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Prepare(k, 2, 1)
+	p := Prepare(k, 2, 1, nil)
 	got := p.RebuildNames(k, 1, 1) // different nameK forces different name keys
-	want := Prepare(k, 1, 1)
+	want := Prepare(k, 1, 1, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("rebuilt names diverge from fresh Prepare")
 	}

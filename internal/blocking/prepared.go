@@ -8,19 +8,18 @@ import (
 	"minoaner/internal/parallel"
 )
 
-// Prepared is the frozen one-sided blocking substrate of a KB: every
-// token and name key of the KB mapped to its member entities, built
-// once so that delta queries probe it with only the delta's keys
-// instead of re-scanning the KB per query. A probed collection is
-// bit-identical to the one TokenBlocksN/NameBlocksN build for the same
-// pair, so downstream purging, weighting, and matching see exactly the
-// evidence the full construction would produce.
+// Prepared is the one-sided blocking substrate of a KB: every token
+// and name key of the KB mapped to its member entities. It is the one
+// inverted-index builder of the package: every two-sided collection is
+// the join of two substrates (JoinTokenBlocks, JoinNameBlocks), so
+// purging, weighting and matching see the same blocks whichever engine
+// derived them. A delta query joins the frozen substrate of KB1 with
+// the delta's, bounded by it, paying for the delta's keys only.
 //
 // The per-key entity lists double as the KB-side EF counts of the ARCS
-// weights (EF_KB(t) == len(posting)), and Purge derives its
-// comparison-cutoff thresholds from the probed collection unchanged.
+// weights (EF_KB(t) == len(posting)).
 //
-// Prepared is immutable after Prepare and safe for concurrent probes.
+// Prepared is immutable after Prepare and safe for concurrent joins.
 // A mutated KB epoch derives its substrate with ApplyPatch (see
 // patch.go), which rewrites only the touched keys in a copy of the key
 // maps instead of rebuilding the inverted index.
@@ -35,42 +34,79 @@ type Prepared struct {
 	names  map[string][]kb.EntityID
 }
 
-// Prepare builds the frozen substrate of kb1 for the given name-K,
-// across the given worker count (<= 0 selects GOMAXPROCS). The result
-// is identical at every count.
-func Prepare(kb1 *kb.KB, nameK, workers int) *Prepared {
+// Prepare builds the substrate of k for the given name-K, across the
+// given worker count (<= 0 selects GOMAXPROCS). The result is identical
+// at every count. A non-nil bound limits the substrate to the keys
+// bound holds: the second side of a join keeps only the keys the first
+// side can pair with.
+func Prepare(k *kb.KB, nameK, workers int, bound *Prepared) *Prepared {
 	w := parallel.Workers(workers)
-	p := &Prepared{n1: kb1.Len(), nameK: nameK}
-	p.tokens = buildPostings(w, kb1.Len(), func(e int) []string { return kb1.Tokens(kb.EntityID(e)) })
-	attrs := kb1.TopNameAttributes(nameK)
-	names := entityNames(kb1, attrs, w)
-	p.names = buildPostings(w, kb1.Len(), func(e int) []string { return names[e] })
-	return p
+	var boundTokens, boundNames map[string][]kb.EntityID
+	if bound != nil {
+		boundTokens, boundNames = bound.tokens, bound.names
+	}
+	return &Prepared{
+		n1:     k.Len(),
+		nameK:  nameK,
+		tokens: tokenPostings(k, w, bound != nil, boundTokens),
+		names:  namePostings(k, nameK, w, bound != nil, boundNames),
+	}
 }
 
-// buildPostings inverts per-entity key lists into key -> members. Keys
-// are sharded by hash across workers (as in shardedBlocks), and each
-// worker scans the entities in ID order, so member lists are ascending
-// and the merged map is independent of the worker count.
-func buildPostings(workers, n int, keys func(e int) []string) map[string][]kb.EntityID {
-	scan := func(shard, workers int) map[string][]kb.EntityID {
-		m := make(map[string][]kb.EntityID)
+// tokenPostings inverts k's token lists (see buildPostings).
+func tokenPostings(k *kb.KB, workers int, bounded bool, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+	return buildPostings(workers, k.Len(), func(e int) []string { return k.Tokens(kb.EntityID(e)) }, bounded, bound)
+}
+
+// namePostings inverts the name keys of k's nameK most distinctive
+// attributes. Name keys are derived (normalized, deduplicated) rather
+// than stored on the entity, so they are computed once per entity up
+// front instead of once per key shard.
+func namePostings(k *kb.KB, nameK, workers int, bounded bool, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+	attrs := k.TopNameAttributes(nameK)
+	names := make([][]string, k.Len())
+	_ = parallel.For(context.Background(), k.Len(), workers, func(_, start, end int) error {
+		for e := start; e < end; e++ {
+			names[e] = k.Names(kb.EntityID(e), attrs)
+		}
+		return nil
+	})
+	return buildPostings(workers, k.Len(), func(e int) []string { return names[e] }, bounded, bound)
+}
+
+// posting is one key's member list under construction. Keys map to
+// pointers, so adding a member costs a single map lookup.
+type posting struct{ ids []kb.EntityID }
+
+// buildPostings inverts per-entity key lists into key -> members; when
+// bounded, keys bound lacks are dropped. Keys are sharded by hash
+// across workers, and each worker scans the entities in ID order, so
+// member lists are ascending and the merged map is independent of the
+// worker count.
+func buildPostings(workers, n int, keys func(e int) []string, bounded bool, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+	scan := func(shard int) map[string]*posting {
+		m := make(map[string]*posting)
 		for e := 0; e < n; e++ {
 			for _, key := range keys(e) {
-				if shard != singleShard && parallel.ShardOf(key, workers) != shard {
+				if workers > 1 && parallel.ShardOf(key, workers) != shard {
 					continue
 				}
-				m[key] = append(m[key], kb.EntityID(e))
+				b := m[key]
+				if b == nil {
+					if _, ok := bound[key]; bounded && !ok {
+						continue
+					}
+					b = new(posting)
+					m[key] = b
+				}
+				b.ids = append(b.ids, kb.EntityID(e))
 			}
 		}
 		return m
 	}
-	if workers <= 1 {
-		return scan(singleShard, 1)
-	}
-	shards := make([]map[string][]kb.EntityID, workers)
+	shards := make([]map[string]*posting, workers)
 	_ = parallel.For(context.Background(), workers, workers, func(w, _, _ int) error {
-		shards[w] = scan(w, workers)
+		shards[w] = scan(w)
 		return nil
 	})
 	// Each key lives in exactly one shard; merging is a plain union.
@@ -80,8 +116,8 @@ func buildPostings(workers, n int, keys func(e int) []string) map[string][]kb.En
 	}
 	out := make(map[string][]kb.EntityID, total)
 	for _, m := range shards {
-		for key, members := range m {
-			out[key] = members
+		for key, b := range m {
+			out[key] = b.ids
 		}
 	}
 	return out
@@ -91,68 +127,44 @@ func buildPostings(workers, n int, keys func(e int) []string) map[string][]kb.En
 func (p *Prepared) KBSize() int { return p.n1 }
 
 // NameK returns the name-attribute count the substrate was prepared
-// for; a probe is only valid under the same parameter.
+// for; a join is only valid between substrates of the same parameter.
 func (p *Prepared) NameK() int { return p.nameK }
 
-// probeCancelStride is how many delta entities a probe scans between
-// context checks.
-const probeCancelStride = 1024
-
-// ProbeTokenBlocks builds the token-block collection of (prepared KB,
-// delta) by probing the frozen token index with the delta's tokens
-// only: O(delta tokens) work instead of a full re-scan of the prepared
-// KB. The result is bit-identical to TokenBlocksN(kb1, delta) — same
-// blocks, same key order, same member order. KB-side member slices are
-// shared with the substrate; callers must not mutate them.
-func (p *Prepared) ProbeTokenBlocks(ctx context.Context, delta *kb.KB) (*Collection, error) {
-	return p.probe(ctx, delta.Len(), p.TokenPosting, func(e int) []string { return delta.Tokens(kb.EntityID(e)) })
+// JoinTokenBlocks derives the two-sided token-block collection of a KB
+// pair from the two one-sided substrates: one block per key held by
+// both sides, member slices shared with the postings, blocks in key
+// order. Either side may be bounded by the other (see Prepare).
+func JoinTokenBlocks(p1, p2 *Prepared) *Collection {
+	return join(p1.n1, p2.n1, p1.tokens, p2.tokens)
 }
 
-// ProbeNameBlocks builds the name-block collection of (prepared KB,
-// delta) by probing the frozen name index with the delta's name keys.
-// The delta's own top name attributes are derived from the delta, as in
-// the full construction; the result is bit-identical to
-// NameBlocksN(kb1, delta, nameK).
-func (p *Prepared) ProbeNameBlocks(ctx context.Context, delta *kb.KB) (*Collection, error) {
-	attrs := delta.TopNameAttributes(p.nameK)
-	return p.probe(ctx, delta.Len(), p.NamePosting, func(e int) []string { return delta.Names(kb.EntityID(e), attrs) })
+// JoinNameBlocks is JoinTokenBlocks for name blocks.
+func JoinNameBlocks(p1, p2 *Prepared) *Collection {
+	return join(p1.n1, p2.n1, p1.names, p2.names)
 }
 
-// probe assembles the two-sided blocks for the delta's keys: a key
-// yields a block exactly when the prepared side holds it, mirroring the
-// full construction's drop of single-sided blocks. Delta members are
-// appended in entity order and blocks sorted by key, matching
-// fromKeyMaps exactly.
-func (p *Prepared) probe(ctx context.Context, nDelta int, lookup func(string) []kb.EntityID, keys func(e int) []string) (*Collection, error) {
-	type bucket struct {
-		e1, e2 []kb.EntityID
+// join walks the side holding fewer keys and looks each up in the
+// other, so joining a small bounded substrate costs its own keys only.
+func join(n1, n2 int, side1, side2 map[string][]kb.EntityID) *Collection {
+	swap := len(side2) < len(side1)
+	walk, other := side1, side2
+	if swap {
+		walk, other = side2, side1
 	}
-	buckets := make(map[string]*bucket)
-	for e := 0; e < nDelta; e++ {
-		if e%probeCancelStride == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
+	c := NewCollection(n1, n2)
+	c.Blocks = make([]Block, 0, len(walk))
+	for key, mine := range walk {
+		theirs := other[key]
+		if len(mine) == 0 || len(theirs) == 0 {
+			continue
 		}
-		id := kb.EntityID(e)
-		for _, key := range keys(e) {
-			b := buckets[key]
-			if b == nil {
-				members := lookup(key)
-				if len(members) == 0 {
-					continue
-				}
-				b = &bucket{e1: members}
-				buckets[key] = b
-			}
-			b.e2 = append(b.e2, id)
+		if swap {
+			mine, theirs = theirs, mine
 		}
-	}
-	c := NewCollection(p.n1, nDelta)
-	c.Blocks = make([]Block, 0, len(buckets))
-	for key, b := range buckets {
-		c.Blocks = append(c.Blocks, Block{Key: key, E1: b.e1, E2: b.e2})
+		c.Blocks = append(c.Blocks, Block{Key: key, E1: mine, E2: theirs})
 	}
 	c.sortBlocks()
-	return c, nil
+	return c
 }
 
 // sortedKeys returns map keys in ascending order (for deterministic

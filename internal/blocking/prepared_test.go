@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -40,71 +39,50 @@ func randomPair(t testing.TB, seed int64, n1, n2 int) (*kb.KB, *kb.KB) {
 	return build("a", n1), build("b", n2)
 }
 
-// TestProbeMatchesFullConstruction: probing the prepared substrate
-// with a delta reproduces TokenBlocksN/NameBlocksN over the same pair
-// exactly, at several worker counts.
+// TestProbeMatchesFullConstruction: a delta's substrate, bounded by
+// the prepared KB's and built serially as a delta run builds it, joins
+// with the prepared substrate into exactly the reference collections
+// over the same pair, at several worker counts of the prepared side.
 func TestProbeMatchesFullConstruction(t *testing.T) {
 	kb1, delta := randomPair(t, 7, 60, 9)
 	const nameK = 2
 	for _, workers := range []int{1, 2, 4} {
-		p := Prepare(kb1, nameK, workers)
-		gotTok, err := p.ProbeTokenBlocks(context.Background(), delta)
-		if err != nil {
-			t.Fatal(err)
+		p := Prepare(kb1, nameK, workers, nil)
+		d := Prepare(delta, nameK, 1, p)
+		if got, want := JoinTokenBlocks(p, d), referenceTokenBlocks(kb1, delta); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: delta token blocks diverge (%d vs %d blocks)", workers, got.Size(), want.Size())
 		}
-		if wantTok := TokenBlocksN(kb1, delta, workers); !reflect.DeepEqual(gotTok, wantTok) {
-			t.Fatalf("workers=%d: probed token blocks diverge (%d vs %d blocks)",
-				workers, gotTok.Size(), wantTok.Size())
-		}
-		gotName, err := p.ProbeNameBlocks(context.Background(), delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantName := NameBlocksN(kb1, delta, nameK, workers); !reflect.DeepEqual(gotName, wantName) {
-			t.Fatalf("workers=%d: probed name blocks diverge (%d vs %d blocks)",
-				workers, gotName.Size(), wantName.Size())
+		if got, want := JoinNameBlocks(p, d), referenceNameBlocks(kb1, delta, nameK); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: delta name blocks diverge (%d vs %d blocks)", workers, got.Size(), want.Size())
 		}
 	}
 }
 
-// TestPrepareWorkerInvariance: the substrate is identical at every
-// worker count.
+// TestPrepareWorkerInvariance: the substrate, full or bounded, is
+// identical at every worker count.
 func TestPrepareWorkerInvariance(t *testing.T) {
-	kb1, _ := randomPair(t, 3, 80, 1)
-	base := Prepare(kb1, 2, 1)
+	kb1, kb2 := randomPair(t, 3, 80, 30)
+	base := Prepare(kb1, 2, 1, nil)
+	bounded := Prepare(kb2, 2, 1, base)
 	for _, workers := range []int{2, 4, 8} {
-		if got := Prepare(kb1, 2, workers); !reflect.DeepEqual(got, base) {
+		if got := Prepare(kb1, 2, workers, nil); !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d substrate diverges from workers=1", workers)
 		}
+		if got := Prepare(kb2, 2, workers, base); !reflect.DeepEqual(got, bounded) {
+			t.Fatalf("workers=%d bounded substrate diverges from workers=1", workers)
+		}
 	}
 }
 
-// TestProbeCancellation: a cancelled context aborts the probe.
-func TestProbeCancellation(t *testing.T) {
-	kb1, delta := randomPair(t, 5, 30, 5)
-	p := Prepare(kb1, 2, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.ProbeTokenBlocks(ctx, delta); err != context.Canceled {
-		t.Errorf("token probe err = %v, want context.Canceled", err)
-	}
-	if _, err := p.ProbeNameBlocks(ctx, delta); err != context.Canceled {
-		t.Errorf("name probe err = %v, want context.Canceled", err)
-	}
-}
-
-// TestSparseIndexMatchesFull: a probed collection indexed into
+// TestSparseIndexMatchesFull: a delta's collection indexed into
 // side-1 scratch agrees with the reference, and side 1 lays out runs
 // for only the entities the blocks contain.
 func TestSparseIndexMatchesFull(t *testing.T) {
 	kb1, delta := randomPair(t, 11, 50, 8)
-	p := Prepare(kb1, 2, 1)
-	c, err := p.ProbeTokenBlocks(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Prepare(kb1, 2, 1, nil)
+	c := JoinTokenBlocks(p, Prepare(delta, 2, 1, p))
 	scratch := NewIndexSide(kb1.Len())
-	assertIndexMatches(t, "probed", c, c.BuildIndexInto(scratch))
+	assertIndexMatches(t, "delta", c, c.BuildIndexInto(scratch))
 	members := map[kb.EntityID]bool{}
 	for _, b := range c.Blocks {
 		for _, e := range b.E1 {
@@ -120,7 +98,7 @@ func TestSparseIndexMatchesFull(t *testing.T) {
 // and bit-identical through a reload, and corruption is rejected.
 func TestPreparedBinaryRoundTrip(t *testing.T) {
 	kb1, delta := randomPair(t, 13, 70, 10)
-	p := Prepare(kb1, 2, 4)
+	p := Prepare(kb1, 2, 4, nil)
 	var first bytes.Buffer
 	if err := p.WriteBinary(&first); err != nil {
 		t.Fatal(err)
@@ -140,17 +118,10 @@ func TestPreparedBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("not bit-identical after reload (%d vs %d bytes)", first.Len(), second.Len())
 	}
 
-	// A reloaded substrate probes identically.
-	want, err := p.ProbeTokenBlocks(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.ProbeTokenBlocks(context.Background(), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("reloaded substrate probes differently")
+	// A reloaded substrate bounds and joins identically.
+	want := JoinTokenBlocks(p, Prepare(delta, 2, 1, p))
+	if got := JoinTokenBlocks(back, Prepare(delta, 2, 1, back)); !reflect.DeepEqual(got, want) {
+		t.Fatal("reloaded substrate joins differently")
 	}
 
 	data := first.Bytes()

@@ -1,8 +1,6 @@
 package blocking
 
 import (
-	"context"
-
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
 )
@@ -11,121 +9,21 @@ import (
 // token appearing in the values of entities of both KBs becomes a block
 // whose members are the entities containing it (paper §III, H2: "H2
 // applies Token Blocking to the input KBs, yielding a set of blocks
-// B_T"). Construction is sharded across GOMAXPROCS workers; see
-// TokenBlocksN.
+// B_T"). It joins the token postings of kb1 with those of kb2 bounded
+// by them, built across GOMAXPROCS workers.
 func TokenBlocks(kb1, kb2 *kb.KB) *Collection {
-	return TokenBlocksN(kb1, kb2, 0)
-}
-
-// TokenBlocksN is TokenBlocks with an explicit worker count (<= 0
-// selects GOMAXPROCS). Blocking keys are sharded by hash: each worker
-// owns a disjoint key subset and scans both KBs for it, so member
-// lists stay in entity order and the merged, key-sorted collection is
-// bit-identical at every worker count.
-func TokenBlocksN(kb1, kb2 *kb.KB, workers int) *Collection {
-	return shardedBlocks(parallel.Workers(workers), kb1.Len(), kb2.Len(),
-		func(e int) []string { return kb1.Tokens(kb.EntityID(e)) },
-		func(e int) []string { return kb2.Tokens(kb.EntityID(e)) },
-		// Tokens absent from KB2 can never form a two-sided block.
-		func(tok string) bool { return kb2.EF(tok) > 0 },
-	)
+	w := parallel.Workers(0)
+	t1 := tokenPostings(kb1, w, false, nil)
+	return join(kb1.Len(), kb2.Len(), t1, tokenPostings(kb2, w, true, t1))
 }
 
 // NameBlocks applies Name Blocking: the normalized literal values of the
 // k most important attributes of each KB ("entity names") serve as
 // blocking keys (paper §III, H1: "H1 treats the entire entity names as
-// blocking keys to create a set of blocks B_N"). Construction is
-// sharded across GOMAXPROCS workers; see NameBlocksN.
+// blocking keys to create a set of blocks B_N"). Like TokenBlocks, it
+// joins the two KBs' name postings.
 func NameBlocks(kb1, kb2 *kb.KB, k int) *Collection {
-	return NameBlocksN(kb1, kb2, k, 0)
-}
-
-// NameBlocksN is NameBlocks with an explicit worker count (<= 0 selects
-// GOMAXPROCS); the collection is bit-identical at every count.
-func NameBlocksN(kb1, kb2 *kb.KB, k, workers int) *Collection {
-	w := parallel.Workers(workers)
-	attrs1 := kb1.TopNameAttributes(k)
-	attrs2 := kb2.TopNameAttributes(k)
-	// Name keys are derived (normalized, deduplicated) rather than
-	// stored on the entity, so compute them once per entity up front
-	// instead of once per shard.
-	names1 := entityNames(kb1, attrs1, w)
-	names2 := entityNames(kb2, attrs2, w)
-	return shardedBlocks(w, kb1.Len(), kb2.Len(),
-		func(e int) []string { return names1[e] },
-		func(e int) []string { return names2[e] },
-		nil,
-	)
-}
-
-// entityNames materializes the name keys of every entity in parallel.
-func entityNames(k *kb.KB, attrs []int32, workers int) [][]string {
-	out := make([][]string, k.Len())
-	_ = parallel.For(context.Background(), k.Len(), workers, func(_, start, end int) error {
-		for e := start; e < end; e++ {
-			out[e] = k.Names(kb.EntityID(e), attrs)
-		}
-		return nil
-	})
-	return out
-}
-
-// shardedBlocks builds a Collection from per-entity key lists. Worker w
-// owns the keys with parallel.ShardOf(key, workers) == w: it scans KB1
-// filling e1 member lists (keys rejected by filter1 are dropped), then
-// KB2 filling e2 for keys KB1 populated — exactly the sequential
-// construction, restricted to one key shard. fromKeyMaps then drops
-// single-sided blocks and sorts by key, making the result independent
-// of the shard count.
-func shardedBlocks(workers, n1, n2 int, keys1, keys2 func(e int) []string, filter1 func(key string) bool) *Collection {
-	if workers <= 1 {
-		m := buildShard(singleShard, 1, n1, n2, keys1, keys2, filter1)
-		return fromKeyMaps([]map[string]*keyBucket{m}, n1, n2)
-	}
-	shards := make([]map[string]*keyBucket, workers)
-	_ = parallel.For(context.Background(), workers, workers, func(w, _, _ int) error {
-		shards[w] = buildShard(w, workers, n1, n2, keys1, keys2, filter1)
-		return nil
-	})
-	return fromKeyMaps(shards, n1, n2)
-}
-
-// singleShard marks the workers==1 fast path: no hashing at all.
-const singleShard = -1
-
-// buildShard runs the two entity scans for one key shard. shard ==
-// singleShard disables hashing and owns every key.
-func buildShard(shard, workers, n1, n2 int, keys1, keys2 func(e int) []string, filter1 func(key string) bool) map[string]*keyBucket {
-	m := make(map[string]*keyBucket)
-	for e := 0; e < n1; e++ {
-		id := kb.EntityID(e)
-		for _, key := range keys1(e) {
-			if shard != singleShard && parallel.ShardOf(key, workers) != shard {
-				continue
-			}
-			if filter1 != nil && !filter1(key) {
-				continue
-			}
-			b := m[key]
-			if b == nil {
-				b = &keyBucket{}
-				m[key] = b
-			}
-			b.e1 = append(b.e1, id)
-		}
-	}
-	for e := 0; e < n2; e++ {
-		id := kb.EntityID(e)
-		for _, key := range keys2(e) {
-			if shard != singleShard && parallel.ShardOf(key, workers) != shard {
-				continue
-			}
-			b := m[key]
-			if b == nil {
-				continue
-			}
-			b.e2 = append(b.e2, id)
-		}
-	}
-	return m
+	w := parallel.Workers(0)
+	n1 := namePostings(kb1, k, w, false, nil)
+	return join(kb1.Len(), kb2.Len(), n1, namePostings(kb2, k, w, true, n1))
 }

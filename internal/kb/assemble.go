@@ -91,7 +91,6 @@ func newAssembly(name string, numTriples int) *KB {
 	return &KB{
 		name:       name,
 		predIndex:  make(map[string]int32),
-		ef:         make(map[string]int32),
 		attrStats:  make(map[int32]*PredStat),
 		relStats:   make(map[int32]*PredStat),
 		typeSet:    make(map[string]struct{}),

@@ -34,7 +34,7 @@ import (
 //	                        tokenized the way this build tokenizes, and
 //	                        is rejected as corrupt.
 //
-// Derived structures (in-edges, EF, URI index, type/vocab sets) are
+// Derived structures (in-edges, token total, URI index, type/vocab sets) are
 // rebuilt on load — they are redundant with the stored data. Unknown
 // section IDs are skipped, so a same-version reader tolerates future
 // appended sections; in particular, readers predating the sources
@@ -186,7 +186,6 @@ func newEmptyKB() *KB {
 	return &KB{
 		uriIndex:  make(map[string]EntityID),
 		predIndex: make(map[string]int32),
-		ef:        make(map[string]int32),
 		attrStats: make(map[int32]*PredStat),
 		relStats:  make(map[int32]*PredStat),
 		typeSet:   make(map[string]struct{}),
@@ -278,7 +277,7 @@ func (kb *KB) readStats(dec *binio.Reader) {
 	readSide(kb.relStats)
 }
 
-// rebuildDerived reconstructs in-edges, token EF counts, and the vocab
+// rebuildDerived reconstructs in-edges, the token total, and the vocab
 // contribution of rdf:type from the decoded sections.
 func (kb *KB) rebuildDerived() {
 	if len(kb.typeSet) > 0 {
@@ -290,9 +289,6 @@ func (kb *KB) rebuildDerived() {
 			kb.entities[edge.Target].In = append(kb.entities[edge.Target].In, Edge{Pred: edge.Pred, Target: EntityID(i)})
 		}
 		kb.totalTokens += len(e.Tokens)
-		for _, tok := range e.Tokens {
-			kb.ef[tok]++
-		}
 	}
 }
 

@@ -67,8 +67,6 @@ type KB struct {
 	preds     []string         // predicate dictionary
 	predIndex map[string]int32 // reverse dictionary
 
-	ef map[string]int32 // token -> number of entities containing it
-
 	attrStats map[int32]*PredStat // literal-valued predicates
 	relStats  map[int32]*PredStat // entity-valued predicates
 
@@ -143,13 +141,6 @@ func (kb *KB) PredID(name string) (int32, bool) {
 	kb.materialize()
 	id, ok := kb.predIndex[name]
 	return id, ok
-}
-
-// EF returns the entity frequency of a token: the number of entities of
-// this KB whose values contain it. Unknown tokens have frequency 0.
-func (kb *KB) EF(token string) int {
-	kb.materialize()
-	return int(kb.ef[token])
 }
 
 // Tokens returns the distinct tokens of an entity's values.
@@ -428,51 +419,34 @@ func countStats(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch,
 	}
 }
 
-// finishTokens is assembly pass 3: token bags and entity frequencies,
-// in parallel. Each worker tokenizes a contiguous entity range into a
-// private EF map; the merged sums are independent of merge order, so
-// the result is bit-identical at any worker count.
+// finishTokens is assembly pass 3: token bags and their total, in
+// parallel, each worker tokenizing a contiguous entity range.
 //
 // prev, when non-nil, is the previous assembly of an overlapping ref
 // set (Store.Assemble): entities whose attribute values are unchanged
-// reuse its token bags, and the EF table is derived from prev's by
-// delta instead of a full recount. Both shortcuts reproduce the
-// from-scratch result exactly (token bags depend only on the value
-// list; EF is a pure multiset count).
+// reuse its token bags, and the total is derived from prev's by delta.
+// Both shortcuts reproduce the from-scratch result exactly (token bags
+// depend only on the value list).
 func finishTokens(kb *KB, workers int, prev *KB) {
 	if prev == nil {
-		type efShard struct {
-			ef    map[string]int32
-			total int
-		}
-		shards := make([]efShard, workers)
+		totals := make([]int, workers)
 		_ = parallel.For(context.Background(), len(kb.entities), workers, func(worker, start, end int) error {
-			ef := make(map[string]int32)
-			total := 0
 			var scratch []string
 			for i := start; i < end; i++ {
 				scratch = tokenizeEntity(&kb.entities[i], scratch)
-				toks := kb.entities[i].Tokens
-				total += len(toks)
-				for _, tok := range toks {
-					ef[tok]++
-				}
+				totals[worker] += len(kb.entities[i].Tokens)
 			}
-			shards[worker] = efShard{ef: ef, total: total}
 			return nil
 		})
-		for _, sh := range shards {
-			kb.totalTokens += sh.total
-			for tok, c := range sh.ef {
-				kb.ef[tok] += c
-			}
+		for _, total := range totals {
+			kb.totalTokens += total
 		}
 		return
 	}
 
 	// Incremental pass 3: entities whose attribute values survive
 	// unchanged share the previous token bags; only genuinely changed
-	// descriptions are re-tokenized, and EF is prev's table plus the
+	// descriptions are re-tokenized, and the total is prev's plus the
 	// delta of the changed/removed bags.
 	reused := make([]bool, prev.Len())
 	var fresh []int32
@@ -492,29 +466,14 @@ func finishTokens(kb *KB, workers int, prev *KB) {
 		}
 		return nil
 	})
-	kb.ef = make(map[string]int32, len(prev.ef))
-	for tok, c := range prev.ef {
-		kb.ef[tok] = c
-	}
 	kb.totalTokens = prev.totalTokens
 	for pid := range prev.entities {
-		if reused[pid] {
-			continue
-		}
-		toks := prev.entities[pid].Tokens
-		kb.totalTokens -= len(toks)
-		for _, tok := range toks {
-			if kb.ef[tok]--; kb.ef[tok] == 0 {
-				delete(kb.ef, tok)
-			}
+		if !reused[pid] {
+			kb.totalTokens -= len(prev.entities[pid].Tokens)
 		}
 	}
 	for _, i := range fresh {
-		toks := kb.entities[i].Tokens
-		kb.totalTokens += len(toks)
-		for _, tok := range toks {
-			kb.ef[tok]++
-		}
+		kb.totalTokens += len(kb.entities[i].Tokens)
 	}
 }
 

@@ -3,6 +3,7 @@ package kb
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"minoaner/internal/rdf"
@@ -12,6 +13,19 @@ func iri(s string) rdf.Term { return rdf.NewIRI(s) }
 func lit(s string) rdf.Term { return rdf.NewLiteral(s) }
 func tr(s, p string, o rdf.Term) rdf.Triple {
 	return rdf.NewTriple(iri(s), iri(p), o)
+}
+
+// EF returns the entity frequency of a token: the number of entities
+// whose token bag holds it. Unknown tokens have frequency 0.
+func (kb *KB) EF(token string) int {
+	kb.materialize()
+	n := 0
+	for i := range kb.entities {
+		if slices.Contains(kb.entities[i].Tokens, token) {
+			n++
+		}
+	}
+	return n
 }
 
 // Len returns the number of triples recorded so far. Non-consecutive

@@ -1,15 +1,16 @@
 // Prepared-side matching: the stages and state variant that resolve a
 // small delta KB against a frozen left side at the cost of what the
-// delta reaches — its probed blocks' members and the entities the
-// heuristics touch — never of |KB1|. The left KB's blocking substrate
+// delta reaches — its blocks' members and the entities the heuristics
+// touch — never of |KB1|. The left KB's blocking substrate
 // (blocking.Prepared) and neighbor view (kb.Frozen) are built once; a
-// delta run probes them with only the delta's keys, indexes the probed
-// blocks into scratch pooled on the Prepared, and fills the side-1
-// candidate lists lazily, for just the entities the heuristics touch.
+// delta run joins the substrate with the delta's own, bounded by it,
+// indexes the joined blocks into scratch pooled on the Prepared, and
+// fills the side-1 candidate lists lazily, for just the entities the
+// heuristics touch.
 //
 // The delta plan is bit-identical to the full plan on the same pair:
-// probed collections reproduce the full construction's blocks in the
-// same key order with the same member order, purging and ARCS
+// its blocking stages are the full plan's, joining the same keys into
+// the same blocks in the same order, purging and ARCS
 // weighting run unchanged on them, and the lazy side-1 fills run the
 // eager stages' kernels over the same inputs in the same order, so
 // every floating-point sum — and therefore every match — is the same.
@@ -46,7 +47,7 @@ type Prepared struct {
 // valid only for delta runs with the same NameK and N.
 func PrepareSide(kb1 *kb.KB, p Params) *Prepared {
 	return &Prepared{
-		Blocks:    blocking.Prepare(kb1, p.NameK, p.workers()),
+		Blocks:    blocking.Prepare(kb1, p.NameK, p.workers(), nil),
 		Neighbors: kb1.Freeze(p.N, p.workers()),
 	}
 }
@@ -93,14 +94,14 @@ func NewDeltaState(prep *Prepared, delta *kb.KB, p Params) (*State, error) {
 }
 
 // DeltaPlan returns the prepared-side counterpart of DefaultPlan. The
-// probe and delta stages keep the standard stage names, so plan edits
-// (ablation Drops) and progress reporting work identically; purging,
+// delta stages keep the standard stage names, so plan edits (ablation
+// Drops) and progress reporting work identically; blocking, purging,
 // token weighting, and all four matching heuristics are the very same
 // stages the full plan runs.
 func DeltaPlan() []Stage {
 	return []Stage{
-		ProbeNameBlocking(),
-		ProbeTokenBlocking(),
+		NameBlocking(),
+		TokenBlocking(),
 		BlockPurging(),
 		DeltaBlockIndexing(),
 		TokenWeighting(),
@@ -117,41 +118,10 @@ func DeltaPlan() []Stage {
 // errNotDelta guards the delta-only stages against full states.
 var errNotDelta = errors.New("requires a prepared-side state (build it with NewDeltaState)")
 
-// ProbeNameBlocking builds B_N by probing the frozen name index with
-// the delta's name keys.
-func ProbeNameBlocking() Stage {
-	return newStage(StageNameBlocking, func(ctx context.Context, st *State) error {
-		if st.delta == nil {
-			return errNotDelta
-		}
-		var err error
-		st.NameBlocks, err = st.delta.Blocks.ProbeNameBlocks(ctx, st.KB2)
-		if err != nil {
-			return err
-		}
-		st.NameBlockCount = st.NameBlocks.Size()
-		st.NameComparisons = st.NameBlocks.Comparisons()
-		return nil
-	})
-}
-
-// ProbeTokenBlocking builds the raw B_T by probing the frozen token
-// index with the delta's tokens.
-func ProbeTokenBlocking() Stage {
-	return newStage(StageTokenBlocking, func(ctx context.Context, st *State) error {
-		if st.delta == nil {
-			return errNotDelta
-		}
-		var err error
-		st.TokenBlocks, err = st.delta.Blocks.ProbeTokenBlocks(ctx, st.KB2)
-		return err
-	})
-}
-
 // DeltaBlockIndexing indexes the purged B_T for a delta run: the delta
 // side (it drives candidate scoring) and the left side, the access path
 // of the lazy side-1 candidate fills, into KB1-sized scratch from the
-// Prepared's pool, of which it touches only the probed blocks' members.
+// Prepared's pool, of which it touches only the joined blocks' members.
 func DeltaBlockIndexing() Stage {
 	return newStage(StageBlockIndexing, func(ctx context.Context, st *State) error {
 		if st.delta == nil {

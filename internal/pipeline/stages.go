@@ -47,21 +47,32 @@ func DefaultPlan() []Stage {
 }
 
 // NameBlocking builds B_N: one block per normalized name key of the
-// KBs' most distinctive attributes.
+// KBs' most distinctive attributes, the join of the run's two
+// substrates (see State.blockingSides).
 func NameBlocking() Stage {
 	return newStage(StageNameBlocking, func(ctx context.Context, st *State) error {
-		st.NameBlocks = blocking.NameBlocksN(st.KB1, st.KB2, st.Params.NameK, st.Params.workers())
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sides := st.blockingSides()
+		st.NameBlocks = blocking.JoinNameBlocks(sides[0], sides[1])
 		st.NameBlockCount = st.NameBlocks.Size()
 		st.NameComparisons = st.NameBlocks.Comparisons()
+		st.releaseSides()
 		return nil
 	})
 }
 
 // TokenBlocking builds the raw B_T: one block per token appearing in
-// both KBs.
+// both KBs, the join of the run's two substrates.
 func TokenBlocking() Stage {
 	return newStage(StageTokenBlocking, func(ctx context.Context, st *State) error {
-		st.TokenBlocks = blocking.TokenBlocksN(st.KB1, st.KB2, st.Params.workers())
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sides := st.blockingSides()
+		st.TokenBlocks = blocking.JoinTokenBlocks(sides[0], sides[1])
+		st.releaseSides()
 		return nil
 	})
 }

@@ -81,6 +81,10 @@ type State struct {
 	// from "union never computed" for Reciprocity's precondition.
 	unionDone bool
 
+	// sides holds the run's two one-sided blocking substrates from the
+	// first blocking stage until both collections are joined.
+	sides [2]*blocking.Prepared
+
 	// delta, when non-nil, marks a prepared-side run (NewDeltaState)
 	// and is its frozen side.
 	delta *Prepared
@@ -104,6 +108,32 @@ func NewState(kb1, kb2 *kb.KB, p Params) *State {
 		Params: p,
 		H1Map1: make(map[kb.EntityID]kb.EntityID),
 		H1Map2: make(map[kb.EntityID]kb.EntityID),
+	}
+}
+
+// blockingSides returns the run's two one-sided substrates, building
+// them on first use: side 1 in full, side 2 bounded by it, so side 2
+// holds only keys that can form a block. A prepared-side run's side 1
+// is its frozen substrate, and the delta's side 2 builds serially.
+func (s *State) blockingSides() [2]*blocking.Prepared {
+	if s.sides[0] == nil {
+		w := s.Params.workers()
+		var p1 *blocking.Prepared
+		if s.delta != nil {
+			p1, w = s.delta.Blocks, 1
+		} else {
+			p1 = blocking.Prepare(s.KB1, s.Params.NameK, w, nil)
+		}
+		s.sides = [2]*blocking.Prepared{p1, blocking.Prepare(s.KB2, s.Params.NameK, w, p1)}
+	}
+	return s.sides
+}
+
+// releaseSides drops the substrates once both collections are joined:
+// the blocks share their member slices, the rest is garbage.
+func (s *State) releaseSides() {
+	if s.NameBlocks != nil && s.TokenBlocks != nil {
+		s.sides = [2]*blocking.Prepared{}
 	}
 }
 

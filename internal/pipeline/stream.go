@@ -126,39 +126,25 @@ type StreamBase struct {
 
 // NewStreamBase derives a stream base from st, running only the
 // blocking stages whose artifacts st lacks: a fresh State runs the full
-// prefix, a prepared-side State (NewDeltaState) probes the frozen side
-// instead, and a State that already carries NameBlocks or (purged)
+// prefix (a prepared-side State, NewDeltaState, joins against its
+// frozen side), and a State that already carries NameBlocks or (purged)
 // TokenBlocks — an index epoch's — keeps them. The prefix is cheap
 // compared to candidate scoring, which runs perform lazily per entity.
 func NewStreamBase(ctx context.Context, st *State) (*StreamBase, error) {
-	namePlan := []Stage{NameBlocking(), NameMatching()}
-	tokenPlan := []Stage{TokenBlocking(), BlockPurging(), BlockIndexing(), TokenWeighting()}
+	var plan []Stage
+	if st.NameBlocks == nil {
+		plan = append(plan, NameBlocking())
+	}
+	if st.TokenBlocks == nil {
+		plan = append(plan, TokenBlocking(), BlockPurging())
+	}
+	index := BlockIndexing()
 	if st.delta != nil {
-		namePlan[0] = ProbeNameBlocking()
-		tokenPlan[0], tokenPlan[2] = ProbeTokenBlocking(), DeltaBlockIndexing()
+		index = DeltaBlockIndexing()
 	}
-	if st.NameBlocks != nil {
-		namePlan = namePlan[1:]
-	}
-	if st.TokenBlocks != nil {
-		tokenPlan = tokenPlan[2:]
-	}
-	// The name stack and the token stack write disjoint State fields
-	// (name blocks and H1 maps versus token blocks, index, and
-	// weights), so they run concurrently.
-	var nameErr error
-	nameDone := make(chan struct{})
-	go func() {
-		defer close(nameDone)
-		_, nameErr = (&Engine{Plan: namePlan}).Run(ctx, st)
-	}()
-	_, tokenErr := (&Engine{Plan: tokenPlan}).Run(ctx, st)
-	<-nameDone
-	if tokenErr != nil {
-		return nil, tokenErr
-	}
-	if nameErr != nil {
-		return nil, nameErr
+	plan = append(plan, NameMatching(), index, TokenWeighting())
+	if _, err := (&Engine{Plan: plan}).Run(ctx, st); err != nil {
+		return nil, err
 	}
 	b := &StreamBase{st: st, em: st.emission()}
 	b.schedules = [2]func() []kb.EntityID{

@@ -1,7 +1,6 @@
 package minoaner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -142,10 +141,10 @@ func (e *epoch) materializeKB1() error {
 }
 
 // deriveBlocks builds an opened epoch's B_N and purged B_T as the batch
-// pipeline would: KB2 probes the persisted substrate, and Block Purging
-// runs under the config's parameters. The result must reproduce the
-// stats section — cutoffs, what purging removed, and the block and
-// comparison counts — or the snapshot is corrupt.
+// pipeline would: the persisted substrate joins KB2's, bounded by it,
+// and Block Purging runs under the config's parameters. The result must
+// reproduce the stats section — cutoffs, what purging removed, and the
+// block and comparison counts — or the snapshot is corrupt.
 func (e *epoch) deriveBlocks() (blockPair, error) {
 	prep, err := e.d.prep()
 	if err != nil {
@@ -154,15 +153,9 @@ func (e *epoch) deriveBlocks() (blockPair, error) {
 	if err := e.materializeKB2(); err != nil {
 		return blockPair{}, err
 	}
-	ctx := context.Background()
-	name, err := prep.Blocks.ProbeNameBlocks(ctx, e.kb2.kb)
-	if err != nil {
-		return blockPair{}, err
-	}
-	raw, err := prep.Blocks.ProbeTokenBlocks(ctx, e.kb2.kb)
-	if err != nil {
-		return blockPair{}, err
-	}
+	side2 := blocking.Prepare(e.kb2.kb, prep.Blocks.NameK(), e.cfg.Workers, prep.Blocks)
+	name := blocking.JoinNameBlocks(prep.Blocks, side2)
+	raw := blocking.JoinTokenBlocks(prep.Blocks, side2)
 	token, purge := blocking.Purge(raw, e.cfg.internal().Purge)
 	if purge != e.purge ||
 		name.Size() != e.nameBlockCount || name.Comparisons() != e.nameComparisons ||

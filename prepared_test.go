@@ -397,7 +397,7 @@ func TestQueryKBPreparedCancellation(t *testing.T) {
 	}
 
 	// Cancel as the candidate scoring of the probed blocks starts.
-	for _, stage := range []string{"token-blocking", "value-candidates"} {
+	for _, stage := range []string{"name-blocking", "token-blocking", "value-candidates"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		res, err := ix.QueryKB(ctx, delta, minoaner.WithProgress(func(p minoaner.StageProgress) {
 			if p.Stage == stage && !p.Done {
