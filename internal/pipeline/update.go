@@ -363,22 +363,12 @@ func UpdateBlockIndexing() Stage {
 		newCut1, newCut2 := st.PurgeStats.Cutoff1, st.PurgeStats.Cutoff2
 		if oldCut1 != newCut1 || oldCut2 != newCut2 {
 			// The cutoffs moved: an untouched block may have crossed
-			// them. Walk both raw collections in lockstep and flag every
-			// status flip.
-			oi, ni := 0, 0
-			for oi < len(oldRaw.Blocks) || ni < len(newRaw.Blocks) {
-				switch {
-				case ni == len(newRaw.Blocks) || (oi < len(oldRaw.Blocks) && oldRaw.Blocks[oi].Key < newRaw.Blocks[ni].Key):
-					oi++ // vanished key: already a patched key
-				case oi == len(oldRaw.Blocks) || newRaw.Blocks[ni].Key < oldRaw.Blocks[oi].Key:
-					ni++ // new key: already a patched key
-				default:
-					ob, nb := &oldRaw.Blocks[oi], &newRaw.Blocks[ni]
-					if survives(ob, oldCut1, oldCut2) != survives(nb, newCut1, newCut2) {
-						changed[ob.Key] = true
-					}
-					oi++
-					ni++
+			// them. A key outside the edit set kept its posting sizes,
+			// so its status flipped exactly when the two cutoffs judge
+			// its new block differently.
+			for i := range newRaw.Blocks {
+				if nb := &newRaw.Blocks[i]; survives(nb, oldCut1, oldCut2) != survives(nb, newCut1, newCut2) {
+					changed[nb.Key] = true
 				}
 			}
 		}
