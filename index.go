@@ -371,8 +371,8 @@ func (ix *Index) Prepare() { _, _ = ix.cur.Load().d.prep() }
 // descriptions — against the index's first KB. A delta smaller than
 // KB1 runs over the epoch's delta substrate — KB1 frozen into a
 // one-sided token/name inverted index and a sealed neighbor view —
-// probing it with only the delta's tokens and names, so the query costs
-// the probed blocks' members and the entities the heuristics touch,
+// joining it with the delta's own substrate, bounded by it, so the query
+// costs the joined blocks' members and the entities the heuristics touch,
 // never |KB1|. The substrate is derived once per epoch, on the first
 // such query (or decoded from the snapshot that persisted it). On a
 // mapped index, that substrate and KB1's URIs are all this path reads:

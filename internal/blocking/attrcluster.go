@@ -128,8 +128,8 @@ func AttributeClusteredBlocks(kb1, kb2 *kb.KB, clusters *AttributeClusters) *Col
 			return keys
 		}
 	}
-	p1 := buildPostings(1, kb1.Len(), keysOf(kb1, clusters.ByKB1), false, nil)
-	p2 := buildPostings(1, kb2.Len(), keysOf(kb2, clusters.ByKB2), true, p1)
+	p1 := buildPostings(1, kb1.Len(), keysOf(kb1, clusters.ByKB1), nil)
+	p2 := buildPostings(1, kb2.Len(), keysOf(kb2, clusters.ByKB2), p1)
 	return join(kb1.Len(), kb2.Len(), p1, p2)
 }
 

@@ -11,8 +11,8 @@ import (
 
 // Binary serialization of the prepared one-sided substrate (see
 // Prepared). An index snapshot embeds it as its delta substrate, and
-// the two-sided block collections are derived from it by probing with
-// the other KB, so they are never stored. The format mirrors the KB
+// the two-sided block collections are derived from it by a join with
+// the other KB's substrate, so they are never stored. The format mirrors the KB
 // codec: magic, format version, CRC32-checksummed sections (see
 // internal/binio):
 //

@@ -152,8 +152,8 @@ func (c *Collection) BuildIndex() *Index {
 
 // BuildIndexInto is BuildIndex with side 1 built into side1: an empty
 // IndexSide over the first KB, from NewIndexSide or Reset since its
-// last build. A delta run indexes its small probed collection this way
-// into scratch it reuses, paying for the probed blocks' members, never
+// last build. A delta run indexes its small joined collection this way
+// into scratch it reuses, paying for the joined blocks' members, never
 // for |KB1|. The index reads side1 until side1 is Reset.
 func (c *Collection) BuildIndexInto(side1 *IndexSide) *Index {
 	if side1.Len() != c.n1 || len(side1.touched) > 0 {

@@ -39,7 +39,7 @@ type PreparedPatch struct {
 // ApplyPatch returns the substrate with the patch applied. Its key maps
 // are copies of the receiver's that share the member slices of
 // untouched keys; with a remap every posting is rewritten first. The
-// receiver is unchanged and both remain safe for concurrent probes.
+// receiver is unchanged and both remain safe for concurrent joins.
 func (p *Prepared) ApplyPatch(pt PreparedPatch) *Prepared {
 	var out *Prepared
 	if pt.Remap != nil {
@@ -124,7 +124,7 @@ func (p *Prepared) remapped(remap []kb.EntityID, newSize int) *Prepared {
 // invalidates every name key at once. Token postings are shared with
 // the receiver.
 func (p *Prepared) RebuildNames(kb1 *kb.KB, nameK, workers int) *Prepared {
-	return &Prepared{n1: p.n1, nameK: nameK, tokens: p.tokens, names: namePostings(kb1, nameK, workers, false, nil)}
+	return &Prepared{n1: p.n1, nameK: nameK, tokens: p.tokens, names: namePostings(kb1, nameK, workers, nil)}
 }
 
 // CollectionPatch updates a key-sorted two-sided collection for one

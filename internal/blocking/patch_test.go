@@ -66,7 +66,7 @@ func sameRankedAttrs(a, b *kb.KB, k int) bool {
 // rounds, the patched substrate equals Prepare over the mutated KB,
 // and patched pair collections equal the from-scratch constructions.
 // Every patch leaves its receiver, the previous epoch's substrate that
-// readers may still probe, byte for byte unchanged.
+// readers may still join, byte for byte unchanged.
 func TestPreparedPatchMatchesFresh(t *testing.T) {
 	const nameK = 2
 	for _, seed := range []int64{3, 11, 29} {

@@ -48,21 +48,21 @@ func Prepare(k *kb.KB, nameK, workers int, bound *Prepared) *Prepared {
 	return &Prepared{
 		n1:     k.Len(),
 		nameK:  nameK,
-		tokens: tokenPostings(k, w, bound != nil, boundTokens),
-		names:  namePostings(k, nameK, w, bound != nil, boundNames),
+		tokens: tokenPostings(k, w, boundTokens),
+		names:  namePostings(k, nameK, w, boundNames),
 	}
 }
 
 // tokenPostings inverts k's token lists (see buildPostings).
-func tokenPostings(k *kb.KB, workers int, bounded bool, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
-	return buildPostings(workers, k.Len(), func(e int) []string { return k.Tokens(kb.EntityID(e)) }, bounded, bound)
+func tokenPostings(k *kb.KB, workers int, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+	return buildPostings(workers, k.Len(), func(e int) []string { return k.Tokens(kb.EntityID(e)) }, bound)
 }
 
 // namePostings inverts the name keys of k's nameK most distinctive
 // attributes. Name keys are derived (normalized, deduplicated) rather
 // than stored on the entity, so they are computed once per entity up
 // front instead of once per key shard.
-func namePostings(k *kb.KB, nameK, workers int, bounded bool, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+func namePostings(k *kb.KB, nameK, workers int, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
 	attrs := k.TopNameAttributes(nameK)
 	names := make([][]string, k.Len())
 	_ = parallel.For(context.Background(), k.Len(), workers, func(_, start, end int) error {
@@ -71,19 +71,20 @@ func namePostings(k *kb.KB, nameK, workers int, bounded bool, bound map[string][
 		}
 		return nil
 	})
-	return buildPostings(workers, k.Len(), func(e int) []string { return names[e] }, bounded, bound)
+	return buildPostings(workers, k.Len(), func(e int) []string { return names[e] }, bound)
 }
 
 // posting is one key's member list under construction. Keys map to
 // pointers, so adding a member costs a single map lookup.
 type posting struct{ ids []kb.EntityID }
 
-// buildPostings inverts per-entity key lists into key -> members; when
-// bounded, keys bound lacks are dropped. Keys are sharded by hash
-// across workers, and each worker scans the entities in ID order, so
-// member lists are ascending and the merged map is independent of the
-// worker count.
-func buildPostings(workers, n int, keys func(e int) []string, bounded bool, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+// buildPostings inverts per-entity key lists into key -> members; a
+// non-nil bound drops the keys it lacks (a substrate's key maps are
+// never nil, so an empty bound drops every key). Keys are sharded by
+// hash across workers, and each worker scans the entities in ID order,
+// so member lists are ascending and the merged map is independent of
+// the worker count.
+func buildPostings(workers, n int, keys func(e int) []string, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
 	scan := func(shard int) map[string]*posting {
 		m := make(map[string]*posting)
 		for e := 0; e < n; e++ {
@@ -93,7 +94,7 @@ func buildPostings(workers, n int, keys func(e int) []string, bounded bool, boun
 				}
 				b := m[key]
 				if b == nil {
-					if _, ok := bound[key]; bounded && !ok {
+					if _, ok := bound[key]; bound != nil && !ok {
 						continue
 					}
 					b = new(posting)

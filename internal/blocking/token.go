@@ -13,8 +13,8 @@ import (
 // by them, built across GOMAXPROCS workers.
 func TokenBlocks(kb1, kb2 *kb.KB) *Collection {
 	w := parallel.Workers(0)
-	t1 := tokenPostings(kb1, w, false, nil)
-	return join(kb1.Len(), kb2.Len(), t1, tokenPostings(kb2, w, true, t1))
+	t1 := tokenPostings(kb1, w, nil)
+	return join(kb1.Len(), kb2.Len(), t1, tokenPostings(kb2, w, t1))
 }
 
 // NameBlocks applies Name Blocking: the normalized literal values of the
@@ -24,6 +24,6 @@ func TokenBlocks(kb1, kb2 *kb.KB) *Collection {
 // joins the two KBs' name postings.
 func NameBlocks(kb1, kb2 *kb.KB, k int) *Collection {
 	w := parallel.Workers(0)
-	n1 := namePostings(kb1, k, w, false, nil)
-	return join(kb1.Len(), kb2.Len(), n1, namePostings(kb2, k, w, true, n1))
+	n1 := namePostings(kb1, k, w, nil)
+	return join(kb1.Len(), kb2.Len(), n1, namePostings(kb2, k, w, n1))
 }

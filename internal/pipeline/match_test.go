@@ -167,7 +167,7 @@ func TestDeltaRankAggregationAllocationIndependentOfKBSize(t *testing.T) {
 
 // TestDeltaQueryAllocationIndependentOfKBSize: once its Prepared is
 // warm, a one-entity delta run allocates the same bounded amount
-// whether KB1 holds 2^10 or 2^14 entities with the same probed
+// whether KB1 holds 2^10 or 2^14 entities with the same joined
 // membership. The KB1-sized scratch — the side-1 block index and the
 // accumulators scoring the delta entity against KB1 — comes from the
 // Prepared's pools, and nothing else in the run is KB1-sized.

@@ -27,7 +27,7 @@ import (
 //     points (QueryKB, SaveIndex, mutations, Close), never a crash.
 //   - derived, never decoded: the block collections B_N and B_T, which
 //     the epoch's first full-pair stream or first mutation builds by
-//     probing the substrate with KB2 and purging (see deriveBlocks).
+//     joining the substrate with KB2's and purging (see deriveBlocks).
 //
 // Every decoded structure copies out of the mapping (strings are
 // built, not aliased). The lazy tiers are the memos of the opened

@@ -187,7 +187,7 @@ func assertRebuildEquivalent(t *testing.T, label string, ix *minoaner.Index, d1,
 		t.Fatalf("%s: Query diverges from rebuild", label)
 	}
 
-	// The delta path probes the patched substrate; the rebuild freezes
+	// The delta path joins the patched substrate; the rebuild freezes
 	// its own. Both must produce identical matches.
 	uris2 := kb2.URIs()
 	deltaKB, err := minoaner.LoadKB("qdelta", strings.NewReader(strings.Join(d2.linesOf(uris2[len(uris2)/2]), "\n")))

@@ -99,7 +99,7 @@ func allocated(f func()) uint64 {
 // TestQueryKBDerivesSubstrateOnce: a built index derives its delta
 // substrate on the first QueryKB or QueryKBStream, once however many
 // race for it (run under -race), and every one of them answers like
-// the full plan. A following one-entity QueryKB then only probes the
+// the full plan. A following one-entity QueryKB then only joins the
 // substrate: the first round — eight queries plus the derivation they
 // share — allocates over twenty times what it does (about forty on
 // this fixture). A substrate derived per query, or the full plan run
@@ -381,7 +381,8 @@ func TestDerivedBlocksCheckedAgainstStats(t *testing.T) {
 }
 
 // TestQueryKBPreparedCancellation: cancelling the context stops a
-// prepared-path query mid-probe with ctx.Err() and no partial Result.
+// prepared-path query at a stage boundary with ctx.Err() and no partial
+// Result.
 func TestQueryKBPreparedCancellation(t *testing.T) {
 	b, ix, _ := buildBenchmarkIndex(t, "Rexa-DBLP", 42, 0.1)
 	delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 20)...)
@@ -389,14 +390,15 @@ func TestQueryKBPreparedCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Already-cancelled context: rejected before the first probe.
+	// Already-cancelled context: rejected before blocking.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if res, err := ix.QueryKB(ctx, delta); !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("pre-cancelled query: res=%v err=%v", res, err)
 	}
 
-	// Cancel as the candidate scoring of the probed blocks starts.
+	// Cancel as each blocking stage or the candidate scoring of the
+	// joined blocks starts.
 	for _, stage := range []string{"name-blocking", "token-blocking", "value-candidates"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		res, err := ix.QueryKB(ctx, delta, minoaner.WithProgress(func(p minoaner.StageProgress) {

@@ -36,8 +36,9 @@ import (
 //	                      token/name index (internal/blocking "MPS1")
 //	                      followed by the frozen per-entity neighbor
 //	                      lists. Mandatory: B_N and B_T are derived
-//	                      from it by probing with KB2 and purging, and
-//	                      the derivation is checked against section 6.
+//	                      from it (joined with KB2's substrate, then
+//	                      purged), and the derivation is checked
+//	                      against section 6.
 //	section 9 (journal):  epoch number and the mutation journal — one
 //	                      record per absorbed Upsert/Delete since the
 //	                      last Compact — then the Compact count and the

@@ -159,8 +159,8 @@ func streamTo(ctx context.Context, kb1, kb2 *KB, run func(emit func(pipeline.Sco
 // QueryKBStream resolves a delta KB against the index's first KB as an
 // anytime stream (the streaming counterpart of QueryKB): confirmed
 // matches arrive best-first on the returned channel, under the same
-// budget and strategy options as ResolveStream. Like QueryKB it probes
-// the epoch's delta substrate when the delta is smaller than KB1 (on a
+// budget and strategy options as ResolveStream. Like QueryKB it joins
+// against the epoch's delta substrate when the delta is smaller than KB1 (on a
 // mapped index, without decoding KB1's full tier), and re-blocks the
 // whole pair otherwise; both paths stream the same pairs in the same
 // order. Draining it unbudgeted yields exactly QueryKB's match set for
@@ -182,7 +182,7 @@ func (ix *Index) QueryKBStream(ctx context.Context, delta *KB, opts ...StreamOpt
 }
 
 // streamPrepared streams the delta against the epoch's frozen
-// substrate: the blocking prefix probes it with the delta's keys only.
+// substrate: the blocking prefix joins it with the delta's substrate.
 func (e *epoch) streamPrepared(ctx context.Context, prep *pipeline.Prepared, delta *KB, opts []StreamOption) (<-chan ScoredPair, error) {
 	ccfg, budget, err := streamConfig(e.cfg, opts)
 	if err != nil {

@@ -165,7 +165,7 @@ func drainQueryKBStream(tb testing.TB, ix *minoaner.Index, delta *minoaner.KB, o
 }
 
 // TestQueryKBStreamPreparedEqualsFull: over the delta substrate
-// QueryKBStream probes instead of re-blocking KB1, and emits exactly
+// QueryKBStream joins instead of re-blocking KB1, and emits exactly
 // the sequence — pairs, scores, order — of the full path (a
 // ResolveStream of KB1 against the delta), under both strategies and
 // under budgets; drained, that is QueryKB's match set.
