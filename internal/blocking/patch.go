@@ -1,11 +1,11 @@
-// Live maintenance of the one-sided blocking substrate and of block
-// collections. A mutated KB epoch touches only the keys of the changed
-// entities; Prepared.ApplyPatch copies the substrate's key maps (member
-// slices shared) and rewrites those keys, and Collection.Patch merges
-// the edited keys into a key-sorted two-sided collection whose members
-// it reads back from the patched substrates. Both operations
-// reproduce, key for key and member for member, what Prepare and the
-// join of two substrates build from scratch over the mutated KBs.
+// Live maintenance of the one-sided blocking substrate. A mutated KB
+// epoch touches only the keys of the changed entities;
+// Prepared.ApplyPatch copies the substrate's key maps (member slices
+// shared) and rewrites those keys, reproducing, key for key and member
+// for member, what Prepare builds from scratch over the mutated KB. A
+// mutation's two-sided collections are the joins of its patched
+// substrates (JoinTokenBlocks, JoinNameBlocks), as every other run's
+// are.
 package blocking
 
 import (
@@ -90,13 +90,6 @@ func applyEdit(old []kb.EntityID, e KeyEdit) []kb.EntityID {
 	return out
 }
 
-// TokenPosting returns the token posting of a key (nil when the key
-// blocks nothing). Callers must not mutate the returned slice.
-func (p *Prepared) TokenPosting(key string) []kb.EntityID { return p.tokens[key] }
-
-// NamePosting is TokenPosting for name keys.
-func (p *Prepared) NamePosting(key string) []kb.EntityID { return p.names[key] }
-
 // remapped translates every member through the remap, dropping deleted
 // entities and postings that empty out.
 func (p *Prepared) remapped(remap []kb.EntityID, newSize int) *Prepared {
@@ -125,60 +118,6 @@ func (p *Prepared) remapped(remap []kb.EntityID, newSize int) *Prepared {
 // the receiver.
 func (p *Prepared) RebuildNames(kb1 *kb.KB, nameK, workers int) *Prepared {
 	return &Prepared{n1: p.n1, nameK: nameK, tokens: p.tokens, names: namePostings(kb1, nameK, workers, nil)}
-}
-
-// CollectionPatch updates a key-sorted two-sided collection for one
-// epoch: the changed keys (sorted, unique) join the collection's key
-// list, and every block's members are read through the post-patch
-// substrate lookups, which already carry the epoch's ID shifts.
-type CollectionPatch struct {
-	Keys             []string
-	Lookup1, Lookup2 func(key string) []kb.EntityID
-	N1, N2           int // mutated KB sizes
-}
-
-// Patch returns the patched collection; the receiver is unchanged. A
-// key yields a block exactly when both lookups hold members for it, so
-// blocks whose members were all deleted vanish, and a block whose
-// postings did not move shares their slices.
-func (c *Collection) Patch(p CollectionPatch) *Collection {
-	out := NewCollection(p.N1, p.N2)
-	out.Blocks = make([]Block, 0, len(c.Blocks)+len(p.Keys))
-	emit := func(key string) {
-		e1, e2 := p.Lookup1(key), p.Lookup2(key)
-		if len(e1) > 0 && len(e2) > 0 {
-			out.Blocks = append(out.Blocks, Block{Key: key, E1: e1, E2: e2})
-		}
-	}
-	ki := 0
-	for i := range c.Blocks {
-		key := c.Blocks[i].Key
-		for ki < len(p.Keys) && p.Keys[ki] < key {
-			emit(p.Keys[ki]) // key absent before, possibly a block now
-			ki++
-		}
-		if ki < len(p.Keys) && p.Keys[ki] == key {
-			ki++
-		}
-		emit(key)
-	}
-	for ; ki < len(p.Keys); ki++ {
-		emit(p.Keys[ki])
-	}
-	return out
-}
-
-// SortedKeySet deduplicates and sorts a key list (the Keys input of
-// Patch).
-func SortedKeySet(keys []string) []string {
-	sort.Strings(keys)
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // BuildPreparedPatch derives the substrate patch of one KB mutation
@@ -229,9 +168,8 @@ func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs 
 		}
 	}
 	// Deleted entities are dropped by the remap itself; their keys are
-	// still recorded (as empty edits) so every downstream consumer —
-	// collection patching, affected-set scoring — sees those blocks as
-	// changed.
+	// still recorded (as empty edits) so affected-set scoring sees those
+	// blocks as changed.
 	for _, oldID := range d.Deleted {
 		for _, tok := range old.Tokens(oldID) {
 			edit(tokens, tok)

@@ -64,9 +64,10 @@ func sameRankedAttrs(a, b *kb.KB, k int) bool {
 
 // TestPreparedPatchMatchesFresh: after randomized upsert/delete
 // rounds, the patched substrate equals Prepare over the mutated KB,
-// and patched pair collections equal the from-scratch constructions.
-// Every patch leaves its receiver, the previous epoch's substrate that
-// readers may still join, byte for byte unchanged.
+// and the joins of the patched substrates equal the reference
+// constructions over the mutated KBs. Every patch leaves its receiver,
+// the previous epoch's substrate that readers may still join, byte for
+// byte unchanged.
 func TestPreparedPatchMatchesFresh(t *testing.T) {
 	const nameK = 2
 	for _, seed := range []int64{3, 11, 29} {
@@ -89,14 +90,18 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 
 			prep1 := Prepare(side1, nameK, 2, nil)
 			prep2 := Prepare(side2, nameK, 2, nil)
-			tokenColl := JoinTokenBlocks(prep1, prep2)
-			nameColl := JoinNameBlocks(prep1, prep2)
-			if want := referenceTokenBlocks(side1, side2); !reflect.DeepEqual(tokenColl, want) {
-				t.Fatal("joined token blocks diverge from the reference")
+			assertJoins := func(what string, k1 *kb.KB) {
+				t.Helper()
+				if got, want := JoinTokenBlocks(prep1, prep2), referenceTokenBlocks(k1, side2); !reflect.DeepEqual(got, want) {
+					logBlockDiff(t, got, want)
+					t.Fatalf("%s: joined token blocks diverge from the reference", what)
+				}
+				if got, want := JoinNameBlocks(prep1, prep2), referenceNameBlocks(k1, side2, nameK); !reflect.DeepEqual(got, want) {
+					logBlockDiff(t, got, want)
+					t.Fatalf("%s: joined name blocks diverge from the reference", what)
+				}
 			}
-			if want := referenceNameBlocks(side1, side2, nameK); !reflect.DeepEqual(nameColl, want) {
-				t.Fatal("joined name blocks diverge from the reference")
-			}
+			assertJoins("build", side1)
 
 			cur := side1
 			for round := 0; round < 10; round++ {
@@ -122,11 +127,9 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 				d := kb.ComputeDiff(cur, next)
 				if !sameRankedAttrs(cur, next, nameK) {
 					// Rare with this generator; the fallback re-derives
-					// substrate and collections wholesale (the name
-					// rebuild itself is covered by TestRebuildNames).
+					// the substrate wholesale (the name rebuild itself is
+					// covered by TestRebuildNames).
 					prep1 = Prepare(next, nameK, 1, nil)
-					tokenColl = JoinTokenBlocks(prep1, prep2)
-					nameColl = JoinNameBlocks(prep1, prep2)
 				} else {
 					pt := BuildPreparedPatch(cur, next, d, cur.TopNameAttributes(nameK), next.TopNameAttributes(nameK))
 					before := preparedBytes(t, prep1)
@@ -135,69 +138,46 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 						t.Fatalf("round %d: ApplyPatch changed its receiver (shift=%v)", round, d.Shifted())
 					}
 					prep1 = patched
-
-					// The pair collections patch with the same key set.
-					tokenKeys := make([]string, 0, len(pt.Tokens))
-					for _, e := range pt.Tokens {
-						tokenKeys = append(tokenKeys, e.Key)
-					}
-					nameKeys := make([]string, 0, len(pt.Names))
-					for _, e := range pt.Names {
-						nameKeys = append(nameKeys, e.Key)
-					}
-					tokenColl = tokenColl.Patch(CollectionPatch{
-						Keys:    tokenKeys,
-						Lookup1: prep1.TokenPosting,
-						Lookup2: prep2.TokenPosting,
-						N1:      next.Len(),
-						N2:      side2.Len(),
-					})
-					nameColl = nameColl.Patch(CollectionPatch{
-						Keys:    nameKeys,
-						Lookup1: prep1.NamePosting,
-						Lookup2: prep2.NamePosting,
-						N1:      next.Len(),
-						N2:      side2.Len(),
-					})
-					if want := referenceTokenBlocks(next, side2); !reflect.DeepEqual(tokenColl, want) {
-						wm := map[string]Block{}
-						for _, b := range want.Blocks {
-							wm[b.Key] = b
-						}
-						gm := map[string]Block{}
-						for _, b := range tokenColl.Blocks {
-							gm[b.Key] = b
-						}
-						for k, wb := range wm {
-							gb, ok := gm[k]
-							if !ok {
-								t.Logf("missing key %s want E1=%v E2=%v", k, wb.E1, wb.E2)
-								continue
-							}
-							if !reflect.DeepEqual(gb.E1, wb.E1) {
-								t.Logf("key %s E1 got %v want %v", k, gb.E1, wb.E1)
-							}
-							if !reflect.DeepEqual(gb.E2, wb.E2) {
-								t.Logf("key %s E2 got %v want %v", k, gb.E2, wb.E2)
-							}
-						}
-						for k := range gm {
-							if _, ok := wm[k]; !ok {
-								t.Logf("extra key %s", k)
-							}
-						}
-						t.Fatalf("round %d: patched token collection diverges (shift=%v)", round, d.Shifted())
-					}
-					if want := referenceNameBlocks(next, side2, nameK); !reflect.DeepEqual(nameColl, want) {
-						t.Fatalf("round %d: patched name collection diverges", round)
-					}
 				}
+				assertJoins(fmt.Sprintf("round %d (shift=%v)", round, d.Shifted()), next)
 				if fresh := Prepare(next, nameK, 1, nil); !reflect.DeepEqual(prep1, fresh) {
 					t.Fatalf("round %d: patched substrate diverges from fresh Prepare", round)
 				}
 				cur = next
 			}
 		})
+	}
+}
+
+// logBlockDiff logs, key by key, how a collection differs from the
+// expected one.
+func logBlockDiff(t *testing.T, got, want *Collection) {
+	t.Helper()
+	wm := map[string]Block{}
+	for _, b := range want.Blocks {
+		wm[b.Key] = b
+	}
+	gm := map[string]Block{}
+	for _, b := range got.Blocks {
+		gm[b.Key] = b
+	}
+	for k, wb := range wm {
+		gb, ok := gm[k]
+		if !ok {
+			t.Logf("missing key %s want E1=%v E2=%v", k, wb.E1, wb.E2)
+			continue
+		}
+		if !reflect.DeepEqual(gb.E1, wb.E1) {
+			t.Logf("key %s E1 got %v want %v", k, gb.E1, wb.E1)
+		}
+		if !reflect.DeepEqual(gb.E2, wb.E2) {
+			t.Logf("key %s E2 got %v want %v", k, gb.E2, wb.E2)
+		}
+	}
+	for k := range gm {
+		if _, ok := wm[k]; !ok {
+			t.Logf("extra key %s", k)
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ type State struct {
 	lazy1 *lazySide
 
 	// update, when non-nil, marks an epoch-update run (NewUpdateState):
-	// the blocking artifacts are patched rather than rebuilt and the
+	// the blocking substrates are patched rather than rebuilt and the
 	// candidate stages recompute only the affected entities.
 	update *updateSide
 }
@@ -111,11 +111,16 @@ func NewState(kb1, kb2 *kb.KB, p Params) *State {
 	}
 }
 
-// blockingSides returns the run's two one-sided substrates, building
-// them on first use: side 1 in full, side 2 bounded by it, so side 2
-// holds only keys that can form a block. A prepared-side run's side 1
-// is its frozen substrate, and the delta's side 2 builds serially.
+// blockingSides returns the run's two one-sided substrates, deriving
+// them on first use, one way per engine. A batch run builds side 1 in
+// full and side 2 bounded by it, so side 2 holds only keys that can
+// form a block. A prepared-side run's side 1 is its frozen substrate,
+// and the delta's side 2 builds serially, bounded by it. An update run
+// patches the previous epoch's two substrates (updateSide.patchSides).
 func (s *State) blockingSides() [2]*blocking.Prepared {
+	if s.sides[0] == nil && s.update != nil {
+		s.sides = s.update.patchSides(s.KB1, s.KB2, s.Params)
+	}
 	if s.sides[0] == nil {
 		w := s.Params.workers()
 		var p1 *blocking.Prepared

@@ -1,26 +1,29 @@
 // Epoch updates: the stages that absorb a KB mutation into an already
 // resolved pair without re-deriving the whole pair. The previous
-// epoch's scoring substrate (Cache) is patched for the touched keys,
-// candidate lists are recomputed only for the entities whose evidence
-// could have changed (the "affected" sets), and the matching passes
-// H1-H4 rerun in full over the patched evidence. "In full" is linear in
-// the emitting KB, not in the mutation: H3 alone visits every unclaimed
-// entity's two candidate lists, about a tenth of a one-entity update, so
-// it reads the earlier claims from dense flags and allocates nothing
-// per entity (match.go). The other cost a mutation cannot avoid is the
-// carry-over: an insert or delete shifts every later ID of its side, so
-// every list that names that side's entities — its own best-neighbor
-// lists, the opposite side's candidate lists — is rewritten, into one
-// backing array per claimed range (updateTops, carryCands); a mutation
-// that shifts nothing shares the previous epoch's lists as they are.
+// epoch's two one-sided blocking substrates (Cache) are patched for the
+// touched keys and then joined, purged and weighted by the batch plan's
+// own stages; candidate lists are recomputed only for the entities
+// whose evidence could have changed (the "affected" sets), and the
+// matching passes H1-H4 rerun in full over the new evidence. "In full"
+// is linear in the emitting KB, not in the mutation: H3 alone visits
+// every unclaimed entity's two candidate lists, about a tenth of a
+// one-entity update, so it reads the earlier claims from dense flags
+// and allocates nothing per entity (match.go). The other cost a
+// mutation cannot avoid is the carry-over: an insert or delete shifts
+// every later ID of its side, so every list that names that side's
+// entities — its own best-neighbor lists, the opposite side's candidate
+// lists — is rewritten, into one backing array per claimed range
+// (updateTops, carryCands); a mutation that shifts nothing shares the
+// previous epoch's lists as they are.
 //
 // The update plan is bit-identical to the full plan over the mutated
-// KBs: patched collections reproduce the full construction's blocks in
-// the same order, reused candidate lists are exactly what the eager
-// stages would recompute (their inputs are untouched — weights,
-// members, and iteration order all unchanged, so every float
-// accumulates identically), and affected entities are recomputed with
-// the eager stages' accumulation order. Affected sets over-approximate
+// KBs: patched substrates hold exactly what Prepare builds over the
+// mutated KBs, so their joins are the full construction's blocks in the
+// same order; reused candidate lists are exactly what the eager stages
+// would recompute (their inputs are untouched — weights, members, and
+// iteration order all unchanged, so every float accumulates
+// identically), and affected entities are recomputed with the eager
+// stages' accumulation order. Affected sets over-approximate
 // deliberately: recomputing an unchanged entity reproduces its list;
 // missing a changed one would be a correctness bug, and the
 // rebuild-equivalence suites exist to catch exactly that.
@@ -30,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
@@ -38,9 +42,10 @@ import (
 
 // Cache is the scoring substrate one epoch carries to make the next
 // mutation incremental: both sides' one-sided blocking substrates and
-// neighbor views, the joined (pre-purge) token collection and the name
-// collection, the purge result, and the candidate lists. All fields are
-// immutable once published.
+// neighbor views, B_N and the purged B_T (what queries serve; the next
+// update reads which token blocks were live from it), the purge
+// result, and the candidate lists. All fields are immutable once
+// published.
 //
 //minoaner:frozen
 type Cache struct {
@@ -50,16 +55,16 @@ type Cache struct {
 	Side1, Side2 *Prepared
 
 	NameBlocks  *blocking.Collection // the epoch's B_N
-	RawTokens   *blocking.Collection // B_T before purging
-	TokenBlocks *blocking.Collection // B_T after purging (what queries serve)
+	TokenBlocks *blocking.Collection // B_T after purging
 	Purge       blocking.PurgeResult // the epoch's purge cutoffs
 
 	VC1, VC2 [][]Cand
 	NC1, NC2 [][]Cand
 
 	// The epoch's matching outputs, carried so an update whose evidence
-	// comes out pointer-identical (a mutation that touched nothing the
-	// other side shares) adopts them instead of rerunning H1-H4.
+	// comes out unchanged (a mutation that touched nothing the other
+	// side shares, see EvidenceUnchanged) adopts them instead of
+	// rerunning H1-H4.
 	// MatchesValid marks them present (Matches may legitimately be
 	// empty).
 	H1, H2, H3, Matches []eval.Pair
@@ -97,7 +102,7 @@ func NewCache(ctx context.Context, st *State, nameBlocks *blocking.Collection, p
 			return nil, err
 		}
 	}
-	c := &Cache{
+	return &Cache{
 		Side1:       side1,
 		Side2:       side2,
 		NameBlocks:  nameBlocks,
@@ -107,9 +112,7 @@ func NewCache(ctx context.Context, st *State, nameBlocks *blocking.Collection, p
 		VC2:         st.ValueCands2,
 		NC1:         st.NeighborCands1,
 		NC2:         st.NeighborCands2,
-	}
-	c.RawTokens = blocking.JoinTokenBlocks(c.Side1.Blocks, c.Side2.Blocks)
-	return c, nil
+	}, nil
 }
 
 // updateSide is the per-run working set of an update State.
@@ -120,12 +123,14 @@ type updateSide struct {
 	next       *Cache
 
 	// Stage-to-stage scratch.
-	prep1, prep2           *blocking.Prepared // the patched one-sided substrates
-	pt1, pt2               blocking.PreparedPatch
-	nameStable             bool
-	tokenKeys              []string // sorted union of both sides' token edits
-	affV1, affV2           []bool   // value-affected entities (new ID space)
-	vcChanged1, vcChanged2 []bool   // entities whose recomputed value list actually differs
+	prep1, prep2 *blocking.Prepared // the patched one-sided substrates
+	pt1, pt2     blocking.PreparedPatch
+	// namesUnchanged marks that B_N's inputs did not move: on either
+	// side, the name attributes stayed, no ID shifted, and no name
+	// posting changed (set by patchSides).
+	namesUnchanged         bool
+	affV1, affV2           []bool // value-affected entities (new ID space)
+	vcChanged1, vcChanged2 []bool // entities whose recomputed value list actually differs
 	affectedV1Count        int
 	affectedV2Count        int
 	affectedN1, affectedN2 int
@@ -137,7 +142,7 @@ type updateSide struct {
 // unmutated side passes the same *kb.KB on both arguments and costs
 // nothing.
 func NewUpdateState(prev *Cache, old1, old2, new1, new2 *kb.KB, p Params) (*State, error) {
-	if prev == nil || prev.Side1 == nil || prev.Side2 == nil || prev.RawTokens == nil || prev.NameBlocks == nil {
+	if prev == nil || prev.Side1 == nil || prev.Side2 == nil || prev.TokenBlocks == nil || prev.NameBlocks == nil {
 		return nil, errors.New("pipeline: update state requires a primed substrate (NewCache)")
 	}
 	if len(prev.VC1) != old1.Len() || len(prev.VC2) != old2.Len() {
@@ -161,23 +166,23 @@ func NewUpdateState(prev *Cache, old1, old2, new1, new2 *kb.KB, p Params) (*Stat
 func (s *State) UpdatedCache() *Cache { return s.update.next }
 
 // UpdatePlan returns the epoch-update counterpart of DefaultPlan. The
-// patch and affected-set stages keep the standard stage names — plan
-// edits (ablation drops) and progress reporting work identically — and
-// purging, token weighting, and the four matching heuristics are the
-// very same stages the full plan runs.
+// affected-set stages keep the standard stage names — plan edits
+// (ablation drops) and progress reporting work identically — and
+// blocking, purging, token weighting, and the four matching heuristics
+// are the very same stages the full plan runs.
 func UpdatePlan() []Stage {
 	return append(UpdatePatchPlan(), UpdateMatchPlan()...)
 }
 
-// UpdatePatchPlan is the evidence half of UpdatePlan: substrate
-// patching, purging, weighting, and the affected-set candidate
-// recomputation. After it runs, EvidenceUnchanged reports whether the
-// matching half can be skipped by adopting the previous epoch's
-// outputs.
+// UpdatePatchPlan is the evidence half of UpdatePlan: the batch
+// blocking stages over the patched substrates (State.blockingSides),
+// purging, weighting, and the affected-set candidate recomputation.
+// After it runs, EvidenceUnchanged reports whether the matching half
+// can be skipped by adopting the previous epoch's outputs.
 func UpdatePatchPlan() []Stage {
 	return []Stage{
-		UpdateNameBlocking(),
-		UpdateTokenBlocking(),
+		NameBlocking(),
+		TokenBlocking(),
 		BlockPurging(),
 		UpdateBlockIndexing(),
 		TokenWeighting(),
@@ -199,16 +204,19 @@ func UpdateMatchPlan() []Stage {
 }
 
 // EvidenceUnchanged reports — after the patch plan ran — whether every
-// matching input came out pointer-identical to the previous epoch's:
-// same B_N, same candidate arrays (the sharing fast paths propagate
-// pointers only when content is unchanged). The heuristics are pure
-// functions of those inputs, so their outputs can be adopted verbatim.
+// matching input came out equal to the previous epoch's: B_N's inputs
+// did not move (no name-attribute change, name-posting change or ID
+// shift on either side, so its join is the previous B_N block for
+// block), and the candidate arrays are the previous epoch's,
+// pointer-identical (the sharing fast paths propagate pointers only
+// when content is unchanged). The heuristics are pure functions of
+// those inputs, so their outputs can be adopted verbatim.
 func (s *State) EvidenceUnchanged() bool {
 	u := s.update
 	if u == nil || !u.prev.MatchesValid {
 		return false
 	}
-	return s.NameBlocks == u.prev.NameBlocks &&
+	return u.namesUnchanged &&
 		sameCandArray(s.ValueCands1, u.prev.VC1) &&
 		sameCandArray(s.ValueCands2, u.prev.VC2) &&
 		sameCandArray(s.NeighborCands1, u.prev.NC1) &&
@@ -227,119 +235,48 @@ func (s *State) AdoptPrevMatches() {
 // errNotUpdate guards the update-only stages against plain states.
 var errNotUpdate = errors.New("requires an update state (build it with NewUpdateState)")
 
-// UpdateNameBlocking patches both one-sided substrates with the
-// mutation's key edits (token and name postings at once — the token
-// stage consumes the same patched substrates) and derives B_N. When a
-// mutation reorders a KB's most distinctive attributes, that side's
-// name postings — and B_N — are rebuilt wholesale instead of patched.
-//
-//minoaner:mutator stage writes u.next, the epoch cache under construction; it is published only after the plan completes
-func UpdateNameBlocking() Stage {
-	return newStage(StageNameBlocking, func(ctx context.Context, st *State) error {
-		u := st.update
-		if u == nil {
-			return errNotUpdate
+// patchSides derives the new epoch's two one-sided substrates from
+// the previous epoch's, the update case of State.blockingSides: a
+// mutated side applies the mutation's token and name key edits, with
+// its name postings rebuilt wholesale when the mutation reorders the
+// KB's most distinctive attributes (which invalidates every name key at
+// once); an unmutated side is the previous substrate as it is.
+func (u *updateSide) patchSides(new1, new2 *kb.KB, p Params) [2]*blocking.Prepared {
+	u.namesUnchanged = true
+	patch := func(prep *blocking.Prepared, old, new *kb.KB, d *kb.Diff) (*blocking.Prepared, blocking.PreparedPatch) {
+		if d.Identity {
+			return prep, blocking.PreparedPatch{}
 		}
-		w := st.Params.workers()
-		nameK := st.Params.NameK
-		u.nameStable = true
-
-		patchSide := func(prep *blocking.Prepared, old, new *kb.KB, d *kb.Diff) (*blocking.Prepared, blocking.PreparedPatch) {
-			if d.Identity {
-				return prep, blocking.PreparedPatch{}
-			}
-			stable := sameTopNameAttrs(old, new, nameK)
-			var oldAttrs, newAttrs []int32
-			if stable {
-				oldAttrs = old.TopNameAttributes(nameK)
-				newAttrs = new.TopNameAttributes(nameK)
-			} else {
-				u.nameStable = false
-			}
-			pt := blocking.BuildPreparedPatch(old, new, d, oldAttrs, newAttrs)
-			p := prep.ApplyPatch(pt)
-			if !stable {
-				p = p.RebuildNames(new, nameK, w)
-			}
-			return p, pt
+		stable := sameTopNameAttrs(old, new, p.NameK)
+		var oldAttrs, newAttrs []int32
+		if stable {
+			oldAttrs, newAttrs = old.TopNameAttributes(p.NameK), new.TopNameAttributes(p.NameK)
 		}
-		u.prep1, u.pt1 = patchSide(u.prev.Side1.Blocks, u.old1, st.KB1, u.d1)
-		u.prep2, u.pt2 = patchSide(u.prev.Side2.Blocks, u.old2, st.KB2, u.d2)
-
-		if u.nameStable {
-			keys := make([]string, 0, len(u.pt1.Names)+len(u.pt2.Names))
-			for _, e := range u.pt1.Names {
-				keys = append(keys, e.Key)
-			}
-			for _, e := range u.pt2.Names {
-				keys = append(keys, e.Key)
-			}
-			if len(keys) == 0 && u.pt1.Remap == nil && u.pt2.Remap == nil {
-				// No name key moved and no ID shifted: B_N is the
-				// previous epoch's, shared.
-				st.NameBlocks = u.prev.NameBlocks
-				u.next.NameBlocks = st.NameBlocks
-				st.NameBlockCount = st.NameBlocks.Size()
-				st.NameComparisons = st.NameBlocks.Comparisons()
-				return nil
-			}
-			st.NameBlocks = u.prev.NameBlocks.Patch(blocking.CollectionPatch{
-				Keys:    blocking.SortedKeySet(keys),
-				Lookup1: u.prep1.NamePosting,
-				Lookup2: u.prep2.NamePosting,
-				N1:      st.KB1.Len(),
-				N2:      st.KB2.Len(),
-			})
-		} else {
-			st.NameBlocks = blocking.JoinNameBlocks(u.prep1, u.prep2)
+		pt := blocking.BuildPreparedPatch(old, new, d, oldAttrs, newAttrs)
+		out := prep.ApplyPatch(pt)
+		if !stable {
+			out = out.RebuildNames(new, p.NameK, p.workers())
 		}
-		u.next.NameBlocks = st.NameBlocks
-		st.NameBlockCount = st.NameBlocks.Size()
-		st.NameComparisons = st.NameBlocks.Comparisons()
-		return nil
-	})
-}
-
-// UpdateTokenBlocking derives the raw B_T of the new epoch by splicing
-// the touched token keys into the previous epoch's joined collection.
-//
-//minoaner:mutator stage writes u.next, the epoch cache under construction; it is published only after the plan completes
-func UpdateTokenBlocking() Stage {
-	return newStage(StageTokenBlocking, func(ctx context.Context, st *State) error {
-		u := st.update
-		if u == nil {
-			return errNotUpdate
+		u.namesUnchanged = u.namesUnchanged && stable && pt.Remap == nil
+		for _, e := range pt.Names {
+			// A changed entity re-lists its name keys: an edit that
+			// removes and re-adds the same members leaves the posting.
+			u.namesUnchanged = u.namesUnchanged && slices.Equal(e.Remove, e.Add)
 		}
-		keys := make([]string, 0, len(u.pt1.Tokens)+len(u.pt2.Tokens))
-		for _, e := range u.pt1.Tokens {
-			keys = append(keys, e.Key)
-		}
-		for _, e := range u.pt2.Tokens {
-			keys = append(keys, e.Key)
-		}
-		u.tokenKeys = blocking.SortedKeySet(keys)
-		if len(u.tokenKeys) == 0 && u.pt1.Remap == nil && u.pt2.Remap == nil {
-			st.TokenBlocks = u.prev.RawTokens
-			u.next.RawTokens = st.TokenBlocks
-			return nil
-		}
-		st.TokenBlocks = u.prev.RawTokens.Patch(blocking.CollectionPatch{
-			Keys:    u.tokenKeys,
-			Lookup1: u.prep1.TokenPosting,
-			Lookup2: u.prep2.TokenPosting,
-			N1:      st.KB1.Len(),
-			N2:      st.KB2.Len(),
-		})
-		u.next.RawTokens = st.TokenBlocks
-		return nil
-	})
+		return out, pt
+	}
+	u.prep1, u.pt1 = patch(u.prev.Side1.Blocks, u.old1, new1, u.d1)
+	u.prep2, u.pt2 = patch(u.prev.Side2.Blocks, u.old2, new2, u.d2)
+	return [2]*blocking.Prepared{u.prep1, u.prep2}
 }
 
 // UpdateBlockIndexing computes the access path of incremental scoring:
-// the set of purged-collection keys whose contribution changed (the
-// patched keys, plus every block whose purge status flipped when the
-// cutoffs moved) and from it the value-affected entity sets of both
-// sides.
+// the set of token keys whose purged contribution may have changed
+// (the edited keys, plus every block whose purge status flipped when
+// the cutoffs moved) and from it the value-affected entity sets of
+// both sides. It reads the two epochs' purged collections only: a
+// key's block was live in an epoch exactly when that epoch's purged
+// B_T holds it.
 //
 //minoaner:mutator stage writes u.next, the epoch cache under construction; it is published only after the plan completes
 func UpdateBlockIndexing() Stage {
@@ -348,29 +285,33 @@ func UpdateBlockIndexing() Stage {
 		if u == nil {
 			return errNotUpdate
 		}
-		if st.TokenBlocks == nil || st.TokenBlocks == u.next.RawTokens {
+		if st.TokenBlocks == nil {
 			return errors.New("requires purged token blocks (run " + StageBlockPurging + " first)")
 		}
-		u.next.Purge = st.PurgeStats
-		u.next.TokenBlocks = st.TokenBlocks
+		u.next.NameBlocks, u.next.TokenBlocks, u.next.Purge = st.NameBlocks, st.TokenBlocks, st.PurgeStats
 
-		changed := make(map[string]bool, len(u.tokenKeys))
-		for _, k := range u.tokenKeys {
-			changed[k] = true
+		changed := make(map[string]bool, len(u.pt1.Tokens)+len(u.pt2.Tokens))
+		for _, edits := range [][]blocking.KeyEdit{u.pt1.Tokens, u.pt2.Tokens} {
+			for _, e := range edits {
+				changed[e.Key] = true
+			}
 		}
-		oldRaw, newRaw := u.prev.RawTokens, u.next.RawTokens
-		oldCut1, oldCut2 := u.prev.Purge.Cutoff1, u.prev.Purge.Cutoff2
-		newCut1, newCut2 := st.PurgeStats.Cutoff1, st.PurgeStats.Cutoff2
-		if oldCut1 != newCut1 || oldCut2 != newCut2 {
+		oldBT, newBT := u.prev.TokenBlocks, st.TokenBlocks
+		oldCut, newCut := u.prev.Purge, st.PurgeStats
+		if oldCut.Cutoff1 != newCut.Cutoff1 || oldCut.Cutoff2 != newCut.Cutoff2 {
 			// The cutoffs moved: an untouched block may have crossed
 			// them. A key outside the edit set kept its posting sizes,
-			// so its status flipped exactly when the two cutoffs judge
-			// its new block differently.
-			for i := range newRaw.Blocks {
-				if nb := &newRaw.Blocks[i]; survives(nb, oldCut1, oldCut2) != survives(nb, newCut1, newCut2) {
-					changed[nb.Key] = true
+			// so its status flipped exactly when one epoch keeps its
+			// block and the other epoch's cutoffs purge it.
+			flips := func(live []blocking.Block, cut blocking.PurgeResult) {
+				for i := range live {
+					if b := &live[i]; !survives(b, cut) {
+						changed[b.Key] = true
+					}
 				}
 			}
+			flips(newBT.Blocks, oldCut)
+			flips(oldBT.Blocks, newCut)
 		}
 
 		aff1 := make([]bool, st.KB1.Len())
@@ -387,29 +328,26 @@ func UpdateBlockIndexing() Stage {
 		}
 		for key := range changed {
 			var ob, nb *blocking.Block
-			oldLive, newLive := false, false
-			if oi := oldRaw.FindBlock(key); oi >= 0 {
-				ob = &oldRaw.Blocks[oi]
-				oldLive = survives(ob, oldCut1, oldCut2)
+			if oi := oldBT.FindBlock(key); oi >= 0 {
+				ob = &oldBT.Blocks[oi]
 			}
-			if ni := newRaw.FindBlock(key); ni >= 0 {
-				nb = &newRaw.Blocks[ni]
-				newLive = survives(nb, newCut1, newCut2)
+			if ni := newBT.FindBlock(key); ni >= 0 {
+				nb = &newBT.Blocks[ni]
 			}
 			// A patched key whose purged contribution is identical —
 			// same members (modulo remap), hence same sizes and weight —
 			// moves nobody's similarity sums. This is the common case
 			// for in-place modifications: only the keys the entity
 			// gained or lost actually change their blocks.
-			if oldLive && newLive &&
+			if ob != nil && nb != nil &&
 				sameMembersRemapped(ob.E1, nb.E1, u.d1) && sameMembersRemapped(ob.E2, nb.E2, u.d2) {
 				continue
 			}
-			if oldLive {
+			if ob != nil {
 				mark(aff1, ob.E1, u.d1, true)
 				mark(aff2, ob.E2, u.d2, true)
 			}
-			if newLive {
+			if nb != nil {
 				mark(aff1, nb.E1, nil, false)
 				mark(aff2, nb.E2, nil, false)
 			}
@@ -428,15 +366,15 @@ func UpdateBlockIndexing() Stage {
 	})
 }
 
-func survives(b *blocking.Block, cut1, cut2 int) bool {
-	return len(b.E1) <= cut1 && len(b.E2) <= cut2
+func survives(b *blocking.Block, cut blocking.PurgeResult) bool {
+	return len(b.E1) <= cut.Cutoff1 && len(b.E2) <= cut.Cutoff2
 }
 
 // sameMembersRemapped reports whether an old member list, remapped
 // into the new ID space, equals the new list.
 func sameMembersRemapped(old, new []kb.EntityID, d *kb.Diff) bool {
 	if d.Identity {
-		return sameMembers(old, new)
+		return slices.Equal(old, new)
 	}
 	j := 0
 	for _, id := range old {
@@ -450,18 +388,6 @@ func sameMembersRemapped(old, new []kb.EntityID, d *kb.Diff) bool {
 		j++
 	}
 	return j == len(new)
-}
-
-func sameMembers(a, b []kb.EntityID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func countTrue(bs []bool) int {
@@ -647,11 +573,11 @@ func UpdateNeighborCandidates() Stage {
 			return errors.New("requires value candidates (run " + StageValueCandidates + " first)")
 		}
 		workers := st.Params.workers()
-		view1, changed1, all1, err := updateTops(ctx, u.prev.Side1.Neighbors, u.old1, st.KB1, u.d1, workers)
+		view1, changed1, err := updateTops(ctx, u.prev.Side1.Neighbors, u.old1, st.KB1, u.d1, workers)
 		if err != nil {
 			return err
 		}
-		view2, changed2, all2, err := updateTops(ctx, u.prev.Side2.Neighbors, u.old2, st.KB2, u.d2, workers)
+		view2, changed2, err := updateTops(ctx, u.prev.Side2.Neighbors, u.old2, st.KB2, u.d2, workers)
 		if err != nil {
 			return err
 		}
@@ -663,8 +589,8 @@ func UpdateNeighborCandidates() Stage {
 		drev1 := revDelta(u.prev.Side1.Neighbors.TopLists(), view1.TopLists(), changed1, u.d1)
 		drev2 := revDelta(u.prev.Side2.Neighbors.TopLists(), view2.TopLists(), changed2, u.d2)
 
-		aff1 := neighborAffected(changed1, all1 || all2, u.vcChanged1, view1, u.next.VC1, drev2)
-		aff2 := neighborAffected(changed2, all1 || all2, u.vcChanged2, view2, u.next.VC2, drev1)
+		aff1 := neighborAffected(changed1, u.vcChanged1, view1, u.next.VC1, drev2)
+		aff2 := neighborAffected(changed2, u.vcChanged2, view2, u.next.VC2, drev1)
 		u.affectedN1, u.affectedN2 = countTrue(aff1), countTrue(aff2)
 
 		run := func(aff []bool, self, other *kb.Frozen, vcSelf, prevNC [][]Cand, dSelf, dOther *kb.Diff) ([][]Cand, error) {
@@ -711,14 +637,14 @@ func UpdateNeighborCandidates() Stage {
 // for everyone when the global relation ranking moved), remapped or
 // shared otherwise. The view names the new KB even when every list is
 // shared, so no view of a past epoch's KB is ever carried forward.
-func updateTops(ctx context.Context, prev *kb.Frozen, old, new *kb.KB, d *kb.Diff, workers int) (view *kb.Frozen, changed []bool, all bool, err error) {
+func updateTops(ctx context.Context, prev *kb.Frozen, old, new *kb.KB, d *kb.Diff, workers int) (view *kb.Frozen, changed []bool, err error) {
 	if d.Identity {
-		return prev, nil, false, nil
+		return prev, nil, nil
 	}
 	nEnt := new.Len()
 	changed = make([]bool, nEnt)
-	if !sameRelRanking(old, new) {
-		all = true
+	reranked := !sameRelRanking(old, new)
+	if reranked {
 		for i := range changed {
 			changed[i] = true
 		}
@@ -731,10 +657,10 @@ func updateTops(ctx context.Context, prev *kb.Frozen, old, new *kb.KB, d *kb.Dif
 		}
 	}
 	n, prevTop := prev.N(), prev.TopLists()
-	if !all && len(d.EdgesChanged) == 0 && len(d.Inserted) == 0 && !d.Shifted() {
+	if !reranked && len(d.EdgesChanged) == 0 && len(d.Inserted) == 0 && !d.Shifted() {
 		// No edges moved and no IDs shifted: the lists carry over,
 		// shared, re-seated on the new KB.
-		return kb.FrozenFromLists(new, n, prevTop, prev.RevLists()), nil, false, nil
+		return kb.FrozenFromLists(new, n, prevTop, prev.RevLists()), nil, nil
 	}
 	top := make([][]kb.EntityID, nEnt)
 	shifted := d.Shifted()
@@ -757,9 +683,9 @@ func updateTops(ctx context.Context, prev *kb.Frozen, old, new *kb.KB, d *kb.Dif
 		})
 	})
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	return kb.FrozenFromLists(new, n, top, nil), changed, all, nil
+	return kb.FrozenFromLists(new, n, top, nil), changed, nil
 }
 
 // revDelta collects the entities (new ID space) whose reverse-neighbor
@@ -797,19 +723,15 @@ func revDelta(prevTop, newTop [][]kb.EntityID, changed []bool, d *kb.Diff) map[k
 }
 
 // neighborAffected derives which entities' neighbor-candidate lists
-// must be recomputed: those whose own top list changed, those with an
-// affected or rev-delta-exposed entity among their best neighbors'
-// evidence, or everyone when a side rebuilt its ranking wholesale.
-func neighborAffected(topChanged []bool, all bool, affV []bool,
+// must be recomputed: those whose own top list changed, and those with
+// an affected or rev-delta-exposed entity among their best neighbors'
+// evidence. A side whose relation ranking moved needs nothing more:
+// updateTops flags all its entities, so revDelta holds every old and
+// new target of their lists.
+func neighborAffected(topChanged, affV []bool,
 	view *kb.Frozen, vc [][]Cand, drevOther map[kb.EntityID]struct{}) []bool {
 	n, rev := len(vc), view.RevLists()
 	aff := make([]bool, n)
-	if all {
-		for i := range aff {
-			aff[i] = true
-		}
-		return aff
-	}
 	if topChanged != nil {
 		copy(aff, topChanged)
 	}

@@ -2,7 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"minoaner/internal/kb"
+	"minoaner/internal/rdf"
 )
 
 // TestUpdateAllocatesAccumulatorsOnlyForAffectedChunks: a mutation that
@@ -51,5 +55,92 @@ func TestUpdateAllocatesAccumulatorsOnlyForAffectedChunks(t *testing.T) {
 			t.Errorf("stage %s allocated %d bytes, want well under %d (a dense accumulator per chunk of one side)",
 				stat.Stage, stat.AllocBytes, eagerSide)
 		}
+	}
+}
+
+// TestEvidenceUnchanged pins the adoption shortcut of an update run:
+// after the patch plan, EvidenceUnchanged holds exactly when no
+// matching input moved — B_N's inputs and all four candidate arrays —
+// and then the matching plan reproduces the previous epoch's outputs.
+func TestEvidenceUnchanged(t *testing.T) {
+	const n = 200
+	p := testParams()
+	p.NameK = 1 // KB2's titles; a note attribute on one entity stays out
+	ctx := context.Background()
+	kb1, old2 := testKBs(t, n)
+	base := runPlan(t, DefaultPlan(), NewState(kb1, old2, p))
+	prev, err := NewCache(ctx, base, base.NameBlocks, base.PurgeStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev.SetMatches(base.H1, base.H2, base.H3, base.Matches, base.DiscardedByH4)
+
+	iri, lit := rdf.NewIRI, rdf.NewLiteral
+	// rewrite is the full new description of KB2's entity 100: a title,
+	// its chain link, and optionally a note.
+	rewrite := func(title, note string) []rdf.Triple {
+		s := iri("http://b/e0100")
+		ts := []rdf.Triple{
+			rdf.NewTriple(s, iri("http://v/title"), lit(title)),
+			rdf.NewTriple(s, iri("http://v/rel"), iri("http://b/e0099")),
+		}
+		if note != "" {
+			ts = append(ts, rdf.NewTriple(s, iri("http://v/note"), lit(note)))
+		}
+		return ts
+	}
+	for _, tc := range []struct {
+		name  string
+		delta []rdf.Triple
+		want  bool
+	}{
+		// The note's tokens occur nowhere in KB1: they form no block.
+		{"note with unseen tokens", rewrite("entity number 0100 omega", "zzqx ywvu"), true},
+		// The old name was a one-to-one name block (an H1 match).
+		{"renamed", rewrite("entity renamed 0100 omega", ""), false},
+		// The URI sorts before every other: every KB2 ID shifts.
+		{"shifting insert", []rdf.Triple{rdf.NewTriple(iri("http://b/a0000"), iri("http://v/title"), lit("first of all"))}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := kb.NewStore(old2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta, err := kb.FromTriples("delta", tc.delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := store.Apply(delta, nil); err != nil {
+				t.Fatal(err)
+			}
+			new2 := store.Assemble(old2)
+			st, err := NewUpdateState(prev, kb1, old2, kb1, new2, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runPlan(t, UpdatePatchPlan(), st)
+			if got := st.EvidenceUnchanged(); got != tc.want {
+				t.Fatalf("EvidenceUnchanged = %v, want %v", got, tc.want)
+			}
+			if tc.name == "renamed" {
+				// Only the name key moved: the candidate arrays are
+				// shared, so B_N's condition alone decides.
+				for _, pair := range [][2][][]Cand{{st.ValueCands1, prev.VC1}, {st.ValueCands2, prev.VC2},
+					{st.NeighborCands1, prev.NC1}, {st.NeighborCands2, prev.NC2}} {
+					if !sameCandArray(pair[0], pair[1]) {
+						t.Fatal("a candidate array was recomputed; the case no longer isolates B_N")
+					}
+				}
+			}
+			if !tc.want {
+				return
+			}
+			runPlan(t, UpdateMatchPlan(), st)
+			if !reflect.DeepEqual(st.Matches, base.Matches) || !reflect.DeepEqual(st.H1, base.H1) ||
+				!reflect.DeepEqual(st.H2, base.H2) || !reflect.DeepEqual(st.H3, base.H3) ||
+				st.DiscardedByH4 != base.DiscardedByH4 {
+				t.Fatal("the matching plan's outputs differ from the previous epoch's the shortcut adopts")
+			}
+		})
 	}
 }

@@ -114,12 +114,15 @@ func assertMatchesRebuild(t *testing.T, ix *Index, kb1, kb2 *KB, cfg Config) {
 	}
 }
 
-// TestUpdatePurgeCutoffMoveMatchesRebuild inserts one KB2 entity under
-// purge parameters chosen so that the insert moves KB2's cutoff from
-// s-1 to s, where s is the KB2 size of a block the insert does not
-// touch: that block flips from purged to surviving although none of
-// its keys was edited, which only the cutoff walk of the update's
-// block indexing can see.
+// TestUpdatePurgeCutoffMoveMatchesRebuild moves KB2's purge cutoff
+// by one KB2 entity under purge parameters chosen so that the cutoff
+// crosses s, where s is the KB2 size of a block the mutation does not
+// touch: that block flips purge status although none of its keys was
+// edited, which only the cutoff pass of the update's block indexing can
+// see. An insert raises the cutoff from s-1 to s and the block starts
+// surviving (it is in the new purged B_T only); a delete lowers it from
+// s to s-1 and the block starts being purged (it is in the old purged
+// B_T only).
 func TestUpdatePurgeCutoffMoveMatchesRebuild(t *testing.T) {
 	b, err := GenerateBenchmark("Restaurant", 5, 0.3)
 	if err != nil {
@@ -145,24 +148,47 @@ func TestUpdatePurgeCutoffMoveMatchesRebuild(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.PurgeEntityFraction, cfg.PurgeMinEntities = fraction, 1
-	ix, err := BuildIndex(b.KB1, b.KB2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := ix.cur.Load().purge
+	const uri = "http://cutoff/new"
+	insert := "<" + uri + "> <http://cutoff/name> \"zyxwv qutsr\" .\n"
+	withInsert := func(t *testing.T) *KB { return loadNT(t, "kb2", ntOf(t, b.WriteKB2)+insert) }
 
-	insert := "<http://cutoff/new> <http://cutoff/name> \"zyxwv qutsr\" .\n"
-	if err := ix.Upsert(context.Background(), 2, loadNT(t, "delta", insert)); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name           string
+		built, mutated func(t *testing.T) *KB // KB2 before and after the mutation
+		mutate         func(t *testing.T, ix *Index) error
+		rise           bool
+	}{
+		{"insert raises", func(*testing.T) *KB { return b.KB2 }, withInsert,
+			func(t *testing.T, ix *Index) error {
+				return ix.Upsert(context.Background(), 2, loadNT(t, "delta", insert))
+			}, true},
+		{"delete lowers", withInsert, func(*testing.T) *KB { return b.KB2 },
+			func(t *testing.T, ix *Index) error { return ix.Delete(context.Background(), 2, uri) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := BuildIndex(b.KB1, tc.built(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := ix.cur.Load().purge
+			if err := tc.mutate(t, ix); err != nil {
+				t.Fatal(err)
+			}
+			after := ix.cur.Load().purge
+			step, removed := 1, after.RemovedBlocks < before.RemovedBlocks
+			if !tc.rise {
+				step, removed = -1, after.RemovedBlocks > before.RemovedBlocks
+			}
+			if after.Cutoff2 != before.Cutoff2+step || after.Cutoff1 != before.Cutoff1 {
+				t.Fatalf("cutoffs %d/%d -> %d/%d: the mutation must move KB2's by %d",
+					before.Cutoff1, before.Cutoff2, after.Cutoff1, after.Cutoff2, step)
+			}
+			if !removed {
+				t.Fatalf("purged blocks %d -> %d: no untouched block flipped", before.RemovedBlocks, after.RemovedBlocks)
+			}
+			assertMatchesRebuild(t, ix, b.KB1, tc.mutated(t), cfg)
+		})
 	}
-	after := ix.cur.Load().purge
-	if after.Cutoff2 != before.Cutoff2+1 || after.Cutoff1 != before.Cutoff1 {
-		t.Fatalf("cutoffs %d/%d -> %d/%d: the insert must move KB2's by one", before.Cutoff1, before.Cutoff2, after.Cutoff1, after.Cutoff2)
-	}
-	if after.RemovedBlocks >= before.RemovedBlocks {
-		t.Fatalf("purged blocks %d -> %d: no untouched block flipped", before.RemovedBlocks, after.RemovedBlocks)
-	}
-	assertMatchesRebuild(t, ix, b.KB1, loadNT(t, "kb2", ntOf(t, b.WriteKB2)+insert), cfg)
 }
 
 // relFixture renders a small KB whose entities carry a name and two
@@ -193,43 +219,52 @@ func relOrder(k *KB) []string {
 	return out
 }
 
-// TestUpdateRelationRankingMoveMatchesRebuild rewrites KB2 so that its
-// relation b overtakes a: every best-neighbor list of that side is
+// TestUpdateRelationRankingMoveMatchesRebuild rewrites one KB so that
+// its relation b overtakes a: every best-neighbor list of that side is
 // recomputed — entities 5 and 6 hold both relations and switch, though
-// no edge of theirs changed — and every entity's neighbor evidence is
-// affected.
+// no edge of theirs changed — and so is the neighbor evidence of every
+// entity whose best neighbors' candidates meet that side's old or new
+// lists. Each side is re-ranked in turn.
 func TestUpdateRelationRankingMoveMatchesRebuild(t *testing.T) {
 	const n = 12
 	bBefore := []int{6, 7, 8, 9}
 	bAfter := []int{0, 6, 7, 8, 9, 10, 11}
-	kb1 := loadNT(t, "kb1", relFixture("left", n, 6, bBefore))
-	kb2 := loadNT(t, "kb2", relFixture("right", n, 6, bBefore))
 	// One relation per entity: an entity holding both follows the one
 	// ranked first.
 	cfg := DefaultConfig()
 	cfg.N = 1
-	ix, err := BuildIndex(kb1, kb2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The upsert replaces the descriptions of entities 0, 10 and 11,
-	// each gaining a b link.
-	mutated := relFixture("right", n, 6, bAfter)
-	var delta strings.Builder
-	for _, line := range strings.SplitAfter(mutated, "\n") {
-		for _, s := range []string{"<http://right/e0> ", "<http://right/e10> ", "<http://right/e11> "} {
-			if strings.HasPrefix(line, s) {
-				delta.WriteString(line)
+	for _, side := range []int{1, 2} {
+		t.Run(fmt.Sprintf("kb%d", side), func(t *testing.T) {
+			prefix := [2]string{"left", "right"}[side-1]
+			kbs := [2]*KB{
+				loadNT(t, "kb1", relFixture("left", n, 6, bBefore)),
+				loadNT(t, "kb2", relFixture("right", n, 6, bBefore)),
 			}
-		}
+			ix, err := BuildIndex(kbs[0], kbs[1], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The upsert replaces the descriptions of entities 0, 10
+			// and 11, each gaining a b link.
+			mutated := relFixture(prefix, n, 6, bAfter)
+			var delta strings.Builder
+			for _, line := range strings.SplitAfter(mutated, "\n") {
+				for _, e := range []int{0, 10, 11} {
+					if strings.HasPrefix(line, fmt.Sprintf("<http://%s/e%d> ", prefix, e)) {
+						delta.WriteString(line)
+					}
+				}
+			}
+			if err := ix.Upsert(context.Background(), side, loadNT(t, "delta", delta.String())); err != nil {
+				t.Fatal(err)
+			}
+			old, now := relOrder(kbs[side-1]), relOrder([2]*KB{ix.KB1(), ix.KB2()}[side-1])
+			if reflect.DeepEqual(old, now) || len(old) != 2 || len(now) != 2 {
+				t.Fatalf("relation ranking %v -> %v: the rewrite must reorder it", old, now)
+			}
+			kbs[side-1] = loadNT(t, "mutated", mutated)
+			assertMatchesRebuild(t, ix, kbs[0], kbs[1], cfg)
+		})
 	}
-	if err := ix.Upsert(context.Background(), 2, loadNT(t, "delta", delta.String())); err != nil {
-		t.Fatal(err)
-	}
-	old, now := relOrder(kb2), relOrder(ix.KB2())
-	if reflect.DeepEqual(old, now) || len(old) != 2 || len(now) != 2 {
-		t.Fatalf("relation ranking %v -> %v: the rewrite must reorder it", old, now)
-	}
-	assertMatchesRebuild(t, ix, kb1, loadNT(t, "kb2", mutated), cfg)
 }
