@@ -159,6 +159,16 @@ func UpdatePlanFor(cfg Config) []pipeline.Stage {
 // (new1, new2). An unmutated side passes the same KB for old and new.
 // The result is bit-identical to the full plan over (new1, new2).
 func RunUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2 *kb.KB, cfg Config, progress pipeline.Progress) (*Result, *pipeline.Cache, error) {
+	res, st, err := runUpdate(ctx, prev, old1, old2, new1, new2, cfg, progress)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, st.UpdatedCache(), nil
+}
+
+// runUpdate is RunUpdate returning the finished update state, whose
+// work counters (UpdateCounters, EvidenceUnchanged) the tests read.
+func runUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2 *kb.KB, cfg Config, progress pipeline.Progress) (*Result, *pipeline.State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -183,9 +193,8 @@ func RunUpdate(ctx context.Context, prev *pipeline.Cache, old1, old2, new1, new2
 		}
 		stats = append(stats, matchStats...)
 	}
-	next := st.UpdatedCache()
-	next.SetMatches(st.H1, st.H2, st.H3, st.Matches, st.DiscardedByH4)
-	return resultFromState(st, stats), next, nil
+	st.UpdatedCache().SetMatches(st.H1, st.H2, st.H3, st.Matches, st.DiscardedByH4)
+	return resultFromState(st, stats), st, nil
 }
 
 // PrimeCache builds the scoring substrate a mutable index needs from

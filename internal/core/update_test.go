@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"minoaner/internal/datagen"
@@ -36,51 +38,78 @@ func (h *epochHarness) mutate(t *testing.T, rng *rand.Rand, round int) (old, new
 	t.Helper()
 	var deltaTriples []rdf.Triple
 	var deletes []string
-	pickSubject := func() string { return h.cur.URI(kb.EntityID(rng.Intn(h.cur.Len()))) }
-
 	switch rng.Intn(5) {
 	case 0: // delete 1-2 entities
-		for i := 0; i < 1+rng.Intn(2); i++ {
-			deletes = append(deletes, pickSubject())
+		deletes = h.deletes(rng)
+	case 1:
+		deltaTriples = h.insert(rng, round)
+	default:
+		deltaTriples, deletes = h.rewrite(rng, round)
+	}
+	return h.apply(t, deltaTriples, deletes)
+}
+
+func (h *epochHarness) pickSubject(rng *rand.Rand) string {
+	return h.cur.URI(kb.EntityID(rng.Intn(h.cur.Len())))
+}
+
+// deletes picks 1-2 entities to delete.
+func (h *epochHarness) deletes(rng *rand.Rand) []string {
+	var out []string
+	for i := 0; i < 1+rng.Intn(2); i++ {
+		out = append(out, h.pickSubject(rng))
+	}
+	return out
+}
+
+// insert describes a brand-new entity referencing an existing one.
+func (h *epochHarness) insert(rng *rand.Rand, round int) []rdf.Triple {
+	subj := rdf.NewIRI(fmt.Sprintf("http://mut/new-%d-%d", round, rng.Intn(1000)))
+	return []rdf.Triple{
+		rdf.NewTriple(subj, rdf.NewIRI("http://mut/name"), rdf.NewLiteral(fmt.Sprintf("fresh entity %d alpha", round))),
+		rdf.NewTriple(subj, rdf.NewIRI("http://mut/link"), rdf.NewIRI(h.pickSubject(rng))),
+	}
+}
+
+// rewrite replaces 1-2 existing entities with perturbed descriptions.
+// When every triple of the chosen subjects was dropped, that is a
+// delete, not an upsert. The subjects are visited in sorted order, so
+// a seed fixes the mutation.
+func (h *epochHarness) rewrite(rng *rand.Rand, round int) (deltaTriples []rdf.Triple, deletes []string) {
+	chosen := map[string]bool{}
+	for i := 0; i < 1+rng.Intn(2); i++ {
+		chosen[h.pickSubject(rng)] = true
+	}
+	subjects := slices.Sorted(maps.Keys(chosen))
+	for _, tr := range h.ref {
+		if !chosen[kb.SubjectKey(tr.Subject)] {
+			continue
 		}
-	case 1: // insert a brand-new entity referencing an existing one
-		subj := rdf.NewIRI(fmt.Sprintf("http://mut/new-%d-%d", round, rng.Intn(1000)))
-		deltaTriples = append(deltaTriples,
-			rdf.NewTriple(subj, rdf.NewIRI("http://mut/name"), rdf.NewLiteral(fmt.Sprintf("fresh entity %d alpha", round))),
-			rdf.NewTriple(subj, rdf.NewIRI("http://mut/link"), rdf.NewIRI(pickSubject())),
-		)
-	default: // replace 1-2 existing entities with perturbed descriptions
-		subjects := map[string]bool{}
-		for i := 0; i < 1+rng.Intn(2); i++ {
-			subjects[pickSubject()] = true
+		switch {
+		case tr.Object.IsLiteral() && rng.Intn(3) == 0:
+			tr.Object = rdf.NewLiteral(tr.Object.Value + fmt.Sprintf(" mut%d", round))
+		case rng.Intn(6) == 0:
+			continue // drop the triple
 		}
-		for _, tr := range h.ref {
-			if !subjects[kb.SubjectKey(tr.Subject)] {
-				continue
-			}
-			switch {
-			case tr.Object.IsLiteral() && rng.Intn(3) == 0:
-				tr.Object = rdf.NewLiteral(tr.Object.Value + fmt.Sprintf(" mut%d", round))
-			case rng.Intn(6) == 0:
-				continue // drop the triple
-			}
-			deltaTriples = append(deltaTriples, tr)
-		}
-		for s := range subjects {
-			if rng.Intn(2) == 0 {
-				deltaTriples = append(deltaTriples, rdf.NewTriple(
-					rdf.NewIRI(s), rdf.NewIRI("http://mut/extra"), rdf.NewLiteral(fmt.Sprintf("extra%d", rng.Intn(4)))))
-			}
-		}
-		if len(deltaTriples) == 0 {
-			// Every triple of the chosen subjects was dropped: that is a
-			// delete, not an upsert.
-			for s := range subjects {
-				deletes = append(deletes, s)
-			}
+		deltaTriples = append(deltaTriples, tr)
+	}
+	for _, s := range subjects {
+		if rng.Intn(2) == 0 {
+			deltaTriples = append(deltaTriples, rdf.NewTriple(
+				rdf.NewIRI(s), rdf.NewIRI("http://mut/extra"), rdf.NewLiteral(fmt.Sprintf("extra%d", rng.Intn(4)))))
 		}
 	}
+	if len(deltaTriples) == 0 {
+		deletes = subjects
+	}
+	return deltaTriples, deletes
+}
 
+// apply runs one mutation through the store and the triple-level
+// reference list and returns the (old, new) KB epochs; ok=false when
+// the store reports no change.
+func (h *epochHarness) apply(t *testing.T, deltaTriples []rdf.Triple, deletes []string) (old, new *kb.KB, ok bool) {
+	t.Helper()
 	var deltaKB *kb.KB
 	var err error
 	if len(deltaTriples) > 0 {
