@@ -188,16 +188,6 @@ func (c *Collection) Candidates1(idx *Index, e1 kb.EntityID) []kb.EntityID {
 	return out
 }
 
-// FindBlock locates the block with the given key by binary search
-// (blocks are key-sorted) and returns its position, or -1 when absent.
-func (c *Collection) FindBlock(key string) int32 {
-	lo := sort.Search(len(c.Blocks), func(i int) bool { return c.Blocks[i].Key >= key })
-	if lo < len(c.Blocks) && c.Blocks[lo].Key == key {
-		return int32(lo)
-	}
-	return -1
-}
-
 // Union merges two collections over the same KB pair into one (keys are
 // namespaced by collection to avoid accidental merging of distinct
 // semantics, e.g. a name key equal to a token key). The inputs must

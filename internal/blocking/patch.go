@@ -1,11 +1,12 @@
 // Live maintenance of the one-sided blocking substrate. A mutated KB
-// epoch touches only the keys of the changed entities;
-// Prepared.ApplyPatch copies the substrate's key maps (member slices
-// shared) and rewrites those keys, reproducing, key for key and member
-// for member, what Prepare builds from scratch over the mutated KB. A
-// mutation's two-sided collections are the joins of its patched
-// substrates (JoinTokenBlocks, JoinNameBlocks), as every other run's
-// are.
+// epoch edits only the keys whose members moved: the keys a changed
+// entity gained or lost, the keys of inserted entities and those of
+// deleted ones. Prepared.ApplyPatch copies the substrate's key maps
+// (member slices shared) and rewrites those keys, reproducing, key for
+// key and member for member, what Prepare builds from scratch over the
+// mutated KB. A mutation's two-sided collections are the joins of its
+// patched substrates (JoinTokenBlocks, JoinNameBlocks), as every other
+// run's are.
 package blocking
 
 import (
@@ -16,9 +17,9 @@ import (
 )
 
 // KeyEdit rewrites one posting: members to drop and members to insert,
-// both ascending. A member present in both lists stays (remove then
-// re-add), so callers can submit an entity's full old and new key sets
-// without intersecting them first.
+// both ascending and disjoint. Every edit of a BuildPreparedPatch marks
+// a posting that changed: it gained or lost a member, or (an edit with
+// both lists empty) lost a deleted entity through the remap.
 type KeyEdit struct {
 	Key    string
 	Remove []kb.EntityID
@@ -81,9 +82,6 @@ func applyEdit(old []kb.EntityID, e KeyEdit) []kb.EntityID {
 			ri++
 			continue
 		}
-		if ai < len(e.Add) && e.Add[ai] == id {
-			ai++ // re-added member: keep exactly one copy
-		}
 		out = append(out, id)
 	}
 	out = append(out, e.Add[ai:]...)
@@ -121,12 +119,14 @@ func (p *Prepared) RebuildNames(kb1 *kb.KB, nameK, workers int) *Prepared {
 }
 
 // BuildPreparedPatch derives the substrate patch of one KB mutation
-// from the epoch diff: every changed entity removes its old token and
-// name keys and adds its new ones, inserted entities add theirs, and
-// deleted entities are handled by the remap (their IDs translate to
-// -1). The name-attribute lists must rank the same predicates on both
-// sides — when a mutation reorders a KB's most distinctive attributes,
-// fall back to RebuildNames instead.
+// from the epoch diff: a changed entity removes the token and name keys
+// it lost and adds the ones it gained (the keys it kept record
+// nothing), inserted entities add theirs, and deleted entities are
+// handled by the remap (their IDs translate to -1), their keys recorded
+// as empty edits. So the edited keys are exactly the postings that
+// differ from the receiver's. The name-attribute lists must rank the
+// same predicates on both sides — when a mutation reorders a KB's most
+// distinctive attributes, fall back to RebuildNames instead.
 func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs []int32) PreparedPatch {
 	tokens := make(map[string]*KeyEdit)
 	names := make(map[string]*KeyEdit)
@@ -138,34 +138,35 @@ func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs 
 		}
 		return e
 	}
-	for _, e := range d.AttrsChanged {
-		oldID := d.Back[e]
-		for _, tok := range old.Tokens(oldID) {
-			ke := edit(tokens, tok)
-			ke.Remove = append(ke.Remove, e)
-		}
-		for _, tok := range new.Tokens(e) {
-			ke := edit(tokens, tok)
-			ke.Add = append(ke.Add, e)
-		}
-		for _, key := range old.Names(oldID, oldNameAttrs) {
-			ke := edit(names, key)
-			ke.Remove = append(ke.Remove, e)
-		}
-		for _, key := range new.Names(e, newNameAttrs) {
-			ke := edit(names, key)
-			ke.Add = append(ke.Add, e)
+	// diff walks one entity's ascending, distinct old and new key lists
+	// together: keys only in the old list lose the entity, keys only in
+	// the new list gain it.
+	diff := func(m map[string]*KeyEdit, e kb.EntityID, oldKeys, newKeys []string) {
+		i, j := 0, 0
+		for i < len(oldKeys) || j < len(newKeys) {
+			switch {
+			case j == len(newKeys) || i < len(oldKeys) && oldKeys[i] < newKeys[j]:
+				ke := edit(m, oldKeys[i])
+				ke.Remove = append(ke.Remove, e)
+				i++
+			case i == len(oldKeys) || newKeys[j] < oldKeys[i]:
+				ke := edit(m, newKeys[j])
+				ke.Add = append(ke.Add, e)
+				j++
+			default:
+				i++
+				j++
+			}
 		}
 	}
+	for _, e := range d.AttrsChanged {
+		oldID := d.Back[e]
+		diff(tokens, e, old.Tokens(oldID), new.Tokens(e))
+		diff(names, e, old.Names(oldID, oldNameAttrs), new.Names(e, newNameAttrs))
+	}
 	for _, e := range d.Inserted {
-		for _, tok := range new.Tokens(e) {
-			ke := edit(tokens, tok)
-			ke.Add = append(ke.Add, e)
-		}
-		for _, key := range new.Names(e, newNameAttrs) {
-			ke := edit(names, key)
-			ke.Add = append(ke.Add, e)
-		}
+		diff(tokens, e, nil, new.Tokens(e))
+		diff(names, e, nil, new.Names(e, newNameAttrs))
 	}
 	// Deleted entities are dropped by the remap itself; their keys are
 	// still recorded (as empty edits) so affected-set scoring sees those

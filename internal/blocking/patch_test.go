@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"minoaner/internal/kb"
@@ -38,7 +39,7 @@ func mutableTriples(rng *rand.Rand, prefix string, nSubjects, nTriples int) []rd
 }
 
 // preparedBytes returns the substrate's serialization.
-func preparedBytes(t *testing.T, p *Prepared) []byte {
+func preparedBytes(t testing.TB, p *Prepared) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.WriteBinary(&buf); err != nil {
@@ -62,12 +63,107 @@ func sameRankedAttrs(a, b *kb.KB, k int) bool {
 	return true
 }
 
+// patchEpoch derives the substrate of epoch next from prep, cur's, the
+// way a mutation does, and checks it: the patched substrate equals
+// Prepare over next, the receiver (the previous epoch's substrate that
+// readers may still join) is byte for byte unchanged, and the patch
+// keeps the KeyEdit contract — each edit's Remove and Add ascending and
+// disjoint, and the edited keys exactly the keys whose posting differs
+// between the remapped receiver and the result, plus the keys of
+// deleted entities.
+func patchEpoch(t testing.TB, label string, prep *Prepared, cur, next *kb.KB, nameK int) *Prepared {
+	t.Helper()
+	d := kb.ComputeDiff(cur, next)
+	label = fmt.Sprintf("%s (shift=%v)", label, d.Shifted())
+	if !sameRankedAttrs(cur, next, nameK) {
+		// Rare with this generator; the fallback re-derives the
+		// substrate wholesale (the name rebuild itself is covered by
+		// TestRebuildNames).
+		return Prepare(next, nameK, 1, nil)
+	}
+	oldAttrs := cur.TopNameAttributes(nameK)
+	pt := BuildPreparedPatch(cur, next, d, oldAttrs, next.TopNameAttributes(nameK))
+	before := preparedBytes(t, prep)
+	out := prep.ApplyPatch(pt)
+	if !bytes.Equal(preparedBytes(t, prep), before) {
+		t.Fatalf("%s: ApplyPatch changed its receiver", label)
+	}
+	if fresh := Prepare(next, nameK, 1, nil); !reflect.DeepEqual(out, fresh) {
+		t.Fatalf("%s: patched substrate diverges from fresh Prepare", label)
+	}
+	base := prep
+	if pt.Remap != nil {
+		base = prep.remapped(pt.Remap, pt.NewSize)
+	}
+	check := func(kind string, edits []KeyEdit, before, after map[string][]kb.EntityID, deletedKeys func(kb.EntityID) []string) {
+		t.Helper()
+		want := map[string]bool{}
+		for key, members := range before {
+			if !slices.Equal(members, after[key]) {
+				want[key] = true
+			}
+		}
+		for key := range after {
+			if _, ok := before[key]; !ok {
+				want[key] = true
+			}
+		}
+		for _, id := range d.Deleted {
+			for _, key := range deletedKeys(id) {
+				want[key] = true
+			}
+		}
+		got := map[string]bool{}
+		for _, e := range edits {
+			if !ascending(e.Remove) || !ascending(e.Add) || intersects(e.Remove, e.Add) {
+				t.Fatalf("%s: %s edit %q breaks the contract: remove %v, add %v", label, kind, e.Key, e.Remove, e.Add)
+			}
+			got[e.Key] = true
+		}
+		for key := range want {
+			if !got[key] {
+				t.Fatalf("%s: %s key %q moved but has no edit", label, kind, key)
+			}
+		}
+		for key := range got {
+			if !want[key] {
+				t.Fatalf("%s: %s key %q has an edit but its posting did not move", label, kind, key)
+			}
+		}
+	}
+	check("token", pt.Tokens, base.tokens, out.tokens, cur.Tokens)
+	check("name", pt.Names, base.names, out.names, func(id kb.EntityID) []string { return cur.Names(id, oldAttrs) })
+	return out
+}
+
+func ascending(ids []kb.EntityID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// intersects reports whether two ascending lists share a member.
+func intersects(a, b []kb.EntityID) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			return true
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
+}
+
 // TestPreparedPatchMatchesFresh: after randomized upsert/delete
-// rounds, the patched substrate equals Prepare over the mutated KB,
-// and the joins of the patched substrates equal the reference
-// constructions over the mutated KBs. Every patch leaves its receiver,
-// the previous epoch's substrate that readers may still join, byte for
-// byte unchanged.
+// rounds, every patch passes patchEpoch's checks and the joins of the
+// patched substrates equal the reference constructions over the
+// mutated KBs.
 func TestPreparedPatchMatchesFresh(t *testing.T) {
 	const nameK = 2
 	for _, seed := range []int64{3, 11, 29} {
@@ -124,25 +220,9 @@ func TestPreparedPatchMatchesFresh(t *testing.T) {
 					continue
 				}
 				next := store.Assemble(cur)
-				d := kb.ComputeDiff(cur, next)
-				if !sameRankedAttrs(cur, next, nameK) {
-					// Rare with this generator; the fallback re-derives
-					// the substrate wholesale (the name rebuild itself is
-					// covered by TestRebuildNames).
-					prep1 = Prepare(next, nameK, 1, nil)
-				} else {
-					pt := BuildPreparedPatch(cur, next, d, cur.TopNameAttributes(nameK), next.TopNameAttributes(nameK))
-					before := preparedBytes(t, prep1)
-					patched := prep1.ApplyPatch(pt)
-					if !bytes.Equal(preparedBytes(t, prep1), before) {
-						t.Fatalf("round %d: ApplyPatch changed its receiver (shift=%v)", round, d.Shifted())
-					}
-					prep1 = patched
-				}
-				assertJoins(fmt.Sprintf("round %d (shift=%v)", round, d.Shifted()), next)
-				if fresh := Prepare(next, nameK, 1, nil); !reflect.DeepEqual(prep1, fresh) {
-					t.Fatalf("round %d: patched substrate diverges from fresh Prepare", round)
-				}
+				label := fmt.Sprintf("round %d", round)
+				prep1 = patchEpoch(t, label, prep1, cur, next, nameK)
+				assertJoins(label, next)
 				cur = next
 			}
 		})
@@ -215,8 +295,6 @@ func TestApplyEdit(t *testing.T) {
 		{ids(1, 3, 5), ids(3), ids(4), ids(1, 4, 5)},
 		{ids(1, 3, 5), ids(1, 3, 5), nil, ids()},
 		{nil, nil, ids(2, 7), ids(2, 7)},
-		{ids(2, 7), ids(2, 7), ids(2, 7), ids(2, 7)}, // remove + re-add keeps one copy
-		{ids(5), nil, ids(5), ids(5)},                // defensive dedup of an already-present add
 		{ids(2, 4, 6), ids(4), ids(0, 9), ids(0, 2, 6, 9)},
 	}
 	for i, tc := range cases {
@@ -228,4 +306,46 @@ func TestApplyEdit(t *testing.T) {
 			t.Errorf("case %d: got %v want %v", i, got, tc.want)
 		}
 	}
+}
+
+// FuzzPreparedPatch: one seeded KB takes one mutation — rewrites and
+// inserts, deletes, or both in one diff — and the patched substrate
+// must pass patchEpoch's checks.
+func FuzzPreparedPatch(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		for mix := uint8(0); mix < 3; mix++ {
+			f.Add(seed, mix)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mix uint8) {
+		const nameK = 2
+		rng := rand.New(rand.NewSource(seed))
+		cur, err := kb.FromTriples("s1", mutableTriples(rng, "s1", 30, 150))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := kb.NewStore(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delta *kb.KB
+		var deletes []string
+		if mix%3 != 1 { // ids 30..33 are brand new subjects
+			if delta, err = kb.FromTriples("delta", mutableTriples(rng, "s1", 34, 1+rng.Intn(12))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mix%3 != 0 {
+			for i := rng.Intn(3); i >= 0; i-- {
+				deletes = append(deletes, cur.URI(kb.EntityID(rng.Intn(cur.Len()))))
+			}
+		}
+		changed, _, err := store.Apply(delta, deletes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed {
+			patchEpoch(t, fmt.Sprintf("seed %d mix %d", seed, mix%3), Prepare(cur, nameK, 1, nil), cur, store.Assemble(cur), nameK)
+		}
+	})
 }

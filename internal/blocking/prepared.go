@@ -124,6 +124,10 @@ func buildPostings(workers, n int, keys func(e int) []string, bound map[string][
 	return out
 }
 
+// TokenPosting returns the members of one token key, ascending (nil
+// when no entity of the KB holds the token).
+func (p *Prepared) TokenPosting(key string) []kb.EntityID { return p.tokens[key] }
+
 // KBSize returns the entity count of the prepared KB.
 func (p *Prepared) KBSize() int { return p.n1 }
 

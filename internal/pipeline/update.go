@@ -1,8 +1,8 @@
 // Epoch updates: the stages that absorb a KB mutation into an already
 // resolved pair without re-deriving the whole pair. The previous
 // epoch's two one-sided blocking substrates (Cache) are patched for the
-// touched keys and then joined, purged and weighted by the batch plan's
-// own stages; candidate lists are recomputed only for the entities
+// keys whose members moved and then joined, purged and weighted by the
+// batch plan's own stages; candidate lists are recomputed only for the entities
 // whose evidence could have changed (the "affected" sets), and the
 // matching passes H1-H4 rerun in full over the new evidence. "In full"
 // is linear in the emitting KB, not in the mutation: H3 alone visits
@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
@@ -41,11 +40,12 @@ import (
 )
 
 // Cache is the scoring substrate one epoch carries to make the next
-// mutation incremental: both sides' one-sided blocking substrates and
-// neighbor views, B_N and the purged B_T (what queries serve; the next
-// update reads which token blocks were live from it), the purge
-// result, and the candidate lists. All fields are immutable once
-// published.
+// mutation incremental: both sides' one-sided blocking substrates
+// (the next update reads which token blocks were live from their
+// postings) and neighbor views, B_N and the purged B_T (what queries
+// serve; the next update scans it only when the purge cutoffs move),
+// the purge result, and the candidate lists. All fields are immutable
+// once published.
 //
 //minoaner:frozen
 type Cache struct {
@@ -257,12 +257,7 @@ func (u *updateSide) patchSides(new1, new2 *kb.KB, p Params) [2]*blocking.Prepar
 		if !stable {
 			out = out.RebuildNames(new, p.NameK, p.workers())
 		}
-		u.namesUnchanged = u.namesUnchanged && stable && pt.Remap == nil
-		for _, e := range pt.Names {
-			// A changed entity re-lists its name keys: an edit that
-			// removes and re-adds the same members leaves the posting.
-			u.namesUnchanged = u.namesUnchanged && slices.Equal(e.Remove, e.Add)
-		}
+		u.namesUnchanged = u.namesUnchanged && stable && pt.Remap == nil && len(pt.Names) == 0
 		return out, pt
 	}
 	u.prep1, u.pt1 = patch(u.prev.Side1.Blocks, u.old1, new1, u.d1)
@@ -272,11 +267,13 @@ func (u *updateSide) patchSides(new1, new2 *kb.KB, p Params) [2]*blocking.Prepar
 
 // UpdateBlockIndexing computes the access path of incremental scoring:
 // the set of token keys whose purged contribution may have changed
-// (the edited keys, plus every block whose purge status flipped when
-// the cutoffs moved) and from it the value-affected entity sets of
-// both sides. It reads the two epochs' purged collections only: a
-// key's block was live in an epoch exactly when that epoch's purged
-// B_T holds it.
+// (the edited keys, each of which moved a posting, plus every block
+// whose purge status flipped when the cutoffs moved) and from it the
+// value-affected entity sets of both sides. It reads each changed
+// key's two postings in the two epochs' substrates: purging is
+// BlockPurging's rule on posting sizes, so a key's block was live in an
+// epoch exactly when both postings are non-empty and within that
+// epoch's cutoffs.
 //
 //minoaner:mutator stage writes u.next, the epoch cache under construction; it is published only after the plan completes
 func UpdateBlockIndexing() Stage {
@@ -296,7 +293,6 @@ func UpdateBlockIndexing() Stage {
 				changed[e.Key] = true
 			}
 		}
-		oldBT, newBT := u.prev.TokenBlocks, st.TokenBlocks
 		oldCut, newCut := u.prev.Purge, st.PurgeStats
 		if oldCut.Cutoff1 != newCut.Cutoff1 || oldCut.Cutoff2 != newCut.Cutoff2 {
 			// The cutoffs moved: an untouched block may have crossed
@@ -305,13 +301,13 @@ func UpdateBlockIndexing() Stage {
 			// block and the other epoch's cutoffs purge it.
 			flips := func(live []blocking.Block, cut blocking.PurgeResult) {
 				for i := range live {
-					if b := &live[i]; !survives(b, cut) {
+					if b := &live[i]; !survives(b.E1, b.E2, cut) {
 						changed[b.Key] = true
 					}
 				}
 			}
-			flips(newBT.Blocks, oldCut)
-			flips(oldBT.Blocks, newCut)
+			flips(st.TokenBlocks.Blocks, oldCut)
+			flips(u.prev.TokenBlocks.Blocks, newCut)
 		}
 
 		aff1 := make([]bool, st.KB1.Len())
@@ -326,30 +322,15 @@ func UpdateBlockIndexing() Stage {
 				aff[id] = true
 			}
 		}
+		old1, old2 := u.prev.Side1.Blocks, u.prev.Side2.Blocks
 		for key := range changed {
-			var ob, nb *blocking.Block
-			if oi := oldBT.FindBlock(key); oi >= 0 {
-				ob = &oldBT.Blocks[oi]
+			if e1, e2 := old1.TokenPosting(key), old2.TokenPosting(key); survives(e1, e2, oldCut) {
+				mark(aff1, e1, u.d1, true)
+				mark(aff2, e2, u.d2, true)
 			}
-			if ni := newBT.FindBlock(key); ni >= 0 {
-				nb = &newBT.Blocks[ni]
-			}
-			// A patched key whose purged contribution is identical —
-			// same members (modulo remap), hence same sizes and weight —
-			// moves nobody's similarity sums. This is the common case
-			// for in-place modifications: only the keys the entity
-			// gained or lost actually change their blocks.
-			if ob != nil && nb != nil &&
-				sameMembersRemapped(ob.E1, nb.E1, u.d1) && sameMembersRemapped(ob.E2, nb.E2, u.d2) {
-				continue
-			}
-			if ob != nil {
-				mark(aff1, ob.E1, u.d1, true)
-				mark(aff2, ob.E2, u.d2, true)
-			}
-			if nb != nil {
-				mark(aff1, nb.E1, nil, false)
-				mark(aff2, nb.E2, nil, false)
+			if e1, e2 := u.prep1.TokenPosting(key), u.prep2.TokenPosting(key); survives(e1, e2, newCut) {
+				mark(aff1, e1, nil, false)
+				mark(aff2, e2, nil, false)
 			}
 		}
 		// Entities that appeared this epoch need lists even when none
@@ -366,28 +347,10 @@ func UpdateBlockIndexing() Stage {
 	})
 }
 
-func survives(b *blocking.Block, cut blocking.PurgeResult) bool {
-	return len(b.E1) <= cut.Cutoff1 && len(b.E2) <= cut.Cutoff2
-}
-
-// sameMembersRemapped reports whether an old member list, remapped
-// into the new ID space, equals the new list.
-func sameMembersRemapped(old, new []kb.EntityID, d *kb.Diff) bool {
-	if d.Identity {
-		return slices.Equal(old, new)
-	}
-	j := 0
-	for _, id := range old {
-		nid := d.Remap[id]
-		if nid < 0 {
-			return false // a member was deleted
-		}
-		if j >= len(new) || new[j] != nid {
-			return false
-		}
-		j++
-	}
-	return j == len(new)
+// survives reports whether a key with these two postings forms a block
+// that purging at the given cutoffs keeps.
+func survives(e1, e2 []kb.EntityID, cut blocking.PurgeResult) bool {
+	return len(e1) > 0 && len(e2) > 0 && len(e1) <= cut.Cutoff1 && len(e2) <= cut.Cutoff2
 }
 
 func countTrue(bs []bool) int {

@@ -144,3 +144,74 @@ func TestEvidenceUnchanged(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateMixedRewriteAndDelete: one diff rewrites an entity that
+// keeps a token and deletes another entity holding the same token. The
+// token's posting keeps the rewritten member and loses the deleted one,
+// so its block changed although the rewritten entity's own keys did
+// not, and every entity whose value list named the deleted one must be
+// recomputed. The update must reproduce the full plan over the new KBs.
+func TestUpdateMixedRewriteAndDelete(t *testing.T) {
+	const n = 50
+	p := testParams()
+	ctx := context.Background()
+	iri, lit := rdf.NewIRI, rdf.NewLiteral
+	kb1 := chainKB(t, "a", "http://v/name", "http://v/link", n, nil)
+	store, err := kb.NewStore(chainKB(t, "b", "http://v/title", "http://v/rel", n, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(ts []rdf.Triple, deletes []string) *kb.KB {
+		t.Helper()
+		var delta *kb.KB
+		if len(ts) > 0 {
+			if delta, err = kb.FromTriples("delta", ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := store.Apply(delta, deletes); err != nil {
+			t.Fatal(err)
+		}
+		return store.Assemble(nil)
+	}
+	// x's one token, 0010, is also held by entity 10 of both KBs; its
+	// URI sorts first, so deleting it shifts every KB2 ID.
+	const x = "http://b/d0010"
+	old2 := apply([]rdf.Triple{rdf.NewTriple(iri(x), iri("http://v/title"), lit("0010"))}, nil)
+
+	base := runPlan(t, DefaultPlan(), NewState(kb1, old2, p))
+	prev, err := NewCache(ctx, base, base.NameBlocks, base.PurgeStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, _ := kb1.Lookup("http://a/e0010")
+	xID, _ := old2.Lookup(x)
+	named := false
+	for _, c := range prev.VC1[y] {
+		named = named || c.ID == xID
+	}
+	if !named {
+		t.Fatalf("KB1's entity 10 does not name x among its value candidates %v; the case needs it to", prev.VC1[y])
+	}
+
+	// Entity 10 of KB2 keeps its title and link and gains a note; x goes.
+	e := iri("http://b/e0010")
+	new2 := apply([]rdf.Triple{
+		rdf.NewTriple(e, iri("http://v/title"), lit("entity number 0010 omega")),
+		rdf.NewTriple(e, iri("http://v/rel"), iri("http://b/e0009")),
+		rdf.NewTriple(e, iri("http://v/note"), lit("zzqx")),
+	}, []string{x})
+	st, err := NewUpdateState(prev, kb1, old2, kb1, new2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runPlan(t, UpdatePlan(), st)
+	want := runPlan(t, DefaultPlan(), NewState(kb1, new2, p))
+	if !reflect.DeepEqual(got.ValueCands1, want.ValueCands1) || !reflect.DeepEqual(got.ValueCands2, want.ValueCands2) {
+		t.Fatal("value candidates differ from the full plan over the new KBs")
+	}
+	if !reflect.DeepEqual(got.Matches, want.Matches) || !reflect.DeepEqual(got.H1, want.H1) ||
+		!reflect.DeepEqual(got.H2, want.H2) || !reflect.DeepEqual(got.H3, want.H3) {
+		t.Fatal("matches differ from the full plan over the new KBs")
+	}
+}
