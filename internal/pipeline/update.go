@@ -2,9 +2,9 @@
 // resolved pair without re-deriving the whole pair. The previous
 // epoch's two one-sided blocking substrates (Cache) are patched for the
 // keys whose members moved and then joined, purged and weighted by the
-// batch plan's own stages; candidate lists are recomputed only for the entities
-// whose evidence could have changed (the "affected" sets), and the
-// matching passes H1-H4 rerun in full over the new evidence. "In full"
+// batch plan's own stages; candidate lists are recomputed only for the
+// entities whose evidence could have changed (the "affected" sets), and
+// the matching passes H1-H4 rerun in full over the new evidence. "In full"
 // is linear in the emitting KB, not in the mutation: H3 alone visits
 // every unclaimed entity's two candidate lists, about a tenth of a
 // one-entity update, so it reads the earlier claims from dense flags
@@ -282,8 +282,10 @@ func UpdateBlockIndexing() Stage {
 		if u == nil {
 			return errNotUpdate
 		}
-		if st.TokenBlocks == nil {
-			return errors.New("requires purged token blocks (run " + StageBlockPurging + " first)")
+		if st.TokenBlocks == nil || st.PurgeStats.Cutoff1 == 0 {
+			// Liveness is read from posting sizes, so the purge must be
+			// BlockPurging's cutoff rule (its cutoffs are at least 1).
+			return errors.New("requires token blocks purged by cutoffs (run " + StageBlockPurging + " first)")
 		}
 		u.next.NameBlocks, u.next.TokenBlocks, u.next.Purge = st.NameBlocks, st.TokenBlocks, st.PurgeStats
 

@@ -215,3 +215,25 @@ func TestUpdateMixedRewriteAndDelete(t *testing.T) {
 		t.Fatal("matches differ from the full plan over the new KBs")
 	}
 }
+
+// TestUpdateRequiresCutoffPurge: the update plan reads block liveness
+// from posting sizes and the purge cutoffs, so a plan whose purging
+// stage keeps every block is refused rather than answered wrongly.
+func TestUpdateRequiresCutoffPurge(t *testing.T) {
+	p := testParams()
+	kb1, old2 := testKBs(t, 50)
+	new2 := chainKB(t, "b", "http://v/title", "http://v/rel", 50, map[int]string{10: "entity renamed 0010 omega"})
+	base := runPlan(t, DefaultPlan(), NewState(kb1, old2, p))
+	prev, err := NewCache(context.Background(), base, base.NameBlocks, base.PurgeStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewUpdateState(prev, kb1, old2, kb1, new2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Replace(UpdatePlan(), StageBlockPurging, KeepAllBlocks())
+	if _, err := (&Engine{Plan: plan}).Run(context.Background(), st); err == nil {
+		t.Fatal("the update plan ran over blocks KeepAllBlocks left unpurged")
+	}
+}
