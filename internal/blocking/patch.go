@@ -39,14 +39,19 @@ type PreparedPatch struct {
 
 // ApplyPatch returns the substrate with the patch applied. Its key maps
 // are copies of the receiver's that share the member slices of
-// untouched keys; with a remap every posting is rewritten first. The
-// receiver is unchanged and both remain safe for concurrent joins.
+// untouched keys — or, for a side the patch neither edits nor remaps,
+// the receiver's map itself; with a remap every posting is rewritten
+// first. The receiver is unchanged and both remain safe for concurrent
+// joins.
 func (p *Prepared) ApplyPatch(pt PreparedPatch) *Prepared {
 	var out *Prepared
 	if pt.Remap != nil {
 		out = p.remapped(pt.Remap, pt.NewSize)
 	} else {
-		out = &Prepared{n1: p.n1, nameK: p.nameK, tokens: maps.Clone(p.tokens), names: maps.Clone(p.names)}
+		out = &Prepared{n1: p.n1, nameK: p.nameK, tokens: maps.Clone(p.tokens), names: p.names}
+		if len(pt.Names) > 0 {
+			out.names = maps.Clone(p.names)
+		}
 	}
 	applyEdits(out.tokens, pt.Tokens)
 	applyEdits(out.names, pt.Names)

@@ -159,7 +159,7 @@ func DeltaValueCandidates() Stage {
 			return err
 		}
 		st.ValueCands2 = out
-		st.lazy1 = newLazySide(st, 1, st.TokenIndex.ByE1, nil, nil)
+		st.lazy1 = newLazySide(st, 1, st.TokenIndex.ByE1, nil, nil, nil)
 		return nil
 	})
 }

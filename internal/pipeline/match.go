@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
@@ -30,24 +32,102 @@ func (d dense) neighbor(e kb.EntityID) []Cand { return d.nc[e] }
 // lazySide is a side whose lists are filled on first use, through the
 // same two kernels the eager stages run, so every similarity is
 // bit-identical to theirs: the prepared side of a delta run and both
-// sides of a stream. A run fills from one goroutine; no locking.
+// sides of a stream. A run fills from one goroutine. A delta run keeps
+// its fills to itself; the runs of a stream base share theirs through
+// the base's memo without locking.
 type lazySide struct {
-	side    int                  // 1 or 2: the KB whose entities this side scores
-	blocks  *blocking.IndexSide  // entity -> purged token blocks, ascending
-	bt      *blocking.Collection // the purged B_T the block positions index
-	weights []float64            // ARCS weight per block of bt
-	views   func() [2]*kb.Frozen // both KBs' neighbor views; nil until a delta run's neighbor stage
-	k       int
-	acc     *accumulator
-	vc, nc  map[kb.EntityID][]Cand // memoized fills; presence marks "computed" (a nil list is a valid result)
+	side       int                  // 1 or 2: the KB whose entities this side scores
+	blocks     *blocking.IndexSide  // entity -> purged token blocks, ascending
+	bt         *blocking.Collection // the purged B_T the block positions index
+	weights    []float64            // ARCS weight per block of bt
+	views      func() [2]*kb.Frozen // both KBs' neighbor views; nil until a delta run's neighbor stage
+	k          int
+	acc        *accumulator
+	vals, neis lazyFills // the value and the neighbor lists
+	memo       *fillMemo // the stream base's memo of this side; nil on a delta run
+	flags      *runFlags // this run's charged flags over memo, drawn from it
 
-	comparisons int64 // contributions accumulated so far (StreamBudget.MaxComparisons)
+	comparisons int64 // contributions charged so far (StreamBudget.MaxComparisons)
+}
+
+// fill is one lazily computed candidate list with the contributions
+// its kernel accumulated, which every run that reads it is charged.
+type fill struct {
+	cands []Cand
+	cost  int64
+}
+
+// fillMemo holds one side's fills on a stream base, shared by every run
+// over it: one slot per entity and list kind, published once by the
+// first run that fills it. An entity's lists are a pure function of the
+// base's KBs and the kernels are deterministic, so a run that loses a
+// race to publish adopts the winner's bit-identical fill. The memo
+// grows to at most the side's batch candidate lists and dies with the
+// base.
+type fillMemo struct {
+	value, neighbor []atomic.Pointer[fill]
+	flags           sync.Pool // *runFlags, cleared, across runs
+}
+
+func newFillMemo(n int) *fillMemo {
+	return &fillMemo{value: make([]atomic.Pointer[fill], n), neighbor: make([]atomic.Pointer[fill], n)}
+}
+
+// runFlags record which memo fills one run has charged: a run is
+// charged for a fill the first time it reads it, as if it had filled
+// it, so a MaxComparisons budget cuts a stream at the same point
+// however warm the memo is.
+type runFlags struct{ value, neighbor bitset }
+
+// bitset is a dense set of entity IDs.
+type bitset []uint64
+
+func (b bitset) has(e kb.EntityID) bool { return b[e>>6]&(1<<(e&63)) != 0 }
+func (b bitset) set(e kb.EntityID)      { b[e>>6] |= 1 << (e & 63) }
+
+// lazyFills keeps one kind of a lazy side's lists: in the base's memo
+// slots, charged per run by a flag, or — on a delta run, which lives
+// for one request and must not allocate per KB1 entity — in the run's
+// own map, where presence marks a list filled and charged (a nil list
+// is a valid result).
+type lazyFills struct {
+	memo    []atomic.Pointer[fill] // nil on a delta run
+	charged bitset
+	own     map[kb.EntityID][]Cand
+}
+
+// lookup returns e's fill, whether it has been made, and whether this
+// run has been charged for it.
+func (l *lazyFills) lookup(e kb.EntityID) (f fill, made, charged bool) {
+	if l.memo == nil {
+		f.cands, made = l.own[e]
+		return f, made, made
+	}
+	if p := l.memo[e].Load(); p != nil {
+		return *p, true, l.charged.has(e)
+	}
+	return fill{}, false, false
+}
+
+// keep records a fill just made for e and returns the one e keeps: in
+// the memo, whichever run published first.
+func (l *lazyFills) keep(e kb.EntityID, f fill) fill {
+	if l.memo == nil {
+		l.own[e] = f.cands
+		return f
+	}
+	p := &fill{cands: f.cands, cost: f.cost}
+	if !l.memo[e].CompareAndSwap(nil, p) {
+		return *l.memo[e].Load()
+	}
+	return f
 }
 
 // newLazySide returns side (1 or 2) of st's pair over its purged token
-// blocks and weights, its accumulator drawn from pool (nil: allocated).
-func newLazySide(st *State, side int, blocks *blocking.IndexSide, views func() [2]*kb.Frozen, pool *accPool) *lazySide {
-	return &lazySide{
+// blocks and weights, its accumulator drawn from pool (nil: allocated)
+// and its lists kept in memo (nil: per run).
+func newLazySide(st *State, side int, blocks *blocking.IndexSide, views func() [2]*kb.Frozen, pool *accPool, memo *fillMemo) *lazySide {
+	s := &lazySide{
 		side:    side,
 		blocks:  blocks,
 		bt:      st.TokenBlocks,
@@ -55,40 +135,78 @@ func newLazySide(st *State, side int, blocks *blocking.IndexSide, views func() [
 		views:   views,
 		k:       st.Params.K,
 		acc:     pool.get(oppositeSize(st.TokenBlocks, side)),
-		vc:      make(map[kb.EntityID][]Cand),
-		nc:      make(map[kb.EntityID][]Cand),
+		memo:    memo,
+	}
+	if memo == nil {
+		s.vals.own, s.neis.own = make(map[kb.EntityID][]Cand), make(map[kb.EntityID][]Cand)
+		return s
+	}
+	s.flags, _ = memo.flags.Get().(*runFlags)
+	if s.flags == nil {
+		words := (len(memo.value) + 63) / 64
+		s.flags = &runFlags{value: make(bitset, words), neighbor: make(bitset, words)}
+	}
+	s.vals = lazyFills{memo: memo.value, charged: s.flags.value}
+	s.neis = lazyFills{memo: memo.neighbor, charged: s.flags.neighbor}
+	return s
+}
+
+// release hands the run's scratch back: the accumulator to pool, the
+// charged flags, cleared, to the memo.
+func (s *lazySide) release(pool *accPool) {
+	pool.put(s.acc)
+	if s.memo != nil {
+		clear(s.flags.value)
+		clear(s.flags.neighbor)
+		s.memo.flags.Put(s.flags)
 	}
 }
 
 func (s *lazySide) value(e kb.EntityID) []Cand {
-	if cands, done := s.vc[e]; done {
-		return cands
+	f, made, charged := s.vals.lookup(e)
+	if charged {
+		return f.cands
 	}
-	s.comparisons += s.acc.addValueEvidence(s.blocks.Of(e), s.bt, s.side, s.weights)
-	return s.take(s.vc, e)
+	if !made {
+		f = s.vals.keep(e, s.take(s.acc.addValueEvidence(s.blocks.Of(e), s.bt, s.side, s.weights)))
+	}
+	return s.charge(&s.vals, e, f)
 }
 
 func (s *lazySide) neighbor(e kb.EntityID) []Cand {
-	if cands, done := s.nc[e]; done {
-		return cands
+	f, made, charged := s.neis.lookup(e)
+	if charged {
+		return f.cands
 	}
 	views := s.views()
 	top := views[s.side-1].Top(e)
-	// The kernel reads the neighbors' value lists through s, and a value
-	// fill runs on s.acc: fill them before the kernel takes it.
+	// The kernel reads the neighbors' value lists through s, so a run is
+	// charged for them before e's own list, whether it fills that list
+	// or finds it made; and a value fill runs on s.acc: fill them before
+	// the kernel takes it.
 	for _, nei := range top {
 		s.value(nei)
 	}
-	s.comparisons += s.acc.addNeighborEvidence(top, s, views[2-s.side].RevLists())
-	return s.take(s.nc, e)
+	if !made {
+		f = s.neis.keep(e, s.take(s.acc.addNeighborEvidence(top, s, views[2-s.side].RevLists())))
+	}
+	return s.charge(&s.neis, e, f)
 }
 
-// take memoizes the accumulated list as e's entry of memo.
-func (s *lazySide) take(memo map[kb.EntityID][]Cand, e kb.EntityID) []Cand {
+// take cuts the accumulated evidence to a top-K fill of the given cost.
+func (s *lazySide) take(cost int64) fill {
 	cands := s.acc.topK(s.k)
 	s.acc.reset()
-	memo[e] = cands
-	return cands
+	return fill{cands: cands, cost: cost}
+}
+
+// charge charges f, e's fill in l, to the run and returns its list.
+func (s *lazySide) charge(l *lazyFills, e kb.EntityID, f fill) []Cand {
+	if l.memo != nil {
+		l.charged.set(e)
+	}
+	s.comparisons += f.cost
+	return f.cands
 }
 
 // matcher decides H2-H4 over the sides of one run, oriented around the

@@ -267,7 +267,7 @@ func TestDeltaReciprocityFillsNeighborsOnlyOnValueMiss(t *testing.T) {
 		runPlan(t, []Stage{Reciprocity()}, st)
 		want := map[kb.EntityID]bool{}
 		for _, pr := range checked {
-			value, filled := st.lazy1.vc[pr.E1]
+			value, filled := st.lazy1.vals.own[pr.E1]
 			if !filled {
 				t.Fatalf("%d-entity delta: H4 checked %v without E1's value list", n, pr)
 			}
@@ -277,7 +277,7 @@ func TestDeltaReciprocityFillsNeighborsOnlyOnValueMiss(t *testing.T) {
 				want[pr.E1] = true
 			}
 		}
-		got := slices.Sorted(maps.Keys(st.lazy1.nc))
+		got := slices.Sorted(maps.Keys(st.lazy1.neis.own))
 		if wantIDs := slices.Sorted(maps.Keys(want)); !slices.Equal(got, wantIDs) {
 			t.Errorf("%d-entity delta: side-1 neighbor lists filled for %v, want exactly the value misses %v", n, got, wantIDs)
 		}

@@ -3,10 +3,11 @@
 // instead of accumulating everything into State and reporting at the
 // end. Everything a run derives from the inputs alone — blocks, index,
 // ARCS weights, H1 decisions, schedules, neighbor lists — lives in a
-// StreamBase that is built once and shared; a run over an existing base
-// starts at its first lazy candidate fill. A budget (max pairs, max
-// comparisons, or a context deadline) truncates the run to a
-// deterministic prefix of the quality-ordered stream.
+// StreamBase that is built once and shared, and so do the lazy
+// candidate fills: a run over an existing base reuses every fill an
+// earlier run on the epoch made. A budget (max pairs, max comparisons,
+// or a context deadline) truncates the run to a deterministic prefix of
+// the quality-ordered stream, however warm the base.
 //
 // Draining an unbudgeted stream yields exactly the batch plan's match
 // set: the lazy per-entity candidate fills run the eager stages'
@@ -98,13 +99,14 @@ func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(Score
 	return base.Run(ctx, st.Params.Strategy, cfg, emit)
 }
 
-// StreamBase is everything a streaming run reads but never writes: the
-// KBs and parameters, the name blocks, the purged token blocks with
-// their index and ARCS weights, the H1 decisions, each strategy's
-// schedule and both KBs' neighbor views (the last two built on first
-// use, once). None of it depends on a run's budget, strategy or
-// ablation switches, so one base serves any number of concurrent Run
-// calls — an index keeps one per epoch — and pools their accumulators.
+// StreamBase is everything a streaming run reads: the KBs and
+// parameters, the name blocks, the purged token blocks with their index
+// and ARCS weights, the H1 decisions, each strategy's schedule and both
+// KBs' neighbor views (the last two built on first use, once), and the
+// memo of candidate lists that runs fill lazily, each once. None of it
+// depends on a run's budget, strategy or ablation switches, so one base
+// serves any number of concurrent Run calls — an index keeps one per
+// epoch — and pools their accumulators.
 //
 //minoaner:frozen
 type StreamBase struct {
@@ -122,6 +124,10 @@ type StreamBase struct {
 	// on which run triggers it.
 	views func() [2]*kb.Frozen
 	accs  [2]accPool // per side, across runs; see pool
+	// memo keeps, per side, every candidate list a run has filled, for
+	// every later run to read (nil on a prepared-side base, which lives
+	// for one run).
+	memo [2]*fillMemo
 }
 
 // NewStreamBase derives a stream base from st, running only the
@@ -147,6 +153,9 @@ func NewStreamBase(ctx context.Context, st *State) (*StreamBase, error) {
 		return nil, err
 	}
 	b := &StreamBase{st: st, em: st.emission()}
+	if st.delta == nil {
+		b.memo = [2]*fillMemo{newFillMemo(st.KB1.Len()), newFillMemo(st.KB2.Len())}
+	}
 	b.schedules = [2]func() []kb.EntityID{
 		sync.OnceValue(b.weightOrderedSchedule),
 		sync.OnceValue(b.blockRoundRobinSchedule),
@@ -256,17 +265,18 @@ func (b *StreamBase) blockRoundRobinSchedule() []kb.EntityID {
 }
 
 // Run executes the three emission phases over the strategy's schedule,
-// on per-run state only, so any number may share the base. Phases
-// descend by heuristic precision (H1, then H2, then H3) and each phase
-// follows the schedule, so emitted scores never increase. H3 needs the
-// complete H1/H2 claim maps — hence separate passes — but every
-// per-entity decision within a phase is independent of the others, so
-// the drained set equals the batch plan's regardless of schedule.
+// on per-run state and the base's lock-free memo, so any number may
+// share the base. Phases descend by heuristic precision (H1, then H2,
+// then H3) and each phase follows the schedule, so emitted scores never
+// increase. H3 needs the complete H1/H2 claim maps — hence separate
+// passes — but every per-entity decision within a phase is independent
+// of the others, so the drained set equals the batch plan's regardless
+// of schedule.
 func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg StreamConfig, emit func(ScoredPair) bool) error {
-	side1 := newLazySide(b.st, 1, b.st.TokenIndex.ByE1, b.views, b.pool(1))
-	side2 := newLazySide(b.st, 2, b.st.TokenIndex.ByE2, b.views, b.pool(2))
-	defer b.pool(1).put(side1.acc)
-	defer b.pool(2).put(side2.acc)
+	side1 := newLazySide(b.st, 1, b.st.TokenIndex.ByE1, b.views, b.pool(1), b.memo[0])
+	side2 := newLazySide(b.st, 2, b.st.TokenIndex.ByE2, b.views, b.pool(2), b.memo[1])
+	defer side1.release(b.pool(1))
+	defer side2.release(b.pool(2))
 	m := newMatcher(b.em, side1, side2, b.st.Params.Theta)
 	if cfg.DisableH1 {
 		// As in the batch plan with NameMatching dropped: nobody is claimed.

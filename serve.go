@@ -545,13 +545,15 @@ type streamPairJSON struct {
 const maxStreamBudgetMillis = 24 * 60 * 60 * 1000
 
 // handleResolveStream re-resolves the index's KB pair as an anytime
-// stream: one NDJSON record per confirmed pair, best pairs first,
-// flushed as written so a latency-budgeted client acts on each match
-// the moment it is confirmed. budget_ms bounds wall clock (as a
-// deadline on the resolving context), max_pairs and max_comparisons
-// bound work, and strategy selects the pair scheduler (weight —
-// the default — or blocks). Draining an unbudgeted stream yields
-// exactly the epoch's match set.
+// stream: one NDJSON record per confirmed pair, best pairs first. The
+// first record is flushed at once, later ones whenever no next pair is
+// ready: pairs confirmed back to back share a write, and none waits
+// while the producer computes, so a latency-budgeted client acts on
+// each match the moment it is confirmed. budget_ms bounds wall clock
+// (as a deadline on the resolving context), max_pairs and
+// max_comparisons bound work, and strategy selects the pair scheduler
+// (weight — the default — or blocks). Draining an unbudgeted stream
+// yields exactly the epoch's match set.
 func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 	//minoaner:wallclock time-to-first-match metric; feeds /stats and /metrics, never match output
 	start := time.Now()
@@ -609,7 +611,22 @@ func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	emitted := int64(0)
-	for sp := range ch {
+	for {
+		var sp ScoredPair
+		var ok bool
+		select {
+		case sp, ok = <-ch:
+		default:
+			// No pair is ready: push out what was written before waiting,
+			// so no pair waits on the computation of the next.
+			if emitted > 0 && flusher != nil {
+				flusher.Flush()
+			}
+			sp, ok = <-ch
+		}
+		if !ok {
+			return
+		}
 		if emitted == 0 {
 			s.stream.firstMatches.Add(1)
 			//minoaner:wallclock time-to-first-match metric; feeds /stats and /metrics, never match output
@@ -622,8 +639,8 @@ func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 		}
 		emitted++
 		s.stream.pairs.Add(1)
-		if flusher != nil {
-			flusher.Flush()
+		if emitted == 1 && flusher != nil {
+			flusher.Flush() // the first match goes out at once
 		}
 	}
 }

@@ -2,11 +2,16 @@ package minoaner_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"minoaner"
 )
@@ -230,5 +235,89 @@ func TestServeResolveStreamCounters(t *testing.T) {
 		if !found[name] {
 			t.Errorf("metric %s missing from /metrics", name)
 		}
+	}
+}
+
+// firstFlushWriter records what a handler writes and holds its first
+// Flush until the test releases it, handing the test what had been
+// written by then.
+type firstFlushWriter struct {
+	header  http.Header
+	mu      sync.Mutex
+	body    bytes.Buffer
+	once    sync.Once
+	flushed chan string
+	release chan struct{}
+}
+
+func (w *firstFlushWriter) Header() http.Header { return w.header }
+func (w *firstFlushWriter) WriteHeader(int)     {}
+
+func (w *firstFlushWriter) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(b)
+}
+
+func (w *firstFlushWriter) Flush() {
+	w.once.Do(func() {
+		w.mu.Lock()
+		written := w.body.String()
+		w.mu.Unlock()
+		w.flushed <- written
+		<-w.release
+	})
+}
+
+// TestServeResolveStreamFlushesFirstMatch: the first record of an
+// unbudgeted stream is flushed on its own, the moment it is written —
+// the client holds it while the handler waits on that flush and the
+// producer waits in emit for the next pair — and the records written
+// after it, flushed in batches, complete the very stream an ordinary
+// client reads.
+func TestServeResolveStreamFlushesFirstMatch(t *testing.T) {
+	_, ix, srv := newTestServer(t)
+	full := getStream(t, srv.URL+"/resolve/stream")
+	if len(full) < 2 {
+		t.Fatalf("need at least 2 matches, got %d", len(full))
+	}
+	w := &firstFlushWriter{header: http.Header{}, flushed: make(chan string), release: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodGet, "/resolve/stream", nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		minoaner.NewServer(ix).ServeHTTP(w, req)
+	}()
+	var first string
+	select {
+	case first = <-w.flushed:
+	case <-done:
+		t.Fatal("the handler finished the stream without flushing")
+	case <-time.After(time.Minute):
+		t.Fatal("no flush within a minute")
+	}
+	var rec streamRecord
+	if lines := strings.Split(strings.TrimSuffix(first, "\n"), "\n"); len(lines) != 1 {
+		t.Errorf("the first flush carried %d records, want the first alone", len(lines))
+	} else if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil || rec != full[0] {
+		t.Errorf("the first flush carried %q, want the stream's first record %+v", first, full[0])
+	}
+	select {
+	case <-done:
+		t.Fatal("the handler finished while its first flush was held")
+	default:
+	}
+	close(w.release)
+	<-done
+	var got []streamRecord
+	for _, line := range strings.Split(strings.TrimSuffix(w.body.String(), "\n"), "\n") {
+		var rec streamRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record %d is not valid JSON: %v (%q)", len(got)+1, err, line)
+		}
+		got = append(got, rec)
+	}
+	if !reflect.DeepEqual(got, full) {
+		t.Errorf("the held stream wrote %d records, an ordinary client read %d, or others", len(got), len(full))
 	}
 }

@@ -13,9 +13,11 @@ import (
 // the moment heuristics H1–H4 agree on it, in decreasing pair quality.
 // On two fresh KBs time-to-first-match is bounded by the cheap blocking
 // prefix rather than KB size; an index keeps that prefix's output per
-// epoch (streamBase), so its streams start at the first lazy candidate
-// fill. A budget — max pairs, max comparisons, or a context deadline —
-// truncates the stream to a deterministic prefix of the quality order.
+// epoch (streamBase), with every candidate list an earlier stream on
+// the epoch filled, so its streams score only what no earlier one
+// reached. A budget — max pairs, max comparisons, or a context deadline
+// — truncates the stream to a deterministic prefix of the quality
+// order.
 // Draining an unbudgeted stream yields exactly the match set Resolve
 // reports for the same inputs.
 
@@ -230,9 +232,9 @@ func (ix *Index) streamBase(e *epoch) (*pipeline.StreamBase, error) {
 
 // resolveStream re-resolves the index's own KB pair as an anytime
 // stream over the current epoch's stream base: the first stream of an
-// epoch builds the base, synchronously, and every later one starts at
-// its first lazy candidate fill. Same options and channel contract as
-// ResolveStream.
+// epoch builds the base, synchronously, and every later one reuses the
+// base and the candidate lists earlier streams filled on it. Same
+// options and channel contract as ResolveStream.
 func (ix *Index) resolveStream(ctx context.Context, opts ...StreamOption) (<-chan ScoredPair, error) {
 	e := ix.cur.Load()
 	ccfg, budget, err := streamConfig(e.cfg, opts)

@@ -3,6 +3,7 @@ package minoaner
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -395,6 +396,73 @@ func TestConcurrentStreamsShareBase(t *testing.T) {
 	}
 }
 
+// TestStreamWarmBaseEqualsCold: a base's memo changes what a run
+// computes, never what it emits. Under both strategies and every
+// budget, a stream over a fresh base equals the same stream over a
+// base a full drain warmed and over one a different budget half-warmed
+// — so a MaxComparisons budget, which charges a run for every fill it
+// reads as if it had filled it, cuts at the same point however warm
+// the memo is. Without H2, no phase reads every emitting entity's value
+// list before H3 reads their neighbor lists, so the charges for a
+// neighbor fill's inputs show in where the budget cuts.
+func TestStreamWarmBaseEqualsCold(t *testing.T) {
+	b, err := GenerateBenchmark("YAGO-IMDb", 42, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildIndex(b.KB1, b.KB2, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ix.cur.Load()
+	fresh := func() *pipeline.StreamBase {
+		base, err := e.buildStreamBase()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base
+	}
+	run := func(base *pipeline.StreamBase, s pipeline.StreamStrategy, cfg pipeline.StreamConfig) []pipeline.ScoredPair {
+		var out []pipeline.ScoredPair
+		err := base.Run(context.Background(), s, cfg, func(sp pipeline.ScoredPair) bool {
+			out = append(out, sp)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	q := ix.NumMatches() / 4
+	budgets := []pipeline.StreamBudget{
+		{MaxPairs: 1}, {MaxPairs: 5}, {MaxPairs: q},
+		{MaxComparisons: 40}, {MaxComparisons: 200}, {MaxComparisons: 10_000},
+		{},
+	}
+	for _, noH2 := range []bool{false, true} {
+		for _, s := range []pipeline.StreamStrategy{pipeline.ScheduleWeightOrdered, pipeline.ScheduleBlockRoundRobin} {
+			drained := fresh()
+			full := run(drained, s, pipeline.StreamConfig{DisableH2: noH2})
+			for i, budget := range budgets {
+				label := fmt.Sprintf("no-h2 %v, strategy %d, budget %+v", noH2, s, budget)
+				cfg := pipeline.StreamConfig{Budget: budget, DisableH2: noH2}
+				cold := run(fresh(), s, cfg)
+				if len(cold) == 0 || (budget != pipeline.StreamBudget{} && len(cold) >= len(full)) {
+					t.Fatalf("%s: cold stream emitted %d of %d pairs; the budget must cut the fixture's stream", label, len(cold), len(full))
+				}
+				if warm := run(drained, s, cfg); !reflect.DeepEqual(warm, cold) {
+					t.Errorf("%s: after a full drain the stream emitted %d pairs, over a fresh base %d, or others", label, len(warm), len(cold))
+				}
+				half, other := fresh(), budgets[(i+1)%len(budgets)]
+				run(half, s, pipeline.StreamConfig{Budget: other, DisableH2: noH2})
+				if warm := run(half, s, cfg); !reflect.DeepEqual(warm, cold) {
+					t.Errorf("%s: after a %+v stream the stream emitted %d pairs, over a fresh base %d, or others", label, other, len(warm), len(cold))
+				}
+			}
+		}
+	}
+}
+
 // streamFixture builds a YAGO-IMDb index whose stream base is warm.
 func streamFixture(tb testing.TB, scale float64) (*Benchmark, *Index) {
 	tb.Helper()
@@ -412,22 +480,43 @@ func streamFixture(tb testing.TB, scale float64) (*Benchmark, *Index) {
 	return b, ix
 }
 
+// streamAlloc returns the fewest bytes any of five streams with opts
+// allocated on ix (other goroutines of the test binary only add).
+func streamAlloc(t *testing.T, ix *Index, opts ...StreamOption) uint64 {
+	t.Helper()
+	best := uint64(1 << 62)
+	for i := 0; i < 5; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		drainIndexStream(t, context.Background(), ix, opts...)
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return best
+}
+
 // TestStreamSecondRequestIsCheap guards the point of the stream base: a
 // one-pair stream on a warmed epoch allocates the per-run state (two
 // accumulators and a few maps), not blocks, index, weights and a
 // schedule — megabytes on this fixture before the base existed.
 func TestStreamSecondRequestIsCheap(t *testing.T) {
 	_, ix := streamFixture(t, 0.5)
-	best := uint64(1 << 62)
-	for i := 0; i < 5; i++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		drainIndexStream(t, context.Background(), ix, WithMaxPairs(1))
-		runtime.ReadMemStats(&m1)
-		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
-	}
-	if limit := uint64(512 << 10); best > limit {
+	if best, limit := streamAlloc(t, ix, WithMaxPairs(1)), uint64(512<<10); best > limit {
 		t.Errorf("a one-pair stream on a warmed epoch allocated %d bytes, want <= %d", best, limit)
+	}
+}
+
+// TestStreamRepeatIsCheap guards the point of the base's memo: a
+// quarter stream repeated on a warmed epoch reads the candidate lists
+// the first one filled, so it allocates its per-run state only — not a
+// list, a map entry and a top-K heap per entity it visits, over a
+// megabyte on this fixture before the memo existed.
+func TestStreamRepeatIsCheap(t *testing.T) {
+	_, ix := streamFixture(t, 0.5)
+	quarter := WithMaxPairs(ix.NumMatches() / 4)
+	drainIndexStream(t, context.Background(), ix, quarter)
+	if best, limit := streamAlloc(t, ix, quarter), uint64(256<<10); best > limit {
+		t.Errorf("a repeated quarter stream on a warmed epoch allocated %d bytes, want <= %d", best, limit)
 	}
 }
 
@@ -438,5 +527,19 @@ func BenchmarkStreamFirst(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		drainIndexStream(b, context.Background(), ix, WithMaxPairs(1))
+	}
+}
+
+// BenchmarkStreamQuarter times a quarter stream (a quarter of the
+// epoch's matches, as the stream-anytime workload requests) repeated on
+// a warmed epoch: what a /resolve/stream?max_pairs= request costs once
+// the base's memo holds the candidate lists it reads.
+func BenchmarkStreamQuarter(b *testing.B) {
+	_, ix := streamFixture(b, 1)
+	quarter := WithMaxPairs(ix.NumMatches() / 4)
+	drainIndexStream(b, context.Background(), ix, quarter)
+	b.ReportAllocs()
+	for b.Loop() {
+		drainIndexStream(b, context.Background(), ix, quarter)
 	}
 }
