@@ -162,8 +162,8 @@ var ErrNotMutable = errors.New("minoaner: index is not mutable (its KBs lack ret
 
 // ErrJournalTruncated is returned by JournalSince and Replay when the
 // journal no longer connects the caller's cursor to the current epoch
-// — typically because Compact dropped the entries in between, or the
-// entries predate the replayable (delta-carrying) journal format.
+// — typically because Compact dropped the entries in between — or
+// when an upsert entry handed to Replay carries no delta payload.
 // Replicas recover by resyncing from a full snapshot.
 var ErrJournalTruncated = errors.New("minoaner: journal truncated before the requested epoch (resync from a snapshot)")
 
@@ -649,9 +649,7 @@ type JournalEntry struct {
 	// Delta holds an upsert's source triples as canonical N-Triples
 	// lines, one per retained triple in interned order — the payload
 	// that makes the entry replayable on another index. Nil for
-	// deletes, and for upsert entries loaded from snapshots written
-	// before the payload existed (Replay rejects those with
-	// ErrJournalTruncated).
+	// deletes.
 	Delta []string
 }
 
@@ -717,9 +715,9 @@ func (ix *Index) JournalSince(since uint64) (JournalTail, error) {
 //
 // It returns the number of entries applied and fails with
 // ErrJournalTruncated when the entries do not connect to the current
-// epoch, or when an upsert entry lacks its delta payload (journals
-// persisted before the replayable format); both mean the caller must
-// resync from a snapshot.
+// epoch, or when an upsert entry carries no delta payload (no index
+// journals one; such an entry is invalid input); both mean the caller
+// must resync from a snapshot.
 func (ix *Index) Replay(ctx context.Context, entries []JournalEntry) (int, error) {
 	applied := 0
 	for i := range entries {
@@ -749,7 +747,7 @@ func (ix *Index) replayOne(ctx context.Context, je *JournalEntry) (bool, error) 
 	switch je.Op {
 	case JournalUpsert:
 		if len(je.Delta) == 0 {
-			return false, fmt.Errorf("%w: upsert entry carries no delta payload (journal predates the replayable format)", ErrJournalTruncated)
+			return false, fmt.Errorf("%w: upsert entry carries no delta payload", ErrJournalTruncated)
 		}
 		delta, perr := LoadKB("replay", strings.NewReader(strings.Join(je.Delta, "\n")))
 		if perr != nil {

@@ -288,11 +288,15 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 	// phase visits the schedule with heuristic h's per-entity decision
 	// and emits each decided pair H4 confirms. It returns false when the
 	// stream must stop: the context ended (the error), a budget is spent,
-	// or the consumer is gone.
+	// or the consumer is gone. The context is checked every
+	// cancelCheckStride entities and after every emitted pair, so a
+	// consumer that cancels from emit gets no further pair.
 	phase := func(h uint8, decide func(ea kb.EntityID) (kb.EntityID, bool)) (bool, error) {
 		for i, ea := range sched {
-			if err := ctx.Err(); err != nil {
-				return false, err
+			if i%cancelCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return false, err
+				}
 			}
 			if cfg.Budget.MaxComparisons > 0 && side1.comparisons+side2.comparisons >= cfg.Budget.MaxComparisons {
 				return false, nil
@@ -311,6 +315,9 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 			}
 			if emitted++; cfg.Budget.MaxPairs > 0 && emitted >= cfg.Budget.MaxPairs {
 				return false, nil
+			}
+			if err := ctx.Err(); err != nil {
+				return false, err
 			}
 		}
 		return true, nil

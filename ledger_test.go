@@ -208,7 +208,7 @@ type ledgerStep struct {
 // Rewrites replace an entity's description with its original one minus
 // its last triple plus one perturbing literal; inserts copy another
 // entity's description under a new subject.
-func ledgerScript(t *testing.T, b *minoaner.Benchmark) []ledgerStep {
+func ledgerScript(t testing.TB, b *minoaner.Benchmark) []ledgerStep {
 	t.Helper()
 	docs := [3]*ntDoc{nil, docFromKB(t, b.WriteKB1), docFromKB(t, b.WriteKB2)}
 	uris := [3][]string{nil, b.KB1.URIs(), b.KB2.URIs()}

@@ -238,7 +238,7 @@ func sweepUpsert(tb testing.TB, b *minoaner.Benchmark) *minoaner.KB {
 // embeds.
 func embeddedSection(t *testing.T, data []byte, outer, inner uint64) (int, int) {
 	t.Helper()
-	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 2)
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, minoaner.SnapshotVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,8 +593,8 @@ func TestInspectIndexFile(t *testing.T) {
 		si.KB2.Name != ix.KB2().Name() || si.KB2.Entities != ix.KB2().Len() {
 		t.Errorf("KB summaries diverge: %+v / %+v", si.KB1, si.KB2)
 	}
-	if si.Version != 2 {
-		t.Errorf("format version %d, want 2", si.Version)
+	if si.Version != 3 {
+		t.Errorf("format version %d, want 3", si.Version)
 	}
 	if si.Epoch != ix.Epoch() || si.JournalEntries != len(ix.Journal()) {
 		t.Errorf("journal summary: epoch %d/%d entries %d/%d",

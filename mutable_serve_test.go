@@ -332,7 +332,7 @@ func TestServeConcurrentMutationsAndReads(t *testing.T) {
 func TestServeCorruptSubstrateAnswers500(t *testing.T) {
 	b, ix, _ := buildBenchmarkIndex(t, "Restaurant", 31, 0.15)
 	data := snapshotBytes(t, ix)
-	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 2)
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, minoaner.SnapshotVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

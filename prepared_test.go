@@ -183,7 +183,7 @@ func TestQueryKBDerivesSubstrateOnce(t *testing.T) {
 func rewriteSnapshot(tb testing.TB, data []byte, edit func(id uint64, payload []byte) []byte) []byte {
 	tb.Helper()
 	const config = 1
-	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, 2)
+	m, err := binio.BytesMap(data, [4]byte{'M', 'S', 'N', 'P'}, minoaner.SnapshotVersion)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func rewriteSnapshot(tb testing.TB, data []byte, edit func(id uint64, payload []
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
 	w.Raw([]byte("MSNP"))
-	w.Uvarint(2)
+	w.Uvarint(minoaner.SnapshotVersion)
 	for _, id := range kept {
 		payload := payloads[id]
 		w.Section(id, func(w *binio.Writer) {
@@ -247,7 +247,7 @@ func withoutPrepared(tb testing.TB, data []byte) []byte {
 func TestSnapshotCarriesPreparedSubstrate(t *testing.T) {
 	_, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.2)
 	fresh := snapshotBytes(t, ix)
-	m, err := binio.BytesMap(fresh, [4]byte{'M', 'S', 'N', 'P'}, 2)
+	m, err := binio.BytesMap(fresh, [4]byte{'M', 'S', 'N', 'P'}, minoaner.SnapshotVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,17 +273,27 @@ func TestSnapshotCarriesPreparedSubstrate(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsVersion1: the reader accepts format version 2
+// TestSnapshotRejectsVersion1: the reader accepts format version 3
 // only; a version-1 image — one that stored the block collections —
 // fails on every entry point as corrupt.
-func TestSnapshotRejectsVersion1(t *testing.T) {
+func TestSnapshotRejectsVersion1(t *testing.T) { rejectsVersion(t, 1) }
+
+// TestSnapshotRejectsVersion2: a version-2 image — one whose journal
+// section was written field by field — fails on every entry point as
+// corrupt.
+func TestSnapshotRejectsVersion2(t *testing.T) { rejectsVersion(t, 2) }
+
+// rejectsVersion relabels a fresh snapshot as format version v and
+// requires every entry point to refuse it as corrupt.
+func rejectsVersion(t *testing.T, v byte) {
+	t.Helper()
 	_, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.1)
 	data := snapshotBytes(t, ix)
-	if data[4] != 2 {
-		t.Fatalf("version byte %d, want 2", data[4])
+	if data[4] != 3 {
+		t.Fatalf("version byte %d, want 3", data[4])
 	}
-	data[4] = 1
-	path := filepath.Join(t.TempDir(), "v1.msnp")
+	data[4] = v
+	path := filepath.Join(t.TempDir(), "old.msnp")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ package minoaner
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -347,8 +347,8 @@ func (r *Replica) syncOnce(ctx context.Context) (int, error) {
 	br := bufio.NewReader(resp.Body)
 	applied := 0
 	for {
-		line, rerr := br.ReadString('\n')
-		if trimmed := strings.TrimSpace(line); trimmed != "" {
+		line, rerr := br.ReadBytes('\n')
+		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			n, aerr := r.applyLine(ctx, ix, trimmed)
 			if aerr != nil {
 				return applied, aerr
@@ -364,24 +364,13 @@ func (r *Replica) syncOnce(ctx context.Context) (int, error) {
 	}
 }
 
-// applyLine decodes one NDJSON journal record and replays it.
-func (r *Replica) applyLine(ctx context.Context, ix *Index, line string) (int, error) {
-	var rec journalEntryJSON
-	if err := json.Unmarshal([]byte(line), &rec); err != nil {
-		return 0, fmt.Errorf("minoaner: parsing journal record: %w", err)
-	}
-	op, err := journalOpCode(rec.Op)
+// applyLine decodes one journal record and replays it.
+func (r *Replica) applyLine(ctx context.Context, ix *Index, line []byte) (int, error) {
+	je, err := decodeJournalRecord(line)
 	if err != nil {
-		return 0, fmt.Errorf("minoaner: journal record for epoch %d: %w", rec.Seq, err)
+		return 0, err
 	}
-	n, err := ix.Replay(ctx, []JournalEntry{{
-		Seq:      rec.Seq,
-		Op:       op,
-		Side:     rec.Side,
-		Subjects: rec.Subjects,
-		Triples:  rec.Triples,
-		Delta:    rec.Delta,
-	}})
+	n, err := ix.Replay(ctx, []JournalEntry{je})
 	r.applied.Add(int64(n))
 	return n, err
 }

@@ -200,12 +200,11 @@ func TestEnsureMutatorWrapsCause(t *testing.T) {
 }
 
 // TestJournalSectionFormatCompat pins section 9's one layout: the
-// entry list is always followed by the compaction count and the
-// per-entry delta payloads. Snapshots round-trip both; a journal whose
-// payloads were stripped still writes (empty) payload lists, reloads
-// without inventing any, re-saves to its exact bytes, and is refused
-// by Replay; and a section that ends after the entry list — the layout
-// version 1 allowed — fails to load as corrupt.
+// epoch, the compaction count, then one record per entry. Snapshots
+// round-trip the journal; Replay refuses an upsert entry without its
+// delta payload with the typed truncation error; and a section whose
+// upsert record lost its payload, or that still carries version 2's
+// per-entry payload tail after the records, fails to load as corrupt.
 func TestJournalSectionFormatCompat(t *testing.T) {
 	ix := internalTestIndex(t)
 	mutateInternal(t, ix, 3)
@@ -228,71 +227,70 @@ func TestJournalSectionFormatCompat(t *testing.T) {
 		t.Fatal("compaction counter lost in round-trip")
 	}
 
-	// Strip every delta payload and the compaction counter.
-	stripped := back
-	stripped.mu.Lock()
-	for i := range stripped.journal {
-		stripped.journal[i].Delta = nil
+	// An upsert entry without its payload is invalid input to Replay:
+	// a replica resyncs from a snapshot instead of silently diverging.
+	stripped := ix.Journal()
+	for i := range stripped {
+		stripped[i].Delta = nil
 	}
-	stripped.compactions.Store(0)
-	n := len(stripped.journal)
-	stripped.mu.Unlock()
-	var strippedBytes bytes.Buffer
-	if err := SaveIndex(&strippedBytes, stripped); err != nil {
-		t.Fatal(err)
-	}
-	strippedBack, err := LoadIndex(bytes.NewReader(strippedBytes.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, je := range strippedBack.Journal() {
-		if je.Delta != nil {
-			t.Fatal("reload invented delta payloads")
-		}
-		if je.Seq == 0 || len(je.Subjects) == 0 {
-			t.Fatalf("reload dropped entry fields: %+v", je)
-		}
-	}
-	var resaved bytes.Buffer
-	if err := SaveIndex(&resaved, strippedBack); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resaved.Bytes(), strippedBytes.Bytes()) {
-		t.Fatalf("stripped snapshot not bit-identical after reload (%d vs %d bytes)", resaved.Len(), strippedBytes.Len())
-	}
-	// Replaying payload-less entries is refused with the typed
-	// truncation error — a replica resyncs from a snapshot instead of
-	// silently diverging.
 	fresh := internalTestIndex(t)
-	if _, err := fresh.Replay(context.Background(), strippedBack.Journal()); !errors.Is(err, ErrJournalTruncated) {
+	if _, err := fresh.Replay(context.Background(), stripped); !errors.Is(err, ErrJournalTruncated) {
 		t.Fatalf("payload-less replay err = %v, want ErrJournalTruncated", err)
 	}
 
-	// Drop the stripped journal's tail: a zero compaction count and n
-	// empty payload lists, one byte each.
-	m, err := binio.BytesMap(strippedBytes.Bytes(), snapshotMagic, snapshotVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cut bytes.Buffer
-	w := binio.NewWriter(&cut)
-	w.Raw(snapshotMagic[:])
-	w.Uvarint(snapshotVersion)
-	for _, id := range m.SectionIDs() {
-		payload, err := m.Section(id)
+	// withJournal re-frames the snapshot with section 9 replaced.
+	withJournal := func(section func(*binio.Writer)) []byte {
+		m, err := binio.BytesMap(buf.Bytes(), snapshotMagic, snapshotVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id == snapJournal {
-			payload = payload[:len(payload)-1-n]
+		var out bytes.Buffer
+		w := binio.NewWriter(&out)
+		w.Raw(snapshotMagic[:])
+		w.Uvarint(snapshotVersion)
+		for _, id := range m.SectionIDs() {
+			payload, err := m.Section(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id == snapJournal {
+				w.Section(id, section)
+				continue
+			}
+			w.Section(id, func(e *binio.Writer) { e.Raw(payload) })
 		}
-		w.Section(id, func(e *binio.Writer) { e.Raw(payload) })
+		w.End()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
 	}
-	w.End()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	// The unchanged section re-frames to the saved bytes.
+	journal := ix.Journal()
+	same := withJournal(func(e *binio.Writer) { writeJournalSection(e, ix.Epoch(), journal, ix.Compactions()) })
+	if !bytes.Equal(same, buf.Bytes()) {
+		t.Fatal("re-framing the saved journal section changed the snapshot")
 	}
-	if _, err := LoadIndex(bytes.NewReader(cut.Bytes())); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("journal without its tail: err = %v, want ErrSnapshotCorrupt", err)
+	for _, bad := range []struct {
+		name    string
+		section func(*binio.Writer)
+	}{
+		{"upsert records without payload", func(e *binio.Writer) {
+			writeJournalSection(e, ix.Epoch(), stripped, ix.Compactions())
+		}},
+		{"version 2's payload tail after the records", func(e *binio.Writer) {
+			writeJournalSection(e, ix.Epoch(), journal, ix.Compactions())
+			e.Uvarint(ix.Compactions())
+			for _, je := range journal {
+				e.Int(len(je.Delta))
+				for _, line := range je.Delta {
+					e.Str(line)
+				}
+			}
+		}},
+	} {
+		if _, err := LoadIndex(bytes.NewReader(withJournal(bad.section))); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", bad.name, err)
+		}
 	}
 }

@@ -54,8 +54,9 @@ import (
 //	                           {"side": 2, "uris": [...]} (requires
 //	                           WithMutations)
 //	GET  /journal?since=N      the mutation journal entries after epoch
-//	                           N as streamed NDJSON (one entry per
-//	                           line, flushed as written); 410 Gone
+//	                           N as streamed NDJSON (one journal
+//	                           record per line, flushed as written,
+//	                           see journal.go); 410 Gone
 //	                           when Compact dropped them. Every
 //	                           response carries the X-Minoaner-Epoch
 //	                           and X-Minoaner-Compactions headers —
@@ -816,44 +817,12 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// journalEntryJSON is one NDJSON record of the /journal stream — the
-// wire form of a JournalEntry.
-type journalEntryJSON struct {
-	Seq      uint64   `json:"seq"`
-	Op       string   `json:"op"`
-	Side     int      `json:"side"`
-	Subjects []string `json:"subjects"`
-	Triples  int      `json:"triples,omitempty"`
-	Delta    []string `json:"delta,omitempty"`
-}
-
-// journalOpNames maps journal op codes to their wire names (and back,
-// via journalOpCode).
-func journalOpName(op byte) string {
-	switch op {
-	case JournalUpsert:
-		return "upsert"
-	case JournalDelete:
-		return "delete"
-	}
-	return fmt.Sprintf("op%d", op)
-}
-
-func journalOpCode(name string) (byte, error) {
-	switch name {
-	case "upsert":
-		return JournalUpsert, nil
-	case "delete":
-		return JournalDelete, nil
-	}
-	return 0, fmt.Errorf("unknown journal op %q", name)
-}
-
 // handleJournal streams the journal tail after the given cursor as
-// NDJSON, one entry per line, flushed as written so a tailing replica
-// sees entries without waiting for the response to finish. The
-// response headers carry the epoch and compaction count the entries
-// lead to; a cursor Compact has truncated past answers 410 Gone.
+// NDJSON, one journal record (journal.go) per line, flushed as written
+// so a tailing replica sees entries without waiting for the response
+// to finish. The response headers carry the epoch and compaction count
+// the entries lead to; a cursor Compact has truncated past answers 410
+// Gone.
 func (s *server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	since := uint64(0)
 	if raw := r.URL.Query().Get("since"); raw != "" {
@@ -874,19 +843,9 @@ func (s *server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	for i := range tail.Entries {
-		je := &tail.Entries[i]
-		rec := journalEntryJSON{
-			Seq:      je.Seq,
-			Op:       journalOpName(je.Op),
-			Side:     je.Side,
-			Subjects: je.Subjects,
-			Triples:  je.Triples,
-			Delta:    je.Delta,
-		}
-		if err := enc.Encode(rec); err != nil {
+		if _, err := w.Write(append(encodeJournalRecord(&tail.Entries[i]), '\n')); err != nil {
 			return // client went away mid-stream
 		}
 		if flusher != nil {

@@ -18,7 +18,7 @@ import (
 // internal/binio for the section framing; every section is
 // CRC32-checksummed):
 //
-//	magic "MSNP" | uvarint version (2) | sections | end marker
+//	magic "MSNP" | uvarint version (3) | sections | end marker
 //
 //	section 1 (config):   the Config the index was built under,
 //	                      followed by the section inventory (the IDs
@@ -39,22 +39,24 @@ import (
 //	                      from it (joined with KB2's substrate, then
 //	                      purged), and the derivation is checked
 //	                      against section 6.
-//	section 9 (journal):  epoch number and the mutation journal — one
-//	                      record per absorbed Upsert/Delete since the
-//	                      last Compact — then the Compact count and the
-//	                      per-entry replay payloads (upsert deltas as
-//	                      N-Triples lines). Written only for indexes
-//	                      past epoch 0 (or with journal entries, or a
-//	                      non-zero compaction count); snapshots of
-//	                      mutated indexes persist the *mutated* state in
-//	                      the other sections.
+//	section 9 (journal):  uvarint epoch | uvarint Compact count |
+//	                      uvarint record count | one length-prefixed
+//	                      journal record (journal.go) per absorbed
+//	                      Upsert/Delete since the last Compact, the
+//	                      records' epochs contiguous up to the epoch.
+//	                      Written only for indexes past epoch 0 (or
+//	                      with journal entries, or a non-zero compaction
+//	                      count); snapshots of mutated indexes persist
+//	                      the *mutated* state in the other sections.
 //
 // IDs 4 and 5 (the block collections B_N and B_T, stored by version 1)
 // and 10 (the shard count of a removed scatter-gather engine) are
-// retired: never reuse them.
+// retired: never reuse them. Version 2 wrote section 9 field by field
+// (an entry list, the Compact count, then a tail of per-upsert delta
+// payloads); version 3 replaced that layout with the records.
 //
 // Compatibility promise: a reader accepts exactly the format version
-// it names (currently 2), skips unknown section IDs within it, and
+// it names (currently 3), skips unknown section IDs within it, and
 // rejects everything else — including any payload whose checksum does
 // not match, and derived blocks that disagree with the stats — with an
 // error wrapping ErrSnapshotCorrupt. Saving a loaded index reproduces
@@ -62,7 +64,7 @@ import (
 
 var snapshotMagic = [4]byte{'M', 'S', 'N', 'P'}
 
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // Section IDs of the snapshot frame (4, 5 and 10 are retired).
 //
@@ -166,34 +168,20 @@ func writeNeighborLists(e *binio.Writer, top [][]kb.EntityID) {
 	}
 }
 
-// writeJournalSection encodes section 9: the epoch number and journal
-// entries, then the compaction count and the per-entry replay
-// payloads.
+// writeJournalSection encodes section 9: the epoch number, the
+// compaction count and one record per journal entry.
 func writeJournalSection(enc *binio.Writer, seq uint64, journal []JournalEntry, compactions uint64) {
 	enc.Uvarint(seq)
-	enc.Int(len(journal))
-	for _, je := range journal {
-		enc.Uvarint(je.Seq)
-		enc.Uvarint(uint64(je.Op))
-		enc.Int(je.Side)
-		enc.Int(len(je.Subjects))
-		for _, s := range je.Subjects {
-			enc.Str(s)
-		}
-		enc.Int(je.Triples)
-	}
 	enc.Uvarint(compactions)
-	for _, je := range journal {
-		enc.Int(len(je.Delta))
-		for _, line := range je.Delta {
-			enc.Str(line)
-		}
+	enc.Int(len(journal))
+	for i := range journal {
+		enc.Str(string(encodeJournalRecord(&journal[i])))
 	}
 }
 
 // readJournalSection restores section 9, when the snapshot has one,
-// into ix and its current epoch: the epoch number, the mutation
-// journal, the compaction count and the replay payloads.
+// into ix and its current epoch: the epoch number, the compaction
+// count and the mutation journal.
 func (ix *Index) readJournalSection(m *binio.Map) error {
 	if !m.Has(snapJournal) {
 		return nil
@@ -204,6 +192,7 @@ func (ix *Index) readJournalSection(m *binio.Map) error {
 	}
 	e := ix.cur.Load()
 	seq := b.Uvarint()
+	compactions := b.Uvarint()
 	n := b.Int()
 	if b.Err() == nil && n > 1<<24 {
 		b.Fail("absurd journal length %d", n)
@@ -214,20 +203,13 @@ func (ix *Index) readJournalSection(m *binio.Map) error {
 	entries := make([]JournalEntry, 0, min(n, 1<<16))
 	base := seq - uint64(n)
 	for i := 0; i < n && b.Err() == nil; i++ {
-		var je JournalEntry
-		je.Seq = b.Uvarint()
-		je.Op = byte(b.Uvarint())
-		je.Side = b.Int()
-		nSub := b.Int()
+		rec := b.Str()
 		if b.Err() != nil {
 			break
 		}
-		if je.Op != JournalUpsert && je.Op != JournalDelete {
-			b.Fail("journal entry %d has invalid op %d", i, je.Op)
-			break
-		}
-		if je.Side != 1 && je.Side != 2 {
-			b.Fail("journal entry %d has invalid side %d", i, je.Side)
+		je, err := decodeJournalRecord([]byte(rec))
+		if err != nil {
+			b.Fail("journal entry %d: %v", i, err)
 			break
 		}
 		// The journal is contiguous by construction: entry i produced
@@ -237,33 +219,10 @@ func (ix *Index) readJournalSection(m *binio.Map) error {
 			b.Fail("journal entry %d out of sequence (epoch %d, want %d)", i, je.Seq, base+uint64(i)+1)
 			break
 		}
-		if nSub > 1<<24 {
-			b.Fail("absurd subject count %d", nSub)
-			break
-		}
-		for s := 0; s < nSub && b.Err() == nil; s++ {
-			je.Subjects = append(je.Subjects, b.Str())
-		}
-		je.Triples = b.Int()
 		entries = append(entries, je)
 	}
-	compactions := b.Uvarint()
-	for i := 0; i < len(entries) && b.Err() == nil; i++ {
-		nd := b.Int()
-		if b.Err() != nil {
-			break
-		}
-		if nd < 0 || nd > 1<<24 {
-			b.Fail("absurd delta length %d", nd)
-			break
-		}
-		if nd > 0 && entries[i].Op != JournalUpsert {
-			b.Fail("journal entry %d: delete carries a delta payload", i)
-			break
-		}
-		for j := 0; j < nd && b.Err() == nil; j++ {
-			entries[i].Delta = append(entries[i].Delta, b.Str())
-		}
+	if b.More() {
+		b.Fail("%d bytes after the last journal record", b.Len())
 	}
 	if err := b.Err(); err != nil {
 		return fmt.Errorf("%w: journal: %v", ErrSnapshotCorrupt, err)
