@@ -86,22 +86,28 @@ func TestResolveStreamDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestResolveStreamMaxPairsPrefix: a MaxPairs budget yields exactly the
-// first n pairs of the unbudgeted stream and then closes the channel.
+// TestResolveStreamMaxPairsPrefix: on every benchmark and under both
+// strategies, a MaxPairs budget yields exactly the first n pairs of the
+// unbudgeted stream, field for field, and then closes the channel. A
+// budget only chooses where the one emission order stops — what lets
+// an index serve a budgeted stream from an order it recorded.
 func TestResolveStreamMaxPairsPrefix(t *testing.T) {
-	b, err := minoaner.GenerateBenchmark("Restaurant", 7, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []minoaner.StreamStrategy{minoaner.WeightOrdered, minoaner.BlockRoundRobin} {
-		full := drainResolveStream(t, b, minoaner.WithStreamStrategy(s))
-		if len(full) < 4 {
-			t.Fatalf("need at least 4 matches, got %d", len(full))
+	for _, name := range minoaner.BenchmarkNames() {
+		b, err := minoaner.GenerateBenchmark(name, 42, 0.1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range []int{1, len(full) / 2} {
-			got := drainResolveStream(t, b, minoaner.WithStreamStrategy(s), minoaner.WithMaxPairs(k))
-			if !reflect.DeepEqual(got, full[:k]) {
-				t.Errorf("MaxPairs=%d did not yield the first %d pairs of the unbudgeted stream", k, k)
+		for _, s := range []minoaner.StreamStrategy{minoaner.WeightOrdered, minoaner.BlockRoundRobin} {
+			full := drainResolveStream(t, b, minoaner.WithStreamStrategy(s))
+			n := len(full)
+			if n < 8 {
+				t.Fatalf("%s: need at least 8 matches, got %d", name, n)
+			}
+			for _, k := range []int{1, 2, 5, n / 4, n / 2, n - 1} {
+				got := drainResolveStream(t, b, minoaner.WithStreamStrategy(s), minoaner.WithMaxPairs(k))
+				if !reflect.DeepEqual(got, full[:k]) {
+					t.Errorf("%s, strategy %d: MaxPairs=%d did not yield the first %d of the %d unbudgeted pairs", name, s, k, k, n)
+				}
 			}
 		}
 	}
