@@ -76,8 +76,27 @@ func newFillMemo(n int) *fillMemo {
 // runFlags record which memo fills one run has charged: a run is
 // charged for a fill the first time it reads it, as if it had filled
 // it, so a MaxComparisons budget cuts a stream at the same point
-// however warm the memo is.
-type runFlags struct{ value, neighbor bitset }
+// however warm the memo is. claimed is the run's dense H3 claims over
+// the side's entities, made when a run first reaches H3.
+type runFlags struct {
+	value, neighbor bitset
+	claimed         []bool
+}
+
+// claimedFlags returns the side's n dense claim flags set for every
+// entity h1 or h2 claimed.
+func claimedFlags[V any](f *runFlags, n int, h1 map[kb.EntityID]V, h2 map[kb.EntityID]struct{}) []bool {
+	if f.claimed == nil {
+		f.claimed = make([]bool, n)
+	}
+	for e := range h1 {
+		f.claimed[e] = true
+	}
+	for e := range h2 {
+		f.claimed[e] = true
+	}
+	return f.claimed
+}
 
 // bitset is a dense set of entity IDs.
 type bitset []uint64
@@ -158,6 +177,7 @@ func (s *lazySide) release(pool *accPool) {
 	if s.memo != nil {
 		clear(s.flags.value)
 		clear(s.flags.neighbor)
+		clear(s.flags.claimed)
 		s.memo.flags.Put(s.flags)
 	}
 }

@@ -7,7 +7,10 @@
 // candidate fills: a run over an existing base reuses every fill an
 // earlier run on the epoch made. A budget (max pairs, max comparisons,
 // or a context deadline) truncates the run to a deterministic prefix of
-// the quality-ordered stream, however warm the base.
+// the quality-ordered stream, however warm the base. Since a budget
+// only chooses where that one order stops, the base also records each
+// strategy's order as far as any run got, and a later run the record
+// covers replays it instead of deciding anything.
 //
 // Draining an unbudgeted stream yields exactly the batch plan's match
 // set: the lazy per-entity candidate fills run the eager stages'
@@ -22,8 +25,10 @@ package pipeline
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"minoaner/internal/eval"
 	"minoaner/internal/kb"
@@ -106,7 +111,10 @@ func RunStream(ctx context.Context, st *State, cfg StreamConfig, emit func(Score
 // memo of candidate lists that runs fill lazily, each once. None of it
 // depends on a run's budget, strategy or ablation switches, so one base
 // serves any number of concurrent Run calls — an index keeps one per
-// epoch — and pools their accumulators.
+// epoch — and pools their accumulators. A full-pair base (one with a
+// memo) also keeps, per strategy, the longest emission order a run
+// without ablations has produced: one ScoredPair per emitted match, so
+// at most one per match per strategy, freed with the base.
 //
 //minoaner:frozen
 type StreamBase struct {
@@ -128,6 +136,42 @@ type StreamBase struct {
 	// every later run to read (nil on a prepared-side base, which lives
 	// for one run).
 	memo [2]*fillMemo
+	// orders holds, per StreamStrategy, the longest prefix of the
+	// strategy's emission order a run has recorded (memo bases only).
+	orders [2]atomic.Pointer[recording]
+}
+
+// recording is a prefix of one strategy's emission order, immutable
+// once published. complete marks the whole order: the run that made it
+// exhausted the schedule.
+type recording struct {
+	pairs    []ScoredPair
+	complete bool
+}
+
+// covers reports whether the recording holds every pair a run with
+// this pair budget emits (maxPairs 0: unlimited).
+func (r *recording) covers(maxPairs int) bool {
+	return r != nil && (r.complete || (maxPairs > 0 && len(r.pairs) >= maxPairs))
+}
+
+// publish offers a run's output as strategy's recording. It replaces
+// the current one only if it extends it, so a recording only grows.
+func (b *StreamBase) publish(strategy StreamStrategy, pairs []ScoredPair, complete bool) {
+	slot := &b.orders[strategy]
+	var rec *recording
+	for {
+		old := slot.Load()
+		if old != nil && (old.complete || len(old.pairs) > len(pairs) || (len(old.pairs) == len(pairs) && !complete)) {
+			return
+		}
+		if rec == nil {
+			rec = &recording{pairs: slices.Clone(pairs), complete: complete}
+		}
+		if slot.CompareAndSwap(old, rec) {
+			return
+		}
+	}
 }
 
 // NewStreamBase derives a stream base from st, running only the
@@ -272,7 +316,80 @@ func (b *StreamBase) blockRoundRobinSchedule() []kb.EntityID {
 // passes — but every per-entity decision within a phase is independent
 // of the others, so the drained set equals the batch plan's regardless
 // of schedule.
+//
+// A run without ablations on a memo base records what it emits and
+// publishes the record when it returns. A later such run without a
+// MaxComparisons budget replays the record instead, if it holds every
+// pair the run would emit: no decision depends on the budget, so any
+// run's output is a prefix of the strategy's one order.
 func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg StreamConfig, emit func(ScoredPair) bool) error {
+	out := &outlet{ctx: ctx, maxPairs: cfg.Budget.MaxPairs, emit: emit}
+	plain := b.memo[0] != nil && !cfg.DisableH1 && !cfg.DisableH2 && !cfg.DisableH3 && !cfg.DisableH4
+	if plain {
+		switch rec := b.orders[strategy].Load(); {
+		case !rec.covers(cfg.Budget.MaxPairs):
+			// The run may reach past the recording: keep what it emits.
+			out.record = true
+			defer func() { b.publish(strategy, out.sent, out.exhausted) }()
+		case cfg.Budget.MaxComparisons == 0:
+			for i, sp := range rec.pairs {
+				if err := out.tick(i); err != nil {
+					return err
+				}
+				if more, err := out.send(sp); !more {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	return b.live(strategy, cfg, out)
+}
+
+// outlet is the emit/stop tail a live and a replayed run share: the
+// MaxPairs count, the context checks, and the live run's record.
+type outlet struct {
+	ctx      context.Context
+	maxPairs int
+	emit     func(ScoredPair) bool
+	emitted  int
+
+	record    bool         // keep every pair passed to emit in sent
+	sent      []ScoredPair // the run's output so far, when recording
+	exhausted bool         // the run emitted its whole order
+}
+
+// tick is called before the i-th step of a pass: it returns the
+// context's error every cancelCheckStride steps.
+func (o *outlet) tick(i int) error {
+	if i%cancelCheckStride == 0 {
+		return o.ctx.Err()
+	}
+	return nil
+}
+
+// send emits sp. It reports false when the stream must stop: the
+// consumer is gone, the pair budget is spent, or the context ended (the
+// error). The context is checked after every emitted pair, so a
+// consumer that cancels from emit gets no further pair.
+func (o *outlet) send(sp ScoredPair) (bool, error) {
+	if o.record {
+		o.sent = append(o.sent, sp)
+	}
+	if !o.emit(sp) {
+		return false, nil
+	}
+	if o.emitted++; o.maxPairs > 0 && o.emitted >= o.maxPairs {
+		return false, nil
+	}
+	if err := o.ctx.Err(); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// live runs the phases, sending every pair through out.
+func (b *StreamBase) live(strategy StreamStrategy, cfg StreamConfig, out *outlet) error {
 	side1 := newLazySide(b.st, 1, b.st.TokenIndex.ByE1, b.views, b.pool(1), b.memo[0])
 	side2 := newLazySide(b.st, 2, b.st.TokenIndex.ByE2, b.views, b.pool(2), b.memo[1])
 	defer side1.release(b.pool(1))
@@ -283,20 +400,15 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 		m.h1A, m.h1B = nil, nil
 	}
 	sched := b.schedules[strategy]()
-	emitted := 0
 	denom := float64(m.sizeA + 1)
 	// phase visits the schedule with heuristic h's per-entity decision
-	// and emits each decided pair H4 confirms. It returns false when the
+	// and sends each decided pair H4 confirms. It returns false when the
 	// stream must stop: the context ended (the error), a budget is spent,
-	// or the consumer is gone. The context is checked every
-	// cancelCheckStride entities and after every emitted pair, so a
-	// consumer that cancels from emit gets no further pair.
+	// or the consumer is gone.
 	phase := func(h uint8, decide func(ea kb.EntityID) (kb.EntityID, bool)) (bool, error) {
 		for i, ea := range sched {
-			if i%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return false, err
-				}
+			if err := out.tick(i); err != nil {
+				return false, err
 			}
 			if cfg.Budget.MaxComparisons > 0 && side1.comparisons+side2.comparisons >= cfg.Budget.MaxComparisons {
 				return false, nil
@@ -309,14 +421,7 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 			if !cfg.DisableH4 && !m.reciprocal(p) {
 				continue
 			}
-			sp := ScoredPair{Pair: p, Heuristic: h, Score: float64(4-h) + float64(m.sizeA-i)/denom}
-			if !emit(sp) {
-				return false, nil
-			}
-			if emitted++; cfg.Budget.MaxPairs > 0 && emitted >= cfg.Budget.MaxPairs {
-				return false, nil
-			}
-			if err := ctx.Err(); err != nil {
+			if more, err := out.send(ScoredPair{Pair: p, Heuristic: h, Score: float64(4-h) + float64(m.sizeA-i)/denom}); !more {
 				return false, err
 			}
 		}
@@ -354,11 +459,22 @@ func (b *StreamBase) Run(ctx context.Context, strategy StreamStrategy, cfg Strea
 	// Phase 3 — H3 rank aggregation over the entities no earlier
 	// heuristic claimed.
 	if !cfg.DisableH3 {
-		// A budgeted stream visits a prefix of the schedule: the claims
-		// are read from the maps, never expanded to KB-sized flags.
 		claimed := &claims{h1A: m.h1A, h1B: m.h1B, h2A: h2A, h2B: h2B}
-		_, err := phase(3, func(ea kb.EntityID) (kb.EntityID, bool) { return m.rankMatch(ea, claimed) })
-		return err
+		if b.memo[0] != nil {
+			// H3 asks about every candidate it ranks: on a memo base the
+			// sides' pooled flags answer by index instead of by hash. A
+			// delta run reads the maps, so it never allocates O(|KB1|).
+			sideA, sideB := side1, side2
+			if b.em.swap {
+				sideA, sideB = side2, side1
+			}
+			claimed.denseA = claimedFlags(sideA.flags, len(sideA.memo.value), m.h1A, h2A)
+			claimed.denseB = claimedFlags(sideB.flags, len(sideB.memo.value), m.h1B, h2B)
+		}
+		if more, err := phase(3, func(ea kb.EntityID) (kb.EntityID, bool) { return m.rankMatch(ea, claimed) }); !more {
+			return err
+		}
 	}
+	out.exhausted = true
 	return nil
 }

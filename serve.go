@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Serve layer: an http.Handler exposing one Index over JSON. Lookup
@@ -540,6 +542,47 @@ type streamPairJSON struct {
 	Heuristic string  `json:"heuristic"`
 }
 
+// appendStreamRecord appends r's NDJSON record to dst: byte for byte
+// what json.Encoder writes for it, HTML escaping and trailing newline
+// included, for a finite score. Plain-ASCII strings and scores that
+// encoding/json prints without an exponent take the fast path, and
+// anything else goes through json.Marshal of that one value.
+func appendStreamRecord(dst []byte, r streamPairJSON) []byte {
+	dst = append(dst, `{"uri1":`...)
+	dst = appendJSONString(dst, r.URI1)
+	dst = append(dst, `,"uri2":`...)
+	dst = appendJSONString(dst, r.URI2)
+	dst = append(dst, `,"score":`...)
+	if a := math.Abs(r.Score); a == 0 || (a >= 1e-6 && a < 1e21) {
+		dst = strconv.AppendFloat(dst, r.Score, 'f', -1, 64) // encoding/json's format in this range
+	} else {
+		dst = appendMarshaled(dst, r.Score)
+	}
+	dst = append(dst, `,"heuristic":`...)
+	dst = appendJSONString(dst, r.Heuristic)
+	return append(dst, "}\n"...)
+}
+
+// appendJSONString appends s as a JSON string, escaped as json.Marshal
+// escapes it.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return appendMarshaled(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendMarshaled appends json.Marshal(v); v is a string or a finite
+// float64, which always marshal.
+func appendMarshaled(dst []byte, v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(dst, b...)
+}
+
 // maxStreamBudgetMillis caps /resolve/stream's budget_ms at 24 h: far
 // past any real budget, far below where the millisecond-to-Duration
 // conversion overflows into a deadline in the past.
@@ -554,7 +597,9 @@ const maxStreamBudgetMillis = 24 * 60 * 60 * 1000
 // (as a deadline on the resolving context), max_pairs and
 // max_comparisons bound work, and strategy selects the pair scheduler
 // (weight — the default — or blocks). Draining an unbudgeted stream
-// yields exactly the epoch's match set.
+// yields exactly the epoch's match set. Each record is appended into
+// one reused buffer by appendStreamRecord, the bytes json.Encoder would
+// write, without reflecting over each pair.
 func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 	//minoaner:wallclock time-to-first-match metric; feeds /stats and /metrics, never match output
 	start := time.Now()
@@ -609,7 +654,7 @@ func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	var rec []byte // the record being written, its buffer reused
 	flusher, _ := w.(http.Flusher)
 	emitted := int64(0)
 	for {
@@ -633,7 +678,8 @@ func (s *server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 			//minoaner:wallclock time-to-first-match metric; feeds /stats and /metrics, never match output
 			s.stream.firstMatchMicros.Add(time.Since(start).Microseconds())
 		}
-		if err := enc.Encode(streamPairJSON{URI1: sp.URI1, URI2: sp.URI2, Score: sp.Score, Heuristic: sp.Heuristic}); err != nil {
+		rec = appendStreamRecord(rec[:0], streamPairJSON{URI1: sp.URI1, URI2: sp.URI2, Score: sp.Score, Heuristic: sp.Heuristic})
+		if _, err := w.Write(rec); err != nil {
 			// Client went away mid-stream. Returning cancels r.Context(),
 			// which stops the resolving goroutine.
 			return

@@ -15,9 +15,10 @@ import (
 // prefix rather than KB size; an index keeps that prefix's output per
 // epoch (streamBase), with every candidate list an earlier stream on
 // the epoch filled, so its streams score only what no earlier one
-// reached. A budget — max pairs, max comparisons, or a context deadline
-// — truncates the stream to a deterministic prefix of the quality
-// order.
+// reached, and with each strategy's emission order as far as one got,
+// so a stream that order covers is replayed without deciding anything.
+// A budget — max pairs, max comparisons, or a context deadline —
+// truncates the stream to a deterministic prefix of the quality order.
 // Draining an unbudgeted stream yields exactly the match set Resolve
 // reports for the same inputs.
 
@@ -109,13 +110,16 @@ func heuristicName(h uint8) string {
 // order is deterministic for a given strategy.
 //
 // The caller must either drain the channel or cancel ctx; abandoning
-// the channel with a live context leaks the resolving goroutine.
+// the channel with a live context leaks the resolving goroutine. The
+// channel buffers a few dozen confirmed pairs, so after cancellation up
+// to that many pairs confirmed before it may still arrive before the
+// channel closes.
 func ResolveStream(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...StreamOption) (<-chan ScoredPair, error) {
 	ccfg, budget, err := streamConfig(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	return streamTo(ctx, kb1, kb2, func(emit func(pipeline.ScoredPair) bool) error {
+	return streamTo(ctx, kb1, kb2, budget, func(emit func(pipeline.ScoredPair) bool) error {
 		return core.RunStream(ctx, kb1.kb, kb2.kb, ccfg, budget, emit)
 	}), nil
 }
@@ -132,10 +136,22 @@ func streamConfig(cfg Config, opts []StreamOption) (core.Config, pipeline.Stream
 	return ccfg, pipeline.StreamBudget{MaxPairs: o.maxPairs, MaxComparisons: o.maxComparisons}, ccfg.Validate()
 }
 
+// streamBuffer is how many confirmed pairs a stream's channel holds
+// before the resolving goroutine waits for the consumer: enough that a
+// consumer finds a run of pairs ready (an HTTP handler writes it out in
+// one flush), small enough to bound what a cancelled stream still
+// delivers.
+const streamBuffer = 64
+
 // streamTo starts run on its own goroutine and returns the channel its
-// pairs arrive on, translated to URIs of the two KBs.
-func streamTo(ctx context.Context, kb1, kb2 *KB, run func(emit func(pipeline.ScoredPair) bool) error) <-chan ScoredPair {
-	ch := make(chan ScoredPair)
+// pairs arrive on, translated to URIs of the two KBs. The channel holds
+// streamBuffer pairs, or all of a smaller pair budget.
+func streamTo(ctx context.Context, kb1, kb2 *KB, budget pipeline.StreamBudget, run func(emit func(pipeline.ScoredPair) bool) error) <-chan ScoredPair {
+	size := streamBuffer
+	if budget.MaxPairs > 0 {
+		size = min(size, budget.MaxPairs)
+	}
+	ch := make(chan ScoredPair, size)
 	go func() {
 		defer close(ch)
 		// Budget expiry and cancellation both surface as a closed
@@ -167,7 +183,8 @@ func streamTo(ctx context.Context, kb1, kb2 *KB, run func(emit func(pipeline.Sco
 // whole pair otherwise; both paths stream the same pairs in the same
 // order. Draining it unbudgeted yields exactly QueryKB's match set for
 // the same delta. The call answers from one epoch; concurrent
-// mutations never tear it.
+// mutations never tear it. As with ResolveStream, pairs confirmed
+// before a cancellation may still arrive, up to the channel's buffer.
 func (ix *Index) QueryKBStream(ctx context.Context, delta *KB, opts ...StreamOption) (<-chan ScoredPair, error) {
 	e := ix.cur.Load()
 	if delta.Len() >= e.kb1.Len() {
@@ -194,7 +211,7 @@ func (e *epoch) streamPrepared(ctx context.Context, prep *pipeline.Prepared, del
 	if err != nil {
 		return nil, err
 	}
-	return streamTo(ctx, e.kb1, delta, func(emit func(pipeline.ScoredPair) bool) error {
+	return streamTo(ctx, e.kb1, delta, budget, func(emit func(pipeline.ScoredPair) bool) error {
 		return pipeline.RunStream(ctx, st, ccfg.StreamConfig(budget), emit)
 	}), nil
 }
@@ -233,8 +250,9 @@ func (ix *Index) streamBase(e *epoch) (*pipeline.StreamBase, error) {
 // resolveStream re-resolves the index's own KB pair as an anytime
 // stream over the current epoch's stream base: the first stream of an
 // epoch builds the base, synchronously, and every later one reuses the
-// base and the candidate lists earlier streams filled on it. Same
-// options and channel contract as ResolveStream.
+// base, the candidate lists earlier streams filled on it and the
+// emission order they recorded. Same options and channel contract as
+// ResolveStream.
 func (ix *Index) resolveStream(ctx context.Context, opts ...StreamOption) (<-chan ScoredPair, error) {
 	e := ix.cur.Load()
 	ccfg, budget, err := streamConfig(e.cfg, opts)
@@ -245,7 +263,7 @@ func (ix *Index) resolveStream(ctx context.Context, opts ...StreamOption) (<-cha
 	if err != nil {
 		return nil, err
 	}
-	return streamTo(ctx, e.kb1, e.kb2, func(emit func(pipeline.ScoredPair) bool) error {
+	return streamTo(ctx, e.kb1, e.kb2, budget, func(emit func(pipeline.ScoredPair) bool) error {
 		return base.Run(ctx, ccfg.Strategy, ccfg.StreamConfig(budget), emit)
 	}), nil
 }

@@ -3,7 +3,9 @@ package minoaner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -542,4 +544,49 @@ func BenchmarkStreamQuarter(b *testing.B) {
 	for b.Loop() {
 		drainIndexStream(b, context.Background(), ix, quarter)
 	}
+}
+
+// BenchmarkStreamQuarterLive times the quarter stream under a comparison
+// budget too large to cut it: a budget no recording answers, so every
+// run decides H1–H3 over the warm memo — the engine's cost, which the
+// replayed BenchmarkStreamQuarter no longer shows.
+func BenchmarkStreamQuarterLive(b *testing.B) {
+	_, ix := streamFixture(b, 1)
+	opts := []StreamOption{WithMaxPairs(ix.NumMatches() / 4), WithMaxComparisons(1 << 62)}
+	drainIndexStream(b, context.Background(), ix, opts...)
+	b.ReportAllocs()
+	for b.Loop() {
+		drainIndexStream(b, context.Background(), ix, opts...)
+	}
+}
+
+// FuzzStreamRecord: appendStreamRecord writes, byte for byte, what
+// json.Encoder writes for the same record — on its fast path and on
+// every string (invalid UTF-8, control bytes, HTML metacharacters,
+// U+2028/U+2029) or finite score that leaves it.
+func FuzzStreamRecord(f *testing.F) {
+	f.Add("http://a/e1", "http://b/e2", "name", 3.25)
+	f.Add("http://a/<x", "a>b", "a&b", 0.0)
+	f.Add("\"", "\\", "\x00\x1f\x7f", 0.5)
+	f.Add("\xff\xfe", "line\u2028sep\u2029", "rank", 5e-324)
+	f.Add("\u00e9", "", "h9", 1e-7)
+	f.Add("http://a/e", "http://b/e", "rank", 1e21)
+	f.Add("http://a/e", "http://b/e", "rank", -2.000001)
+	f.Add("http://a/e", "http://b/e", "rank", 1e-6)
+	f.Add("http://a/e", "http://b/e", "rank", 9.999999999999999e20)
+	f.Add("http://a/e", "http://b/e", "rank", math.Copysign(0, -1))
+	f.Fuzz(func(t *testing.T, uri1, uri2, heuristic string, score float64) {
+		if math.IsNaN(score) || math.IsInf(score, 0) {
+			t.Skip("stream scores are finite")
+		}
+		r := streamPairJSON{URI1: uri1, URI2: uri2, Score: score, Heuristic: heuristic}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("kept")
+		if got := appendStreamRecord(prefix, r); !bytes.Equal(got[len(prefix):], want.Bytes()) || string(got[:len(prefix)]) != "kept" {
+			t.Errorf("appendStreamRecord wrote %q, json.Encoder %q", got[len(prefix):], want.Bytes())
+		}
+	})
 }
