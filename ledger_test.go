@@ -19,7 +19,8 @@ import (
 )
 
 // ledgerFile holds the committed ledger: exact digests of what the
-// index answers on the four benchmarks. A change that moves a byte of
+// index answers on the four benchmarks, and exact counts of the work a
+// batch run does. A change that moves a byte of
 // an answer fails TestLedger until the file is rewritten with
 //
 //	go test . -run TestLedger -update
@@ -50,6 +51,12 @@ var ledgerWorkers = []int{1, 8}
 // committed file. Per benchmark it digests
 //
 //   - resolve: the batch Resolve answer without timings;
+//   - work, kb1-stats, kb2-stats: the batch run's exact work (|B_N|,
+//     ||B_N||, |B_T|, ||B_T||, purged token blocks) and each KB's
+//     Stats, written out rather than digested;
+//   - relabel-subjects-reversed: the pairs lost and gained when both
+//     KBs' subjects are renamed by an order-reversing bijection (see
+//     label_test.go);
 //   - inspect: the InspectIndexFile counts of the fresh snapshot;
 //   - querykb-1, querykb-32: the QueryKB answer (matches and block
 //     accounting, without timings) for a 1- and a 32-entity delta of
@@ -168,11 +175,16 @@ func ledgerRows(t *testing.T, b *minoaner.Benchmark, reopen bool) map[string]str
 		t.Fatal(err)
 	}
 	rows := map[string]string{
-		"resolve":        digestResult(t, res),
-		"querykb-1":      digestQueryKB(t, ix, one),
-		"querykb-32":     digestQueryKB(t, ix, batch),
-		"stream-32":      digestStream(t, ix, batch),
-		"stream-32-max5": digestStream(t, ix, batch, minoaner.WithMaxPairs(5)),
+		"resolve": digestResult(t, res),
+		"work": fmt.Sprintf("B_N=%d ||B_N||=%d B_T=%d ||B_T||=%d purged=%d",
+			res.NameBlocks, res.NameComparisons, res.TokenBlocks, res.TokenComparisons, res.PurgedBlocks),
+		"kb1-stats":                 fmt.Sprintf("%+v", b.KB1.Stats()),
+		"kb2-stats":                 fmt.Sprintf("%+v", b.KB2.Stats()),
+		"relabel-subjects-reversed": relabelReversedRow(t, b),
+		"querykb-1":                 digestQueryKB(t, ix, one),
+		"querykb-32":                digestQueryKB(t, ix, batch),
+		"stream-32":                 digestStream(t, ix, batch),
+		"stream-32-max5":            digestStream(t, ix, batch, minoaner.WithMaxPairs(5)),
 	}
 	snap := saveIndexBytes(t, ix)
 	rows["inspect"] = digestInspect(t, snap)
