@@ -215,16 +215,21 @@ func (r *Reader) Bool() bool {
 }
 
 // Str reads a length-prefixed string.
-func (r *Reader) Str() string {
+func (r *Reader) Str() string { return string(r.StrBytes()) }
+
+// StrBytes reads a length-prefixed string as a subslice of the backing
+// data, without building a string: the allocation-free Str for a
+// caller that keeps only some of what it reads.
+func (r *Reader) StrBytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxStringBytes {
 		r.Fail("absurd string length %d", n)
-		return ""
+		return nil
 	}
-	return string(r.readN(n))
+	return r.readN(n)
 }
 
 // readN reads exactly n bytes as a capacity-clipped subslice of the

@@ -10,8 +10,10 @@
 package blocking
 
 import (
+	"cmp"
 	"maps"
 	"sort"
+	"strings"
 
 	"minoaner/internal/kb"
 )
@@ -144,19 +146,22 @@ func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs 
 		return e
 	}
 	// diff walks one entity's ascending, distinct old and new key lists
-	// together: keys only in the old list lose the entity, keys only in
-	// the new list gain it.
-	diff := func(m map[string]*KeyEdit, e kb.EntityID, oldKeys, newKeys []string) {
-		i, j := 0, 0
-		for i < len(oldKeys) || j < len(newKeys) {
+	// together (order compares an old key with a new one): keys only in
+	// the old list lose the entity, keys only in the new list gain it.
+	diff := func(nOld, nNew int, order func(i, j int) int, lose, gain func(int)) {
+		for i, j := 0, 0; i < nOld || j < nNew; {
+			c := 1 // only new keys left
+			if j == nNew {
+				c = -1
+			} else if i < nOld {
+				c = order(i, j)
+			}
 			switch {
-			case j == len(newKeys) || i < len(oldKeys) && oldKeys[i] < newKeys[j]:
-				ke := edit(m, oldKeys[i])
-				ke.Remove = append(ke.Remove, e)
+			case c < 0:
+				lose(i)
 				i++
-			case i == len(oldKeys) || newKeys[j] < oldKeys[i]:
-				ke := edit(m, newKeys[j])
-				ke.Add = append(ke.Add, e)
+			case c > 0:
+				gain(j)
 				j++
 			default:
 				i++
@@ -164,21 +169,40 @@ func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs 
 			}
 		}
 	}
+	// Token bags are ID lists, each ascending in its own KB's vocabulary;
+	// IDs compare directly when the two KBs share one.
+	oldVocab, newVocab := old.Vocabulary(), new.Vocabulary()
+	shared := len(oldVocab) == len(newVocab) && (len(oldVocab) == 0 || &oldVocab[0] == &newVocab[0])
+	diffTokens := func(e kb.EntityID, oldBag, newBag []int32) {
+		diff(len(oldBag), len(newBag), func(i, j int) int {
+			if shared {
+				return cmp.Compare(oldBag[i], newBag[j])
+			}
+			return strings.Compare(oldVocab[oldBag[i]], newVocab[newBag[j]])
+		},
+			func(i int) { ke := edit(tokens, oldVocab[oldBag[i]]); ke.Remove = append(ke.Remove, e) },
+			func(j int) { ke := edit(tokens, newVocab[newBag[j]]); ke.Add = append(ke.Add, e) })
+	}
+	diffNames := func(e kb.EntityID, oldKeys, newKeys []string) {
+		diff(len(oldKeys), len(newKeys), func(i, j int) int { return strings.Compare(oldKeys[i], newKeys[j]) },
+			func(i int) { ke := edit(names, oldKeys[i]); ke.Remove = append(ke.Remove, e) },
+			func(j int) { ke := edit(names, newKeys[j]); ke.Add = append(ke.Add, e) })
+	}
 	for _, e := range d.AttrsChanged {
 		oldID := d.Back[e]
-		diff(tokens, e, old.Tokens(oldID), new.Tokens(e))
-		diff(names, e, old.Names(oldID, oldNameAttrs), new.Names(e, newNameAttrs))
+		diffTokens(e, old.TokenIDs(oldID), new.TokenIDs(e))
+		diffNames(e, old.Names(oldID, oldNameAttrs), new.Names(e, newNameAttrs))
 	}
 	for _, e := range d.Inserted {
-		diff(tokens, e, nil, new.Tokens(e))
-		diff(names, e, nil, new.Names(e, newNameAttrs))
+		diffTokens(e, nil, new.TokenIDs(e))
+		diffNames(e, nil, new.Names(e, newNameAttrs))
 	}
 	// Deleted entities are dropped by the remap itself; their keys are
 	// still recorded (as empty edits) so affected-set scoring sees those
 	// blocks as changed.
 	for _, oldID := range d.Deleted {
-		for _, tok := range old.Tokens(oldID) {
-			edit(tokens, tok)
+		for _, t := range old.TokenIDs(oldID) {
+			edit(tokens, oldVocab[t])
 		}
 		for _, key := range old.Names(oldID, oldNameAttrs) {
 			edit(names, key)

@@ -48,14 +48,64 @@ func Prepare(k *kb.KB, nameK, workers int, bound *Prepared) *Prepared {
 	return &Prepared{
 		n1:     k.Len(),
 		nameK:  nameK,
-		tokens: tokenPostings(k, w, boundTokens),
+		tokens: tokenPostings(k, boundTokens),
 		names:  namePostings(k, nameK, w, boundNames),
 	}
 }
 
-// tokenPostings inverts k's token lists (see buildPostings).
-func tokenPostings(k *kb.KB, workers int, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
-	return buildPostings(workers, k.Len(), func(e int) []string { return k.Tokens(kb.EntityID(e)) }, bound)
+// tokenPostings inverts k's token bags with a counting sort over
+// vocabulary IDs: one pass counts each token's members, one places
+// them, entity by entity, so every member list ascends. All lists share
+// one backing array, and the map gets one insert per kept token. A
+// non-nil bound is consulted once per vocabulary entry (see
+// buildPostings).
+func tokenPostings(k *kb.KB, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+	vocab := k.Vocabulary()
+	var keep []bool
+	if bound != nil {
+		keep = make([]bool, len(vocab))
+		for t, tok := range vocab {
+			_, keep[t] = bound[tok]
+		}
+	}
+	// next[t+1] counts token t's members; its prefix sums are where each
+	// list starts, and next[t] then advances as members are placed.
+	next := make([]int32, len(vocab)+1)
+	n := k.Len()
+	for e := 0; e < n; e++ {
+		for _, t := range k.TokenIDs(kb.EntityID(e)) {
+			if keep == nil || keep[t] {
+				next[t+1]++
+			}
+		}
+	}
+	kept := 0
+	for t := range vocab {
+		if next[t+1] > 0 {
+			kept++
+		}
+		next[t+1] += next[t]
+	}
+	members := make([]kb.EntityID, next[len(vocab)])
+	for e := 0; e < n; e++ {
+		for _, t := range k.TokenIDs(kb.EntityID(e)) {
+			if keep == nil || keep[t] {
+				members[next[t]] = kb.EntityID(e)
+				next[t]++
+			}
+		}
+	}
+	// next[t] is now where token t's list ends, and next[t-1] where it
+	// starts.
+	out := make(map[string][]kb.EntityID, kept)
+	start := int32(0)
+	for t, tok := range vocab {
+		if end := next[t]; end > start {
+			out[tok] = members[start:end:end]
+			start = end
+		}
+	}
+	return out
 }
 
 // namePostings inverts the name keys of k's nameK most distinctive

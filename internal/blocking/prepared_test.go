@@ -138,3 +138,33 @@ func TestPreparedBinaryRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareTokenAllocsIndependentOfEntities pins the counting sort
+// behind the token postings: over a fixed vocabulary, Prepare's
+// allocation count does not grow with the number of entities, for a
+// first side and for a side bounded by it. Name keys are derived per
+// entity (normalized values allocate), so the guard prepares no name
+// attributes.
+func TestPrepareTokenAllocsIndependentOfEntities(t *testing.T) {
+	values := func(n int) []string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("tok%02d tok%02d tok%02d", i%40, (i*7)%40, (i*13)%40)
+		}
+		return vals
+	}
+	allocs := func(n int) (first, bounded float64) {
+		k1 := kbFromValues(t, "a", values(n))
+		k2 := kbFromValues(t, "b", values(n))
+		p1 := Prepare(k1, 0, 1, nil)
+		first = testing.AllocsPerRun(10, func() { Prepare(k1, 0, 1, nil) })
+		bounded = testing.AllocsPerRun(10, func() { Prepare(k2, 0, 1, p1) })
+		return first, bounded
+	}
+	small1, small2 := allocs(100)
+	big1, big2 := allocs(1600)
+	if big1 != small1 || big2 != small2 {
+		t.Errorf("Prepare allocations grow with the entities: %v -> %v (first side), %v -> %v (bounded side) from 100 to 1600 entities",
+			small1, big1, small2, big2)
+	}
+}

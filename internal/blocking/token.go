@@ -10,11 +10,10 @@ import (
 // whose members are the entities containing it (paper §III, H2: "H2
 // applies Token Blocking to the input KBs, yielding a set of blocks
 // B_T"). It joins the token postings of kb1 with those of kb2 bounded
-// by them, built across GOMAXPROCS workers.
+// by them.
 func TokenBlocks(kb1, kb2 *kb.KB) *Collection {
-	w := parallel.Workers(0)
-	t1 := tokenPostings(kb1, w, nil)
-	return join(kb1.Len(), kb2.Len(), t1, tokenPostings(kb2, w, t1))
+	t1 := tokenPostings(kb1, nil)
+	return join(kb1.Len(), kb2.Len(), t1, tokenPostings(kb2, t1))
 }
 
 // NameBlocks applies Name Blocking: the normalized literal values of the

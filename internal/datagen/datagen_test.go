@@ -106,9 +106,9 @@ func TestSeedChangesData(t *testing.T) {
 	}
 	same := 0
 	for i := 0; i < a.KB1.Len(); i++ {
-		ea := a.KB1.Entity(kb.EntityID(i))
-		eb := b.KB1.Entity(kb.EntityID(i))
-		if strings.Join(ea.Tokens, " ") == strings.Join(eb.Tokens, " ") {
+		ta := a.KB1.Tokens(kb.EntityID(i))
+		tb := b.KB1.Tokens(kb.EntityID(i))
+		if strings.Join(ta, " ") == strings.Join(tb, " ") {
 			same++
 		}
 	}

@@ -163,7 +163,7 @@ func (kb *KB) writeEntities(e *binio.Writer) {
 		}
 		e.Int(len(ent.Tokens))
 		for _, t := range ent.Tokens {
-			e.Str(t)
+			e.Str(kb.vocab[t])
 		}
 	}
 }

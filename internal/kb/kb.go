@@ -19,6 +19,7 @@
 package kb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -27,7 +28,6 @@ import (
 
 	"minoaner/internal/parallel"
 	"minoaner/internal/rdf"
-	"minoaner/internal/tokenize"
 )
 
 // RDFType is the predicate IRI that declares an entity's type.
@@ -50,12 +50,14 @@ type Edge struct {
 
 // Entity is one fully assembled description.
 type Entity struct {
-	URI    string
-	Attrs  []AttrValue
-	Out    []Edge   // edges where this entity is the subject
-	In     []Edge   // edges where this entity is the object
-	Types  []string // rdf:type object IRIs
-	Tokens []string // distinct lowercase tokens of all attribute values
+	URI   string
+	Attrs []AttrValue
+	Out   []Edge   // edges where this entity is the subject
+	In    []Edge   // edges where this entity is the object
+	Types []string // rdf:type object IRIs
+	// Tokens is the bag of the distinct lowercase tokens of all
+	// attribute values, as ascending IDs into the KB's vocabulary.
+	Tokens []int32
 }
 
 // KB is an immutable knowledge base. Build one with a Builder.
@@ -69,6 +71,10 @@ type KB struct {
 
 	attrStats map[int32]*PredStat // literal-valued predicates
 	relStats  map[int32]*PredStat // entity-valued predicates
+
+	// vocab is the token vocabulary: the distinct tokens of all bags,
+	// ascending; Entity.Tokens holds positions in it.
+	vocab []string
 
 	numTriples  int
 	totalTokens int // sum over entities of len(Tokens)
@@ -141,12 +147,6 @@ func (kb *KB) PredID(name string) (int32, bool) {
 	kb.materialize()
 	id, ok := kb.predIndex[name]
 	return id, ok
-}
-
-// Tokens returns the distinct tokens of an entity's values.
-func (kb *KB) Tokens(id EntityID) []string {
-	kb.materialize()
-	return kb.entities[id].Tokens
 }
 
 // AvgTokens returns the mean number of distinct tokens per entity
@@ -277,14 +277,9 @@ func (b *Builder) AddAll(ts []rdf.Triple) error {
 	return nil
 }
 
-// refLess orders triple references by (subject, predicate, object)
+// refLessIn orders triple references by (subject, predicate, object)
 // under termLess. Distinct term IDs always denote distinct terms, so
 // this is a strict order with equal triples exactly at equal refs.
-func (b *Builder) refLess(x, y tripleRef) bool {
-	return refLessIn(b.terms, x, y)
-}
-
-// refLessIn is refLess over an explicit term table (shared with Store).
 func refLessIn(terms []rdf.Term, x, y tripleRef) bool {
 	if x.s != y.s {
 		return termLess(terms[x.s], terms[y.s])
@@ -303,11 +298,9 @@ func (b *Builder) Build() (*KB, error) {
 	workers := parallel.Workers(b.workers)
 
 	// Deterministic assembly independent of insertion order: sort all
-	// recorded refs (parallel chunk sort + merge), then compact exact
-	// duplicates, which replaces the full-triple dedup map.
-	refs := make([]tripleRef, len(b.triples))
-	copy(refs, b.triples)
-	b.sortRefs(refs, workers)
+	// recorded refs, then compact exact duplicates, which replaces the
+	// full-triple dedup map.
+	refs := b.sortedRefs(workers)
 	j := 0
 	for i := range refs {
 		if i > 0 && refs[i] == refs[i-1] {
@@ -419,152 +412,111 @@ func countStats(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch,
 	}
 }
 
-// finishTokens is assembly pass 3: token bags and their total, in
-// parallel, each worker tokenizing a contiguous entity range.
-//
-// prev, when non-nil, is the previous assembly of an overlapping ref
-// set (Store.Assemble): entities whose attribute values are unchanged
-// reuse its token bags, and the total is derived from prev's by delta.
-// Both shortcuts reproduce the from-scratch result exactly (token bags
-// depend only on the value list).
-func finishTokens(kb *KB, workers int, prev *KB) {
-	if prev == nil {
-		totals := make([]int, workers)
-		_ = parallel.For(context.Background(), len(kb.entities), workers, func(worker, start, end int) error {
-			var scratch []string
-			for i := start; i < end; i++ {
-				scratch = tokenizeEntity(&kb.entities[i], scratch)
-				totals[worker] += len(kb.entities[i].Tokens)
-			}
-			return nil
-		})
-		for _, total := range totals {
-			kb.totalTokens += total
-		}
-		return
+// sortedRefs returns the recorded refs in (subject, predicate, object)
+// order under termLess. Terms are compared only where refs must be
+// told apart by them: the distinct subject terms are ranked once, a
+// counting sort places the refs into one run per subject in rank
+// order, and each run — a description, a handful of refs — is sorted
+// by predicate rank, then object.
+func (b *Builder) sortedRefs(workers int) []tripleRef {
+	subjRank, nSubj := b.rankTerms(workers, func(r tripleRef) int32 { return r.s })
+	predRank, _ := b.rankTerms(workers, func(r tripleRef) int32 { return r.p })
+
+	// starts[r+1] counts the refs of subject rank r; its prefix sums are
+	// where each run starts.
+	starts := make([]int32, nSubj+1)
+	for _, r := range b.triples {
+		starts[subjRank[r.s]+1]++
+	}
+	for r := 0; r < nSubj; r++ {
+		starts[r+1] += starts[r]
+	}
+	refs := make([]tripleRef, len(b.triples))
+	next := slices.Clone(starts[:nSubj])
+	for _, r := range b.triples {
+		k := subjRank[r.s]
+		refs[next[k]] = r
+		next[k]++
 	}
 
-	// Incremental pass 3: entities whose attribute values survive
-	// unchanged share the previous token bags; only genuinely changed
-	// descriptions are re-tokenized, and the total is prev's plus the
-	// delta of the changed/removed bags.
-	reused := make([]bool, prev.Len())
-	var fresh []int32
-	for i := range kb.entities {
-		e := &kb.entities[i]
-		if pid, ok := prev.uriIndex[e.URI]; ok && sameAttrValues(prev.entities[pid].Attrs, e.Attrs) {
-			e.Tokens = prev.entities[pid].Tokens
-			reused[pid] = true
-			continue
-		}
-		fresh = append(fresh, int32(i))
-	}
-	_ = parallel.For(context.Background(), len(fresh), workers, func(_, start, end int) error {
-		var scratch []string
-		for _, i := range fresh[start:end] {
-			scratch = tokenizeEntity(&kb.entities[i], scratch)
+	_ = parallel.For(context.Background(), nSubj, workers, func(_, lo, hi int) error {
+		for k := lo; k < hi; k++ {
+			slices.SortFunc(refs[starts[k]:starts[k+1]], func(x, y tripleRef) int {
+				if x.p != y.p {
+					return cmp.Compare(predRank[x.p], predRank[y.p])
+				}
+				if x.o == y.o {
+					return 0
+				}
+				if termLess(b.terms[x.o], b.terms[y.o]) {
+					return -1
+				}
+				return 1
+			})
 		}
 		return nil
 	})
-	kb.totalTokens = prev.totalTokens
-	for pid := range prev.entities {
-		if !reused[pid] {
-			kb.totalTokens -= len(prev.entities[pid].Tokens)
+	return refs
+}
+
+// rankTerms ranks the distinct terms that pick takes from the recorded
+// refs: rank[t] is term t's position among them under termLess, and n
+// their count. Entries of other terms are unspecified.
+func (b *Builder) rankTerms(workers int, pick func(tripleRef) int32) (rank []int32, n int) {
+	rank = make([]int32, len(b.terms))
+	var distinct []int32
+	for _, r := range b.triples {
+		if t := pick(r); rank[t] == 0 {
+			rank[t] = 1
+			distinct = append(distinct, t)
 		}
 	}
-	for _, i := range fresh {
-		kb.totalTokens += len(kb.entities[i].Tokens)
+	sortParallel(distinct, workers, func(x, y int32) bool { return termLess(b.terms[x], b.terms[y]) })
+	for k, t := range distinct {
+		rank[t] = int32(k)
 	}
+	return rank, len(distinct)
 }
 
-// tokenizeEntity derives an entity's sorted distinct token bag from its
-// attribute values: every value's tokens appended to scratch, sorted,
-// adjacent repeats dropped, and the survivors copied out at their exact
-// size. It returns scratch (possibly grown) for the caller's next
-// entity.
-func tokenizeEntity(e *Entity, scratch []string) []string {
-	toks := scratch[:0]
-	for _, av := range e.Attrs {
-		toks = tokenize.AppendTokens(toks, av.Value, tokenize.DefaultOptions)
-	}
-	slices.Sort(toks)
-	bag := slices.Compact(toks)
-	e.Tokens = nil
-	if len(bag) > 0 {
-		e.Tokens = make([]string, len(bag))
-		copy(e.Tokens, bag)
-	}
-	return toks
-}
-
-// sameAttrValues reports whether two attribute lists carry the same
-// values in the same order — the exact condition under which the
-// derived token bag is unchanged (tokens depend only on values).
-func sameAttrValues(a, b []AttrValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Value != b[i].Value {
-			return false
-		}
-	}
-	return true
-}
-
-// sortRefs sorts triple refs with a parallel chunk sort followed by
-// bottom-up pairwise merges. Equal elements are identical tripleRef
-// values, so merge order cannot affect the result.
-func (b *Builder) sortRefs(refs []tripleRef, workers int) {
-	n := len(refs)
-	const minParallelSort = 1 << 14
+// sortParallel sorts xs under less, which must order distinct values
+// strictly, with a parallel chunk sort followed by bottom-up pairwise
+// merges.
+func sortParallel[T any](xs []T, workers int, less func(x, y T) bool) {
+	n := len(xs)
+	const minParallelSort = 1 << 12
 	if workers <= 1 || n < minParallelSort {
-		sort.Slice(refs, func(i, j int) bool { return b.refLess(refs[i], refs[j]) })
+		sort.Slice(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
 		return
 	}
 	width := (n + workers - 1) / workers
 	_ = parallel.For(context.Background(), workers, workers, func(w, _, _ int) error {
-		lo := w * width
-		if lo >= n {
-			return nil
-		}
-		hi := lo + width
-		if hi > n {
-			hi = n
-		}
-		chunk := refs[lo:hi]
-		sort.Slice(chunk, func(i, j int) bool { return b.refLess(chunk[i], chunk[j]) })
+		chunk := xs[min(w*width, n):min((w+1)*width, n)]
+		sort.Slice(chunk, func(i, j int) bool { return less(chunk[i], chunk[j]) })
 		return nil
 	})
-	src, dst := refs, make([]tripleRef, n)
+	src, dst := xs, make([]T, n)
 	for ; width < n; width *= 2 {
 		pairs := (n + 2*width - 1) / (2 * width)
 		_ = parallel.For(context.Background(), pairs, workers, func(_, start, end int) error {
 			for p := start; p < end; p++ {
 				lo := p * 2 * width
-				mid, hi := lo+width, lo+2*width
-				if mid > n {
-					mid = n
-				}
-				if hi > n {
-					hi = n
-				}
-				b.mergeRefs(dst[lo:hi], src[lo:mid], src[mid:hi])
+				mid, hi := min(lo+width, n), min(lo+2*width, n)
+				mergeSorted(dst[lo:hi], src[lo:mid], src[mid:hi], less)
 			}
 			return nil
 		})
 		src, dst = dst, src
 	}
-	if &src[0] != &refs[0] {
-		copy(refs, src)
+	if &src[0] != &xs[0] {
+		copy(xs, src)
 	}
 }
 
-// mergeRefs merges two sorted runs into out (len(out) == len(a)+len(c)).
-func (b *Builder) mergeRefs(out, a, c []tripleRef) {
+// mergeSorted merges two sorted runs into out (len(out) == len(a)+len(c)).
+func mergeSorted[T any](out, a, c []T, less func(x, y T) bool) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(c) {
-		if b.refLess(c[j], a[i]) {
+		if less(c[j], a[i]) {
 			out[k] = c[j]
 			j++
 		} else {

@@ -21,7 +21,7 @@ func (kb *KB) EF(token string) int {
 	kb.materialize()
 	n := 0
 	for i := range kb.entities {
-		if slices.Contains(kb.entities[i].Tokens, token) {
+		if slices.Contains(kb.Tokens(EntityID(i)), token) {
 			n++
 		}
 	}

@@ -1,7 +1,7 @@
 package kb
 
 import (
-	"sort"
+	"slices"
 
 	"minoaner/internal/tokenize"
 )
@@ -27,32 +27,22 @@ func (kb *KB) TopNameAttributes(k int) []int32 {
 
 // Names returns the normalized name keys of an entity: the distinct
 // normalized literal values it holds for any of the given name
-// attributes. Empty keys (values with no tokens) are dropped.
+// attributes, ascending. Empty keys (values with no tokens) are
+// dropped.
 func (kb *KB) Names(id EntityID, nameAttrs []int32) []string {
 	kb.materialize()
 	if len(nameAttrs) == 0 {
 		return nil
 	}
-	isName := make(map[int32]bool, len(nameAttrs))
-	for _, p := range nameAttrs {
-		isName[p] = true
-	}
 	var names []string
-	seen := make(map[string]struct{})
 	for _, av := range kb.entities[id].Attrs {
-		if !isName[av.Pred] {
+		if !slices.Contains(nameAttrs, av.Pred) {
 			continue
 		}
-		key := tokenize.NormalizeKey(av.Value)
-		if key == "" {
-			continue
+		if key := tokenize.NormalizeKey(av.Value); key != "" {
+			names = append(names, key)
 		}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		names = append(names, key)
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(names)
+	return slices.Compact(names)
 }

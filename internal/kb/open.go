@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -257,6 +258,7 @@ func (kb *KB) fillEntities(dec *binio.Reader) {
 		dec.Fail("entity count %d does not match open-time scan (%d)", nEnt, len(kb.entities))
 		return
 	}
+	bags := newTokenizer()
 	for i := 0; i < int(nEnt) && dec.Err() == nil; i++ {
 		e := &kb.entities[i]
 		dec.SkipStr() // URI, decoded at open
@@ -287,8 +289,24 @@ func (kb *KB) fillEntities(dec *binio.Reader) {
 			kb.typeSet[typ] = struct{}{}
 		}
 		nTokens := dec.Uvarint()
+		var last []byte
 		for x := uint64(0); x < nTokens && dec.Err() == nil; x++ {
-			e.Tokens = append(e.Tokens, dec.Str())
+			tok := dec.StrBytes()
+			if x > 0 && bytes.Compare(last, tok) >= 0 {
+				dec.Fail("token bag not ascending")
+				break
+			}
+			last = tok
+			bags.addDecoded(tok)
 		}
+		bags.endBag()
 	}
+	if dec.Err() != nil {
+		return
+	}
+	// The bags' tokens, ascending, are the vocabulary; a bag read in
+	// ascending order translates into ascending IDs.
+	m := mergeVocab(nil, nil, []*tokenizer{bags})
+	kb.vocab = m.vocab
+	bags.writeBags(m.local[0], make([]int32, len(bags.ids)), func(b int, bag []int32) { kb.entities[b].Tokens = bag })
 }

@@ -52,6 +52,12 @@ func FuzzReadTriples(f *testing.F) {
 	f.Add(strings.Repeat("y", 300))                                         // oversize, no newline
 	f.Add("<http://a> <http://p> <http://b> .\r\n")                         // CRLF
 	f.Add("mixed\n<http://a> <http://p> <http://b> .\n# c\nbroken <\n")
+	// The IRI scan's fast path and each way out of it: a stop byte
+	// (space, '<', backslash) before the '>', an escape, no '>' at all.
+	f.Add("<a b> <http://p> <http://c> .\n")
+	f.Add("<a<b> <http://p> <http://c> .\n")
+	f.Add("<a\\u0041> <http://p> <http://c> .\n")
+	f.Add("<http://a> <http://p> <http://unterminated .\n")
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		// Strict pass: only *ParseError failures, valid triples.

@@ -275,9 +275,29 @@ func (p *lineParser) term() (Term, error) {
 	}
 }
 
+// iriStop marks the bytes that end the fast path of an IRI scan: those
+// the IRI loop treats as an error or an escape.
+var iriStop = [256]bool{' ': true, '<': true, '"': true, '\\': true}
+
 func (p *lineParser) iri() (Term, error) {
 	p.pos++ // consume '<'
 	start := p.pos
+	// Most IRIs hold no escape and no invalid byte: find the '>' and
+	// check the span in one pass. Anything else takes the loop below,
+	// which reports errors and decodes escapes.
+	if n := strings.IndexByte(p.s[start:], '>'); n > 0 {
+		clean := true
+		for i := start; i < start+n; i++ {
+			if iriStop[p.s[i]] {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			p.pos = start + n + 1
+			return NewIRI(p.s[start : start+n]), nil
+		}
+	}
 	var b *strings.Builder
 	for p.pos < len(p.s) {
 		c := p.s[p.pos]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/rdf"
@@ -64,24 +65,32 @@ func BenchmarkMutate(b *testing.B) {
 		entities[i] = entity{uri: uri, full: delta(ts), first: delta(ts[:1])}
 	}
 	ctx := context.Background()
+	// spent accumulates each mutation kind's wall time, reported per op
+	// beside the cycle's.
+	var spent [3]time.Duration
+	timed := func(kind int, mutate func() error) {
+		start := time.Now()
+		if err := mutate(); err != nil {
+			b.Fatal(err)
+		}
+		spent[kind] += time.Since(start)
+	}
 	cycle := func(e entity) {
-		if err := ix.Upsert(ctx, 2, e.full); err != nil {
-			b.Fatal(err)
-		}
-		if err := ix.Upsert(ctx, 2, e.first); err != nil {
-			b.Fatal(err)
-		}
-		if err := ix.Delete(ctx, 2, e.uri); err != nil {
-			b.Fatal(err)
-		}
+		timed(0, func() error { return ix.Upsert(ctx, 2, e.full) })
+		timed(1, func() error { return ix.Upsert(ctx, 2, e.first) })
+		timed(2, func() error { return ix.Delete(ctx, 2, e.uri) })
 	}
 	// The first mutation builds the write side (stores, scoring
 	// substrate); keep it out of the measurement, as serve-write does.
 	cycle(entities[len(entities)-1])
+	spent = [3]time.Duration{}
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
 		cycle(entities[i%len(entities)])
 		i++
+	}
+	for kind, unit := range []string{"insert-ms/op", "rewrite-ms/op", "delete-ms/op"} {
+		b.ReportMetric(float64(spent[kind])/float64(time.Millisecond)/float64(b.N), unit)
 	}
 }
