@@ -10,7 +10,6 @@
 package blocking
 
 import (
-	"cmp"
 	"maps"
 	"sort"
 	"strings"
@@ -169,17 +168,11 @@ func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs 
 			}
 		}
 	}
-	// Token bags are ID lists, each ascending in its own KB's vocabulary;
-	// IDs compare directly when the two KBs share one.
+	// Token bags are ID lists, each ascending in its own KB's vocabulary,
+	// so they compare through the two vocabularies.
 	oldVocab, newVocab := old.Vocabulary(), new.Vocabulary()
-	shared := len(oldVocab) == len(newVocab) && (len(oldVocab) == 0 || &oldVocab[0] == &newVocab[0])
 	diffTokens := func(e kb.EntityID, oldBag, newBag []int32) {
-		diff(len(oldBag), len(newBag), func(i, j int) int {
-			if shared {
-				return cmp.Compare(oldBag[i], newBag[j])
-			}
-			return strings.Compare(oldVocab[oldBag[i]], newVocab[newBag[j]])
-		},
+		diff(len(oldBag), len(newBag), func(i, j int) int { return strings.Compare(oldVocab[oldBag[i]], newVocab[newBag[j]]) },
 			func(i int) { ke := edit(tokens, oldVocab[oldBag[i]]); ke.Remove = append(ke.Remove, e) },
 			func(j int) { ke := edit(tokens, newVocab[newBag[j]]); ke.Add = append(ke.Add, e) })
 	}

@@ -16,6 +16,16 @@
 //   - rdf:type triples are tracked separately (they define the "types"
 //     column of Table I) and contribute neither attribute tokens nor
 //     relations.
+//
+// Tokens live in one vocabulary per KB (Vocabulary): every token some
+// entity's bag holds, once, ascending, and no other. A token's ID is
+// its position there, so ID order is string order, and an entity's bag
+// (TokenIDs) is the ascending, distinct IDs of the lowercase tokens of
+// its attribute values. The vocabulary depends only on the bags, and a
+// bag only on its entity's values: a KB assembled incrementally by a
+// Store has the vocabulary and bags of a from-scratch Build of the same
+// triples. Two KBs have unrelated vocabularies; compare their tokens as
+// strings, or as IDs only when the two share one vocabulary slice.
 package kb
 
 import (
@@ -341,6 +351,9 @@ func assembleKB(name string, workers int, terms []rdf.Term, refs []tripleRef, rd
 // (attribute or relation) over refs in (subject, predicate, object)
 // order. K is the key distinct objects are counted under.
 type roleCount[K comparable] struct {
+	// refs bounds the predicate's refs in this role: the size objects
+	// starts at, so that it never grows.
+	refs    int
 	objects map[K]struct{}
 	// Support: refs arrive grouped by subject, so a new entity is a
 	// change of subject — unless aliased subject terms make an entity
@@ -352,7 +365,7 @@ type roleCount[K comparable] struct {
 
 func (rc *roleCount[K]) add(subj EntityID, object K, aliased bool) {
 	if rc.objects == nil {
-		rc.objects = make(map[K]struct{})
+		rc.objects = make(map[K]struct{}, rc.refs)
 		rc.last = -1
 		if aliased {
 			rc.revisits = make(map[EntityID]struct{})
@@ -385,6 +398,16 @@ func (rc *roleCount[K]) stat(pred int32) *PredStat {
 func countStats(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch, rdfTypeTerm int32, aliased bool) {
 	attrs := make([]roleCount[string], len(kb.preds))
 	rels := make([]roleCount[EntityID], len(kb.preds))
+	for _, ref := range refs {
+		if pid, ok := sc.pred(ref.p); ok && pid >= 0 {
+			if terms[ref.o].Kind == rdf.Literal {
+				attrs[pid].refs++
+			} else {
+				attrs[pid].refs++
+				rels[pid].refs++
+			}
+		}
+	}
 	for _, ref := range refs {
 		obj := &terms[ref.o]
 		if ref.p == rdfTypeTerm && obj.Kind == rdf.IRI {
@@ -419,14 +442,14 @@ func countStats(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch,
 // order, and each run — a description, a handful of refs — is sorted
 // by predicate rank, then object.
 func (b *Builder) sortedRefs(workers int) []tripleRef {
-	subjRank, nSubj := b.rankTerms(workers, func(r tripleRef) int32 { return r.s })
-	predRank, _ := b.rankTerms(workers, func(r tripleRef) int32 { return r.p })
+	rank := make([]int32, len(b.terms))
+	nSubj := b.rankTerms(rank, workers, func(r tripleRef) int32 { return r.s })
 
 	// starts[r+1] counts the refs of subject rank r; its prefix sums are
 	// where each run starts.
 	starts := make([]int32, nSubj+1)
 	for _, r := range b.triples {
-		starts[subjRank[r.s]+1]++
+		starts[rank[r.s]+1]++
 	}
 	for r := 0; r < nSubj; r++ {
 		starts[r+1] += starts[r]
@@ -434,16 +457,17 @@ func (b *Builder) sortedRefs(workers int) []tripleRef {
 	refs := make([]tripleRef, len(b.triples))
 	next := slices.Clone(starts[:nSubj])
 	for _, r := range b.triples {
-		k := subjRank[r.s]
+		k := rank[r.s]
 		refs[next[k]] = r
 		next[k]++
 	}
+	b.rankTerms(rank, workers, func(r tripleRef) int32 { return r.p })
 
 	_ = parallel.For(context.Background(), nSubj, workers, func(_, lo, hi int) error {
 		for k := lo; k < hi; k++ {
 			slices.SortFunc(refs[starts[k]:starts[k+1]], func(x, y tripleRef) int {
 				if x.p != y.p {
-					return cmp.Compare(predRank[x.p], predRank[y.p])
+					return cmp.Compare(rank[x.p], rank[y.p])
 				}
 				if x.o == y.o {
 					return 0
@@ -460,10 +484,10 @@ func (b *Builder) sortedRefs(workers int) []tripleRef {
 }
 
 // rankTerms ranks the distinct terms that pick takes from the recorded
-// refs: rank[t] is term t's position among them under termLess, and n
-// their count. Entries of other terms are unspecified.
-func (b *Builder) rankTerms(workers int, pick func(tripleRef) int32) (rank []int32, n int) {
-	rank = make([]int32, len(b.terms))
+// refs: it sets rank[t] to term t's position among them under termLess
+// and returns their count. Entries of other terms are unspecified.
+func (b *Builder) rankTerms(rank []int32, workers int, pick func(tripleRef) int32) int {
+	clear(rank)
 	var distinct []int32
 	for _, r := range b.triples {
 		if t := pick(r); rank[t] == 0 {
@@ -475,7 +499,7 @@ func (b *Builder) rankTerms(workers int, pick func(tripleRef) int32) (rank []int
 	for k, t := range distinct {
 		rank[t] = int32(k)
 	}
-	return rank, len(distinct)
+	return len(distinct)
 }
 
 // sortParallel sorts xs under less, which must order distinct values

@@ -132,31 +132,9 @@ func mergeVocab(prev []string, used []bool, tzs []*tokenizer) vocabMerge {
 	for w, tz := range tzs {
 		m.local[w] = make([]int32, len(tz.strs))
 	}
-	// First pass: does the vocabulary change at all?
-	m.same = true
-	for id := range prev {
-		if !used[id] {
-			m.same = false
-			break
-		}
-	}
-	if m.same {
-		for _, e := range met {
-			id, ok := slices.BinarySearch(prev, e.tok)
-			if !ok {
-				m.same = false
-				break
-			}
-			m.local[e.w][e.id] = int32(id)
-		}
-	}
-	if m.same {
-		m.vocab = prev
-		return m
-	}
-
 	// The merge walk: previous tokens that survive or are met again,
 	// and the tokens met for the first time, in one ascending list.
+	m.vocab = make([]string, 0, len(prev)+len(met))
 	m.prevID = make([]int32, len(prev))
 	var fresh []int // vocabulary IDs of first-time tokens
 	i := 0
@@ -184,6 +162,12 @@ func mergeVocab(prev []string, used []bool, tzs []*tokenizer) vocabMerge {
 				m.local[met[j].w][met[j].id] = id
 			}
 		}
+	}
+	if len(fresh) == 0 && len(m.vocab) == len(prev) {
+		// Every previous token survives and none is new: keep the
+		// previous vocabulary, IDs and all.
+		m.vocab, m.same, m.prevID = prev, true, nil
+		return m
 	}
 	// First-time tokens are substrings of attribute values; copy them
 	// into one slab, so the vocabulary pins no value.
