@@ -12,7 +12,6 @@ package blocking
 import (
 	"maps"
 	"sort"
-	"strings"
 
 	"minoaner/internal/kb"
 )
@@ -144,23 +143,20 @@ func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs 
 		}
 		return e
 	}
-	// diff walks one entity's ascending, distinct old and new key lists
-	// together (order compares an old key with a new one): keys only in
+	// diff walks one entity's ascending, distinct old and new key lists,
+	// nOld keys oldKey(i) and nNew keys newKey(j), together: keys only in
 	// the old list lose the entity, keys only in the new list gain it.
-	diff := func(nOld, nNew int, order func(i, j int) int, lose, gain func(int)) {
-		for i, j := 0, 0; i < nOld || j < nNew; {
-			c := 1 // only new keys left
-			if j == nNew {
-				c = -1
-			} else if i < nOld {
-				c = order(i, j)
-			}
+	diff := func(m map[string]*KeyEdit, e kb.EntityID, nOld, nNew int, oldKey, newKey func(int) string) {
+		i, j := 0, 0
+		for i < nOld || j < nNew {
 			switch {
-			case c < 0:
-				lose(i)
+			case j == nNew || i < nOld && oldKey(i) < newKey(j):
+				ke := edit(m, oldKey(i))
+				ke.Remove = append(ke.Remove, e)
 				i++
-			case c > 0:
-				gain(j)
+			case i == nOld || newKey(j) < oldKey(i):
+				ke := edit(m, newKey(j))
+				ke.Add = append(ke.Add, e)
 				j++
 			default:
 				i++
@@ -169,17 +165,15 @@ func BuildPreparedPatch(old, new *kb.KB, d *kb.Diff, oldNameAttrs, newNameAttrs 
 		}
 	}
 	// Token bags are ID lists, each ascending in its own KB's vocabulary,
-	// so they compare through the two vocabularies.
+	// so their keys are read through the two vocabularies.
 	oldVocab, newVocab := old.Vocabulary(), new.Vocabulary()
 	diffTokens := func(e kb.EntityID, oldBag, newBag []int32) {
-		diff(len(oldBag), len(newBag), func(i, j int) int { return strings.Compare(oldVocab[oldBag[i]], newVocab[newBag[j]]) },
-			func(i int) { ke := edit(tokens, oldVocab[oldBag[i]]); ke.Remove = append(ke.Remove, e) },
-			func(j int) { ke := edit(tokens, newVocab[newBag[j]]); ke.Add = append(ke.Add, e) })
+		diff(tokens, e, len(oldBag), len(newBag),
+			func(i int) string { return oldVocab[oldBag[i]] }, func(j int) string { return newVocab[newBag[j]] })
 	}
 	diffNames := func(e kb.EntityID, oldKeys, newKeys []string) {
-		diff(len(oldKeys), len(newKeys), func(i, j int) int { return strings.Compare(oldKeys[i], newKeys[j]) },
-			func(i int) { ke := edit(names, oldKeys[i]); ke.Remove = append(ke.Remove, e) },
-			func(j int) { ke := edit(names, newKeys[j]); ke.Add = append(ke.Add, e) })
+		diff(names, e, len(oldKeys), len(newKeys),
+			func(i int) string { return oldKeys[i] }, func(j int) string { return newKeys[j] })
 	}
 	for _, e := range d.AttrsChanged {
 		oldID := d.Back[e]

@@ -400,10 +400,8 @@ func countStats(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch,
 	rels := make([]roleCount[EntityID], len(kb.preds))
 	for _, ref := range refs {
 		if pid, ok := sc.pred(ref.p); ok && pid >= 0 {
-			if terms[ref.o].Kind == rdf.Literal {
-				attrs[pid].refs++
-			} else {
-				attrs[pid].refs++
+			attrs[pid].refs++
+			if terms[ref.o].Kind != rdf.Literal {
 				rels[pid].refs++
 			}
 		}

@@ -202,15 +202,19 @@ func mergeVocab(prev []string, used []bool, tzs []*tokenizer) vocabMerge {
 // result is the from-scratch one either way: bags depend only on the
 // value list, and the vocabulary only on the bags.
 func finishTokens(kb *KB, workers int, prev *KB) {
-	var fresh []int32 // entities to tokenize; nil: all of them
-	var kept []int32  // prev entity of each entity, or -1
+	var fresh []int32 // the entities to tokenize
+	var kept []int32  // per entity, the prev entity whose bag it keeps, or -1
 	var prevVocab []string
-	var used []bool
-	if prev != nil {
+	var used []bool // per prev token, whether a kept bag holds it
+	if prev == nil {
+		fresh = make([]int32, len(kb.entities))
+		for i := range fresh {
+			fresh[i] = int32(i)
+		}
+	} else {
 		prevVocab = prev.vocab
 		used = make([]bool, len(prevVocab))
 		kept = make([]int32, len(kb.entities))
-		fresh = make([]int32, 0)
 		for i := range kb.entities {
 			e := &kb.entities[i]
 			kept[i] = -1
@@ -224,16 +228,8 @@ func finishTokens(kb *KB, workers int, prev *KB) {
 			fresh = append(fresh, int32(i))
 		}
 	}
-	n := len(kb.entities)
-	if fresh != nil {
-		n = len(fresh)
-	}
-	entity := func(k int) *Entity {
-		if fresh != nil {
-			return &kb.entities[fresh[k]]
-		}
-		return &kb.entities[k]
-	}
+	n := len(fresh)
+	entity := func(k int) *Entity { return &kb.entities[fresh[k]] }
 
 	workers = max(min(workers, n), 1)
 	tzs := make([]*tokenizer, workers)

@@ -180,7 +180,7 @@ func ledgerRows(t *testing.T, b *minoaner.Benchmark, reopen bool) map[string]str
 			res.NameBlocks, res.NameComparisons, res.TokenBlocks, res.TokenComparisons, res.PurgedBlocks),
 		"kb1-stats":                 fmt.Sprintf("%+v", b.KB1.Stats()),
 		"kb2-stats":                 fmt.Sprintf("%+v", b.KB2.Stats()),
-		"relabel-subjects-reversed": relabelReversedRow(t, b),
+		"relabel-subjects-reversed": relabelReversedRow(t, b, res.Matches),
 		"querykb-1":                 digestQueryKB(t, ix, one),
 		"querykb-32":                digestQueryKB(t, ix, batch),
 		"stream-32":                 digestStream(t, ix, batch),
