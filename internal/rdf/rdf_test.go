@@ -155,6 +155,8 @@ func TestParseErrors(t *testing.T) {
 		{"datatype not iri", `<http://a> <http://p> "x"^^y .`},
 		{"empty iri", `<> <http://p> "x" .`},
 		{"space in iri", `<http://a b> <http://p> "x" .`},
+		{"lt in iri", `<http://a<b> <http://p> "x" .`},
+		{"quote in iri", `<http://a"b> <http://p> "x" .`},
 		{"empty blank label", `_: <http://p> "x" .`},
 		{"dangling escape", `<http://a> <http://p> "x\`},
 	}
