@@ -14,8 +14,13 @@
 package main
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -188,19 +193,24 @@ func loadLenient(name, path string) (*minoaner.KB, int, error) {
 	return kb, skipped, nil
 }
 
-// loadCached reuses <path>.mkb when it exists and is newer than the
-// N-Triples file; otherwise it parses the file with the given loader
-// (which reports the malformed lines it skipped) and, when the parse
-// skipped none, writes the cache for the next run. A lenient parse that
-// dropped lines is not cached: a later strict run must see the file's
-// errors, not the lenient result.
+// loadCached reuses <path>.mkb when it was made from the N-Triples
+// file as it is now — same size, same SHA-256 of its bytes, whatever
+// the timestamps say; otherwise it parses the file with the given
+// loader (which reports the malformed lines it skipped) and, when the
+// parse skipped none, writes the cache for the next run. A lenient
+// parse that dropped lines is not cached: a later strict run must see
+// the file's errors, not the lenient result.
 func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, int, error)) (*minoaner.KB, int, error) {
 	cachePath := path + ".mkb"
-	if f, err := os.Open(cachePath); err == nil {
+	src, srcErr := digestSource(path)
+	if f, err := os.Open(cachePath); err == nil && srcErr == nil {
 		defer f.Close()
-		if cacheStale(f, path) {
-			fmt.Fprintf(os.Stderr, "cache %s is older than %s; re-parsing\n", cachePath, path)
-		} else if kb, err := minoaner.ReadKBBinary(f); err == nil {
+		r := bufio.NewReader(f)
+		if made, err := readSourceRecord(r); err != nil {
+			fmt.Fprintf(os.Stderr, "cache %s unusable (%v); re-parsing\n", cachePath, err)
+		} else if made != src {
+			fmt.Fprintf(os.Stderr, "cache %s was made from other contents of %s; re-parsing\n", cachePath, path)
+		} else if kb, err := minoaner.ReadKBBinary(r); err == nil {
 			fmt.Fprintf(os.Stderr, "loaded %s from cache %s\n", name, cachePath)
 			return kb, 0, nil
 		} else {
@@ -208,7 +218,7 @@ func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, 
 		}
 	}
 	kb, skipped, err := parse(name, path)
-	if err != nil || skipped > 0 {
+	if err != nil || skipped > 0 || srcErr != nil {
 		return kb, skipped, err
 	}
 	f, err := os.Create(cachePath)
@@ -217,24 +227,66 @@ func loadCached(name, path string, parse func(name, path string) (*minoaner.KB, 
 		return kb, 0, nil
 	}
 	defer f.Close()
-	if err := kb.WriteBinary(f); err != nil {
+	w := bufio.NewWriter(f)
+	writeSourceRecord(w, src)
+	if err := kb.WriteBinary(w); err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "cannot write cache %s: %v\n", cachePath, err)
 	}
 	return kb, 0, nil
 }
 
-// cacheStale reports whether the source file was written after the
-// cache (or at the same instant, as far as the file system can tell). A
-// source that cannot be examined leaves the verdict to the parse that
-// follows a stale cache.
-func cacheStale(cache *os.File, sourcePath string) bool {
-	ci, err := cache.Stat()
+// sourceRecord identifies the bytes a cache was parsed from. A cache
+// file is the record — magic, uvarint size, SHA-256 — followed by the
+// KB's binary image.
+type sourceRecord struct {
+	size uint64
+	sum  [sha256.Size]byte
+}
+
+var cacheMagic = [4]byte{'M', 'K', 'B', 'C'}
+
+// digestSource reads the file at path whole and records its size and
+// SHA-256.
+func digestSource(path string) (sourceRecord, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return true
+		return sourceRecord{}, err
 	}
-	si, err := os.Stat(sourcePath)
+	defer f.Close()
+	h := sha256.New()
+	n, err := io.Copy(h, f)
 	if err != nil {
-		return true
+		return sourceRecord{}, err
 	}
-	return !ci.ModTime().After(si.ModTime())
+	rec := sourceRecord{size: uint64(n)}
+	h.Sum(rec.sum[:0])
+	return rec, nil
+}
+
+func writeSourceRecord(w *bufio.Writer, rec sourceRecord) {
+	w.Write(cacheMagic[:])
+	w.Write(binary.AppendUvarint(nil, rec.size))
+	w.Write(rec.sum[:])
+}
+
+// readSourceRecord reads the record a cache starts with; a file
+// without one (a bare KB image, as older builds cached) is an error.
+func readSourceRecord(r *bufio.Reader) (sourceRecord, error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil || magic != cacheMagic {
+		return sourceRecord{}, errors.New("no source record")
+	}
+	var rec sourceRecord
+	size, err := binary.ReadUvarint(r)
+	if err != nil {
+		return sourceRecord{}, fmt.Errorf("source record: %w", err)
+	}
+	rec.size = size
+	if _, err := io.ReadFull(r, rec.sum[:]); err != nil {
+		return sourceRecord{}, fmt.Errorf("source record: %w", err)
+	}
+	return rec, nil
 }

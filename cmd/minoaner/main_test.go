@@ -58,6 +58,58 @@ func TestLoadCachedReparsesRewrittenSource(t *testing.T) {
 	}
 }
 
+// -cache checks content, not timestamps: a source replaced by other
+// bytes carrying an older modification time (cp -p, rsync -t, tar x)
+// is parsed again, not served from the cache of what it used to hold.
+func TestLoadCachedReparsesOlderDatedSource(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.nt")
+	first := "<http://e/a> <http://v/name> \"Alpha\" .\n"
+	if err := os.WriteFile(path, []byte(first), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	parses := 0
+	load := func() *minoaner.KB {
+		t.Helper()
+		var kb *minoaner.KB
+		captureStderr(t, func() {
+			var err error
+			kb, _, err = loadCached("KB", path, func(name, path string) (*minoaner.KB, int, error) {
+				parses++
+				return loadPlain(name, path)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		return kb
+	}
+	load()
+	if kb := load(); parses != 1 || kb.Stats().Entities != 1 {
+		t.Fatalf("second run: %d parses, %d entities; want the cached KB", parses, kb.Stats().Entities)
+	}
+
+	// Same size, other bytes, dated a day before the cache was written.
+	second := strings.Replace(first, "Alpha", "Omega", 1)
+	if err := os.WriteFile(path, []byte(second), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-24 * time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	kb := load()
+	if parses != 2 {
+		t.Fatalf("after the older-dated replacement: %d parses, want 2 (the stale cache was reused)", parses)
+	}
+	fresh, _, err := loadPlain("KB", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeKB(t, kb), encodeKB(t, fresh)) {
+		t.Fatal("the KB loaded after the replacement differs from a fresh parse")
+	}
+}
+
 // -cache must not serve a lenient parse to a strict run: a -lenient
 // load that skipped a malformed line writes no .mkb, so the next run
 // without -lenient parses the file and reports the line.

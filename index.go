@@ -87,7 +87,7 @@ type epoch struct {
 	matches       []eval.Pair
 	discardedByH4 int
 
-	by1, by2 map[kb.EntityID][]int32 // entity -> positions in matches
+	by1, by2 matchIndex // entity -> positions in matches
 
 	// d memoizes what the epoch derives from its KB pair; every clone
 	// of one resolution state shares it.
@@ -217,13 +217,40 @@ func BuildIndexContext(ctx context.Context, kb1, kb2 *KB, cfg Config, opts ...Re
 // buildLookup derives the per-entity match positions from the match
 // list.
 func (e *epoch) buildLookup() {
-	e.by1 = make(map[kb.EntityID][]int32, len(e.matches))
-	e.by2 = make(map[kb.EntityID][]int32, len(e.matches))
-	for i, p := range e.matches {
-		e.by1[p.E1] = append(e.by1[p.E1], int32(i))
-		e.by2[p.E2] = append(e.by2[p.E2], int32(i))
-	}
+	e.by1 = indexMatches(e.kb1.Len(), e.matches, func(p eval.Pair) kb.EntityID { return p.E1 })
+	e.by2 = indexMatches(e.kb2.Len(), e.matches, func(p eval.Pair) kb.EntityID { return p.E2 })
 }
+
+// matchIndex lists, per entity of one KB, its positions in the match
+// list, ascending: entity e's are pos[off[e]:off[e+1]].
+type matchIndex struct {
+	off, pos []int32
+}
+
+// indexMatches builds the matchIndex of a KB of n entities, whose
+// entity in each pair side picks, with a counting sort.
+func indexMatches(n int, matches []eval.Pair, side func(eval.Pair) kb.EntityID) matchIndex {
+	m := matchIndex{off: make([]int32, n+1), pos: make([]int32, len(matches))}
+	for _, p := range matches {
+		m.off[side(p)+1]++
+	}
+	for e := 0; e < n; e++ {
+		m.off[e+1] += m.off[e]
+	}
+	// off[e] serves as e's fill cursor and ends where off[e+1] began;
+	// shifting the array one up restores the starts.
+	for i, p := range matches {
+		e := side(p)
+		m.pos[m.off[e]] = int32(i)
+		m.off[e]++
+	}
+	copy(m.off[1:], m.off[:n])
+	m.off[0] = 0
+	return m
+}
+
+// of returns entity e's match positions.
+func (m *matchIndex) of(e kb.EntityID) []int32 { return m.pos[m.off[e]:m.off[e+1]] }
 
 // KB1 returns the first indexed KB (of the current epoch).
 func (ix *Index) KB1() *KB { return ix.cur.Load().kb1 }
@@ -328,11 +355,11 @@ func (ix *Index) Query(entityURIs ...string) []QueryResult {
 		var positions []int32
 		if e1, ok := e.kb1.kb.Lookup(uri); ok {
 			res.In1 = true
-			positions = append(positions, e.by1[e1]...)
+			positions = append(positions, e.by1.of(e1)...)
 		}
 		if e2, ok := e.kb2.kb.Lookup(uri); ok {
 			res.In2 = true
-			positions = appendNewPositions(positions, e.by2[e2])
+			positions = appendNewPositions(positions, e.by2.of(e2))
 		}
 		for _, pos := range positions {
 			p := e.matches[pos]

@@ -98,6 +98,23 @@ func (w *Writer) Float(f float64) {
 	w.Uvarint(math.Float64bits(f))
 }
 
+// WriteInt32s writes a uvarint count and then the values as fixed-width
+// little-endian words: the layout of an in-memory int32 array, which
+// ReadInt32s copies back in one pass.
+func WriteInt32s[T ~int32](w *Writer, vs []T) {
+	w.Int(len(vs))
+	if w.err != nil {
+		return
+	}
+	var word [4]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint32(word[:], uint32(v))
+		if _, w.err = w.w.Write(word[:]); w.err != nil {
+			return
+		}
+	}
+}
+
 // Raw writes bytes verbatim (no length prefix).
 func (w *Writer) Raw(p []byte) {
 	if w.err != nil {
@@ -249,19 +266,40 @@ func (r *Reader) readN(n uint64) []byte {
 	return p
 }
 
+// Blob reads a length-prefixed byte string as a subslice of the
+// backing data: a bulk read bounded only by the payload left, for slabs
+// the caller copies once.
+func (r *Reader) Blob() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	return r.readN(n)
+}
+
+// ReadInt32s reads an array written by WriteInt32s into a fresh slice.
+// The claimed count must fit the payload left, so a damaged count fails
+// before anything is allocated for it.
+func ReadInt32s[T ~int32](r *Reader) []T {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(r.Len()/4) {
+		r.Fail("truncated: %d words claimed, %d bytes remain", n, r.Len())
+		return nil
+	}
+	raw := r.readN(4 * n)
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return out
+}
+
 // Float reads a float64 written by Writer.Float.
 func (r *Reader) Float() float64 {
 	return math.Float64frombits(r.Uvarint())
-}
-
-// SkipStr skips one length-prefixed string without building it —
-// the allocation-free counterpart of Str for lazy scans.
-func (r *Reader) SkipStr() {
-	n := r.Uvarint()
-	if r.err == nil && n > maxStringBytes {
-		r.Fail("absurd string length %d", n)
-	}
-	r.readN(n)
 }
 
 // Len reports the number of unread bytes.

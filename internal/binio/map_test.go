@@ -197,7 +197,7 @@ func TestBytesReaderSkipAndTruncation(t *testing.T) {
 	if got := r.Uvarint(); got != 77 {
 		t.Errorf("uvarint = %d", got)
 	}
-	r.SkipStr()
+	r.StrBytes()
 	if got := r.Str(); got != "kept" {
 		t.Errorf("str = %q", got)
 	}
@@ -222,7 +222,7 @@ func TestBytesReaderSkipAndTruncation(t *testing.T) {
 	for cut := 0; cut < len(data); cut++ {
 		r := NewBytesReader(data[:cut])
 		r.Uvarint()
-		r.SkipStr()
+		r.StrBytes()
 		r.Str()
 		r.Frame()
 		r.Float()

@@ -112,8 +112,8 @@ func ClusterAttributes(kb1, kb2 *kb.KB, minSim float64, maxTokens int) *Attribut
 // attributes); tokens under a real cluster only collide within it.
 func AttributeClusteredBlocks(kb1, kb2 *kb.KB, clusters *AttributeClusters) *Collection {
 	keysOf := func(k *kb.KB, byPred map[int32]int) func(e int) []string {
-		return func(e int) []string {
-			var keys []string
+		keys := make([][]string, k.Len())
+		for e := range keys {
 			seen := make(map[string]struct{})
 			for _, av := range k.Entity(kb.EntityID(e)).Attrs {
 				cluster := byPred[av.Pred]
@@ -121,16 +121,16 @@ func AttributeClusteredBlocks(kb1, kb2 *kb.KB, clusters *AttributeClusters) *Col
 					key := fmt.Sprintf("%d|%s", cluster, tok)
 					if _, dup := seen[key]; !dup {
 						seen[key] = struct{}{}
-						keys = append(keys, key)
+						keys[e] = append(keys[e], key)
 					}
 				}
 			}
-			return keys
 		}
+		return func(e int) []string { return keys[e] }
 	}
-	p1 := buildPostings(1, kb1.Len(), keysOf(kb1, clusters.ByKB1), nil)
-	p2 := buildPostings(1, kb2.Len(), keysOf(kb2, clusters.ByKB2), p1)
-	return join(kb1.Len(), kb2.Len(), p1, p2)
+	p1 := keyPostings(kb1.Len(), keysOf(kb1, clusters.ByKB1), nil)
+	p2 := keyPostings(kb2.Len(), keysOf(kb2, clusters.ByKB2), &p1)
+	return join(kb1.Len(), kb2.Len(), &p1, &p2)
 }
 
 type attrProfile struct {

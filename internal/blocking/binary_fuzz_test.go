@@ -77,9 +77,9 @@ func decodeAlloc(t *testing.T, data []byte) uint64 {
 func TestDecodersBoundClaimedCounts(t *testing.T) {
 	t.Run("prepared", func(t *testing.T) {
 		data := frameImage(t, preparedMagic, preparedVersion,
-			uvarints(1<<40, 0, 1<<20, 0), // |E1|, nameK, token keys, name keys
-			uvarints(0, 1<<20),           // empty key, a posting of 2^20 members
-			nil,
+			uvarints(1<<30, 0, 1<<20, 0), // |E1|, nameK, token keys, name keys
+			uvarints(1<<20),              // 2^20 key offsets, none present
+			uvarints(0, 1<<26),           // no key, a 64 MB key slab
 		)
 		if got := decodeAlloc(t, data); got > 1<<20 {
 			t.Fatalf("decoding a %d-byte image allocated %d bytes, want at most %d", len(data), got, 1<<20)
@@ -106,8 +106,8 @@ func FuzzReadData(f *testing.F) {
 	}
 	// Counts claiming far more entities, keys or members than the bytes
 	// that follow could hold.
-	f.Add(uvarints(1<<40, 0, 1<<20, 1<<20), uvarints(0, 1<<20), uvarints(0, 1<<20))
-	f.Add(uvarints(1<<40, 1, 0, 1<<20), []byte(nil), uvarints(0, 1<<26))
+	f.Add(uvarints(1<<30, 0, 1<<20, 1<<20), uvarints(1<<20), uvarints(0, 1<<26))
+	f.Add(uvarints(1<<30, 1, 0, 1<<20), []byte(nil), uvarints(0, 0, 0, 1<<26))
 	f.Fuzz(func(t *testing.T, hdr, tokens, names []byte) {
 		data := frameImage(t, preparedMagic, preparedVersion, hdr, tokens, names)
 		if got, limit := decodeAlloc(t, data), uint64(1<<20+256*len(data)); got > limit {

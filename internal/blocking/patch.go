@@ -1,16 +1,15 @@
 // Live maintenance of the one-sided blocking substrate. A mutated KB
 // epoch edits only the keys whose members moved: the keys a changed
 // entity gained or lost, the keys of inserted entities and those of
-// deleted ones. Prepared.ApplyPatch copies the substrate's key maps
-// (member slices shared) and rewrites those keys, reproducing, key for
-// key and member for member, what Prepare builds from scratch over the
-// mutated KB. A mutation's two-sided collections are the joins of its
+// deleted ones. Prepared.ApplyPatch copies the substrate's tables — the
+// untouched runs of keys and members in bulk — and rewrites those keys,
+// reproducing, key for key and member for member, what Prepare builds
+// from scratch over the mutated KB. A mutation's two-sided collections are the joins of its
 // patched substrates (JoinTokenBlocks, JoinNameBlocks), as every other
 // run's are.
 package blocking
 
 import (
-	"maps"
 	"sort"
 
 	"minoaner/internal/kb"
@@ -37,47 +36,81 @@ type PreparedPatch struct {
 	NewSize int
 }
 
-// ApplyPatch returns the substrate with the patch applied. Its key maps
-// are copies of the receiver's that share the member slices of
-// untouched keys — or, for a side the patch neither edits nor remaps,
-// the receiver's map itself; with a remap every posting is rewritten
-// first. The receiver is unchanged and both remain safe for concurrent
-// joins.
+// ApplyPatch returns the substrate with the patch applied. A side the
+// patch neither edits nor remaps is the receiver's table itself; any
+// other is a new table, with a remap every posting translated first.
+// The receiver is unchanged and both remain safe for concurrent joins.
 func (p *Prepared) ApplyPatch(pt PreparedPatch) *Prepared {
-	var out *Prepared
+	out := &Prepared{n1: p.n1, nameK: p.nameK, tokens: p.tokens, names: p.names}
 	if pt.Remap != nil {
-		out = p.remapped(pt.Remap, pt.NewSize)
-	} else {
-		out = &Prepared{n1: p.n1, nameK: p.nameK, tokens: maps.Clone(p.tokens), names: p.names}
-		if len(pt.Names) > 0 {
-			out.names = maps.Clone(p.names)
-		}
+		out.n1 = pt.NewSize
+		out.tokens = p.tokens.remapped(pt.Remap)
+		out.names = p.names.remapped(pt.Remap)
 	}
-	applyEdits(out.tokens, pt.Tokens)
-	applyEdits(out.names, pt.Names)
+	out.tokens = out.tokens.edited(pt.Tokens)
+	out.names = out.names.edited(pt.Names)
 	return out
 }
 
-// applyEdits rewrites the edited postings of a map the caller owns,
-// deleting keys whose postings empty out.
-func applyEdits(m map[string][]kb.EntityID, edits []KeyEdit) {
+// edited returns the table with the edits (keys ascending) applied:
+// the runs of keys between two edited ones are copied in bulk, members
+// and offsets alike, each edited posting is merged with its edit, and a
+// posting that empties out drops its key. No edit, no copy.
+func (ps *postings) edited(edits []KeyEdit) postings {
+	if len(edits) == 0 {
+		return *ps
+	}
+	grow := 0
 	for _, e := range edits {
-		if members := applyEdit(m[e.Key], e); len(members) == 0 {
-			delete(m, e.Key)
-		} else {
-			m[e.Key] = members
+		grow += len(e.Add)
+	}
+	out := postings{
+		keys:    make([]string, 0, len(ps.keys)+len(edits)),
+		ends:    make([]int32, 0, len(ps.keys)+len(edits)),
+		members: make([]kb.EntityID, 0, len(ps.members)+grow),
+	}
+	next := 0 // the first key of ps not yet in out
+	copyUpTo := func(to int) {
+		if to == next {
+			return
+		}
+		from := ps.start(next)
+		shift := int32(len(out.members)) - from
+		out.keys = append(out.keys, ps.keys[next:to]...)
+		for _, end := range ps.ends[next:to] {
+			out.ends = append(out.ends, end+shift)
+		}
+		out.members = append(out.members, ps.members[from:ps.ends[to-1]]...)
+		next = to
+	}
+	for _, e := range edits {
+		at := seek(ps.keys, next, e.Key)
+		copyUpTo(at)
+		var old []kb.EntityID
+		if at < len(ps.keys) && ps.keys[at] == e.Key {
+			old = ps.posting(at)
+			next = at + 1
+		}
+		before := len(out.members)
+		if out.members = appendEdit(out.members, old, e); len(out.members) > before {
+			out.keys = append(out.keys, e.Key)
+			out.ends = append(out.ends, int32(len(out.members)))
 		}
 	}
+	copyUpTo(len(ps.keys))
+	if len(out.keys) == 0 {
+		return postings{}
+	}
+	return out
 }
 
-// applyEdit merges one posting with its edit, preserving ascending
-// order and uniqueness.
-func applyEdit(old []kb.EntityID, e KeyEdit) []kb.EntityID {
-	out := make([]kb.EntityID, 0, len(old)+len(e.Add))
+// appendEdit appends one posting merged with its edit to dst,
+// preserving ascending order and uniqueness.
+func appendEdit(dst, old []kb.EntityID, e KeyEdit) []kb.EntityID {
 	ri, ai := 0, 0
 	for _, id := range old {
 		for ai < len(e.Add) && e.Add[ai] < id {
-			out = append(out, e.Add[ai])
+			dst = append(dst, e.Add[ai])
 			ai++
 		}
 		for ri < len(e.Remove) && e.Remove[ri] < id {
@@ -87,31 +120,36 @@ func applyEdit(old []kb.EntityID, e KeyEdit) []kb.EntityID {
 			ri++
 			continue
 		}
-		out = append(out, id)
+		dst = append(dst, id)
 	}
-	out = append(out, e.Add[ai:]...)
-	return out
+	return append(dst, e.Add[ai:]...)
 }
 
 // remapped translates every member through the remap, dropping deleted
-// entities and postings that empty out.
-func (p *Prepared) remapped(remap []kb.EntityID, newSize int) *Prepared {
-	move := func(side map[string][]kb.EntityID) map[string][]kb.EntityID {
-		out := make(map[string][]kb.EntityID, len(side))
-		for key, members := range side {
-			mapped := make([]kb.EntityID, 0, len(members))
-			for _, id := range members {
-				if nid := remap[id]; nid >= 0 {
-					mapped = append(mapped, nid)
-				}
-			}
-			if len(mapped) > 0 {
-				out[key] = mapped
+// entities and postings that empty out. Survivors keep their relative
+// order under a remap, so every posting still ascends.
+func (ps *postings) remapped(remap []kb.EntityID) postings {
+	out := postings{
+		keys:    make([]string, 0, len(ps.keys)),
+		ends:    make([]int32, 0, len(ps.keys)),
+		members: make([]kb.EntityID, 0, len(ps.members)),
+	}
+	for i, key := range ps.keys {
+		before := len(out.members)
+		for _, id := range ps.posting(i) {
+			if nid := remap[id]; nid >= 0 {
+				out.members = append(out.members, nid)
 			}
 		}
-		return out
+		if len(out.members) > before {
+			out.keys = append(out.keys, key)
+			out.ends = append(out.ends, int32(len(out.members)))
+		}
 	}
-	return &Prepared{n1: newSize, nameK: p.nameK, tokens: move(p.tokens), names: move(p.names)}
+	if len(out.keys) == 0 {
+		return postings{}
+	}
+	return out
 }
 
 // RebuildNames returns the substrate with its name postings rebuilt

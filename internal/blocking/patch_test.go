@@ -93,7 +93,7 @@ func patchEpoch(t testing.TB, label string, prep *Prepared, cur, next *kb.KB, na
 	}
 	base := prep
 	if pt.Remap != nil {
-		base = prep.remapped(pt.Remap, pt.NewSize)
+		base = &Prepared{tokens: prep.tokens.remapped(pt.Remap), names: prep.names.remapped(pt.Remap)}
 	}
 	check := func(kind string, edits []KeyEdit, before, after map[string][]kb.EntityID, deletedKeys func(kb.EntityID) []string) {
 		t.Helper()
@@ -131,9 +131,18 @@ func patchEpoch(t testing.TB, label string, prep *Prepared, cur, next *kb.KB, na
 			}
 		}
 	}
-	check("token", pt.Tokens, base.tokens, out.tokens, cur.Tokens)
-	check("name", pt.Names, base.names, out.names, func(id kb.EntityID) []string { return cur.Names(id, oldAttrs) })
+	check("token", pt.Tokens, asMap(&base.tokens), asMap(&out.tokens), cur.Tokens)
+	check("name", pt.Names, asMap(&base.names), asMap(&out.names), func(id kb.EntityID) []string { return cur.Names(id, oldAttrs) })
 	return out
+}
+
+// asMap returns a postings table as key -> members.
+func asMap(ps *postings) map[string][]kb.EntityID {
+	m := make(map[string][]kb.EntityID, len(ps.keys))
+	for i, key := range ps.keys {
+		m[key] = ps.posting(i)
+	}
+	return m
 }
 
 func ascending(ids []kb.EntityID) bool {
@@ -298,7 +307,7 @@ func TestApplyEdit(t *testing.T) {
 		{ids(2, 4, 6), ids(4), ids(0, 9), ids(0, 2, 6, 9)},
 	}
 	for i, tc := range cases {
-		got := applyEdit(tc.old, KeyEdit{Remove: tc.remove, Add: tc.add})
+		got := appendEdit(nil, tc.old, KeyEdit{Remove: tc.remove, Add: tc.add})
 		if len(got) == 0 && len(tc.want) == 0 {
 			continue
 		}

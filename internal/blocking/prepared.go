@@ -2,7 +2,9 @@ package blocking
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"strings"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
@@ -19,19 +21,83 @@ import (
 // The per-key entity lists double as the KB-side EF counts of the ARCS
 // weights (EF_KB(t) == len(posting)).
 //
+// Each side is one sorted compressed-sparse-row table (postings): keys
+// ascending, and the members of all keys in one array. Built, patched
+// and decoded substrates share that layout, so a snapshot stores it as
+// it is and reads it back with bulk copies (see binary.go).
+//
 // Prepared is immutable after Prepare and safe for concurrent joins.
 // A mutated KB epoch derives its substrate with ApplyPatch (see
-// patch.go), which rewrites only the touched keys in a copy of the key
-// maps instead of rebuilding the inverted index.
+// patch.go), which rewrites only the edited runs of a copy instead of
+// rebuilding the inverted index.
 //
 //minoaner:frozen
 type Prepared struct {
-	n1    int
-	nameK int
-	// tokens and names map each blocking key of the prepared KB to its
-	// member entities in ascending ID order.
-	tokens map[string][]kb.EntityID
-	names  map[string][]kb.EntityID
+	n1     int
+	nameK  int
+	tokens postings
+	names  postings
+}
+
+// postings maps each blocking key of one side to its member entities:
+// keys ascending and distinct, key i's members ascending in
+// members[ends[i-1]:ends[i]] (from 0 for the first key). No posting is
+// empty. The zero value holds no key.
+type postings struct {
+	keys    []string
+	ends    []int32
+	members []kb.EntityID
+}
+
+// start returns where key i's members start.
+func (ps *postings) start(i int) int32 {
+	if i == 0 {
+		return 0
+	}
+	return ps.ends[i-1]
+}
+
+// posting returns the members of key i, capacity-clipped so that an
+// append never reaches the next key's.
+func (ps *postings) posting(i int) []kb.EntityID {
+	end := ps.ends[i]
+	return ps.members[ps.start(i):end:end]
+}
+
+// find returns the members of key, nil when the side lacks it.
+func (ps *postings) find(key string) []kb.EntityID {
+	if i, ok := slices.BinarySearch(ps.keys, key); ok {
+		return ps.posting(i)
+	}
+	return nil
+}
+
+// seek returns the first position at or after from whose key is not
+// below key (len(keys) when none is). It gallops from from, so a walk
+// that seeks ascending keys pays O(m log(n/m)) for m seeks in n keys.
+func seek(keys []string, from int, key string) int {
+	hi, step := from, 1
+	for hi < len(keys) && keys[hi] < key {
+		from = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(keys))
+	return from + sort.SearchStrings(keys[from:hi], key)
+}
+
+// holds reports, for each of the ascending, distinct keys, whether
+// bound holds it: one galloping merge walk.
+func (ps *postings) holds(keys []string) []bool {
+	out := make([]bool, len(keys))
+	j := 0
+	for i, key := range keys {
+		if j = seek(ps.keys, j, key); j == len(ps.keys) {
+			break
+		}
+		out[i] = ps.keys[j] == key
+	}
+	return out
 }
 
 // Prepare builds the substrate of k for the given name-K, across the
@@ -41,9 +107,9 @@ type Prepared struct {
 // side can pair with.
 func Prepare(k *kb.KB, nameK, workers int, bound *Prepared) *Prepared {
 	w := parallel.Workers(workers)
-	var boundTokens, boundNames map[string][]kb.EntityID
+	var boundTokens, boundNames *postings
 	if bound != nil {
-		boundTokens, boundNames = bound.tokens, bound.names
+		boundTokens, boundNames = &bound.tokens, &bound.names
 	}
 	return &Prepared{
 		n1:     k.Len(),
@@ -54,54 +120,64 @@ func Prepare(k *kb.KB, nameK, workers int, bound *Prepared) *Prepared {
 }
 
 // tokenPostings inverts k's token bags with a counting sort over
-// vocabulary IDs: one pass counts each token's members, one places
-// them, entity by entity, so every member list ascends. All lists share
-// one backing array, and the map gets one insert per kept token. A
-// non-nil bound is consulted once per vocabulary entry (see
-// buildPostings).
-func tokenPostings(k *kb.KB, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+// vocabulary IDs: the vocabulary is ascending, so the kept entries are
+// the keys in order. A non-nil bound is consulted once per vocabulary
+// entry.
+func tokenPostings(k *kb.KB, bound *postings) postings {
 	vocab := k.Vocabulary()
 	var keep []bool
 	if bound != nil {
-		keep = make([]bool, len(vocab))
-		for t, tok := range vocab {
-			_, keep[t] = bound[tok]
-		}
+		keep = bound.holds(vocab)
 	}
-	// next[t+1] counts token t's members; its prefix sums are where each
-	// list starts, and next[t] then advances as members are placed.
-	next := make([]int32, len(vocab)+1)
-	n := k.Len()
+	return invert(vocab, keep, k.Len(), func(e int) []int32 { return k.TokenIDs(kb.EntityID(e)) })
+}
+
+// invert lays out the postings of n entities whose keys are IDs into
+// the ascending, distinct keys (keys of one entity distinct): one pass
+// counts each key's members, one places them entity by entity, so every
+// posting ascends. Keys that keep (when non-nil) rejects, and keys no
+// entity holds, are dropped.
+func invert(keys []string, keep []bool, n int, ids func(e int) []int32) postings {
+	// next[t+1] counts key t's members; its prefix sums are where each
+	// posting starts, and next[t] then advances as members are placed.
+	next := make([]int32, len(keys)+1)
 	for e := 0; e < n; e++ {
-		for _, t := range k.TokenIDs(kb.EntityID(e)) {
+		for _, t := range ids(e) {
 			if keep == nil || keep[t] {
 				next[t+1]++
 			}
 		}
 	}
 	kept := 0
-	for t := range vocab {
+	for t := range keys {
 		if next[t+1] > 0 {
 			kept++
 		}
 		next[t+1] += next[t]
 	}
-	members := make([]kb.EntityID, next[len(vocab)])
+	if kept == 0 {
+		return postings{}
+	}
+	out := postings{
+		keys:    make([]string, 0, kept),
+		ends:    make([]int32, 0, kept),
+		members: make([]kb.EntityID, next[len(keys)]),
+	}
 	for e := 0; e < n; e++ {
-		for _, t := range k.TokenIDs(kb.EntityID(e)) {
+		for _, t := range ids(e) {
 			if keep == nil || keep[t] {
-				members[next[t]] = kb.EntityID(e)
+				out.members[next[t]] = kb.EntityID(e)
 				next[t]++
 			}
 		}
 	}
-	// next[t] is now where token t's list ends, and next[t-1] where it
-	// starts.
-	out := make(map[string][]kb.EntityID, kept)
+	// next[t] is now where key t's posting ends, and the end of the
+	// key before it where it starts.
 	start := int32(0)
-	for t, tok := range vocab {
+	for t, key := range keys {
 		if end := next[t]; end > start {
-			out[tok] = members[start:end:end]
+			out.keys = append(out.keys, key)
+			out.ends = append(out.ends, end)
 			start = end
 		}
 	}
@@ -110,73 +186,87 @@ func tokenPostings(k *kb.KB, bound map[string][]kb.EntityID) map[string][]kb.Ent
 
 // namePostings inverts the name keys of k's nameK most distinctive
 // attributes. Name keys are derived (normalized, deduplicated) rather
-// than stored on the entity, so they are computed once per entity up
-// front instead of once per key shard.
-func namePostings(k *kb.KB, nameK, workers int, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
+// than stored on the entity: they are computed in parallel into one
+// array with a slot per name-attribute value, then inverted by
+// keyPostings.
+func namePostings(k *kb.KB, nameK, workers int, bound *postings) postings {
 	attrs := k.TopNameAttributes(nameK)
-	names := make([][]string, k.Len())
-	_ = parallel.For(context.Background(), k.Len(), workers, func(_, start, end int) error {
-		for e := start; e < end; e++ {
-			names[e] = k.Names(kb.EntityID(e), attrs)
-		}
-		return nil
-	})
-	return buildPostings(workers, k.Len(), func(e int) []string { return names[e] }, bound)
-}
-
-// posting is one key's member list under construction. Keys map to
-// pointers, so adding a member costs a single map lookup.
-type posting struct{ ids []kb.EntityID }
-
-// buildPostings inverts per-entity key lists into key -> members; a
-// non-nil bound drops the keys it lacks (a substrate's key maps are
-// never nil, so an empty bound drops every key). Keys are sharded by
-// hash across workers, and each worker scans the entities in ID order,
-// so member lists are ascending and the merged map is independent of
-// the worker count.
-func buildPostings(workers, n int, keys func(e int) []string, bound map[string][]kb.EntityID) map[string][]kb.EntityID {
-	scan := func(shard int) map[string]*posting {
-		m := make(map[string]*posting)
-		for e := 0; e < n; e++ {
-			for _, key := range keys(e) {
-				if workers > 1 && parallel.ShardOf(key, workers) != shard {
-					continue
-				}
-				b := m[key]
-				if b == nil {
-					if _, ok := bound[key]; bound != nil && !ok {
-						continue
-					}
-					b = new(posting)
-					m[key] = b
-				}
-				b.ids = append(b.ids, kb.EntityID(e))
+	n := k.Len()
+	if len(attrs) == 0 || n == 0 {
+		return postings{}
+	}
+	// start[e] is where e's keys go: one slot per name-attribute value
+	// bounds what AppendNames keeps after dropping empty and repeated
+	// keys.
+	start := make([]int32, n+1)
+	for e := 0; e < n; e++ {
+		room := int32(0)
+		for _, av := range k.Entity(kb.EntityID(e)).Attrs {
+			if slices.Contains(attrs, av.Pred) {
+				room++
 			}
 		}
-		return m
+		start[e+1] = start[e] + room
 	}
-	shards := make([]map[string]*posting, workers)
-	_ = parallel.For(context.Background(), workers, workers, func(w, _, _ int) error {
-		shards[w] = scan(w)
+	keys := make([]string, start[n])
+	held := make([]int32, n)
+	_ = parallel.For(context.Background(), n, workers, func(_, lo, hi int) error {
+		for e := lo; e < hi; e++ {
+			slot := keys[start[e]:start[e]:start[e+1]]
+			held[e] = int32(len(k.AppendNames(slot, kb.EntityID(e), attrs)))
+		}
 		return nil
 	})
-	// Each key lives in exactly one shard; merging is a plain union.
-	total := 0
-	for _, m := range shards {
-		total += len(m)
+	return keyPostings(n, func(e int) []string { return keys[start[e] : start[e]+held[e]] }, bound)
+}
+
+// keyPostings inverts per-entity string keys (distinct within an
+// entity): a serial pass numbers the distinct keys in first-appearance
+// order, one sort ranks them, and invert's counting sort lays out the
+// postings over the ranks. A non-nil bound drops the keys it lacks.
+func keyPostings(n int, keysOf func(e int) []string, bound *postings) postings {
+	at := make([]int32, n+1)
+	for e := 0; e < n; e++ {
+		at[e+1] = at[e] + int32(len(keysOf(e)))
 	}
-	out := make(map[string][]kb.EntityID, total)
-	for _, m := range shards {
-		for key, b := range m {
-			out[key] = b.ids
+	number := make(map[string]int32)
+	var distinct []string
+	ids := make([]int32, at[n])
+	for e := 0; e < n; e++ {
+		for i, key := range keysOf(e) {
+			id, ok := number[key]
+			if !ok {
+				id = int32(len(distinct))
+				number[key] = id
+				distinct = append(distinct, key)
+			}
+			ids[at[e]+int32(i)] = id
 		}
 	}
-	return out
+	order := make([]int32, len(distinct))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(distinct[a], distinct[b]) })
+	rank := make([]int32, len(distinct))
+	sorted := make([]string, len(distinct))
+	for r, id := range order {
+		rank[id] = int32(r)
+		sorted[r] = distinct[id]
+	}
+	for i, id := range ids {
+		ids[i] = rank[id]
+	}
+	var keep []bool
+	if bound != nil {
+		keep = bound.holds(sorted)
+	}
+	return invert(sorted, keep, n, func(e int) []int32 { return ids[at[e]:at[e+1]] })
 }
 
 // TokenPosting returns the members of one token key, ascending (nil
 // when no entity of the KB holds the token).
-func (p *Prepared) TokenPosting(key string) []kb.EntityID { return p.tokens[key] }
+func (p *Prepared) TokenPosting(key string) []kb.EntityID { return p.tokens.find(key) }
 
 // KBSize returns the entity count of the prepared KB.
 func (p *Prepared) KBSize() int { return p.n1 }
@@ -190,45 +280,39 @@ func (p *Prepared) NameK() int { return p.nameK }
 // both sides, member slices shared with the postings, blocks in key
 // order. Either side may be bounded by the other (see Prepare).
 func JoinTokenBlocks(p1, p2 *Prepared) *Collection {
-	return join(p1.n1, p2.n1, p1.tokens, p2.tokens)
+	return join(p1.n1, p2.n1, &p1.tokens, &p2.tokens)
 }
 
 // JoinNameBlocks is JoinTokenBlocks for name blocks.
 func JoinNameBlocks(p1, p2 *Prepared) *Collection {
-	return join(p1.n1, p2.n1, p1.names, p2.names)
+	return join(p1.n1, p2.n1, &p1.names, &p2.names)
 }
 
-// join walks the side holding fewer keys and looks each up in the
-// other, so joining a small bounded substrate costs its own keys only.
-func join(n1, n2 int, side1, side2 map[string][]kb.EntityID) *Collection {
-	swap := len(side2) < len(side1)
+// join merges the two sorted key lists: it walks the side holding fewer
+// keys and gallops through the other, so joining a small bounded
+// substrate costs its own keys (times a logarithm) only, and the blocks
+// come out in key order.
+func join(n1, n2 int, side1, side2 *postings) *Collection {
+	swap := len(side2.keys) < len(side1.keys)
 	walk, other := side1, side2
 	if swap {
 		walk, other = side2, side1
 	}
 	c := NewCollection(n1, n2)
-	c.Blocks = make([]Block, 0, len(walk))
-	for key, mine := range walk {
-		theirs := other[key]
-		if len(mine) == 0 || len(theirs) == 0 {
+	c.Blocks = make([]Block, 0, len(walk.keys))
+	j := 0
+	for i, key := range walk.keys {
+		if j = seek(other.keys, j, key); j == len(other.keys) {
+			break
+		}
+		if other.keys[j] != key {
 			continue
 		}
+		mine, theirs := walk.posting(i), other.posting(j)
 		if swap {
 			mine, theirs = theirs, mine
 		}
 		c.Blocks = append(c.Blocks, Block{Key: key, E1: mine, E2: theirs})
 	}
-	c.sortBlocks()
 	return c
-}
-
-// sortedKeys returns map keys in ascending order (for deterministic
-// serialization).
-func sortedKeys(m map[string][]kb.EntityID) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

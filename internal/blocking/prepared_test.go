@@ -139,12 +139,13 @@ func TestPreparedBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrepareTokenAllocsIndependentOfEntities pins the counting sort
-// behind the token postings: over a fixed vocabulary, Prepare's
-// allocation count does not grow with the number of entities, for a
-// first side and for a side bounded by it. Name keys are derived per
-// entity (normalized values allocate), so the guard prepares no name
-// attributes.
+// TestPrepareTokenAllocsIndependentOfEntities pins the counting sorts
+// behind the postings: over a fixed vocabulary and a fixed set of
+// (already normalized) names, Prepare's allocation count does not grow
+// with the number of entities, for a first side and for a side bounded
+// by it. Name keys are computed into one slot array, and a normalized
+// value is its own key, so the name side allocates per distinct key at
+// most, never per entity.
 func TestPrepareTokenAllocsIndependentOfEntities(t *testing.T) {
 	values := func(n int) []string {
 		vals := make([]string, n)
@@ -156,9 +157,9 @@ func TestPrepareTokenAllocsIndependentOfEntities(t *testing.T) {
 	allocs := func(n int) (first, bounded float64) {
 		k1 := kbFromValues(t, "a", values(n))
 		k2 := kbFromValues(t, "b", values(n))
-		p1 := Prepare(k1, 0, 1, nil)
-		first = testing.AllocsPerRun(10, func() { Prepare(k1, 0, 1, nil) })
-		bounded = testing.AllocsPerRun(10, func() { Prepare(k2, 0, 1, p1) })
+		p1 := Prepare(k1, 1, 1, nil)
+		first = testing.AllocsPerRun(10, func() { Prepare(k1, 1, 1, nil) })
+		bounded = testing.AllocsPerRun(10, func() { Prepare(k2, 1, 1, p1) })
 		return first, bounded
 	}
 	small1, small2 := allocs(100)

@@ -13,7 +13,8 @@ import (
 // by them.
 func TokenBlocks(kb1, kb2 *kb.KB) *Collection {
 	t1 := tokenPostings(kb1, nil)
-	return join(kb1.Len(), kb2.Len(), t1, tokenPostings(kb2, t1))
+	t2 := tokenPostings(kb2, &t1)
+	return join(kb1.Len(), kb2.Len(), &t1, &t2)
 }
 
 // NameBlocks applies Name Blocking: the normalized literal values of the
@@ -24,5 +25,6 @@ func TokenBlocks(kb1, kb2 *kb.KB) *Collection {
 func NameBlocks(kb1, kb2 *kb.KB, k int) *Collection {
 	w := parallel.Workers(0)
 	n1 := namePostings(kb1, k, w, nil)
-	return join(kb1.Len(), kb2.Len(), n1, namePostings(kb2, k, w, n1))
+	n2 := namePostings(kb2, k, w, &n1)
+	return join(kb1.Len(), kb2.Len(), &n1, &n2)
 }

@@ -151,7 +151,7 @@ func describe(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch, r
 		key := SubjectKey(terms[t])
 		id := EntityID(len(kb.entities))
 		if sharePrevIndex {
-			if pid, ok := prev.uriIndex[key]; !ok || pid != id {
+			if pid, ok := prev.uris()[key]; !ok || pid != id {
 				ownIndex() // divergence, or an aliased subject term
 			}
 		}
@@ -177,7 +177,7 @@ func describe(kb *KB, terms []rdf.Term, refs []tripleRef, sc *assembleScratch, r
 		if len(kb.entities) != prev.Len() {
 			ownIndex()
 		} else {
-			kb.uriIndex = prev.uriIndex
+			kb.uriIndex = prev.uris()
 		}
 	}
 

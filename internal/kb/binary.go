@@ -3,6 +3,7 @@ package kb
 import (
 	"errors"
 	"io"
+	"strings"
 
 	"minoaner/internal/binio"
 	"minoaner/internal/rdf"
@@ -11,18 +12,22 @@ import (
 // Binary serialization of a built KB. Loading a large N-Triples dump
 // re-tokenizes every literal and re-derives all statistics; the binary
 // format stores the assembled structure instead, making reload
-// I/O-bound. The format is versioned and self-describing. Version 2
-// frames the payload into CRC32-checksummed sections (see
-// internal/binio), so corruption — a flipped bit anywhere in a cached
-// file — is detected before any damaged data is decoded. It is the
-// only version read; any other is rejected as corrupt:
+// I/O-bound. The format is versioned and self-describing. It frames
+// the payload into CRC32-checksummed sections (see internal/binio), so
+// corruption — a flipped bit anywhere in a cached file — is detected
+// before any damaged data is decoded. Version 3 is the only version
+// read; any other is rejected as corrupt:
 //
 //	magic "MKB1" | uvarint version | sections | end marker
 //
-//	section 1 (header):     name, triple count
+//	section 1 (header):     name, triple count, section inventory
+//	section 6 (uris):       the entity URIs in ID order as one slab:
+//	                        the end offset of each URI (fixed-width
+//	                        int32 words, see binio.WriteInt32s), then
+//	                        the concatenated URIs (length-prefixed)
 //	section 2 (predicates): predicate dictionary
 //	section 3 (stats):      attribute and relation statistics
-//	section 4 (entities):   per entity: URI, attrs, out-edges, types, tokens
+//	section 4 (entities):   per entity: attrs, out-edges, types, tokens
 //	section 5 (sources):    two zero varints, interned term table, and
 //	                        sorted triple refs — the retained source
 //	                        triples that make the KB mutable (see
@@ -34,6 +39,11 @@ import (
 //	                        tokenized the way this build tokenizes, and
 //	                        is rejected as corrupt.
 //
+// Sections are written in the order listed. The URIs have a section of
+// their own (version 2 led each entity record with its URI) so that a
+// lazy open reads them with two bulk copies and hashes only them, never
+// the entity records (see OpenBinary).
+//
 // Derived structures (in-edges, token total, URI index, type/vocab sets) are
 // rebuilt on load — they are redundant with the stored data. Unknown
 // section IDs are skipped, so a same-version reader tolerates future
@@ -42,9 +52,9 @@ import (
 
 var binaryMagic = [4]byte{'M', 'K', 'B', '1'}
 
-const binaryVersion = 2
+const binaryVersion = 3
 
-// Section IDs of the version-2 frame.
+// Section IDs of the version-3 frame.
 //
 //minoaner:sections writer=WriteBinary reader=OpenBinary,decodeRest,decodeSources
 const (
@@ -53,12 +63,13 @@ const (
 	secStats    = 3
 	secEntities = 4
 	secSources  = 5
+	secURIs     = 6
 )
 
 // errCorrupt wraps structural failures of the binary decoder.
 var errCorrupt = errors.New("kb: corrupt binary KB")
 
-// WriteBinary serializes the KB in the binary format (version 2,
+// WriteBinary serializes the KB in the binary format (version 3,
 // checksummed sections). The encoding is deterministic: the same KB
 // always produces the same bytes.
 func (kb *KB) WriteBinary(w io.Writer) error {
@@ -71,7 +82,7 @@ func (kb *KB) WriteBinary(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Raw(binaryMagic[:])
 	bw.Uvarint(binaryVersion)
-	sections := []uint64{secHeader, secPreds, secStats, secEntities}
+	sections := []uint64{secHeader, secURIs, secPreds, secStats, secEntities}
 	if kb.src != nil {
 		sections = append(sections, secSources)
 	}
@@ -88,6 +99,7 @@ func (kb *KB) WriteBinary(w io.Writer) error {
 			e.Uvarint(id)
 		}
 	})
+	bw.Section(secURIs, kb.writeURIs)
 	bw.Section(secPreds, kb.writePreds)
 	bw.Section(secStats, kb.writeStats)
 	bw.Section(secEntities, kb.writeEntities)
@@ -142,11 +154,23 @@ func (kb *KB) writeStats(e *binio.Writer) {
 	writeSide(kb.relStats)
 }
 
+// writeURIs writes the URI slab: each URI's end offset, then the
+// URIs back to back.
+func (kb *KB) writeURIs(e *binio.Writer) {
+	ends := make([]int32, len(kb.entities))
+	var slab strings.Builder
+	for i := range kb.entities {
+		slab.WriteString(kb.entities[i].URI)
+		ends[i] = int32(slab.Len())
+	}
+	binio.WriteInt32s(e, ends)
+	e.Str(slab.String())
+}
+
 func (kb *KB) writeEntities(e *binio.Writer) {
 	e.Int(len(kb.entities))
 	for i := range kb.entities {
 		ent := &kb.entities[i]
-		e.Str(ent.URI)
 		e.Int(len(ent.Attrs))
 		for _, av := range ent.Attrs {
 			e.Uvarint(uint64(av.Pred))
@@ -184,7 +208,6 @@ func ReadBinary(data []byte) (*KB, error) {
 
 func newEmptyKB() *KB {
 	return &KB{
-		uriIndex:  make(map[string]EntityID),
 		predIndex: make(map[string]int32),
 		attrStats: make(map[int32]*PredStat),
 		relStats:  make(map[int32]*PredStat),

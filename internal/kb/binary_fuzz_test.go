@@ -10,9 +10,9 @@ import (
 	"minoaner/internal/binio"
 )
 
-// imageSections returns the payloads of a KB image's five sections,
+// imageSections returns the payloads of a KB image's six sections,
 // indexed by section ID minus one.
-func imageSections(t testing.TB, kb *KB) [5][]byte {
+func imageSections(t testing.TB, kb *KB) [6][]byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := kb.WriteBinary(&buf); err != nil {
@@ -22,8 +22,8 @@ func imageSections(t testing.TB, kb *KB) [5][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var secs [5][]byte
-	for id := uint64(secHeader); id <= secSources; id++ {
+	var secs [6][]byte
+	for id := uint64(secHeader); id <= secURIs; id++ {
 		payload, err := m.Section(id)
 		if err != nil {
 			t.Fatalf("section %d: %v", id, err)
@@ -34,10 +34,10 @@ func imageSections(t testing.TB, kb *KB) [5][]byte {
 }
 
 // mkb1Image frames the payloads as an MKB1 image: magic, version, the
-// five sections in ID order with valid checksums, end marker. A
+// six sections in ID order with valid checksums, end marker. A
 // decoder fed such an image gets past every checksum and meets the
 // payloads themselves.
-func mkb1Image(t testing.TB, secs [5][]byte) []byte {
+func mkb1Image(t testing.TB, secs [6][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
@@ -55,21 +55,23 @@ func mkb1Image(t testing.TB, secs [5][]byte) []byte {
 
 // FuzzOpenBinary feeds checksum-valid MKB1 images with fuzzed section
 // payloads through the lazy decoder's every reader (readHeader,
-// scanURIs, readPreds, readStats, fillEntities, readSources): whatever
+// readURIs, readPreds, readStats, fillEntities, readSources): whatever
 // the payloads hold, decoding must not panic, every failure must wrap
 // errCorrupt, and the decoder must not allocate out of proportion to
 // the image — a claimed count is not a reason to reserve memory.
 func FuzzOpenBinary(f *testing.F) {
 	secs := imageSections(f, buildTestKB(f))
-	f.Add(secs[0], secs[1], secs[2], secs[3], secs[4])
-	// Counts claiming far more entities, terms or refs than the bytes
-	// that follow could hold.
+	f.Add(secs[0], secs[1], secs[2], secs[3], secs[4], secs[5])
+	// Counts claiming far more entities, URIs, terms or refs than the
+	// bytes that follow could hold.
 	claim := binary.AppendUvarint(nil, 1<<30)
-	f.Add(secs[0], secs[1], secs[2], claim, secs[4])
-	f.Add(secs[0], secs[1], secs[2], secs[3], append([]byte{0, 0}, claim...))
-	f.Add(secs[0], secs[1], secs[2], secs[3], append([]byte{0, 0, 0}, claim...))
-	f.Fuzz(func(t *testing.T, hdr, preds, stats, ents, src []byte) {
-		data := mkb1Image(t, [5][]byte{hdr, preds, stats, ents, src})
+	f.Add(secs[0], secs[1], secs[2], claim, secs[4], secs[5])
+	f.Add(secs[0], secs[1], secs[2], secs[3], append([]byte{0, 0}, claim...), secs[5])
+	f.Add(secs[0], secs[1], secs[2], secs[3], append([]byte{0, 0, 0}, claim...), secs[5])
+	f.Add(secs[0], secs[1], secs[2], secs[3], secs[4], claim)
+	f.Add(secs[0], secs[1], secs[2], secs[3], secs[4], append([]byte{0}, claim...))
+	f.Fuzz(func(t *testing.T, hdr, preds, stats, ents, src, uris []byte) {
+		data := mkb1Image(t, [6][]byte{hdr, preds, stats, ents, src, uris})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		decode(t, data)

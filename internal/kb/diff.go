@@ -46,9 +46,10 @@ func ComputeDiff(old, new *KB) *Diff {
 	for i := range d.Remap {
 		d.Remap[i] = -1
 	}
+	oldURIs := old.uris()
 	for i := range new.entities {
 		ne := &new.entities[i]
-		oid, ok := old.uriIndex[ne.URI]
+		oid, ok := oldURIs[ne.URI]
 		if !ok {
 			d.Back[i] = -1
 			d.Inserted = append(d.Inserted, EntityID(i))

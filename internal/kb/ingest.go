@@ -88,11 +88,7 @@ func (b *Builder) ingest(ctx context.Context, r io.Reader, blockSize, maxLine in
 			// term table, its slots or the triple list every few blocks —
 			// once it has shown a triple: a builder that ingests none is
 			// left as it was.
-			// Web data brings between half a new term and one a line; room
-			// is made for the half, because what is reserved in excess the
-			// built KB keeps for life, and what is missing costs a regrowth.
-			lines := size / bytesPerLine
-			b.makeRoom(lines/2, lines)
+			b.reserveFor(size, pb)
 			size = 0
 		}
 		b.merge(pb)
@@ -150,6 +146,18 @@ func inputSize(r io.Reader) int {
 	return 0
 }
 
+// reserveFor sizes the builder for a document of size bytes by the
+// rates of its first block: the distinct terms and the triples it
+// brought per byte. Web data brings anywhere from half a new term to
+// one a line, and a block's own distinct terms are at least the new
+// terms of a block that follows it (it repeats its predicates and
+// common objects within itself once, a later block not at all), so the
+// first block's rate is the safe one. The excess a built KB would keep
+// for life, Build trims (see Builder.Build).
+func (b *Builder) reserveFor(size int, pb *parsedBlock) {
+	b.makeRoom(size*len(pb.terms)/pb.bytes, size*len(pb.refs)/pb.bytes)
+}
+
 // makeRoom sizes the builder for that many more terms and triples.
 func (b *Builder) makeRoom(terms, triples int) {
 	b.reserve(len(b.terms) + terms)
@@ -160,6 +168,7 @@ func (b *Builder) makeRoom(terms, triples int) {
 // distinct terms in first-appearance order, the hash of each under the
 // builder's hash function, and its triples as indices into the terms.
 type parsedBlock struct {
+	bytes   int // length of the block's text
 	terms   []rdf.Term
 	hashes  []uint64
 	refs    []tripleRef
@@ -184,7 +193,7 @@ func newBlockParser(maxLine int, lenient bool, hash func(rdf.Term) uint64) *bloc
 
 func (p *blockParser) parse(blk rdf.Block) *parsedBlock {
 	n := len(blk.Text) / bytesPerLine
-	pb := &parsedBlock{refs: make([]tripleRef, 0, n)}
+	pb := &parsedBlock{bytes: len(blk.Text), refs: make([]tripleRef, 0, n)}
 	// The blocks of one document resemble each other: the previous one
 	// says better than any constant how many terms a block holds.
 	if p.lastTerms > 0 {

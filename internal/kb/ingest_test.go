@@ -348,6 +348,34 @@ func FuzzIngestBlocks(f *testing.F) {
 	})
 }
 
+// TestIngestReservesFromFirstBlock: the reservation the first block's
+// rates make holds each generated benchmark's KBs at x2 whole, so the
+// serial merge never regrows the term table's terms or slots.
+func TestIngestReservesFromFirstBlock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the four benchmarks at x2")
+	}
+	for _, g := range datagen.Generators() {
+		ds, err := g.Build(datagen.Options{Seed: 42, Scale: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for side, triples := range map[string][]rdf.Triple{"KB1": ds.Triples1, "KB2": ds.Triples2} {
+			var nt strings.Builder
+			if err := rdf.WriteAll(&nt, triples); err != nil {
+				t.Fatal(err)
+			}
+			regrew, err := kb.NewBuilder(side).IngestRegrows(nt.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if regrew {
+				t.Errorf("%s %s: the term table regrew after the first block's reservation", ds.Name, side)
+			}
+		}
+	}
+}
+
 // BenchmarkIngest is the ingest rung of the layer ladder: N-Triples text
 // of a generated KB2 → AddFromReader → Build, reported in MB/s. Run it
 // at -cpu 1,2 to see what the block-parallel parse and the parallel

@@ -137,8 +137,23 @@ func (kb *KB) Entity(id EntityID) *Entity {
 
 // Lookup resolves a URI to its entity ID.
 func (kb *KB) Lookup(uri string) (EntityID, bool) {
-	id, ok := kb.uriIndex[uri]
+	id, ok := kb.uris()[uri]
 	return id, ok
+}
+
+// uris returns the URI index, which a KB opened from an image builds on
+// first use (once, concurrency-safe); built KBs have it from the start.
+func (kb *KB) uris() map[string]EntityID {
+	if l := kb.lazy; l != nil {
+		l.uriOnce.Do(func() {
+			index := make(map[string]EntityID, len(kb.entities))
+			for i := range kb.entities {
+				index[kb.entities[i].URI] = EntityID(i)
+			}
+			kb.uriIndex = index
+		})
+	}
+	return kb.uriIndex
 }
 
 // URI returns the URI of an entity.
@@ -323,8 +338,13 @@ func (b *Builder) Build() (*KB, error) {
 
 	kb := assembleKB(b.name, workers, b.terms, refs, b.typeTerm())
 	// Clip the term table so later builder appends cannot write into the
-	// retained slice's spare capacity.
-	kb.src = &Sources{terms: b.terms[:len(b.terms):len(b.terms)], refs: refs}
+	// retained slice's spare capacity, and leave a reservation the
+	// document did not fill (see reserveFor) with the builder.
+	terms := b.terms[:len(b.terms):len(b.terms)]
+	if n := len(terms); cap(b.terms) > n+n/8 {
+		terms = slices.Clone(terms)
+	}
+	kb.src = &Sources{terms: terms, refs: refs}
 	return kb, nil
 }
 

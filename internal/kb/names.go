@@ -30,19 +30,25 @@ func (kb *KB) TopNameAttributes(k int) []int32 {
 // attributes, ascending. Empty keys (values with no tokens) are
 // dropped.
 func (kb *KB) Names(id EntityID, nameAttrs []int32) []string {
+	return kb.AppendNames(nil, id, nameAttrs)
+}
+
+// AppendNames appends the entity's name keys (see Names) to dst and
+// returns the extended slice. It allocates only when dst lacks room, or
+// for a value NormalizeKey has to rewrite: a caller that hands it one
+// slot per name-attribute value keys every entity in place.
+func (kb *KB) AppendNames(dst []string, id EntityID, nameAttrs []int32) []string {
 	kb.materialize()
-	if len(nameAttrs) == 0 {
-		return nil
-	}
-	var names []string
+	from := len(dst)
 	for _, av := range kb.entities[id].Attrs {
 		if !slices.Contains(nameAttrs, av.Pred) {
 			continue
 		}
 		if key := tokenize.NormalizeKey(av.Value); key != "" {
-			names = append(names, key)
+			dst = append(dst, key)
 		}
 	}
+	names := dst[from:]
 	slices.Sort(names)
-	return slices.Compact(names)
+	return dst[:from+len(slices.Compact(names))]
 }

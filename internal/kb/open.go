@@ -11,16 +11,16 @@ import (
 // Lazy (mapped) decoding of the binary KB format. OpenBinary splits the
 // image into two tiers:
 //
-//   - URI tier, decoded at open: entity count, URIs, and the URI index —
-//     everything the infallible, lock-free read path (Len, Lookup, URI,
-//     Name, NumTriples) touches. The open verifies the header's and the
-//     entities section's checksums before it scans, so no URI it serves
-//     is damaged. Hashing is a small share of the scan it guards, and
-//     the verdict is latched: the full-tier fill does not hash again.
+//   - URI tier, decoded at open: entity count and URIs — everything the
+//     infallible, lock-free read path (Len, URI, Name, NumTriples)
+//     touches. The open verifies the header's and the URI section's
+//     checksums and copies the URI slab out in one piece; it never
+//     reads, let alone hashes, the entity records. The URI index behind
+//     Lookup is built on the first Lookup.
 //   - Full tier, decoded on first demand: predicates, statistics,
 //     per-entity attributes/edges/types/tokens, and derived structures.
-//     The predicates' and statistics' checksums verify on that first
-//     access, so every fallible operation sees verified data.
+//     The predicates', statistics' and entities' checksums verify on
+//     that first access, so every fallible operation sees verified data.
 //
 // Retained sources decode separately (they are only needed to mutate),
 // also once, on first demand. All decoded values copy out of the
@@ -42,10 +42,12 @@ type kbLazy struct {
 
 	srcOnce sync.Once // sources tier
 	srcErr  error
+
+	uriOnce sync.Once // the URI index, on the first Lookup
 }
 
 // OpenBinary decodes a binary KB image lazily: the URI tier (entity
-// URIs and index) is built now, everything else on first demand via the
+// URIs) is built now, everything else on first demand via the
 // full-tier accessors or Materialize. The image must stay valid until
 // Materialize has succeeded (or the KB is dropped).
 func OpenBinary(data []byte) (*KB, error) {
@@ -62,62 +64,51 @@ func OpenBinary(data []byte) (*KB, error) {
 	if err := m.VerifyInventory(hdr); err != nil {
 		return nil, fmt.Errorf("%w: header inventory: %v", errCorrupt, err)
 	}
-	for _, id := range []uint64{secPreds, secStats} {
+	for _, id := range []uint64{secPreds, secStats, secEntities} {
 		if !m.Has(id) {
 			return nil, fmt.Errorf("%w: missing section %d", errCorrupt, id)
 		}
 	}
-	// The URIs are served from the open on, so the scan reads the
+	// The URIs are served from the open on, so they are read from the
 	// checksum-verified payload: a damaged URI fails the open instead
 	// of reaching a caller.
-	ents, err := m.Reader(secEntities)
+	uris, err := m.Reader(secURIs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
-	kb.scanURIs(ents)
-	if err := ents.Err(); err != nil {
-		return nil, fmt.Errorf("%w: entities: %v", errCorrupt, err)
+	kb.readURIs(uris)
+	if err := uris.Err(); err != nil {
+		return nil, fmt.Errorf("%w: uris: %v", errCorrupt, err)
 	}
 	kb.lazy = &kbLazy{m: m, hasSrc: m.Has(secSources)}
 	return kb, nil
 }
 
-// scanURIs builds the URI tier from the entities section: URIs and the
-// URI index, skipping (not materializing) attributes, edges, types, and
-// tokens. Predicate/target validation belongs to the full-tier fill —
-// nothing in the URI tier depends on it.
-func (kb *KB) scanURIs(dec *binio.Reader) {
-	nEnt := dec.Uvarint()
-	if dec.Err() == nil && nEnt > 1<<31 {
-		dec.Fail("absurd entity count %d", nEnt)
+// readURIs builds the entity roster from the URI section: one copy of
+// the slab, and each entity's URI a substring of it.
+func (kb *KB) readURIs(dec *binio.Reader) {
+	ends := binio.ReadInt32s[int32](dec)
+	slab := dec.Blob()
+	if dec.More() {
+		dec.Fail("%d bytes after the URI slab", dec.Len())
+	}
+	if dec.Err() != nil {
 		return
 	}
-	// An entity takes at least 5 bytes (an empty URI and four zero
-	// counts): reserve no more than the payload can hold.
-	kb.entities = make([]Entity, 0, min64(nEnt, dec.Len()/5))
-	for i := uint64(0); i < nEnt && dec.Err() == nil; i++ {
-		var e Entity
-		e.URI = dec.Str()
-		nAttrs := dec.Uvarint()
-		for a := uint64(0); a < nAttrs && dec.Err() == nil; a++ {
-			dec.Uvarint() // pred
-			dec.SkipStr() // value
+	if n := len(ends); n > 0 && int(ends[n-1]) != len(slab) || n == 0 && len(slab) > 0 {
+		dec.Fail("URI offsets do not cover the %d-byte slab", len(slab))
+		return
+	}
+	text := string(slab)
+	kb.entities = make([]Entity, len(ends))
+	start := int32(0)
+	for i, end := range ends {
+		if end < start || int(end) > len(text) {
+			dec.Fail("URI %d ends at %d, outside [%d,%d]", i, end, start, len(text))
+			return
 		}
-		nOut := dec.Uvarint()
-		for o := uint64(0); o < nOut && dec.Err() == nil; o++ {
-			dec.Uvarint() // pred
-			dec.Uvarint() // target
-		}
-		nTypes := dec.Uvarint()
-		for x := uint64(0); x < nTypes && dec.Err() == nil; x++ {
-			dec.SkipStr()
-		}
-		nTokens := dec.Uvarint()
-		for x := uint64(0); x < nTokens && dec.Err() == nil; x++ {
-			dec.SkipStr()
-		}
-		kb.uriIndex[e.URI] = EntityID(len(kb.entities))
-		kb.entities = append(kb.entities, e)
+		kb.entities[i].URI = text[start:end]
+		start = end
 	}
 }
 
@@ -164,6 +155,7 @@ func (kb *KB) Detach() error {
 	if err := kb.MaterializeSources(); err != nil {
 		return err
 	}
+	kb.uris()
 	kb.lazy = nil
 	return nil
 }
@@ -192,17 +184,17 @@ func InspectBinary(data []byte) (BinaryInfo, error) {
 	if err := hdr.Err(); err != nil {
 		return BinaryInfo{}, fmt.Errorf("%w: header: %v", errCorrupt, err)
 	}
-	// The entity count is the entities section's leading varint; read
-	// it from the raw payload — verifying the section's checksum would
-	// mean hashing the whole KB, exactly what inspect avoids.
-	raw, ok := m.Raw(secEntities)
+	// The entity count is the URI section's leading varint; read it
+	// from the raw payload — verifying the section's checksum would mean
+	// hashing every URI, which inspect avoids.
+	raw, ok := m.Raw(secURIs)
 	if !ok {
-		return BinaryInfo{}, fmt.Errorf("%w: missing section %d", errCorrupt, secEntities)
+		return BinaryInfo{}, fmt.Errorf("%w: missing section %d", errCorrupt, secURIs)
 	}
 	ents := binio.NewBytesReader(raw)
 	info.Entities = int(ents.Uvarint())
 	if err := ents.Err(); err != nil {
-		return BinaryInfo{}, fmt.Errorf("%w: entities: %v", errCorrupt, err)
+		return BinaryInfo{}, fmt.Errorf("%w: uris: %v", errCorrupt, err)
 	}
 	return info, nil
 }
@@ -248,20 +240,19 @@ func (kb *KB) decodeSources() error {
 	return nil
 }
 
-// fillEntities is the full-tier counterpart of scanURIs: it re-walks
-// the entities section (verified at open), skipping the URIs
-// decoded at open and filling attributes, edges, types, and tokens in
-// place, validating predicates and edge targets.
+// fillEntities decodes the entities section (verified on this first
+// access) into the roster the open built from the URI section, filling
+// attributes, edges, types, and tokens in place and validating
+// predicates and edge targets.
 func (kb *KB) fillEntities(dec *binio.Reader) {
 	nEnt := dec.Uvarint()
 	if dec.Err() == nil && int(nEnt) != len(kb.entities) {
-		dec.Fail("entity count %d does not match open-time scan (%d)", nEnt, len(kb.entities))
+		dec.Fail("entity count %d does not match the URI section's (%d)", nEnt, len(kb.entities))
 		return
 	}
 	bags := newTokenizer()
 	for i := 0; i < int(nEnt) && dec.Err() == nil; i++ {
 		e := &kb.entities[i]
-		dec.SkipStr() // URI, decoded at open
 		nAttrs := dec.Uvarint()
 		for a := uint64(0); a < nAttrs && dec.Err() == nil; a++ {
 			pred := int32(dec.Uvarint())

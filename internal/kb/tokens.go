@@ -215,10 +215,11 @@ func finishTokens(kb *KB, workers int, prev *KB) {
 		prevVocab = prev.vocab
 		used = make([]bool, len(prevVocab))
 		kept = make([]int32, len(kb.entities))
+		prevURIs := prev.uris()
 		for i := range kb.entities {
 			e := &kb.entities[i]
 			kept[i] = -1
-			if pid, ok := prev.uriIndex[e.URI]; ok && sameAttrValues(prev.entities[pid].Attrs, e.Attrs) {
+			if pid, ok := prevURIs[e.URI]; ok && sameAttrValues(prev.entities[pid].Attrs, e.Attrs) {
 				kept[i] = int32(pid)
 				for _, t := range prev.entities[pid].Tokens {
 					used[t] = true

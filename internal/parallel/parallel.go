@@ -1,14 +1,11 @@
 // Package parallel provides the deterministic data-parallel primitives
 // shared by the ingest, blocking, and matching layers: a chunked
 // parallel for-loop and a self-scheduling one, both with error and
-// cancellation propagation, a worker count resolver, and a stable
-// string shard hash.
+// cancellation propagation, and a worker count resolver.
 //
 // Everything here is designed so that results are bit-identical at any
 // worker count: For hands each worker one contiguous, non-overlapping
-// index range, ForDynamic lets workers claim non-overlapping ranges, and
-// ShardOf assigns every key to exactly one worker independent of
-// scheduling.
+// index range, and ForDynamic lets workers claim non-overlapping ranges.
 package parallel
 
 import (
@@ -151,19 +148,4 @@ func ForDynamic(ctx context.Context, n, workers, grain int, work func(worker, st
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// ShardOf maps a key to one of `shards` workers with FNV-1a, so that
-// key-sharded loops partition work identically on every run and at
-// every worker count that divides the key space the same way.
-func ShardOf(key string, shards int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * prime32
-	}
-	return int(h % uint32(shards))
 }

@@ -3,10 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,65 +238,5 @@ func TestWorkers(t *testing.T) {
 	}
 	if got := Workers(-1); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(-1) = %d, want GOMAXPROCS", got)
-	}
-}
-
-func TestShardOfStableAndInRange(t *testing.T) {
-	keys := []string{"", "a", "token", "entity name key", "日本語"}
-	for _, k := range keys {
-		for _, shards := range []int{1, 2, 4, 8} {
-			s := ShardOf(k, shards)
-			if s < 0 || s >= shards {
-				t.Fatalf("ShardOf(%q, %d) = %d out of range", k, shards, s)
-			}
-			if again := ShardOf(k, shards); again != s {
-				t.Fatalf("ShardOf(%q, %d) unstable: %d vs %d", k, shards, s, again)
-			}
-		}
-	}
-	// The hash should actually spread keys: with many keys and 8 shards,
-	// more than one shard must be hit.
-	hit := make(map[int]bool)
-	for i := 0; i < 256; i++ {
-		hit[ShardOf(string(rune('a'+i%26))+string(rune('0'+i%10)), 8)] = true
-	}
-	if len(hit) < 2 {
-		t.Errorf("ShardOf degenerate: all keys in one shard")
-	}
-}
-
-// TestShardOfDistribution is the property backing the sharded index's
-// load balance: over a large URI-shaped key set, every shard receives
-// close to its fair share, at every shard count the index supports.
-func TestShardOfDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 20000
-	keys := make([]string, n)
-	for i := range keys {
-		// Realistic entity keys: a shared prefix plus a varying tail, the
-		// worst case for weak hashes.
-		keys[i] = fmt.Sprintf("http://example.org/resource/%c%d-%x", 'a'+rune(i%26), i, rng.Int63())
-	}
-	for _, shards := range []int{2, 3, 4, 8, 16} {
-		counts := make([]int, shards)
-		for _, k := range keys {
-			counts[ShardOf(k, shards)]++
-		}
-		expected := float64(n) / float64(shards)
-		for s, c := range counts {
-			if ratio := float64(c) / expected; ratio < 0.8 || ratio > 1.2 {
-				t.Errorf("shards=%d: shard %d holds %d keys (%.2fx fair share)", shards, s, c, ratio)
-			}
-		}
-	}
-
-	// Stability across slices of the same bytes: hashing must depend on
-	// content only, never on how the string was assembled.
-	whole := "http://example.org/resource/stable-key"
-	parts := strings.Join([]string{"http://example.org/", "resource/", "stable-key"}, "")
-	for _, shards := range []int{2, 8, 16} {
-		if ShardOf(whole, shards) != ShardOf(parts, shards) {
-			t.Errorf("shards=%d: equal strings hash to different shards", shards)
-		}
 	}
 }

@@ -76,6 +76,23 @@ func emit(dst []string, tok string, opts Options) []string {
 	return append(dst, tok)
 }
 
+// normalized reports whether s is its own NormalizeKey: non-empty
+// runs of ASCII lowercase letters and digits joined by single spaces.
+func normalized(s string) bool {
+	if s == "" || s[0] == ' ' || s[len(s)-1] == ' ' {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case c == ' ' && s[i-1] != ' ':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 func runeLen(s string) int {
 	n := 0
 	for range s {
@@ -129,7 +146,14 @@ func NGrams(tokens []string, n int) []string {
 // NormalizeKey canonicalizes a whole literal into a single blocking key:
 // lowercase, tokens joined by single spaces. Used by Name Blocking (H1),
 // where "the entire entity names are blocking keys".
+//
+// A value already in that form — ASCII lowercase letters and digits in
+// runs joined by single spaces — is returned as it is, without
+// allocating.
 func NormalizeKey(s string) string {
+	if normalized(s) {
+		return s
+	}
 	toks := Tokens(s, DefaultOptions)
 	if len(toks) == 0 {
 		return ""

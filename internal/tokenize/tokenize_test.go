@@ -109,6 +109,24 @@ func TestNormalizeKey(t *testing.T) {
 	}
 }
 
+// TestNormalizeKeyShortcut: a value already in key form is returned as
+// it is, without allocating, and every value — in key form or near it —
+// normalizes to the join of its tokens.
+func TestNormalizeKeyShortcut(t *testing.T) {
+	for _, in := range []string{
+		"a", "abc 123", "tok01 tok07 tok13", "x y z",
+		" a", "a ", "a  b", "A b", "a-b", "é", "a\tb", "ab\x00",
+	} {
+		if got, want := NormalizeKey(in), strings.Join(Tokens(in, DefaultOptions), " "); got != want {
+			t.Errorf("NormalizeKey(%q) = %q, want %q", in, got, want)
+		}
+	}
+	const key = "already normalized 42"
+	if allocs := testing.AllocsPerRun(100, func() { NormalizeKey(key) }); allocs != 0 {
+		t.Errorf("NormalizeKey of a normalized value allocated %v times", allocs)
+	}
+}
+
 // Property: tokenization is idempotent — tokenizing the join of the
 // tokens yields the same tokens.
 func TestTokensIdempotent(t *testing.T) {

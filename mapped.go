@@ -11,20 +11,28 @@ import (
 )
 
 // Mapped (lazily decoded) snapshots. OpenIndexFile maps the snapshot
-// and decodes only what the lock-free read path needs up front:
+// and decodes only what the lock-free read path needs up front, each
+// part a fixed number of bulk copies, never a walk over entity records
+// or a key-by-key insert:
 //
-//   - eagerly: the section directory, config (and its inventory), the
-//     KBs' URI tiers, stats, the match lists, and the journal —
-//     everything Query/Matches/Stats-counters touch. Every section
-//     these read is checksum-verified at open, the KBs' entity
-//     sections included, so Query never serves a damaged URI.
+//   - eagerly: the section directory, config (and its inventory), each
+//     KB's header and URI section (one slab copy; see internal/kb lazy
+//     open), stats, the match lists with their per-entity index (two
+//     arrays per side), and the journal — everything
+//     Query/Matches/Stats-counters touch. Each of these sections is
+//     checksum-verified at open, so Query never serves a damaged URI.
+//     The URI index behind Query's lookups builds on the first lookup.
 //   - on first demand: the delta substrate (section 8) and the KBs'
-//     full tiers (internal/kb lazy open). A small delta reads the
-//     substrate and KB1's URIs only; KB1's full tier decodes for the
-//     full plan, for streams and for the write side. Section checksums
-//     verify on that first access; a corrupted lazy section surfaces
-//     as an ErrSnapshotCorrupt-wrapped error from the fallible entry
-//     points (QueryKB, SaveIndex, mutations, Close), never a crash.
+//     full tiers (predicates, statistics, entity records; retained
+//     sources separately). A small delta reads the substrate and KB1's
+//     URIs only; KB1's full tier decodes for the full plan, for streams
+//     and for the write side. Each lazy section's checksum verifies on
+//     that first access — section 8's outer checksum and its nested
+//     substrate's per-section ones at the first delta, the KB entity
+//     section's at the first full-tier read — and a damaged lazy
+//     section surfaces as an ErrSnapshotCorrupt-wrapped error from the
+//     fallible entry points (QueryKB, SaveIndex, mutations, Close),
+//     never a crash.
 //   - derived, never decoded: the block collections B_N and B_T, which
 //     the epoch's first full-pair stream or first mutation builds by
 //     joining the substrate with KB2's and purging (see deriveBlocks).
@@ -168,7 +176,8 @@ func (e *epoch) deriveBlocks() (blockPair, error) {
 // decodePrepared restores the delta substrate from section 8. The
 // neighbor lists after the embedded substrate have no checksums of
 // their own, so the section's outer checksum is verified here, on this
-// first access; the nested MPS1 frame then decodes on its own.
+// first access; the nested MPS1 frame then decodes on its own. Both
+// halves are bulk copies plus one validating pass.
 func (e *epoch) decodePrepared(m *binio.Map) (*pipeline.Prepared, error) {
 	payload, err := m.Section(snapPrepared)
 	if err != nil {
@@ -197,30 +206,7 @@ func (e *epoch) decodePrepared(m *binio.Map) (*pipeline.Prepared, error) {
 		return nil, fmt.Errorf("%w: prepared substrate built with NameK=%d, config has %d",
 			ErrSnapshotCorrupt, bp.NameK(), cfg.NameAttributes)
 	}
-	nEnt := b.Int()
-	if b.Err() == nil && nEnt != kb1.Len() {
-		b.Fail("neighbor lists cover %d entities, KB1 has %d", nEnt, kb1.Len())
-	}
-	top := make([][]kb.EntityID, 0, min(nEnt, 1<<20))
-	for i := 0; i < nEnt && b.Err() == nil; i++ {
-		cnt := b.Int()
-		if cnt > kb1.Len() {
-			b.Fail("neighbor list larger than the KB (%d > %d)", cnt, kb1.Len())
-			break
-		}
-		nbrs := make([]kb.EntityID, 0, cnt)
-		prev := int64(-1)
-		for j := 0; j < cnt && b.Err() == nil; j++ {
-			id := b.Uvarint()
-			if id >= uint64(kb1.Len()) || int64(id) <= prev {
-				b.Fail("neighbor %d out of order or range [0,%d)", id, kb1.Len())
-				break
-			}
-			prev = int64(id)
-			nbrs = append(nbrs, kb.EntityID(id))
-		}
-		top = append(top, nbrs)
-	}
+	top := readNeighborLists(b, kb1.Len())
 	if err := b.Err(); err != nil {
 		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
 	}
@@ -228,6 +214,47 @@ func (e *epoch) decodePrepared(m *binio.Map) (*pipeline.Prepared, error) {
 		Blocks:    bp,
 		Neighbors: kb.FrozenFromLists(kb1.kb, n, top, nil),
 	}, nil
+}
+
+// readNeighborLists decodes the frozen per-entity neighbor lists of a
+// KB of n entities (see writeNeighborLists): every list ascending and
+// in range. The lists are subslices of one member array.
+func readNeighborLists(b *binio.Reader, n int) [][]kb.EntityID {
+	ends := binio.ReadInt32s[int32](b)
+	members := binio.ReadInt32s[kb.EntityID](b)
+	if b.More() {
+		b.Fail("%d bytes after the neighbor lists", b.Len())
+	}
+	if b.Err() != nil {
+		return nil
+	}
+	if len(ends) != n {
+		b.Fail("neighbor lists cover %d entities, KB1 has %d", len(ends), n)
+		return nil
+	}
+	top := make([][]kb.EntityID, n)
+	start := int32(0)
+	for e, end := range ends {
+		if end < start || int(end) > len(members) {
+			b.Fail("neighbor list %d ends at %d, outside [%d,%d]", e, end, start, len(members))
+			return nil
+		}
+		prev := kb.EntityID(-1)
+		for _, id := range members[start:end] {
+			if id <= prev || int(id) >= n {
+				b.Fail("neighbor %d out of order or range [0,%d)", id, n)
+				return nil
+			}
+			prev = id
+		}
+		top[e] = members[start:end:end]
+		start = end
+	}
+	if int(start) != len(members) {
+		b.Fail("neighbor lists hold %d of %d members", start, len(members))
+		return nil
+	}
+	return top
 }
 
 // drain forces everything the epoch may still read from a snapshot

@@ -246,7 +246,7 @@ func embeddedSection(t *testing.T, data []byte, outer, inner uint64) (int, int) 
 	if !ok {
 		t.Fatalf("snapshot has no section %d", outer)
 	}
-	km, err := binio.BytesMap(img, [4]byte{'M', 'K', 'B', '1'}, 2)
+	km, err := binio.BytesMap(img, [4]byte{'M', 'K', 'B', '1'}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +312,83 @@ func TestPreparedPathReadsNoFullTier(t *testing.T) {
 	}
 	if err := minoaner.SaveIndex(io.Discard, damaged); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
 		t.Errorf("SaveIndex: got %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestMappedFirstDeltaAllocs pins the cold path's object count: opening
+// a snapshot and answering its first one-entity QueryKB copies a fixed
+// number of slabs — URIs, the substrate's tables, the neighbor lists —
+// instead of walking entities or inserting keys, so it allocates fewer
+// than 1 000 objects at any KB size (20 965 at YAGO-IMDb x0.5 and
+// 72 458 at x2 when the open scanned every entity record and the
+// substrate decoded into maps).
+func TestMappedFirstDeltaAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a YAGO-IMDb x2 index")
+	}
+	for _, scale := range []float64{0.5, 2} {
+		b, ix, _ := buildBenchmarkIndex(t, "YAGO-IMDb", 42, scale)
+		data := snapshotBytes(t, ix)
+		delta, err := b.DeltaKB("delta", sampleDeltaURIs(b, 1)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			opened, err := minoaner.OpenIndex(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := opened.QueryKB(context.Background(), delta); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("x%g: %.0f objects", scale, allocs)
+		if allocs >= 1000 {
+			t.Errorf("x%g: open plus the first delta allocated %.0f objects, want fewer than 1000", scale, allocs)
+		}
+	}
+}
+
+// TestOpenReadsNoEntitySection: the open serves URIs from their own
+// section and never reads KB1's entity records, so a byte flipped
+// inside them leaves OpenIndex, Query and the first small QueryKB
+// answering as the pristine image does; the damage surfaces as
+// ErrSnapshotCorrupt at the first full-tier access.
+func TestOpenReadsNoEntitySection(t *testing.T) {
+	const snapKB1, kbEntities = 2, 4
+	b, ix, _ := buildBenchmarkIndex(t, "YAGO-IMDb", 3, 0.1)
+	data := snapshotBytes(t, ix)
+	off, n := embeddedSection(t, data, snapKB1, kbEntities)
+	mut := append([]byte(nil), data...)
+	mut[off+n/2] ^= 0x10
+
+	pristine, err := minoaner.OpenIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := minoaner.OpenIndex(mut)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	uris := append(b.KB1.URIs()[:5:5], b.KB2.URIs()[:5]...)
+	if got, want := damaged.Query(uris...), pristine.Query(uris...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Query answers diverge: %+v vs %+v", got, want)
+	}
+	delta := deltaKB(t, b, 1)
+	got, err := damaged.QueryKB(context.Background(), delta)
+	if err != nil {
+		t.Fatalf("first QueryKB: %v", err)
+	}
+	want, err := pristine.QueryKB(context.Background(), delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, "QueryKB", got, want)
+	if _, err := damaged.QueryKBFull(context.Background(), delta); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("QueryKBFull: got %v, want ErrSnapshotCorrupt", err)
+	}
+	if err := damaged.Close(); !errors.Is(err, minoaner.ErrSnapshotCorrupt) {
+		t.Errorf("Close: got %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
@@ -593,8 +670,8 @@ func TestInspectIndexFile(t *testing.T) {
 		si.KB2.Name != ix.KB2().Name() || si.KB2.Entities != ix.KB2().Len() {
 		t.Errorf("KB summaries diverge: %+v / %+v", si.KB1, si.KB2)
 	}
-	if si.Version != 3 {
-		t.Errorf("format version %d, want 3", si.Version)
+	if si.Version != 4 {
+		t.Errorf("format version %d, want 4", si.Version)
 	}
 	if si.Epoch != ix.Epoch() || si.JournalEntries != len(ix.Journal()) {
 		t.Errorf("journal summary: epoch %d/%d entries %d/%d",

@@ -273,7 +273,7 @@ func TestSnapshotCarriesPreparedSubstrate(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsVersion1: the reader accepts format version 3
+// TestSnapshotRejectsVersion1: the reader accepts format version 4
 // only; a version-1 image — one that stored the block collections —
 // fails on every entry point as corrupt.
 func TestSnapshotRejectsVersion1(t *testing.T) { rejectsVersion(t, 1) }
@@ -283,14 +283,19 @@ func TestSnapshotRejectsVersion1(t *testing.T) { rejectsVersion(t, 1) }
 // corrupt.
 func TestSnapshotRejectsVersion2(t *testing.T) { rejectsVersion(t, 2) }
 
+// TestSnapshotRejectsVersion3: a version-3 image — one whose KBs led
+// each entity record with its URI and whose substrate stored varint
+// member lists — fails on every entry point as corrupt.
+func TestSnapshotRejectsVersion3(t *testing.T) { rejectsVersion(t, 3) }
+
 // rejectsVersion relabels a fresh snapshot as format version v and
 // requires every entry point to refuse it as corrupt.
 func rejectsVersion(t *testing.T, v byte) {
 	t.Helper()
 	_, ix, _ := buildBenchmarkIndex(t, "Restaurant", 9, 0.1)
 	data := snapshotBytes(t, ix)
-	if data[4] != 3 {
-		t.Fatalf("version byte %d, want 3", data[4])
+	if data[4] != minoaner.SnapshotVersion {
+		t.Fatalf("version byte %d, want %d", data[4], minoaner.SnapshotVersion)
 	}
 	data[4] = v
 	path := filepath.Join(t.TempDir(), "old.msnp")

@@ -18,26 +18,30 @@ import (
 // internal/binio for the section framing; every section is
 // CRC32-checksummed):
 //
-//	magic "MSNP" | uvarint version (3) | sections | end marker
+//	magic "MSNP" | uvarint version (4) | sections | end marker
 //
 //	section 1 (config):   the Config the index was built under,
 //	                      followed by the section inventory (the IDs
 //	                      of every section written) — the checksummed
 //	                      defense against a corrupted section ID making
 //	                      an optional section silently vanish.
-//	section 2 (kb1):      first KB, embedded KB binary (internal/kb;
-//	                      includes retained source triples when the KB
-//	                      is mutable)
+//	section 2 (kb1):      first KB, embedded KB binary (internal/kb
+//	                      "MKB1" version 3, whose URIs are a section of
+//	                      their own; includes retained source triples
+//	                      when the KB is mutable)
 //	section 3 (kb2):      second KB, embedded KB binary
 //	section 6 (stats):    purge result and block accounting
 //	section 7 (matches):  H1, H2, H3, final matches, H4 discard count
 //	section 8 (prepared): frozen left-side substrate of the delta path
-//	                      (see Index.QueryKB): the embedded one-sided
-//	                      token/name index (internal/blocking "MPS1")
-//	                      followed by the frozen per-entity neighbor
-//	                      lists. Mandatory: B_N and B_T are derived
-//	                      from it (joined with KB2's substrate, then
-//	                      purged), and the derivation is checked
+//	                      (see Index.QueryKB): uvarint N, the embedded
+//	                      one-sided token/name index (internal/blocking
+//	                      "MPS1" version 2: per side a sorted key slab,
+//	                      offsets and an int32 member array), then the
+//	                      frozen per-entity neighbor lists as one table
+//	                      (an int32 end offset per KB1 entity, then the
+//	                      int32 members). Mandatory: B_N and B_T are
+//	                      derived from it (joined with KB2's substrate,
+//	                      then purged), and the derivation is checked
 //	                      against section 6.
 //	section 9 (journal):  uvarint epoch | uvarint Compact count |
 //	                      uvarint record count | one length-prefixed
@@ -53,10 +57,15 @@ import (
 // and 10 (the shard count of a removed scatter-gather engine) are
 // retired: never reuse them. Version 2 wrote section 9 field by field
 // (an entry list, the Compact count, then a tail of per-upsert delta
-// payloads); version 3 replaced that layout with the records.
+// payloads); version 3 replaced that layout with the records. Version
+// 4 stores the arrays an open copies in their in-memory layout: each
+// KB's URIs as a slab (MKB1 version 3), the substrate's postings and
+// the neighbor lists as fixed-width tables, so an open and the first
+// delta copy a fixed number of slabs instead of walking entity records
+// and inserting keys.
 //
 // Compatibility promise: a reader accepts exactly the format version
-// it names (currently 3), skips unknown section IDs within it, and
+// it names (currently 4), skips unknown section IDs within it, and
 // rejects everything else — including any payload whose checksum does
 // not match, and derived blocks that disagree with the stats — with an
 // error wrapping ErrSnapshotCorrupt. Saving a loaded index reproduces
@@ -64,7 +73,7 @@ import (
 
 var snapshotMagic = [4]byte{'M', 'S', 'N', 'P'}
 
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // Section IDs of the snapshot frame (4, 5 and 10 are retired).
 //
@@ -157,15 +166,18 @@ func SaveIndex(w io.Writer, ix *Index) error {
 	return bw.Flush()
 }
 
-// writeNeighborLists encodes the frozen per-entity neighbor lists.
+// writeNeighborLists encodes the frozen per-entity neighbor lists as
+// one table: the end offset of each entity's list, then the lists back
+// to back, both fixed-width int32 arrays.
 func writeNeighborLists(e *binio.Writer, top [][]kb.EntityID) {
-	e.Int(len(top))
-	for _, nbrs := range top {
-		e.Int(len(nbrs))
-		for _, id := range nbrs {
-			e.Uvarint(uint64(id))
-		}
+	ends := make([]int32, len(top))
+	var members []kb.EntityID
+	for i, nbrs := range top {
+		members = append(members, nbrs...)
+		ends[i] = int32(len(members))
 	}
+	binio.WriteInt32s(e, ends)
+	binio.WriteInt32s(e, members)
 }
 
 // writeJournalSection encodes section 9: the epoch number, the
