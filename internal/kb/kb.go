@@ -338,11 +338,13 @@ func (b *Builder) Build() (*KB, error) {
 
 	kb := assembleKB(b.name, workers, b.terms, refs, b.typeTerm())
 	// Clip the term table so later builder appends cannot write into the
-	// retained slice's spare capacity, and leave a reservation the
-	// document did not fill (see reserveFor) with the builder.
+	// retained slice's spare capacity. A reservation the document left
+	// more than an eighth unfilled (see reserveFor) is not kept for the
+	// KB's life: the KB and the builder move to an exact copy.
 	terms := b.terms[:len(b.terms):len(b.terms)]
 	if n := len(terms); cap(b.terms) > n+n/8 {
 		terms = slices.Clone(terms)
+		b.terms = terms
 	}
 	kb.src = &Sources{terms: terms, refs: refs}
 	return kb, nil
