@@ -4,9 +4,9 @@
 // deleted ones. Prepared.ApplyPatch copies the substrate's tables — the
 // untouched runs of keys and members in bulk — and rewrites those keys,
 // reproducing, key for key and member for member, what Prepare builds
-// from scratch over the mutated KB. A mutation's two-sided collections are the joins of its
-// patched substrates (JoinTokenBlocks, JoinNameBlocks), as every other
-// run's are.
+// from scratch over the mutated KB. A mutation's two-sided collections
+// are the joins of its patched substrates (JoinTokenBlocks,
+// JoinNameBlocks), as every other run's are.
 package blocking
 
 import (

@@ -95,10 +95,6 @@ func (kb *KB) readURIs(dec *binio.Reader) {
 	if dec.Err() != nil {
 		return
 	}
-	if n := len(ends); n > 0 && int(ends[n-1]) != len(slab) || n == 0 && len(slab) > 0 {
-		dec.Fail("URI offsets do not cover the %d-byte slab", len(slab))
-		return
-	}
 	text := string(slab)
 	kb.entities = make([]Entity, len(ends))
 	start := int32(0)
@@ -109,6 +105,9 @@ func (kb *KB) readURIs(dec *binio.Reader) {
 		}
 		kb.entities[i].URI = text[start:end]
 		start = end
+	}
+	if int(start) != len(text) {
+		dec.Fail("URIs cover %d of the slab's %d bytes", start, len(text))
 	}
 }
 
